@@ -13,7 +13,6 @@ from .catalog import (
     load_catalog_file,
     parse_catalog,
     parse_identity,
-    pretty_print,
     section3_source,
 )
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     UnboundSymbolError,
 )
 from .expr import to_text
-from .oracle import OracleConfig, OracleTables, index_range, oracle_eval
+from .oracle import OracleTables, oracle_eval
 from .parser import parse_expr
 from .seq import (
     FIB_SEED,
@@ -40,7 +39,6 @@ from .seq import (
     fib_pair_doubling,
     gen,
     lucas,
-    lucas_naive,
     table,
 )
 from .symbolic import prove_symbolic
@@ -57,8 +55,7 @@ from .verify import (
 )
 from .zphi import (
     GoldenInt,
-    GoldenRat,
-    LaurentPoly3,
+    LaurentPoly,
     binet_fib,
     binet_lucas,
     phi_pow,
@@ -68,19 +65,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Catalog", "Identity", "builtin_catalog", "format_catalog",
-    "load_catalog_file", "parse_catalog", "parse_identity", "pretty_print",
+    "load_catalog_file", "parse_catalog", "parse_identity",
     "section3_source",
     "FibkitError", "ParseError", "UnboundSymbolError", "CatalogError",
     "EvalError", "GridError", "SymbolicError", "InternalFault",
     "to_text", "parse_expr",
-    "OracleConfig", "OracleTables", "index_range", "oracle_eval",
+    "OracleTables", "oracle_eval",
     "Seed", "SeqTable", "FIB_SEED", "LUCAS_SEED",
-    "fib", "lucas", "gen", "fib_naive", "lucas_naive", "fib_pair_doubling",
+    "fib", "lucas", "gen", "fib_naive", "fib_pair_doubling",
     "table", "decompose",
     "prove_symbolic",
     "STANDARD_SEEDS", "Failure", "GridSpec", "ParamPoint", "VerifyReport",
     "case_split_value", "check_recurrence", "eval_side", "verify_grid",
-    "GoldenInt", "GoldenRat", "LaurentPoly3", "binet_fib", "binet_lucas",
+    "GoldenInt", "LaurentPoly", "binet_fib", "binet_lucas",
     "phi_pow",
     "__version__",
 ]

@@ -64,11 +64,6 @@ def parse_identity(text: str, *, name: str, params: tuple[str, ...] | list[str],
                     paper_tag=paper_tag)
 
 
-def pretty_print(identity: Identity) -> str:
-    """Canonical text of an identity; parsing it back gives an equal AST."""
-    return identity.text
-
-
 @dataclass(frozen=True)
 class Catalog:
     """Ordered collection of identities with unique names."""

@@ -32,6 +32,9 @@ DEFAULT_RANK_RANGE = (0, 4)
 DEFAULT_PARAM_RANGE = (-8, 8)
 DEFAULT_PROVE_RANKS = (1, 2, 3, 4)
 
+# Longest integer, in decimal digits, that the CLI converts to text.
+MAX_PRINT_DIGITS = 2_000_000
+
 _GRID_FLAGS = ("n", "m", "p", "q")
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
@@ -171,11 +174,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         value = fib(args.index)
     else:
         value = lucas(args.index)
+    digits = decimal_digits(value)
+    if digits > MAX_PRINT_DIGITS:
+        raise FibkitError(f"{args.seq}({args.index}) has {digits:,} decimal digits, "
+                          f"over the {MAX_PRINT_DIGITS:,}-digit output limit")
     print(value)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise FibkitError(f"--workers must be at least 1, got {args.workers}")
     catalog = _resolve_catalog(args)
     entries = _select_entries(catalog, args)
     reports = [
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+        sys.set_int_max_str_digits(MAX_PRINT_DIGITS)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -22,7 +22,7 @@ __all__ = [
     "Lit", "Sym", "Add", "Sub", "Neg", "Mul", "Pow",
     "SeqRef", "Binom", "Sign", "Pow5Floor", "Sum",
     "Node", "SEQ_KINDS",
-    "free_symbols", "iter_nodes", "substitute", "is_index_expr", "to_text",
+    "free_symbols", "height", "iter_nodes", "substitute", "is_index_expr", "to_text",
 ]
 
 SEQ_KINDS = ("F", "L", "G")
@@ -127,6 +127,17 @@ def iter_nodes(node: Node) -> Iterator[Node]:
         cur = stack.pop()
         yield cur
         stack.extend(reversed(_children(cur)))
+
+
+def height(node: Node) -> int:
+    """Number of nodes on the longest root-to-leaf path, found without recursion."""
+    deepest = 0
+    stack = [(node, 1)]
+    while stack:
+        cur, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in _children(cur))
+    return deepest
 
 
 def free_symbols(node: Node) -> frozenset[str]:

@@ -10,21 +10,19 @@ differential disagreement always exposes a real bug on one side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import EvalError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
 )
-from .ranges import Interval, index_window, merge_windows, point_intervals
+from .ranges import index_window, merge_windows, point_intervals
 
 if TYPE_CHECKING:  # types only; no runtime dependency on the fast paths
     from .seq import Seed
-    from .verify import GridSpec, ParamPoint
+    from .verify import ParamPoint
 
-__all__ = ["OracleConfig", "OracleTables", "oracle_eval", "index_range",
-           "pascal_binom", "recurrence_table"]
+__all__ = ["OracleTables", "oracle_eval", "pascal_binom", "recurrence_table"]
 
 
 def recurrence_table(g0: int, g1: int, lo: int, hi: int) -> dict[int, int]:
@@ -64,36 +62,17 @@ def pascal_binom(n: int, k: int) -> int:
     return _pascal_rows[n][k]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Table window and seed list for a batch of oracle evaluations.
+class OracleTables:
+    """Recurrence tables over indices lo..hi for F, L and each seed's G.
 
     The window must cover every index any checked expression touches;
-    index_range() computes that from the AST and the grid.
+    ranges.index_window computes that from the AST and the grid.
     """
 
-    lo: int
-    hi: int
-    seeds: tuple["Seed", ...]
-
-
-class OracleTables:
-    """Prebuilt recurrence tables for repeated oracle evaluation."""
-
-    def __init__(self, config: OracleConfig):
-        self.config = config
-        self.fib = recurrence_table(0, 1, config.lo, config.hi)
-        self.lucas = recurrence_table(2, 1, config.lo, config.hi)
-        self.gen = {s: recurrence_table(s.g0, s.g1, config.lo, config.hi)
-                    for s in config.seeds}
-
-
-def index_range(ast: Node, spec: "GridSpec") -> Interval:
-    """Tight bounds on every sequence index the AST can touch over the grid."""
-    window = index_window(ast, dict(spec.ranges))
-    if window is None:
-        return (0, 0)
-    return window
+    def __init__(self, lo: int, hi: int, seeds: tuple["Seed", ...]):
+        self.fib = recurrence_table(0, 1, lo, hi)
+        self.lucas = recurrence_table(2, 1, lo, hi)
+        self.gen = {s: recurrence_table(s.g0, s.g1, lo, hi) for s in seeds}
 
 
 def oracle_eval(ast: Node, pt: "ParamPoint", tables: OracleTables | None = None) -> int:
@@ -101,7 +80,7 @@ def oracle_eval(ast: Node, pt: "ParamPoint", tables: OracleTables | None = None)
     if tables is None:
         window = merge_windows(index_window(ast, point_intervals(pt.values)), (0, 1))
         assert window is not None
-        tables = OracleTables(OracleConfig(window[0], window[1], (pt.seed,)))
+        tables = OracleTables(window[0], window[1], (pt.seed,))
     seq_tables = {"F": tables.fib, "L": tables.lucas, "G": tables.gen[pt.seed]}
     return _interp(ast, dict(pt.values), seq_tables)
 

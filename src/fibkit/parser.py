@@ -18,6 +18,11 @@ Grammar (infix, standard precedence: ^ binds tightest, then unary -, then
 index arguments, sum bounds, and power exponents are restricted to the
 {INT, symbol, +, -, *} sublanguage (see expr.is_index_expr). Sums do not
 nest. '#' starts a comment running to end of line.
+
+Input is bounded by MAX_DEPTH: the parser refuses to nest deeper (each
+parenthesis, call or exponent is one level), and the AST of a side may
+be no higher (a flat chain of n operators is n levels), so that the
+recursive walkers downstream stay within the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from dataclasses import dataclass
 from .errors import ParseError, UnboundSymbolError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum,
-    Sym, free_symbols, is_index_expr, iter_nodes,
+    Sym, free_symbols, height, is_index_expr, iter_nodes,
 )
 
 __all__ = ["tokenize", "parse_expr", "parse_identity_sides", "check_identity_scope",
-           "RESERVED", "Token"]
+           "RESERVED", "MAX_DEPTH", "Token"]
+
+MAX_DEPTH = 64
 
 RESERVED = frozenset({"F", "L", "G", "binom", "sign", "pow5floor", "sum"})
 
@@ -110,6 +117,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.in_sum = False
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -151,22 +159,31 @@ class _Parser:
         return node
 
     def unary(self) -> Node:
-        if self.peek().kind == "-":
+        signs = 0
+        while self.peek().kind == "-":
             self.advance()
-            operand = self.unary()
-            if isinstance(operand, Lit):
-                return Lit(-operand.value)  # canonical: no Neg around literals
-            return Neg(operand)
-        return self.power()
+            signs += 1
+        node = self.power()
+        for _ in range(signs):
+            # canonical: no Neg around literals
+            node = Lit(-node.value) if isinstance(node, Lit) else Neg(node)
+        return node
 
     def power(self) -> Node:
-        base = self.atom()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            exponent = self.power()
-            self._require_index(exponent, caret, "power exponent")
-            return Pow(base, exponent)
-        return base
+        # every recursive path of the grammar passes through here
+        self.depth += 1
+        try:
+            if self.depth > MAX_DEPTH:
+                self.fail(f"expression nests more than {MAX_DEPTH} levels deep")
+            base = self.atom()
+            if self.peek().kind == "^":
+                caret = self.advance()
+                exponent = self.power()
+                self._require_index(exponent, caret, "power exponent")
+                return Pow(base, exponent)
+            return base
+        finally:
+            self.depth -= 1
 
     def atom(self) -> Node:
         tok = self.peek()
@@ -246,6 +263,12 @@ class _Parser:
                 at.line, at.col)
 
 
+def _check_height(node: Node) -> Node:
+    if height(node) > MAX_DEPTH:
+        raise ParseError(f"expression tree is more than {MAX_DEPTH} levels high")
+    return node
+
+
 def parse_expr(text: str) -> Node:
     """Parse a single expression; raises ParseError on malformed input."""
     parser = _Parser(tokenize(text))
@@ -253,7 +276,7 @@ def parse_expr(text: str) -> Node:
     if parser.peek().kind != "EOF":
         parser.fail(f"unexpected {parser._describe(parser.peek())} after expression",
                     {"EOF"})
-    return node
+    return _check_height(node)
 
 
 def parse_identity_sides(text: str) -> tuple[Node, Node]:
@@ -265,7 +288,7 @@ def parse_identity_sides(text: str) -> tuple[Node, Node]:
     if parser.peek().kind != "EOF":
         parser.fail(f"unexpected {parser._describe(parser.peek())} after identity",
                     {"EOF"})
-    return lhs, rhs
+    return _check_height(lhs), _check_height(rhs)
 
 
 def check_identity_scope(lhs: Node, rhs: Node, params: tuple[str, ...]) -> None:

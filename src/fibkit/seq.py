@@ -21,7 +21,6 @@ __all__ = [
     "lucas",
     "gen",
     "fib_naive",
-    "lucas_naive",
     "fib_pair_doubling",
     "table",
     "decompose",
@@ -93,17 +92,6 @@ def fib_naive(n: int) -> int:
     for _ in range(m):
         a, b = b, a + b
     if n < 0 and not m & 1:
-        a = -a
-    return a
-
-
-def lucas_naive(n: int) -> int:
-    """L(n) by stepping the recurrence one index at a time."""
-    m = -n if n < 0 else n
-    a, b = 2, 1
-    for _ in range(m):
-        a, b = b, a + b
-    if n < 0 and m & 1:
         a = -a
     return a
 

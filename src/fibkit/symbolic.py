@@ -9,7 +9,8 @@ whose union covers all integers.
 
 G references expand through G(e) = [(G(-1)+G(1)) F(e) + G(0) L(e)] / 2
 with the two seed combinations kept as formal scalars, so a PASS is
-universal over seeds as well. An identity passes one case when the
+universal over seeds as well. The seed scalars are the last two symbols
+of the same Laurent polynomial. An identity passes one case when the
 difference of its sides reduces to the zero polynomial.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .catalog import Identity
 from .errors import SymbolicError
@@ -26,95 +27,13 @@ from .expr import (
     substitute, to_text,
 )
 from .verify import Failure, VerifyReport, _bi
-from .zphi import HALF, INV_SQRT5, LaurentPoly3, GoldenRat, phi_pow
+from .zphi import SQRT5, GoldenInt, LaurentPoly, phi_pow
 
-__all__ = ["SeedPoly", "prove_symbolic"]
+__all__ = ["prove_symbolic"]
 
-
-class SeedPoly:
-    """Polynomial in the two formal seed scalars with LaurentPoly3 coefficients.
-
-    Keys are (i, j) for splus^i * szero^j, where splus stands for
-    G(-1) + G(1) and szero for G(0). Zero coefficients are pruned, so
-    is_zero() is a plain emptiness test.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], LaurentPoly3] |
-                 Iterable[tuple[tuple[int, int], LaurentPoly3]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = {k: p for k, p in items if not p.is_zero()}
-
-    @classmethod
-    def zero(cls) -> SeedPoly:
-        return cls()
-
-    @classmethod
-    def scalar(cls, value: int | GoldenRat) -> SeedPoly:
-        return cls({(0, 0): LaurentPoly3.scalar(value)})
-
-    @classmethod
-    def from_laurent(cls, poly: LaurentPoly3) -> SeedPoly:
-        return cls({(0, 0): poly})
-
-    def terms(self) -> dict[tuple[int, int], LaurentPoly3]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: SeedPoly) -> SeedPoly:
-        merged = dict(self._terms)
-        for k, p in other._terms.items():
-            merged[k] = merged[k] + p if k in merged else p
-        return SeedPoly(merged)
-
-    def __sub__(self, other: SeedPoly) -> SeedPoly:
-        return self + (-other)
-
-    def __neg__(self) -> SeedPoly:
-        return SeedPoly({k: -p for k, p in self._terms.items()})
-
-    def __mul__(self, other: SeedPoly) -> SeedPoly:
-        product: dict[tuple[int, int], LaurentPoly3] = {}
-        for (i1, j1), p1 in self._terms.items():
-            for (i2, j2), p2 in other._terms.items():
-                k = (i1 + i2, j1 + j2)
-                piece = p1 * p2
-                product[k] = product[k] + piece if k in product else piece
-        return SeedPoly(product)
-
-    def __pow__(self, n: int) -> SeedPoly:
-        if n < 0:
-            raise ValueError("SeedPoly power requires n >= 0")
-        result = SeedPoly.scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SeedPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def describe(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self._terms):
-            head = "*".join(filter(None, [
-                f"splus^{i}" if i else "",
-                f"szero^{j}" if j else "",
-            ])) or "1"
-            parts.append(f"{head}: {self._terms[(i, j)]!r}")
-        return " ; ".join(parts)
-
-    __repr__ = describe
+# Symbol names in residual text: one per free parameter, then the two seeds.
+_AXIS_NAMES = "XYZ"
+_SEED_NAMES = ("splus", "szero")
 
 
 # --- affine analysis of index expressions -----------------------------------
@@ -178,33 +97,45 @@ def _eval_index(node: Node, env: Mapping[str, int], what: str) -> int:
 # --- Binet rewriting per parity case -----------------------------------------
 
 class _Case:
-    """One parity case: axis assignment and parity bit per free parameter."""
+    """One parity case: axis assignment and parity bit per free parameter.
 
-    __slots__ = ("axes", "bits")
+    Polynomials have one symbol per free parameter (its axis), then the
+    seed scalars splus = G(-1) + G(1) and szero = G(0).
+    """
+
+    __slots__ = ("axes", "bits", "nsyms", "inv_sqrt5", "half", "splus", "szero")
 
     def __init__(self, axes: dict[str, int], bits: dict[str, int]):
         self.axes = axes
         self.bits = bits
+        self.nsyms = len(axes) + 2
+        self.inv_sqrt5 = self.constant(SQRT5, 5)   # 1/sqrt(5) = sqrt(5)/5
+        self.half = self.constant(1, 2)
+        self.splus = LaurentPoly.monomial((0,) * len(axes) + (1, 0))
+        self.szero = LaurentPoly.monomial((0,) * len(axes) + (0, 1))
 
-    def phi_power(self, const: int, terms: dict[str, int]) -> LaurentPoly3:
-        exps = [0, 0, 0]
+    def constant(self, value: int | GoldenInt, den: int = 1) -> LaurentPoly:
+        return LaurentPoly.monomial((0,) * self.nsyms, value, den)
+
+    def phi_power(self, const: int, terms: dict[str, int]) -> LaurentPoly:
+        exps = [0] * self.nsyms
         for param, coeff in terms.items():
             exps[self.axes[param]] += coeff
-        return LaurentPoly3.monomial(tuple(exps), GoldenRat(phi_pow(const)))
+        return LaurentPoly.monomial(tuple(exps), phi_pow(const))
 
-    def conj_power(self, const: int, terms: dict[str, int]) -> LaurentPoly3:
+    def conj_power(self, const: int, terms: dict[str, int]) -> LaurentPoly:
         # (1 - phi)^e = (-1)^e * phi^(-e); parity of e fixes the sign
         parity = const
-        exps = [0, 0, 0]
+        exps = [0] * self.nsyms
         for param, coeff in terms.items():
             parity += coeff * self.bits[param]
             exps[self.axes[param]] -= coeff
-        coeff_scalar = GoldenRat(phi_pow(-const))
+        coeff_scalar = phi_pow(-const)
         if parity & 1:
             coeff_scalar = -coeff_scalar
-        return LaurentPoly3.monomial(tuple(exps), coeff_scalar)
+        return LaurentPoly.monomial(tuple(exps), coeff_scalar)
 
-    def seq_poly(self, kind: str, arg: Node) -> SeedPoly:
+    def seq_poly(self, kind: str, arg: Node) -> LaurentPoly:
         try:
             const, terms = _affine(arg)
         except SymbolicError as exc:
@@ -212,21 +143,21 @@ class _Case:
         plus = self.phi_power(const, terms)
         minus = self.conj_power(const, terms)
         if kind == "F":
-            return SeedPoly.from_laurent((plus - minus) * INV_SQRT5)
+            return (plus - minus) * self.inv_sqrt5
         if kind == "L":
-            return SeedPoly.from_laurent(plus + minus)
+            return plus + minus
         # G(e) = [splus * F(e) + szero * L(e)] / 2 with formal seed scalars
-        f_part = (plus - minus) * INV_SQRT5 * HALF
-        l_part = (plus + minus) * HALF
-        return SeedPoly({(1, 0): f_part, (0, 1): l_part})
+        f_part = (plus - minus) * self.inv_sqrt5 * self.splus
+        l_part = (plus + minus) * self.szero
+        return (f_part + l_part) * self.half
 
     def sign_value(self, arg: Node) -> int:
         parity = _eval_index(arg, self.bits, "sign() exponent") & 1
         return -1 if parity else 1
 
-    def to_poly(self, node: Node) -> SeedPoly:
+    def to_poly(self, node: Node) -> LaurentPoly:
         if isinstance(node, Lit):
-            return SeedPoly.scalar(node.value)
+            return self.constant(node.value)
         if isinstance(node, Sym):
             raise SymbolicError(
                 f"parameter '{node.name}' appears as a bare value; the prover "
@@ -249,20 +180,20 @@ class _Case:
         if isinstance(node, Binom):
             top = _eval_index(node.top, {}, "binom() argument")
             bottom = _eval_index(node.bottom, {}, "binom() argument")
-            return SeedPoly.scalar(_bi(top, bottom))
+            return self.constant(_bi(top, bottom))
         if isinstance(node, Sign):
-            return SeedPoly.scalar(self.sign_value(node.arg))
+            return self.constant(self.sign_value(node.arg))
         if isinstance(node, Pow5Floor):
             e = _eval_index(node.arg, {}, "pow5floor() argument")
             if e < 0:
                 raise SymbolicError(f"pow5floor argument {e} is negative")
-            return SeedPoly.scalar(5 ** (e // 2))
+            return self.constant(5 ** (e // 2))
         if isinstance(node, Sum):
             lo = _eval_index(node.lo, {}, "sum lower bound")
             hi = _eval_index(node.hi, {}, "sum upper bound")
             if lo > hi + 1:
                 raise SymbolicError(f"sum bounds {lo}..{hi} are inverted")
-            acc = SeedPoly.zero()
+            acc = LaurentPoly(self.nsyms)
             for k in range(lo, hi + 1):
                 acc = acc + self.to_poly(substitute(node.body, {node.var: k}))
             return acc
@@ -291,15 +222,16 @@ def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
         if fixed[rank] < 0:
             raise SymbolicError(f"rank parameter '{rank}' must be >= 0")
     free = tuple(p for p in identity.free_params if p not in fixed)
-    if len(free) > 3:
+    if len(free) > len(_AXIS_NAMES):
         raise SymbolicError(
-            f"'{identity.name}' keeps {len(free)} parameters free; at most 3 "
-            f"are supported")
+            f"'{identity.name}' keeps {len(free)} parameters free; at most "
+            f"{len(_AXIS_NAMES)} are supported")
 
     started = time.perf_counter()
     lhs = substitute(identity.lhs, fixed)
     rhs = substitute(identity.rhs, fixed)
     axes = {p: i for i, p in enumerate(free)}
+    names = (*_AXIS_NAMES[:len(free)], *_SEED_NAMES)
 
     failures: list[Failure] = []
     for bit_tuple in itertools.product((0, 1), repeat=len(free)):
@@ -309,7 +241,7 @@ def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
             failures.append(Failure(
                 point=tuple(zip(free, bit_tuple)),
                 seed=None,
-                lhs=residual.describe(),
+                lhs=residual.text(names),
                 rhs="0",
             ))
 
@@ -321,7 +253,7 @@ def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
         grid={
             "fixed": dict(sorted(fixed.items())),
             "parity_params": list(free),
-            "axes": {"XYZ"[i]: p for p, i in axes.items()},
+            "axes": {_AXIS_NAMES[i]: p for p, i in axes.items()},
         },
         total=2 ** len(free),
         failures=failures,

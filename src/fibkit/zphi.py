@@ -1,32 +1,30 @@
-"""Exact arithmetic in the golden-ratio ring Z[phi] and its fraction field.
+"""Exact arithmetic in the golden-ratio ring Z[phi].
 
 Elements are stored as a + b*phi with integer a, b, where phi^2 = phi + 1.
 The conjugate swaps phi and 1 - phi, and phi * (1 - phi) = -1, which makes
 phi a unit: negative powers stay inside the ring. sqrt(5) is the element
 2*phi - 1, so the Binet formulas evaluate with no floating point at all.
 
-LaurentPoly3 adds sparse Laurent polynomials in three invertible formal
-symbols with GoldenRat coefficients; it is the canonical-form carrier for
-the symbolic identity prover.
+LaurentPoly adds sparse Laurent polynomials in any number of invertible
+formal symbols over Q(phi); it is the canonical-form carrier for the
+symbolic identity prover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from operator import add
+from typing import Mapping, Sequence, TypeVar, Union
 
 from .errors import InternalFault
 
 __all__ = [
     "GoldenInt",
-    "GoldenRat",
-    "LaurentPoly3",
+    "LaurentPoly",
     "PHI",
     "ONE",
     "SQRT5",
-    "INV_SQRT5",
-    "HALF",
     "phi_pow",
     "binet_fib",
     "binet_lucas",
@@ -76,14 +74,7 @@ class GoldenInt:
     def __pow__(self, n: int) -> GoldenInt:
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def conj(self) -> GoldenInt:
         """Galois conjugate, sending phi to 1 - phi."""
@@ -112,6 +103,21 @@ class GoldenInt:
         return f"{self.a}{self.b:+}φ"
 
 
+_Ring = TypeVar("_Ring", "GoldenInt", "LaurentPoly")
+
+
+def _power(base: _Ring, n: int, one: _Ring) -> _Ring:
+    """base ** n for n >= 0 by square-and-multiply; `one` is the ring's unit."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _coerce(value: Scalar) -> GoldenInt:
     if isinstance(value, GoldenInt):
         return value
@@ -120,7 +126,6 @@ def _coerce(value: Scalar) -> GoldenInt:
     return NotImplemented
 
 
-ZERO = GoldenInt(0, 0)
 ONE = GoldenInt(1, 0)
 PHI = GoldenInt(0, 1)
 SQRT5 = GoldenInt(-1, 2)  # sqrt(5) = 2*phi - 1
@@ -135,137 +140,19 @@ def phi_pow(n: int) -> GoldenInt:
     return PHI ** n
 
 
-RatScalar = Union["GoldenRat", GoldenInt, int]
-
-
-@dataclass(frozen=True)
-class GoldenRat:
-    """Element of the fraction field Q(phi), stored as num / den.
-
-    Normalized on construction: den > 0 and gcd(num.a, num.b, den) = 1.
-    """
-
-    num: GoldenInt
-    den: int = 1
-
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
-        if den == 0:
-            raise ZeroDivisionError("GoldenRat with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(gcd(abs(num.a), abs(num.b)), den)
-        if g > 1:
-            num = GoldenInt(num.a // g, num.b // g)
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __add__(self, other: RatScalar) -> GoldenRat:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GoldenRat(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: RatScalar) -> GoldenRat:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GoldenRat(self.num * other.den - other.num * self.den,
-                         self.den * other.den)
-
-    def __rsub__(self, other: RatScalar) -> GoldenRat:
-        return -self + other
-
-    def __neg__(self) -> GoldenRat:
-        return GoldenRat(-self.num, self.den)
-
-    def __mul__(self, other: RatScalar) -> GoldenRat:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GoldenRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RatScalar) -> GoldenRat:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other: RatScalar) -> GoldenRat:
-        return _coerce_rat(other) * self.inverse()
-
-    def inverse(self) -> GoldenRat:
-        # 1 / (z / d) = d * conj(z) / norm(z); normalization fixes signs
-        n = self.num.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(phi)")
-        return GoldenRat(self.num.conj() * self.den, n)
-
-    def __pow__(self, n: int) -> GoldenRat:
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = GoldenRat(ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return self.num == ZERO
-
-    def is_integer(self) -> bool:
-        """True when the value is a rational integer (no phi part, unit denominator)."""
-        return self.num.b == 0 and self.den == 1
-
-    def as_integer(self) -> int:
-        if not self.is_integer():
-            raise InternalFault(f"{self} is not a rational integer")
-        return self.num.a
-
-    def __repr__(self) -> str:
-        return f"GoldenRat({self.num!r}, {self.den})"
-
-    def __str__(self) -> str:
-        return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)
-
-
-def _coerce_rat(value: RatScalar) -> GoldenRat:
-    if isinstance(value, GoldenRat):
-        return value
-    if isinstance(value, GoldenInt):
-        return GoldenRat(value)
-    if isinstance(value, int):
-        return GoldenRat(GoldenInt(value, 0))
-    return NotImplemented
-
-
-INV_SQRT5 = GoldenRat(SQRT5, 5)  # 1/sqrt(5) = (2*phi - 1)/5
-HALF = GoldenRat(ONE, 2)
-
-RAT_ZERO = GoldenRat(ZERO)
-RAT_ONE = GoldenRat(ONE)
-
-
 def binet_fib(n: int) -> int:
     """F(n) evaluated through the exact Binet formula (phi^n - (1-phi)^n)/sqrt(5).
 
-    The quotient must land on a rational integer; any phi residue or
-    leftover denominator is an InternalFault, not a rounding concern.
+    phi^n - (1-phi)^n must be k*sqrt(5) = -k + 2k*phi for a rational
+    integer k, which is F(n); any other shape is an InternalFault, not a
+    rounding concern.
     """
     z = phi_pow(n)
-    value = GoldenRat(z - z.conj()) * INV_SQRT5
-    if not value.is_integer():
-        raise InternalFault(f"Binet F({n}) left residue {value}")
-    return value.as_integer()
+    diff = z - z.conj()
+    k = -diff.a
+    if diff.b != 2 * k:
+        raise InternalFault(f"Binet F({n}) left residue ({diff})/sqrt(5)")
+    return k
 
 
 def binet_lucas(n: int) -> int:
@@ -277,102 +164,100 @@ def binet_lucas(n: int) -> int:
     return value.a
 
 
-Exps = tuple[int, int, int]
+Exps = tuple[int, ...]
 
 
-class LaurentPoly3:
-    """Sparse Laurent polynomial in three invertible symbols X, Y, Z.
+class LaurentPoly:
+    """Sparse Laurent polynomial in `nsyms` invertible symbols over Q(phi).
 
-    Coefficients are GoldenRat; exponent triples range over all of Z^3.
-    Canonical form stores no zero coefficient, so two polynomials are
-    equal exactly when their coefficient maps are equal.
+    Terms map exponent tuples (one entry per symbol, any integer) to
+    GoldenInt numerators, and one positive integer `den` divides the whole
+    polynomial; the prover's denominators are products of 2s and 5s. No
+    zero numerator is stored, so the polynomial is zero exactly when no
+    term is left, and the zero test never divides. Numerators are reduced
+    against the denominator only when the polynomial is turned into text.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("nsyms", "terms", "den")
 
-    def __init__(self, coeffs: Mapping[Exps, GoldenRat] | Iterable[tuple[Exps, GoldenRat]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._coeffs = {e: c for e, c in items if not c.is_zero()}
-
-    @classmethod
-    def zero(cls) -> LaurentPoly3:
-        return cls()
-
-    @classmethod
-    def scalar(cls, value: RatScalar) -> LaurentPoly3:
-        return cls({(0, 0, 0): _coerce_rat(value)})
+    def __init__(self, nsyms: int, terms: Mapping[Exps, GoldenInt] | None = None,
+                 den: int = 1):
+        if den < 1:
+            raise ValueError(f"LaurentPoly denominator must be positive, got {den}")
+        self.nsyms = nsyms
+        self.terms = {e: c for e, c in (terms or {}).items() if c.a or c.b}
+        self.den = den
 
     @classmethod
-    def monomial(cls, exps: Exps, coeff: RatScalar = 1) -> LaurentPoly3:
-        return cls({exps: _coerce_rat(coeff)})
-
-    def coefficients(self) -> dict[Exps, GoldenRat]:
-        return dict(self._coeffs)
-
-    def coefficient(self, exps: Exps) -> GoldenRat:
-        return self._coeffs.get(exps, RAT_ZERO)
+    def monomial(cls, exps: Exps, coeff: Scalar = 1, den: int = 1) -> LaurentPoly:
+        """coeff/den times the product of symbol i raised to exps[i]."""
+        return cls(len(exps), {tuple(exps): _coerce(coeff)}, den)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.terms
 
-    def __add__(self, other: LaurentPoly3) -> LaurentPoly3:
-        if not isinstance(other, LaurentPoly3):
+    def _rescaled(self, den: int) -> dict[Exps, GoldenInt]:
+        """Numerators over `den`, a multiple of self.den."""
+        if den == self.den:
+            return self.terms
+        scale = den // self.den
+        return {e: c * scale for e, c in self.terms.items()}
+
+    def __add__(self, other: LaurentPoly) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            merged[e] = merged.get(e, RAT_ZERO) + c
-        return LaurentPoly3(merged)
+        den = self.den if self.den == other.den else lcm(self.den, other.den)
+        merged = dict(self._rescaled(den))
+        for e, c in other._rescaled(den).items():
+            merged[e] = merged[e] + c if e in merged else c
+        return LaurentPoly(self.nsyms, merged, den)
 
-    def __sub__(self, other: LaurentPoly3) -> LaurentPoly3:
-        if not isinstance(other, LaurentPoly3):
+    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self) -> LaurentPoly3:
-        return LaurentPoly3({e: -c for e, c in self._coeffs.items()})
+    def __neg__(self) -> LaurentPoly:
+        return LaurentPoly(self.nsyms, {e: -c for e, c in self.terms.items()}, self.den)
 
-    def __mul__(self, other: LaurentPoly3 | RatScalar) -> LaurentPoly3:
-        if not isinstance(other, LaurentPoly3):
-            scaled = _coerce_rat(other)
-            if scaled is NotImplemented:
-                return NotImplemented
-            return LaurentPoly3({e: c * scaled for e, c in self._coeffs.items()})
-        product: dict[Exps, GoldenRat] = {}
-        for (i1, j1, k1), c1 in self._coeffs.items():
-            for (i2, j2, k2), c2 in other._coeffs.items():
-                e = (i1 + i2, j1 + j2, k1 + k2)
-                product[e] = product.get(e, RAT_ZERO) + c1 * c2
-        return LaurentPoly3(product)
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        product: dict[Exps, GoldenInt] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                product[e] = product[e] + c if e in product else c
+        return LaurentPoly(self.nsyms, product, self.den * other.den)
 
-    def __rmul__(self, other: RatScalar) -> LaurentPoly3:
-        return self * other
-
-    def __pow__(self, n: int) -> LaurentPoly3:
+    def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
-            raise ValueError("LaurentPoly3 power requires n >= 0")
-        result = LaurentPoly3.scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            raise ValueError("LaurentPoly power requires n >= 0")
+        return _power(self, n, LaurentPoly.monomial((0,) * self.nsyms))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly3):
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return (self - other).is_zero()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def text(self, names: Sequence[str]) -> str:
+        """Reduced text with `names` for the symbols, in exponent order, so
+        equal polynomials print alike whatever their term order or scale."""
+        if not self.terms:
+            return "0"
+        g = gcd(self.den, *(x for c in self.terms.values() for x in (c.a, c.b)))
+        parts = []
+        for exps in sorted(self.terms):
+            c = self.terms[exps]
+            mono = "*".join(f"{name}^{e}" for name, e in zip(names, exps) if e)
+            coeff = f"({GoldenInt(c.a // g, c.b // g)})"
+            parts.append(f"{coeff}*{mono}" if mono else coeff)
+        body = " + ".join(parts)
+        den = self.den // g
+        return body if den == 1 else f"[{body}]/{den}"
 
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return "LaurentPoly3(0)"
-        # lexicographic exponent order keeps output deterministic
-        parts = []
-        for exps in sorted(self._coeffs):
-            mono = "*".join(
-                f"{sym}^{e}" for sym, e in zip("XYZ", exps) if e != 0
-            )
-            coeff = str(self._coeffs[exps])
-            parts.append(f"({coeff})*{mono}" if mono else f"({coeff})")
-        return "LaurentPoly3(" + " + ".join(parts) + ")"
+        return f"LaurentPoly({self.text([f'x{i}' for i in range(self.nsyms)])})"

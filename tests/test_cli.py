@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fibkit import cli
 from fibkit.cli import decimal_digits, main
 
 DATA = Path(__file__).parent / "data"
@@ -40,6 +41,18 @@ def test_eval_g_requires_seed(capsys):
 def test_eval_rejects_malformed_seed(capsys):
     code, _, err = run(capsys, "eval", "G", "5", "--seed", "3;7")
     assert code == 2
+
+
+def test_eval_over_digit_limit_exits_2(capsys, monkeypatch):
+    # a 4,301-digit value against a 4,300-digit limit stands in for F(10^7);
+    # 4,300 is also Python's default, so main's conversion limit leaves no trace
+    monkeypatch.setattr(cli, "MAX_PRINT_DIGITS", 4300)
+    monkeypatch.setattr(cli, "fib", lambda n: 10 ** 4300)
+    code, out, err = run(capsys, "eval", "F", "10000000")
+    assert code == 2
+    assert out == ""
+    assert err == ("fibkit: error: F(10000000) has 4,301 decimal digits, "
+                   "over the 4,300-digit output limit\n")
 
 
 def test_eval_usage_error_exits_2(capsys):
@@ -93,6 +106,27 @@ def test_verify_unknown_selector_exits_2(capsys):
 def test_verify_bad_range_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--id", "Eq8", "--m", "5..1")
     assert code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_workers_below_one_exits_2(capsys, workers):
+    code, out, err = run(capsys, "verify", "--id", "Eq8", "--m", "0..1", "--n", "0..1",
+                         "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err == f"fibkit: error: --workers must be at least 1, got {workers}\n"
+
+
+@pytest.mark.parametrize("identity", [
+    "(" * 3000 + "F(m)" + ")" * 3000 + " == F(m)",
+    " + ".join(["F(m)"] * 5000) + " == 5000*F(m)",
+])
+def test_verify_deep_or_long_identity_exits_2(capsys, tmp_path, identity):
+    deep = tmp_path / "deep.cat"
+    deep.write_text(f"name: Deep\nparams: m\npaper: t\nidentity: {identity}\n")
+    code, out, err = run(capsys, "verify", "--file", str(deep), "--m", "0..1")
+    assert code == 2
+    assert "levels" in err and "Traceback" not in err
 
 
 def test_verify_json_byte_identical_across_workers(capsys):

@@ -5,11 +5,9 @@ import random
 
 import pytest
 
-from fibkit import GridSpec, ParamPoint, Seed, eval_side, parse_expr
-from fibkit.oracle import (
-    OracleConfig, OracleTables, index_range, oracle_eval, pascal_binom,
-    recurrence_table,
-)
+from fibkit import ParamPoint, Seed, eval_side, parse_expr
+from fibkit.oracle import OracleTables, oracle_eval, pascal_binom, recurrence_table
+from fibkit.ranges import index_window
 from fibkit.verify import STANDARD_SEEDS
 
 F_SEED = Seed(0, 1)
@@ -51,21 +49,22 @@ def test_oracle_eval_spec_points(catalog):
 
 
 def test_index_range_examples(catalog):
-    spec = GridSpec({"p": (-8, 8), "q": (-8, 8), "k": (0, 5)})
-    assert index_range(parse_expr("G(p + q*k)"), spec) == (-48, 48)
-    assert index_range(parse_expr("F(m)"), GridSpec({"m": (-8, 8)})) == (-8, 8)
+    box = {"p": (-8, 8), "q": (-8, 8), "k": (0, 5)}
+    assert index_window(parse_expr("G(p + q*k)"), box) == (-48, 48)
+    assert index_window(parse_expr("F(m)"), {"m": (-8, 8)}) == (-8, 8)
+    assert index_window(parse_expr("binom(m, 2)"), {"m": (-8, 8)}) is None
 
     eq1 = catalog.get("Eq1")
-    full = GridSpec({"n": (0, 5), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)})
-    lo, hi = index_range(eq1.lhs, full)
+    full = {"n": (0, 5), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)}
+    lo, hi = index_window(eq1.lhs, full)
     assert lo <= -48 and hi >= 48
 
 
 def test_oracle_with_prebuilt_tables(catalog):
     eq1 = catalog.get("Eq1")
-    spec = GridSpec({"n": (0, 3), "m": (-4, 4), "p": (-4, 4), "q": (-4, 4)})
-    lo, hi = index_range(eq1.lhs, spec)
-    tables = OracleTables(OracleConfig(lo, hi, (Seed(3, 7),)))
+    box = {"n": (0, 3), "m": (-4, 4), "p": (-4, 4), "q": (-4, 4)}
+    lo, hi = index_window(eq1.lhs, box)
+    tables = OracleTables(lo, hi, (Seed(3, 7),))
     pt = ParamPoint({"n": 3, "m": -4, "p": 4, "q": -4}, Seed(3, 7))
     assert oracle_eval(eq1.lhs, pt, tables) == oracle_eval(eq1.lhs, pt)
 

@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibkit import ParseError, UnboundSymbolError, parse_expr, parse_identity, to_text
-from fibkit.expr import (
-    Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
+from fibkit import (
+    GridSpec, ParseError, UnboundSymbolError, parse_expr, parse_identity, prove_symbolic,
+    to_text, verify_grid,
 )
+from fibkit.expr import (
+    Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym, height,
+)
+from fibkit.parser import MAX_DEPTH
 
 
 def test_precedence_pow_over_mul_over_add():
@@ -118,6 +122,30 @@ def test_index_restriction_enforced():
         parse_expr("F(m)^F(2)")
     with pytest.raises(ParseError, match="integers, parameters"):
         parse_expr("sign(F(m))")
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "F(m)" + ")" * 3000,
+    " + ".join(["F(m)"] * 5000),
+    "-" * 3000 + "F(m)",
+])
+def test_deep_or_long_input_rejected(text):
+    with pytest.raises(ParseError, match="levels"):
+        parse_expr(text)
+
+
+def test_input_at_depth_limit_accepted():
+    # MAX_DEPTH - 1 terms: MAX_DEPTH - 2 additions over G over m
+    terms = MAX_DEPTH - 1
+    entry = parse_identity(" + ".join(["G(m)"] * terms) + f" == {terms}*G(m)",
+                           name="long", params=("m",))
+    assert height(entry.lhs) == MAX_DEPTH
+    assert parse_expr(to_text(entry.lhs)) == entry.lhs
+    # the recursive walkers downstream handle the deepest accepted tree
+    assert verify_grid(entry, GridSpec({"m": (-2, 2)}), use_oracle=True).passed
+    assert prove_symbolic(entry).passed
+    with pytest.raises(ParseError, match="levels"):
+        parse_expr(to_text(entry.lhs) + " + G(m)")
 
 
 def test_double_equals_required():

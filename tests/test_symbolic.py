@@ -3,8 +3,7 @@
 import pytest
 
 from fibkit import SymbolicError, parse_identity, prove_symbolic
-from fibkit.symbolic import SeedPoly
-from fibkit.zphi import GoldenInt, GoldenRat, LaurentPoly3
+from fibkit.zphi import LaurentPoly
 
 
 def test_eq14_passes_all_eight_parity_cases(catalog):
@@ -101,13 +100,14 @@ def test_more_than_three_free_parameters_rejected():
 
 
 def test_seed_poly_algebra():
-    one = SeedPoly.scalar(1)
-    splus = SeedPoly({(1, 0): LaurentPoly3.scalar(1)})
-    szero = SeedPoly({(0, 1): LaurentPoly3.scalar(1)})
+    # the seed scalars are the last two symbols of the prover's polynomial
+    one = LaurentPoly.monomial((0, 0, 0))
+    splus = LaurentPoly.monomial((0, 1, 0))
+    szero = LaurentPoly.monomial((0, 0, 1))
     combo = splus * szero + one
     assert not combo.is_zero()
     assert (combo - combo).is_zero()
     assert combo ** 2 == combo * combo
-    assert (splus * szero).terms() == {(1, 1): LaurentPoly3.scalar(1)}
-    half = SeedPoly.scalar(GoldenRat(GoldenInt(1, 0), 2))
+    assert (splus * szero).terms == LaurentPoly.monomial((0, 1, 1)).terms
+    half = LaurentPoly.monomial((0, 0, 0), 1, 2)
     assert half + half == one
