@@ -71,17 +71,28 @@ def _parse_seeds(tokens: Sequence[str]) -> tuple[Seed, ...]:
     return tuple(seeds)
 
 
+# log10(2) lies strictly between these two fractions.
+_LOG10_2_LOW = 30102999566398119521373889472449
+_LOG10_2_HIGH = _LOG10_2_LOW + 1
+_LOG10_2_DEN = 10 ** 32
+
+
 def decimal_digits(x: int) -> int:
-    """Exact decimal digit count without converting x to a string."""
-    if x == 0:
-        return 1
+    """Exact decimal digit count without converting x to a string.
+
+    A b-bit x has floor(log10 x) between floor((b - 1) log10 2) and
+    floor(b log10 2), two integers at most one apart; one power of ten
+    decides between them.
+    """
     x = abs(x)
-    d = max(1, int(x.bit_length() * 0.30102999566398))
-    while 10 ** d <= x:
-        d += 1
-    while d > 1 and 10 ** (d - 1) > x:
-        d -= 1
-    return d
+    if x < 10:
+        return 1
+    bits = x.bit_length()
+    low = (bits - 1) * _LOG10_2_LOW // _LOG10_2_DEN
+    high = bits * _LOG10_2_HIGH // _LOG10_2_DEN
+    if low == high or x < 10 ** high:
+        return low + 1
+    return high + 1
 
 
 # --- catalog resolution ------------------------------------------------------

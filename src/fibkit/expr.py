@@ -22,7 +22,8 @@ __all__ = [
     "Lit", "Sym", "Add", "Sub", "Neg", "Mul", "Pow",
     "SeqRef", "Binom", "Sign", "Pow5Floor", "Sum",
     "Node", "SEQ_KINDS",
-    "free_symbols", "height", "iter_nodes", "substitute", "is_index_expr", "to_text",
+    "children", "free_symbols", "height", "iter_nodes", "substitute", "is_index_expr",
+    "to_text",
 ]
 
 SEQ_KINDS = ("F", "L", "G")
@@ -102,7 +103,9 @@ Node = Union[Lit, Sym, Add, Sub, Neg, Mul, Pow, SeqRef, Binom, Sign, Pow5Floor, 
 _BINARY = (Add, Sub, Mul)
 
 
-def _children(node: Node) -> tuple[Node, ...]:
+def children(node: Node) -> tuple[Node, ...]:
+    """Direct subtrees in a fixed order: operands left to right, a sum's
+    bounds before its body."""
     if isinstance(node, _BINARY):
         return (node.left, node.right)
     if isinstance(node, Neg):
@@ -126,7 +129,7 @@ def iter_nodes(node: Node) -> Iterator[Node]:
     while stack:
         cur = stack.pop()
         yield cur
-        stack.extend(reversed(_children(cur)))
+        stack.extend(reversed(children(cur)))
 
 
 def height(node: Node) -> int:
@@ -136,7 +139,7 @@ def height(node: Node) -> int:
     while stack:
         cur, level = stack.pop()
         deepest = max(deepest, level)
-        stack.extend((child, level + 1) for child in _children(cur))
+        stack.extend((child, level + 1) for child in children(cur))
     return deepest
 
 
@@ -149,7 +152,7 @@ def free_symbols(node: Node) -> frozenset[str]:
             outer = walk(n.lo, bound) | walk(n.hi, bound)
             return outer | walk(n.body, bound | {n.var})
         result: frozenset[str] = frozenset()
-        for child in _children(n):
+        for child in children(n):
             result |= walk(child, bound)
         return result
     return walk(node, frozenset())

@@ -1,33 +1,38 @@
 """Exact evaluation of identity sides and grid/recurrence verification.
 
-Sides compile once into plain Python functions over dense lookup tables,
-so sweeping a grid costs a function call per point rather than an AST
-walk. All arithmetic is unbounded int; a PASS means exact equality at
-every point evaluated.
+A side compiles once into a plain Python function over dense lookup
+tables. A grid compiles into one sweep: a generated loop nest over the
+grid's parameters and seeds in which every subexpression is computed in
+the shallowest loop that binds everything it reads. All arithmetic is
+unbounded int; a PASS means exact equality at every point evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import comb
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from math import comb, prod
+from typing import (
+    Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
+)
 
 from .catalog import Identity
 from .errors import EvalError, GridError, InternalFault
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
+    children, free_symbols, iter_nodes,
 )
-from .ranges import Interval, index_window, merge_windows, point_intervals
+from .ranges import Interval, expr_interval, index_window, merge_windows, point_intervals
 from .seq import FIB_SEED, LUCAS_SEED, Seed, fib, lucas, table
 
 __all__ = [
     "ParamPoint", "GridSpec", "Failure", "VerifyReport",
     "eval_side", "verify_grid", "check_recurrence", "case_split_value",
-    "compile_side", "STANDARD_SEEDS",
+    "compile_side", "STANDARD_SEEDS", "MAX_GRID_CHECKS",
 ]
 
 STANDARD_SEEDS = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5))
@@ -39,6 +44,10 @@ class ParamPoint:
 
     values: Mapping[str, int]
     seed: Seed = FIB_SEED
+
+
+# Largest grid, in checks (points times seeds), that a GridSpec accepts.
+MAX_GRID_CHECKS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -54,10 +63,20 @@ class GridSpec:
                 raise GridError(f"empty range {lo}..{hi} for parameter '{name}'")
         if not self.seeds:
             raise GridError("GridSpec needs at least one seed")
+        checks = self.checks(tuple(self.ranges))
+        if checks > MAX_GRID_CHECKS:
+            raise GridError(f"grid has {checks:,} checks (points times seeds), "
+                            f"over the limit of {MAX_GRID_CHECKS:,}")
 
-    def points(self, params: Sequence[str]) -> list[tuple[int, ...]]:
-        axes = [range(self.ranges[p][0], self.ranges[p][1] + 1) for p in params]
-        return list(itertools.product(*axes))
+    def checks(self, params: Sequence[str]) -> int:
+        """Points over params times seeds, counted without building any."""
+        return prod(hi - lo + 1 for lo, hi in (self.ranges[p] for p in params)) \
+            * len(self.seeds)
+
+    def points(self, params: Sequence[str]) -> Iterator[tuple[int, ...]]:
+        """Points over params, one at a time, in lexicographic order."""
+        return itertools.product(*(range(lo, hi + 1)
+                                   for lo, hi in (self.ranges[p] for p in params)))
 
 
 @dataclass(frozen=True)
@@ -158,11 +177,35 @@ def _rng(lo: int, hi: int) -> range:
 _COMPILE_GLOBALS = {
     "__builtins__": {},
     "sum": sum,
+    "zip": zip,
     "_bi": _bi,
     "_pw": _pw,
     "_p5": _p5,
     "_rng": _rng,
 }
+
+
+def _op_code(node: Node, args: Sequence[str]) -> str:
+    """Python for one operator node, given the code of its children."""
+    if isinstance(node, Add):
+        return f"({args[0]} + {args[1]})"
+    if isinstance(node, Sub):
+        return f"({args[0]} - {args[1]})"
+    if isinstance(node, Neg):
+        return f"(-{args[0]})"
+    if isinstance(node, Mul):
+        return f"({args[0]} * {args[1]})"
+    if isinstance(node, Pow):
+        return f"_pw({args[0]}, {args[1]})"
+    if isinstance(node, SeqRef):
+        return f"_{node.kind}[{args[0]}]"
+    if isinstance(node, Binom):
+        return f"_bi({args[0]}, {args[1]})"
+    if isinstance(node, Sign):
+        return f"(-1 if ({args[0]}) & 1 else 1)"
+    if isinstance(node, Pow5Floor):
+        return f"_p5({args[0]})"
+    raise TypeError(f"unknown node {node!r}")
 
 
 def _gen_code(node: Node, names: Mapping[str, str]) -> str:
@@ -173,24 +216,6 @@ def _gen_code(node: Node, names: Mapping[str, str]) -> str:
             return names[node.name]
         except KeyError:
             raise EvalError(f"symbol '{node.name}' has no value") from None
-    if isinstance(node, Add):
-        return f"({_gen_code(node.left, names)} + {_gen_code(node.right, names)})"
-    if isinstance(node, Sub):
-        return f"({_gen_code(node.left, names)} - {_gen_code(node.right, names)})"
-    if isinstance(node, Neg):
-        return f"(-{_gen_code(node.operand, names)})"
-    if isinstance(node, Mul):
-        return f"({_gen_code(node.left, names)} * {_gen_code(node.right, names)})"
-    if isinstance(node, Pow):
-        return f"_pw({_gen_code(node.base, names)}, {_gen_code(node.exponent, names)})"
-    if isinstance(node, SeqRef):
-        return f"_{node.kind}[{_gen_code(node.arg, names)}]"
-    if isinstance(node, Binom):
-        return f"_bi({_gen_code(node.top, names)}, {_gen_code(node.bottom, names)})"
-    if isinstance(node, Sign):
-        return f"(-1 if ({_gen_code(node.arg, names)}) & 1 else 1)"
-    if isinstance(node, Pow5Floor):
-        return f"_p5({_gen_code(node.arg, names)})"
     if isinstance(node, Sum):
         var = f"k_{node.var}"
         inner = dict(names)
@@ -198,10 +223,21 @@ def _gen_code(node: Node, names: Mapping[str, str]) -> str:
         return (f"sum(({_gen_code(node.body, inner)}) "
                 f"for {var} in _rng({_gen_code(node.lo, names)}, "
                 f"{_gen_code(node.hi, names)}))")
-    raise TypeError(f"unknown node {node!r}")
+    return _op_code(node, [_gen_code(child, names) for child in children(node)])
 
 
-_compile_cache: dict[tuple[Node, tuple[str, ...]], Callable[..., int]] = {}
+_compile_cache: dict[tuple, Callable[..., Any]] = {}
+
+
+def _define(key: tuple, source: Callable[[], str]) -> Callable[..., Any]:
+    """The function that source() defines, compiled once per key."""
+    fn = _compile_cache.get(key)
+    if fn is None:
+        scope: dict[str, Any] = {}
+        exec(compile(source(), "<fibkit>", "exec"), dict(_COMPILE_GLOBALS), scope)
+        (fn,) = scope.values()
+        _compile_cache[key] = fn
+    return fn
 
 
 def compile_side(ast: Node, params: tuple[str, ...]) -> Callable[..., int]:
@@ -210,16 +246,11 @@ def compile_side(ast: Node, params: tuple[str, ...]) -> Callable[..., int]:
     F, L, G are index-to-value mappings covering the side's index window.
     Parameter symbols are mangled, so any legal parameter name is safe.
     """
-    key = (ast, params)
-    fn = _compile_cache.get(key)
-    if fn is None:
+    def source() -> str:
         names = {p: f"v{i}" for i, p in enumerate(params)}
         args = ", ".join([*names.values(), "_F", "_L", "_G"])
-        source = f"def _side({args}):\n    return {_gen_code(ast, names)}\n"
-        scope: dict[str, Any] = {}
-        exec(compile(source, "<fibkit-side>", "exec"), dict(_COMPILE_GLOBALS), scope)
-        fn = _compile_cache[key] = scope["_side"]
-    return fn
+        return f"def _side({args}):\n    return {_gen_code(ast, names)}\n"
+    return _define((ast, params), source)
 
 
 def _build_tables(window: Interval | None, seeds: Iterable[Seed],
@@ -240,6 +271,266 @@ def eval_side(ast: Node, pt: ParamPoint) -> int:
     window = index_window(ast, point_intervals(pt.values))
     f_tab, l_tab, g_tabs = _build_tables(window, (pt.seed,))
     return fn(*(pt.values[p] for p in params), f_tab, l_tab, g_tabs[pt.seed])
+
+
+# --- grid sweeps ------------------------------------------------------------
+#
+# A sweep runs a whole grid as one generated loop nest. Its variables are
+# the identity's parameters and the seed, a pseudo-variable that only G
+# reads. A variable with one value is bound once at the top; each other one
+# is a loop. Every subexpression is computed in the shallowest loop that
+# binds all it reads. Inside a sum, a term that reads the summation index
+# but not the inner loops becomes a list over the index, built once in the
+# outer loop where it is fixed; the sum itself zips those lists.
+
+_SEED = "#seed"  # no parameter can have this name
+
+# CPython compiles at most 20 statically nested blocks: one per loop here,
+# and one for a sum's loop inside them.
+_MAX_LOOPS = 19
+
+# Loop orders are searched exhaustively up to this many loops (720 orders);
+# past it the parameters loop in declared order with the seed innermost.
+_MAX_SEARCH = 6
+
+
+class _Term(NamedTuple):
+    """One subexpression occurrence and the variables it reads.
+
+    deps holds the sweep variables it reads and, inside a sum body, those
+    its sum's bounds read, since a body term is computed only once its
+    sum's range is known. kdep says whether it reads the summation index.
+    """
+
+    node: Node
+    deps: frozenset[str]
+    kdep: bool
+    args: tuple["_Term", ...]
+
+
+def _terms(node: Node, params: Sequence[str],
+           body: tuple[str, frozenset[str]] | None = None) -> _Term:
+    """The term tree of a side; body is (index name, bounds' deps) in a sum."""
+    floor = body[1] if body else frozenset()
+    if isinstance(node, Lit):
+        return _Term(node, floor, False, ())
+    if isinstance(node, Sym):
+        if body and node.name == body[0]:
+            return _Term(node, floor, True, ())
+        if node.name not in params:
+            raise EvalError(f"symbol '{node.name}' has no value")
+        return _Term(node, floor | {node.name}, False, ())
+    if isinstance(node, Sum) and body is None:
+        lo, hi = _terms(node.lo, params), _terms(node.hi, params)
+        inner = _terms(node.body, params, (node.var, lo.deps | hi.deps))
+        return _Term(node, inner.deps, False, (lo, hi, inner))
+    if isinstance(node, Sum):  # nested in a sum body: computed whole
+        free = free_symbols(node)
+        unknown = sorted(free - {body[0], *params})
+        if unknown:
+            raise EvalError(f"symbol '{unknown[0]}' has no value")
+        reads_g = any(isinstance(n, SeqRef) and n.kind == "G" for n in iter_nodes(node))
+        deps = floor | (free - {body[0]}) | ({_SEED} if reads_g else set())
+        return _Term(node, deps, body[0] in free, ())
+    args = tuple(_terms(child, params, body) for child in children(node))
+    deps = floor.union(*(a.deps for a in args))
+    if isinstance(node, SeqRef) and node.kind == "G":
+        deps |= {_SEED}
+    return _Term(node, deps, any(a.kdep for a in args), args)
+
+
+def _evaluations(term: _Term, env: Mapping[str, Interval],
+                 k_count: int = 1) -> Iterator[tuple[frozenset[str], int]]:
+    """(deps, evaluations per binding of deps) of every computed term; a
+    term that reads a summation index runs once per index value."""
+    if isinstance(term.node, (Lit, Sym)):
+        return
+    yield term.deps, k_count if term.kdep else 1
+    if isinstance(term.node, Sum) and term.args:
+        lo, hi, inner = term.args
+        yield from _evaluations(lo, env)
+        yield from _evaluations(hi, env)
+        span = expr_interval(term.node.hi, env)[1] - expr_interval(term.node.lo, env)[0]
+        yield from _evaluations(inner, env, max(1, span + 1))
+    else:
+        for arg in term.args:
+            yield from _evaluations(arg, env, k_count)
+
+
+def _axis(spec: GridSpec, var: str) -> range:
+    """The values a sweep variable takes: a parameter's range, or seed indices."""
+    if var == _SEED:
+        return range(len(spec.seeds))
+    lo, hi = spec.ranges[var]
+    return range(lo, hi + 1)
+
+
+def _loop_order(identity: Identity, spec: GridSpec) -> tuple[tuple[str, ...], int]:
+    """The sweep's variables, outermost first, and how many of them lead
+    as fixed values before the first loop.
+
+    A term is computed once per iteration of the loops down to the deepest
+    one it reads (once per index value inside a sum); of all orders of the
+    loops, the first one with the fewest such computations wins.
+    """
+    params = identity.free_params
+    lengths = {v: len(_axis(spec, v)) for v in (*params, _SEED)}
+    fixed = tuple(v for v in lengths if lengths[v] == 1)
+    loops = tuple(v for v in lengths if lengths[v] > 1)
+    if len(loops) > _MAX_LOOPS:
+        raise GridError(f"grid varies {len(loops)} axes (parameters and seeds); "
+                        f"a sweep nests at most {_MAX_LOOPS} loops")
+    env = {p: spec.ranges[p] for p in params}
+    weights: dict[frozenset[str], int] = {}
+    for side in (identity.lhs, identity.rhs):
+        for deps, count in _evaluations(_terms(side, params), env):
+            key = deps.intersection(loops)
+            weights[key] = weights.get(key, 0) + count
+
+    def cost(order: tuple[str, ...]) -> int:
+        reach, size = {}, 1
+        for v in order:
+            size *= lengths[v]
+            reach[v] = size
+        return sum(count * max(map(reach.__getitem__, deps), default=1)
+                   for deps, count in weights.items())
+
+    orders = itertools.permutations(loops) if len(loops) <= _MAX_SEARCH else (loops,)
+    return fixed + min(orders, key=cost), len(fixed)
+
+
+class _Body(NamedTuple):
+    var: str   # the summation index as written
+    name: str  # its Python name
+    rng: str   # the Python variable holding the sum's range
+
+
+class _SweepWriter:
+    """Statements per loop level; each computed term lands at its rank, the
+    pair (level of the deepest loop it reads, whether it reads the index)."""
+
+    def __init__(self, params: Sequence[str], order: Sequence[str]):
+        self.names = {p: f"v{i}" for i, p in enumerate(params)}
+        self.level = {v: i + 1 for i, v in enumerate(order)}
+        self.lines: list[list[str]] = [[] for _ in range(len(order) + 1)]
+        self.temps: dict[str, str] = {}
+
+    def rank(self, term: _Term) -> tuple[int, bool]:
+        return max((self.level[v] for v in term.deps), default=0), term.kdep
+
+    def temp(self, code: str, level: int) -> str:
+        """A variable assigned code at level; the same code shares one."""
+        var = self.temps.get(code)
+        if var is None:
+            var = self.temps[code] = f"_t{len(self.temps)}"
+            self.lines[level].append(f"{var} = {code}")
+        return var
+
+    def total(self, code: str, clause: str, level: int) -> str:
+        """A variable summing code over the loop clause, at level."""
+        key = f"{code} {clause}"
+        var = self.temps.get(key)
+        if var is None:
+            var = self.temps[key] = f"_t{len(self.temps)}"
+            self.lines[level] += [f"{var} = 0", f"{clause}:", f"    {var} += {code}"]
+        return var
+
+    @staticmethod
+    def each(body: _Body, lists: Mapping[str, str]) -> str:
+        """The clause walking a sum's range through the lists read; the
+        range itself is the list of index values."""
+        lists = lists or {body.rng: body.name}
+        if len(lists) == 1:
+            ((seq, elem),) = lists.items()
+            return f"for {elem} in {seq}"
+        return f"for {', '.join(lists.values())} in zip({', '.join(lists)})"
+
+    def code(self, term: _Term, body: _Body | None) -> tuple[str, dict[str, str]]:
+        """Python for term at its own rank, and the lists it reads, each as
+        list name -> element name."""
+        node = term.node
+        if isinstance(node, Lit):
+            return repr(node.value), {}
+        if isinstance(node, Sym):
+            if term.kdep:
+                return body.name, {body.rng: body.name}
+            return self.names[node.name], {}
+        if isinstance(node, Sum) and body is not None:
+            return _gen_code(node, {**self.names, body.var: body.name}), {}
+        if isinstance(node, Sum):
+            lo, hi, inner = term.args
+            bounds = max(self.rank(lo), self.rank(hi))
+            rng = self.temp(f"_rng({self.place(lo, bounds, None)[0]}, "
+                            f"{self.place(hi, bounds, None)[0]})", bounds[0])
+            body = _Body(node.var, f"k_{node.var}", rng)
+            level = self.rank(term)[0]
+            code, lists = self.place(inner, (level, True), body)
+            if list(lists.values()) == [code]:
+                return self.temp(f"sum({next(iter(lists))})", level), {}
+            return self.total(code, self.each(body, lists), level), {}
+        rank = self.rank(term)
+        args, lists = [], {}
+        for arg in term.args:
+            code, used = self.place(arg, rank, body)
+            args.append(code)
+            lists.update(used)
+        return _op_code(node, args), lists
+
+    def place(self, term: _Term, rank: tuple[int, bool],
+              body: _Body | None) -> tuple[str, dict[str, str]]:
+        """Python for term as read by a term of the given rank: inline when
+        the ranks match or it is a name or literal, else a variable
+        assigned in a shallower loop."""
+        code, lists = self.code(term, body)
+        own = self.rank(term)
+        if own == rank or code.isidentifier() or isinstance(term.node, Lit):
+            return code, lists
+        if term.kdep:
+            var = self.temp(f"[{code} {self.each(body, lists)}]", own[0])
+            return f"_e{var[2:]}", {var: f"_e{var[2:]}"}
+        if body is not None:  # evaluated only where the sum is not empty
+            code = f"{code} if {body.rng} else 0"
+        return self.temp(code, own[0]), {}
+
+
+def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
+                  oracle: bool) -> str:
+    params = identity.free_params
+    writer = _SweepWriter(params, order)
+    innermost = (len(order), False)
+    lhs = writer.place(_terms(identity.lhs, params), innermost, None)[0]
+    rhs = writer.place(_terms(identity.rhs, params), innermost, None)[0]
+    point = "(" + "".join(f"{writer.names[p]}, " for p in params) + ")"
+    last = writer.lines[-1]
+    last += [f"_lhs = {lhs}", f"_rhs = {rhs}"]
+    if oracle:
+        last.append(f"_check({point}, _si, _lhs, _rhs)")
+    last += ["if _lhs != _rhs:", f"    _fail.append(({point}, _si, _lhs, _rhs))"]
+
+    axes = [f"_a{j}" for j in range(len(order))]
+    out = [f"def _sweep({', '.join(axes)}, _F, _L, _GT, _fail, _check):"]
+    indent = "    "
+    out += [indent + line for line in writer.lines[0]]
+    for j, var in enumerate(order):
+        name = "_si" if var == _SEED else writer.names[var]
+        if j < fixed:
+            out.append(f"{indent}{name} = {axes[j]}[0]")
+        else:
+            out.append(f"{indent}for {name} in {axes[j]}:")
+            indent += "    "
+        if var == _SEED:
+            out.append(f"{indent}_G = _GT[_si]")
+        out += [indent + line for line in writer.lines[j + 1]]
+    return "\n".join(out) + "\n"
+
+
+def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
+                   oracle: bool) -> Callable[..., None]:
+    """fn(*axes, F, L, G tables by seed index, failures, check) running
+    the grid; axes are the ranges of order's variables (seed indices for
+    the seed), and check, with oracle, sees every point's two values."""
+    key = (identity.lhs, identity.rhs, identity.free_params, order, fixed, oracle)
+    return _define(key, lambda: _sweep_source(identity, order, fixed, oracle))
 
 
 # --- grid verification -----------------------------------------------------
@@ -264,73 +555,116 @@ def _grid_desc(identity: Identity, spec: GridSpec) -> dict[str, Any]:
     }
 
 
-def _eval_points(identity: Identity, spec: GridSpec,
-                 points: Sequence[tuple[int, ...]], use_oracle: bool,
-                 ) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Evaluate both sides on the given points; returns raw failure tuples."""
-    params = identity.free_params
-    env = {p: spec.ranges[p] for p in params}
+def _grid_tables(identity: Identity, spec: GridSpec):
+    """The grid's index window and the F, L and G tables covering it."""
+    env = {p: spec.ranges[p] for p in identity.free_params}
     window = merge_windows(index_window(identity.lhs, env),
                            index_window(identity.rhs, env))
-    f_tab, l_tab, g_tabs = _build_tables(window, spec.seeds)
-    lhs_fn = compile_side(identity.lhs, params)
-    rhs_fn = compile_side(identity.rhs, params)
+    return window, _build_tables(window, spec.seeds)
 
-    if use_oracle:
-        from . import oracle
 
-    failures = []
-    for seed_idx, seed in enumerate(spec.seeds):
-        g_tab = g_tabs[seed]
-        for vals in points:
-            try:
-                lv = lhs_fn(*vals, f_tab, l_tab, g_tab)
-                rv = rhs_fn(*vals, f_tab, l_tab, g_tab)
-            except EvalError as exc:
-                pt_desc = ", ".join(f"{p}={v}" for p, v in zip(params, vals))
-                raise EvalError(f"{exc} at point ({pt_desc}), seed {seed}") from exc
-            if use_oracle:
-                pt = ParamPoint(dict(zip(params, vals)), seed)
-                ov_l = oracle.oracle_eval(identity.lhs, pt)
-                ov_r = oracle.oracle_eval(identity.rhs, pt)
-                if ov_l != lv or ov_r != rv:
-                    raise InternalFault(
-                        f"oracle disagrees with evaluator on '{identity.name}' "
-                        f"at {dict(zip(params, vals))}, seed {seed}: "
-                        f"oracle ({ov_l}, {ov_r}) vs fast ({lv}, {rv})")
-            if lv != rv:
-                failures.append((vals, seed_idx, lv, rv))
+def _oracle_check(identity: Identity, spec: GridSpec,
+                  window: Interval | None) -> Callable[..., None]:
+    """Compares a point's two values with the oracle's, evaluated on
+    recurrence tables built once for the whole grid."""
+    from . import oracle
+
+    lo, hi = merge_windows(window, (0, 1))
+    tables = oracle.OracleTables(lo, hi, spec.seeds)
+    params = identity.free_params
+
+    def check(vals: tuple[int, ...], seed_idx: int, lv: int, rv: int) -> None:
+        seed = spec.seeds[seed_idx]
+        pt = ParamPoint(dict(zip(params, vals)), seed)
+        ov_l = oracle.oracle_eval(identity.lhs, pt, tables)
+        ov_r = oracle.oracle_eval(identity.rhs, pt, tables)
+        if ov_l != lv or ov_r != rv:
+            raise InternalFault(
+                f"oracle disagrees with evaluator on '{identity.name}' "
+                f"at {dict(zip(params, vals))}, seed {seed}: "
+                f"oracle ({ov_l}, {ov_r}) vs fast ({lv}, {rv})")
+    return check
+
+
+def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
+                fixed: int, use_oracle: bool, shard: tuple[int, int] | None = None,
+                ) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Raw failures (point, seed index, lhs, rhs) of the grid, or of the
+    slice shard = (start, stop) of the sweep's outermost loop."""
+    window, (f_tab, l_tab, g_tabs) = _grid_tables(identity, spec)
+    axes = [_axis(spec, v) for v in order]
+    if shard is not None:
+        axes[fixed] = axes[fixed][shard[0]:shard[1]]
+    check = _oracle_check(identity, spec, window) if use_oracle else None
+    failures: list[tuple[tuple[int, ...], int, int, int]] = []
+    sweep = _compile_sweep(identity, order, fixed, use_oracle)
+    sweep(*axes, f_tab, l_tab, [g_tabs[s] for s in spec.seeds], failures, check)
     return failures
 
 
-def _chunk_job(args: tuple) -> list[tuple[tuple[int, ...], int, int, int]]:
-    identity, spec, chunk, use_oracle = args
-    return _eval_points(identity, spec, chunk, use_oracle)
+def _shard_job(args: tuple) -> list[tuple[tuple[int, ...], int, int, int]]:
+    return _sweep_grid(*args)
+
+
+def _shards(spec: GridSpec, order: tuple[str, ...], fixed: int,
+            jobs: int) -> list[tuple[int, int] | None]:
+    """Contiguous slices of the outermost loop, at most one per job; [None]
+    when the sweep runs whole."""
+    if jobs < 2 or fixed == len(order):
+        return [None]
+    length = len(_axis(spec, order[fixed]))
+    count = min(jobs, length)
+    return [(length * i // count, length * (i + 1) // count) for i in range(count)]
+
+
+def _raise_first_eval_error(identity: Identity, spec: GridSpec,
+                            exc: EvalError) -> NoReturn:
+    """Raise exc again at the point where point-by-point evaluation meets
+    its first error: seeds in order, then points lexicographically.
+
+    A sweep computes exactly the subexpressions that point-by-point
+    evaluation does, only in another order, so such a point exists.
+    """
+    params = identity.free_params
+    _, (f_tab, l_tab, g_tabs) = _grid_tables(identity, spec)
+    lhs_fn = compile_side(identity.lhs, params)
+    rhs_fn = compile_side(identity.rhs, params)
+    for seed in spec.seeds:
+        for vals in spec.points(params):
+            try:
+                lhs_fn(*vals, f_tab, l_tab, g_tabs[seed])
+                rhs_fn(*vals, f_tab, l_tab, g_tabs[seed])
+            except EvalError as err:
+                pt_desc = ", ".join(f"{p}={v}" for p, v in zip(params, vals))
+                raise EvalError(f"{err} at point ({pt_desc}), seed {seed}") from err
+    raise InternalFault(f"the grid sweep of '{identity.name}' raised '{exc}', "
+                        f"but no point raises when evaluated alone") from exc
 
 
 def verify_grid(identity: Identity, spec: GridSpec, *, workers: int = 1,
                 use_oracle: bool = False) -> VerifyReport:
     """Check lhs == rhs at every grid point and seed; list every failure.
 
-    The result is independent of evaluation order and worker count:
-    failures are sorted by point (lexicographically in parameter order),
-    then by seed position.
+    The grid runs as one compiled sweep; with workers > 1, as contiguous
+    slices of the sweep's outermost loop in at most min(workers, CPU
+    count) processes. The result is independent of evaluation order and
+    worker count: failures are sorted by point (lexicographically in
+    parameter order), then by seed position.
     """
     _check_spec_covers(identity, spec)
     params = identity.free_params
     started = time.perf_counter()
-    points = spec.points(params)
-
-    if workers > 1 and len(points) > 1:
-        chunk_size = (len(points) + workers - 1) // workers
-        chunks = [points[i:i + chunk_size] for i in range(0, len(points), chunk_size)]
-        raw: list[tuple[tuple[int, ...], int, int, int]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = ((identity, spec, chunk, use_oracle) for chunk in chunks)
-            for part in pool.map(_chunk_job, jobs):
-                raw.extend(part)
-    else:
-        raw = _eval_points(identity, spec, points, use_oracle)
+    order, fixed = _loop_order(identity, spec)
+    shards = _shards(spec, order, fixed, min(workers, os.cpu_count() or 1))
+    try:
+        if len(shards) > 1:
+            jobs = [(identity, spec, order, fixed, use_oracle, s) for s in shards]
+            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+                raw = [f for part in pool.map(_shard_job, jobs) for f in part]
+        else:
+            raw = _sweep_grid(identity, spec, order, fixed, use_oracle)
+    except EvalError as exc:
+        _raise_first_eval_error(identity, spec, exc)
 
     raw.sort(key=lambda item: (item[0], item[1]))
     failures = [
@@ -343,7 +677,7 @@ def verify_grid(identity: Identity, spec: GridSpec, *, workers: int = 1,
         paper_tag=identity.paper_tag,
         mode="grid",
         grid=_grid_desc(identity, spec),
-        total=len(points) * len(spec.seeds),
+        total=spec.checks(params),
         failures=failures,
         elapsed_ms=elapsed,
     )
@@ -392,11 +726,10 @@ def check_recurrence(identity: Identity, side: str, spec: GridSpec, *,
     f_tab, l_tab, g_tabs = _build_tables(window, spec.seeds)
     coeff_tab = f_tab if coeff == "F" else l_tab
 
-    points = spec.points(_RECURRENCE_PARAMS)
     raw = []
     for seed_idx, seed in enumerate(spec.seeds):
         g_tab = g_tabs[seed]
-        for n, m, p, q in points:
+        for n, m, p, q in spec.points(_RECURRENCE_PARAMS):
             s0 = fn(n, m, p, q, f_tab, l_tab, g_tab)
             s1 = fn(n - 1, m, p, q, f_tab, l_tab, g_tab)
             s2 = fn(n - 1, m, p + q, q, f_tab, l_tab, g_tab)
@@ -418,7 +751,7 @@ def check_recurrence(identity: Identity, side: str, spec: GridSpec, *,
         paper_tag=identity.paper_tag,
         mode="recurrence",
         grid=grid,
-        total=len(points) * len(spec.seeds),
+        total=spec.checks(_RECURRENCE_PARAMS),
         failures=failures,
         elapsed_ms=elapsed,
     )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,15 @@ def test_verify_unknown_selector_exits_2(capsys):
 def test_verify_bad_range_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--id", "Eq8", "--m", "5..1")
     assert code == 2
+
+
+def test_verify_oversized_grid_exits_2_before_sweeping(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--id", "Eq1", "--m", "-1000000..1000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fibkit: error: grid has 11,560,005,780 checks")
+    assert time.perf_counter() - started < 5.0
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -253,3 +263,9 @@ def test_decimal_digits_exact():
     assert decimal_digits(10) == 2
     assert decimal_digits(-10 ** 50) == 51
     assert decimal_digits(10 ** 50 - 1) == 50
+    # the digit count changes at powers of ten; a bit length at powers of two
+    edges = [10 ** k + d for k in range(1, 320) for d in (-1, 0, 1)]
+    edges += [2 ** b + d for b in range(1, 1100) for d in (-1, 0, 1)]
+    for x in edges:
+        assert decimal_digits(x) == len(str(x)), x
+        assert decimal_digits(-x) == len(str(x)), -x

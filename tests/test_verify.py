@@ -3,12 +3,16 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fibkit import (
-    EvalError, GridError, GridSpec, InternalFault, ParamPoint, Seed,
-    case_split_value, check_recurrence, eval_side, fib, lucas, parse_expr,
-    parse_identity, verify_grid,
+    EvalError, FibkitError, GridError, GridSpec, InternalFault,
+    ParamPoint, Seed, case_split_value, check_recurrence, eval_side, fib, lucas,
+    oracle, parse_expr, parse_identity, to_text, verify, verify_grid,
 )
+from fibkit.expr import Add, Binom, Lit, Mul, Pow, SeqRef, Sign, Sub, Sum, Sym
+from fibkit.verify import MAX_GRID_CHECKS
 
 F_SEED = Seed(0, 1)
 
@@ -116,6 +120,27 @@ def test_empty_range_rejected():
         GridSpec({"m": (3, 2)})
 
 
+def test_grid_over_check_limit_rejected_without_building():
+    GridSpec({"m": (1, MAX_GRID_CHECKS)}, (F_SEED,))
+    with pytest.raises(GridError, match="over the limit"):
+        GridSpec({"m": (0, MAX_GRID_CHECKS)}, (F_SEED,))
+    with pytest.raises(GridError, match="over the limit"):
+        GridSpec({p: (-10 ** 6, 10 ** 6) for p in "mnpq"})
+
+
+def test_sweep_binds_single_values_and_bounds_its_loops():
+    # 25 parameters with one value each are bound once, not looped over
+    names = [f"x{i}" for i in range(25)]
+    wide = parse_identity(" + ".join(f"F({x})" for x in names) + " == 25",
+                          name="wide", params=names)
+    report = verify_grid(wide, GridSpec({x: (1, 1) for x in names}, (F_SEED,)))
+    assert report.passed and report.total == 1
+    # 20 two-valued parameters would need 20 nested loops plus the sum's
+    with pytest.raises(GridError, match="at most 19 loops"):
+        verify_grid(wide, GridSpec({x: (1, 2) if i < 20 else (1, 1)
+                                    for i, x in enumerate(names)}, (F_SEED,)))
+
+
 def test_no_seeds_rejected():
     with pytest.raises(GridError, match="seed"):
         GridSpec({"m": (0, 1)}, ())
@@ -149,6 +174,167 @@ def test_use_oracle_cross_checks(catalog):
     spec = GridSpec({"m": (-3, 3), "n": (-3, 3)}, (F_SEED,))
     report = verify_grid(catalog.get("Eq8"), spec, use_oracle=True)
     assert report.passed
+
+
+def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
+    built = []
+
+    class CountedTables(oracle.OracleTables):
+        def __init__(self, lo, hi, seeds):
+            built.append((lo, hi, seeds))
+            super().__init__(lo, hi, seeds)
+
+    monkeypatch.setattr(oracle, "OracleTables", CountedTables)
+    spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
+                    (Seed(0, 1), Seed(3, 7)))
+    assert verify_grid(catalog.get("Eq1"), spec, use_oracle=True).passed
+    # G(p + q*k) reaches -6..6 and G(p - n*m) reaches -6..6
+    assert built == [(-6, 6, spec.seeds)]
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs here."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers,cpus,pool", [
+    (10 ** 6, 3, [3]),     # clamped to the CPU count
+    (4, 64, [4]),
+    (64, 64, [5]),         # clamped to the shards: n, the outer loop, has 5 values
+    (4, None, []),         # an unknown CPU count means one process: no pool
+])
+def test_pool_size_is_clamped(catalog, monkeypatch, workers, cpus, pool):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    bad = parse_identity(
+        "sum(k, 0, n, binom(n, k)*sign(k)*F(m)^k*F(m + q)^(n - k)*G(p + q*k))"
+        " == sign(n*m + 1)*F(q)^n*G(p - n*m)",
+        name="Eq1-flipped", params=("n", "m", "p", "q"))
+    spec = GridSpec({"n": (0, 4), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
+                    (Seed(0, 1), Seed(3, 7)))
+    report = verify_grid(bad, spec, workers=workers)
+    assert InlinePool.sizes == pool
+    assert report.to_json() == verify_grid(bad, spec).to_json()
+    assert not report.passed
+
+
+def test_eval_error_names_the_same_point_across_workers(monkeypatch):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    bad = parse_identity("F(m)^p == G(p)", name="neg-pow", params=("m", "p"))
+    spec = GridSpec({"m": (-3, 3), "p": (-2, 2)}, (Seed(2, 1), F_SEED))
+    for workers in (1, 4):
+        with pytest.raises(EvalError, match=r"at point \(m=-3, p=-2\), seed "
+                                            r"Seed\(g0=2, g1=1\)$"):
+            verify_grid(bad, spec, workers=workers)
+    assert InlinePool.sizes == [4]
+
+
+# --- the sweep against point-by-point evaluation ------------------------------
+
+NAMES = ("m", "n", "p", "q")
+
+
+def _linear(names, const, terms):
+    node = Lit(const)
+    for coeff, name in terms:
+        node = Add(node, Sym(name) if coeff == 1 else Mul(Lit(coeff), Sym(name)))
+    return node
+
+
+def _index_exprs(names):
+    return st.builds(_linear, st.just(names), st.integers(-3, 3),
+                     st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(names)),
+                              max_size=2))
+
+
+def _values(names):
+    index = _index_exprs(names)
+    exponent = st.one_of(st.integers(0, 3).map(Lit), st.sampled_from(names).map(Sym))
+    leaves = st.one_of(
+        st.builds(SeqRef, st.sampled_from(("F", "L", "G")), index),
+        st.integers(-3, 3).map(Lit),
+        st.builds(Sign, index),
+        st.builds(Binom, index, index),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Pow, children, exponent),
+    ), max_leaves=5)
+
+
+def _sides(names):
+    index = _index_exprs(names)
+    sums = st.builds(Sum, st.just("k"), st.one_of(st.just(Lit(0)), index),
+                     st.one_of(st.sampled_from(names).map(Sym), index),
+                     _values(names + ("k",)))
+    top = st.one_of(_values(names), sums)
+    return st.one_of(top, st.builds(Add, top, top))
+
+
+def _point_by_point(identity, spec):
+    """Failures of the per-point evaluator, or the error it meets first."""
+    params = identity.free_params
+    failures = []
+    for seed_idx, seed in enumerate(spec.seeds):
+        for vals in spec.points(params):
+            pt = ParamPoint(dict(zip(params, vals)), seed)
+            try:
+                lv, rv = eval_side(identity.lhs, pt), eval_side(identity.rhs, pt)
+            except EvalError as exc:
+                desc = ", ".join(f"{p}={v}" for p, v in zip(params, vals))
+                return None, f"{exc} at point ({desc}), seed {seed}"
+            if lv != rv:
+                failures.append((vals, seed_idx, lv, rv))
+    failures.sort(key=lambda f: (f[0], f[1]))
+    return [(tuple(zip(params, vals)), spec.seeds[si], lv, rv)
+            for vals, si, lv, rv in failures], None
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_sweep_matches_oracle_and_point_by_point(data):
+    params = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
+                                      unique=True)))
+    lhs, rhs = data.draw(_sides(params)), data.draw(_sides(params))
+    identity = parse_identity(f"{to_text(lhs)} == {to_text(rhs)}",
+                              name="random", params=params)
+    ranges = {}
+    for p in params:
+        lo = data.draw(st.integers(0 if p in identity.rank_params else -3, 3))
+        ranges[p] = (lo, lo + data.draw(st.integers(0, 2)))
+    seeds = tuple(data.draw(st.lists(st.builds(Seed, st.integers(-5, 5), st.integers(-5, 5)),
+                                     min_size=1, max_size=2, unique=True)))
+    spec = GridSpec(ranges, seeds)
+    expected, error = _point_by_point(identity, spec)
+    try:
+        report = verify_grid(identity, spec, use_oracle=True)
+    except InternalFault:
+        raise
+    except FibkitError as exc:
+        assert str(exc) == error
+        return
+    assert error is None
+    assert [(f.point, f.seed, f.lhs, f.rhs) for f in report.failures] == expected
+    assert report.total == len(seeds) * len(list(spec.points(params)))
 
 
 # --- report serialization ----------------------------------------------------
