@@ -18,13 +18,14 @@ import os
 import re
 import sys
 import time
+from contextlib import nullcontext
 from typing import Sequence
 
 from .catalog import Catalog, Identity, builtin_catalog, load_catalog_file
 from .errors import FibkitError, InternalFault
 from .seq import Seed, fib, fib_naive, fib_pair_doubling, gen, lucas
 from .symbolic import prove_symbolic
-from .verify import STANDARD_SEEDS, GridSpec, VerifyReport, verify_grid
+from .verify import STANDARD_SEEDS, GridSpec, VerifyReport, process_pool, verify_grid
 
 CATALOG_ENV = "FIBKIT_CATALOG"
 
@@ -198,11 +199,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise FibkitError(f"--workers must be at least 1, got {args.workers}")
     catalog = _resolve_catalog(args)
     entries = _select_entries(catalog, args)
-    reports = [
-        verify_grid(e, _grid_for(e, args), workers=args.workers,
-                    use_oracle=args.oracle)
-        for e in entries
-    ]
+    pool = process_pool(args.workers)
+    with pool or nullcontext():
+        reports = [
+            verify_grid(e, _grid_for(e, args), workers=args.workers,
+                        use_oracle=args.oracle, pool=pool)
+            for e in entries
+        ]
     _emit_reports(reports, args.format, args.timing)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -347,8 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(MAX_PRINT_DIGITS)
+    """Run one fibkit command; the int-to-str digit limit is raised to
+    MAX_PRINT_DIGITS while it runs and restored when it returns or raises."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_PRINT_DIGITS)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

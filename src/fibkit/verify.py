@@ -14,6 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import comb, prod
 from typing import (
@@ -32,7 +33,7 @@ from .seq import FIB_SEED, LUCAS_SEED, Seed, fib, lucas, table
 __all__ = [
     "ParamPoint", "GridSpec", "Failure", "VerifyReport",
     "eval_side", "verify_grid", "check_recurrence", "case_split_value",
-    "compile_side", "STANDARD_SEEDS", "MAX_GRID_CHECKS",
+    "compile_side", "process_pool", "STANDARD_SEEDS", "MAX_GRID_CHECKS",
 ]
 
 STANDARD_SEEDS = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5))
@@ -565,23 +566,25 @@ def _grid_tables(identity: Identity, spec: GridSpec):
 
 def _oracle_check(identity: Identity, spec: GridSpec,
                   window: Interval | None) -> Callable[..., None]:
-    """Compares a point's two values with the oracle's, evaluated on
-    recurrence tables built once for the whole grid."""
+    """Compares a point's two values with the oracle's, evaluated by one
+    oracle evaluator per side and seed, built once for the whole grid on
+    recurrence tables built once for it."""
     from . import oracle
 
     lo, hi = merge_windows(window, (0, 1))
     tables = oracle.OracleTables(lo, hi, spec.seeds)
+    sides = [(oracle.evaluator(identity.lhs, tables, seed),
+              oracle.evaluator(identity.rhs, tables, seed)) for seed in spec.seeds]
     params = identity.free_params
 
     def check(vals: tuple[int, ...], seed_idx: int, lv: int, rv: int) -> None:
-        seed = spec.seeds[seed_idx]
-        pt = ParamPoint(dict(zip(params, vals)), seed)
-        ov_l = oracle.oracle_eval(identity.lhs, pt, tables)
-        ov_r = oracle.oracle_eval(identity.rhs, pt, tables)
+        lhs, rhs = sides[seed_idx]
+        env = dict(zip(params, vals))
+        ov_l, ov_r = lhs(env), rhs(env)
         if ov_l != lv or ov_r != rv:
             raise InternalFault(
                 f"oracle disagrees with evaluator on '{identity.name}' "
-                f"at {dict(zip(params, vals))}, seed {seed}: "
+                f"at {env}, seed {spec.seeds[seed_idx]}: "
                 f"oracle ({ov_l}, {ov_r}) vs fast ({lv}, {rv})")
     return check
 
@@ -641,26 +644,40 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec,
                         f"but no point raises when evaluated alone") from exc
 
 
+def _processes(workers: int) -> int:
+    return min(workers, os.cpu_count() or 1)
+
+
+def process_pool(workers: int) -> ProcessPoolExecutor | None:
+    """A pool that several verify_grid calls can share: min(workers, CPU
+    count) processes, or None when that is one."""
+    size = _processes(workers)
+    return ProcessPoolExecutor(max_workers=size) if size > 1 else None
+
+
 def verify_grid(identity: Identity, spec: GridSpec, *, workers: int = 1,
-                use_oracle: bool = False) -> VerifyReport:
+                use_oracle: bool = False,
+                pool: ProcessPoolExecutor | None = None) -> VerifyReport:
     """Check lhs == rhs at every grid point and seed; list every failure.
 
     The grid runs as one compiled sweep; with workers > 1, as contiguous
     slices of the sweep's outermost loop in at most min(workers, CPU
-    count) processes. The result is independent of evaluation order and
-    worker count: failures are sorted by point (lexicographically in
-    parameter order), then by seed position.
+    count) processes, those of pool when given (see process_pool), else
+    of a pool made for this call. The result is independent of
+    evaluation order and worker count: failures are sorted by point
+    (lexicographically in parameter order), then by seed position.
     """
     _check_spec_covers(identity, spec)
     params = identity.free_params
     started = time.perf_counter()
     order, fixed = _loop_order(identity, spec)
-    shards = _shards(spec, order, fixed, min(workers, os.cpu_count() or 1))
+    shards = _shards(spec, order, fixed, _processes(workers))
     try:
         if len(shards) > 1:
             jobs = [(identity, spec, order, fixed, use_oracle, s) for s in shards]
-            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-                raw = [f for part in pool.map(_shard_job, jobs) for f in part]
+            with (nullcontext(pool) if pool is not None
+                  else ProcessPoolExecutor(max_workers=len(shards))) as run:
+                raw = [f for part in run.map(_shard_job, jobs) for f in part]
         else:
             raw = _sweep_grid(identity, spec, order, fixed, use_oracle)
     except EvalError as exc:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -54,6 +55,29 @@ def test_eval_over_digit_limit_exits_2(capsys, monkeypatch):
     assert out == ""
     assert err == ("fibkit: error: F(10000000) has 4,301 decimal digits, "
                    "over the 4,300-digit output limit\n")
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int-to-str limit set to 5,000 digits for one test."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    yield 5000
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_main_restores_the_digit_limit(capsys, digit_limit):
+    # F(30000) has 6,270 digits: printing it needs main's raised limit
+    code, out, _ = run(capsys, "eval", "F", "30000")
+    assert code == 0 and len(out) == 6271
+    assert sys.get_int_max_str_digits() == digit_limit
+    assert run(capsys, "eval", "F", "10") == (0, "55\n", "")
+    assert sys.get_int_max_str_digits() == digit_limit
+    with pytest.raises(SystemExit):
+        main(["eval", "F"])
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 def test_eval_usage_error_exits_2(capsys):

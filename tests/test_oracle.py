@@ -32,6 +32,18 @@ def test_pascal_matches_multiplicative_binomials():
             assert pascal_binom(n, k) == math.comb(n, k)
 
 
+def test_pascal_past_the_kept_rows_holds_one_partial_row():
+    from fibkit import oracle
+
+    kept = oracle._PASCAL_ROWS_KEPT
+    for n in (kept + 1, kept + 44, 3000):
+        for k in (0, 1, 2, 7, n // 2, n - 3, n):
+            assert pascal_binom(n, k) == math.comb(n, k), (n, k)
+    assert pascal_binom(3000, 2) == 4_498_500
+    assert len(oracle._pascal_rows) == kept + 1
+    assert max(len(row) for row in oracle._pascal_rows) == kept + 1
+
+
 def test_pascal_convention_outside_triangle():
     assert pascal_binom(5, 6) == 0
     assert pascal_binom(5, -1) == 0
@@ -69,6 +81,37 @@ def test_oracle_with_prebuilt_tables(catalog):
     assert oracle_eval(eq1.lhs, pt, tables) == oracle_eval(eq1.lhs, pt)
 
 
+@pytest.mark.parametrize("text,values,message", [
+    ("F(m) + x", {"m": 1}, "symbol 'x' has no value"),
+    ("F(m)^n", {"m": 1, "n": -2}, "negative exponent -2 in power"),
+    ("pow5floor(n)", {"n": -3}, "pow5floor argument -3 is negative"),
+    ("sum(k, n, 0, F(k))", {"n": 3}, "sum bounds 3..0 are inverted"),
+    ("L(m + 2)", {"m": 4}, "oracle table window misses index 6 for L"),
+    # the exponent is read before the base, whose index the window misses
+    ("F(m + 9)^n", {"m": 0, "n": -1}, "negative exponent -1 in power"),
+])
+def test_evaluator_error_messages(text, values, message):
+    from fibkit import EvalError
+    from fibkit.oracle import evaluator
+
+    fn = evaluator(parse_expr(text), OracleTables(-1, 5, (F_SEED,)), F_SEED)
+    with pytest.raises(EvalError) as exc_info:
+        fn(dict(values))
+    assert str(exc_info.value) == message
+
+
+def test_evaluator_leaves_env_unchanged_and_is_reusable(catalog):
+    from fibkit.oracle import evaluator
+
+    eq1 = catalog.get("Eq1")
+    tables = OracleTables(-20, 20, (Seed(3, 7),))
+    fn = evaluator(eq1.lhs, tables, Seed(3, 7))
+    env = {"n": 3, "m": 2, "p": -1, "q": 2, "k": 99}
+    first = fn(env)
+    assert env == {"n": 3, "m": 2, "p": -1, "q": 2, "k": 99}
+    assert fn(env) == first == eval_side(eq1.lhs, ParamPoint(env, Seed(3, 7)))
+
+
 def test_differential_against_fast_evaluator(catalog):
     rng = random.Random(0x5EED)
     entries = list(catalog)
@@ -91,10 +134,14 @@ def test_oracle_module_is_independent_of_fast_paths():
     import fibkit.oracle as oracle_module
 
     source = open(oracle_module.__file__, encoding="utf-8").read()
+    tree = pyast.parse(source)
     banned = {"seq", "zphi", "verify", "symbolic", "cli"}
-    for node in pyast.parse(source).body:  # runtime imports are top-level
+    for node in tree.body:  # runtime imports are top-level
         if isinstance(node, pyast.ImportFrom) and node.module:
             assert node.module.split(".")[-1] not in banned, node.module
+    # and it generates no code: its evaluator is a tree of plain closures
+    names = {node.id for node in pyast.walk(tree) if isinstance(node, pyast.Name)}
+    assert not names & {"exec", "eval", "compile"}
 
 
 def test_oracle_rejects_bad_input():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fibkit import (
     EvalError, FibkitError, GridError, GridSpec, InternalFault,
     ParamPoint, Seed, case_split_value, check_recurrence, eval_side, fib, lucas,
-    oracle, parse_expr, parse_identity, to_text, verify, verify_grid,
+    cli, oracle, parse_expr, parse_identity, to_text, verify, verify_grid,
 )
 from fibkit.expr import Add, Binom, Lit, Mul, Pow, SeqRef, Sign, Sub, Sum, Sym
 from fibkit.verify import MAX_GRID_CHECKS
@@ -185,11 +185,34 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
             super().__init__(lo, hi, seeds)
 
     monkeypatch.setattr(oracle, "OracleTables", CountedTables)
+    evaluators = []
+    build = oracle.evaluator
+    monkeypatch.setattr(oracle, "evaluator",
+                        lambda ast, tables, seed: evaluators.append(seed)
+                        or build(ast, tables, seed))
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
                     (Seed(0, 1), Seed(3, 7)))
     assert verify_grid(catalog.get("Eq1"), spec, use_oracle=True).passed
     # G(p + q*k) reaches -6..6 and G(p - n*m) reaches -6..6
     assert built == [(-6, 6, spec.seeds)]
+    # one evaluator per side and seed for the grid's 750 checks
+    assert evaluators == [Seed(0, 1), Seed(0, 1), Seed(3, 7), Seed(3, 7)]
+
+
+def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
+    build = verify._build_tables
+
+    def off_by_one(window, seeds):
+        f_tab, l_tab, g_tabs = build(window, seeds)
+        f_tab[2] += 1  # inside the window of every point below
+        return f_tab, l_tab, g_tabs
+
+    monkeypatch.setattr(verify, "_build_tables", off_by_one)
+    eq8 = catalog.get("Eq8")
+    spec = small_spec("m", "n")
+    assert not verify_grid(eq8, spec).passed
+    with pytest.raises(InternalFault, match="oracle disagrees with evaluator on 'Eq8'"):
+        verify_grid(eq8, spec, use_oracle=True)
 
 
 class InlinePool:
@@ -238,11 +261,26 @@ def test_eval_error_names_the_same_point_across_workers(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     bad = parse_identity("F(m)^p == G(p)", name="neg-pow", params=("m", "p"))
     spec = GridSpec({"m": (-3, 3), "p": (-2, 2)}, (Seed(2, 1), F_SEED))
-    for workers in (1, 4):
+    shared = verify.process_pool(4)
+    for workers, pool in ((1, None), (4, None), (4, shared)):
         with pytest.raises(EvalError, match=r"at point \(m=-3, p=-2\), seed "
                                             r"Seed\(g0=2, g1=1\)$"):
-            verify_grid(bad, spec, workers=workers)
-    assert InlinePool.sizes == [4]
+            verify_grid(bad, spec, workers=workers, pool=pool)
+    assert InlinePool.sizes == [4, 4]
+
+
+def test_verify_command_shares_one_pool(catalog, monkeypatch, capsys):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    argv = ["verify", "--all", "--n", "0..2", "--m", "-2..2", "--p", "-2..2",
+            "--q", "-2..2", "--format", "json"]
+    assert cli.main(argv) == 0
+    serial = capsys.readouterr().out
+    assert InlinePool.sizes == []
+    assert cli.main([*argv, "--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert InlinePool.sizes == [2]  # one pool for all 29 identities
 
 
 # --- the sweep against point-by-point evaluation ------------------------------
