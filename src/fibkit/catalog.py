@@ -1,9 +1,9 @@
 """Identity and Catalog types, the stanza file format, and the shipped catalog.
 
-Catalog files are UTF-8 text. Each identity is one stanza of four
-`key: value` lines (name, params, paper, identity) separated by blank
-lines; '#' starts a comment. The identity line is a single
-"lhs == rhs" expression in the DSL grammar.
+Catalog files are UTF-8 text of at most MAX_CATALOG_BYTES. Each
+identity is one stanza of four `key: value` lines (name, params, paper,
+identity) separated by blank lines; '#' starts a comment. The identity
+line is a single "lhs == rhs" expression in the DSL grammar.
 """
 
 from __future__ import annotations
@@ -21,8 +21,11 @@ __all__ = [
     "Identity", "Catalog",
     "parse_identity", "parse_catalog", "format_catalog",
     "builtin_catalog", "load_catalog_file",
-    "SECTION3_PARAM_MAP", "section3_source",
+    "SECTION3_PARAM_MAP", "section3_source", "MAX_CATALOG_BYTES",
 ]
+
+# Largest catalog file read, in bytes; the built-in catalog is about 5 KB.
+MAX_CATALOG_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,23 @@ def format_catalog(catalog: Catalog) -> str:
 
 
 def load_catalog_file(path: str) -> Catalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_catalog(fh.read(), source=path)
+    """Parse the catalog file at path; a file that cannot be opened, is
+    over MAX_CATALOG_BYTES or is not UTF-8 is a CatalogError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CATALOG_BYTES + 1)
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog file {path}: "
+                           f"{exc.strerror or exc}") from None
+    if len(data) > MAX_CATALOG_BYTES:
+        raise CatalogError(f"catalog file {path} is over the "
+                           f"{MAX_CATALOG_BYTES:,}-byte limit")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"catalog file {path} is not UTF-8 text: "
+                           f"{exc.reason} at byte {exc.start}") from None
+    return parse_catalog(text, source=path)
 
 
 @functools.lru_cache(maxsize=1)

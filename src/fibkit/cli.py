@@ -23,7 +23,9 @@ from typing import Sequence
 
 from .catalog import Catalog, Identity, builtin_catalog, load_catalog_file
 from .errors import FibkitError, InternalFault
-from .seq import Seed, fib, fib_naive, fib_pair_doubling, gen, lucas
+from .seq import (
+    FIB_SEED, LUCAS_SEED, Seed, fib, fib_naive, fib_pair_doubling, gen, lucas,
+)
 from .symbolic import prove_symbolic
 from .verify import STANDARD_SEEDS, GridSpec, VerifyReport, process_pool, verify_grid
 
@@ -35,6 +37,11 @@ DEFAULT_PROVE_RANKS = (1, 2, 3, 4)
 
 # Longest integer, in decimal digits, that the CLI converts to text.
 MAX_PRINT_DIGITS = 2_000_000
+
+# Largest F(n), in decimal digits, that bench computes. It never prints the
+# value, but past this the value alone takes over 400 MB, and the doubling
+# would run for hours.
+MAX_BENCH_DIGITS = 1_000_000_000
 
 _GRID_FLAGS = ("n", "m", "p", "q")
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
@@ -94,6 +101,36 @@ def decimal_digits(x: int) -> int:
     if low == high or x < 10 ** high:
         return low + 1
     return high + 1
+
+
+# log10(phi), phi the golden ratio, lies above this fraction.
+_LOG10_PHI_LOW = 20898764024997873
+_LOG10_PHI_DEN = 10 ** 17
+
+
+def _digits_floor(seed: Seed, n: int) -> int:
+    """A count that the decimal digits of G(n) for seed, not (0, 0), are
+    proven to exceed, found without computing G(n).
+
+    G(n) = A phi^n + B psi^n, where sqrt(5) A = g1 - g0 psi and
+    sqrt(5) B = g0 phi - g1. The product of those two is the nonzero
+    integer g0 g1 + g0^2 - g1^2, so, with M = |g1| + 2|g0|, both |A| and
+    |B| lie between 1 / (sqrt(5) M) and M / sqrt(5). Once phi^|n| >= 2 M^2,
+    |G(n)| >= phi^|n| / (2 sqrt(5) M) > 10^(|n| log10(phi) - e), where e
+    is the digit count of 5 M; below that, the bound is 0.
+    """
+    e = decimal_digits(5 * (abs(seed.g1) + 2 * abs(seed.g0)))
+    x = abs(n) * _LOG10_PHI_LOW // _LOG10_PHI_DEN
+    return x - e if x > 2 * e else 0
+
+
+def _check_digits(name: str, seed: Seed, n: int, limit: int, what: str) -> None:
+    """Refuse G(n) for seed, named name(n), when it is proven to have more
+    than limit decimal digits."""
+    floor = _digits_floor(seed, n)
+    if floor >= limit:
+        raise FibkitError(f"{name}({n}) has more than {floor:,} decimal digits, "
+                          f"over the {limit:,}-digit {what}")
 
 
 # --- catalog resolution ------------------------------------------------------
@@ -179,9 +216,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.seq == "G":
         if args.seed is None:
             raise FibkitError("eval G requires --seed g0,g1")
-        value = gen(_parse_seed(args.seed), args.index)
+        seed = _parse_seed(args.seed)
     elif args.seed is not None:
         raise FibkitError(f"--seed only applies to G, not {args.seq}")
+    else:
+        seed = FIB_SEED if args.seq == "F" else LUCAS_SEED
+    if seed == Seed(0, 0):
+        print(0)
+        return 0
+    _check_digits(args.seq, seed, args.index, MAX_PRINT_DIGITS, "output limit")
+    if args.seq == "G":
+        value = gen(seed, args.index)
     elif args.seq == "F":
         value = fib(args.index)
     else:
@@ -252,6 +297,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for n in args.n:
         if n < 0:
             raise FibkitError(f"bench needs n >= 0, got {n}")
+        _check_digits("F", FIB_SEED, n, MAX_BENCH_DIGITS, "bench limit")
     print(f"{'n':>10}  {'digits':>8}  {'law':>8}  {'doubling':>12}  {'naive':>12}")
     for n in args.n:
         t0 = time.perf_counter()

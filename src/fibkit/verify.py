@@ -2,9 +2,13 @@
 
 A side compiles once into a plain Python function over dense lookup
 tables. A grid compiles into one sweep: a generated loop nest over the
-grid's parameters and seeds in which every subexpression is computed in
-the shallowest loop that binds everything it reads. All arithmetic is
-unbounded int; a PASS means exact equality at every point evaluated.
+grid's parameters in which every subexpression is computed in the
+shallowest loop that binds everything it reads. The seeds are not a
+loop: a side that reads no G is evaluated once per point for all of
+them, and sides linear in G are evaluated on two basis seeds, from which
+every requested seed's values follow by linear combination. All
+arithmetic is unbounded int; a PASS means exact equality at every point
+and seed.
 """
 
 from __future__ import annotations
@@ -186,8 +190,9 @@ _COMPILE_GLOBALS = {
 }
 
 
-def _op_code(node: Node, args: Sequence[str]) -> str:
-    """Python for one operator node, given the code of its children."""
+def _op_code(node: Node, args: Sequence[str], g: str = "_G") -> str:
+    """Python for one operator node, given the code of its children; g
+    names the G table."""
     if isinstance(node, Add):
         return f"({args[0]} + {args[1]})"
     if isinstance(node, Sub):
@@ -199,7 +204,7 @@ def _op_code(node: Node, args: Sequence[str]) -> str:
     if isinstance(node, Pow):
         return f"_pw({args[0]}, {args[1]})"
     if isinstance(node, SeqRef):
-        return f"_{node.kind}[{args[0]}]"
+        return f"{g if node.kind == 'G' else '_' + node.kind}[{args[0]}]"
     if isinstance(node, Binom):
         return f"_bi({args[0]}, {args[1]})"
     if isinstance(node, Sign):
@@ -209,7 +214,7 @@ def _op_code(node: Node, args: Sequence[str]) -> str:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _gen_code(node: Node, names: Mapping[str, str]) -> str:
+def _gen_code(node: Node, names: Mapping[str, str], g: str = "_G") -> str:
     if isinstance(node, Lit):
         return repr(node.value)
     if isinstance(node, Sym):
@@ -221,10 +226,10 @@ def _gen_code(node: Node, names: Mapping[str, str]) -> str:
         var = f"k_{node.var}"
         inner = dict(names)
         inner[node.var] = var
-        return (f"sum(({_gen_code(node.body, inner)}) "
+        return (f"sum(({_gen_code(node.body, inner, g)}) "
                 f"for {var} in _rng({_gen_code(node.lo, names)}, "
                 f"{_gen_code(node.hi, names)}))")
-    return _op_code(node, [_gen_code(child, names) for child in children(node)])
+    return _op_code(node, [_gen_code(child, names, g) for child in children(node)], g)
 
 
 _compile_cache: dict[tuple, Callable[..., Any]] = {}
@@ -261,7 +266,8 @@ def _build_tables(window: Interval | None, seeds: Iterable[Seed],
     lo, hi = window
     f_tab = table(FIB_SEED, lo, hi).as_dict()
     l_tab = table(LUCAS_SEED, lo, hi).as_dict()
-    g_tabs = {s: table(s, lo, hi).as_dict() for s in seeds}
+    known = {FIB_SEED: f_tab, LUCAS_SEED: l_tab}
+    g_tabs = {s: known[s] if s in known else table(s, lo, hi).as_dict() for s in seeds}
     return f_tab, l_tab, g_tabs
 
 
@@ -276,36 +282,99 @@ def eval_side(ast: Node, pt: ParamPoint) -> int:
 
 # --- grid sweeps ------------------------------------------------------------
 #
-# A sweep runs a whole grid as one generated loop nest. Its variables are
-# the identity's parameters and the seed, a pseudo-variable that only G
-# reads. A variable with one value is bound once at the top; each other one
-# is a loop. Every subexpression is computed in the shallowest loop that
-# binds all it reads. Inside a sum, a term that reads the summation index
-# but not the inner loops becomes a list over the index, built once in the
-# outer loop where it is fixed; the sum itself zips those lists.
-
-_SEED = "#seed"  # no parameter can have this name
+# A sweep runs a whole grid as one generated loop nest over the identity's
+# parameters. A parameter with one value is bound once at the top; each
+# other one is a loop. Every subexpression is computed in the shallowest
+# loop that binds all it reads. Inside a sum, a term that reads the
+# summation index but not the inner loops becomes a list over the index,
+# built once in the outer loop where it is fixed; the sum itself zips
+# those lists.
+#
+# The seeds are not a loop. At each point a sweep evaluates one pair of
+# sides per G table it is given, and its plan (see _plans) says which
+# requested seeds each pair's values stand for.
 
 # CPython compiles at most 20 statically nested blocks: one per loop here,
-# and one for a sum's loop inside them.
+# and one for a sum's loop or the loop over the seeds inside them.
 _MAX_LOOPS = 19
 
 # Loop orders are searched exhaustively up to this many loops (720 orders);
-# past it the parameters loop in declared order with the seed innermost.
+# past it the parameters loop in declared order.
 _MAX_SEARCH = 6
+
+# G(e) = g0*B10(e) + g1*B01(e) at every integer e, where B10 and B01 are
+# the sequences seeded (1, 0) and (0, 1).
+_BASIS = (Seed(1, 0), Seed(0, 1))
+
+
+def _g_degree(node: Node) -> int | None:
+    """The degree of node in G, 0 or 1, or None when it is not homogeneous
+    (a sum of terms with different numbers of G factors, or a term with
+    two or more). The parser keeps G out of every index, bound and
+    exponent, so only these nodes can carry a G factor."""
+    if isinstance(node, SeqRef):
+        return 1 if node.kind == "G" else 0
+    if isinstance(node, (Add, Sub)):
+        left = _g_degree(node.left)
+        return left if left == _g_degree(node.right) else None
+    if isinstance(node, Neg):
+        return _g_degree(node.operand)
+    if isinstance(node, Sum):
+        return _g_degree(node.body)
+    if isinstance(node, Mul):
+        left, right = _g_degree(node.left), _g_degree(node.right)
+        if left is None or right is None or left + right > 1:
+            return None
+        return left + right
+    if isinstance(node, Pow):
+        return 0 if _g_degree(node.base) == 0 else None
+    return 0  # literals, symbols, binom, sign, pow5floor
+
+
+class _Plan(NamedTuple):
+    """One pass of a sweep over the grid.
+
+    The pass evaluates both sides once per G table in tables, or once,
+    reading no G, when there is none. With basis, the tables are the
+    basis seeds and seeds holds (index, g0, g1) of every requested seed;
+    without, seeds holds the indices of the requested seeds whose values
+    the one pair of sides gives.
+    """
+
+    basis: bool
+    tables: tuple[Seed, ...]
+    seeds: tuple[tuple[int, int, int] | int, ...]
+
+
+def _plans(identity: Identity, seeds: Sequence[Seed]) -> list[_Plan]:
+    """The passes that cover every requested seed: one pass for all seeds
+    when neither side reads G, one on the basis when both sides are linear
+    in G and there are at least two distinct seeds, else one pass per
+    distinct seed, on its own table."""
+    degrees = {_g_degree(identity.lhs), _g_degree(identity.rhs)}
+    if degrees == {0}:
+        return [_Plan(False, (), tuple(range(len(seeds))))]
+    groups: dict[Seed, list[int]] = {}
+    for i, seed in enumerate(seeds):
+        groups.setdefault(seed, []).append(i)
+    if degrees == {1} and len(groups) >= len(_BASIS):
+        return [_Plan(True, _BASIS, tuple((i, s.g0, s.g1) for i, s in enumerate(seeds)))]
+    return [_Plan(False, (seed,), tuple(group)) for seed, group in groups.items()]
 
 
 class _Term(NamedTuple):
-    """One subexpression occurrence and the variables it reads.
+    """One subexpression occurrence and what it reads.
 
-    deps holds the sweep variables it reads and, inside a sum body, those
-    its sum's bounds read, since a body term is computed only once its
-    sum's range is known. kdep says whether it reads the summation index.
+    deps holds the parameters it reads and, inside a sum body, those its
+    sum's bounds read, since a body term is computed only once its sum's
+    range is known. kdep says whether it reads the summation index, and
+    g whether it reads G.
     """
 
     node: Node
     deps: frozenset[str]
     kdep: bool
+    g: bool
     args: tuple["_Term", ...]
 
 
@@ -314,85 +383,83 @@ def _terms(node: Node, params: Sequence[str],
     """The term tree of a side; body is (index name, bounds' deps) in a sum."""
     floor = body[1] if body else frozenset()
     if isinstance(node, Lit):
-        return _Term(node, floor, False, ())
+        return _Term(node, floor, False, False, ())
     if isinstance(node, Sym):
         if body and node.name == body[0]:
-            return _Term(node, floor, True, ())
+            return _Term(node, floor, True, False, ())
         if node.name not in params:
             raise EvalError(f"symbol '{node.name}' has no value")
-        return _Term(node, floor | {node.name}, False, ())
+        return _Term(node, floor | {node.name}, False, False, ())
     if isinstance(node, Sum) and body is None:
         lo, hi = _terms(node.lo, params), _terms(node.hi, params)
         inner = _terms(node.body, params, (node.var, lo.deps | hi.deps))
-        return _Term(node, inner.deps, False, (lo, hi, inner))
+        return _Term(node, inner.deps, False, inner.g, (lo, hi, inner))
     if isinstance(node, Sum):  # nested in a sum body: computed whole
         free = free_symbols(node)
         unknown = sorted(free - {body[0], *params})
         if unknown:
             raise EvalError(f"symbol '{unknown[0]}' has no value")
         reads_g = any(isinstance(n, SeqRef) and n.kind == "G" for n in iter_nodes(node))
-        deps = floor | (free - {body[0]}) | ({_SEED} if reads_g else set())
-        return _Term(node, deps, body[0] in free, ())
+        return _Term(node, floor | (free - {body[0]}), body[0] in free, reads_g, ())
     args = tuple(_terms(child, params, body) for child in children(node))
     deps = floor.union(*(a.deps for a in args))
-    if isinstance(node, SeqRef) and node.kind == "G":
-        deps |= {_SEED}
-    return _Term(node, deps, any(a.kdep for a in args), args)
+    reads_g = (isinstance(node, SeqRef) and node.kind == "G") or any(a.g for a in args)
+    return _Term(node, deps, any(a.kdep for a in args), reads_g, args)
 
 
-def _evaluations(term: _Term, env: Mapping[str, Interval],
+def _evaluations(term: _Term, env: Mapping[str, Interval], pairs: int,
                  k_count: int = 1) -> Iterator[tuple[frozenset[str], int]]:
     """(deps, evaluations per binding of deps) of every computed term; a
-    term that reads a summation index runs once per index value."""
+    term that reads a summation index runs once per index value, and one
+    that reads G once per pair of sides."""
     if isinstance(term.node, (Lit, Sym)):
         return
-    yield term.deps, k_count if term.kdep else 1
+    yield term.deps, (k_count if term.kdep else 1) * (pairs if term.g else 1)
     if isinstance(term.node, Sum) and term.args:
         lo, hi, inner = term.args
-        yield from _evaluations(lo, env)
-        yield from _evaluations(hi, env)
+        yield from _evaluations(lo, env, pairs)
+        yield from _evaluations(hi, env, pairs)
         span = expr_interval(term.node.hi, env)[1] - expr_interval(term.node.lo, env)[0]
-        yield from _evaluations(inner, env, max(1, span + 1))
+        yield from _evaluations(inner, env, pairs, max(1, span + 1))
     else:
         for arg in term.args:
-            yield from _evaluations(arg, env, k_count)
+            yield from _evaluations(arg, env, pairs, k_count)
 
 
-def _axis(spec: GridSpec, var: str) -> range:
-    """The values a sweep variable takes: a parameter's range, or seed indices."""
-    if var == _SEED:
-        return range(len(spec.seeds))
-    lo, hi = spec.ranges[var]
+def _axis(spec: GridSpec, param: str) -> range:
+    lo, hi = spec.ranges[param]
     return range(lo, hi + 1)
 
 
-def _loop_order(identity: Identity, spec: GridSpec) -> tuple[tuple[str, ...], int]:
-    """The sweep's variables, outermost first, and how many of them lead
-    as fixed values before the first loop.
+def _loop_order(identity: Identity, spec: GridSpec,
+                pairs: int) -> tuple[tuple[str, ...], int]:
+    """The parameters, outermost first, and how many of them lead as fixed
+    values before the first loop.
 
     A term is computed once per iteration of the loops down to the deepest
-    one it reads (once per index value inside a sum); of all orders of the
-    loops, the first one with the fewest such computations wins.
+    one it reads (once per index value inside a sum, once per pair of
+    sides if it reads G); of all orders of the loops, the first one with
+    the fewest such computations wins.
     """
     params = identity.free_params
-    lengths = {v: len(_axis(spec, v)) for v in (*params, _SEED)}
-    fixed = tuple(v for v in lengths if lengths[v] == 1)
-    loops = tuple(v for v in lengths if lengths[v] > 1)
+    lengths = {p: len(_axis(spec, p)) for p in params}
+    fixed = tuple(p for p in params if lengths[p] == 1)
+    loops = tuple(p for p in params if lengths[p] > 1)
     if len(loops) > _MAX_LOOPS:
-        raise GridError(f"grid varies {len(loops)} axes (parameters and seeds); "
+        raise GridError(f"grid varies {len(loops)} parameters; "
                         f"a sweep nests at most {_MAX_LOOPS} loops")
     env = {p: spec.ranges[p] for p in params}
     weights: dict[frozenset[str], int] = {}
     for side in (identity.lhs, identity.rhs):
-        for deps, count in _evaluations(_terms(side, params), env):
+        for deps, count in _evaluations(_terms(side, params), env, pairs):
             key = deps.intersection(loops)
             weights[key] = weights.get(key, 0) + count
 
     def cost(order: tuple[str, ...]) -> int:
         reach, size = {}, 1
-        for v in order:
-            size *= lengths[v]
-            reach[v] = size
+        for p in order:
+            size *= lengths[p]
+            reach[p] = size
         return sum(count * max(map(reach.__getitem__, deps), default=1)
                    for deps, count in weights.items())
 
@@ -408,13 +475,19 @@ class _Body(NamedTuple):
 
 class _SweepWriter:
     """Statements per loop level; each computed term lands at its rank, the
-    pair (level of the deepest loop it reads, whether it reads the index)."""
+    pair (level of the deepest loop it reads, whether it reads the index).
+
+    Sides are written once per pair of sides, with g naming that pair's G
+    table; a term that reads no G has the same code in every pair, so the
+    pairs share the variable it is assigned to in a shallower loop.
+    """
 
     def __init__(self, params: Sequence[str], order: Sequence[str]):
         self.names = {p: f"v{i}" for i, p in enumerate(params)}
         self.level = {v: i + 1 for i, v in enumerate(order)}
         self.lines: list[list[str]] = [[] for _ in range(len(order) + 1)]
         self.temps: dict[str, str] = {}
+        self.g = "_G0"
 
     def rank(self, term: _Term) -> tuple[int, bool]:
         return max((self.level[v] for v in term.deps), default=0), term.kdep
@@ -457,7 +530,7 @@ class _SweepWriter:
                 return body.name, {body.rng: body.name}
             return self.names[node.name], {}
         if isinstance(node, Sum) and body is not None:
-            return _gen_code(node, {**self.names, body.var: body.name}), {}
+            return _gen_code(node, {**self.names, body.var: body.name}, self.g), {}
         if isinstance(node, Sum):
             lo, hi, inner = term.args
             bounds = max(self.rank(lo), self.rank(hi))
@@ -475,7 +548,7 @@ class _SweepWriter:
             code, used = self.place(arg, rank, body)
             args.append(code)
             lists.update(used)
-        return _op_code(node, args), lists
+        return _op_code(node, args, self.g), lists
 
     def place(self, term: _Term, rank: tuple[int, bool],
               body: _Body | None) -> tuple[str, dict[str, str]]:
@@ -495,43 +568,59 @@ class _SweepWriter:
 
 
 def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
-                  oracle: bool) -> str:
+                  oracle: bool, basis: bool, tables: int) -> str:
     params = identity.free_params
+    pairs = max(1, tables)
     writer = _SweepWriter(params, order)
     innermost = (len(order), False)
-    lhs = writer.place(_terms(identity.lhs, params), innermost, None)[0]
-    rhs = writer.place(_terms(identity.rhs, params), innermost, None)[0]
-    point = "(" + "".join(f"{writer.names[p]}, " for p in params) + ")"
+    sides = (_terms(identity.lhs, params), _terms(identity.rhs, params))
     last = writer.lines[-1]
-    last += [f"_lhs = {lhs}", f"_rhs = {rhs}"]
-    if oracle:
-        last.append(f"_check({point}, _si, _lhs, _rhs)")
-    last += ["if _lhs != _rhs:", f"    _fail.append(({point}, _si, _lhs, _rhs))"]
+    for j in range(pairs):
+        writer.g = f"_G{j}"
+        lhs, rhs = (writer.place(side, innermost, None)[0] for side in sides)
+        last += [f"_l{j} = {lhs}", f"_r{j} = {rhs}"]
+    point = "(" + "".join(f"{writer.names[p]}, " for p in params) + ")"
+    if basis:
+        derive = ["for _si, _g0, _g1 in _S:",
+                  "    _lv = _g0 * _l0 + _g1 * _l1",
+                  "    _rv = _g0 * _r0 + _g1 * _r1",
+                  *([f"    _check({point}, _si, _lv, _rv)"] if oracle else []),
+                  "    if _lv != _rv:",
+                  f"        _fail.append(({point}, _si, _lv, _rv))"]
+        # a point where both basis pairs agree passes for every seed
+        last += derive if oracle else ["if _l0 != _r0 or _l1 != _r1:",
+                                       *("    " + line for line in derive)]
+    else:
+        if oracle:
+            last += ["for _si in _S:", f"    _check({point}, _si, _l0, _r0)"]
+        last += ["if _l0 != _r0:", "    for _si in _S:",
+                 f"        _fail.append(({point}, _si, _l0, _r0))"]
 
     axes = [f"_a{j}" for j in range(len(order))]
-    out = [f"def _sweep({', '.join(axes)}, _F, _L, _GT, _fail, _check):"]
+    args = [*axes, "_F", "_L", *(f"_G{j}" for j in range(tables)), "_S", "_fail", "_check"]
+    out = [f"def _sweep({', '.join(args)}):"]
     indent = "    "
     out += [indent + line for line in writer.lines[0]]
     for j, var in enumerate(order):
-        name = "_si" if var == _SEED else writer.names[var]
+        name = writer.names[var]
         if j < fixed:
             out.append(f"{indent}{name} = {axes[j]}[0]")
         else:
             out.append(f"{indent}for {name} in {axes[j]}:")
             indent += "    "
-        if var == _SEED:
-            out.append(f"{indent}_G = _GT[_si]")
         out += [indent + line for line in writer.lines[j + 1]]
     return "\n".join(out) + "\n"
 
 
 def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
-                   oracle: bool) -> Callable[..., None]:
-    """fn(*axes, F, L, G tables by seed index, failures, check) running
-    the grid; axes are the ranges of order's variables (seed indices for
-    the seed), and check, with oracle, sees every point's two values."""
-    key = (identity.lhs, identity.rhs, identity.free_params, order, fixed, oracle)
-    return _define(key, lambda: _sweep_source(identity, order, fixed, oracle))
+                   oracle: bool, basis: bool, tables: int) -> Callable[..., None]:
+    """fn(*axes, F, L, *G tables, seeds, failures, check) running one pass
+    (see _Plan) over the grid; axes are the ranges of order's parameters,
+    and check, with oracle, sees every point's values for every seed."""
+    key = (identity.lhs, identity.rhs, identity.free_params, order, fixed, oracle,
+           basis, tables)
+    return _define(key, lambda: _sweep_source(identity, order, fixed, oracle,
+                                              basis, tables))
 
 
 # --- grid verification -----------------------------------------------------
@@ -556,12 +645,11 @@ def _grid_desc(identity: Identity, spec: GridSpec) -> dict[str, Any]:
     }
 
 
-def _grid_tables(identity: Identity, spec: GridSpec):
-    """The grid's index window and the F, L and G tables covering it."""
+def _grid_window(identity: Identity, spec: GridSpec) -> Interval | None:
+    """Every sequence index either side reads anywhere on the grid."""
     env = {p: spec.ranges[p] for p in identity.free_params}
-    window = merge_windows(index_window(identity.lhs, env),
-                           index_window(identity.rhs, env))
-    return window, _build_tables(window, spec.seeds)
+    return merge_windows(index_window(identity.lhs, env),
+                         index_window(identity.rhs, env))
 
 
 def _oracle_check(identity: Identity, spec: GridSpec,
@@ -590,18 +678,23 @@ def _oracle_check(identity: Identity, spec: GridSpec,
 
 
 def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
-                fixed: int, use_oracle: bool, shard: tuple[int, int] | None = None,
+                fixed: int, plans: Sequence[_Plan], use_oracle: bool,
+                shard: tuple[int, int] | None = None,
                 ) -> list[tuple[tuple[int, ...], int, int, int]]:
     """Raw failures (point, seed index, lhs, rhs) of the grid, or of the
     slice shard = (start, stop) of the sweep's outermost loop."""
-    window, (f_tab, l_tab, g_tabs) = _grid_tables(identity, spec)
+    window = _grid_window(identity, spec)
+    f_tab, l_tab, g_tabs = _build_tables(window, [s for p in plans for s in p.tables])
     axes = [_axis(spec, v) for v in order]
     if shard is not None:
         axes[fixed] = axes[fixed][shard[0]:shard[1]]
     check = _oracle_check(identity, spec, window) if use_oracle else None
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
-    sweep = _compile_sweep(identity, order, fixed, use_oracle)
-    sweep(*axes, f_tab, l_tab, [g_tabs[s] for s in spec.seeds], failures, check)
+    for plan in plans:
+        sweep = _compile_sweep(identity, order, fixed, use_oracle, plan.basis,
+                               len(plan.tables))
+        sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,
+              failures, check)
     return failures
 
 
@@ -629,7 +722,7 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec,
     evaluation does, only in another order, so such a point exists.
     """
     params = identity.free_params
-    _, (f_tab, l_tab, g_tabs) = _grid_tables(identity, spec)
+    f_tab, l_tab, g_tabs = _build_tables(_grid_window(identity, spec), spec.seeds)
     lhs_fn = compile_side(identity.lhs, params)
     rhs_fn = compile_side(identity.rhs, params)
     for seed in spec.seeds:
@@ -660,26 +753,28 @@ def verify_grid(identity: Identity, spec: GridSpec, *, workers: int = 1,
                 pool: ProcessPoolExecutor | None = None) -> VerifyReport:
     """Check lhs == rhs at every grid point and seed; list every failure.
 
-    The grid runs as one compiled sweep; with workers > 1, as contiguous
-    slices of the sweep's outermost loop in at most min(workers, CPU
-    count) processes, those of pool when given (see process_pool), else
-    of a pool made for this call. The result is independent of
-    evaluation order and worker count: failures are sorted by point
-    (lexicographically in parameter order), then by seed position.
+    The grid runs as one compiled sweep, in passes that cover the seeds
+    (see _plans); with workers > 1, as contiguous slices of the sweep's
+    outermost loop in at most min(workers, CPU count) processes, those of
+    pool when given (see process_pool), else of a pool made for this call.
+    The result is independent of evaluation order and worker count:
+    failures are sorted by point (lexicographically in parameter order),
+    then by seed position.
     """
     _check_spec_covers(identity, spec)
     params = identity.free_params
     started = time.perf_counter()
-    order, fixed = _loop_order(identity, spec)
+    plans = _plans(identity, spec.seeds)
+    order, fixed = _loop_order(identity, spec, max(1, len(plans[0].tables)))
     shards = _shards(spec, order, fixed, _processes(workers))
     try:
         if len(shards) > 1:
-            jobs = [(identity, spec, order, fixed, use_oracle, s) for s in shards]
+            jobs = [(identity, spec, order, fixed, plans, use_oracle, s) for s in shards]
             with (nullcontext(pool) if pool is not None
                   else ProcessPoolExecutor(max_workers=len(shards))) as run:
                 raw = [f for part in run.map(_shard_job, jobs) for f in part]
         else:
-            raw = _sweep_grid(identity, spec, order, fixed, use_oracle)
+            raw = _sweep_grid(identity, spec, order, fixed, plans, use_oracle)
     except EvalError as exc:
         _raise_first_eval_error(identity, spec, exc)
 

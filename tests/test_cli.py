@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from fibkit import cli
+from fibkit import Seed, cli, gen
+from fibkit.catalog import MAX_CATALOG_BYTES
 from fibkit.cli import decimal_digits, main
 
 DATA = Path(__file__).parent / "data"
@@ -46,15 +48,63 @@ def test_eval_rejects_malformed_seed(capsys):
 
 
 def test_eval_over_digit_limit_exits_2(capsys, monkeypatch):
-    # a 4,301-digit value against a 4,300-digit limit stands in for F(10^7);
-    # 4,300 is also Python's default, so main's conversion limit leaves no trace
+    # a 4,301-digit value against a 4,300-digit limit stands in for a value
+    # just over the limit, which only its computed digit count refuses: the
+    # proven bound for F(20000) is 4,178 digits; 4,300 is also Python's
+    # default, so main's conversion limit leaves no trace
     monkeypatch.setattr(cli, "MAX_PRINT_DIGITS", 4300)
     monkeypatch.setattr(cli, "fib", lambda n: 10 ** 4300)
-    code, out, err = run(capsys, "eval", "F", "10000000")
+    code, out, err = run(capsys, "eval", "F", "20000")
     assert code == 2
     assert out == ""
-    assert err == ("fibkit: error: F(10000000) has 4,301 decimal digits, "
+    assert err == ("fibkit: error: F(20000) has 4,301 decimal digits, "
                    "over the 4,300-digit output limit\n")
+
+
+def test_huge_index_is_refused_before_computing(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a value was computed")
+
+    for name in ("fib", "lucas", "gen", "fib_pair_doubling"):
+        monkeypatch.setattr(cli, name, never)
+    for argv, value, limit in [
+        (("eval", "F", "1000000000000"), "F(1000000000000)", "2,000,000-digit output"),
+        (("eval", "L", "-1000000000000"), "L(-1000000000000)", "2,000,000-digit output"),
+        (("eval", "G", "1000000000000", "--seed", "3,7"), "G(1000000000000)",
+         "2,000,000-digit output"),
+        (("eval", "F", "10000000"), "F(10000000)", "2,000,000-digit output"),
+        (("bench", "--n", "10", "1000000000000"), "F(1000000000000)",
+         "1,000,000,000-digit bench"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fibkit: error: {value} has more than ")
+        assert err.endswith(f" decimal digits, over the {limit} limit\n")
+    # the seed (0, 0) makes G vanish at every index
+    assert run(capsys, "eval", "G", "1000000000000", "--seed", "0,0") == (0, "0\n", "")
+
+
+def test_bench_times_a_value_too_long_to_print(capsys, monkeypatch):
+    # bench prints F(n)'s digit count, never F(n), so the output limit does
+    # not bound it; stand-ins keep the test from computing F(10^7), which
+    # has 2,089,877 digits
+    monkeypatch.setattr(cli, "fib_pair_doubling", lambda n: (1, 0))
+    monkeypatch.setattr(cli, "decimal_digits", lambda x: 2089877)
+    code, out, err = run(capsys, "bench", "--n", "10000000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split()[:4] == ["10000000", "2089877", "2089877", "ok"]
+
+
+@pytest.mark.parametrize("seed", [
+    Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5), Seed(1, 0), Seed(0, -1),
+    Seed(1000, -618), Seed(-987, 610), Seed(10 ** 30, 7),
+])
+def test_digit_floor_is_below_the_digit_count(seed):
+    # whatever the bound refuses could not have been printed
+    floors = [cli._digits_floor(seed, n) for n in range(-500, 501)]
+    for n, floor in zip(range(-500, 501), floors):
+        assert floor < decimal_digits(gen(seed, n)), n
+    assert floors[0] > 0 and floors[-1] > 0
 
 
 @pytest.fixture
@@ -185,6 +235,65 @@ def test_verify_with_oracle_flag(capsys):
     code, out, _ = run(capsys, "verify", "--id", "Eq14", "--m", "-2..2",
                        "--p", "-2..2", "--q", "-2..2", "--oracle")
     assert code == 0
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("latin1", "is not UTF-8 text"),
+    ("oversized", "is over the 1,048,576-byte limit"),
+])
+def test_unreadable_catalog_file_exits_2(capsys, monkeypatch, tmp_path, kind, reason):
+    path = tmp_path / f"{kind}.cat"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin1":
+        path.write_bytes(b"name: Caf\xe9\nparams: m\npaper: t\nidentity: F(m) == F(m)\n")
+    elif kind == "oversized":
+        path.write_bytes(b"#" * (MAX_CATALOG_BYTES + 1))
+    expected = f"{path}{':' if kind in ('missing', 'directory') else ''}"
+    for argv in (("verify", "--all", "--file", str(path)),
+                 ("prove", "--all", "--file", str(path)),
+                 ("catalog", "--file", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("fibkit: error: ") and err.count("\n") == 1
+        assert expected in err and reason in err
+    monkeypatch.setenv("FIBKIT_CATALOG", str(path))
+    code, out, err = run(capsys, "verify", "--all")
+    assert (code, out) == (2, "")
+    assert expected in err and reason in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_catalog_file_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--all", "--file", "/dev/zero")
+    assert (code, out) == (2, "")
+    assert err == ("fibkit: error: catalog file /dev/zero is over the "
+                   "1,048,576-byte limit\n")
+
+
+# sha256 of stdout. Both were taken from the sweep that evaluated every seed
+# on its own table; the sweep's seed plans must print the same bytes.
+GOLDEN_VERIFY_ALL = "ed0da41585cded8315344a8655002c422c64ff8e23391fe831895f6282f1e37e"
+GOLDEN_EQ_VARIANTS = "e6efb829f2d3a585fb92913a1b93529a6e6ff820f1fd520cf8f8e4cea001c96f"
+
+
+def test_verify_all_json_bytes_are_golden(capsys):
+    code, out, _ = run(capsys, "verify", "--all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_ALL
+
+
+def test_eq_variants_json_bytes_are_golden(capsys):
+    # false variants of Eq1..Eq4 (see the file) under a seed list with a
+    # duplicate, the basis seed (1, 0) and the seed (0, 0)
+    code, out, _ = run(capsys, "verify", "--file", str(DATA / "eq_variants.cat"),
+                       "--format", "json", "--n", "0..2", "--m", "-2..2",
+                       "--p", "-2..2", "--q", "-2..2",
+                       "--seeds", "0,1", "2,1", "3,7", "-4,5", "0,0", "1,0", "3,7")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EQ_VARIANTS
 
 
 def test_catalog_env_override(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Grid verification, recurrence consistency, evaluation contracts, reports."""
 
+import functools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,9 +13,11 @@ from fibkit import (
     ParamPoint, Seed, case_split_value, check_recurrence, eval_side, fib, lucas,
     cli, oracle, parse_expr, parse_identity, to_text, verify, verify_grid,
 )
-from fibkit.expr import Add, Binom, Lit, Mul, Pow, SeqRef, Sign, Sub, Sum, Sym
-from fibkit.verify import MAX_GRID_CHECKS
+from fibkit.catalog import load_catalog_file
+from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, SeqRef, Sign, Sub, Sum, Sym
+from fibkit.verify import MAX_GRID_CHECKS, STANDARD_SEEDS
 
+DATA = Path(__file__).parent / "data"
 F_SEED = Seed(0, 1)
 
 
@@ -301,11 +305,11 @@ def _index_exprs(names):
                               max_size=2))
 
 
-def _values(names):
+def _values(names, kinds=("F", "L", "G")):
     index = _index_exprs(names)
     exponent = st.one_of(st.integers(0, 3).map(Lit), st.sampled_from(names).map(Sym))
     leaves = st.one_of(
-        st.builds(SeqRef, st.sampled_from(("F", "L", "G")), index),
+        st.builds(SeqRef, st.sampled_from(kinds), index),
         st.integers(-3, 3).map(Lit),
         st.builds(Sign, index),
         st.builds(Binom, index, index),
@@ -318,6 +322,7 @@ def _values(names):
     ), max_leaves=5)
 
 
+@functools.lru_cache(maxsize=None)  # building a strategy costs more than drawing
 def _sides(names):
     index = _index_exprs(names)
     sums = st.builds(Sum, st.just("k"), st.one_of(st.just(Lit(0)), index),
@@ -325,6 +330,40 @@ def _sides(names):
                      _values(names + ("k",)))
     top = st.one_of(_values(names), sums)
     return st.one_of(top, st.builds(Add, top, top))
+
+
+def _g_linear(names):
+    """Values with exactly one G factor in every term."""
+    free = _values(names, kinds=("F", "L"))
+    g = st.builds(SeqRef, st.just("G"), _index_exprs(names))
+    return st.recursive(st.one_of(g, st.builds(Mul, free, g)), lambda inner: st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Neg, inner),
+        st.builds(Mul, free, inner),
+        st.builds(Mul, inner, free),
+    ), max_leaves=4)
+
+
+@functools.lru_cache(maxsize=None)
+def _g_linear_sides(names):
+    index = _index_exprs(names)
+    sums = st.builds(Sum, st.just("k"), st.one_of(st.just(Lit(0)), index),
+                     st.one_of(st.sampled_from(names).map(Sym), index),
+                     _g_linear(names + ("k",)))
+    top = st.one_of(_g_linear(names), sums)
+    return st.one_of(top, st.builds(Add, top, top))
+
+
+SEEDS = st.one_of(st.just(Seed(0, 0)), st.builds(Seed, st.integers(-5, 5), st.integers(-5, 5)))
+
+
+def _draw_grid(data, identity):
+    ranges = {}
+    for p in identity.free_params:
+        lo = data.draw(st.integers(0 if p in identity.rank_params else -3, 3))
+        ranges[p] = (lo, lo + data.draw(st.integers(0, 2)))
+    return ranges
 
 
 def _point_by_point(identity, spec):
@@ -346,22 +385,7 @@ def _point_by_point(identity, spec):
             for vals, si, lv, rv in failures], None
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_sweep_matches_oracle_and_point_by_point(data):
-    params = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
-                                      unique=True)))
-    lhs, rhs = data.draw(_sides(params)), data.draw(_sides(params))
-    identity = parse_identity(f"{to_text(lhs)} == {to_text(rhs)}",
-                              name="random", params=params)
-    ranges = {}
-    for p in params:
-        lo = data.draw(st.integers(0 if p in identity.rank_params else -3, 3))
-        ranges[p] = (lo, lo + data.draw(st.integers(0, 2)))
-    seeds = tuple(data.draw(st.lists(st.builds(Seed, st.integers(-5, 5), st.integers(-5, 5)),
-                                     min_size=1, max_size=2, unique=True)))
-    spec = GridSpec(ranges, seeds)
+def _matches_oracle_and_point_by_point(identity, spec):
     expected, error = _point_by_point(identity, spec)
     try:
         report = verify_grid(identity, spec, use_oracle=True)
@@ -372,7 +396,158 @@ def test_sweep_matches_oracle_and_point_by_point(data):
         return
     assert error is None
     assert [(f.point, f.seed, f.lhs, f.rhs) for f in report.failures] == expected
-    assert report.total == len(seeds) * len(list(spec.points(params)))
+    assert report.total == len(spec.seeds) * len(list(spec.points(identity.free_params)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_sweep_matches_oracle_and_point_by_point(data):
+    params = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
+                                      unique=True)))
+    lhs, rhs = data.draw(_sides(params)), data.draw(_sides(params))
+    identity = parse_identity(f"{to_text(lhs)} == {to_text(rhs)}",
+                              name="random", params=params)
+    # duplicates and the seed (0, 0) allowed
+    seeds = tuple(data.draw(st.lists(SEEDS, min_size=1, max_size=5)))
+    _matches_oracle_and_point_by_point(identity, GridSpec(_draw_grid(data, identity), seeds))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_basis_sweep_matches_oracle_and_point_by_point(data):
+    params = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
+                                      unique=True)))
+    lhs, rhs = data.draw(_g_linear_sides(params)), data.draw(_g_linear_sides(params))
+    identity = parse_identity(f"{to_text(lhs)} == {to_text(rhs)}",
+                              name="random", params=params)
+    # two distinct seeds suffice for the basis; at least three seeds in all
+    seeds = data.draw(st.lists(SEEDS, min_size=2, max_size=4, unique=True))
+    seeds += data.draw(st.lists(st.sampled_from(seeds), min_size=max(0, 3 - len(seeds)),
+                                   max_size=2))
+    spec = GridSpec(_draw_grid(data, identity), tuple(data.draw(st.permutations(seeds))))
+    assert [plan.basis for plan in verify._plans(identity, spec.seeds)] == [True]
+    _matches_oracle_and_point_by_point(identity, spec)
+
+
+# --- seed plans -----------------------------------------------------------------
+
+VARIANT_SPEC = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
+                        (Seed(0, 1), Seed(0, 0), Seed(3, 7), Seed(-4, 5)))
+
+
+def test_zero_seed_never_fails_a_linear_variant():
+    variants = load_catalog_file(str(DATA / "eq_variants.cat"))
+    for name in ("Eq1.shift", "Eq2.scale", "Eq4.shift"):
+        identity = variants.get(name)
+        assert [p.basis for p in verify._plans(identity, VARIANT_SPEC.seeds)] == [True]
+        seeds = {f.seed for f in verify_grid(identity, VARIANT_SPEC).failures}
+        assert seeds == {Seed(0, 1), Seed(3, 7), Seed(-4, 5)}, name
+    # the offset of Eq3.offset is no multiple of G: it fails at (0, 0) too
+    offset = verify_grid(variants.get("Eq3.offset"), VARIANT_SPEC)
+    assert Seed(0, 0) in {f.seed for f in offset.failures}
+
+
+def test_basis_reports_only_the_seeds_that_differ():
+    # lhs - rhs is g0 at every point: B10 differs everywhere, B01 nowhere
+    identity = parse_identity("G(p) + G(0) == G(p)", name="g0", params=("p",))
+    seeds = (Seed(0, 1), Seed(2, 1), Seed(0, 5), Seed(3, 7), Seed(2, 1))
+    spec = GridSpec({"p": (-2, 2)}, seeds)
+    report = verify_grid(identity, spec)
+    assert [(dict(f.point)["p"], f.seed, f.lhs - f.rhs) for f in report.failures] == \
+        [(p, seed, seed.g0) for p in range(-2, 3) for seed in seeds if seed.g0]
+    _matches_oracle_and_point_by_point(identity, spec)
+
+
+def test_g_free_identity_fails_once_per_seed_at_each_point():
+    bad = parse_identity("F(m + 1) == F(m)", name="off-by-one", params=("m",))
+    seeds = (Seed(0, 1), Seed(2, 1), Seed(0, 0), Seed(2, 1))
+    report = verify_grid(bad, GridSpec({"m": (-3, 3)}, seeds))
+    assert verify._plans(bad, seeds) == [verify._Plan(False, (), (0, 1, 2, 3))]
+    failing = [m for m in range(-3, 4) if fib(m + 1) != fib(m)]
+    assert [(dict(f.point)["m"], f.seed) for f in report.failures] == \
+        [(m, seed) for m in failing for seed in seeds]
+    assert all((f.lhs, f.rhs) == (fib(dict(f.point)["m"] + 1), fib(dict(f.point)["m"]))
+               for f in report.failures)
+
+
+@pytest.mark.parametrize("text", [
+    "G(p)^2 == G(p + 1)*G(p - 1) + sign(p)",   # quadratic in G: true
+    "G(p)*G(q) == G(q)*G(p + 1)",               # quadratic in G: false
+    "G(p + 2) == G(p + 1) + G(p) + 3",          # a constant beside G: false
+    "G(p)^2 == G(q)^2",                         # squares of G: false
+    "sum(k, 0, q, G(p + k)) == G(p + q + 2) - G(p + 1) + 0*q",
+])
+def test_nonlinear_sides_take_the_per_seed_path(text):
+    identity = parse_identity(text, name="t", params=("p", "q"))
+    seeds = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(0, 0), Seed(3, 7))
+    plans = verify._plans(identity, seeds)
+    assert not any(plan.basis for plan in plans)
+    spec = GridSpec({"p": (-3, 3), "q": (0, 3)}, seeds)
+    _matches_oracle_and_point_by_point(identity, spec)
+
+
+def test_per_seed_plan_runs_one_pass_per_distinct_seed():
+    identity = parse_identity("G(p)*G(p) == G(p)*G(p + 1)", name="t", params=("p",))
+    seeds = (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(0, 0))
+    plans = verify._plans(identity, seeds)
+    assert plans == [verify._Plan(False, (Seed(0, 1),), (0, 2)),
+                     verify._Plan(False, (Seed(3, 7),), (1,)),
+                     verify._Plan(False, (Seed(0, 0),), (3,))]
+    _matches_oracle_and_point_by_point(identity, GridSpec({"p": (-3, 3)}, seeds))
+
+
+def test_two_distinct_seeds_take_the_basis():
+    identity = parse_identity("G(p + 2) == G(p + 1) + F(p)*G(p - 1)", name="t", params=("p",))
+    seeds = (Seed(3, 7), Seed(-4, 5), Seed(3, 7))
+    assert [plan.basis for plan in verify._plans(identity, seeds)] == [True]
+    assert [plan.basis for plan in verify._plans(identity, seeds[:1])] == [False]
+    _matches_oracle_and_point_by_point(identity, GridSpec({"p": (-3, 3)}, seeds))
+
+
+def test_four_seeds_build_one_g_table(catalog, monkeypatch):
+    built = []
+    real = verify.table
+    monkeypatch.setattr(verify, "table", lambda seed, lo, hi: built.append(seed)
+                        or real(seed, lo, hi))
+    spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)})
+    assert len(spec.seeds) == 4
+    assert verify_grid(catalog.get("Eq1"), spec).passed
+    # F, L and the basis seed (1, 0); the basis seed (0, 1) reads the F table
+    assert built == [Seed(0, 1), Seed(2, 1), Seed(1, 0)]
+    built.clear()
+    assert verify_grid(catalog.get("Eq8"), GridSpec({"m": (0, 2), "n": (0, 2)})).passed
+    assert built == [Seed(0, 1), Seed(2, 1)]  # no G table for a G-free identity
+
+
+def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
+    shifted = parse_identity("G(p + 2) == G(p + 1) + G(p) + G(p - 1)",
+                             name="shifted", params=("p",))
+    spec = GridSpec({"p": (-3, 3)})
+    right = verify_grid(shifted, spec).to_json()
+    monkeypatch.setattr(verify, "_BASIS", (Seed(1, 1), Seed(0, 1)))
+    assert verify_grid(shifted, spec).to_json() != right
+    for identity in (shifted, catalog.get("Eq1")):
+        with pytest.raises(InternalFault,
+                           match=f"oracle disagrees with evaluator on '{identity.name}'"):
+            verify_grid(identity, VARIANT_SPEC, use_oracle=True)
+
+
+@pytest.mark.parametrize("seeds", [(F_SEED,), STANDARD_SEEDS])
+def test_nineteen_loops_compile_with_the_seed_loops(seeds):
+    # 19 parameter loops, then a sum's loop or the loop over the seeds:
+    # CPython's 20 nested blocks
+    names = [f"x{i}" for i in range(19)]
+    identity = parse_identity(f"sum(k, 0, x0, G(k + {' + '.join(names)})) == G(x1)",
+                              name="deep", params=names)
+    spec = GridSpec({x: (0, 1) for x in names}, seeds)
+    for plan in verify._plans(identity, seeds):
+        order, fixed = verify._loop_order(identity, spec, max(1, len(plan.tables)))
+        assert fixed == 0
+        for oracle_check in (False, True):
+            verify._compile_sweep(identity, order, fixed, oracle_check, plan.basis,
+                                  len(plan.tables))
 
 
 # --- report serialization ----------------------------------------------------
