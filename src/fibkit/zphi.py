@@ -6,16 +6,17 @@ phi a unit: negative powers stay inside the ring. sqrt(5) is the element
 2*phi - 1, so the Binet formulas evaluate with no floating point at all.
 
 LaurentPoly adds sparse Laurent polynomials in any number of invertible
-formal symbols over Q(phi); it is the canonical-form carrier for the
-symbolic identity prover.
+formal symbols over Q(phi), the last of which may be sign symbols
+(sigma^2 = 1); it is the canonical-form carrier for the symbolic identity
+prover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add
-from typing import Mapping, Sequence, TypeVar, Union
+from operator import add, and_, mul
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 from .errors import InternalFault
 
@@ -106,15 +107,17 @@ class GoldenInt:
 _Ring = TypeVar("_Ring", "GoldenInt", "LaurentPoly")
 
 
-def _power(base: _Ring, n: int, one: _Ring) -> _Ring:
-    """base ** n for n >= 0 by square-and-multiply; `one` is the ring's unit."""
+def _power(base: _Ring, n: int, one: _Ring,
+           times: Callable[[_Ring, _Ring], _Ring] = mul) -> _Ring:
+    """base ** n for n >= 0 by square-and-multiply; `one` is the ring's unit
+    and `times` its product."""
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = times(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = times(base, base)
     return result
 
 
@@ -176,22 +179,31 @@ class LaurentPoly:
     zero numerator is stored, so the polynomial is zero exactly when no
     term is left, and the zero test never divides. Numerators are reduced
     against the denominator only when the polynomial is turned into text.
+
+    The last `nsigns` symbols are sign symbols, each a sigma with
+    sigma^2 = 1 such as (-1)^x. Their exponents are 0 or 1: a product adds
+    them mod 2, and nothing else changes them. `specialize` sets them to
+    +-1. With no sign symbols the polynomial is an ordinary Laurent
+    polynomial.
     """
 
-    __slots__ = ("nsyms", "terms", "den")
+    __slots__ = ("nsyms", "terms", "den", "nsigns")
 
     def __init__(self, nsyms: int, terms: Mapping[Exps, GoldenInt] | None = None,
-                 den: int = 1):
+                 den: int = 1, nsigns: int = 0):
         if den < 1:
             raise ValueError(f"LaurentPoly denominator must be positive, got {den}")
         self.nsyms = nsyms
         self.terms = {e: c for e, c in (terms or {}).items() if c.a or c.b}
         self.den = den
+        self.nsigns = nsigns
 
     @classmethod
-    def monomial(cls, exps: Exps, coeff: Scalar = 1, den: int = 1) -> LaurentPoly:
-        """coeff/den times the product of symbol i raised to exps[i]."""
-        return cls(len(exps), {tuple(exps): _coerce(coeff)}, den)
+    def monomial(cls, exps: Exps, coeff: Scalar = 1, den: int = 1,
+                 nsigns: int = 0) -> LaurentPoly:
+        """coeff/den times the product of symbol i raised to exps[i]; the
+        last `nsigns` exponents are those of sign symbols, each 0 or 1."""
+        return cls(len(exps), {tuple(exps): _coerce(coeff)}, den, nsigns)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -210,7 +222,7 @@ class LaurentPoly:
         merged = dict(self._rescaled(den))
         for e, c in other._rescaled(den).items():
             merged[e] = merged[e] + c if e in merged else c
-        return LaurentPoly(self.nsyms, merged, den)
+        return LaurentPoly(self.nsyms, merged, den, self.nsigns)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -218,23 +230,45 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.nsyms, {e: -c for e, c in self.terms.items()}, self.den)
+        return LaurentPoly(self.nsyms, {e: -c for e, c in self.terms.items()},
+                           self.den, self.nsigns)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        # exponents add; sign exponents then keep their low bit (x & -1 == x)
+        low = (-1,) * (self.nsyms - self.nsigns) + (1,) * self.nsigns
         product: dict[Exps, GoldenInt] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+                e = tuple(map(and_, map(add, e1, e2), low))
                 c = c1 * c2
                 product[e] = product[e] + c if e in product else c
-        return LaurentPoly(self.nsyms, product, self.den * other.den)
+        return LaurentPoly(self.nsyms, product, self.den * other.den, self.nsigns)
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
             raise ValueError("LaurentPoly power requires n >= 0")
-        return _power(self, n, LaurentPoly.monomial((0,) * self.nsyms))
+        return _power(self, n, LaurentPoly.monomial((0,) * self.nsyms,
+                                                    nsigns=self.nsigns))
+
+    def specialize(self, bits: Sequence[int]) -> LaurentPoly:
+        """This polynomial with sign symbol i set to (-1)^bits[i].
+
+        The sign symbols are dropped: a term is negated when its sign
+        exponents meet odd bits an odd number of times, and terms whose
+        other exponents agree are merged.
+        """
+        if len(bits) != self.nsigns:
+            raise ValueError(f"{len(bits)} parity bits for {self.nsigns} sign symbols")
+        cut = self.nsyms - self.nsigns
+        out: dict[Exps, GoldenInt] = {}
+        for e, c in self.terms.items():
+            if sum(map(mul, e[cut:], bits)) & 1:
+                c = -c
+            e = e[:cut]
+            out[e] = out[e] + c if e in out else c
+        return LaurentPoly(cut, out, self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):

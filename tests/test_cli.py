@@ -296,6 +296,27 @@ def test_eq_variants_json_bytes_are_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EQ_VARIANTS
 
 
+# sha256 of stdout, taken from the prover that rebuilt each proof once per
+# parity case; the one-pass prover with sign symbols must print the same bytes.
+GOLDEN_PROVE_RANKS = "3070b287a5b143c9b9206dbaff835e7dc51595be7dd6fffc9a3161ea56fb7954"
+GOLDEN_PROVE_EQ_VARIANTS = "df36a85f0bc233a0596b113f8ef683a3bb9ade0863655688cdf992e8d1e44427"
+RANKS_0_TO_7 = [str(n) for n in range(8)]
+
+
+def test_prove_ranks_json_bytes_are_golden(capsys):
+    code, out, _ = run(capsys, "prove", "--all", "--n", *RANKS_0_TO_7, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PROVE_RANKS
+
+
+def test_prove_eq_variants_json_bytes_are_golden(capsys):
+    # every variant fails some parity cases, with residual text, at every rank
+    code, out, _ = run(capsys, "prove", "--all", "--file", str(DATA / "eq_variants.cat"),
+                       "--n", *RANKS_0_TO_7, "--format", "json")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PROVE_EQ_VARIANTS
+
+
 def test_catalog_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FIBKIT_CATALOG", str(DATA / "bad.cat"))
     code, out, _ = run(capsys, "verify", "--all", "--m", "0..3")

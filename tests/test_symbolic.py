@@ -1,8 +1,13 @@
-"""Symbolic prover: parity-case Binet proofs with formal seeds."""
+"""Symbolic prover: Binet proofs with sign symbols and formal seeds."""
+
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fibkit import SymbolicError, parse_identity, prove_symbolic
+from fibkit import GridSpec, Seed, SymbolicError, cli, parse_identity, prove_symbolic, symbolic
+from fibkit.verify import verify_grid
 from fibkit.zphi import LaurentPoly
 
 
@@ -111,3 +116,180 @@ def test_seed_poly_algebra():
     assert (splus * szero).terms == LaurentPoly.monomial((0, 1, 1)).terms
     half = LaurentPoly.monomial((0, 0, 0), 1, 2)
     assert half + half == one
+
+
+# --- sign symbols ---------------------------------------------------------------
+
+def _points(report):
+    return [f.point for f in report.failures]
+
+
+def test_non_affine_sign_expands_over_parity_classes():
+    # (-1)^(m*q) is 1 unless both are odd: 2*sign(m*q) = 1 + s_m + s_q - s_m*s_q
+    ident = parse_identity("2*sign(m*q) == 1 + sign(m) + sign(q) - sign(m + q)",
+                           name="bilinear", params=("m", "q"))
+    report = prove_symbolic(ident)
+    assert report.passed
+    assert report.total == 4
+
+
+def test_non_affine_sign_variant_fails_only_where_both_are_odd():
+    ident = parse_identity(
+        "2*sign(m*q) == 3 + sign(m) + sign(q) - sign(m + q) - 2*sign(m*q)",
+        name="bilinear-off", params=("m", "q"))
+    report = prove_symbolic(ident)
+    assert _points(report) == [(("m", 1), ("q", 1))]
+    assert report.failures[0].lhs == "(-4+0φ)"
+
+
+def test_false_identity_fails_exactly_its_parity_classes():
+    # Cassini: F(x)^2 - F(x - 1)*F(x + 1) = -(-1)^x, so the residual is
+    # 2 - (-1)^m - (-1)^q, zero only where m and q are both even
+    ident = parse_identity(
+        "F(m)^2 + F(q)^2 == F(m - 1)*F(m + 1) + F(q - 1)*F(q + 1) - 2",
+        name="cassini-off", params=("m", "q"))
+    report = prove_symbolic(ident)
+    assert _points(report) == [(("m", 0), ("q", 1)), (("m", 1), ("q", 0)),
+                               (("m", 1), ("q", 1))]
+    assert [f.lhs for f in report.failures] == ["(2+0φ)", "(2+0φ)", "(4+0φ)"]
+    one_class = parse_identity("F(m)^2 == F(m - 1)*F(m + 1) - 1", name="cassini-odd",
+                               params=("m",))
+    assert _points(prove_symbolic(one_class)) == [(("m", 1),)]
+
+
+# --- soundness against the grid -----------------------------------------------------
+
+@st.composite
+def _index(draw, names):
+    const = draw(st.integers(-3, 3))
+    terms = draw(st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(names)),
+                          max_size=2))
+    return " + ".join([str(const), *(f"{a}*{x}" for a, x in terms)])
+
+
+@st.composite
+def _factor(draw, names, free):
+    """(lhs text, rhs text, exact): the rhs is a rewrite of the lhs that holds
+    everywhere, or, when not exact, only where one parameter is even."""
+    i = draw(_index(names))
+    kind = draw(st.sampled_from(["F", "L", "G", "sign", "bilinear"]))
+    exact = draw(st.booleans())
+    off = "" if exact else f" + {draw(st.sampled_from(names))}"
+    if kind == "F":
+        pair = f"F({i})", f"sign({i} + 1{off})*F(-({i}))"
+    elif kind == "L":
+        pair = f"L({i})", f"sign({i}{off})*L(-({i}))"
+    elif kind == "G":
+        pair = f"G({i})", f"sign(0{off})*G({i})"
+    elif kind == "sign":
+        pair = f"sign({i})", f"sign({i}{off})"
+    else:
+        x, y = draw(st.sampled_from(free)), draw(st.sampled_from(free))
+        pair = f"sign({x}*{y} + {i})", f"sign({y}*{x} + {i}{off})"
+    power = draw(st.integers(1, 3))
+    if power > 1:
+        pair = tuple(f"({side})^{power}" for side in pair)
+    return (*pair, exact)
+
+
+@st.composite
+def _term(draw, names, free):
+    factors = draw(st.lists(_factor(names, free), min_size=1, max_size=2))
+    c = draw(st.integers(-3, 3).filter(bool))
+    lhs = "*".join([str(c), *(f[0] for f in factors)])
+    rhs = "*".join([str(c), *(f[1] for f in factors)])
+    return lhs, rhs, all(f[2] for f in factors)
+
+
+@st.composite
+def _parity_identities(draw):
+    """A random prover-admissible identity, and whether it holds everywhere."""
+    free = draw(st.lists(st.sampled_from(("m", "p", "q")), min_size=1, max_size=3,
+                         unique=True))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            hi = draw(st.integers(0, 3))
+            lhs, rhs, exact = draw(_term((*free, "k"), free))
+            terms.append((f"sum(k, 0, {hi}, {lhs})", f"sum(k, 0, {hi}, {rhs})", exact))
+        else:
+            terms.append(draw(_term(free, free)))
+    text = " + ".join(t[0] for t in terms) + " == " + " + ".join(t[1] for t in terms)
+    ident = parse_identity(text, name="drawn", params=free)
+    return ident, all(t[2] for t in terms)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_parity_identities())
+def test_prover_fails_every_parity_class_the_grid_fails(drawn):
+    ident, exact = drawn
+    params = ident.free_params
+    grid = verify_grid(ident, GridSpec({p: (-3, 3) for p in params},
+                                       seeds=(Seed(0, 1), Seed(2, 1))))
+    proof = prove_symbolic(ident)
+    assert proof.total == 2 ** len(params)
+    grid_classes = {tuple((p, v & 1) for p, v in f.point) for f in grid.failures}
+    assert grid_classes <= set(_points(proof)), ident.text
+    if exact:
+        assert proof.passed, ident.text
+
+
+# --- resource bounds ------------------------------------------------------------------
+
+def test_sum_range_is_refused_before_its_loop(tmp_path, capsys):
+    path = tmp_path / "huge_sum.cat"
+    path.write_text("name: huge\nparams: m\npaper: huge\n"
+                    "identity: sum(k, 0, 1000000000, F(m + k)) == F(m)\n")
+    started = time.perf_counter()
+    code = cli.main(["prove", "--all", "--file", str(path)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert time.perf_counter() - started < 1
+    assert err == ("fibkit: error: sum(k, 0, 1000000000, F(m + k)): the proof "
+                   "needs more than 1,000 summation terms\n")
+
+
+def test_sum_limit_counts_every_sum_of_a_proof(monkeypatch):
+    monkeypatch.setattr(symbolic, "MAX_SUM_TERMS", 5)
+    two = parse_identity("sum(k, 0, 2, F(m + k)) + sum(j, 0, 2, L(m)) == F(m)",
+                         name="two", params=("m",))
+    with pytest.raises(SymbolicError, match=r"^sum\(j, 0, 2, L\(m\)\): the proof needs "
+                                            r"more than 5 summation terms$"):
+        prove_symbolic(two)
+    monkeypatch.setattr(symbolic, "MAX_SUM_TERMS", 6)
+    assert not prove_symbolic(two).passed
+
+
+def test_power_is_refused_before_the_product_over_budget(monkeypatch):
+    products = []
+    real_mul = LaurentPoly.__mul__
+
+    def counting_mul(a, b):
+        products.append(len(a.terms) * len(b.terms))
+        return real_mul(a, b)
+
+    # F(m) has 2 terms: squaring it costs 4 products, squaring that 9 more
+    monkeypatch.setattr(symbolic, "MAX_TERM_PRODUCTS", 12)
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    cube = parse_identity("F(m)^3000 == F(m)^3000", name="cube", params=("m",))
+    with pytest.raises(SymbolicError, match=r"^F\(m\)\^3000: the proof needs more "
+                                            r"than 12 term products$"):
+        prove_symbolic(cube)
+    assert products[-1] == 4    # the 3x3 square was never computed
+
+
+def test_long_node_is_named_in_brief(monkeypatch):
+    monkeypatch.setattr(symbolic, "MAX_TERM_PRODUCTS", 0)
+    ident = parse_identity("(F(m + 1) + F(m + 2) + F(m + 3) + F(m + 4) + F(m + 5) + F(m + 6))^2"
+                           " == 0", name="long", params=("m",))
+    with pytest.raises(SymbolicError) as info:
+        prove_symbolic(ident)
+    assert str(info.value) == ("(F(m + 1) + F(m + 2) + F(m + 3) + F(m + 4) + F(m + 5) + F..."
+                               ": the proof needs more than 0 term products")
+
+
+def test_budget_admits_the_flagships_at_rank_32(catalog):
+    # the largest of Eq1..Eq4 at rank 32 takes 45,876 term products
+    report = prove_symbolic(catalog.get("Eq2"), {"n": 32})
+    assert report.passed

@@ -153,14 +153,57 @@ def test_laurent_repr_is_deterministic():
 
 
 small_golden = st.builds(GoldenInt, st.integers(-3, 3), st.integers(-3, 3))
-small_laurent = st.builds(
-    LaurentPoly, st.just(2),
-    st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), small_golden,
-                    max_size=4),
-    st.sampled_from([1, 2, 5, 10]))
 
 
-@given(small_laurent, small_laurent)
-def test_laurent_product_commutes_and_cubes(p, q):
+@st.composite
+def laurent_pairs(draw):
+    """Two small polynomials over the same symbols: two ordinary symbols,
+    then none or two sign symbols (exponent 0 or 1)."""
+    nsigns = draw(st.sampled_from([0, 2]))
+    key = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                    *[st.integers(0, 1)] * nsigns)
+    poly = st.builds(lambda terms, den: LaurentPoly(2 + nsigns, terms, den, nsigns),
+                     st.dictionaries(key, small_golden, max_size=4),
+                     st.sampled_from([1, 2, 5, 10]))
+    return draw(poly), draw(poly)
+
+
+@given(laurent_pairs())
+def test_laurent_product_commutes_and_cubes(pair):
+    p, q = pair
     assert ((p * q) - (q * p)).is_zero()
     assert p ** 3 == p * p * p
+    # sign exponents stay 0 or 1 through products
+    assert all(0 <= x <= 1 for e in (p * q).terms for x in e[2:])
+
+
+def test_sign_symbol_squares_to_one():
+    sigma = LaurentPoly.monomial((0, 1), nsigns=1)
+    one = LaurentPoly.monomial((0, 0), nsigns=1)
+    assert sigma * sigma == one
+    assert (sigma * sigma).terms == one.terms
+    assert sigma ** 3 == sigma
+    # X * sigma times X^-1 * sigma leaves no symbol at all
+    x_sigma = LaurentPoly.monomial((1, 1), nsigns=1)
+    assert (x_sigma * LaurentPoly.monomial((-1, 1), 3, nsigns=1)).terms == {(0, 0): ONE * 3}
+
+
+def test_specialize_sets_signs_and_merges():
+    # X*sigma + X + 2*sigma*tau over 1/2, with sigma, tau the sign symbols
+    p = (LaurentPoly.monomial((1, 1, 0), 1, 2, nsigns=2)
+         + LaurentPoly.monomial((1, 0, 0), 1, 2, nsigns=2)
+         + LaurentPoly.monomial((0, 1, 1), 2, 2, nsigns=2))
+    assert p.specialize((0, 0)).terms == {(1,): ONE * 2, (0,): ONE * 2}
+    assert p.specialize((1, 0)).terms == {(0,): ONE * -2}   # the X terms cancel
+    assert p.specialize((1, 1)).terms == {(0,): ONE * 2}
+    assert p.specialize((1, 0)).den == 2 and p.specialize((1, 0)).nsigns == 0
+    with pytest.raises(ValueError):
+        p.specialize((0,))
+
+
+@given(laurent_pairs(), st.tuples(st.integers(0, 1), st.integers(0, 1)))
+def test_specializing_a_product_is_the_product_of_specializations(pair, bits):
+    p, q = pair
+    bits = bits[:p.nsigns]
+    assert (p * q).specialize(bits) == p.specialize(bits) * q.specialize(bits)
+    assert (p + q).specialize(bits) == p.specialize(bits) + q.specialize(bits)
