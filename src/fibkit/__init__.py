@@ -32,8 +32,6 @@ from .seq import (
     FIB_SEED,
     LUCAS_SEED,
     Seed,
-    SeqTable,
-    decompose,
     fib,
     fib_naive,
     fib_pair_doubling,
@@ -48,8 +46,6 @@ from .verify import (
     GridSpec,
     ParamPoint,
     VerifyReport,
-    case_split_value,
-    check_recurrence,
     eval_side,
     verify_grid,
 )
@@ -71,12 +67,12 @@ __all__ = [
     "EvalError", "GridError", "SymbolicError", "InternalFault",
     "to_text", "parse_expr",
     "OracleTables", "oracle_eval",
-    "Seed", "SeqTable", "FIB_SEED", "LUCAS_SEED",
+    "Seed", "FIB_SEED", "LUCAS_SEED",
     "fib", "lucas", "gen", "fib_naive", "fib_pair_doubling",
-    "table", "decompose",
+    "table",
     "prove_symbolic",
     "STANDARD_SEEDS", "Failure", "GridSpec", "ParamPoint", "VerifyReport",
-    "case_split_value", "check_recurrence", "eval_side", "verify_grid",
+    "eval_side", "verify_grid",
     "GoldenInt", "LaurentPoly", "binet_fib", "binet_lucas",
     "phi_pow",
     "__version__",

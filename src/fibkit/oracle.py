@@ -81,7 +81,8 @@ def pascal_binom(n: int, k: int) -> int:
 
 
 class OracleTables:
-    """Recurrence tables over indices lo..hi for F, L and each seed's G.
+    """Recurrence tables over indices lo..hi for F, L and each distinct
+    seed's G.
 
     The window must cover every index any checked expression touches;
     ranges.index_window computes that from the AST and the grid.
@@ -90,7 +91,8 @@ class OracleTables:
     def __init__(self, lo: int, hi: int, seeds: tuple["Seed", ...]):
         self.fib = recurrence_table(0, 1, lo, hi)
         self.lucas = recurrence_table(2, 1, lo, hi)
-        self.gen = {s: recurrence_table(s.g0, s.g1, lo, hi) for s in seeds}
+        self.gen = {s: recurrence_table(s.g0, s.g1, lo, hi)
+                    for s in dict.fromkeys(seeds)}
 
 
 def oracle_eval(ast: Node, pt: "ParamPoint", tables: OracleTables | None = None) -> int:

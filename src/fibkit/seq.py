@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalFault
-
 __all__ = [
     "Seed",
-    "SeqTable",
     "FIB_SEED",
     "LUCAS_SEED",
     "fib",
@@ -23,7 +20,6 @@ __all__ = [
     "fib_naive",
     "fib_pair_doubling",
     "table",
-    "decompose",
 ]
 
 
@@ -105,30 +101,9 @@ def gen(seed: Seed, n: int) -> int:
     return seed.g0 * fib(n - 1) + seed.g1 * fib(n)
 
 
-@dataclass(frozen=True)
-class SeqTable:
-    """Dense window of a seeded sequence over the index range lo..hi inclusive."""
-
-    seed: Seed
-    lo: int
-    hi: int
-    values: tuple[int, ...]
-
-    def __getitem__(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise IndexError(f"index {n} outside table window {self.lo}..{self.hi}")
-        return self.values[n - self.lo]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_dict(self) -> dict[int, int]:
-        """Index-to-value mapping, as consumed by the expression evaluator."""
-        return dict(zip(range(self.lo, self.hi + 1), self.values))
-
-
-def table(seed: Seed, lo: int, hi: int) -> SeqTable:
-    """Build the dense SeqTable for indices lo..hi by forward recurrence.
+def table(seed: Seed, lo: int, hi: int) -> dict[int, int]:
+    """G over the indices lo..hi inclusive, as an index-to-value dict,
+    built by forward recurrence.
 
     The window is anchored at (G(lo), G(lo+1)) so lo and hi may be any
     integers with lo <= hi.
@@ -136,24 +111,8 @@ def table(seed: Seed, lo: int, hi: int) -> SeqTable:
     if lo > hi:
         raise ValueError(f"table requires lo <= hi, got {lo} > {hi}")
     a, b = gen(seed, lo), gen(seed, lo + 1)
-    values = []
-    for _ in range(lo, hi + 1):
-        values.append(a)
+    values = {}
+    for n in range(lo, hi + 1):
+        values[n] = a
         a, b = b, a + b
-    return SeqTable(seed, lo, hi, tuple(values))
-
-
-def decompose(seed: Seed, n: int) -> int:
-    """Evaluate G(n) through the split [(G(-1)+G(1)) F(n) + G0 L(n)] / 2.
-
-    The quantity before halving is even for every integer seed and index;
-    an odd value would mean a broken sequence kernel and raises
-    InternalFault rather than rounding.
-    """
-    g_minus1 = seed.g1 - seed.g0
-    doubled = (g_minus1 + seed.g1) * fib(n) + seed.g0 * lucas(n)
-    if doubled % 2:
-        raise InternalFault(
-            f"decomposition of {seed} at n={n} is odd before halving: {doubled}"
-        )
-    return doubled // 2
+    return values

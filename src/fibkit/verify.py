@@ -1,14 +1,15 @@
-"""Exact evaluation of identity sides and grid/recurrence verification.
+"""Exact evaluation of identity sides and grid verification.
 
-A side compiles once into a plain Python function over dense lookup
-tables. A grid compiles into one sweep: a generated loop nest over the
-grid's parameters in which every subexpression is computed in the
-shallowest loop that binds everything it reads. The seeds are not a
-loop: a side that reads no G is evaluated once per point for all of
-them, and sides linear in G are evaluated on two basis seeds, from which
-every requested seed's values follow by linear combination. All
-arithmetic is unbounded int; a PASS means exact equality at every point
-and seed.
+A grid compiles into one sweep: a generated loop nest over the grid's
+parameters in which every subexpression is computed in the shallowest
+loop that binds everything it reads. The seeds are not a loop: a side
+that reads no G is evaluated once per point for all of them, and sides
+linear in G are evaluated on two basis seeds, from which every requested
+seed's values follow by linear combination. The sweep is the only
+generated code: a side's value at one point is the one-point sweep of
+side == 0, and an evaluation error is located point by point with one
+compiled one-point sweep. All arithmetic is unbounded int; a PASS means
+exact equality at every point and seed.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from .catalog import Identity
 from .errors import EvalError, GridError, InternalFault
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    children, free_symbols, iter_nodes,
+    children,
 )
 from .ranges import Interval, expr_interval, index_window, merge_windows, point_intervals
-from .seq import FIB_SEED, LUCAS_SEED, Seed, fib, lucas, table
+from .seq import FIB_SEED, LUCAS_SEED, Seed, table
 
 __all__ = [
     "ParamPoint", "GridSpec", "Failure", "VerifyReport",
-    "eval_side", "verify_grid", "check_recurrence", "case_split_value",
-    "compile_side", "process_pool", "STANDARD_SEEDS", "MAX_GRID_CHECKS",
+    "eval_side", "verify_grid", "process_pool", "STANDARD_SEEDS", "MAX_GRID_CHECKS",
 ]
 
 STANDARD_SEEDS = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5))
@@ -110,7 +110,7 @@ class VerifyReport:
 
     identity: str
     paper_tag: str
-    mode: str  # "grid" | "recurrence" | "symbolic"
+    mode: str  # "grid" | "symbolic"
     grid: dict[str, Any]
     total: int
     failures: list[Failure] = field(default_factory=list)
@@ -155,7 +155,7 @@ class VerifyReport:
                           sort_keys=True, separators=(",", ":"))
 
 
-# --- compiled evaluation ---------------------------------------------------
+# --- what the generated code calls -----------------------------------------
 
 def _bi(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
@@ -190,7 +190,7 @@ _COMPILE_GLOBALS = {
 }
 
 
-def _op_code(node: Node, args: Sequence[str], g: str = "_G") -> str:
+def _op_code(node: Node, args: Sequence[str], g: str) -> str:
     """Python for one operator node, given the code of its children; g
     names the G table."""
     if isinstance(node, Add):
@@ -214,70 +214,18 @@ def _op_code(node: Node, args: Sequence[str], g: str = "_G") -> str:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _gen_code(node: Node, names: Mapping[str, str], g: str = "_G") -> str:
-    if isinstance(node, Lit):
-        return repr(node.value)
-    if isinstance(node, Sym):
-        try:
-            return names[node.name]
-        except KeyError:
-            raise EvalError(f"symbol '{node.name}' has no value") from None
-    if isinstance(node, Sum):
-        var = f"k_{node.var}"
-        inner = dict(names)
-        inner[node.var] = var
-        return (f"sum(({_gen_code(node.body, inner, g)}) "
-                f"for {var} in _rng({_gen_code(node.lo, names)}, "
-                f"{_gen_code(node.hi, names)}))")
-    return _op_code(node, [_gen_code(child, names, g) for child in children(node)], g)
-
-
-_compile_cache: dict[tuple, Callable[..., Any]] = {}
-
-
-def _define(key: tuple, source: Callable[[], str]) -> Callable[..., Any]:
-    """The function that source() defines, compiled once per key."""
-    fn = _compile_cache.get(key)
-    if fn is None:
-        scope: dict[str, Any] = {}
-        exec(compile(source(), "<fibkit>", "exec"), dict(_COMPILE_GLOBALS), scope)
-        (fn,) = scope.values()
-        _compile_cache[key] = fn
-    return fn
-
-
-def compile_side(ast: Node, params: tuple[str, ...]) -> Callable[..., int]:
-    """Compile one identity side to fn(*param_values, F, L, G) -> int.
-
-    F, L, G are index-to-value mappings covering the side's index window.
-    Parameter symbols are mangled, so any legal parameter name is safe.
-    """
-    def source() -> str:
-        names = {p: f"v{i}" for i, p in enumerate(params)}
-        args = ", ".join([*names.values(), "_F", "_L", "_G"])
-        return f"def _side({args}):\n    return {_gen_code(ast, names)}\n"
-    return _define((ast, params), source)
-
-
 def _build_tables(window: Interval | None, seeds: Iterable[Seed],
                   ) -> tuple[dict[int, int], dict[int, int], dict[Seed, dict[int, int]]]:
+    """The F and L tables over window, and one G table per distinct seed."""
     if window is None:
         return {}, {}, {s: {} for s in seeds}
     lo, hi = window
-    f_tab = table(FIB_SEED, lo, hi).as_dict()
-    l_tab = table(LUCAS_SEED, lo, hi).as_dict()
+    f_tab = table(FIB_SEED, lo, hi)
+    l_tab = table(LUCAS_SEED, lo, hi)
     known = {FIB_SEED: f_tab, LUCAS_SEED: l_tab}
-    g_tabs = {s: known[s] if s in known else table(s, lo, hi).as_dict() for s in seeds}
+    g_tabs = {s: known[s] if s in known else table(s, lo, hi)
+              for s in dict.fromkeys(seeds)}
     return f_tab, l_tab, g_tabs
-
-
-def eval_side(ast: Node, pt: ParamPoint) -> int:
-    """Exact value of one identity side at a concrete parameter point."""
-    params = tuple(sorted(pt.values))
-    fn = compile_side(ast, params)
-    window = index_window(ast, point_intervals(pt.values))
-    f_tab, l_tab, g_tabs = _build_tables(window, (pt.seed,))
-    return fn(*(pt.values[p] for p in params), f_tab, l_tab, g_tabs[pt.seed])
 
 
 # --- grid sweeps ------------------------------------------------------------
@@ -390,17 +338,12 @@ def _terms(node: Node, params: Sequence[str],
         if node.name not in params:
             raise EvalError(f"symbol '{node.name}' has no value")
         return _Term(node, floor | {node.name}, False, False, ())
-    if isinstance(node, Sum) and body is None:
+    if isinstance(node, Sum):
+        if body is not None:  # the parser refuses these; only a hand-built AST has one
+            raise EvalError("nested sums are not supported")
         lo, hi = _terms(node.lo, params), _terms(node.hi, params)
         inner = _terms(node.body, params, (node.var, lo.deps | hi.deps))
         return _Term(node, inner.deps, False, inner.g, (lo, hi, inner))
-    if isinstance(node, Sum):  # nested in a sum body: computed whole
-        free = free_symbols(node)
-        unknown = sorted(free - {body[0], *params})
-        if unknown:
-            raise EvalError(f"symbol '{unknown[0]}' has no value")
-        reads_g = any(isinstance(n, SeqRef) and n.kind == "G" for n in iter_nodes(node))
-        return _Term(node, floor | (free - {body[0]}), body[0] in free, reads_g, ())
     args = tuple(_terms(child, params, body) for child in children(node))
     deps = floor.union(*(a.deps for a in args))
     reads_g = (isinstance(node, SeqRef) and node.kind == "G") or any(a.g for a in args)
@@ -415,7 +358,7 @@ def _evaluations(term: _Term, env: Mapping[str, Interval], pairs: int,
     if isinstance(term.node, (Lit, Sym)):
         return
     yield term.deps, (k_count if term.kdep else 1) * (pairs if term.g else 1)
-    if isinstance(term.node, Sum) and term.args:
+    if isinstance(term.node, Sum):
         lo, hi, inner = term.args
         yield from _evaluations(lo, env, pairs)
         yield from _evaluations(hi, env, pairs)
@@ -529,8 +472,6 @@ class _SweepWriter:
             if term.kdep:
                 return body.name, {body.rng: body.name}
             return self.names[node.name], {}
-        if isinstance(node, Sum) and body is not None:
-            return _gen_code(node, {**self.names, body.var: body.name}, self.g), {}
         if isinstance(node, Sum):
             lo, hi, inner = term.args
             bounds = max(self.rank(lo), self.rank(hi))
@@ -612,6 +553,9 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
     return "\n".join(out) + "\n"
 
 
+_compile_cache: dict[tuple, Callable[..., None]] = {}
+
+
 def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
                    oracle: bool, basis: bool, tables: int) -> Callable[..., None]:
     """fn(*axes, F, L, *G tables, seeds, failures, check) running one pass
@@ -619,8 +563,13 @@ def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
     and check, with oracle, sees every point's values for every seed."""
     key = (identity.lhs, identity.rhs, identity.free_params, order, fixed, oracle,
            basis, tables)
-    return _define(key, lambda: _sweep_source(identity, order, fixed, oracle,
-                                              basis, tables))
+    fn = _compile_cache.get(key)
+    if fn is None:
+        source = _sweep_source(identity, order, fixed, oracle, basis, tables)
+        scope: dict[str, Any] = {}
+        exec(compile(source, "<fibkit>", "exec"), dict(_COMPILE_GLOBALS), scope)
+        fn = _compile_cache[key] = scope["_sweep"]
+    return fn
 
 
 # --- grid verification -----------------------------------------------------
@@ -655,14 +604,16 @@ def _grid_window(identity: Identity, spec: GridSpec) -> Interval | None:
 def _oracle_check(identity: Identity, spec: GridSpec,
                   window: Interval | None) -> Callable[..., None]:
     """Compares a point's two values with the oracle's, evaluated by one
-    oracle evaluator per side and seed, built once for the whole grid on
-    recurrence tables built once for it."""
+    oracle evaluator per side and distinct seed, built once for the whole
+    grid on recurrence tables built once for it."""
     from . import oracle
 
     lo, hi = merge_windows(window, (0, 1))
     tables = oracle.OracleTables(lo, hi, spec.seeds)
-    sides = [(oracle.evaluator(identity.lhs, tables, seed),
-              oracle.evaluator(identity.rhs, tables, seed)) for seed in spec.seeds]
+    pairs = {seed: (oracle.evaluator(identity.lhs, tables, seed),
+                    oracle.evaluator(identity.rhs, tables, seed))
+             for seed in dict.fromkeys(spec.seeds)}
+    sides = [pairs[seed] for seed in spec.seeds]
     params = identity.free_params
 
     def check(vals: tuple[int, ...], seed_idx: int, lv: int, rv: int) -> None:
@@ -683,6 +634,10 @@ def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
                 ) -> list[tuple[tuple[int, ...], int, int, int]]:
     """Raw failures (point, seed index, lhs, rhs) of the grid, or of the
     slice shard = (start, stop) of the sweep's outermost loop."""
+    # compiled first: a symbol with no value is named as such, before the
+    # window analysis finds it has no range
+    sweeps = [_compile_sweep(identity, order, fixed, use_oracle, plan.basis,
+                             len(plan.tables)) for plan in plans]
     window = _grid_window(identity, spec)
     f_tab, l_tab, g_tabs = _build_tables(window, [s for p in plans for s in p.tables])
     axes = [_axis(spec, v) for v in order]
@@ -690,12 +645,22 @@ def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
         axes[fixed] = axes[fixed][shard[0]:shard[1]]
     check = _oracle_check(identity, spec, window) if use_oracle else None
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
-    for plan in plans:
-        sweep = _compile_sweep(identity, order, fixed, use_oracle, plan.basis,
-                               len(plan.tables))
+    for plan, sweep in zip(plans, sweeps):
         sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,
               failures, check)
     return failures
+
+
+def eval_side(ast: Node, pt: ParamPoint) -> int:
+    """Exact value of one identity side at a concrete parameter point: the
+    one-point sweep of ast == 0, one pass on the table of pt's seed, fails
+    with ast's value or passes at 0."""
+    params = tuple(sorted(pt.values))
+    identity = Identity("eval_side", ast, Lit(0), params)
+    spec = GridSpec(point_intervals(pt.values), (pt.seed,))
+    plan = _Plan(False, (pt.seed,), (0,))
+    failures = _sweep_grid(identity, spec, params, len(params), [plan], False)
+    return failures[0][2] if failures else 0
 
 
 def _shard_job(args: tuple) -> list[tuple[tuple[int, ...], int, int, int]]:
@@ -718,18 +683,18 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec,
     """Raise exc again at the point where point-by-point evaluation meets
     its first error: seeds in order, then points lexicographically.
 
-    A sweep computes exactly the subexpressions that point-by-point
-    evaluation does, only in another order, so such a point exists.
+    Each point runs the identity's one-point sweep, compiled once, on the
+    grid's tables, built once. A sweep computes exactly the subexpressions
+    that point-by-point evaluation does, only in another order, so such a
+    point exists.
     """
     params = identity.free_params
     f_tab, l_tab, g_tabs = _build_tables(_grid_window(identity, spec), spec.seeds)
-    lhs_fn = compile_side(identity.lhs, params)
-    rhs_fn = compile_side(identity.rhs, params)
+    sweep = _compile_sweep(identity, params, len(params), False, False, 1)
     for seed in spec.seeds:
         for vals in spec.points(params):
             try:
-                lhs_fn(*vals, f_tab, l_tab, g_tabs[seed])
-                rhs_fn(*vals, f_tab, l_tab, g_tabs[seed])
+                sweep(*((v,) for v in vals), f_tab, l_tab, g_tabs[seed], (0,), [], None)
             except EvalError as err:
                 pt_desc = ", ".join(f"{p}={v}" for p, v in zip(params, vals))
                 raise EvalError(f"{err} at point ({pt_desc}), seed {seed}") from err
@@ -793,96 +758,3 @@ def verify_grid(identity: Identity, spec: GridSpec, *, workers: int = 1,
         failures=failures,
         elapsed_ms=elapsed,
     )
-
-
-# --- recurrence consistency (the mechanized induction step) ----------------
-
-_RECURRENCE_PARAMS = ("n", "m", "p", "q")
-
-
-def check_recurrence(identity: Identity, side: str, spec: GridSpec, *,
-                     coeff: str = "F") -> VerifyReport:
-    """Check S(n,m,p,q) = C(m+q) S(n-1,m,p,q) - C(m) S(n-1,m,p+q,q).
-
-    S is the designated side ("lhs" or "rhs") of the identity and C is the
-    coefficient sequence: F for the Fibonacci-weighted summation family,
-    L for the Lucas-weighted one. This is the induction step that carries
-    the rank-1 base cases to every rank.
-    """
-    if side not in ("lhs", "rhs"):
-        raise GridError(f"side must be 'lhs' or 'rhs', got '{side}'")
-    if coeff not in ("F", "L"):
-        raise GridError(f"coeff must be 'F' or 'L', got '{coeff}'")
-    if identity.free_params != _RECURRENCE_PARAMS:
-        raise GridError(
-            f"recurrence check needs parameters (n, m, p, q); "
-            f"'{identity.name}' has {identity.free_params}")
-    _check_spec_covers(identity, spec)
-    n_lo, n_hi = spec.ranges["n"]
-    if n_lo < 1:
-        raise GridError(f"recurrence check needs n >= 1, got range {n_lo}..{n_hi}")
-
-    started = time.perf_counter()
-    ast = identity.lhs if side == "lhs" else identity.rhs
-    fn = compile_side(ast, _RECURRENCE_PARAMS)
-
-    m_iv, p_iv, q_iv = (spec.ranges[p] for p in ("m", "p", "q"))
-    shifted_env = {
-        "n": (n_lo - 1, n_hi),
-        "m": m_iv,
-        "p": (p_iv[0] + min(0, q_iv[0]), p_iv[1] + max(0, q_iv[1])),
-        "q": q_iv,
-    }
-    coeff_iv = (m_iv[0] + min(0, q_iv[0]), m_iv[1] + max(0, q_iv[1]))
-    window = merge_windows(index_window(ast, shifted_env), coeff_iv)
-    f_tab, l_tab, g_tabs = _build_tables(window, spec.seeds)
-    coeff_tab = f_tab if coeff == "F" else l_tab
-
-    raw = []
-    for seed_idx, seed in enumerate(spec.seeds):
-        g_tab = g_tabs[seed]
-        for n, m, p, q in spec.points(_RECURRENCE_PARAMS):
-            s0 = fn(n, m, p, q, f_tab, l_tab, g_tab)
-            s1 = fn(n - 1, m, p, q, f_tab, l_tab, g_tab)
-            s2 = fn(n - 1, m, p + q, q, f_tab, l_tab, g_tab)
-            combined = coeff_tab[m + q] * s1 - coeff_tab[m] * s2
-            if s0 != combined:
-                raw.append(((n, m, p, q), seed_idx, s0, combined))
-
-    raw.sort(key=lambda item: (item[0], item[1]))
-    failures = [
-        Failure(tuple(zip(_RECURRENCE_PARAMS, vals)), spec.seeds[si], lv, rv)
-        for vals, si, lv, rv in raw
-    ]
-    elapsed = (time.perf_counter() - started) * 1000.0
-    grid = _grid_desc(identity, spec)
-    grid["side"] = side
-    grid["coeff"] = coeff
-    return VerifyReport(
-        identity=f"{identity.name}.{side}",
-        paper_tag=identity.paper_tag,
-        mode="recurrence",
-        grid=grid,
-        total=spec.checks(_RECURRENCE_PARAMS),
-        failures=failures,
-        elapsed_ms=elapsed,
-    )
-
-
-def case_split_value(p_idx: int, n: int, m: int) -> int:
-    """F(p-nm+1) - (-1)^n F(p-nm-1), checked against its closed form.
-
-    The value collapses to F(p-nm) for even n and L(p-nm) for odd n; a
-    mismatch would mean a broken sequence kernel and raises InternalFault.
-    """
-    i = p_idx - n * m
-    if n % 2 == 0:
-        value = fib(i + 1) - fib(i - 1)
-        expected = fib(i)
-    else:
-        value = fib(i + 1) + fib(i - 1)
-        expected = lucas(i)
-    if value != expected:
-        raise InternalFault(
-            f"case split at p={p_idx}, n={n}, m={m}: {value} != {expected}")
-    return value

@@ -1,8 +1,53 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from fibkit import builtin_catalog
+from fibkit import Identity, builtin_catalog
+from fibkit.expr import Add, Lit, Mul, SeqRef, Sub, Sum, Sym
 
 
 @pytest.fixture(scope="session")
 def catalog():
     return builtin_catalog()
+
+
+def replace_symbols(node, env):
+    """node with every free symbol named in env replaced by env's node, all
+    at once, so {"p": n, "n": 2} swaps rather than chains."""
+    if isinstance(node, Sym):
+        return env.get(node.name, node)
+    if isinstance(node, Sum):
+        inner = {name: value for name, value in env.items() if name != node.var}
+        return Sum(node.var, replace_symbols(node.lo, env), replace_symbols(node.hi, env),
+                   replace_symbols(node.body, inner))
+    return type(node)(*(replace_symbols(value, env) if is_dataclass(value) else value
+                        for value in (getattr(node, f.name) for f in fields(node))))
+
+
+def induction_step(identity, side, coeff):
+    """The rank recurrence of one side S of a summation identity, as an
+    identity over (n, m, p, q):
+
+        S == C(m + q)*S[n := n - 1] - C(m)*S[n := n - 1, p := p + q]
+
+    with C the coefficient sequence, F for the Fibonacci-weighted family
+    and L for the Lucas-weighted one. It is the induction step that
+    carries the rank-1 base cases to every rank n >= 1.
+    """
+    n, m, p, q = (Sym(name) for name in "nmpq")
+    s = getattr(identity, side)
+    down = replace_symbols(s, {"n": Sub(n, Lit(1))})
+    across = replace_symbols(s, {"n": Sub(n, Lit(1)), "p": Add(p, q)})
+    step = Sub(Mul(SeqRef(coeff, Add(m, q)), down), Mul(SeqRef(coeff, m), across))
+    return Identity(f"{identity.name}.{side}", s, step, ("n", "m", "p", "q"),
+                    identity.paper_tag)
+
+
+@pytest.fixture(scope="session")
+def step_identity():
+    return induction_step
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    return replace_symbols

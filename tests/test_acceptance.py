@@ -11,16 +11,15 @@ import time
 import pytest
 
 from fibkit import (
-    GridSpec, ParamPoint, Seed,
-    case_split_value, check_recurrence, decompose, fib, fib_naive, gen,
-    lucas, parse_identity, phi_pow, prove_symbolic, verify_grid,
+    GridSpec, Identity, ParamPoint, Seed,
+    fib, fib_naive, gen, lucas, parse_identity, phi_pow, prove_symbolic, verify_grid,
 )
 from fibkit.catalog import section3_source
 from fibkit.cli import decimal_digits
+from fibkit.expr import Lit, Sym
 from fibkit.oracle import oracle_eval, recurrence_table
 from fibkit.seq import fib_pair_doubling
-from fibkit.verify import STANDARD_SEEDS, _build_tables, compile_side, eval_side
-from fibkit.ranges import index_window, merge_windows
+from fibkit.verify import STANDARD_SEEDS, eval_side
 from fibkit.zphi import GoldenInt
 
 FLAGSHIPS = ("Eq1", "Eq2", "Eq3", "Eq4")
@@ -52,7 +51,7 @@ def test_criterion_1_flagship_grid(catalog):
     _report_line(1, True, f"4 x 117912 checks, 0 failures, {elapsed:.1f}s")
 
 
-def test_criterion_2_full_catalog_and_expansion_equivalence(catalog):
+def test_criterion_2_full_catalog_and_expansion_equivalence(catalog, relabel):
     """All 29 entries pass the default grid; expanded entries match their
     rank-instantiated sources pointwise under the recorded relabeling."""
     assert len(catalog) == 29
@@ -64,58 +63,43 @@ def test_criterion_2_full_catalog_and_expansion_equivalence(catalog):
     for entry in catalog:
         if not entry.name.startswith("S3."):
             continue
-        source_name, rank, relabel = section3_source(entry.name)
+        source_name, rank, relabel_map = section3_source(entry.name)
         source = catalog.get(source_name)
-        # compile both identities once; sweep the expanded entry's grid
-        s3_params = entry.free_params              # (n, m, p)
-        src_params = source.free_params            # (n, m, p, q)
-        s3_lhs = compile_side(entry.lhs, s3_params)
-        s3_rhs = compile_side(entry.rhs, s3_params)
-        src_lhs = compile_side(source.lhs, src_params)
-        src_rhs = compile_side(source.rhs, src_params)
-
-        box = {p: (-8, 8) for p in s3_params}
-        src_box = {"n": (rank, rank), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)}
-        window = merge_windows(
-            index_window(entry.lhs, box), index_window(entry.rhs, box),
-            index_window(source.lhs, src_box), index_window(source.rhs, src_box))
-        f_tab, l_tab, g_tabs = _build_tables(window, STANDARD_SEEDS)
-
-        spec = GridSpec(box, STANDARD_SEEDS)
-        for seed in STANDARD_SEEDS:
-            g_tab = g_tabs[seed]
-            for vals in spec.points(s3_params):
-                s3_point = dict(zip(s3_params, vals))
-                mapped = {fp: s3_point[sp] for fp, sp in relabel.items()}
-                mapped["n"] = rank
-                src_vals = tuple(mapped[p] for p in src_params)
-                assert s3_lhs(*vals, f_tab, l_tab, g_tab) == \
-                    src_lhs(*src_vals, f_tab, l_tab, g_tab), (entry.name, vals)
-                assert s3_rhs(*vals, f_tab, l_tab, g_tab) == \
-                    src_rhs(*src_vals, f_tab, l_tab, g_tab), (entry.name, vals)
-                checked += 1
+        # the source at the entry's rank, in the entry's parameter names
+        env = {fp: Sym(sp) for fp, sp in relabel_map.items()}
+        env["n"] = Lit(rank)
+        spec = GridSpec({p: (-8, 8) for p in entry.free_params}, STANDARD_SEEDS)
+        for side in ("lhs", "rhs"):
+            pair = Identity(f"{entry.name}.{side}", getattr(entry, side),
+                            relabel(getattr(source, side), env), entry.free_params)
+            report = verify_grid(pair, spec)
+            assert report.passed, f"{pair.name}: {report.failures[:3]}"
+        checked += report.total  # points times seeds, each compared on both sides
     assert checked == 16 * 17 ** 3 * 4
     _report_line(2, True, f"29 entries pass default grid; "
                           f"{checked} relabeled expansion comparisons agree")
 
 
-def test_criterion_3_mechanized_induction(catalog):
-    """Recurrence consistency for Eq1 lhs/rhs and Eq2 rhs on n 1..4, |m,p,q| <= 5."""
+def test_criterion_3_mechanized_induction(catalog, step_identity):
+    """The rank recurrence of Eq1 lhs/rhs and Eq2 lhs/rhs, verified as
+    identities on n 1..4, |m,p,q| <= 5."""
     spec = GridSpec({"n": (1, 4), "m": (-5, 5), "p": (-5, 5), "q": (-5, 5)},
                     STANDARD_SEEDS)
-    checks = [("Eq1", "lhs", "F"), ("Eq1", "rhs", "F"), ("Eq2", "rhs", "L")]
+    checks = [("Eq1", "lhs", "F"), ("Eq1", "rhs", "F"),
+              ("Eq2", "lhs", "L"), ("Eq2", "rhs", "L")]
     for name, side, coeff in checks:
-        report = check_recurrence(catalog.get(name), side, spec, coeff=coeff)
+        report = verify_grid(step_identity(catalog.get(name), side, coeff), spec)
         assert report.passed, f"{name}.{side}: {report.failures[:3]}"
         assert report.total == 4 * 11 ** 3 * 4
-    # the even/odd collapse feeding the Eq2 recurrence, on both branches
+    # the even/odd collapse feeding the Eq2 recurrence, on both branches:
+    # F(i+1) - (-1)^n F(i-1) is F(i) for even n and L(i) for odd n
     for p in range(-10, 11):
         for n in (1, 2, 3, 4):
             for m in range(-3, 4):
-                value = case_split_value(p, n, m)
                 idx = p - n * m
+                value = fib(idx + 1) - (-1) ** n * fib(idx - 1)
                 assert value == (fib(idx) if n % 2 == 0 else lucas(idx))
-    _report_line(3, True, "Eq1 lhs/rhs and Eq2 rhs fulfill the rank recurrence; "
+    _report_line(3, True, "Eq1 and Eq2 lhs/rhs fulfill the rank recurrence; "
                           "case split holds on both parities")
 
 
@@ -175,8 +159,9 @@ def test_criterion_6_reflection_and_bridge_laws():
              for _ in range(50)]
     for seed in seeds:
         for n in range(-200, 201):
-            # decompose() halves exactly; an odd pre-half value would raise
-            assert decompose(seed, n) == gen(seed, n)
+            # G(n) = [(G(-1)+G(1)) F(n) + G0 L(n)] / 2, exactly: the split is even
+            doubled = (2 * seed.g1 - seed.g0) * fib(n) + seed.g0 * lucas(n)
+            assert doubled % 2 == 0 and doubled // 2 == gen(seed, n)
     _report_line(6, True, "reflection/bridge/phi laws on |n| <= 200; "
                           "decomposition exact for 50 random seeds")
 

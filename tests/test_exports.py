@@ -12,7 +12,8 @@ MODULES = [fibkit] + [importlib.import_module(f"fibkit.{info.name}")
                       if info.name != "__main__"]
 
 REMOVED = ("SeedPoly", "GoldenRat", "LaurentPoly3", "pretty_print", "lucas_naive",
-           "OracleConfig", "index_range")
+           "OracleConfig", "index_range", "compile_side", "_gen_code", "check_recurrence",
+           "case_split_value", "decompose", "SeqTable")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

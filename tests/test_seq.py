@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibkit import (
-    FIB_SEED, LUCAS_SEED, Seed, InternalFault,
-    decompose, fib, fib_naive, fib_pair_doubling, gen, lucas, table,
+    FIB_SEED, LUCAS_SEED, Seed, fib, fib_naive, fib_pair_doubling, gen, lucas, table,
 )
+from fibkit.errors import InternalFault
 
 
 def lucas_naive(n: int) -> int:
@@ -19,6 +19,14 @@ def lucas_naive(n: int) -> int:
     if n < 0 and m & 1:
         a = -a
     return a
+
+
+def decompose(seed: Seed, n: int) -> int:
+    """G(n) through the split [(G(-1)+G(1)) F(n) + G0 L(n)] / 2, which is
+    even before halving for every integer seed and index."""
+    doubled = (2 * seed.g1 - seed.g0) * fib(n) + seed.g0 * lucas(n)
+    assert doubled % 2 == 0, f"decomposition of {seed} at n={n} is odd before halving"
+    return doubled // 2
 
 
 seeds = st.builds(Seed, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -94,8 +102,7 @@ def test_gen_recurrence(seed, n):
 ])
 def test_table_values(seed, lo, hi, expected):
     t = table(seed, lo, hi)
-    assert t.values == expected
-    assert (t.lo, t.hi) == (lo, hi)
+    assert list(t.items()) == list(zip(range(lo, hi + 1), expected))
 
 
 def test_table_rejects_inverted_window():
@@ -106,7 +113,7 @@ def test_table_rejects_inverted_window():
 def test_table_getitem_and_bounds():
     t = table(Seed(3, 7), -5, 5)
     assert t[0] == 3 and t[1] == 7 and t[-1] == 4
-    with pytest.raises(IndexError):
+    with pytest.raises(KeyError):
         t[6]
 
 
@@ -131,7 +138,7 @@ def test_decompose_values(seed, n, expected):
 
 @given(seeds, st.integers(-200, 200))
 def test_decompose_matches_gen(seed, n):
-    # implicitly checks evenness: an odd pre-halving value raises InternalFault
+    # also checks evenness: an odd pre-halving value fails in decompose
     assert decompose(seed, n) == gen(seed, n)
 
 

@@ -1,4 +1,4 @@
-"""Grid verification, recurrence consistency, evaluation contracts, reports."""
+"""Grid verification, the rank recurrence, evaluation contracts, reports."""
 
 import functools
 import json
@@ -9,12 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fibkit import (
-    EvalError, FibkitError, GridError, GridSpec, InternalFault,
-    ParamPoint, Seed, case_split_value, check_recurrence, eval_side, fib, lucas,
-    cli, oracle, parse_expr, parse_identity, to_text, verify, verify_grid,
+    EvalError, FibkitError, GridError, GridSpec, Identity, InternalFault, ParamPoint,
+    ParseError, Seed, eval_side, fib, lucas, cli, oracle, parse_expr, parse_identity,
+    to_text, verify, verify_grid,
 )
 from fibkit.catalog import load_catalog_file
 from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, SeqRef, Sign, Sub, Sum, Sym
+from fibkit.oracle import oracle_eval
 from fibkit.verify import MAX_GRID_CHECKS, STANDARD_SEEDS
 
 DATA = Path(__file__).parent / "data"
@@ -74,6 +75,55 @@ def test_eval_side_sign_parity():
     ast = parse_expr("sign(n)")
     assert eval_side(ast, ParamPoint({"n": -3})) == -1
     assert eval_side(ast, ParamPoint({"n": -4})) == 1
+
+
+def test_eval_side_names_a_symbol_with_no_value():
+    for text in ("F(x) + F(m)", "sum(k, 0, m, F(k + x))"):
+        with pytest.raises(EvalError, match="^symbol 'x' has no value$"):
+            eval_side(parse_expr(text), ParamPoint({"m": 2}))
+
+
+def test_hand_built_nested_sum_is_refused():
+    text = "sum(k, 0, n, sum(j, 0, k, F(j)))"
+    with pytest.raises(ParseError, match="nested sums are not supported"):
+        parse_expr(text)
+    nested = Sum("k", Lit(0), Sym("n"), Sum("j", Lit(0), Sym("k"), SeqRef("F", Sym("j"))))
+    identity = Identity("nested", nested, Lit(0), ("n",))
+    spec = GridSpec({"n": (0, 3)}, (F_SEED, Seed(3, 7)))
+    calls = [lambda: eval_side(nested, ParamPoint({"n": 2})),
+             lambda: verify_grid(identity, spec),
+             lambda: verify_grid(identity, spec, use_oracle=True),
+             lambda: verify_grid(identity, spec, workers=2)]
+    for call in calls:
+        with pytest.raises(FibkitError, match="^nested sums are not supported$") as info:
+            call()
+        assert not isinstance(info.value, InternalFault)
+
+
+def test_evaluation_paths_compile_once(monkeypatch):
+    # sides no other test uses, so every cache entry below is new
+    side = parse_expr("F(m + 77)*G(n - 5) + binom(m, n)")
+    before = len(verify._compile_cache)
+    values = [eval_side(side, ParamPoint({"m": m, "n": n}, Seed(3, 7)))
+              for m, n in ((1, 2), (-4, 6))]
+    assert len(verify._compile_cache) == before + 1
+    assert values == [oracle_eval(side, ParamPoint({"m": m, "n": n}, Seed(3, 7)))
+                      for m, n in ((1, 2), (-4, 6))]
+
+    built = []
+    real = verify.table
+    monkeypatch.setattr(verify, "table", lambda seed, lo, hi: built.append(seed)
+                        or real(seed, lo, hi))
+    bad = parse_identity("F(m + 55)^p == G(p - 55)", name="neg-pow", params=("m", "p"))
+    seeds = (Seed(2, 1), F_SEED, Seed(3, 7), Seed(3, 7))
+    spec = GridSpec({"m": (-3, 3), "p": (-2, 2)}, seeds)
+    before = len(verify._compile_cache)
+    with pytest.raises(EvalError, match=r"at point \(m=-3, p=-2\), seed Seed\(g0=2, g1=1\)$"):
+        verify_grid(bad, spec)
+    # one sweep for the three per-seed passes, one for the locator's points
+    assert len(verify._compile_cache) == before + 2
+    # F, L and the one seed of its own, once for the sweep and once for the locator
+    assert built == [F_SEED, Seed(2, 1), Seed(3, 7)] * 2
 
 
 # --- verify_grid -------------------------------------------------------------
@@ -189,18 +239,37 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
             super().__init__(lo, hi, seeds)
 
     monkeypatch.setattr(oracle, "OracleTables", CountedTables)
+    stepped = []
+    step = oracle.recurrence_table
+    monkeypatch.setattr(oracle, "recurrence_table",
+                        lambda g0, g1, lo, hi: stepped.append((g0, g1))
+                        or step(g0, g1, lo, hi))
     evaluators = []
     build = oracle.evaluator
     monkeypatch.setattr(oracle, "evaluator",
                         lambda ast, tables, seed: evaluators.append(seed)
                         or build(ast, tables, seed))
+    checked = []
+    check = verify._oracle_check
+
+    def counted_check(identity, spec, window):
+        inner = check(identity, spec, window)
+        return lambda vals, seed_idx, lv, rv: checked.append(seed_idx) \
+            or inner(vals, seed_idx, lv, rv)
+
+    monkeypatch.setattr(verify, "_oracle_check", counted_check)
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
-                    (Seed(0, 1), Seed(3, 7)))
+                    (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(3, 7)))
     assert verify_grid(catalog.get("Eq1"), spec, use_oracle=True).passed
     # G(p + q*k) reaches -6..6 and G(p - n*m) reaches -6..6
     assert built == [(-6, 6, spec.seeds)]
-    # one evaluator per side and seed for the grid's 750 checks
+    # F, L and one table per distinct seed
+    assert stepped == [(0, 1), (2, 1), (0, 1), (3, 7)]
+    # one evaluator per side and distinct seed for the grid's 1,500 checks
     assert evaluators == [Seed(0, 1), Seed(0, 1), Seed(3, 7), Seed(3, 7)]
+    # and every requested seed checked at every point
+    assert len(checked) == spec.checks(("n", "m", "p", "q")) == 1500
+    assert {i: checked.count(i) for i in range(4)} == {i: 375 for i in range(4)}
 
 
 def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
@@ -367,17 +436,19 @@ def _draw_grid(data, identity):
 
 
 def _point_by_point(identity, spec):
-    """Failures of the per-point evaluator, or the error it meets first."""
+    """Failures of the oracle evaluated point by point, or the point and
+    seed where it meets its first error; the oracle shares no code with
+    the sweep."""
     params = identity.free_params
     failures = []
     for seed_idx, seed in enumerate(spec.seeds):
         for vals in spec.points(params):
             pt = ParamPoint(dict(zip(params, vals)), seed)
             try:
-                lv, rv = eval_side(identity.lhs, pt), eval_side(identity.rhs, pt)
-            except EvalError as exc:
+                lv, rv = oracle_eval(identity.lhs, pt), oracle_eval(identity.rhs, pt)
+            except EvalError:
                 desc = ", ".join(f"{p}={v}" for p, v in zip(params, vals))
-                return None, f"{exc} at point ({desc}), seed {seed}"
+                return None, f" at point ({desc}), seed {seed}"
             if lv != rv:
                 failures.append((vals, seed_idx, lv, rv))
     failures.sort(key=lambda f: (f[0], f[1]))
@@ -392,7 +463,7 @@ def _matches_oracle_and_point_by_point(identity, spec):
     except InternalFault:
         raise
     except FibkitError as exc:
-        assert str(exc) == error
+        assert error is not None and str(exc).endswith(error), (str(exc), error)
         return
     assert error is None
     assert [(f.point, f.seed, f.lhs, f.rhs) for f in report.failures] == expected
@@ -584,7 +655,7 @@ def test_failures_sorted_lexicographically():
     assert keys == sorted(keys)
 
 
-# --- recurrence consistency --------------------------------------------------
+# --- the rank recurrence -----------------------------------------------------
 
 @pytest.mark.parametrize("family,side,coeff", [
     ("Eq1", "lhs", "F"),
@@ -592,35 +663,30 @@ def test_failures_sorted_lexicographically():
     ("Eq2", "lhs", "L"),
     ("Eq2", "rhs", "L"),
 ])
-def test_recurrence_consistency(catalog, family, side, coeff):
+def test_recurrence_consistency(catalog, step_identity, family, side, coeff):
     spec = GridSpec({"n": (1, 3), "m": (-4, 4), "p": (-4, 4), "q": (-4, 4)},
                     (Seed(0, 1), Seed(3, 7)))
-    report = check_recurrence(catalog.get(family), side, spec, coeff=coeff)
+    report = verify_grid(step_identity(catalog.get(family), side, coeff), spec)
     assert report.passed
-    assert report.mode == "recurrence"
     assert report.identity == f"{family}.{side}"
+    assert report.total == 3 * 9 ** 3 * 2
 
 
-def test_recurrence_detects_wrong_coefficient(catalog):
+def test_recurrence_detects_wrong_coefficient(catalog, step_identity):
     spec = GridSpec({"n": (1, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
                     (F_SEED,))
-    report = check_recurrence(catalog.get("Eq1"), "lhs", spec, coeff="L")
+    report = verify_grid(step_identity(catalog.get("Eq1"), "lhs", "L"), spec)
     assert not report.passed
 
 
-def test_recurrence_requires_n_at_least_one(catalog):
-    spec = GridSpec({"n": (0, 2), "m": (0, 1), "p": (0, 1), "q": (0, 1)})
-    with pytest.raises(GridError, match="n >= 1"):
-        check_recurrence(catalog.get("Eq1"), "lhs", spec)
-
-
-def test_recurrence_rejects_other_identities(catalog):
-    spec = GridSpec({"n": (1, 2), "m": (0, 1), "p": (0, 1), "q": (0, 1)})
-    with pytest.raises(GridError, match=r"\(n, m, p, q\)"):
-        check_recurrence(catalog.get("Eq8"), "lhs", spec)
-
-
 # --- case split --------------------------------------------------------------
+
+def case_split_value(p_idx, n, m):
+    """F(p-nm+1) - (-1)^n F(p-nm-1), which collapses to F(p-nm) for even n
+    and L(p-nm) for odd n."""
+    i = p_idx - n * m
+    return fib(i + 1) - (-1) ** n * fib(i - 1)
+
 
 @pytest.mark.parametrize("p,n,m,expected", [
     (5, 2, 1, 2),   # even n: F(3)
