@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract for CI: 0 on success, 1 when a
 verification or proof fails (the report is still emitted), 2 on usage
-errors (bad flags, unknown selectors, malformed grids). JSON and CSV
+errors (bad flags, unknown selectors, malformed grids), 141 (128 +
+SIGPIPE) when stdout is closed before the output is written. JSON and CSV
 output are byte-identical across runs and worker counts; pass --timing
 to include wall-clock times in JSON at the cost of that stability.
 """
@@ -18,7 +19,7 @@ import os
 import re
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from typing import Sequence
 
 from .catalog import Catalog, Identity, builtin_catalog, load_catalog_file
@@ -418,6 +419,15 @@ def _run(argv: Sequence[str] | None) -> int:
     except FibkitError as exc:
         print(f"fibkit: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (as `| head` does); point stdout's descriptor at
+        # the null device so that the flush at exit does not fail again
+        with suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -95,12 +95,11 @@ class OracleTables:
                     for s in dict.fromkeys(seeds)}
 
 
-def oracle_eval(ast: Node, pt: "ParamPoint", tables: OracleTables | None = None) -> int:
+def oracle_eval(ast: Node, pt: "ParamPoint") -> int:
     """Evaluate one identity side at a point using only naive machinery."""
-    if tables is None:
-        window = merge_windows(index_window(ast, point_intervals(pt.values)), (0, 1))
-        assert window is not None
-        tables = OracleTables(window[0], window[1], (pt.seed,))
+    window = merge_windows(index_window(ast, point_intervals(pt.values)), (0, 1))
+    assert window is not None
+    tables = OracleTables(window[0], window[1], (pt.seed,))
     return evaluator(ast, tables, pt.seed)(dict(pt.values))
 
 

@@ -292,11 +292,14 @@ def parse_identity_sides(text: str) -> tuple[Node, Node]:
 
 
 def check_identity_scope(lhs: Node, rhs: Node, params: tuple[str, ...]) -> None:
-    """Reject undeclared symbols, reserved parameter names, and shadowing sums."""
+    """Reject reserved or repeated parameters, undeclared symbols, shadowing sums."""
+    declared: set[str] = set()
     for p in params:
         if p in RESERVED:
             raise ParseError(f"parameter name '{p}' is reserved")
-    declared = frozenset(params)
+        if p in declared:
+            raise ParseError(f"parameter '{p}' is declared twice")
+        declared.add(p)
     for side in (lhs, rhs):
         for name in sorted(free_symbols(side)):
             if name not in declared:

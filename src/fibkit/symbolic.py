@@ -20,6 +20,10 @@ sign symbols, so it is zero exactly when it vanishes at every point of
 covers all integers. Otherwise the difference is specialized at each
 parity case, and the cases where it does not vanish fail with that
 residual.
+
+Any number of parameters may stay free: the work that grows as 2^r, the
+parity-class expansion of sign() and the per-case specialization, is
+charged to the term-product budget, which refuses a proof too wide.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .catalog import Identity
 from .errors import SymbolicError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    free_symbols, substitute, to_text,
+    free_symbols, iter_nodes, substitute, to_text,
 )
 from .verify import Failure, VerifyReport, _bi
 from .zphi import SQRT5, GoldenInt, LaurentPoly, _power, phi_pow
@@ -41,11 +45,12 @@ __all__ = ["MAX_SUM_TERMS", "MAX_TERM_PRODUCTS", "prove_symbolic"]
 
 # Bounds on one proof's work, each checked before the work it bounds: the
 # summation terms expanded over all of its sums, and the term-by-term
-# products of all of its products and powers.
+# products of all of its products, powers and parity cases.
 MAX_SUM_TERMS = 1_000
 MAX_TERM_PRODUCTS = 100_000
 
-# Symbol names in residual text: one per free parameter, then the two seeds.
+# Symbol names in residual text: one per free parameter (X, Y, Z, then X4,
+# X5, ...), then the two seeds.
 _AXIS_NAMES = "XYZ"
 _SEED_NAMES = ("splus", "szero")
 
@@ -89,30 +94,26 @@ def _merge(t1: dict[str, int], t2: dict[str, int], sign: int) -> dict[str, int]:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _eval_index(node: Node, env: Mapping[str, int], what: str) -> int:
-    """Evaluate an index expression; every symbol it uses must be in env."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Sym):
-        if node.name not in env:
-            raise SymbolicError(f"{what} depends on free parameter '{node.name}'")
-        return env[node.name]
-    if isinstance(node, Add):
-        return _eval_index(node.left, env, what) + _eval_index(node.right, env, what)
-    if isinstance(node, Sub):
-        return _eval_index(node.left, env, what) - _eval_index(node.right, env, what)
-    if isinstance(node, Neg):
-        return -_eval_index(node.operand, env, what)
-    if isinstance(node, Mul):
-        return _eval_index(node.left, env, what) * _eval_index(node.right, env, what)
-    raise SymbolicError(f"{what} contains unsupported node {type(node).__name__}")
+def _constant(node: Node, what: str) -> int:
+    """The value of an index expression that reads no free parameter."""
+    try:
+        const, terms = _affine(node)
+        if not terms:
+            return const
+    except SymbolicError:
+        pass
+    # the first node, in reading order, that keeps the expression from closing
+    bad = next(n for n in iter_nodes(node) if not isinstance(n, (Lit, Add, Sub, Neg, Mul)))
+    if isinstance(bad, Sym):
+        raise SymbolicError(f"{what} depends on free parameter '{bad.name}'")
+    raise SymbolicError(f"{what} contains unsupported node {type(bad).__name__}")
 
 
 # --- Binet rewriting with sign symbols ---------------------------------------
 
-def _brief(node: Node) -> str:
-    """A node's text, cut short enough for an error message."""
-    text = to_text(node)
+def _brief(what: Node | str) -> str:
+    """A node's text, or a text, cut short enough for an error message."""
+    text = what if isinstance(what, str) else to_text(what)
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -124,12 +125,13 @@ class _Rewriter:
     symbol (-1)^x per free parameter x, in the same order as the axes.
     """
 
-    __slots__ = ("free", "nsyms", "inv_sqrt5", "half", "splus", "szero",
+    __slots__ = ("free", "nsyms", "width", "inv_sqrt5", "half", "splus", "szero",
                  "products", "sum_terms")
 
     def __init__(self, free: tuple[str, ...]):
         self.free = free
         self.nsyms = 2 * len(free) + 2
+        self.width = (self.nsyms + 7) // 8
         self.inv_sqrt5 = self.constant(SQRT5, 5)   # 1/sqrt(5) = sqrt(5)/5
         self.half = self.constant(1, 2)
         self.splus = self.monomial({len(free): 1})
@@ -146,32 +148,21 @@ class _Rewriter:
     def constant(self, value: int | GoldenInt, den: int = 1) -> LaurentPoly:
         return self.monomial({}, value, den)
 
-    def axis(self, param: str) -> int:
-        return self.free.index(param)
-
     def sign_slot(self, param: str) -> int:
         return len(self.free) + 2 + self.free.index(param)
-
-    def phi_power(self, const: int, terms: dict[str, int]) -> LaurentPoly:
-        exps = {self.axis(p): a for p, a in terms.items()}
-        return self.monomial(exps, phi_pow(const))
-
-    def conj_power(self, const: int, terms: dict[str, int]) -> LaurentPoly:
-        # (1 - phi)^(c + sum a*x) = (-1)^c * phi^(-c) * prod (-1)^(a*x) * phi^(-a*x)
-        exps = {}
-        for p, a in terms.items():
-            exps[self.axis(p)] = -a
-            exps[self.sign_slot(p)] = a & 1
-        coeff = phi_pow(-const)
-        return self.monomial(exps, -coeff if const & 1 else coeff)
 
     def seq_poly(self, kind: str, arg: Node) -> LaurentPoly:
         try:
             const, terms = _affine(arg)
         except SymbolicError as exc:
             raise SymbolicError(f"{kind}({to_text(arg)}): {exc}") from None
-        plus = self.phi_power(const, terms)
-        minus = self.conj_power(const, terms)
+        plus = self.monomial({self.free.index(p): a for p, a in terms.items()},
+                             phi_pow(const))
+        # (1 - phi)^(c + sum a*x) = (-1)^c * phi^(-c) * prod (-1)^(a*x) * phi^(-a*x)
+        exps = {self.free.index(p): -a for p, a in terms.items()}
+        exps.update((self.sign_slot(p), a & 1) for p, a in terms.items())
+        coeff = phi_pow(-const)
+        minus = self.monomial(exps, -coeff if const & 1 else coeff)
         if kind == "F":
             return (plus - minus) * self.inv_sqrt5
         if kind == "L":
@@ -181,39 +172,43 @@ class _Rewriter:
         l_part = (plus + minus) * self.szero
         return (f_part + l_part) * self.half
 
-    def sign_poly(self, arg: Node) -> LaurentPoly:
+    def sign_poly(self, node: Sign) -> LaurentPoly:
         """(-1)^arg: one signed monomial when arg is affine in the free
-        parameters, otherwise expanded over parity classes."""
+        parameters, otherwise the sum, over the parity classes b of the
+        parameters arg reads, of its value in class b times the class's
+        indicator prod (1 + (-1)^b_i * sigma_i) / 2."""
         try:
-            const, terms = _affine(arg)
+            const, terms = _affine(node.arg)
         except SymbolicError:
-            return self.sign_by_class(arg)
-        exps = {self.sign_slot(p): a & 1 for p, a in terms.items()}
-        return self.monomial(exps, -1 if const & 1 else 1)
-
-    def sign_by_class(self, arg: Node) -> LaurentPoly:
-        """(-1)^arg as the sum, over the parity classes b of the parameters
-        arg reads, of its value in class b times the class's indicator
-        prod (1 + (-1)^b_i * sigma_i) / 2."""
-        read = [p for p in self.free if p in free_symbols(arg)]
+            pass
+        else:
+            exps = {self.sign_slot(p): a & 1 for p, a in terms.items()}
+            return self.monomial(exps, -1 if const & 1 else 1)
+        read = [p for p in self.free if p in free_symbols(node.arg)]
         poly = self.constant(0)
         for bits in itertools.product((0, 1), repeat=len(read)):
-            odd = _eval_index(arg, dict(zip(read, bits)), "sign() exponent") & 1
-            term = self.constant(-1 if odd else 1)
+            value = _constant(substitute(node.arg, dict(zip(read, bits))),
+                              "sign() exponent")
+            term = self.constant(-1 if value & 1 else 1)
             for p, b in zip(read, bits):
                 sigma = self.monomial({self.sign_slot(p): 1}, -1 if b else 1, 2)
-                term = term * (self.half + sigma)
+                term = self.product(term, self.half + sigma, node)
             poly = poly + term
         return poly
 
-    def product(self, a: LaurentPoly, b: LaurentPoly, node: Node) -> LaurentPoly:
-        """a * b, refused before it is computed if it would take the proof
-        past MAX_TERM_PRODUCTS term-by-term products."""
-        self.products += len(a.terms) * len(b.terms)
+    def charge(self, products: int, what: Node | str) -> None:
+        """Count `products` term products, refused before they are done if
+        they would take the proof past MAX_TERM_PRODUCTS. Each one costs
+        `width`, the symbol count in units of eight rounded up, since a
+        term's work grows with it: one unit up to three free parameters."""
+        self.products += products * self.width
         if self.products > MAX_TERM_PRODUCTS:
             raise SymbolicError(
-                f"{_brief(node)}: the proof needs more than "
+                f"{_brief(what)}: the proof needs more than "
                 f"{MAX_TERM_PRODUCTS:,} term products")
+
+    def product(self, a: LaurentPoly, b: LaurentPoly, node: Node) -> LaurentPoly:
+        self.charge(len(a.terms) * len(b.terms), node)
         return a * b
 
     def to_poly(self, node: Node) -> LaurentPoly:
@@ -232,7 +227,7 @@ class _Rewriter:
         if isinstance(node, Mul):
             return self.product(self.to_poly(node.left), self.to_poly(node.right), node)
         if isinstance(node, Pow):
-            e = _eval_index(node.exponent, {}, "power exponent")
+            e = _constant(node.exponent, "power exponent")
             if e < 0:
                 raise SymbolicError(f"power exponent {e} is negative")
             return _power(self.to_poly(node.base), e, self.constant(1),
@@ -240,19 +235,19 @@ class _Rewriter:
         if isinstance(node, SeqRef):
             return self.seq_poly(node.kind, node.arg)
         if isinstance(node, Binom):
-            top = _eval_index(node.top, {}, "binom() argument")
-            bottom = _eval_index(node.bottom, {}, "binom() argument")
+            top = _constant(node.top, "binom() argument")
+            bottom = _constant(node.bottom, "binom() argument")
             return self.constant(_bi(top, bottom))
         if isinstance(node, Sign):
-            return self.sign_poly(node.arg)
+            return self.sign_poly(node)
         if isinstance(node, Pow5Floor):
-            e = _eval_index(node.arg, {}, "pow5floor() argument")
+            e = _constant(node.arg, "pow5floor() argument")
             if e < 0:
                 raise SymbolicError(f"pow5floor argument {e} is negative")
             return self.constant(5 ** (e // 2))
         if isinstance(node, Sum):
-            lo = _eval_index(node.lo, {}, "sum lower bound")
-            hi = _eval_index(node.hi, {}, "sum upper bound")
+            lo = _constant(node.lo, "sum lower bound")
+            hi = _constant(node.hi, "sum upper bound")
             if lo > hi + 1:
                 raise SymbolicError(f"sum bounds {lo}..{hi} are inverted")
             self.sum_terms += hi + 1 - lo
@@ -272,9 +267,9 @@ def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
     """Prove an identity for every integer value of its free parameters.
 
     Rank parameters (sum bounds) must be pinned through `fixed`; other
-    parameters may optionally be pinned too. At most three parameters may
-    remain free. A PASS certifies the identity for all integer values of
-    the free parameters and every integer seed at the fixed rank.
+    parameters may optionally be pinned too, and any number may stay free.
+    A PASS certifies the identity for all integer values of the free
+    parameters and every integer seed at the fixed rank.
     """
     fixed = dict(fixed or {})
     for name in fixed:
@@ -289,22 +284,21 @@ def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
         if fixed[rank] < 0:
             raise SymbolicError(f"rank parameter '{rank}' must be >= 0")
     free = tuple(p for p in identity.free_params if p not in fixed)
-    if len(free) > len(_AXIS_NAMES):
-        raise SymbolicError(
-            f"'{identity.name}' keeps {len(free)} parameters free; at most "
-            f"{len(_AXIS_NAMES)} are supported")
 
     started = time.perf_counter()
     rewriter = _Rewriter(free)
     residual = (rewriter.to_poly(substitute(identity.lhs, fixed))
                 - rewriter.to_poly(substitute(identity.rhs, fixed)))
-    names = (*_AXIS_NAMES[:len(free)], *_SEED_NAMES)
+    axes = [*_AXIS_NAMES[:len(free)], *(f"X{i}" for i in range(4, len(free) + 1))]
+    names = (*axes, *_SEED_NAMES)
 
     # a polynomial multilinear in the sign symbols is zero exactly when it
     # vanishes at every point of {+-1}^r, so a zero residual passes every case
     failures: list[Failure] = []
     if not residual.is_zero():
+        cases = f"{identity.name} over 2^{len(free)} parity cases"
         for bits in itertools.product((0, 1), repeat=len(free)):
+            rewriter.charge(len(residual.terms), cases)
             case = residual.specialize(bits)
             if not case.is_zero():
                 failures.append(Failure(
@@ -322,7 +316,7 @@ def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
         grid={
             "fixed": dict(sorted(fixed.items())),
             "parity_params": list(free),
-            "axes": dict(zip(_AXIS_NAMES, free)),
+            "axes": dict(zip(axes, free)),
         },
         total=2 ** len(free),
         failures=failures,

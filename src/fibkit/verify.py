@@ -15,7 +15,6 @@ exact equality at every point and seed.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -149,10 +148,6 @@ class VerifyReport:
             "failures": failures,
             "elapsed_ms": round(self.elapsed_ms, 3) if include_timing else 0,
         }
-
-    def to_json(self, *, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timing=include_timing),
-                          sort_keys=True, separators=(",", ":"))
 
 
 # --- what the generated code calls -----------------------------------------

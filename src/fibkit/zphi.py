@@ -94,9 +94,6 @@ class GoldenInt:
             return -self.conj()
         raise ZeroDivisionError(f"{self!r} is not a unit of Z[phi] (norm {n})")
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self) -> str:
         return f"GoldenInt({self.a}, {self.b})"
 

@@ -365,6 +365,38 @@ def test_prove_non_affine_exits_2(capsys, tmp_path):
     assert "affine" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "prove", "catalog"])
+def test_parameter_declared_twice_exits_2(capsys, tmp_path, command):
+    twice = tmp_path / "twice.cat"
+    twice.write_text("# one parameter, declared twice\n"
+                     "name: Twice\nparams: m m\npaper: t\n"
+                     "identity: F(m + 1) == F(m) + F(m - 1)\n")
+    code, out, err = run(capsys, command, "--file", str(twice))
+    assert code == 2
+    assert out == ""
+    assert err == (f"fibkit: error: {twice}:2: in identity 'Twice': "
+                   f"parameter 'm' is declared twice\n")
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone, as after `| head -c 10`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(["verify", "--file", str(DATA / "eq_variants.cat"), "--m", "0..1",
+                 "--format", fmt])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_prove_json_deterministic(capsys):
     argv = ("prove", "--id", "Eq4", "--n", "2", "--format", "json")
     _, out1, _ = run(capsys, *argv)

@@ -72,15 +72,6 @@ def test_index_range_examples(catalog):
     assert lo <= -48 and hi >= 48
 
 
-def test_oracle_with_prebuilt_tables(catalog):
-    eq1 = catalog.get("Eq1")
-    box = {"n": (0, 3), "m": (-4, 4), "p": (-4, 4), "q": (-4, 4)}
-    lo, hi = index_window(eq1.lhs, box)
-    tables = OracleTables(lo, hi, (Seed(3, 7),))
-    pt = ParamPoint({"n": 3, "m": -4, "p": 4, "q": -4}, Seed(3, 7))
-    assert oracle_eval(eq1.lhs, pt, tables) == oracle_eval(eq1.lhs, pt)
-
-
 @pytest.mark.parametrize("text,values,message", [
     ("F(m) + x", {"m": 1}, "symbol 'x' has no value"),
     ("F(m)^n", {"m": 1, "n": -2}, "negative exponent -2 in power"),

@@ -108,6 +108,11 @@ def test_sum_shadowing_parameter_rejected():
         parse_identity("sum(n, 0, m, F(n)) == F(m)", name="x", params=("m", "n"))
 
 
+def test_parameter_declared_twice_rejected():
+    with pytest.raises(ParseError, match="^parameter 'm' is declared twice$"):
+        parse_identity("F(m + 1) == F(m) + F(m - 1)", name="x", params=("m", "p", "m"))
+
+
 def test_reserved_words_need_call_syntax():
     with pytest.raises(ParseError):
         parse_expr("F + 1")

@@ -95,13 +95,29 @@ def test_proof_is_seed_universal_via_formal_scalars(catalog):
     assert not report.passed
 
 
-def test_more_than_three_free_parameters_rejected():
-    wide = parse_identity("F(a + b + c + d) == F(a + b + c + d)",
-                          name="wide", params=("a", "b", "c", "d"))
-    with pytest.raises(SymbolicError, match="at most 3"):
-        prove_symbolic(wide)
-    # fixing one parameter brings it back in range
-    assert prove_symbolic(wide, {"d": 2}).passed
+_ADDITION4 = "F(a + b + c + d) == F(a + b + 1)*F(c + d) + F(a + b)*F(c + d - 1)"
+
+
+def test_more_than_three_free_parameters_prove():
+    wide = parse_identity(_ADDITION4, name="wide", params=("a", "b", "c", "d"))
+    report = prove_symbolic(wide)
+    assert report.passed
+    assert report.total == 16
+    assert report.grid["axes"] == {"X": "a", "Y": "b", "Z": "c", "X4": "d"}
+    fixed = prove_symbolic(wide, {"d": 2})
+    assert fixed.passed
+    assert fixed.total == 8
+
+
+def test_fourth_parameter_sign_variant_fails_where_two_are_odd():
+    lhs, rhs = _ADDITION4.split(" == ")
+    off = parse_identity(f"{lhs} + sign(a*b) == {rhs} + 1", name="wide-off",
+                         params=("a", "b", "c", "d"))
+    report = prove_symbolic(off)
+    assert report.total == 16
+    assert _points(report) == [(("a", 1), ("b", 1), ("c", c), ("d", d))
+                               for c in (0, 1) for d in (0, 1)]
+    assert {f.lhs for f in report.failures} == {"(-2+0φ)"}
 
 
 def test_seed_poly_algebra():
@@ -204,8 +220,8 @@ def _term(draw, names, free):
 @st.composite
 def _parity_identities(draw):
     """A random prover-admissible identity, and whether it holds everywhere."""
-    free = draw(st.lists(st.sampled_from(("m", "p", "q")), min_size=1, max_size=3,
-                         unique=True))
+    free = draw(st.lists(st.sampled_from(("m", "p", "q", "a", "b")), min_size=1,
+                         max_size=5, unique=True))
     terms = []
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
@@ -287,6 +303,28 @@ def test_long_node_is_named_in_brief(monkeypatch):
         prove_symbolic(ident)
     assert str(info.value) == ("(F(m + 1) + F(m + 2) + F(m + 3) + F(m + 4) + F(m + 5) + F..."
                                ": the proof needs more than 0 term products")
+
+
+def _wide(count):
+    return [f"a{i}" for i in range(count)]
+
+
+@pytest.mark.parametrize("params,identity", [
+    # 2^16 parity cases, each specialized from a nonzero residual
+    (_wide(16), f"F({' + '.join(_wide(16))}) + sign(a0*a1) == F({' + '.join(_wide(16))})"),
+    # 2^14 parity classes of one sign() that is not affine
+    (_wide(16), f"sign({'*'.join(_wide(14))})*F(a15) == F(a15)"),
+], ids=["cases", "sign-classes"])
+def test_parity_cases_are_charged_to_the_budget(tmp_path, capsys, params, identity):
+    path = tmp_path / "wide.cat"
+    path.write_text(f"name: wide\nparams: {' '.join(params)}\npaper: wide\n"
+                    f"identity: {identity}\n")
+    started = time.perf_counter()
+    code = cli.main(["prove", "--file", str(path)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert time.perf_counter() - started < 1
+    assert err.endswith(": the proof needs more than 100,000 term products\n")
 
 
 def test_budget_admits_the_flagships_at_rank_32(catalog):

@@ -212,7 +212,7 @@ def test_workers_match_sequential(catalog):
                     (Seed(0, 1), Seed(-4, 5)))
     seq_report = verify_grid(catalog.get("Eq2"), spec, workers=1)
     par_report = verify_grid(catalog.get("Eq2"), spec, workers=3)
-    assert seq_report.to_json() == par_report.to_json()
+    assert seq_report.to_json_dict() == par_report.to_json_dict()
 
 
 def test_workers_match_on_failing_identity():
@@ -220,7 +220,7 @@ def test_workers_match_on_failing_identity():
     spec = GridSpec({"m": (-6, 6)}, (F_SEED,))
     a = verify_grid(bad, spec, workers=1)
     b = verify_grid(bad, spec, workers=4)
-    assert a.to_json() == b.to_json()
+    assert a.to_json_dict() == b.to_json_dict()
     assert not a.passed
 
 
@@ -324,7 +324,7 @@ def test_pool_size_is_clamped(catalog, monkeypatch, workers, cpus, pool):
                     (Seed(0, 1), Seed(3, 7)))
     report = verify_grid(bad, spec, workers=workers)
     assert InlinePool.sizes == pool
-    assert report.to_json() == verify_grid(bad, spec).to_json()
+    assert report.to_json_dict() == verify_grid(bad, spec).to_json_dict()
     assert not report.passed
 
 
@@ -596,9 +596,9 @@ def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
     shifted = parse_identity("G(p + 2) == G(p + 1) + G(p) + G(p - 1)",
                              name="shifted", params=("p",))
     spec = GridSpec({"p": (-3, 3)})
-    right = verify_grid(shifted, spec).to_json()
+    right = verify_grid(shifted, spec).to_json_dict()
     monkeypatch.setattr(verify, "_BASIS", (Seed(1, 1), Seed(0, 1)))
-    assert verify_grid(shifted, spec).to_json() != right
+    assert verify_grid(shifted, spec).to_json_dict() != right
     for identity in (shifted, catalog.get("Eq1")):
         with pytest.raises(InternalFault,
                            match=f"oracle disagrees with evaluator on '{identity.name}'"):
@@ -626,7 +626,7 @@ def test_nineteen_loops_compile_with_the_seed_loops(seeds):
 def test_report_json_schema(catalog):
     spec = GridSpec({"m": (-2, 2), "n": (-2, 2)}, (Seed(0, 1), Seed(2, 1)))
     report = verify_grid(catalog.get("Eq8"), spec)
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_json_dict()))
     assert doc["version"] == 1
     assert doc["identity"] == "Eq8"
     assert doc["paper_tag"] == "Eq(8)"
@@ -641,7 +641,7 @@ def test_report_json_schema(catalog):
 def test_report_serializes_bigints_as_strings():
     wide = parse_identity("F(m)*F(m) == F(m)", name="big", params=("m",))
     report = verify_grid(wide, GridSpec({"m": (120, 120)}, (F_SEED,)))
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_json_dict()))
     assert doc["failures"][0]["lhs"] == str(fib(120) ** 2)
     assert isinstance(doc["failures"][0]["lhs"], str)
 
