@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .catalog import Catalog, Identity, builtin_catalog, load_catalog_file
 from .errors import FibkitError, InternalFault
+from .parser import MAX_DIGITS
 from .seq import (
     FIB_SEED, LUCAS_SEED, Seed, fib, fib_naive, fib_pair_doubling, gen, lucas,
 )
@@ -37,7 +38,7 @@ DEFAULT_PARAM_RANGE = (-8, 8)
 DEFAULT_PROVE_RANKS = (1, 2, 3, 4)
 
 # Longest integer, in decimal digits, that the CLI converts to text.
-MAX_PRINT_DIGITS = 2_000_000
+MAX_PRINT_DIGITS = MAX_DIGITS
 
 # Largest F(n), in decimal digits, that bench computes. It never prints the
 # value, but past this the value alone takes over 400 MB, and the doubling

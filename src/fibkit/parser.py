@@ -22,23 +22,36 @@ nest. '#' starts a comment running to end of line.
 Input is bounded by MAX_DEPTH: the parser refuses to nest deeper (each
 parenthesis, call or exponent is one level), and the AST of a side may
 be no higher (a flat chain of n operators is n levels), so that the
-recursive walkers downstream stay within the interpreter's stack.
+recursive walkers downstream stay within the interpreter's stack. A
+constant subexpression, one that reads no parameter, summation index or
+G, may have at most MAX_DIGITS decimal digits; its size is bounded from
+its constant arguments before anything computes it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, UnboundSymbolError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum,
-    Sym, free_symbols, height, is_index_expr, iter_nodes,
+    Sym, children, free_symbols, height, is_index_expr, iter_nodes, to_text,
 )
+from .seq import fib, lucas
 
 __all__ = ["tokenize", "parse_expr", "parse_identity_sides", "check_identity_scope",
-           "RESERVED", "MAX_DEPTH", "Token"]
+           "RESERVED", "MAX_DEPTH", "MAX_DIGITS", "Token"]
 
 MAX_DEPTH = 64
+
+# Longest integer, in decimal digits, that a constant subexpression may
+# have and that the command line converts to text.
+MAX_DIGITS = 2_000_000
+
+# A constant of at most this many digits is computed while sizes are
+# bounded, so that later bounds start from its exact value.
+_EXACT_DIGITS = 1_000
 
 RESERVED = frozenset({"F", "L", "G", "binom", "sign", "pow5floor", "sum"})
 
@@ -291,8 +304,97 @@ def parse_identity_sides(text: str) -> tuple[Node, Node]:
     return _check_height(lhs), _check_height(rhs)
 
 
+_LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
+
+
+# Past this many factors, a log10 bound is taken as infinite: each factor
+# is at least 2 or phi, so the value has over 10^14 digits.
+_HUGE = 10 ** 15
+
+
+def _log10(value: int) -> float:
+    return math.log10(abs(value)) if abs(value) > 1 else 0.0
+
+
+def _times(count: int, log10: float) -> float:
+    """count * log10 for log10 >= log10(phi), without overflowing a float."""
+    return count * log10 if count < _HUGE else math.inf
+
+
+def _binom_log10(n: int, k: int) -> float:
+    """An upper bound on log10 binom(n, k) for 0 <= k <= n: the entropy
+    bound n^n / (k^k (n - k)^(n - k))."""
+    j = min(k, n - k)
+    if j == 0:
+        return 0.0
+    if j >= _HUGE:  # binom(n, j) >= 2^j
+        return math.inf
+    # (n - j) ln(n / (n - j)) is below j
+    rest = (n - j) * math.log1p(j / (n - j)) if n < _HUGE else j
+    return (j * (math.log(n) - math.log(j)) + rest) / math.log(10)
+
+
+def _constant_size(node: Node) -> tuple[float, int | None] | None:
+    """(bound, value) of a constant node: an upper bound on log10 of its
+    magnitude, 0 when that is at most 1, and its exact value when it is
+    index arithmetic or small; None when the node reads a symbol or G, is
+    a sum, or raises when evaluated.
+
+    Sizes are found bottom-up from the children's, and a node whose bound
+    allows more than MAX_DIGITS digits is refused before its value is
+    computed.
+    """
+    kids = [_constant_size(child) for child in children(node)]
+    if isinstance(node, Lit):
+        return _log10(node.value), node.value
+    if (None in kids or isinstance(node, (Sym, Sum))
+            or (isinstance(node, SeqRef) and node.kind == "G")):
+        return None
+    bounds = [b for b, _ in kids]
+    values = [v for _, v in kids]
+    a, b = (values + [None])[:2]
+    if isinstance(node, Neg):
+        bound, compute = bounds[0], lambda: -a
+    elif isinstance(node, Mul):
+        bound, compute = bounds[0] + bounds[1], lambda: a * b
+    elif isinstance(node, (Add, Sub)):
+        bound = max(bounds) + math.log10(2)
+        compute = (lambda: a + b) if isinstance(node, Add) else (lambda: a - b)
+    elif isinstance(node, Sign):
+        return 0.0, -1 if a & 1 else 1
+    elif isinstance(node, SeqRef):
+        bound = _times(abs(a), _LOG10_PHI) + math.log10(2)
+        compute = (lambda: fib(a)) if node.kind == "F" else (lambda: lucas(a))
+    elif isinstance(node, Binom):
+        if not 0 <= b <= a:
+            return 0.0, 0
+        bound, compute = _binom_log10(a, b), lambda: math.comb(a, b)
+    elif isinstance(node, Pow5Floor):
+        if a < 0:
+            return None
+        bound, compute = _times(a // 2, math.log10(5)), lambda: 5 ** (a // 2)
+    else:  # Pow; a is the base, b the exponent
+        if b < 0:
+            return None
+        bound, compute = 0.0 if bounds[0] == 0 else _times(b, bounds[0]), lambda: a ** b
+    if bound >= MAX_DIGITS:
+        text = to_text(node)
+        size = (f"up to {math.floor(bound) + 1:,}" if bound < math.inf
+                else "more than 10^14")
+        raise ParseError(f"constant {text if len(text) <= 60 else text[:57] + '...'} "
+                         f"has {size} decimal digits, over the {MAX_DIGITS:,}-digit limit")
+    # a value over _EXACT_DIGITS stays unknown unless it is +, -, * of
+    # known values, which cost about as much as reading them
+    if None in values or (bound >= _EXACT_DIGITS
+                          and not isinstance(node, (Add, Sub, Neg, Mul))):
+        return bound, None
+    value = compute()
+    return _log10(value), value
+
+
 def check_identity_scope(lhs: Node, rhs: Node, params: tuple[str, ...]) -> None:
-    """Reject reserved or repeated parameters, undeclared symbols, shadowing sums."""
+    """Reject reserved or repeated parameters, undeclared symbols, shadowing
+    sums, and constants over MAX_DIGITS digits."""
     declared: set[str] = set()
     for p in params:
         if p in RESERVED:
@@ -308,3 +410,4 @@ def check_identity_scope(lhs: Node, rhs: Node, params: tuple[str, ...]) -> None:
             if isinstance(node, Sum) and node.var in declared:
                 raise ParseError(
                     f"sum variable '{node.var}' shadows a declared parameter")
+        _constant_size(side)

@@ -5,7 +5,11 @@ parameters in which every subexpression is computed in the shallowest
 loop that binds everything it reads. The seeds are not a loop: a side
 that reads no G is evaluated once per point for all of them, and sides
 linear in G are evaluated on two basis seeds, from which every requested
-seed's values follow by linear combination. The sweep is the only
+seed's values follow by linear combination. When some parameter s loops
+and the sides read it only as s + (terms without s) inside G indices,
+the sweep loops s innermost and evaluates the sides on the seed (0, 1)
+alone: their values on the seed (1, 0) at s are those on (0, 1) at
+s - 1, the previous step's, since B10(e) = B01(e - 1). The sweep is the only
 generated code: a side's value at one point is the one-point sweep of
 side == 0, and an evaluation error is located point by point with one
 compiled one-point sweep. All arithmetic is unbounded int; a PASS means
@@ -29,7 +33,7 @@ from .catalog import Identity
 from .errors import EvalError, GridError, InternalFault
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    children,
+    children, free_symbols,
 )
 from .ranges import Interval, expr_interval, index_window, merge_windows, point_intervals
 from .seq import FIB_SEED, LUCAS_SEED, Seed, table
@@ -274,26 +278,71 @@ def _g_degree(node: Node) -> int | None:
     return 0  # literals, symbols, binom, sign, pow5floor
 
 
+def _coefficient(index: Node, s: str) -> int | None:
+    """The coefficient of s in an index expression, when the expression is
+    s times a constant plus terms that do not read s; else None."""
+    if isinstance(index, Sym):
+        return 1 if index.name == s else 0
+    if isinstance(index, (Add, Sub)):
+        left, right = _coefficient(index.left, s), _coefficient(index.right, s)
+        if left is None or right is None:
+            return None
+        return left + right if isinstance(index, Add) else left - right
+    if isinstance(index, Neg):
+        c = _coefficient(index.operand, s)
+        return None if c is None else -c
+    if isinstance(index, Mul):
+        for factor, other in ((index.left, index.right), (index.right, index.left)):
+            if not free_symbols(other):  # a constant factor
+                c = _coefficient(factor, s)
+                return None if c is None else c * expr_interval(other, {})[0]
+        reads = [s in free_symbols(f) for f in (index.left, index.right)]
+        return None if any(reads) else 0
+    return 0  # a literal
+
+
+def _reads_only_shifted(node: Node, s: str) -> bool:
+    """Whether node reads s nowhere but in G indices, and each G index is
+    s plus terms that do not read s."""
+    if isinstance(node, SeqRef) and node.kind == "G":
+        return _coefficient(node.arg, s) == 1
+    if isinstance(node, Sym):
+        return node.name != s
+    if isinstance(node, Sum) and node.var == s:
+        return False
+    return all(_reads_only_shifted(child, s) for child in children(node))
+
+
 class _Plan(NamedTuple):
     """One pass of a sweep over the grid.
 
     The pass evaluates both sides once per G table in tables, or once,
-    reading no G, when there is none. With basis, the tables are the
-    basis seeds and seeds holds (index, g0, g1) of every requested seed;
-    without, seeds holds the indices of the requested seeds whose values
-    the one pair of sides gives.
+    reading no G, when there is none. With basis, seeds holds (index, g0,
+    g1) of every requested seed, whose values follow from the sides' values
+    on the basis seeds; without, seeds holds the indices of the requested
+    seeds whose values the one pair of sides gives. A basis pass evaluates
+    its sides on both basis tables, or, with shift, only on B01's: since
+    B10(e) = B01(e - 1), a side's value on B10 at a point is its value on
+    B01 one step back along the parameter shift.
     """
 
     basis: bool
     tables: tuple[Seed, ...]
     seeds: tuple[tuple[int, int, int] | int, ...]
+    shift: str | None = None
 
 
-def _plans(identity: Identity, seeds: Sequence[Seed]) -> list[_Plan]:
+def _plans(identity: Identity, spec: GridSpec) -> list[_Plan]:
     """The passes that cover every requested seed: one pass for all seeds
     when neither side reads G, one on the basis when both sides are linear
     in G and there are at least two distinct seeds, else one pass per
-    distinct seed, on its own table."""
+    distinct seed, on its own table.
+
+    The basis pass shifts along the first parameter that takes more than
+    one value and that both sides read only as s + (terms that do not read
+    s) inside G indices, when there is one.
+    """
+    seeds = spec.seeds
     degrees = {_g_degree(identity.lhs), _g_degree(identity.rhs)}
     if degrees == {0}:
         return [_Plan(False, (), tuple(range(len(seeds))))]
@@ -301,7 +350,13 @@ def _plans(identity: Identity, seeds: Sequence[Seed]) -> list[_Plan]:
     for i, seed in enumerate(seeds):
         groups.setdefault(seed, []).append(i)
     if degrees == {1} and len(groups) >= len(_BASIS):
-        return [_Plan(True, _BASIS, tuple((i, s.g0, s.g1) for i, s in enumerate(seeds)))]
+        coeffs = tuple((i, s.g0, s.g1) for i, s in enumerate(seeds))
+        for p in identity.free_params:
+            lo, hi = spec.ranges[p]
+            if lo < hi and all(_reads_only_shifted(side, p)
+                               for side in (identity.lhs, identity.rhs)):
+                return [_Plan(True, _BASIS[1:], coeffs, p)]
+        return [_Plan(True, _BASIS, coeffs)]
     return [_Plan(False, (seed,), tuple(group)) for seed, group in groups.items()]
 
 
@@ -370,14 +425,15 @@ def _axis(spec: GridSpec, param: str) -> range:
 
 
 def _loop_order(identity: Identity, spec: GridSpec,
-                pairs: int) -> tuple[tuple[str, ...], int]:
+                plan: _Plan) -> tuple[tuple[str, ...], int]:
     """The parameters, outermost first, and how many of them lead as fixed
     values before the first loop.
 
     A term is computed once per iteration of the loops down to the deepest
     one it reads (once per index value inside a sum, once per pair of
     sides if it reads G); of all orders of the loops, the first one with
-    the fewest such computations wins.
+    the fewest such computations wins. The plan's shift parameter loops
+    innermost, where each step hands its pair of sides to the next.
     """
     params = identity.free_params
     lengths = {p: len(_axis(spec, p)) for p in params}
@@ -386,6 +442,7 @@ def _loop_order(identity: Identity, spec: GridSpec,
     if len(loops) > _MAX_LOOPS:
         raise GridError(f"grid varies {len(loops)} parameters; "
                         f"a sweep nests at most {_MAX_LOOPS} loops")
+    pairs = max(1, len(plan.tables))
     env = {p: spec.ranges[p] for p in params}
     weights: dict[frozenset[str], int] = {}
     for side in (identity.lhs, identity.rhs):
@@ -401,8 +458,10 @@ def _loop_order(identity: Identity, spec: GridSpec,
         return sum(count * max(map(reach.__getitem__, deps), default=1)
                    for deps, count in weights.items())
 
-    orders = itertools.permutations(loops) if len(loops) <= _MAX_SEARCH else (loops,)
-    return fixed + min(orders, key=cost), len(fixed)
+    last = (plan.shift,) if plan.shift else ()
+    free = tuple(p for p in loops if p not in last)
+    orders = itertools.permutations(free) if len(free) <= _MAX_SEARCH else (free,)
+    return fixed + min((order + last for order in orders), key=cost), len(fixed)
 
 
 class _Body(NamedTuple):
@@ -504,7 +563,7 @@ class _SweepWriter:
 
 
 def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
-                  oracle: bool, basis: bool, tables: int) -> str:
+                  oracle: bool, basis: bool, tables: int, shift: str | None) -> str:
     params = identity.free_params
     pairs = max(1, tables)
     writer = _SweepWriter(params, order)
@@ -514,7 +573,11 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
     for j in range(pairs):
         writer.g = f"_G{j}"
         lhs, rhs = (writer.place(side, innermost, None)[0] for side in sides)
-        last += [f"_l{j} = {lhs}", f"_r{j} = {rhs}"]
+        # with shift, the one pair is on B01; B10's is the previous step's
+        k = 1 if shift else j
+        last += [f"_l{k} = {lhs}", f"_r{k} = {rhs}"]
+    step = list(last)
+    carry = "_l0, _r0 = _l1, _r1"
     point = "(" + "".join(f"{writer.names[p]}, " for p in params) + ")"
     if basis:
         derive = ["for _si, _g0, _g1 in _S:",
@@ -526,6 +589,8 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         # a point where both basis pairs agree passes for every seed
         last += derive if oracle else ["if _l0 != _r0 or _l1 != _r1:",
                                        *("    " + line for line in derive)]
+        if shift:
+            last.append(carry)
     else:
         if oracle:
             last += ["for _si in _S:", f"    _check({point}, _si, _l0, _r0)"]
@@ -542,6 +607,9 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         if j < fixed:
             out.append(f"{indent}{name} = {axes[j]}[0]")
         else:
+            if var == shift:  # the pair one step before the loop's first
+                out += [f"{indent}{name} = {axes[j]}[0] - 1",
+                        *(indent + line for line in step), indent + carry]
             out.append(f"{indent}for {name} in {axes[j]}:")
             indent += "    "
         out += [indent + line for line in writer.lines[j + 1]]
@@ -552,15 +620,16 @@ _compile_cache: dict[tuple, Callable[..., None]] = {}
 
 
 def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
-                   oracle: bool, basis: bool, tables: int) -> Callable[..., None]:
+                   oracle: bool, plan: _Plan) -> Callable[..., None]:
     """fn(*axes, F, L, *G tables, seeds, failures, check) running one pass
-    (see _Plan) over the grid; axes are the ranges of order's parameters,
-    and check, with oracle, sees every point's values for every seed."""
-    key = (identity.lhs, identity.rhs, identity.free_params, order, fixed, oracle,
-           basis, tables)
+    of plan's kind over the grid; axes are the ranges of order's
+    parameters, and check, with oracle, sees every point's values for
+    every seed."""
+    shape = (plan.basis, len(plan.tables), plan.shift)
+    key = (identity.lhs, identity.rhs, identity.free_params, order, fixed, oracle, shape)
     fn = _compile_cache.get(key)
     if fn is None:
-        source = _sweep_source(identity, order, fixed, oracle, basis, tables)
+        source = _sweep_source(identity, order, fixed, oracle, *shape)
         scope: dict[str, Any] = {}
         exec(compile(source, "<fibkit>", "exec"), dict(_COMPILE_GLOBALS), scope)
         fn = _compile_cache[key] = scope["_sweep"]
@@ -589,9 +658,13 @@ def _grid_desc(identity: Identity, spec: GridSpec) -> dict[str, Any]:
     }
 
 
-def _grid_window(identity: Identity, spec: GridSpec) -> Interval | None:
-    """Every sequence index either side reads anywhere on the grid."""
+def _grid_window(identity: Identity, spec: GridSpec,
+                 shift: str | None = None) -> Interval | None:
+    """Every sequence index either side reads anywhere on the grid, the
+    axis of shift, when given, reaching one step lower."""
     env = {p: spec.ranges[p] for p in identity.free_params}
+    if shift is not None:
+        env[shift] = (env[shift][0] - 1, env[shift][1])
     return merge_windows(index_window(identity.lhs, env),
                          index_window(identity.rhs, env))
 
@@ -631,14 +704,18 @@ def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
     slice shard = (start, stop) of the sweep's outermost loop."""
     # compiled first: a symbol with no value is named as such, before the
     # window analysis finds it has no range
-    sweeps = [_compile_sweep(identity, order, fixed, use_oracle, plan.basis,
-                             len(plan.tables)) for plan in plans]
-    window = _grid_window(identity, spec)
+    sweeps = [_compile_sweep(identity, order, fixed, use_oracle, plan) for plan in plans]
+    shift = plans[0].shift
+    window = _grid_window(identity, spec, shift)
     f_tab, l_tab, g_tabs = _build_tables(window, [s for p in plans for s in p.tables])
     axes = [_axis(spec, v) for v in order]
     if shard is not None:
         axes[fixed] = axes[fixed][shard[0]:shard[1]]
-    check = _oracle_check(identity, spec, window) if use_oracle else None
+    if use_oracle:  # on the grid's own window
+        check = _oracle_check(identity, spec,
+                              _grid_window(identity, spec) if shift else window)
+    else:
+        check = None
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     for plan, sweep in zip(plans, sweeps):
         sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,
@@ -685,7 +762,8 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec,
     """
     params = identity.free_params
     f_tab, l_tab, g_tabs = _build_tables(_grid_window(identity, spec), spec.seeds)
-    sweep = _compile_sweep(identity, params, len(params), False, False, 1)
+    sweep = _compile_sweep(identity, params, len(params), False,
+                           _Plan(False, spec.seeds[:1], (0,)))
     for seed in spec.seeds:
         for vals in spec.points(params):
             try:
@@ -724,8 +802,8 @@ def verify_grid(identity: Identity, spec: GridSpec, *, workers: int = 1,
     _check_spec_covers(identity, spec)
     params = identity.free_params
     started = time.perf_counter()
-    plans = _plans(identity, spec.seeds)
-    order, fixed = _loop_order(identity, spec, max(1, len(plans[0].tables)))
+    plans = _plans(identity, spec)
+    order, fixed = _loop_order(identity, spec, plans[0])
     shards = _shards(spec, order, fixed, _processes(workers))
     try:
         if len(shards) > 1:

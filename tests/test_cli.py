@@ -296,6 +296,19 @@ def test_eq_variants_json_bytes_are_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EQ_VARIANTS
 
 
+# sha256 of stdout, taken from the basis sweep that evaluated both basis
+# seeds at every point; the shift plan must print the same bytes.
+GOLDEN_ORACLE_BOX = "34bc7bbef0d69b6865f49e231d1dffa861f1ed40f3b98dada559197f35282cc5"
+
+
+def test_oracle_box_json_bytes_are_golden(capsys):
+    # the benchmark's oracle_sweep grid, on the default seeds
+    code, out, _ = run(capsys, "verify", "--all", "--oracle", "--n", "0..4",
+                       "--m", "-2..2", "--p", "-2..2", "--q", "-2..2", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORACLE_BOX
+
+
 # sha256 of stdout, taken from the prover that rebuilt each proof once per
 # parity case; the one-pass prover with sign symbols must print the same bytes.
 GOLDEN_PROVE_RANKS = "3070b287a5b143c9b9206dbaff835e7dc51595be7dd6fffc9a3161ea56fb7954"
@@ -376,6 +389,37 @@ def test_parameter_declared_twice_exits_2(capsys, tmp_path, command):
     assert out == ""
     assert err == (f"fibkit: error: {twice}:2: in identity 'Twice': "
                    f"parameter 'm' is declared twice\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "prove"])
+@pytest.mark.parametrize("constant,digits", [
+    ("3^100000000", "47,712,126"),
+    ("binom(100000000, 50000000)", "30,103,000"),
+    ("pow5floor(2000000000)", "698,970,005"),
+])
+def test_huge_constant_exits_2_before_computing(capsys, tmp_path, command, constant,
+                                                digits):
+    huge = tmp_path / "huge.cat"
+    huge.write_text("name: Huge\nparams: m\npaper: h\n"
+                    f"identity: F(m)*{constant} == F(m)*{constant}\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, "--file", str(huge))
+    assert time.perf_counter() - started < 5
+    assert (code, out) == (2, "")
+    assert err == (f"fibkit: error: {huge}:1: in identity 'Huge': constant {constant} "
+                   f"has up to {digits} decimal digits, over the 2,000,000-digit limit\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "prove"])
+def test_constants_within_the_digit_limit_still_run(capsys, tmp_path, command):
+    fine = tmp_path / "fine.cat"
+    # a base of -1 or 0 keeps any power small
+    fine.write_text("name: Fine\nparams: m\npaper: f\n"
+                    "identity: F(m)*2^1000 + sign(3)^100000000 + (3 - 3)^100000000 == "
+                    "F(m)*2^1000 + 1\n")
+    code, out, err = run(capsys, command, "--file", str(fine), "--format", "json")
+    assert (code, err) == (0, "")
+    assert all(report["failures"] == [] for report in json.loads(out))
 
 
 class _ClosedStdout:

@@ -1,5 +1,7 @@
 """Parser: grammar, precedence, errors, and print round-trips."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,3 +246,28 @@ def test_fuzz_token_soup_never_crashes(tokens):
         parse_expr(" ".join(tokens))
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("constant,size", [
+    ("10^2000000", "up to 2,000,001"),
+    ("F(10000000)", "up to 2,089,877"),
+    ("(2^1000000)^7", "up to 2,107,210"),
+    ("F(1" + "0" * 400 + ")", "more than 10^14"),
+    ("2^(1" + "0" * 400 + ")", "more than 10^14"),
+    ("binom(1" + "0" * 400 + ", 1" + "0" * 399 + ")", "more than 10^14"),
+])
+def test_constant_over_the_digit_limit_is_refused(constant, size):
+    message = f"has {size} decimal digits, over the 2,000,000-digit limit"
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        parse_identity(f"F(m) + {constant} == F(m)", name="huge", params=("m",))
+
+
+@pytest.mark.parametrize("constant", [
+    "10^1999999", "F(9000000)", "binom(6000000, 3000000)", "F(2)^100000000",
+    "(3 - 3)^100000000", "sign(7)^100000000", "binom(1" + "0" * 400 + ", 3)",
+    "binom(5, 7)^100000000", "2^(0 - 100000000)", "m^100000000", "G(1)^100000000",
+])
+def test_constant_within_the_digit_limit_is_accepted(constant):
+    # the last four are not constants the bound covers: a power with a
+    # negative exponent is an evaluation error, and m or G(1) varies
+    parse_identity(f"F(m) + {constant} == F(m)", name="fine", params=("m",))

@@ -498,7 +498,7 @@ def test_basis_sweep_matches_oracle_and_point_by_point(data):
     seeds += data.draw(st.lists(st.sampled_from(seeds), min_size=max(0, 3 - len(seeds)),
                                    max_size=2))
     spec = GridSpec(_draw_grid(data, identity), tuple(data.draw(st.permutations(seeds))))
-    assert [plan.basis for plan in verify._plans(identity, spec.seeds)] == [True]
+    assert [plan.basis for plan in verify._plans(identity, spec)] == [True]
     _matches_oracle_and_point_by_point(identity, spec)
 
 
@@ -512,7 +512,7 @@ def test_zero_seed_never_fails_a_linear_variant():
     variants = load_catalog_file(str(DATA / "eq_variants.cat"))
     for name in ("Eq1.shift", "Eq2.scale", "Eq4.shift"):
         identity = variants.get(name)
-        assert [p.basis for p in verify._plans(identity, VARIANT_SPEC.seeds)] == [True]
+        assert [p.basis for p in verify._plans(identity, VARIANT_SPEC)] == [True]
         seeds = {f.seed for f in verify_grid(identity, VARIANT_SPEC).failures}
         assert seeds == {Seed(0, 1), Seed(3, 7), Seed(-4, 5)}, name
     # the offset of Eq3.offset is no multiple of G: it fails at (0, 0) too
@@ -534,8 +534,9 @@ def test_basis_reports_only_the_seeds_that_differ():
 def test_g_free_identity_fails_once_per_seed_at_each_point():
     bad = parse_identity("F(m + 1) == F(m)", name="off-by-one", params=("m",))
     seeds = (Seed(0, 1), Seed(2, 1), Seed(0, 0), Seed(2, 1))
-    report = verify_grid(bad, GridSpec({"m": (-3, 3)}, seeds))
-    assert verify._plans(bad, seeds) == [verify._Plan(False, (), (0, 1, 2, 3))]
+    spec = GridSpec({"m": (-3, 3)}, seeds)
+    report = verify_grid(bad, spec)
+    assert verify._plans(bad, spec) == [verify._Plan(False, (), (0, 1, 2, 3))]
     failing = [m for m in range(-3, 4) if fib(m + 1) != fib(m)]
     assert [(dict(f.point)["m"], f.seed) for f in report.failures] == \
         [(m, seed) for m in failing for seed in seeds]
@@ -553,28 +554,31 @@ def test_g_free_identity_fails_once_per_seed_at_each_point():
 def test_nonlinear_sides_take_the_per_seed_path(text):
     identity = parse_identity(text, name="t", params=("p", "q"))
     seeds = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(0, 0), Seed(3, 7))
-    plans = verify._plans(identity, seeds)
-    assert not any(plan.basis for plan in plans)
     spec = GridSpec({"p": (-3, 3), "q": (0, 3)}, seeds)
+    plans = verify._plans(identity, spec)
+    assert not any(plan.basis for plan in plans)
     _matches_oracle_and_point_by_point(identity, spec)
 
 
 def test_per_seed_plan_runs_one_pass_per_distinct_seed():
     identity = parse_identity("G(p)*G(p) == G(p)*G(p + 1)", name="t", params=("p",))
     seeds = (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(0, 0))
-    plans = verify._plans(identity, seeds)
+    spec = GridSpec({"p": (-3, 3)}, seeds)
+    plans = verify._plans(identity, spec)
     assert plans == [verify._Plan(False, (Seed(0, 1),), (0, 2)),
                      verify._Plan(False, (Seed(3, 7),), (1,)),
                      verify._Plan(False, (Seed(0, 0),), (3,))]
-    _matches_oracle_and_point_by_point(identity, GridSpec({"p": (-3, 3)}, seeds))
+    _matches_oracle_and_point_by_point(identity, spec)
 
 
 def test_two_distinct_seeds_take_the_basis():
     identity = parse_identity("G(p + 2) == G(p + 1) + F(p)*G(p - 1)", name="t", params=("p",))
     seeds = (Seed(3, 7), Seed(-4, 5), Seed(3, 7))
-    assert [plan.basis for plan in verify._plans(identity, seeds)] == [True]
-    assert [plan.basis for plan in verify._plans(identity, seeds[:1])] == [False]
-    _matches_oracle_and_point_by_point(identity, GridSpec({"p": (-3, 3)}, seeds))
+    spec = GridSpec({"p": (-3, 3)}, seeds)
+    assert [plan.basis for plan in verify._plans(identity, spec)] == [True]
+    one = GridSpec(spec.ranges, seeds[:1])
+    assert [plan.basis for plan in verify._plans(identity, one)] == [False]
+    _matches_oracle_and_point_by_point(identity, spec)
 
 
 def test_four_seeds_build_one_g_table(catalog, monkeypatch):
@@ -585,24 +589,161 @@ def test_four_seeds_build_one_g_table(catalog, monkeypatch):
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)})
     assert len(spec.seeds) == 4
     assert verify_grid(catalog.get("Eq1"), spec).passed
-    # F, L and the basis seed (1, 0); the basis seed (0, 1) reads the F table
+    # p loops: the shift plan reads B10 one step back on the F table
+    assert built == [Seed(0, 1), Seed(2, 1)]
+    built.clear()
+    fixed = GridSpec({**spec.ranges, "p": (1, 1)})
+    assert verify_grid(catalog.get("Eq1"), fixed).passed
+    # p fixed: F, L and the basis seed (1, 0); the basis seed (0, 1) reads F
     assert built == [Seed(0, 1), Seed(2, 1), Seed(1, 0)]
     built.clear()
     assert verify_grid(catalog.get("Eq8"), GridSpec({"m": (0, 2), "n": (0, 2)})).passed
     assert built == [Seed(0, 1), Seed(2, 1)]  # no G table for a G-free identity
 
 
+SHIFTED = parse_identity("G(p + 2) == G(p + 1) + G(p) + G(p - 1)",
+                         name="shifted", params=("p",))
+
+
 def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
-    shifted = parse_identity("G(p + 2) == G(p + 1) + G(p) + G(p - 1)",
-                             name="shifted", params=("p",))
-    spec = GridSpec({"p": (-3, 3)})
-    right = verify_grid(shifted, spec).to_json_dict()
+    # p fixed: the two-pair basis plan
+    spec = GridSpec({"p": (1, 1)})
+    fixed = GridSpec({**VARIANT_SPEC.ranges, "p": (1, 1)}, VARIANT_SPEC.seeds)
+    assert [p.shift for p in verify._plans(catalog.get("Eq1"), fixed)] == [None]
+    right = verify_grid(SHIFTED, spec).to_json_dict()
     monkeypatch.setattr(verify, "_BASIS", (Seed(1, 1), Seed(0, 1)))
-    assert verify_grid(shifted, spec).to_json_dict() != right
-    for identity in (shifted, catalog.get("Eq1")):
+    assert verify_grid(SHIFTED, spec).to_json_dict() != right
+    for identity in (SHIFTED, catalog.get("Eq1")):
+        with pytest.raises(InternalFault,
+                           match=f"oracle disagrees with evaluator on '{identity.name}'"):
+            verify_grid(identity, fixed, use_oracle=True)
+
+
+def _wrong_table(monkeypatch):
+    # the shift plan's pass on the table of B10 instead of B01
+    plans = verify._plans
+    monkeypatch.setattr(verify, "_plans", lambda identity, spec: [
+        p._replace(tables=(Seed(1, 0),)) if p.shift else p for p in plans(identity, spec)])
+
+
+def _step_ahead(monkeypatch):
+    # the first B10 pair taken one step ahead of the loop's first point
+    source = verify._sweep_source
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    monkeypatch.setattr(verify, "_sweep_source",
+                        lambda *args: source(*args).replace("[0] - 1", "[0] + 1"))
+
+
+@pytest.mark.parametrize("mutate", [_wrong_table, _step_ahead])
+def test_oracle_catches_a_wrong_shift(catalog, monkeypatch, mutate):
+    spec = GridSpec({"p": (-3, 3)})
+    assert [p.shift for p in verify._plans(catalog.get("Eq1"), VARIANT_SPEC)] == ["p"]
+    right = verify_grid(SHIFTED, spec).to_json_dict()
+    mutate(monkeypatch)
+    assert [p.shift for p in verify._plans(SHIFTED, spec)] == ["p"]
+    assert verify_grid(SHIFTED, spec).to_json_dict() != right
+    for identity in (SHIFTED, catalog.get("Eq1")):
         with pytest.raises(InternalFault,
                            match=f"oracle disagrees with evaluator on '{identity.name}'"):
             verify_grid(identity, VARIANT_SPEC, use_oracle=True)
+
+
+# --- the shift plan -------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _shifted_sides(names):
+    """G-linear values whose G indices are all s plus an index over names,
+    and which read s nowhere else."""
+    def shifted(index):
+        return SeqRef("G", Add(Sym("s"), index))
+
+    free = _values(names, kinds=("F", "L"))
+    g = st.builds(shifted, _index_exprs(names))
+    return st.recursive(st.one_of(g, st.builds(Mul, free, g)), lambda inner: st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Neg, inner),
+        st.builds(Mul, free, inner),
+    ), max_leaves=4)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_shift_sweep_matches_oracle_and_point_by_point(data):
+    others = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                                      unique=True)))
+    params = tuple(data.draw(st.permutations(others + ("s",))))
+    top = _shifted_sides(others)
+    sums = st.builds(Sum, st.just("k"), st.one_of(st.just(Lit(0)), _index_exprs(others)),
+                     st.sampled_from(others).map(Sym), _shifted_sides(others + ("k",)))
+    sides = st.one_of(top, sums, st.builds(Add, top, sums))
+    lhs, rhs = data.draw(sides), data.draw(sides)
+    identity = parse_identity(f"{to_text(lhs)} == {to_text(rhs)}",
+                              name="random", params=params)
+    # two to four distinct seeds, then duplicates
+    seeds = data.draw(st.lists(SEEDS, min_size=2, max_size=4, unique=True))
+    seeds += data.draw(st.lists(st.sampled_from(seeds), max_size=2))
+    ranges = _draw_grid(data, identity)
+    lo = data.draw(st.integers(-3, 3))
+    ranges["s"] = (lo, lo + data.draw(st.integers(1, 3)))
+    spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
+    plans = verify._plans(identity, spec)
+    assert len(plans) == 1 and plans[0].basis and plans[0].shift is not None
+    assert plans[0].tables == (Seed(0, 1),)
+    _matches_oracle_and_point_by_point(identity, spec)
+
+
+@pytest.mark.parametrize("text,params,ranges", [
+    ("F(p)*G(p) == G(p + 1) - G(p - 1)", ("p",), {"p": (-3, 3)}),   # p outside G
+    ("G(2*p) == G(2*p + 1) - G(2*p - 1)", ("p",), {"p": (-3, 3)}),  # coefficient 2
+    ("G(-p) == G(1 - p) + G(-p - 1) - G(1 - p)", ("p",), {"p": (-3, 3)}),  # -1
+    ("G(p*q) == G(p*q + 2) - G(p*q + 1)", ("p", "q"), {"p": (-3, 3), "q": (-2, 2)}),
+    ("G(p + 2) == G(p + 1) + G(p)", ("p",), {"p": (3, 3)}),         # p fixed
+    ("G(p) + G(0) == G(p)", ("p",), {"p": (-2, 2)}),                # G(0) not shifted
+    ("G(p + q) == G(p) + sign(p)*G(q)", ("p", "q"), {"p": (-2, 2), "q": (-2, 2)}),
+])
+def test_shift_plan_needs_every_g_index_shifted_by_one(text, params, ranges):
+    identity = parse_identity(text, name="t", params=params)
+    for seeds in ((Seed(0, 1), Seed(3, 7), Seed(3, 7)), (Seed(3, 7),)):
+        spec = GridSpec(ranges, seeds)
+        plans = verify._plans(identity, spec)
+        assert all(plan.shift is None for plan in plans)
+        assert [plan.basis for plan in plans] == [len(seeds) > 1]
+        _matches_oracle_and_point_by_point(identity, spec)
+
+
+def test_shift_plan_takes_the_first_qualifying_parameter(catalog):
+    spec = GridSpec({"n": (-2, 2), "m": (-2, 2), "p": (-2, 2)})
+    s3 = catalog.get("S3.n2.F-forward")
+    assert [p.shift for p in verify._plans(s3, spec)] == ["n"]
+    # n fixed: no other parameter is read only in G indices
+    assert [p.shift for p in verify._plans(s3, GridSpec({**spec.ranges, "n": (1, 1)}))] \
+        == [None]
+    both = parse_identity("G(p + q) == G(q + p)", name="t", params=("p", "q"))
+    spec = GridSpec({"p": (-2, 2), "q": (-2, 2)})
+    assert [p.shift for p in verify._plans(both, spec)] == ["p"]
+    assert verify._loop_order(both, spec, verify._plans(both, spec)[0]) == (("q", "p"), 0)
+    spec = GridSpec({"p": (4, 4), "q": (-2, 2)})
+    assert [p.shift for p in verify._plans(both, spec)] == ["q"]
+
+
+def test_shift_parameter_alone_in_shards_gives_the_serial_report(catalog, monkeypatch):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    wrong = parse_identity("F(m + p)*G(n) - F(m)*G(n + p) == sign(m)*F(p)*G(n - m + 1)",
+                           name="S3.n1.F-forward.wrong", params=("n", "m", "p"))
+    spec = GridSpec({"n": (-8, 8), "m": (2, 2), "p": (3, 3)},
+                    (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5), Seed(1, 0)))
+    for identity in (catalog.get("S3.n1.F-forward"), wrong):
+        assert [p.shift for p in verify._plans(identity, spec)] == ["n"]
+        serial = verify_grid(identity, spec).to_json_dict()
+        assert verify_grid(identity, spec, workers=4).to_json_dict() == serial
+        assert verify_grid(identity, spec, workers=4, use_oracle=True).to_json_dict() \
+            == serial
+    assert InlinePool.sizes == [4] * 4
+    assert not verify_grid(wrong, spec).passed
 
 
 @pytest.mark.parametrize("seeds", [(F_SEED,), STANDARD_SEEDS])
@@ -613,12 +754,11 @@ def test_nineteen_loops_compile_with_the_seed_loops(seeds):
     identity = parse_identity(f"sum(k, 0, x0, G(k + {' + '.join(names)})) == G(x1)",
                               name="deep", params=names)
     spec = GridSpec({x: (0, 1) for x in names}, seeds)
-    for plan in verify._plans(identity, seeds):
-        order, fixed = verify._loop_order(identity, spec, max(1, len(plan.tables)))
+    for plan in verify._plans(identity, spec):
+        order, fixed = verify._loop_order(identity, spec, plan)
         assert fixed == 0
         for oracle_check in (False, True):
-            verify._compile_sweep(identity, order, fixed, oracle_check, plan.basis,
-                                  len(plan.tables))
+            verify._compile_sweep(identity, order, fixed, oracle_check, plan)
 
 
 # --- report serialization ----------------------------------------------------
