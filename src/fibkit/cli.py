@@ -19,17 +19,17 @@ import os
 import re
 import sys
 import time
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from typing import Sequence
 
 from .catalog import Catalog, Identity, builtin_catalog, load_catalog_file
 from .errors import FibkitError, InternalFault
-from .parser import MAX_DIGITS
+from .parser import MAX_DIGITS, _LOG10_PHI
 from .seq import (
     FIB_SEED, LUCAS_SEED, Seed, fib, fib_naive, fib_pair_doubling, gen, lucas,
 )
 from .symbolic import prove_symbolic
-from .verify import STANDARD_SEEDS, GridSpec, VerifyReport, process_pool, verify_grid
+from .verify import STANDARD_SEEDS, GridSpec, VerifyReport, verify_grid
 
 CATALOG_ENV = "FIBKIT_CATALOG"
 
@@ -241,18 +241,32 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_job(job: tuple[Identity, GridSpec, bool]) -> VerifyReport:
+    identity, spec, use_oracle = job
+    return verify_grid(identity, spec, use_oracle=use_oracle)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    """One job per identity, run in catalog order: in a loop, or with
+    --workers N by one pool of min(N, CPU count, identities) processes for
+    the whole command. Either way the first job to raise, in catalog order,
+    decides the error, and the jobs not yet started are dropped."""
     if args.workers < 1:
         raise FibkitError(f"--workers must be at least 1, got {args.workers}")
     catalog = _resolve_catalog(args)
     entries = _select_entries(catalog, args)
-    pool = process_pool(args.workers)
-    with pool or nullcontext():
-        reports = [
-            verify_grid(e, _grid_for(e, args), workers=args.workers,
-                        use_oracle=args.oracle, pool=pool)
-            for e in entries
-        ]
+    jobs = [(e, _grid_for(e, args), args.oracle) for e in entries]
+    processes = min(args.workers, os.cpu_count() or 1, len(jobs))
+    if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=processes)
+        try:
+            reports = list(pool.map(_verify_job, jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        reports = [_verify_job(job) for job in jobs]
     _emit_reports(reports, args.format, args.timing)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -292,9 +306,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-_PHI_LOG10 = math.log10((1 + math.sqrt(5)) / 2)
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     for n in args.n:
         if n < 0:
@@ -306,7 +317,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         value = fib_pair_doubling(n)[0]
         fast_ms = (time.perf_counter() - t0) * 1000.0
         digits = decimal_digits(value)
-        law = math.floor(n * _PHI_LOG10) + 1 if n > 0 else 1
+        law = math.floor(n * _LOG10_PHI) + 1 if n > 0 else 1
         law_mark = "ok" if abs(digits - law) <= 1 else "MISMATCH"
         if n <= args.naive_threshold:
             t0 = time.perf_counter()
@@ -368,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help=f"range for parameter {flag}")
     p_verify.add_argument("--seeds", nargs="+", metavar="G0,G1",
                           help="seeds for G (semicolon-separated pairs also work)")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int, default=1, metavar="N",
+                          help="verify the selected identities in up to N processes")
     p_verify.add_argument("--oracle", action="store_true",
                           help="double-check every point with the brute-force oracle")
     add_output(p_verify)

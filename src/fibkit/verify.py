@@ -19,10 +19,7 @@ exact equality at every point and seed.
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import comb, prod
 from typing import (
@@ -40,7 +37,7 @@ from .seq import FIB_SEED, LUCAS_SEED, Seed, table
 
 __all__ = [
     "ParamPoint", "GridSpec", "Failure", "VerifyReport",
-    "eval_side", "verify_grid", "process_pool", "STANDARD_SEEDS", "MAX_GRID_CHECKS",
+    "eval_side", "verify_grid", "STANDARD_SEEDS", "MAX_GRID_CHECKS",
 ]
 
 STANDARD_SEEDS = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5))
@@ -698,10 +695,8 @@ def _oracle_check(identity: Identity, spec: GridSpec,
 
 def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
                 fixed: int, plans: Sequence[_Plan], use_oracle: bool,
-                shard: tuple[int, int] | None = None,
                 ) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Raw failures (point, seed index, lhs, rhs) of the grid, or of the
-    slice shard = (start, stop) of the sweep's outermost loop."""
+    """Raw failures (point, seed index, lhs, rhs) of the grid."""
     # compiled first: a symbol with no value is named as such, before the
     # window analysis finds it has no range
     sweeps = [_compile_sweep(identity, order, fixed, use_oracle, plan) for plan in plans]
@@ -709,8 +704,6 @@ def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
     window = _grid_window(identity, spec, shift)
     f_tab, l_tab, g_tabs = _build_tables(window, [s for p in plans for s in p.tables])
     axes = [_axis(spec, v) for v in order]
-    if shard is not None:
-        axes[fixed] = axes[fixed][shard[0]:shard[1]]
     if use_oracle:  # on the grid's own window
         check = _oracle_check(identity, spec,
                               _grid_window(identity, spec) if shift else window)
@@ -733,21 +726,6 @@ def eval_side(ast: Node, pt: ParamPoint) -> int:
     plan = _Plan(False, (pt.seed,), (0,))
     failures = _sweep_grid(identity, spec, params, len(params), [plan], False)
     return failures[0][2] if failures else 0
-
-
-def _shard_job(args: tuple) -> list[tuple[tuple[int, ...], int, int, int]]:
-    return _sweep_grid(*args)
-
-
-def _shards(spec: GridSpec, order: tuple[str, ...], fixed: int,
-            jobs: int) -> list[tuple[int, int] | None]:
-    """Contiguous slices of the outermost loop, at most one per job; [None]
-    when the sweep runs whole."""
-    if jobs < 2 or fixed == len(order):
-        return [None]
-    length = len(_axis(spec, order[fixed]))
-    count = min(jobs, length)
-    return [(length * i // count, length * (i + 1) // count) for i in range(count)]
 
 
 def _raise_first_eval_error(identity: Identity, spec: GridSpec,
@@ -775,44 +753,22 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec,
                         f"but no point raises when evaluated alone") from exc
 
 
-def _processes(workers: int) -> int:
-    return min(workers, os.cpu_count() or 1)
-
-
-def process_pool(workers: int) -> ProcessPoolExecutor | None:
-    """A pool that several verify_grid calls can share: min(workers, CPU
-    count) processes, or None when that is one."""
-    size = _processes(workers)
-    return ProcessPoolExecutor(max_workers=size) if size > 1 else None
-
-
-def verify_grid(identity: Identity, spec: GridSpec, *, workers: int = 1,
-                use_oracle: bool = False,
-                pool: ProcessPoolExecutor | None = None) -> VerifyReport:
+def verify_grid(identity: Identity, spec: GridSpec, *,
+                use_oracle: bool = False) -> VerifyReport:
     """Check lhs == rhs at every grid point and seed; list every failure.
 
     The grid runs as one compiled sweep, in passes that cover the seeds
-    (see _plans); with workers > 1, as contiguous slices of the sweep's
-    outermost loop in at most min(workers, CPU count) processes, those of
-    pool when given (see process_pool), else of a pool made for this call.
-    The result is independent of evaluation order and worker count:
-    failures are sorted by point (lexicographically in parameter order),
-    then by seed position.
+    (see _plans). The result is independent of evaluation order: failures
+    are sorted by point (lexicographically in parameter order), then by
+    seed position.
     """
     _check_spec_covers(identity, spec)
     params = identity.free_params
     started = time.perf_counter()
     plans = _plans(identity, spec)
     order, fixed = _loop_order(identity, spec, plans[0])
-    shards = _shards(spec, order, fixed, _processes(workers))
     try:
-        if len(shards) > 1:
-            jobs = [(identity, spec, order, fixed, plans, use_oracle, s) for s in shards]
-            with (nullcontext(pool) if pool is not None
-                  else ProcessPoolExecutor(max_workers=len(shards))) as run:
-                raw = [f for part in run.map(_shard_job, jobs) for f in part]
-        else:
-            raw = _sweep_grid(identity, spec, order, fixed, plans, use_oracle)
+        raw = _sweep_grid(identity, spec, order, fixed, plans, use_oracle)
     except EvalError as exc:
         _raise_first_eval_error(identity, spec, exc)
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -51,3 +53,28 @@ def step_identity():
 @pytest.fixture(scope="session")
 def relabel():
     return replace_symbols
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs here."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The sizes of the pools the CLI opens, each an InlinePool, on a
+    machine of 4 CPUs unless the test sets os.cpu_count itself."""
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return InlinePool.sizes

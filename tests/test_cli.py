@@ -3,13 +3,16 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from fibkit import Seed, cli, gen
+import fibkit
+from fibkit import Seed, cli, gen, verify
 from fibkit.catalog import MAX_CATALOG_BYTES
 from fibkit.cli import decimal_digits, main
 
@@ -213,12 +216,40 @@ def test_verify_deep_or_long_identity_exits_2(capsys, tmp_path, identity):
     assert "levels" in err and "Traceback" not in err
 
 
-def test_verify_json_byte_identical_across_workers(capsys):
-    argv = ("verify", "--id", "Eq3", "--n", "0..2", "--m", "-3..3",
-            "--p", "-3..3", "--q", "-3..3", "--format", "json")
-    _, out1, _ = run(capsys, *argv, "--workers", "1")
-    _, out2, _ = run(capsys, *argv, "--workers", "3")
-    assert out1 == out2
+def test_verify_json_byte_identical_across_workers(capsys, monkeypatch, inline_pool):
+    # every format, on six identities that fail; human output shows each
+    # report's time, here held at 0
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    argv = ("verify", "--file", str(DATA / "eq_variants.cat"), "--n", "0..2",
+            "--m", "-2..2", "--p", "-2..2", "--q", "-2..2")
+    for fmt in ("json", "csv", "human"):
+        serial = run(capsys, *argv, "--format", fmt, "--workers", "1")
+        assert serial[0] == 1
+        for workers in ("2", "3"):
+            assert run(capsys, *argv, "--format", fmt, "--workers", workers) == serial
+    assert inline_pool == [2, 3] * 3
+
+
+def test_import_and_serial_verify_load_no_process_pool():
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(fibkit.__file__).parents[1])!r})\n"
+        "import contextlib, io, fibkit\n"
+        "def pools():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+        "print(pools())\n"
+        "from fibkit import cli\n"
+        "fibkit.builtin_catalog()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--id', 'Eq8', '--m', '0..1', '--n', '0..1',\n"
+        "                     '--workers', '2'])\n"
+        "print(code, pools())\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n0 []\n"
 
 
 def test_verify_csv_format(capsys):

@@ -2,6 +2,9 @@
 
 import functools
 import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import pytest
@@ -92,8 +95,7 @@ def test_hand_built_nested_sum_is_refused():
     spec = GridSpec({"n": (0, 3)}, (F_SEED, Seed(3, 7)))
     calls = [lambda: eval_side(nested, ParamPoint({"n": 2})),
              lambda: verify_grid(identity, spec),
-             lambda: verify_grid(identity, spec, use_oracle=True),
-             lambda: verify_grid(identity, spec, workers=2)]
+             lambda: verify_grid(identity, spec, use_oracle=True)]
     for call in calls:
         with pytest.raises(FibkitError, match="^nested sums are not supported$") as info:
             call()
@@ -207,23 +209,6 @@ def test_eval_errors_annotated_with_point():
         verify_grid(bad, spec)
 
 
-def test_workers_match_sequential(catalog):
-    spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
-                    (Seed(0, 1), Seed(-4, 5)))
-    seq_report = verify_grid(catalog.get("Eq2"), spec, workers=1)
-    par_report = verify_grid(catalog.get("Eq2"), spec, workers=3)
-    assert seq_report.to_json_dict() == par_report.to_json_dict()
-
-
-def test_workers_match_on_failing_identity():
-    bad = parse_identity("F(m + 1) == F(m)", name="off-by-one", params=("m",))
-    spec = GridSpec({"m": (-6, 6)}, (F_SEED,))
-    a = verify_grid(bad, spec, workers=1)
-    b = verify_grid(bad, spec, workers=4)
-    assert a.to_json_dict() == b.to_json_dict()
-    assert not a.passed
-
-
 def test_use_oracle_cross_checks(catalog):
     spec = GridSpec({"m": (-3, 3), "n": (-3, 3)}, (F_SEED,))
     report = verify_grid(catalog.get("Eq8"), spec, use_oracle=True)
@@ -288,72 +273,128 @@ def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
         verify_grid(eq8, spec, use_oracle=True)
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs jobs here."""
+# --- the verify command's fan-out: one job per identity, one pool -------------
 
-    sizes: list = []
+VARIANTS = str(DATA / "eq_variants.cat")
+SMALL_GRID = ("--n", "0..2", "--m", "-2..2", "--p", "-2..2", "--q", "-2..2")
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+def verify_command(capsys, *argv):
+    code = cli.main(["verify", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+def stanzas(path, *entries):
+    """A catalog file of (name, params, identity) entries."""
+    path.write_text("".join(f"name: {name}\nparams: {params}\npaper: t\n"
+                            f"identity: {text}\n\n" for name, params, text in entries))
+    return str(path)
+
+
+def test_workers_match_sequential(inline_pool, capsys):
+    # the commands of the golden-bytes tests of verify --all and the oracle
+    # box in test_cli.py
+    for argv in (("--all", "--format", "json"),
+                 ("--all", "--oracle", "--n", "0..4", "--m", "-2..2", "--p", "-2..2",
+                  "--q", "-2..2", "--format", "json")):
+        serial = verify_command(capsys, *argv)
+        assert serial[0] == 0
+        for workers in ("2", "3"):
+            assert verify_command(capsys, *argv, "--workers", workers) == serial
+    assert inline_pool == [2, 3, 2, 3]
+
+
+def test_workers_match_on_failing_identity(capsys, monkeypatch):
+    # the golden-bytes test of the variants in test_cli.py, in a real pool
+    # of 2 processes: six reports with failures cross a process boundary
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("--file", VARIANTS, *SMALL_GRID, "--format", "json",
+            "--seeds", "0,1", "2,1", "3,7", "-4,5", "0,0", "1,0", "3,7")
+    serial = verify_command(capsys, *argv)
+    assert serial[0] == 1
+    assert verify_command(capsys, *argv, "--workers", "2") == serial
 
 
 @pytest.mark.parametrize("workers,cpus,pool", [
     (10 ** 6, 3, [3]),     # clamped to the CPU count
     (4, 64, [4]),
-    (64, 64, [5]),         # clamped to the shards: n, the outer loop, has 5 values
+    (64, 64, [6]),         # clamped to the identities: the catalog has 6
     (4, None, []),         # an unknown CPU count means one process: no pool
 ])
-def test_pool_size_is_clamped(catalog, monkeypatch, workers, cpus, pool):
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    bad = parse_identity(
-        "sum(k, 0, n, binom(n, k)*sign(k)*F(m)^k*F(m + q)^(n - k)*G(p + q*k))"
-        " == sign(n*m + 1)*F(q)^n*G(p - n*m)",
-        name="Eq1-flipped", params=("n", "m", "p", "q"))
-    spec = GridSpec({"n": (0, 4), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
-                    (Seed(0, 1), Seed(3, 7)))
-    report = verify_grid(bad, spec, workers=workers)
-    assert InlinePool.sizes == pool
-    assert report.to_json_dict() == verify_grid(bad, spec).to_json_dict()
-    assert not report.passed
+def test_pool_size_is_clamped(inline_pool, monkeypatch, capsys, workers, cpus, pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ("--file", VARIANTS, *SMALL_GRID, "--format", "json")
+    serial = verify_command(capsys, *argv)
+    assert serial[0] == 1
+    assert verify_command(capsys, *argv, "--workers", str(workers)) == serial
+    assert inline_pool == pool
 
 
-def test_eval_error_names_the_same_point_across_workers(monkeypatch):
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-    bad = parse_identity("F(m)^p == G(p)", name="neg-pow", params=("m", "p"))
-    spec = GridSpec({"m": (-3, 3), "p": (-2, 2)}, (Seed(2, 1), F_SEED))
-    shared = verify.process_pool(4)
-    for workers, pool in ((1, None), (4, None), (4, shared)):
-        with pytest.raises(EvalError, match=r"at point \(m=-3, p=-2\), seed "
-                                            r"Seed\(g0=2, g1=1\)$"):
-            verify_grid(bad, spec, workers=workers, pool=pool)
-    assert InlinePool.sizes == [4, 4]
+def test_eval_error_names_the_same_point_across_workers(monkeypatch, capsys, tmp_path):
+    # real pools of 2 processes: the error of the first identity to raise,
+    # in catalog order, crosses the process boundary with its message
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    raises = ("neg-pow", "m p", "F(m)^p == G(p)")
+    passes = ("shift", "m p", "G(p + m + 2) == G(p + m + 1) + G(p + m)")
+    ranked = ("ranked", "n m", "sum(k, 0, n, F(k + m)) == F(m + n + 2) - F(m + 1)")
+    argv = ("--m", "-3..3", "--p", "-2..2", "--n", "-1..2", "--seeds", "2,1", "0,1")
+    eval_error = ("fibkit: error: negative exponent -2 in power at point (m=-3, p=-2), "
+                  "seed Seed(g0=2, g1=1)\n")
+    rank_error = ("fibkit: error: rank parameter 'n' of 'ranked' must stay >= 0, "
+                  "got range -1..2\n")
+    for entries, err in (((raises, passes), eval_error),
+                         ((passes, raises), eval_error),
+                         ((passes, ranked), rank_error),
+                         ((raises, ranked), eval_error)):
+        path = stanzas(tmp_path / "raises.cat", *entries)
+        for workers in ("1", "2"):
+            assert verify_command(capsys, "--file", path, *argv, "--workers", workers) \
+                == (2, "", err)
 
 
-def test_verify_command_shares_one_pool(catalog, monkeypatch, capsys):
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    argv = ["verify", "--all", "--n", "0..2", "--m", "-2..2", "--p", "-2..2",
-            "--q", "-2..2", "--format", "json"]
-    assert cli.main(argv) == 0
-    serial = capsys.readouterr().out
-    assert InlinePool.sizes == []
-    assert cli.main([*argv, "--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial
-    assert InlinePool.sizes == [2]  # one pool for all 29 identities
+def test_first_error_drops_the_jobs_not_started(monkeypatch, capsys, tmp_path):
+    # a real pool of 2 processes; the first identity raises at once, and the
+    # 20 after it would take 10 s in all, 5 s in the pool. The workers must
+    # be forked to run the patched verify_grid below.
+    if multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("the pool's workers are not forked")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = tmp_path / "started"
+    real = cli.verify_grid
+
+    def slow(identity, spec, **kwargs):
+        with open(started, "a") as log:
+            log.write(identity.name + "\n")
+        if identity.name != "neg-pow":
+            time.sleep(0.5)
+        return real(identity, spec, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_grid", slow)
+    path = stanzas(tmp_path / "slow.cat", ("neg-pow", "m p", "F(m)^p == G(p)"),
+                   *((f"ok{i}", "m", "F(m + 2) == F(m + 1) + F(m)") for i in range(20)))
+    argv = ("--file", path, "--m", "-3..3", "--p", "-2..2", "--seeds", "2,1", "0,1")
+    serial = verify_command(capsys, *argv)
+    assert serial[:2] == (2, "") and "at point (m=-3, p=-2)" in serial[2]
+    assert started.read_text() == "neg-pow\n"
+    started.unlink()
+    t0 = time.perf_counter()
+    assert verify_command(capsys, *argv, "--workers", "2") == serial
+    assert time.perf_counter() - t0 < 2.5
+    assert len(started.read_text().split()) < 21
+
+
+def test_verify_command_shares_one_pool(inline_pool, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("--all", *SMALL_GRID, "--format", "json")
+    serial = verify_command(capsys, *argv)
+    assert serial[0] == 0
+    assert inline_pool == []
+    assert verify_command(capsys, *argv, "--workers", "2") == serial
+    assert inline_pool == [2]  # one pool for all 29 identities
+    # one identity is one job: no pool
+    assert verify_command(capsys, "--id", "Eq8", *SMALL_GRID, "--workers", "2")[0] == 0
+    assert inline_pool == [2]
 
 
 # --- the sweep against point-by-point evaluation ------------------------------
@@ -728,21 +769,16 @@ def test_shift_plan_takes_the_first_qualifying_parameter(catalog):
     assert [p.shift for p in verify._plans(both, spec)] == ["q"]
 
 
-def test_shift_parameter_alone_in_shards_gives_the_serial_report(catalog, monkeypatch):
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+def test_shift_parameter_alone_gives_the_oracle_checked_report(catalog):
     wrong = parse_identity("F(m + p)*G(n) - F(m)*G(n + p) == sign(m)*F(p)*G(n - m + 1)",
                            name="S3.n1.F-forward.wrong", params=("n", "m", "p"))
     spec = GridSpec({"n": (-8, 8), "m": (2, 2), "p": (3, 3)},
                     (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5), Seed(1, 0)))
     for identity in (catalog.get("S3.n1.F-forward"), wrong):
         assert [p.shift for p in verify._plans(identity, spec)] == ["n"]
-        serial = verify_grid(identity, spec).to_json_dict()
-        assert verify_grid(identity, spec, workers=4).to_json_dict() == serial
-        assert verify_grid(identity, spec, workers=4, use_oracle=True).to_json_dict() \
-            == serial
-    assert InlinePool.sizes == [4] * 4
+        assert verify_grid(identity, spec, use_oracle=True).to_json_dict() \
+            == verify_grid(identity, spec).to_json_dict()
+    assert verify_grid(catalog.get("S3.n1.F-forward"), spec).passed
     assert not verify_grid(wrong, spec).passed
 
 
