@@ -10,7 +10,8 @@ Index expressions are the restricted sublanguage {literal, symbol, +, -,
 unary -, *} used everywhere an integer argument is required: sequence
 indices, sum bounds, power exponents, and the arguments of binom, sign,
 and pow5floor. The parser enforces the restriction; analyses downstream
-(interval windows, affine forms, parity splits) rely on it.
+(interval windows, affine forms, parity splits) rely on it, and `affine`
+is the one reader of an index's constant and coefficients.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ __all__ = [
     "Lit", "Sym", "Add", "Sub", "Neg", "Mul", "Pow",
     "SeqRef", "Binom", "Sign", "Pow5Floor", "Sum",
     "Node", "SEQ_KINDS",
-    "children", "free_symbols", "height", "iter_nodes", "substitute", "is_index_expr",
-    "to_text",
+    "affine", "children", "free_symbols", "height", "iter_nodes", "substitute",
+    "is_index_expr", "to_text",
 ]
 
 SEQ_KINDS = ("F", "L", "G")
@@ -192,6 +193,42 @@ def substitute(node: Node, env: Mapping[str, int]) -> Node:
 def is_index_expr(node: Node) -> bool:
     """True when the subtree uses only literal/symbol/+/-/* arithmetic."""
     return all(isinstance(n, (Lit, Sym, Add, Sub, Neg, Mul)) for n in iter_nodes(node))
+
+
+def affine(node: Node) -> tuple[int, dict[str, int], frozenset[str]]:
+    """An index expression as const + sum(coeffs[s] * s) + R, where R reads
+    only the symbols in rest: those read by a product whose two factors
+    both read symbols. coeffs holds every nonzero coefficient; a symbol
+    outside rest changes the value by exactly its coefficient per unit
+    step, and when rest is empty the value at 0 is const.
+
+    One walk over the tree: such a product is recorded in rest, never
+    expanded into monomials, and a product scaled by 0 reads nothing.
+    """
+    if isinstance(node, Lit):
+        return node.value, {}, frozenset()
+    if isinstance(node, Sym):
+        return 0, {node.name: 1}, frozenset()
+    if isinstance(node, Neg):
+        const, coeffs, rest = affine(node.operand)
+        return -const, {s: -a for s, a in coeffs.items()}, rest
+    if not isinstance(node, _BINARY):
+        raise TypeError(f"not an index expression: {type(node).__name__}")
+    (c1, t1, r1), (c2, t2, r2) = affine(node.left), affine(node.right)
+    if isinstance(node, Mul):
+        if (t1 or r1) and (t2 or r2):
+            return 0, {}, r1.union(r2, t1, t2)
+        if t1 or r1:  # the constant factor first
+            (c1, t1, r1), (c2, t2, r2) = (c2, t2, r2), (c1, t1, r1)
+        if c1 == 0:
+            return 0, {}, frozenset()
+        return c1 * c2, {s: c1 * a for s, a in t2.items()}, r2
+    sign = 1 if isinstance(node, Add) else -1
+    for s, a in t2.items():
+        t1[s] = t1.get(s, 0) + sign * a
+        if t1[s] == 0:
+            del t1[s]
+    return c1 + sign * c2, t1, r1 | r2
 
 
 # Printer precedence: + and - bind loosest, then *, then unary -, then ^.

@@ -7,7 +7,9 @@ satisfies (1 - phi)^e = (-1)^e * phi^(-e), and each free parameter x
 brings a sign symbol sigma = (-1)^x with sigma^2 = 1 into the same
 polynomial: (1 - phi)^(c + a*x) carries sigma^(a mod 2), and sign() of an
 affine argument is one signed monomial. sign() of any other argument is
-expanded over the parity classes of the parameters it reads.
+expanded over the parity classes of the parameters it reads. Indices,
+exponents and bounds are read by expr.affine, and a power that reads no
+parameter, no G and no sum is its integer, not a Binet expansion.
 
 G references expand through G(e) = [(G(-1)+G(1)) F(e) + G(0) L(e)] / 2
 with the two seed combinations kept as formal scalars, so a PASS is
@@ -33,12 +35,12 @@ import time
 from typing import Mapping
 
 from .catalog import Identity
-from .errors import SymbolicError
+from .errors import EvalError, SymbolicError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    free_symbols, iter_nodes, substitute, to_text,
+    affine, free_symbols, iter_nodes, substitute, to_text,
 )
-from .verify import Failure, VerifyReport, _bi
+from .verify import Failure, ParamPoint, VerifyReport, _bi, eval_side
 from .zphi import SQRT5, GoldenInt, LaurentPoly, _power, phi_pow
 
 __all__ = ["MAX_SUM_TERMS", "MAX_TERM_PRODUCTS", "prove_symbolic"]
@@ -55,58 +57,22 @@ _AXIS_NAMES = "XYZ"
 _SEED_NAMES = ("splus", "szero")
 
 
-# --- affine analysis of index expressions -----------------------------------
-
-def _affine(node: Node) -> tuple[int, dict[str, int]]:
-    """Index expression as constant + sum(coeff * param); SymbolicError otherwise."""
-    if isinstance(node, Lit):
-        return node.value, {}
-    if isinstance(node, Sym):
-        return 0, {node.name: 1}
-    if isinstance(node, Add):
-        c1, t1 = _affine(node.left)
-        c2, t2 = _affine(node.right)
-        return c1 + c2, _merge(t1, t2, 1)
-    if isinstance(node, Sub):
-        c1, t1 = _affine(node.left)
-        c2, t2 = _affine(node.right)
-        return c1 - c2, _merge(t1, t2, -1)
-    if isinstance(node, Neg):
-        c, t = _affine(node.operand)
-        return -c, {k: -v for k, v in t.items()}
-    if isinstance(node, Mul):
-        c1, t1 = _affine(node.left)
-        c2, t2 = _affine(node.right)
-        if not t1:
-            return c1 * c2, {k: c1 * v for k, v in t2.items()}
-        if not t2:
-            return c1 * c2, {k: c2 * v for k, v in t1.items()}
-        raise SymbolicError(
-            "index is not affine in the free parameters (product of parameters)")
-    raise SymbolicError(
-        f"index contains unsupported node {type(node).__name__}")
-
-
-def _merge(t1: dict[str, int], t2: dict[str, int], sign: int) -> dict[str, int]:
-    out = dict(t1)
-    for k, v in t2.items():
-        out[k] = out.get(k, 0) + sign * v
-    return {k: v for k, v in out.items() if v != 0}
-
+# --- closed subexpressions -----------------------------------------------------
 
 def _constant(node: Node, what: str) -> int:
     """The value of an index expression that reads no free parameter."""
-    try:
-        const, terms = _affine(node)
-        if not terms:
-            return const
-    except SymbolicError:
-        pass
-    # the first node, in reading order, that keeps the expression from closing
-    bad = next(n for n in iter_nodes(node) if not isinstance(n, (Lit, Add, Sub, Neg, Mul)))
-    if isinstance(bad, Sym):
+    const, coeffs, rest = affine(node)
+    if coeffs or rest:  # the first parameter, in reading order
+        bad = next(n for n in iter_nodes(node) if isinstance(n, Sym))
         raise SymbolicError(f"{what} depends on free parameter '{bad.name}'")
-    raise SymbolicError(f"{what} contains unsupported node {type(bad).__name__}")
+    return const
+
+
+def _closed(node: Node) -> bool:
+    """Whether node reads no parameter, no G and no sum: an integer whose
+    size the parser has bounded."""
+    return not any(isinstance(n, (Sym, Sum)) or (isinstance(n, SeqRef) and n.kind == "G")
+                   for n in iter_nodes(node))
 
 
 # --- Binet rewriting with sign symbols ---------------------------------------
@@ -152,10 +118,10 @@ class _Rewriter:
         return len(self.free) + 2 + self.free.index(param)
 
     def seq_poly(self, kind: str, arg: Node) -> LaurentPoly:
-        try:
-            const, terms = _affine(arg)
-        except SymbolicError as exc:
-            raise SymbolicError(f"{kind}({to_text(arg)}): {exc}") from None
+        const, terms, rest = affine(arg)
+        if rest:
+            raise SymbolicError(f"{kind}({to_text(arg)}): index is not affine in the "
+                                f"free parameters (product of parameters)")
         plus = self.monomial({self.free.index(p): a for p, a in terms.items()},
                              phi_pow(const))
         # (1 - phi)^(c + sum a*x) = (-1)^c * phi^(-c) * prod (-1)^(a*x) * phi^(-a*x)
@@ -177,11 +143,8 @@ class _Rewriter:
         parameters, otherwise the sum, over the parity classes b of the
         parameters arg reads, of its value in class b times the class's
         indicator prod (1 + (-1)^b_i * sigma_i) / 2."""
-        try:
-            const, terms = _affine(node.arg)
-        except SymbolicError:
-            pass
-        else:
+        const, terms, rest = affine(node.arg)
+        if not rest:
             exps = {self.sign_slot(p): a & 1 for p, a in terms.items()}
             return self.monomial(exps, -1 if const & 1 else 1)
         read = [p for p in self.free if p in free_symbols(node.arg)]
@@ -230,6 +193,11 @@ class _Rewriter:
             e = _constant(node.exponent, "power exponent")
             if e < 0:
                 raise SymbolicError(f"power exponent {e} is negative")
+            if _closed(node):  # its integer, not its Binet expansion
+                try:
+                    return self.constant(eval_side(node, ParamPoint({})))
+                except EvalError:
+                    pass  # the rewrite below raises it with the prover's message
             return _power(self.to_poly(node.base), e, self.constant(1),
                           lambda a, b: self.product(a, b, node))
         if isinstance(node, SeqRef):

@@ -9,11 +9,14 @@ seed's values follow by linear combination. When some parameter s loops
 and the sides read it only as s + (terms without s) inside G indices,
 the sweep loops s innermost and evaluates the sides on the seed (0, 1)
 alone: their values on the seed (1, 0) at s are those on (0, 1) at
-s - 1, the previous step's, since B10(e) = B01(e - 1). The sweep is the only
-generated code: a side's value at one point is the one-point sweep of
-side == 0, and an evaluation error is located point by point with one
-compiled one-point sweep. All arithmetic is unbounded int; a PASS means
-exact equality at every point and seed.
+s - 1, the previous step's, since B10(e) = B01(e - 1). Each grid's index
+window comes from one interval analysis and sizes both its tables and
+the oracle's; a shift plan's tables reach one index below it, for the
+sides at s = lo - 1. The sweep is the only generated code: a side's
+value at one point is the one-point sweep of side == 0, and an
+evaluation error is located point by point with one compiled one-point
+sweep. All arithmetic is unbounded int; a PASS means exact equality at
+every point and seed.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .catalog import Identity
 from .errors import EvalError, GridError, InternalFault
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    children, free_symbols,
+    affine, children,
 )
 from .ranges import Interval, expr_interval, index_window, merge_windows, point_intervals
 from .seq import FIB_SEED, LUCAS_SEED, Seed, table
@@ -275,34 +278,12 @@ def _g_degree(node: Node) -> int | None:
     return 0  # literals, symbols, binom, sign, pow5floor
 
 
-def _coefficient(index: Node, s: str) -> int | None:
-    """The coefficient of s in an index expression, when the expression is
-    s times a constant plus terms that do not read s; else None."""
-    if isinstance(index, Sym):
-        return 1 if index.name == s else 0
-    if isinstance(index, (Add, Sub)):
-        left, right = _coefficient(index.left, s), _coefficient(index.right, s)
-        if left is None or right is None:
-            return None
-        return left + right if isinstance(index, Add) else left - right
-    if isinstance(index, Neg):
-        c = _coefficient(index.operand, s)
-        return None if c is None else -c
-    if isinstance(index, Mul):
-        for factor, other in ((index.left, index.right), (index.right, index.left)):
-            if not free_symbols(other):  # a constant factor
-                c = _coefficient(factor, s)
-                return None if c is None else c * expr_interval(other, {})[0]
-        reads = [s in free_symbols(f) for f in (index.left, index.right)]
-        return None if any(reads) else 0
-    return 0  # a literal
-
-
 def _reads_only_shifted(node: Node, s: str) -> bool:
     """Whether node reads s nowhere but in G indices, and each G index is
     s plus terms that do not read s."""
     if isinstance(node, SeqRef) and node.kind == "G":
-        return _coefficient(node.arg, s) == 1
+        _, coeffs, rest = affine(node.arg)
+        return coeffs.get(s) == 1 and s not in rest
     if isinstance(node, Sym):
         return node.name != s
     if isinstance(node, Sum) and node.var == s:
@@ -655,13 +636,10 @@ def _grid_desc(identity: Identity, spec: GridSpec) -> dict[str, Any]:
     }
 
 
-def _grid_window(identity: Identity, spec: GridSpec,
-                 shift: str | None = None) -> Interval | None:
-    """Every sequence index either side reads anywhere on the grid, the
-    axis of shift, when given, reaching one step lower."""
+def _grid_window(identity: Identity, spec: GridSpec) -> Interval | None:
+    """Bounds on every sequence index either side reads anywhere on the
+    grid, from one interval analysis; None when neither side reads one."""
     env = {p: spec.ranges[p] for p in identity.free_params}
-    if shift is not None:
-        env[shift] = (env[shift][0] - 1, env[shift][1])
     return merge_windows(index_window(identity.lhs, env),
                          index_window(identity.rhs, env))
 
@@ -700,15 +678,13 @@ def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
     # compiled first: a symbol with no value is named as such, before the
     # window analysis finds it has no range
     sweeps = [_compile_sweep(identity, order, fixed, use_oracle, plan) for plan in plans]
-    shift = plans[0].shift
-    window = _grid_window(identity, spec, shift)
-    f_tab, l_tab, g_tabs = _build_tables(window, [s for p in plans for s in p.tables])
+    window = reach = _grid_window(identity, spec)
+    if window is not None and plans[0].shift:
+        # the sides at s = lo - 1 read each G index of s = lo one lower
+        reach = (window[0] - 1, window[1])
+    f_tab, l_tab, g_tabs = _build_tables(reach, [s for p in plans for s in p.tables])
     axes = [_axis(spec, v) for v in order]
-    if use_oracle:  # on the grid's own window
-        check = _oracle_check(identity, spec,
-                              _grid_window(identity, spec) if shift else window)
-    else:
-        check = None
+    check = _oracle_check(identity, spec, window) if use_oracle else None
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     for plan, sweep in zip(plans, sweeps):
         sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,

@@ -1,9 +1,13 @@
 import concurrent.futures
 import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
+import fibkit
 from fibkit import Identity, builtin_catalog
 from fibkit.expr import Add, Lit, Mul, SeqRef, Sub, Sum, Sym
 
@@ -78,3 +82,26 @@ def inline_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return InlinePool.sizes
+
+
+def fibkit_child(*argv, memory_mb=600, timeout=5.0):
+    """(exit code, stdout, stderr) of `python -m fibkit *argv` in a child
+    process that caps its own address space at memory_mb before it imports
+    fibkit; a child still running after timeout seconds is killed and
+    fails the test."""
+    limit = memory_mb << 20
+    script = ("import resource, runpy, sys\n"
+              f"sys.path.insert(0, {str(Path(fibkit.__file__).parents[1])!r})\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+              "runpy.run_module('fibkit', run_name='__main__')\n")
+    try:
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"fibkit {' '.join(argv)} still running after {timeout} s")
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture(scope="session")
+def run_fibkit():
+    return fibkit_child

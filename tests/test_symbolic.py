@@ -72,8 +72,17 @@ def test_fixing_unknown_parameter_rejected(catalog):
 
 def test_non_affine_argument_is_named():
     twisted = parse_identity("F(m*p) == F(m*p)", name="twisted", params=("m", "p"))
-    with pytest.raises(SymbolicError, match="not affine"):
+    with pytest.raises(SymbolicError, match=r"^F\(m\*p\): index is not affine in the "
+                                            r"free parameters \(product of parameters\)$"):
         prove_symbolic(twisted)
+
+
+@pytest.mark.parametrize("text", ["F(m + 0*p*q) == F(m)", "F(m)^(0*p) == 1",
+                                  "sign(0*m*p + p*(q - q))*F(m) == F(m)"])
+def test_products_that_vanish_read_no_parameter(text):
+    # a product scaled by 0, or with a factor that cancels, is 0 wherever
+    # it appears: in an index, an exponent or a sign
+    assert prove_symbolic(parse_identity(text, name="t", params=("m", "p", "q"))).passed
 
 
 def test_bare_parameter_value_rejected():
@@ -264,6 +273,24 @@ def test_sum_range_is_refused_before_its_loop(tmp_path, capsys):
     assert time.perf_counter() - started < 1
     assert err == ("fibkit: error: sum(k, 0, 1000000000, F(m + k)): the proof "
                    "needs more than 1,000 summation terms\n")
+
+
+@pytest.mark.parametrize("identity,code,err", [
+    # a closed power is its integer, 1, not a Binet expansion to the 10^8th
+    ("F(m) + F(1)^100000000 == F(m) + 1", 0, ""),
+    # a closed sum is not folded: the parser does not bound it
+    ("F(m) + sum(k, 0, 1000000000000, 1)^2 == F(m) + 1", 2,
+     "fibkit: error: sum(k, 0, 1000000000000, 1): the proof needs more than 1,000 "
+     "summation terms\n"),
+    # a closed power that raises keeps the prover's message
+    ("F(m) + (F(1)^(0 - 1))^2 == F(m)", 2,
+     "fibkit: error: power exponent -1 is negative\n"),
+], ids=["power", "sum", "error"])
+def test_closed_power_is_folded_under_a_memory_cap(tmp_path, run_fibkit, identity, code, err):
+    path = tmp_path / "closed.cat"
+    path.write_text(f"name: closed\nparams: m\npaper: t\nidentity: {identity}\n")
+    status, _, stderr = run_fibkit("prove", "--file", str(path), timeout=2)
+    assert (status, stderr) == (code, err)
 
 
 def test_sum_limit_counts_every_sum_of_a_proof(monkeypatch):

@@ -17,7 +17,7 @@ from fibkit import (
     to_text, verify, verify_grid,
 )
 from fibkit.catalog import load_catalog_file
-from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, SeqRef, Sign, Sub, Sum, Sym
+from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, SeqRef, Sign, Sub, Sum, Sym, affine
 from fibkit.oracle import oracle_eval
 from fibkit.verify import MAX_GRID_CHECKS, STANDARD_SEEDS
 
@@ -689,6 +689,47 @@ def test_oracle_catches_a_wrong_shift(catalog, monkeypatch, mutate):
             verify_grid(identity, VARIANT_SPEC, use_oracle=True)
 
 
+# --- the index reader -----------------------------------------------------------
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_affine_steps_each_symbol_outside_rest_by_its_coefficient(data):
+    index = data.draw(st.recursive(_index_exprs(NAMES), lambda inner: st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Neg, inner),
+        st.builds(Mul, inner, inner),
+    ), max_leaves=4))
+    const, coeffs, rest = affine(index)
+    assert 0 not in coeffs.values()
+    point = {name: data.draw(st.integers(-5, 5)) for name in NAMES}
+
+    def value(at):
+        return oracle_eval(index, ParamPoint(at))
+
+    for name in NAMES:
+        if name not in rest:
+            assert value({**point, name: point[name] + 1}) - value(point) \
+                == coeffs.get(name, 0)
+    if not rest:
+        assert value(dict.fromkeys(NAMES, 0)) == const
+
+
+WIDE = " * ".join(f"(a{i} + b{i})" for i in range(32))  # 2^32 monomials
+
+
+@pytest.mark.parametrize("text,form", [
+    ("m - m", (0, {}, frozenset())),
+    ("2*p - p", (0, {"p": 1}, frozenset())),
+    ("p*(q - q) + p", (0, {"p": 1}, frozenset())),
+    ("0*p*q + 3", (3, {}, frozenset())),
+    ("p*q - p*q + m", (0, {"m": 1}, frozenset("pq"))),
+    (WIDE, (0, {}, frozenset(f"{x}{i}" for x in "ab" for i in range(32)))),
+], ids=["cancels", "stretched", "product-cancels", "scaled-by-0", "products", "wide"])
+def test_affine_reads_products_without_expanding_them(text, form):
+    assert affine(parse_expr(text)) == form
+
+
 # --- the shift plan -------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -772,13 +813,19 @@ def test_shift_plan_takes_the_first_qualifying_parameter(catalog):
 def test_shift_parameter_alone_gives_the_oracle_checked_report(catalog):
     wrong = parse_identity("F(m + p)*G(n) - F(m)*G(n + p) == sign(m)*F(p)*G(n - m + 1)",
                            name="S3.n1.F-forward.wrong", params=("n", "m", "p"))
+    # n's G indices with intervals wider than n's range, and with a product
+    # that cancels: the tables still reach every index the sides read
+    stretched = parse_identity(
+        "F(m + p)*G(2*n - n) - F(m)*G(2*n - n + p) == sign(m)*F(p)*G(n*(m - m) + n - m)",
+        name="S3.n1.F-forward.stretched", params=("n", "m", "p"))
     spec = GridSpec({"n": (-8, 8), "m": (2, 2), "p": (3, 3)},
                     (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5), Seed(1, 0)))
-    for identity in (catalog.get("S3.n1.F-forward"), wrong):
+    for identity in (catalog.get("S3.n1.F-forward"), wrong, stretched):
         assert [p.shift for p in verify._plans(identity, spec)] == ["n"]
         assert verify_grid(identity, spec, use_oracle=True).to_json_dict() \
             == verify_grid(identity, spec).to_json_dict()
     assert verify_grid(catalog.get("S3.n1.F-forward"), spec).passed
+    assert verify_grid(stretched, spec).passed
     assert not verify_grid(wrong, spec).passed
 
 
