@@ -210,10 +210,9 @@ def affine(node: Node) -> tuple[int, dict[str, int], frozenset[str]]:
     if isinstance(node, Sym):
         return 0, {node.name: 1}, frozenset()
     if isinstance(node, Neg):
-        const, coeffs, rest = affine(node.operand)
-        return -const, {s: -a for s, a in coeffs.items()}, rest
+        return affine(Mul(Lit(-1), node.operand))
     if not isinstance(node, _BINARY):
-        raise TypeError(f"not an index expression: {type(node).__name__}")
+        raise TypeError(f"unsupported node {type(node).__name__} in an index expression")
     (c1, t1, r1), (c2, t2, r2) = affine(node.left), affine(node.right)
     if isinstance(node, Mul):
         if (t1 or r1) and (t2 or r2):
@@ -226,9 +225,7 @@ def affine(node: Node) -> tuple[int, dict[str, int], frozenset[str]]:
     sign = 1 if isinstance(node, Add) else -1
     for s, a in t2.items():
         t1[s] = t1.get(s, 0) + sign * a
-        if t1[s] == 0:
-            del t1[s]
-    return c1 + sign * c2, t1, r1 | r2
+    return c1 + sign * c2, {s: a for s, a in t1.items() if a}, r1 | r2
 
 
 # Printer precedence: + and - bind loosest, then *, then unary -, then ^.

@@ -8,8 +8,8 @@ brings a sign symbol sigma = (-1)^x with sigma^2 = 1 into the same
 polynomial: (1 - phi)^(c + a*x) carries sigma^(a mod 2), and sign() of an
 affine argument is one signed monomial. sign() of any other argument is
 expanded over the parity classes of the parameters it reads. Indices,
-exponents and bounds are read by expr.affine, and a power that reads no
-parameter, no G and no sum is its integer, not a Binet expansion.
+exponents and bounds are read by expr.affine, and a power whose base has
+no symbol left is its integer's power, not a Binet expansion.
 
 G references expand through G(e) = [(G(-1)+G(1)) F(e) + G(0) L(e)] / 2
 with the two seed combinations kept as formal scalars, so a PASS is
@@ -31,16 +31,18 @@ charged to the term-product budget, which refuses a proof too wide.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Mapping
 
 from .catalog import Identity
-from .errors import EvalError, SymbolicError
+from .errors import SymbolicError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
     affine, free_symbols, iter_nodes, substitute, to_text,
 )
-from .verify import Failure, ParamPoint, VerifyReport, _bi, eval_side
+from .parser import MAX_DIGITS, _times
+from .verify import Failure, VerifyReport, _bi
 from .zphi import SQRT5, GoldenInt, LaurentPoly, _power, phi_pow
 
 __all__ = ["MAX_SUM_TERMS", "MAX_TERM_PRODUCTS", "prove_symbolic"]
@@ -57,22 +59,24 @@ _AXIS_NAMES = "XYZ"
 _SEED_NAMES = ("splus", "szero")
 
 
-# --- closed subexpressions -----------------------------------------------------
+# --- index expressions ------------------------------------------------------
+
+def _index(node: Node, what: str) -> tuple[int, dict[str, int], frozenset[str]]:
+    """expr.affine of an index expression, where a hand-built identity may
+    put any node: affine's TypeError names the first outside index arithmetic."""
+    try:
+        return affine(node)
+    except TypeError as exc:
+        raise SymbolicError(f"{what}: {exc}") from None
+
 
 def _constant(node: Node, what: str) -> int:
     """The value of an index expression that reads no free parameter."""
-    const, coeffs, rest = affine(node)
+    const, coeffs, rest = _index(node, what)
     if coeffs or rest:  # the first parameter, in reading order
         bad = next(n for n in iter_nodes(node) if isinstance(n, Sym))
         raise SymbolicError(f"{what} depends on free parameter '{bad.name}'")
     return const
-
-
-def _closed(node: Node) -> bool:
-    """Whether node reads no parameter, no G and no sum: an integer whose
-    size the parser has bounded."""
-    return not any(isinstance(n, (Sym, Sum)) or (isinstance(n, SeqRef) and n.kind == "G")
-                   for n in iter_nodes(node))
 
 
 # --- Binet rewriting with sign symbols ---------------------------------------
@@ -118,17 +122,16 @@ class _Rewriter:
         return len(self.free) + 2 + self.free.index(param)
 
     def seq_poly(self, kind: str, arg: Node) -> LaurentPoly:
-        const, terms, rest = affine(arg)
+        const, terms, rest = _index(arg, f"{kind}() index")
         if rest:
             raise SymbolicError(f"{kind}({to_text(arg)}): index is not affine in the "
                                 f"free parameters (product of parameters)")
-        plus = self.monomial({self.free.index(p): a for p, a in terms.items()},
-                             phi_pow(const))
-        # (1 - phi)^(c + sum a*x) = (-1)^c * phi^(-c) * prod (-1)^(a*x) * phi^(-a*x)
+        root = phi_pow(const)
+        plus = self.monomial({self.free.index(p): a for p, a in terms.items()}, root)
+        # (1 - phi)^(c + sum a*x) = conj(phi^c) * prod (-1)^(a*x) * phi^(-a*x)
         exps = {self.free.index(p): -a for p, a in terms.items()}
         exps.update((self.sign_slot(p), a & 1) for p, a in terms.items())
-        coeff = phi_pow(-const)
-        minus = self.monomial(exps, -coeff if const & 1 else coeff)
+        minus = self.monomial(exps, root.conj())
         if kind == "F":
             return (plus - minus) * self.inv_sqrt5
         if kind == "L":
@@ -143,7 +146,7 @@ class _Rewriter:
         parameters, otherwise the sum, over the parity classes b of the
         parameters arg reads, of its value in class b times the class's
         indicator prod (1 + (-1)^b_i * sigma_i) / 2."""
-        const, terms, rest = affine(node.arg)
+        const, terms, rest = _index(node.arg, "sign() exponent")
         if not rest:
             exps = {self.sign_slot(p): a & 1 for p, a in terms.items()}
             return self.monomial(exps, -1 if const & 1 else 1)
@@ -193,13 +196,15 @@ class _Rewriter:
             e = _constant(node.exponent, "power exponent")
             if e < 0:
                 raise SymbolicError(f"power exponent {e} is negative")
-            if _closed(node):  # its integer, not its Binet expansion
-                try:
-                    return self.constant(eval_side(node, ParamPoint({})))
-                except EvalError:
-                    pass  # the rewrite below raises it with the prover's message
-            return _power(self.to_poly(node.base), e, self.constant(1),
-                          lambda a, b: self.product(a, b, node))
+            base = self.to_poly(node.base)
+            if not any(map(any, base.terms)):  # no symbol left: an integer's power
+                value = sum(c.a for c in base.terms.values()) // base.den
+                # the parser's digit limit, also for a power closed by fixed parameters
+                if abs(value) > 1 and _times(e, math.log10(abs(value))) >= MAX_DIGITS:
+                    raise SymbolicError(f"{_brief(node)}: the proof needs a constant "
+                                        f"over the {MAX_DIGITS:,}-digit limit")
+                return self.constant(value ** e)
+            return _power(base, e, self.constant(1), lambda a, b: self.product(a, b, node))
         if isinstance(node, SeqRef):
             return self.seq_poly(node.kind, node.arg)
         if isinstance(node, Binom):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fibkit import GridSpec, Seed, SymbolicError, cli, parse_identity, prove_symbolic, symbolic
+from fibkit import (
+    GridSpec, Identity, Seed, SymbolicError, cli, parse_identity, prove_symbolic, symbolic,
+)
+from fibkit.expr import Lit, Mul, Pow, SeqRef, Sign, Sym
 from fibkit.verify import verify_grid
 from fibkit.zphi import LaurentPoly
 
@@ -278,19 +281,42 @@ def test_sum_range_is_refused_before_its_loop(tmp_path, capsys):
 @pytest.mark.parametrize("identity,code,err", [
     # a closed power is its integer, 1, not a Binet expansion to the 10^8th
     ("F(m) + F(1)^100000000 == F(m) + 1", 0, ""),
-    # a closed sum is not folded: the parser does not bound it
+    # a closed base far from 0 needs no table of the indices below it
+    ("F(m) + (F(1)*F(1000000))^2 == F(m) + F(1000000)^2", 0, ""),
+    # a closed sum is still expanded term by term, under MAX_SUM_TERMS
     ("F(m) + sum(k, 0, 1000000000000, 1)^2 == F(m) + 1", 2,
      "fibkit: error: sum(k, 0, 1000000000000, 1): the proof needs more than 1,000 "
      "summation terms\n"),
     # a closed power that raises keeps the prover's message
     ("F(m) + (F(1)^(0 - 1))^2 == F(m)", 2,
      "fibkit: error: power exponent -1 is negative\n"),
-], ids=["power", "sum", "error"])
+], ids=["power", "far", "sum", "error"])
 def test_closed_power_is_folded_under_a_memory_cap(tmp_path, run_fibkit, identity, code, err):
     path = tmp_path / "closed.cat"
     path.write_text(f"name: closed\nparams: m\npaper: t\nidentity: {identity}\n")
-    status, _, stderr = run_fibkit("prove", "--file", str(path), timeout=2)
+    status, _, stderr = run_fibkit("prove", "--file", str(path))
     assert (status, stderr) == (code, err)
+
+
+def test_power_closed_by_fixed_parameters_keeps_the_digit_limit():
+    # F(3)^p has about 3*10^7 digits at p = 10^8: the parser never saw it
+    power = parse_identity("F(m)^p == F(m)^p", name="power", params=("m", "p"))
+    assert prove_symbolic(power, {"m": 3, "p": 1000}).passed
+    with pytest.raises(SymbolicError, match=r"^F\(3\)\^100000000: the proof needs a "
+                                            r"constant over the 2,000,000-digit limit$"):
+        prove_symbolic(power, {"m": 3, "p": 100_000_000})
+
+
+@pytest.mark.parametrize("lhs,err", [
+    (SeqRef("F", SeqRef("F", Sym("m"))), "F() index: unsupported node SeqRef"),
+    (Pow(SeqRef("F", Sym("m")), SeqRef("L", Lit(1))), "power exponent: unsupported node SeqRef"),
+    (Sign(Mul(Sym("m"), Pow(Sym("m"), Lit(2)))), "sign() exponent: unsupported node Pow"),
+], ids=["index", "exponent", "sign"])
+def test_hand_built_index_names_its_unsupported_node(lhs, err):
+    identity = Identity("hand", lhs, Lit(0), ("m",))
+    with pytest.raises(SymbolicError) as info:
+        prove_symbolic(identity)
+    assert str(info.value) == f"{err} in an index expression"
 
 
 def test_sum_limit_counts_every_sum_of_a_proof(monkeypatch):
