@@ -2,15 +2,26 @@
 
 Everything here is recomputed from first principles: sequence values come
 from stepping the recurrence one index at a time (forwards and backwards
-from the seed pair), and binomial coefficients come from Pascal's rule.
-This module deliberately imports only AST node types and the neutral
-interval analysis; it shares no arithmetic with seq, zphi, or verify, so
-differential disagreement always exposes a real bug on one side.
+from the seed pair), powers from repeated multiplication, and binomial
+coefficients from Pascal's rule. This module deliberately imports only
+AST node types and the neutral interval analysis; it shares no
+arithmetic with seq, zphi, or verify, so differential disagreement
+always exposes a real bug on one side.
+
+An evaluator gives a side's value on every seed of its tables at once. A
+node that reads no G has one value for all of them and is computed once
+per point; a node that reads G has one value per seed, each from that
+seed's own table. Nothing else is shared, across points or across the
+steps of a sum, except that a binom node keeps its last arguments and
+value, so a closed binomial walks Pascal's rule once per evaluator.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+import copy
+from itertools import repeat
+from operator import add, mul, sub
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .errors import EvalError
 from .expr import (
@@ -82,7 +93,7 @@ def pascal_binom(n: int, k: int) -> int:
 
 class OracleTables:
     """Recurrence tables over indices lo..hi for F, L and each distinct
-    seed's G.
+    seed's G, in the order the seeds are first listed.
 
     The window must cover every index any checked expression touches;
     ranges.index_window computes that from the AST and the grid.
@@ -94,106 +105,180 @@ class OracleTables:
         self.gen = {s: recurrence_table(s.g0, s.g1, lo, hi)
                     for s in dict.fromkeys(seeds)}
 
+    def select(self, seeds: Iterable["Seed"]) -> "OracleTables":
+        """The same tables, with G for the distinct ones of seeds only,
+        in the order they are first listed there."""
+        chosen = copy.copy(self)
+        chosen.gen = {s: self.gen[s] for s in dict.fromkeys(seeds)}
+        return chosen
+
 
 def oracle_eval(ast: Node, pt: "ParamPoint") -> int:
     """Evaluate one identity side at a point using only naive machinery."""
     window = merge_windows(index_window(ast, point_intervals(pt.values)), (0, 1))
     assert window is not None
     tables = OracleTables(window[0], window[1], (pt.seed,))
-    return evaluator(ast, tables, pt.seed)(dict(pt.values))
+    return evaluator(ast, tables)(dict(pt.values))[0]
 
 
-Evaluator = Callable[[dict[str, int]], int]
+Env = dict[str, int]
+Evaluator = Callable[[Env], list[int]]
 
 
-def evaluator(ast: Node, tables: OracleTables, seed: "Seed") -> Evaluator:
-    """fn(env) -> the value of ast, with env mapping each free symbol to
-    an int, on tables' recurrence values for F, L and the seed's G.
+def evaluator(ast: Node, tables: OracleTables) -> Evaluator:
+    """fn(env) -> the values of ast, one per seed of tables in their
+    order, with env mapping each free symbol to an int, on tables'
+    recurrence values for F, L and each seed's G.
 
     The tree is walked once, here: each node becomes one closure that
-    calls its children's closures, in the order the node reads them.
+    calls its children's closures, in the order the node reads them. A
+    node that reads no G gives one int for all seeds; one that reads G
+    gives a list, one value per seed.
     """
-    return _build(ast, {"F": tables.fib, "L": tables.lucas, "G": tables.gen[seed]})
+    gens = list(tables.gen.values())
+    fn, per_seed = _build(ast, {"F": tables.fib, "L": tables.lucas}, gens)
+    if per_seed:
+        return fn
+    width = len(gens)
+    return lambda env: [fn(env)] * width
 
 
-def _build(node: Node, seqs: Mapping[str, Mapping[int, int]]) -> Evaluator:
+_OPS = {Add: add, Sub: sub, Mul: mul}
+
+
+def _power(factor: int, times: int) -> int:
+    result = 1
+    for _ in range(times):
+        result *= factor
+    return result
+
+
+def _index(node: Node, seqs: Mapping[str, Mapping[int, int]],
+           gens: list[Mapping[int, int]]) -> Callable[[Env], int]:
+    """The closure of an index, exponent, argument or sum bound: one value
+    for all seeds, since these never read G."""
+    fn, per_seed = _build(node, seqs, gens)
+    if per_seed:
+        raise TypeError(f"G read where an index is expected: {node!r}")
+    return fn
+
+
+def _build(node: Node, seqs: Mapping[str, Mapping[int, int]],
+           gens: list[Mapping[int, int]]) -> tuple[Callable[[Env], Any], bool]:
+    """node's closure, and whether it reads G: then its closure gives a
+    list, one value per table in gens, else one int."""
     if isinstance(node, Lit):
         value = node.value
-        return lambda env: value
+        return lambda env: value, False
     if isinstance(node, Sym):
         name = node.name
 
-        def sym(env: dict[str, int]) -> int:
+        def sym(env: Env) -> int:
             try:
                 return env[name]
             except KeyError:
                 raise EvalError(f"symbol '{name}' has no value") from None
-        return sym
+        return sym, False
     if isinstance(node, Neg):
-        operand = _build(node.operand, seqs)
-        return lambda env: -operand(env)
+        operand, per_seed = _build(node.operand, seqs, gens)
+        if per_seed:
+            return lambda env: [-value for value in operand(env)], True
+        return lambda env: -operand(env), False
     if isinstance(node, (Add, Sub, Mul)):
-        left, right = _build(node.left, seqs), _build(node.right, seqs)
-        if isinstance(node, Add):
-            return lambda env: left(env) + right(env)
-        if isinstance(node, Sub):
-            return lambda env: left(env) - right(env)
-        return lambda env: left(env) * right(env)
-    if isinstance(node, Pow):
-        base, exponent = _build(node.base, seqs), _build(node.exponent, seqs)
+        left, left_each = _build(node.left, seqs, gens)
+        right, right_each = _build(node.right, seqs, gens)
+        if left_each or right_each:
+            op = _OPS[type(node)]
 
-        def power(env: dict[str, int]) -> int:
+            def each(env: Env) -> list[int]:
+                a, b = left(env), right(env)
+                return list(map(op, a if left_each else repeat(a),
+                                b if right_each else repeat(b)))
+            return each, True
+        if isinstance(node, Add):
+            return lambda env: left(env) + right(env), False
+        if isinstance(node, Sub):
+            return lambda env: left(env) - right(env), False
+        return lambda env: left(env) * right(env), False
+    if isinstance(node, Pow):
+        base, per_seed = _build(node.base, seqs, gens)
+        exponent = _index(node.exponent, seqs, gens)
+
+        def power(env: Env) -> Any:
             times = exponent(env)
             if times < 0:
                 raise EvalError(f"negative exponent {times} in power")
             factor = base(env)
-            result = 1
-            for _ in range(times):
-                result *= factor
-            return result
-        return power
+            if per_seed:
+                return [_power(f, times) for f in factor]
+            return _power(factor, times)
+        return power, per_seed
     if isinstance(node, SeqRef):
-        kind, values, arg = node.kind, seqs[node.kind], _build(node.arg, seqs)
+        kind, arg = node.kind, _index(node.arg, seqs, gens)
 
-        def lookup(env: dict[str, int]) -> int:
+        def missing(idx: int) -> EvalError:
+            return EvalError(f"oracle table window misses index {idx} for {kind}")
+        if kind == "G":
+            def lookup_each(env: Env) -> list[int]:
+                idx = arg(env)
+                try:
+                    return [values[idx] for values in gens]
+                except KeyError:
+                    raise missing(idx) from None
+            return lookup_each, True
+        values = seqs[kind]
+
+        def lookup(env: Env) -> int:
             idx = arg(env)
             try:
                 return values[idx]
             except KeyError:
-                raise EvalError(
-                    f"oracle table window misses index {idx} for {kind}") from None
-        return lookup
+                raise missing(idx) from None
+        return lookup, False
     if isinstance(node, Binom):
-        top, bottom = _build(node.top, seqs), _build(node.bottom, seqs)
-        return lambda env: pascal_binom(top(env), bottom(env))
-    if isinstance(node, Sign):
-        arg = _build(node.arg, seqs)
-        return lambda env: 1 if arg(env) % 2 == 0 else -1
-    if isinstance(node, Pow5Floor):
-        arg = _build(node.arg, seqs)
+        top, bottom = _index(node.top, seqs, gens), _index(node.bottom, seqs, gens)
+        last, value = None, 0  # a closed binom walks Pascal's rule once
 
-        def pow5floor(env: dict[str, int]) -> int:
+        def binom(env: Env) -> int:
+            nonlocal last, value
+            args = top(env), bottom(env)
+            if args != last:
+                last, value = args, pascal_binom(*args)
+            return value
+        return binom, False
+    if isinstance(node, Sign):
+        arg = _index(node.arg, seqs, gens)
+        return lambda env: 1 if arg(env) % 2 == 0 else -1, False
+    if isinstance(node, Pow5Floor):
+        arg = _index(node.arg, seqs, gens)
+
+        def pow5floor(env: Env) -> int:
             value = arg(env)
             if value < 0:
                 raise EvalError(f"pow5floor argument {value} is negative")
-            result = 1
-            for _ in range(value // 2):
-                result *= 5
-            return result
-        return pow5floor
+            return _power(5, value // 2)
+        return pow5floor, False
     if isinstance(node, Sum):
         var = node.var
-        lo, hi, body = (_build(child, seqs) for child in (node.lo, node.hi, node.body))
+        lo, hi = _index(node.lo, seqs, gens), _index(node.hi, seqs, gens)
+        body, per_seed = _build(node.body, seqs, gens)
+        width = len(gens)
 
-        def total(env: dict[str, int]) -> int:
+        def total(env: Env) -> Any:
             start, stop = lo(env), hi(env)
             if start > stop + 1:
                 raise EvalError(f"sum bounds {start}..{stop} are inverted")
             inner = dict(env)  # one copy per sum; each step rebinds the index
+            if per_seed:
+                result: Any = [0] * width
+                for k in range(start, stop + 1):
+                    inner[var] = k
+                    result = list(map(add, result, body(inner)))
+                return result
             result = 0
             for k in range(start, stop + 1):
                 inner[var] = k
                 result += body(inner)
             return result
-        return total
+        return total, per_seed
     raise TypeError(f"unknown node {node!r}")

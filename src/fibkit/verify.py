@@ -644,31 +644,42 @@ def _grid_window(identity: Identity, spec: GridSpec) -> Interval | None:
                          index_window(identity.rhs, env))
 
 
-def _oracle_check(identity: Identity, spec: GridSpec,
-                  window: Interval | None) -> Callable[..., None]:
-    """Compares a point's two values with the oracle's, evaluated by one
-    oracle evaluator per side and distinct seed, built once for the whole
-    grid on recurrence tables built once for it."""
+def _oracle_checks(identity: Identity, spec: GridSpec, window: Interval | None,
+                   plans: Sequence[_Plan]) -> list[Callable[..., None]]:
+    """One check per plan, comparing a point's two values for a seed with
+    the oracle's. The oracle's tables are built once for the grid; each
+    plan has one oracle evaluator per side, which gives both sides' values
+    on all the plan's distinct seeds at once, so a point is evaluated once
+    per plan and its seeds' checks read that one evaluation."""
     from . import oracle
 
     lo, hi = merge_windows(window, (0, 1))
     tables = oracle.OracleTables(lo, hi, spec.seeds)
-    pairs = {seed: (oracle.evaluator(identity.lhs, tables, seed),
-                    oracle.evaluator(identity.rhs, tables, seed))
-             for seed in dict.fromkeys(spec.seeds)}
-    sides = [pairs[seed] for seed in spec.seeds]
     params = identity.free_params
 
-    def check(vals: tuple[int, ...], seed_idx: int, lv: int, rv: int) -> None:
-        lhs, rhs = sides[seed_idx]
-        env = dict(zip(params, vals))
-        ov_l, ov_r = lhs(env), rhs(env)
-        if ov_l != lv or ov_r != rv:
-            raise InternalFault(
-                f"oracle disagrees with evaluator on '{identity.name}' "
-                f"at {env}, seed {spec.seeds[seed_idx]}: "
-                f"oracle ({ov_l}, {ov_r}) vs fast ({lv}, {rv})")
-    return check
+    def plan_check(plan: _Plan) -> Callable[..., None]:
+        indices = [s if isinstance(s, int) else s[0] for s in plan.seeds]
+        own = tables.select(spec.seeds[i] for i in indices)
+        lhs, rhs = (oracle.evaluator(side, own) for side in (identity.lhs, identity.rhs))
+        column = {seed: j for j, seed in enumerate(own.gen)}
+        columns = {i: column[spec.seeds[i]] for i in indices}
+        last: tuple[int, ...] | None = None
+        values: tuple[list[int], list[int]] = ([], [])
+
+        def check(vals: tuple[int, ...], seed_idx: int, lv: int, rv: int) -> None:
+            nonlocal last, values
+            if vals != last:  # a point's seeds are checked one after another
+                env = dict(zip(params, vals))
+                last, values = vals, (lhs(env), rhs(env))
+            j = columns[seed_idx]
+            ov_l, ov_r = values[0][j], values[1][j]
+            if ov_l != lv or ov_r != rv:
+                raise InternalFault(
+                    f"oracle disagrees with evaluator on '{identity.name}' "
+                    f"at {dict(zip(params, vals))}, seed {spec.seeds[seed_idx]}: "
+                    f"oracle ({ov_l}, {ov_r}) vs fast ({lv}, {rv})")
+        return check
+    return [plan_check(plan) for plan in plans]
 
 
 def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
@@ -684,9 +695,10 @@ def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
         reach = (window[0] - 1, window[1])
     f_tab, l_tab, g_tabs = _build_tables(reach, [s for p in plans for s in p.tables])
     axes = [_axis(spec, v) for v in order]
-    check = _oracle_check(identity, spec, window) if use_oracle else None
+    checks = (_oracle_checks(identity, spec, window, plans) if use_oracle
+              else [None] * len(plans))
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
-    for plan, sweep in zip(plans, sweeps):
+    for plan, sweep, check in zip(plans, sweeps, checks):
         sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,
               failures, check)
     return failures

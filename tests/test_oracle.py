@@ -85,7 +85,7 @@ def test_evaluator_error_messages(text, values, message):
     from fibkit import EvalError
     from fibkit.oracle import evaluator
 
-    fn = evaluator(parse_expr(text), OracleTables(-1, 5, (F_SEED,)), F_SEED)
+    fn = evaluator(parse_expr(text), OracleTables(-1, 5, (F_SEED,)))
     with pytest.raises(EvalError) as exc_info:
         fn(dict(values))
     assert str(exc_info.value) == message
@@ -96,11 +96,41 @@ def test_evaluator_leaves_env_unchanged_and_is_reusable(catalog):
 
     eq1 = catalog.get("Eq1")
     tables = OracleTables(-20, 20, (Seed(3, 7),))
-    fn = evaluator(eq1.lhs, tables, Seed(3, 7))
+    fn = evaluator(eq1.lhs, tables)
     env = {"n": 3, "m": 2, "p": -1, "q": 2, "k": 99}
     first = fn(env)
     assert env == {"n": 3, "m": 2, "p": -1, "q": 2, "k": 99}
-    assert fn(env) == first == eval_side(eq1.lhs, ParamPoint(env, Seed(3, 7)))
+    assert fn(env) == first == [eval_side(eq1.lhs, ParamPoint(env, Seed(3, 7)))]
+
+
+@pytest.mark.parametrize("name", ["Eq1", "Eq8"])
+def test_evaluator_gives_one_value_per_distinct_seed(catalog, name):
+    from fibkit.oracle import evaluator
+
+    entry = catalog.get(name)
+    seeds = (Seed(3, 7), F_SEED, Seed(3, 7), Seed(0, 0), Seed(-4, 5))
+    distinct = list(dict.fromkeys(seeds))
+    tables = OracleTables(-40, 40, seeds)
+    assert list(tables.gen) == distinct
+    env = {"n": 3, "m": 2, "p": -1, "q": 2}
+    for side in (entry.lhs, entry.rhs):
+        values = {p: env[p] for p in entry.free_params}
+        assert evaluator(side, tables)(dict(values)) == \
+            [eval_side(side, ParamPoint(values, seed)) for seed in distinct]
+        # a selection keeps the tables and lists its own seeds in order
+        chosen = tables.select((Seed(-4, 5), Seed(3, 7), Seed(-4, 5)))
+        assert chosen.fib is tables.fib and chosen.gen[Seed(3, 7)] is tables.gen[Seed(3, 7)]
+        assert evaluator(side, chosen)(dict(values)) == \
+            [eval_side(side, ParamPoint(values, seed)) for seed in (Seed(-4, 5), Seed(3, 7))]
+
+
+def test_evaluator_refuses_g_in_an_index():
+    from fibkit.expr import Add, SeqRef, Sym
+    from fibkit.oracle import evaluator
+
+    with pytest.raises(TypeError, match="G read where an index is expected"):
+        evaluator(SeqRef("F", Add(Sym("m"), SeqRef("G", Sym("m")))),
+                  OracleTables(-3, 3, (F_SEED,)))
 
 
 def test_differential_against_fast_evaluator(catalog):

@@ -5,12 +5,14 @@ import json
 import multiprocessing
 import os
 import time
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fibkit
 from fibkit import (
     EvalError, FibkitError, GridError, GridSpec, Identity, InternalFault, ParamPoint,
     ParseError, Seed, eval_side, fib, lucas, cli, oracle, parse_expr, parse_identity,
@@ -232,17 +234,18 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     evaluators = []
     build = oracle.evaluator
     monkeypatch.setattr(oracle, "evaluator",
-                        lambda ast, tables, seed: evaluators.append(seed)
-                        or build(ast, tables, seed))
+                        lambda ast, tables: evaluators.append(tuple(tables.gen))
+                        or build(ast, tables))
     checked = []
-    check = verify._oracle_check
+    checks = verify._oracle_checks
 
-    def counted_check(identity, spec, window):
-        inner = check(identity, spec, window)
-        return lambda vals, seed_idx, lv, rv: checked.append(seed_idx) \
-            or inner(vals, seed_idx, lv, rv)
+    def counted_checks(identity, spec, window, plans):
+        def counted(inner):
+            return lambda vals, seed_idx, lv, rv: checked.append(seed_idx) \
+                or inner(vals, seed_idx, lv, rv)
+        return [counted(inner) for inner in checks(identity, spec, window, plans)]
 
-    monkeypatch.setattr(verify, "_oracle_check", counted_check)
+    monkeypatch.setattr(verify, "_oracle_checks", counted_checks)
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
                     (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(3, 7)))
     assert verify_grid(catalog.get("Eq1"), spec, use_oracle=True).passed
@@ -250,11 +253,67 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     assert built == [(-6, 6, spec.seeds)]
     # F, L and one table per distinct seed
     assert stepped == [(0, 1), (2, 1), (0, 1), (3, 7)]
-    # one evaluator per side and distinct seed for the grid's 1,500 checks
-    assert evaluators == [Seed(0, 1), Seed(0, 1), Seed(3, 7), Seed(3, 7)]
+    # the grid's 1,500 checks run in one plan, with one evaluator per side
+    # that covers both distinct seeds
+    assert evaluators == [(Seed(0, 1), Seed(3, 7))] * 2
     # and every requested seed checked at every point
     assert len(checked) == spec.checks(("n", "m", "p", "q")) == 1500
     assert {i: checked.count(i) for i in range(4)} == {i: 375 for i in range(4)}
+
+
+VARIANT_CATALOG = load_catalog_file(str(DATA / "eq_variants.cat"))
+DUPLICATE_SEEDS = (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(-4, 5), Seed(3, 7))
+
+
+@pytest.mark.parametrize("name,p_range,plan_kinds", [
+    ("Eq8", None, [(False, 0, None)]),                     # reads no G
+    ("Eq1", None, [(True, 1, "p")]),                        # shifted basis
+    ("Eq1", (1, 1), [(True, 2, None)]),                     # two-pair basis
+    ("Eq1.square", None, [(False, 1, None)] * 3),           # one pass per seed
+    ("Eq3.offset", None, [(False, 1, None)] * 3),
+])
+def test_oracle_evaluates_each_point_once_per_distinct_seed(
+        catalog, monkeypatch, name, p_range, plan_kinds):
+    entry = (VARIANT_CATALOG if "." in name else catalog).get(name)
+    ranges = {"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-1, 1)}
+    if p_range:
+        ranges["p"] = p_range
+    spec = GridSpec({p: ranges[p] for p in entry.free_params}, DUPLICATE_SEEDS)
+    plans = verify._plans(entry, spec)
+    assert [(p.basis, len(p.tables), p.shift) for p in plans] == plan_kinds
+    widths = {"lhs": 0, "rhs": 0}
+    build = oracle.evaluator
+
+    def counted(ast, tables):
+        fn, side = build(ast, tables), "lhs" if ast is entry.lhs else "rhs"
+
+        def evaluate(env):
+            values = fn(env)
+            assert len(values) == len(tables.gen)
+            widths[side] += len(values)
+            return values
+        return evaluate
+
+    monkeypatch.setattr(oracle, "evaluator", counted)
+    report = verify_grid(entry, spec, use_oracle=True)
+    assert report.total == spec.checks(entry.free_params)
+    points = report.total // len(DUPLICATE_SEEDS)
+    # each side: one value per point and distinct seed, over all passes
+    assert widths == {"lhs": 3 * points, "rhs": 3 * points}
+
+
+@pytest.mark.parametrize("text", [
+    "binom(300, 150)*F(m) == binom(300, 150)*F(m)",         # reads no G
+    "binom(300, 150)*G(m) + G(m + 1) == binom(300, 150)*G(m) + G(m + 1)",  # basis
+])
+def test_closed_binom_walks_pascal_once_per_node_per_grid(monkeypatch, text):
+    walks = []
+    binom = oracle.pascal_binom
+    monkeypatch.setattr(oracle, "pascal_binom", lambda n, k: (
+        walks.append((n, k)) if n > oracle._PASCAL_ROWS_KEPT else None) or binom(n, k))
+    identity = parse_identity(text, name="closed-binom", params=("m",))
+    assert verify_grid(identity, GridSpec({"m": (0, 5)}), use_oracle=True).passed
+    assert walks == [(300, 150)] * 2
 
 
 def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
@@ -687,6 +746,32 @@ def test_oracle_catches_a_wrong_shift(catalog, monkeypatch, mutate):
         with pytest.raises(InternalFault,
                            match=f"oracle disagrees with evaluator on '{identity.name}'"):
             verify_grid(identity, VARIANT_SPEC, use_oracle=True)
+
+
+def _oracle_mutant(monkeypatch, old, new):
+    """verify's oracle replaced by fibkit.oracle with old changed to new in
+    its source."""
+    path = Path(oracle.__file__)
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    mutant = types.ModuleType("fibkit.oracle")
+    mutant.__package__ = "fibkit"
+    exec(compile(source.replace(old, new), str(path), "exec"), mutant.__dict__)
+    monkeypatch.setattr(fibkit, "oracle", mutant)
+
+
+@pytest.mark.parametrize("old,new", [
+    # every seed's G read from the first seed's table
+    ("[values[idx] for values in gens]", "[gens[0][idx] for values in gens]"),
+    # G marked seed-free: the first seed's value stands for all of them
+    ("return lookup_each, True", "return (lambda env: lookup_each(env)[0]), False"),
+])
+def test_oracle_mutants_that_share_g_across_seeds_are_caught(catalog, monkeypatch, old, new):
+    eq1 = catalog.get("Eq1")
+    assert verify_grid(eq1, VARIANT_SPEC, use_oracle=True).passed
+    _oracle_mutant(monkeypatch, old, new)
+    with pytest.raises(InternalFault, match="oracle disagrees with evaluator on 'Eq1'"):
+        verify_grid(eq1, VARIANT_SPEC, use_oracle=True)
 
 
 # --- the index reader -----------------------------------------------------------
