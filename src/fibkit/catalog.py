@@ -42,9 +42,11 @@ class Identity:
     def text(self) -> str:
         return f"{to_text(self.lhs)} == {to_text(self.rhs)}"
 
-    @property
+    @functools.cached_property
     def rank_params(self) -> tuple[str, ...]:
-        """Parameters that appear in a sum bound; instantiated, never symbolic."""
+        """Parameters that appear in a sum bound; instantiated, never symbolic.
+        Computed on first use and kept out of the dataclass fields, so
+        equality and hashing ignore it."""
         bound_syms: set[str] = set()
         for side in (self.lhs, self.rhs):
             for node in iter_nodes(side):

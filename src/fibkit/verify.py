@@ -9,14 +9,17 @@ seed's values follow by linear combination. When some parameter s loops
 and the sides read it only as s + (terms without s) inside G indices,
 the sweep loops s innermost and evaluates the sides on the seed (0, 1)
 alone: their values on the seed (1, 0) at s are those on (0, 1) at
-s - 1, the previous step's, since B10(e) = B01(e - 1). Each grid's index
-window comes from one interval analysis and sizes both its tables and
-the oracle's; a shift plan's tables reach one index below it, for the
-sides at s = lo - 1. The sweep is the only generated code: a side's
-value at one point is the one-point sweep of side == 0, and an
-evaluation error is located point by point with one compiled one-point
-sweep. All arithmetic is unbounded int; a PASS means exact equality at
-every point and seed.
+s - 1, since B10(e) = B01(e - 1). Such a side is a fixed linear
+combination of values G(s + d), so along s it obeys G's own recurrence
+X(s + 1) = X(s) + X(s - 1): the sweep evaluates it in full only twice
+per line of s, at s = lo - 1 and s = lo, and takes one addition per
+later step. Each grid's index window comes from one interval analysis
+and sizes both its tables and the oracle's; a shift plan's tables reach
+one index below it, for the sides at s = lo - 1. The sweep is the only
+generated code: a side's value at one point is the one-point sweep of
+side == 0, and an evaluation error is located point by point with one
+compiled one-point sweep. All arithmetic is unbounded int; a PASS means
+exact equality at every point and seed.
 """
 
 from __future__ import annotations
@@ -301,7 +304,9 @@ class _Plan(NamedTuple):
     seeds whose values the one pair of sides gives. A basis pass evaluates
     its sides on both basis tables, or, with shift, only on B01's: since
     B10(e) = B01(e - 1), a side's value on B10 at a point is its value on
-    B01 one step back along the parameter shift.
+    B01 one step back along the parameter shift. Along shift both values
+    follow G's recurrence, so the sides are evaluated in full twice per
+    line of shift, at its first value and one before.
     """
 
     basis: bool
@@ -411,7 +416,9 @@ def _loop_order(identity: Identity, spec: GridSpec,
     one it reads (once per index value inside a sum, once per pair of
     sides if it reads G); of all orders of the loops, the first one with
     the fewest such computations wins. The plan's shift parameter loops
-    innermost, where each step hands its pair of sides to the next.
+    innermost, where a term that reads it is computed twice per line, at
+    the line's first value and one before; G's recurrence gives the sides
+    at every later step.
     """
     params = identity.free_params
     lengths = {p: len(_axis(spec, p)) for p in params}
@@ -431,7 +438,7 @@ def _loop_order(identity: Identity, spec: GridSpec,
     def cost(order: tuple[str, ...]) -> int:
         reach, size = {}, 1
         for p in order:
-            size *= lengths[p]
+            size *= 2 if p == plan.shift else lengths[p]
             reach[p] = size
         return sum(count * max(map(reach.__getitem__, deps), default=1)
                    for deps, count in weights.items())
@@ -555,7 +562,8 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         k = 1 if shift else j
         last += [f"_l{k} = {lhs}", f"_r{k} = {rhs}"]
     step = list(last)
-    carry = "_l0, _r0 = _l1, _r1"
+    if shift:  # the sides are evaluated in full only ahead of the shift loop
+        last.clear()
     point = "(" + "".join(f"{writer.names[p]}, " for p in params) + ")"
     if basis:
         derive = ["for _si, _g0, _g1 in _S:",
@@ -567,8 +575,8 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         # a point where both basis pairs agree passes for every seed
         last += derive if oracle else ["if _l0 != _r0 or _l1 != _r1:",
                                        *("    " + line for line in derive)]
-        if shift:
-            last.append(carry)
+        if shift:  # the sides at s + 1 by G's recurrence, B10's pair one behind
+            last += ["_l0, _l1 = _l1, _l0 + _l1", "_r0, _r1 = _r1, _r0 + _r1"]
     else:
         if oracle:
             last += ["for _si in _S:", f"    _check({point}, _si, _l0, _r0)"]
@@ -585,9 +593,11 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         if j < fixed:
             out.append(f"{indent}{name} = {axes[j]}[0]")
         else:
-            if var == shift:  # the pair one step before the loop's first
+            if var == shift:  # the sides in full at the loop's first value and one before
                 out += [f"{indent}{name} = {axes[j]}[0] - 1",
-                        *(indent + line for line in step), indent + carry]
+                        *(indent + line for line in step), f"{indent}_l0, _r0 = _l1, _r1",
+                        f"{indent}{name} = {axes[j]}[0]",
+                        *(indent + line for line in step)]
             out.append(f"{indent}for {name} in {axes[j]}:")
             indent += "    "
         out += [indent + line for line in writer.lines[j + 1]]

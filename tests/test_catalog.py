@@ -1,7 +1,10 @@
 """Catalog contents, stanza file IO, and the expanded-example relabeling map."""
 
+import pickle
+
 import pytest
 
+from fibkit import catalog as catalog_module
 from fibkit import (
     Catalog, CatalogError, Identity, format_catalog, parse_catalog,
     parse_identity, section3_source,
@@ -44,6 +47,24 @@ def test_rank_parametric_entries(catalog):
             assert entry.rank_params == ("n",)
         else:
             assert not entry.is_rank_parametric, entry.name
+
+
+def test_rank_params_walk_both_sides_once(monkeypatch):
+    walked = []
+    real = catalog_module.iter_nodes
+    monkeypatch.setattr(catalog_module, "iter_nodes",
+                        lambda node: walked.append(node) or real(node))
+    text = "sum(k, 0, n, F(k)*G(m + k)) == G(m + n + 1) - G(m + 1)"
+    first = parse_identity(text, name="t", params=("n", "m"))
+    assert first.rank_params == first.rank_params == ("n",)
+    assert first.is_rank_parametric
+    assert walked == [first.lhs, first.rhs]
+    # the cache is no field: equality, hashing and pickling see the same Identity
+    fresh = parse_identity(text, name="t", params=("n", "m"))
+    assert fresh == first and hash(fresh) == hash(first)
+    for copy in (pickle.loads(pickle.dumps(first)), pickle.loads(pickle.dumps(fresh))):
+        assert copy == first and hash(copy) == hash(first)
+        assert copy.rank_params == ("n",)
 
 
 def test_paper_tags(catalog):

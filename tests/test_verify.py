@@ -734,7 +734,15 @@ def _step_ahead(monkeypatch):
                         lambda *args: source(*args).replace("[0] - 1", "[0] + 1"))
 
 
-@pytest.mark.parametrize("mutate", [_wrong_table, _step_ahead])
+def _wrong_step(monkeypatch):
+    # the sides at s + 1 from a wrong recurrence
+    source = verify._sweep_source
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    monkeypatch.setattr(verify, "_sweep_source",
+                        lambda *args: source(*args).replace("_l0 + _l1", "_l1 + _l1"))
+
+
+@pytest.mark.parametrize("mutate", [_wrong_table, _step_ahead, _wrong_step])
 def test_oracle_catches_a_wrong_shift(catalog, monkeypatch, mutate):
     spec = GridSpec({"p": (-3, 3)})
     assert [p.shift for p in verify._plans(catalog.get("Eq1"), VARIANT_SPEC)] == ["p"]
@@ -853,12 +861,58 @@ def test_shift_sweep_matches_oracle_and_point_by_point(data):
     seeds += data.draw(st.lists(st.sampled_from(seeds), max_size=2))
     ranges = _draw_grid(data, identity)
     lo = data.draw(st.integers(-3, 3))
-    ranges["s"] = (lo, lo + data.draw(st.integers(1, 3)))
+    ranges["s"] = (lo, lo + data.draw(st.integers(1, 7)))  # several recurrence steps
     spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
     plans = verify._plans(identity, spec)
     assert len(plans) == 1 and plans[0].basis and plans[0].shift is not None
     assert plans[0].tables == (Seed(0, 1),)
     _matches_oracle_and_point_by_point(identity, spec)
+
+
+class _CountingTable(dict):
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountingTable.reads += 1
+        return super().__getitem__(index)
+
+
+def test_shift_sweep_evaluates_the_sides_twice_per_line(monkeypatch):
+    real = verify.table
+    monkeypatch.setattr(verify, "table",
+                        lambda seed, lo, hi: _CountingTable(real(seed, lo, hi)))
+    reads = []
+    for hi in (1, 28):  # p takes 3 values, then 30
+        _CountingTable.reads = 0
+        spec = GridSpec({"p": (-1, hi)})
+        assert [p.shift for p in verify._plans(SHIFTED, spec)] == ["p"]
+        report = verify_grid(SHIFTED, spec)
+        assert report.failures and report.total == (hi + 2) * len(spec.seeds)
+        reads.append(_CountingTable.reads)
+    # one line: the four G reads of both sides, at p = -2 and at p = -1
+    assert reads == [8, 8]
+
+
+# Each shift-plan catalog entry's loop order on the default grid; the
+# shift loop's terms cost the same in every order, whatever they cost.
+SHIFT_ORDERS = {
+    "Eq1": ("n", "m", "q", "p"), "Eq2": ("n", "m", "q", "p"),
+    "Eq3": ("n", "q", "m", "p"), "Eq4": ("n", "q", "m", "p"),
+    **{f"S3.n{r}.{k}-forward": ("m", "p", "n") for r in (1, 2, 3, 4) for k in "FL"},
+    **{f"S3.n{r}.{k}-backward": ("p", "m", "n") for r in (1, 2) for k in "FL"},
+    **{f"S3.n{r}.{k}-backward": ("m", "p", "n") for r in (3, 4) for k in "FL"},
+}
+
+
+def test_shift_plan_loop_orders_on_the_default_grid(catalog):
+    args = cli.build_parser().parse_args(["verify", "--all"])
+    orders = {}
+    for entry in catalog:
+        spec = cli._grid_for(entry, args)
+        plan = verify._plans(entry, spec)[0]
+        if plan.shift:
+            orders[entry.name] = verify._loop_order(entry, spec, plan)
+    assert orders == {name: (order, 0) for name, order in SHIFT_ORDERS.items()}
 
 
 @pytest.mark.parametrize("text,params,ranges", [
