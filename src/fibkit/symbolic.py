@@ -14,7 +14,9 @@ no symbol left is its integer's power, not a Binet expansion.
 G references expand through G(e) = [(G(-1)+G(1)) F(e) + G(0) L(e)] / 2
 with the two seed combinations kept as formal scalars, so a PASS is
 universal over seeds as well. The seed scalars are two more symbols of
-the same Laurent polynomial.
+the same Laurent polynomial. Each distinct F, L or G reference is built
+once per proof, directly as its Binet monomials: two for F and L, four
+for G.
 
 The difference of the two sides is built once. It is multilinear in the
 sign symbols, so it is zero exactly when it vanishes at every point of
@@ -36,7 +38,7 @@ import time
 from typing import Mapping
 
 from .catalog import Identity
-from .errors import SymbolicError
+from .errors import InternalFault, SymbolicError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
     affine, free_symbols, iter_nodes, substitute, to_text,
@@ -87,6 +89,23 @@ def _brief(what: Node | str) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def _closed_value(poly: LaurentPoly, node: Node) -> int | None:
+    """The integer `poly` stands for when it has no symbol left, else None.
+    Such a base is built from integers alone, so a phi part or a fraction
+    left in it is a fault of the prover's."""
+    if len(poly) > 1:  # two terms differ in some exponent
+        return None
+    terms = poly.terms
+    if any(map(any, terms)):
+        return None
+    c = next(iter(terms.values()), GoldenInt(0, 0))
+    value, rest = divmod(c.a, poly.den)
+    if c.b or rest:
+        raise InternalFault(f"{_brief(node)}: the closed base ({c})/{poly.den} "
+                            f"is not an integer")
+    return value
+
+
 class _Rewriter:
     """The polynomials of one proof, under its resource bounds.
 
@@ -95,17 +114,14 @@ class _Rewriter:
     symbol (-1)^x per free parameter x, in the same order as the axes.
     """
 
-    __slots__ = ("free", "nsyms", "width", "inv_sqrt5", "half", "splus", "szero",
-                 "products", "sum_terms")
+    __slots__ = ("free", "nsyms", "width", "half", "seqs", "products", "sum_terms")
 
     def __init__(self, free: tuple[str, ...]):
         self.free = free
         self.nsyms = 2 * len(free) + 2
         self.width = (self.nsyms + 7) // 8
-        self.inv_sqrt5 = self.constant(SQRT5, 5)   # 1/sqrt(5) = sqrt(5)/5
         self.half = self.constant(1, 2)
-        self.splus = self.monomial({len(free): 1})
-        self.szero = self.monomial({len(free) + 1: 1})
+        self.seqs: dict[tuple[str, int, tuple[int, ...]], LaurentPoly] = {}
         self.products = 0
         self.sum_terms = 0
 
@@ -126,20 +142,34 @@ class _Rewriter:
         if rest:
             raise SymbolicError(f"{kind}({to_text(arg)}): index is not affine in the "
                                 f"free parameters (product of parameters)")
+        coeffs = tuple(terms.get(p, 0) for p in self.free)
+        key = (kind, const, coeffs)
+        poly = self.seqs.get(key)
+        if poly is None:
+            poly = self.seqs[key] = self.binet(kind, const, coeffs)
+        return poly
+
+    def binet(self, kind: str, const: int, coeffs: tuple[int, ...]) -> LaurentPoly:
+        """F, L or G at the index const + sum(coeffs[i] * x_i), built as its
+        Binet monomials. Monomials whose exponents agree, as they do for a
+        closed index, are merged."""
         root = phi_pow(const)
-        plus = self.monomial({self.free.index(p): a for p, a in terms.items()}, root)
-        # (1 - phi)^(c + sum a*x) = conj(phi^c) * prod (-1)^(a*x) * phi^(-a*x)
-        exps = {self.free.index(p): -a for p, a in terms.items()}
-        exps.update((self.sign_slot(p), a & 1) for p, a in terms.items())
-        minus = self.monomial(exps, root.conj())
-        if kind == "F":
-            return (plus - minus) * self.inv_sqrt5
-        if kind == "L":
-            return plus + minus
-        # G(e) = [splus * F(e) + szero * L(e)] / 2 with formal seed scalars
-        f_part = (plus - minus) * self.inv_sqrt5 * self.splus
-        l_part = (plus + minus) * self.szero
-        return (f_part + l_part) * self.half
+        # phi^e = phi^c * prod X^a, (1 - phi)^e = conj(phi^c) * prod (-1)^(a*x) * X^(-a)
+        plus = (coeffs, (0,) * len(coeffs), root)
+        minus = (tuple(-a for a in coeffs), tuple(a & 1 for a in coeffs), root.conj())
+        # seed exponents (splus, szero) -> the weights of phi^e and (1 - phi)^e
+        if kind == "F":    # (phi^e - (1 - phi)^e) / sqrt(5), 1/sqrt(5) = sqrt(5)/5
+            weights, den = {(0, 0): (SQRT5, -SQRT5)}, 5
+        elif kind == "L":  # phi^e + (1 - phi)^e
+            weights, den = {(0, 0): (1, 1)}, 1
+        else:              # G(e) = [splus * F(e) + szero * L(e)] / 2
+            weights, den = {(1, 0): (SQRT5, -SQRT5), (0, 1): (5, 5)}, 10
+        merged: dict[tuple[int, ...], GoldenInt] = {}
+        for seeds, pair in weights.items():
+            for (axes, signs, z), w in zip((plus, minus), pair):
+                exps = (*axes, *seeds, *signs)
+                merged[exps] = merged[exps] + z * w if exps in merged else z * w
+        return LaurentPoly(self.nsyms, merged, den, len(self.free))
 
     def sign_poly(self, node: Sign) -> LaurentPoly:
         """(-1)^arg: one signed monomial when arg is affine in the free
@@ -174,7 +204,7 @@ class _Rewriter:
                 f"{MAX_TERM_PRODUCTS:,} term products")
 
     def product(self, a: LaurentPoly, b: LaurentPoly, node: Node) -> LaurentPoly:
-        self.charge(len(a.terms) * len(b.terms), node)
+        self.charge(len(a) * len(b), node)
         return a * b
 
     def to_poly(self, node: Node) -> LaurentPoly:
@@ -197,8 +227,8 @@ class _Rewriter:
             if e < 0:
                 raise SymbolicError(f"power exponent {e} is negative")
             base = self.to_poly(node.base)
-            if not any(map(any, base.terms)):  # no symbol left: an integer's power
-                value = sum(c.a for c in base.terms.values()) // base.den
+            value = _closed_value(base, node)
+            if value is not None:  # no symbol left: an integer's power
                 # the parser's digit limit, also for a power closed by fixed parameters
                 if abs(value) > 1 and _times(e, math.log10(abs(value))) >= MAX_DIGITS:
                     raise SymbolicError(f"{_brief(node)}: the proof needs a constant "
@@ -271,7 +301,7 @@ def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
     if not residual.is_zero():
         cases = f"{identity.name} over 2^{len(free)} parity cases"
         for bits in itertools.product((0, 1), repeat=len(free)):
-            rewriter.charge(len(residual.terms), cases)
+            rewriter.charge(len(residual), cases)
             case = residual.specialize(bits)
             if not case.is_zero():
                 failures.append(Failure(

@@ -8,15 +8,20 @@ phi a unit: negative powers stay inside the ring. sqrt(5) is the element
 LaurentPoly adds sparse Laurent polynomials in any number of invertible
 formal symbols over Q(phi), the last of which may be sign symbols
 (sigma^2 = 1); it is the canonical-form carrier for the symbolic identity
-prover.
+prover. Its terms are packed (Monagan and Pearce, CASC 2007): each
+exponent vector is one int key of fixed-width fields, widened when a
+product's exponents would not fit, and each numerator a plain int pair,
+so a term product is one key addition and an inline Z[phi] product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
-from operator import add, and_, mul
-from typing import Callable, Mapping, Sequence, TypeVar, Union
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import InternalFault
 
@@ -165,13 +170,86 @@ def binet_lucas(n: int) -> int:
 
 
 Exps = tuple[int, ...]
+Pair = tuple[int, int]  # (a, b) for the numerator a + b*phi
+
+# Bits per axis field of a packed key before any widening: room for
+# exponents up to 2^15 - 1 in size.
+_WIDTH = 16
+_BITS = frozenset((0, 1))
+
+
+def _fit(reach: int, width: int) -> int:
+    """`width`, doubled as often as needed for its fields to hold every
+    exponent of size at most `reach`."""
+    while reach >= 1 << (width - 1):
+        width *= 2
+    return width
+
+
+@lru_cache(maxsize=256)
+def _layout(naxes: int, nsigns: int, width: int) -> tuple[int, int]:
+    """(offset, mask) of packed keys with `naxes` axis fields of `width`
+    bits above `nsigns` two-bit sign fields: the offset holds the bias
+    2^(width-1) in every axis field, and the mask clears the high bit of
+    every sign field."""
+    low = 2 * nsigns
+    offset = sum(1 << (width - 1) << (low + width * i) for i in range(naxes))
+    carries = sum(2 << (2 * j) for j in range(nsigns))
+    return offset, ((1 << (low + width * naxes)) - 1) ^ carries
+
+
+def _pack(exps: Exps, naxes: int, width: int) -> int:
+    key = 0
+    bias = 1 << (width - 1)
+    for e in reversed(exps[:naxes]):
+        key = key << width | (e + bias)
+    for s in reversed(exps[naxes:]):
+        key = key << 2 | s
+    return key
+
+
+def _unpack(key: int, naxes: int, nsigns: int, width: int) -> Exps:
+    signs = []
+    for _ in range(nsigns):
+        signs.append(key & 1)
+        key >>= 2
+    bias, field = 1 << (width - 1), (1 << width) - 1
+    axes = []
+    for _ in range(naxes):
+        axes.append((key & field) - bias)
+        key >>= width
+    return (*axes, *signs)
+
+
+def _accumulate(out: dict[int, Pair], terms: Iterable[tuple[int, Pair]]
+                ) -> dict[int, Pair]:
+    """`out` with `terms` added in, term by term; a sum of zero is removed."""
+    get = out.get
+    for k, (a, b) in terms:
+        old = get(k)
+        if old is None:
+            out[k] = (a, b)
+        elif old[0] + a or old[1] + b:
+            out[k] = (old[0] + a, old[1] + b)
+        else:
+            del out[k]
+    return out
+
+
+def _make(nsyms: int, nsigns: int, den: int, width: int, reach: int,
+          terms: dict[int, Pair]) -> LaurentPoly:
+    """A polynomial from packed terms, none of them zero."""
+    poly = object.__new__(LaurentPoly)
+    poly.nsyms, poly.nsigns, poly.den = nsyms, nsigns, den
+    poly._width, poly._reach, poly._terms = width, reach, terms
+    return poly
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial in `nsyms` invertible symbols over Q(phi).
 
-    Terms map exponent tuples (one entry per symbol, any integer) to
-    GoldenInt numerators, and one positive integer `den` divides the whole
+    Terms map exponent vectors (one entry per symbol, any integer) to
+    numerators in Z[phi], and one positive integer `den` divides the whole
     polynomial; the prover's denominators are products of 2s and 5s. No
     zero numerator is stored, so the polynomial is zero exactly when no
     term is left, and the zero test never divides. Numerators are reduced
@@ -181,19 +259,42 @@ class LaurentPoly:
     sigma^2 = 1 such as (-1)^x. Their exponents are 0 or 1: a product adds
     them mod 2, and nothing else changes them. `specialize` sets them to
     +-1. With no sign symbols the polynomial is an ordinary Laurent
-    polynomial.
+    polynomial. The other symbols are its axes.
+
+    Inside, a term is one int key and an int pair (a, b) for its numerator
+    a + b*phi. The key packs the exponent vector: sign symbol j in the
+    two-bit field at bit 2j, then axis i in the `width`-bit field above
+    them at bit 2*nsigns + width*i, holding its exponent plus the bias
+    2^(width-1). Multiplying two terms adds their keys, subtracts one
+    bias per axis, and masks off the high bit of each sign field, which
+    leaves each sign exponent mod 2. Each polynomial keeps its reach, a
+    bound on its largest axis exponent in size, below 2^(width-1); a
+    product whose factors' reaches add up past that is done in wider
+    fields (each doubling the last), so no field ever carries into the
+    next and no exponent is too large. `terms` unpacks the keys into
+    exponent tuples with GoldenInt numerators.
     """
 
-    __slots__ = ("nsyms", "terms", "den", "nsigns")
+    __slots__ = ("nsyms", "nsigns", "den", "_width", "_reach", "_terms")
 
     def __init__(self, nsyms: int, terms: Mapping[Exps, GoldenInt] | None = None,
                  den: int = 1, nsigns: int = 0):
         if den < 1:
             raise ValueError(f"LaurentPoly denominator must be positive, got {den}")
-        self.nsyms = nsyms
-        self.terms = {e: c for e, c in (terms or {}).items() if c.a or c.b}
-        self.den = den
-        self.nsigns = nsigns
+        if not 0 <= nsigns <= nsyms:
+            raise ValueError(f"{nsigns} sign symbols among {nsyms} symbols")
+        naxes = nsyms - nsigns
+        terms = terms or {}
+        for e in terms:
+            if len(e) != nsyms or not _BITS.issuperset(e[naxes:]):
+                raise ValueError(f"exponents {e} are not {nsyms} with the last "
+                                 f"{nsigns}, of sign symbols, each 0 or 1")
+        kept = [(e, c) for e, c in terms.items() if c.a or c.b]
+        reach = max(map(abs, chain.from_iterable(e[:naxes] for e, _ in kept)), default=0)
+        width = _fit(reach, _WIDTH)
+        self.nsyms, self.nsigns, self.den = nsyms, nsigns, den
+        self._width, self._reach = width, reach
+        self._terms = {_pack(e, naxes, width): (c.a, c.b) for e, c in kept}
 
     @classmethod
     def monomial(cls, exps: Exps, coeff: Scalar = 1, den: int = 1,
@@ -202,24 +303,46 @@ class LaurentPoly:
         last `nsigns` exponents are those of sign symbols, each 0 or 1."""
         return cls(len(exps), {tuple(exps): _coerce(coeff)}, den, nsigns)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self) -> dict[Exps, GoldenInt]:
+        """A fresh mapping from each term's exponent tuple to its numerator."""
+        naxes, width = self.nsyms - self.nsigns, self._width
+        return {_unpack(k, naxes, self.nsigns, width): GoldenInt(a, b)
+                for k, (a, b) in self._terms.items()}
 
-    def _rescaled(self, den: int) -> dict[Exps, GoldenInt]:
-        """Numerators over `den`, a multiple of self.den."""
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _at(self, width: int) -> dict[int, Pair]:
+        """The packed terms, re-packed in fields of `width` >= self._width bits."""
+        if width == self._width:
+            return self._terms
+        naxes, nsigns = self.nsyms - self.nsigns, self.nsigns
+        return {_pack(_unpack(k, naxes, nsigns, self._width), naxes, width): c
+                for k, c in self._terms.items()}
+
+    def _scaled(self, den: int, width: int) -> dict[int, Pair]:
+        """The packed terms in fields of `width` bits, with numerators over
+        `den`, a multiple of self.den."""
+        terms = self._at(width)
         if den == self.den:
-            return self.terms
+            return terms
         scale = den // self.den
-        return {e: c * scale for e, c in self.terms.items()}
+        return {k: (a * scale, b * scale) for k, (a, b) in terms.items()}
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         den = self.den if self.den == other.den else lcm(self.den, other.den)
-        merged = dict(self._rescaled(den))
-        for e, c in other._rescaled(den).items():
-            merged[e] = merged[e] + c if e in merged else c
-        return LaurentPoly(self.nsyms, merged, den, self.nsigns)
+        width = max(self._width, other._width)
+        merged = _accumulate(dict(self._scaled(den, width)),
+                             other._scaled(den, width).items())
+        return _make(self.nsyms, self.nsigns, den, width,
+                     max(self._reach, other._reach), merged)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -227,21 +350,32 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.nsyms, {e: -c for e, c in self.terms.items()},
-                           self.den, self.nsigns)
+        return _make(self.nsyms, self.nsigns, self.den, self._width, self._reach,
+                     {k: (-a, -b) for k, (a, b) in self._terms.items()})
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        # exponents add; sign exponents then keep their low bit (x & -1 == x)
-        low = (-1,) * (self.nsyms - self.nsigns) + (1,) * self.nsigns
-        product: dict[Exps, GoldenInt] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(and_, map(add, e1, e2), low))
-                c = c1 * c2
-                product[e] = product[e] + c if e in product else c
-        return LaurentPoly(self.nsyms, product, self.den * other.den, self.nsigns)
+        reach = self._reach + other._reach
+        width = _fit(reach, max(self._width, other._width))
+        offset, mask = _layout(self.nsyms - self.nsigns, self.nsigns, width)
+        right = list(other._at(width).items())
+        product: dict[int, Pair] = {}
+        get = product.get
+        for k1, (a, b) in self._at(width).items():
+            k1 -= offset
+            for k2, (c, d) in right:
+                # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi
+                k = (k1 + k2) & mask
+                bd = b * d
+                old = get(k)
+                if old is None:
+                    product[k] = (a * c + bd, a * d + b * c + bd)
+                else:
+                    product[k] = (old[0] + a * c + bd, old[1] + a * d + b * c + bd)
+        if not all(map(any, product.values())):
+            product = {k: c for k, c in product.items() if any(c)}
+        return _make(self.nsyms, self.nsigns, self.den * other.den, width, reach, product)
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
@@ -258,14 +392,11 @@ class LaurentPoly:
         """
         if len(bits) != self.nsigns:
             raise ValueError(f"{len(bits)} parity bits for {self.nsigns} sign symbols")
-        cut = self.nsyms - self.nsigns
-        out: dict[Exps, GoldenInt] = {}
-        for e, c in self.terms.items():
-            if sum(map(mul, e[cut:], bits)) & 1:
-                c = -c
-            e = e[:cut]
-            out[e] = out[e] + c if e in out else c
-        return LaurentPoly(cut, out, self.den)
+        odd = sum(1 << (2 * j) for j, bit in enumerate(bits) if bit & 1)
+        low = 2 * self.nsigns
+        out = _accumulate({}, ((k >> low, (-a, -b) if (k & odd).bit_count() & 1 else (a, b))
+                               for k, (a, b) in self._terms.items()))
+        return _make(self.nsyms - self.nsigns, 0, self.den, self._width, self._reach, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -277,12 +408,13 @@ class LaurentPoly:
     def text(self, names: Sequence[str]) -> str:
         """Reduced text with `names` for the symbols, in exponent order, so
         equal polynomials print alike whatever their term order or scale."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        g = gcd(self.den, *(x for c in self.terms.values() for x in (c.a, c.b)))
+        g = gcd(self.den, *(x for c in terms.values() for x in (c.a, c.b)))
         parts = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
+        for exps in sorted(terms):
+            c = terms[exps]
             mono = "*".join(f"{name}^{e}" for name, e in zip(names, exps) if e)
             coeff = f"({GoldenInt(c.a // g, c.b // g)})"
             parts.append(f"{coeff}*{mono}" if mono else coeff)

@@ -361,6 +361,19 @@ def test_prove_eq_variants_json_bytes_are_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PROVE_EQ_VARIANTS
 
 
+# sha256 of stdout, taken from the prover whose terms were keyed by exponent
+# tuples with GoldenInt numerators; at rank 32 its polynomials reach
+# thousands of terms and exponents past 32.
+GOLDEN_PROVE_RANK_32 = "e80da95f0554c9d580540bf3b91be24aefeaa32f2903888ccc104e4f7685d2c1"
+
+
+def test_prove_rank_32_json_bytes_are_golden(capsys):
+    code, out, _ = run(capsys, "prove", "--id", "Eq1", "Eq2", "Eq3", "Eq4", "--n", "32",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PROVE_RANK_32
+
+
 def test_catalog_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FIBKIT_CATALOG", str(DATA / "bad.cat"))
     code, out, _ = run(capsys, "verify", "--all", "--m", "0..3")
@@ -398,6 +411,22 @@ def test_prove_failure_exits_1(capsys, tmp_path):
     code, out, _ = run(capsys, "prove", "--file", str(bad))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_prove_exponents_past_any_fixed_width(capsys, tmp_path):
+    big = 10 ** 30
+    path = tmp_path / "wide.cat"
+    path.write_text(f"name: Wide\nparams: m\npaper: t\n"
+                    f"identity: F({big}*m)*F(m) == F(m)*F({big}*m)\n")
+    code, out, err = run(capsys, "prove", "--all", "--file", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS Wide [t]")
+    # a false one fails with its exponents whole in the residual
+    path.write_text(f"name: Wrong\nparams: m\npaper: t\n"
+                    f"identity: F({big}*m) == F({big}*m + 2)\n")
+    code, out, err = run(capsys, "prove", "--all", "--file", str(path))
+    assert (code, err) == (1, "")
+    assert f"lhs=[(-3+1φ)*X^-{big} + (-2-1φ)*X^{big}]/5 rhs=0" in out
 
 
 def test_prove_non_affine_exits_2(capsys, tmp_path):

@@ -7,11 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fibkit import (
-    GridSpec, Identity, Seed, SymbolicError, cli, parse_identity, prove_symbolic, symbolic,
+    GridSpec, Identity, InternalFault, Seed, SymbolicError, cli, parse_identity,
+    prove_symbolic, symbolic,
 )
 from fibkit.expr import Lit, Mul, Pow, SeqRef, Sign, Sym
 from fibkit.verify import verify_grid
-from fibkit.zphi import LaurentPoly
+from fibkit.zphi import PHI, GoldenInt, LaurentPoly
 
 
 def test_eq14_passes_all_eight_parity_cases(catalog):
@@ -298,6 +299,20 @@ def test_closed_power_is_folded_under_a_memory_cap(tmp_path, run_fibkit, identit
     assert (status, stderr) == (code, err)
 
 
+@pytest.mark.parametrize("coeff,den,text", [
+    (PHI, 1, "(0+1φ)/1"),             # a phi part
+    (GoldenInt(7, 0), 2, "(7+0φ)/2"),  # a remainder from the denominator
+], ids=["phi", "fraction"])
+def test_closed_base_that_is_no_integer_is_an_internal_fault(monkeypatch, coeff, den, text):
+    # every sequence reference rewrites to this closed polynomial
+    monkeypatch.setattr(symbolic._Rewriter, "binet", lambda self, kind, const, coeffs:
+                        LaurentPoly.monomial((0,) * self.nsyms, coeff, den, len(self.free)))
+    power = parse_identity("F(m) + F(1)^2 == F(m) + 1", name="power", params=("m",))
+    with pytest.raises(InternalFault) as info:
+        prove_symbolic(power)
+    assert str(info.value) == f"F(1)^2: the closed base {text} is not an integer"
+
+
 def test_power_closed_by_fixed_parameters_keeps_the_digit_limit():
     # F(3)^p has about 3*10^7 digits at p = 10^8: the parser never saw it
     power = parse_identity("F(m)^p == F(m)^p", name="power", params=("m", "p"))
@@ -378,6 +393,15 @@ def test_parity_cases_are_charged_to_the_budget(tmp_path, capsys, params, identi
     assert code == 2
     assert time.perf_counter() - started < 1
     assert err.endswith(": the proof needs more than 100,000 term products\n")
+
+
+def test_budget_edge_lies_between_ranks_42_and_43(capsys):
+    # Eq1 takes 97,621 term products at rank 42; at rank 43 F(m)^41 would pass 100,000
+    assert cli.main(["prove", "--id", "Eq1", "--n", "42"]) == 0
+    assert cli.main(["prove", "--id", "Eq1", "--n", "43"]) == 2
+    _, err = capsys.readouterr()
+    assert err == ("fibkit: error: F(m)^41: the proof needs more than 100,000 "
+                   "term products\n")
 
 
 def test_budget_admits_the_flagships_at_rank_32(catalog):

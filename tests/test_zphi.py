@@ -1,5 +1,7 @@
 """Golden-ratio ring arithmetic, Binet formulas, Laurent polynomials."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -207,3 +209,91 @@ def test_specializing_a_product_is_the_product_of_specializations(pair, bits):
     bits = bits[:p.nsigns]
     assert (p * q).specialize(bits) == p.specialize(bits) * q.specialize(bits)
     assert (p + q).specialize(bits) == p.specialize(bits) + q.specialize(bits)
+
+
+# --- packed terms against a tuple-keyed reference ----------------------------
+
+def _reference(poly):
+    """A polynomial's terms as exponent tuple -> (a, b), the exact values of
+    a + b*phi over the denominator."""
+    return {e: (Fraction(c.a, poly.den), Fraction(c.b, poly.den))
+            for e, c in poly.terms.items()}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for e, (a, b) in y.items():
+        c, d = out.pop(e, (0, 0))
+        if a + c or b + d:
+            out[e] = (a + c, b + d)
+    return out
+
+
+def _ref_mul(x, y, nsigns):
+    out = {}
+    for e1, (a, b) in x.items():
+        for e2, (c, d) in y.items():
+            cut = len(e1) - nsigns
+            e = (*(u + v for u, v in zip(e1[:cut], e2[:cut])),
+                 *((u + v) % 2 for u, v in zip(e1[cut:], e2[cut:])))
+            out = _ref_add(out, {e: (a * c + b * d, a * d + b * c + b * d)})
+    return out
+
+
+def _ref_specialize(x, bits):
+    out = {}
+    for e, (a, b) in x.items():
+        cut = len(e) - len(bits)
+        if sum(s * t for s, t in zip(e[cut:], bits)) % 2:
+            a, b = -a, -b
+        out = _ref_add(out, {e[:cut]: (a, b)})
+    return out
+
+
+# small exponents collide, ones near 2^15 overflow a 16-bit field when two
+# are added, and ones up to 2^80 need fields of 128 bits
+axis_exponent = st.one_of(st.integers(-2, 2), st.integers(-2**15 - 2, 2**15 + 2),
+                          st.integers(-2**80, 2**80))
+
+
+@st.composite
+def wide_laurent_pairs(draw):
+    nsigns = draw(st.sampled_from([0, 2]))
+    key = st.tuples(axis_exponent, axis_exponent, *[st.integers(0, 1)] * nsigns)
+    poly = st.builds(lambda terms, den: LaurentPoly(2 + nsigns, terms, den, nsigns),
+                     st.dictionaries(key, small_golden, max_size=5),
+                     st.sampled_from([1, 2, 5, 10]))
+    return draw(poly), draw(poly)
+
+
+@given(wide_laurent_pairs(), st.tuples(st.integers(0, 1), st.integers(0, 1)))
+def test_laurent_arithmetic_matches_a_tuple_keyed_reference(pair, bits):
+    p, q = pair
+    x, y = _reference(p), _reference(q)
+    assert _reference(p + q) == _ref_add(x, y)
+    assert _reference(p - q) == _ref_add(x, {e: (-a, -b) for e, (a, b) in y.items()})
+    product = _ref_mul(x, y, p.nsigns)
+    assert _reference(p * q) == product
+    assert _reference(p * q * p) == _ref_mul(product, x, p.nsigns)
+    bits = bits[:p.nsigns]
+    assert _reference(p.specialize(bits)) == _ref_specialize(x, bits)
+    assert _reference((p * q).specialize(bits)) == _ref_specialize(product, bits)
+
+
+def test_exponents_past_a_field_widen_instead_of_wrapping():
+    top = 2**15 - 1
+    x = LaurentPoly.monomial((top, -top, 1), nsigns=1)
+    assert (x * x).terms == {(2 * top, -2 * top, 0): ONE}
+    assert (x ** 5).terms == {(5 * top, -5 * top, 1): ONE}
+    huge = LaurentPoly.monomial((10**30, 0, 0), 3, nsigns=1)
+    assert (huge * x + x).terms == {(10**30 + top, -top, 1): ONE * 3, (top, -top, 1): ONE}
+    assert (huge * huge).text("XYs") == "(9+0φ)*X^2000000000000000000000000000000"
+
+
+def test_laurent_rejects_exponents_that_do_not_fit_its_symbols():
+    with pytest.raises(ValueError):
+        LaurentPoly(2, {(0, 2): ONE}, nsigns=1)      # a sign exponent of 2
+    with pytest.raises(ValueError):
+        LaurentPoly(3, {(0, 1): ONE})               # two exponents for three symbols
+    with pytest.raises(ValueError):
+        LaurentPoly(1, nsigns=2)
