@@ -13,13 +13,20 @@ s - 1, since B10(e) = B01(e - 1). Such a side is a fixed linear
 combination of values G(s + d), so along s it obeys G's own recurrence
 X(s + 1) = X(s) + X(s - 1): the sweep evaluates it in full only twice
 per line of s, at s = lo - 1 and s = lo, and takes one addition per
-later step. Each grid's index window comes from one interval analysis
-and sizes both its tables and the oracle's; a shift plan's tables reach
-one index below it, for the sides at s = lo - 1. The sweep is the only
-generated code: a side's value at one point is the one-point sweep of
-side == 0, and an evaluation error is located point by point with one
-compiled one-point sweep. All arithmetic is unbounded int; a PASS means
-exact equality at every point and seed.
+later step. Sides that read no G and have exactly one factor F or L at
+s + (terms without s) in each term, s being read nowhere else, obey the
+same recurrence and are stepped the same way. Every value on a line
+follows from its two start pairs, so a line whose start pairs agree
+passes without a walk; with the oracle, every line is walked, so it
+sees every point and seed. Each grid's index window comes from one
+interval analysis and sizes both its tables and the oracle's; a shift
+plan's tables reach one index below it, for the sides at s = lo - 1.
+A grid's plan and loop order are kept per identity and grid, like its
+compiled sweep. The sweep is the only generated code: a side's value at
+one point is the one-point sweep of side == 0, and an evaluation error
+is located point by point with one compiled one-point sweep. All
+arithmetic is unbounded int; a PASS means exact equality at every point
+and seed.
 """
 
 from __future__ import annotations
@@ -257,41 +264,68 @@ _MAX_SEARCH = 6
 _BASIS = (Seed(1, 0), Seed(0, 1))
 
 
-def _g_degree(node: Node) -> int | None:
-    """The degree of node in G, 0 or 1, or None when it is not homogeneous
-    (a sum of terms with different numbers of G factors, or a term with
-    two or more). The parser keeps G out of every index, bound and
-    exponent, so only these nodes can carry a G factor."""
+def _degree(node: Node, counted: Callable[[SeqRef], bool]) -> int | None:
+    """The degree of node in the sequence refs that counted picks, 0 or 1,
+    or None when it is not homogeneous (a sum of terms with different
+    numbers of counted factors, or a term with two or more). The parser
+    keeps sequence refs out of every index, bound and exponent, so only
+    these nodes can carry a counted factor."""
     if isinstance(node, SeqRef):
-        return 1 if node.kind == "G" else 0
+        return 1 if counted(node) else 0
     if isinstance(node, (Add, Sub)):
-        left = _g_degree(node.left)
-        return left if left == _g_degree(node.right) else None
+        left = _degree(node.left, counted)
+        return left if left == _degree(node.right, counted) else None
     if isinstance(node, Neg):
-        return _g_degree(node.operand)
+        return _degree(node.operand, counted)
     if isinstance(node, Sum):
-        return _g_degree(node.body)
+        return _degree(node.body, counted)
     if isinstance(node, Mul):
-        left, right = _g_degree(node.left), _g_degree(node.right)
+        left, right = _degree(node.left, counted), _degree(node.right, counted)
         if left is None or right is None or left + right > 1:
             return None
         return left + right
     if isinstance(node, Pow):
-        return 0 if _g_degree(node.base) == 0 else None
+        return 0 if _degree(node.base, counted) == 0 else None
     return 0  # literals, symbols, binom, sign, pow5floor
 
 
-def _reads_only_shifted(node: Node, s: str) -> bool:
-    """Whether node reads s nowhere but in G indices, and each G index is
-    s plus terms that do not read s."""
-    if isinstance(node, SeqRef) and node.kind == "G":
-        _, coeffs, rest = affine(node.arg)
-        return coeffs.get(s) == 1 and s not in rest
+def _is_g(ref: SeqRef) -> bool:
+    return ref.kind == "G"
+
+
+def _shifted(ref: SeqRef, s: str) -> bool:
+    """Whether ref's index is s plus terms that do not read s."""
+    _, coeffs, rest = affine(ref.arg)
+    return coeffs.get(s) == 1 and s not in rest
+
+
+def _reads_only_shifted(node: Node, s: str, kinds: str) -> bool:
+    """Whether node reads s nowhere but in the indices of sequence refs of
+    kinds, each s plus terms that do not read s."""
+    if isinstance(node, SeqRef) and node.kind in kinds and _shifted(node, s):
+        return True
     if isinstance(node, Sym):
         return node.name != s
     if isinstance(node, Sum) and node.var == s:
         return False
-    return all(_reads_only_shifted(child, s) for child in children(node))
+    return all(_reads_only_shifted(child, s, kinds) for child in children(node))
+
+
+def _shift_axis(identity: Identity, spec: GridSpec, kinds: str) -> str | None:
+    """The first parameter s that takes more than one value and in which
+    each additive term of both sides has exactly one factor of kinds at
+    s + (terms that do not read s), s being read nowhere else; None when
+    there is none. Such a side is a fixed linear combination of values
+    X(s + d) of sequences that obey X(s + 1) = X(s) + X(s - 1), so it
+    obeys that recurrence along s."""
+    for p in identity.free_params:
+        lo, hi = spec.ranges[p]
+        if lo < hi and all(
+                _reads_only_shifted(side, p, kinds)
+                and _degree(side, lambda ref: ref.kind in kinds and _shifted(ref, p)) == 1
+                for side in (identity.lhs, identity.rhs)):
+            return p
+    return None
 
 
 class _Plan(NamedTuple):
@@ -304,9 +338,10 @@ class _Plan(NamedTuple):
     seeds whose values the one pair of sides gives. A basis pass evaluates
     its sides on both basis tables, or, with shift, only on B01's: since
     B10(e) = B01(e - 1), a side's value on B10 at a point is its value on
-    B01 one step back along the parameter shift. Along shift both values
-    follow G's recurrence, so the sides are evaluated in full twice per
-    line of shift, at its first value and one before.
+    B01 one step back along the parameter shift. With shift, the sides
+    obey the Fibonacci recurrence along it, so they are evaluated in full
+    twice per line of shift, at its first value and one before, and a line
+    whose two start pairs agree passes at every point without a walk.
     """
 
     basis: bool
@@ -321,25 +356,22 @@ def _plans(identity: Identity, spec: GridSpec) -> list[_Plan]:
     in G and there are at least two distinct seeds, else one pass per
     distinct seed, on its own table.
 
-    The basis pass shifts along the first parameter that takes more than
-    one value and that both sides read only as s + (terms that do not read
-    s) inside G indices, when there is one.
+    The pass with no G shifts along the first parameter in which both
+    sides are linear in F and L factors at s + (terms that do not read s);
+    the basis pass along the first one in which they are linear in such G
+    factors, F and L reading no s (see _shift_axis).
     """
     seeds = spec.seeds
-    degrees = {_g_degree(identity.lhs), _g_degree(identity.rhs)}
+    degrees = {_degree(identity.lhs, _is_g), _degree(identity.rhs, _is_g)}
     if degrees == {0}:
-        return [_Plan(False, (), tuple(range(len(seeds))))]
+        return [_Plan(False, (), tuple(range(len(seeds))), _shift_axis(identity, spec, "FL"))]
     groups: dict[Seed, list[int]] = {}
     for i, seed in enumerate(seeds):
         groups.setdefault(seed, []).append(i)
     if degrees == {1} and len(groups) >= len(_BASIS):
         coeffs = tuple((i, s.g0, s.g1) for i, s in enumerate(seeds))
-        for p in identity.free_params:
-            lo, hi = spec.ranges[p]
-            if lo < hi and all(_reads_only_shifted(side, p)
-                               for side in (identity.lhs, identity.rhs)):
-                return [_Plan(True, _BASIS[1:], coeffs, p)]
-        return [_Plan(True, _BASIS, coeffs)]
+        shift = _shift_axis(identity, spec, "G")
+        return [_Plan(True, _BASIS[1:] if shift else _BASIS, coeffs, shift)]
     return [_Plan(False, (seed,), tuple(group)) for seed, group in groups.items()]
 
 
@@ -575,13 +607,14 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         # a point where both basis pairs agree passes for every seed
         last += derive if oracle else ["if _l0 != _r0 or _l1 != _r1:",
                                        *("    " + line for line in derive)]
-        if shift:  # the sides at s + 1 by G's recurrence, B10's pair one behind
-            last += ["_l0, _l1 = _l1, _l0 + _l1", "_r0, _r1 = _r1, _r0 + _r1"]
     else:
+        lv, rv = ("_l1", "_r1") if shift else ("_l0", "_r0")
         if oracle:
-            last += ["for _si in _S:", f"    _check({point}, _si, _l0, _r0)"]
-        last += ["if _l0 != _r0:", "    for _si in _S:",
-                 f"        _fail.append(({point}, _si, _l0, _r0))"]
+            last += ["for _si in _S:", f"    _check({point}, _si, {lv}, {rv})"]
+        last += [f"if {lv} != {rv}:", "    for _si in _S:",
+                 f"        _fail.append(({point}, _si, {lv}, {rv}))"]
+    if shift:  # the sides at s + 1 by the recurrence; the pairs hold s - 1 and s
+        last += ["_l0, _l1 = _l1, _l0 + _l1", "_r0, _r1 = _r1, _r0 + _r1"]
 
     axes = [f"_a{j}" for j in range(len(order))]
     args = [*axes, "_F", "_L", *(f"_G{j}" for j in range(tables)), "_S", "_fail", "_check"]
@@ -598,6 +631,9 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
                         *(indent + line for line in step), f"{indent}_l0, _r0 = _l1, _r1",
                         f"{indent}{name} = {axes[j]}[0]",
                         *(indent + line for line in step)]
+                if not oracle:  # the line's values follow from its start pairs alone
+                    out.append(f"{indent}if _l0 != _r0 or _l1 != _r1:")
+                    indent += "    "
             out.append(f"{indent}for {name} in {axes[j]}:")
             indent += "    "
         out += [indent + line for line in writer.lines[j + 1]]
@@ -692,6 +728,23 @@ def _oracle_checks(identity: Identity, spec: GridSpec, window: Interval | None,
     return [plan_check(plan) for plan in plans]
 
 
+_plan_cache: dict[tuple, tuple[tuple[_Plan, ...], tuple[str, ...], int]] = {}
+
+
+def _planned(identity: Identity, spec: GridSpec,
+             ) -> tuple[tuple[_Plan, ...], tuple[str, ...], int]:
+    """The grid's plans, its loop order and how many of its parameters lead
+    fixed; planned once per identity and grid."""
+    params = identity.free_params
+    key = (identity.lhs, identity.rhs, params, tuple(tuple(spec.ranges[p]) for p in params),
+           spec.seeds)
+    planned = _plan_cache.get(key)
+    if planned is None:
+        plans = _plans(identity, spec)
+        planned = _plan_cache[key] = (tuple(plans), *_loop_order(identity, spec, plans[0]))
+    return planned
+
+
 def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
                 fixed: int, plans: Sequence[_Plan], use_oracle: bool,
                 ) -> list[tuple[tuple[int, ...], int, int, int]]:
@@ -763,8 +816,7 @@ def verify_grid(identity: Identity, spec: GridSpec, *,
     _check_spec_covers(identity, spec)
     params = identity.free_params
     started = time.perf_counter()
-    plans = _plans(identity, spec)
-    order, fixed = _loop_order(identity, spec, plans[0])
+    plans, order, fixed = _planned(identity, spec)
     try:
         raw = _sweep_grid(identity, spec, order, fixed, plans, use_oracle)
     except EvalError as exc:

@@ -21,6 +21,7 @@ from fibkit import (
 from fibkit.catalog import load_catalog_file
 from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, SeqRef, Sign, Sub, Sum, Sym, affine
 from fibkit.oracle import oracle_eval
+from fibkit.seq import gen
 from fibkit.verify import MAX_GRID_CHECKS, STANDARD_SEEDS
 
 DATA = Path(__file__).parent / "data"
@@ -266,7 +267,7 @@ DUPLICATE_SEEDS = (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(-4, 5), Seed(3, 7))
 
 
 @pytest.mark.parametrize("name,p_range,plan_kinds", [
-    ("Eq8", None, [(False, 0, None)]),                     # reads no G
+    ("Eq8", None, [(False, 0, "m")]),                      # reads no G, shifted
     ("Eq1", None, [(True, 1, "p")]),                        # shifted basis
     ("Eq1", (1, 1), [(True, 2, None)]),                     # two-pair basis
     ("Eq1.square", None, [(False, 1, None)] * 3),           # one pass per seed
@@ -497,8 +498,10 @@ def _sides(names):
     sums = st.builds(Sum, st.just("k"), st.one_of(st.just(Lit(0)), index),
                      st.one_of(st.sampled_from(names).map(Sym), index),
                      _values(names + ("k",)))
-    top = st.one_of(_values(names), sums)
-    return st.one_of(top, st.builds(Add, top, top))
+    # linear in F and L along the first name: the plan with no G may shift
+    shifted = _shifted_sides(names[1:], names[0], "FL")
+    top = st.one_of(_values(names), sums, shifted)
+    return st.one_of(top, st.builds(Add, top, top), shifted)
 
 
 def _g_linear(names):
@@ -557,17 +560,20 @@ def _point_by_point(identity, spec):
 
 
 def _matches_oracle_and_point_by_point(identity, spec):
+    """The sweep, checked by the oracle at every point and seed and run
+    without it, gives the failures of point-by-point evaluation."""
     expected, error = _point_by_point(identity, spec)
-    try:
-        report = verify_grid(identity, spec, use_oracle=True)
-    except InternalFault:
-        raise
-    except FibkitError as exc:
-        assert error is not None and str(exc).endswith(error), (str(exc), error)
-        return
-    assert error is None
-    assert [(f.point, f.seed, f.lhs, f.rhs) for f in report.failures] == expected
-    assert report.total == len(spec.seeds) * len(list(spec.points(identity.free_params)))
+    for use_oracle in (True, False):
+        try:
+            report = verify_grid(identity, spec, use_oracle=use_oracle)
+        except InternalFault:
+            raise
+        except FibkitError as exc:
+            assert error is not None and str(exc).endswith(error), (str(exc), error)
+            continue
+        assert error is None
+        assert [(f.point, f.seed, f.lhs, f.rhs) for f in report.failures] == expected
+        assert report.total == len(spec.seeds) * len(list(spec.points(identity.free_params)))
 
 
 @given(st.data())
@@ -636,7 +642,7 @@ def test_g_free_identity_fails_once_per_seed_at_each_point():
     seeds = (Seed(0, 1), Seed(2, 1), Seed(0, 0), Seed(2, 1))
     spec = GridSpec({"m": (-3, 3)}, seeds)
     report = verify_grid(bad, spec)
-    assert verify._plans(bad, spec) == [verify._Plan(False, (), (0, 1, 2, 3))]
+    assert verify._plans(bad, spec) == [verify._Plan(False, (), (0, 1, 2, 3), "m")]
     failing = [m for m in range(-3, 4) if fib(m + 1) != fib(m)]
     assert [(dict(f.point)["m"], f.seed) for f in report.failures] == \
         [(m, seed) for m in failing for seed in seeds]
@@ -712,6 +718,7 @@ def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
     assert [p.shift for p in verify._plans(catalog.get("Eq1"), fixed)] == [None]
     right = verify_grid(SHIFTED, spec).to_json_dict()
     monkeypatch.setattr(verify, "_BASIS", (Seed(1, 1), Seed(0, 1)))
+    monkeypatch.setattr(verify, "_plan_cache", {})  # plans read _BASIS
     assert verify_grid(SHIFTED, spec).to_json_dict() != right
     for identity in (SHIFTED, catalog.get("Eq1")):
         with pytest.raises(InternalFault,
@@ -722,6 +729,7 @@ def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
 def _wrong_table(monkeypatch):
     # the shift plan's pass on the table of B10 instead of B01
     plans = verify._plans
+    monkeypatch.setattr(verify, "_plan_cache", {})
     monkeypatch.setattr(verify, "_plans", lambda identity, spec: [
         p._replace(tables=(Seed(1, 0),)) if p.shift else p for p in plans(identity, spec)])
 
@@ -826,14 +834,16 @@ def test_affine_reads_products_without_expanding_them(text, form):
 # --- the shift plan -------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _shifted_sides(names):
-    """G-linear values whose G indices are all s plus an index over names,
-    and which read s nowhere else."""
-    def shifted(index):
-        return SeqRef("G", Add(Sym("s"), index))
+def _shifted_sides(names, s="s", kinds="G"):
+    """Values linear in sequence refs of kinds, whose indices are all s
+    plus an index over names, times F and L over names: they read s
+    nowhere else."""
+    def shifted(kind, index):
+        return SeqRef(kind, Add(Sym(s), index))
 
-    free = _values(names, kinds=("F", "L"))
-    g = st.builds(shifted, _index_exprs(names))
+    constants = st.integers(-3, 3).map(Lit)
+    free = _values(names, kinds=("F", "L")) if names else constants
+    g = st.builds(shifted, st.sampled_from(kinds), _index_exprs(names) if names else constants)
     return st.recursive(st.one_of(g, st.builds(Mul, free, g)), lambda inner: st.one_of(
         st.builds(Add, inner, inner),
         st.builds(Sub, inner, inner),
@@ -842,16 +852,14 @@ def _shifted_sides(names):
     ), max_leaves=4)
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_shift_sweep_matches_oracle_and_point_by_point(data):
+def _shift_sweep_matches_oracle_and_point_by_point(data, kinds):
     others = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
                                       unique=True)))
     params = tuple(data.draw(st.permutations(others + ("s",))))
-    top = _shifted_sides(others)
+    top = _shifted_sides(others, kinds=kinds)
     sums = st.builds(Sum, st.just("k"), st.one_of(st.just(Lit(0)), _index_exprs(others)),
-                     st.sampled_from(others).map(Sym), _shifted_sides(others + ("k",)))
+                     st.sampled_from(others).map(Sym),
+                     _shifted_sides(others + ("k",), kinds=kinds))
     sides = st.one_of(top, sums, st.builds(Add, top, sums))
     lhs, rhs = data.draw(sides), data.draw(sides)
     identity = parse_identity(f"{to_text(lhs)} == {to_text(rhs)}",
@@ -864,9 +872,25 @@ def test_shift_sweep_matches_oracle_and_point_by_point(data):
     ranges["s"] = (lo, lo + data.draw(st.integers(1, 7)))  # several recurrence steps
     spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
     plans = verify._plans(identity, spec)
-    assert len(plans) == 1 and plans[0].basis and plans[0].shift is not None
-    assert plans[0].tables == (Seed(0, 1),)
+    assert len(plans) == 1 and plans[0].shift is not None
+    # G on the basis seed (0, 1) alone; F and L with no G table
+    assert (plans[0].basis, plans[0].tables) == \
+        ((True, (Seed(0, 1),)) if kinds == "G" else (False, ()))
     _matches_oracle_and_point_by_point(identity, spec)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_shift_sweep_matches_oracle_and_point_by_point(data):
+    _shift_sweep_matches_oracle_and_point_by_point(data, "G")
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_g_free_shift_sweep_matches_oracle_and_point_by_point(data):
+    _shift_sweep_matches_oracle_and_point_by_point(data, "FL")
 
 
 class _CountingTable(dict):
@@ -893,9 +917,12 @@ def test_shift_sweep_evaluates_the_sides_twice_per_line(monkeypatch):
     assert reads == [8, 8]
 
 
-# Each shift-plan catalog entry's loop order on the default grid; the
-# shift loop's terms cost the same in every order, whatever they cost.
+# Each catalog entry's loop order on the default grid, where every entry
+# takes a shift plan; the shift loop's terms cost the same in every order,
+# whatever they cost.
 SHIFT_ORDERS = {
+    **{name: ("n", "m") for name in ("Eq8", "Lemma10", "Lemma11", "Lemma12", "Lemma13")},
+    **{name: ("m", "q", "p") for name in ("Eq14", "Eq16", "Eq18", "Eq19")},
     "Eq1": ("n", "m", "q", "p"), "Eq2": ("n", "m", "q", "p"),
     "Eq3": ("n", "q", "m", "p"), "Eq4": ("n", "q", "m", "p"),
     **{f"S3.n{r}.{k}-forward": ("m", "p", "n") for r in (1, 2, 3, 4) for k in "FL"},
@@ -910,8 +937,8 @@ def test_shift_plan_loop_orders_on_the_default_grid(catalog):
     for entry in catalog:
         spec = cli._grid_for(entry, args)
         plan = verify._plans(entry, spec)[0]
-        if plan.shift:
-            orders[entry.name] = verify._loop_order(entry, spec, plan)
+        assert plan.shift == SHIFT_ORDERS[entry.name][-1]
+        orders[entry.name] = verify._loop_order(entry, spec, plan)
     assert orders == {name: (order, 0) for name, order in SHIFT_ORDERS.items()}
 
 
@@ -932,6 +959,74 @@ def test_shift_plan_needs_every_g_index_shifted_by_one(text, params, ranges):
         assert all(plan.shift is None for plan in plans)
         assert [plan.basis for plan in plans] == [len(seeds) > 1]
         _matches_oracle_and_point_by_point(identity, spec)
+
+
+@pytest.mark.parametrize("side", [
+    "F(m)*F(m)",            # two factors that read m
+    "F(m) + 1",             # a term with none
+    "sign(m)*F(m)",         # m outside an index
+    "F(2*m)",               # coefficient 2
+    "binom(m, 2)*F(m)",
+    "sum(k, 0, m, F(k))",   # m in a bound
+])
+def test_g_free_shift_needs_one_shifted_factor_per_term(side):
+    identity = parse_identity(f"{side} == F(m + 1)", name="t", params=("m",))
+    spec = GridSpec({"m": (0, 5)}, (Seed(0, 1), Seed(3, 7), Seed(3, 7)))
+    assert verify._plans(identity, spec) == [verify._Plan(False, (), (0, 1, 2))]
+    _matches_oracle_and_point_by_point(identity, spec)
+
+
+# Sides that agree at the line's first point, m = -3, and differ one step
+# before it: each line's start pairs differ only in their first values.
+EDGES = ("F(m) == F(m) + F(m + 3)", "G(m) == G(m) + G(m + 3)")
+LINE_GUARD = "if _l0 != _r0 or _l1 != _r1:"
+
+
+def _edge_failures(text):
+    identity = parse_identity(text, name="edge", params=("m",))
+    seeds = (Seed(0, 1), Seed(3, 7), Seed(2, 1), Seed(0, 1))
+    spec = GridSpec({"m": (-3, 3)}, seeds)
+    assert [p.shift for p in verify._plans(identity, spec)] == ["m"]
+    value = gen if text.startswith("G") else lambda seed, i: fib(i)
+    expected = [((("m", m),), seed, value(seed, m), value(seed, m) + value(seed, m + 3))
+                for m in range(-3, 4) for seed in seeds if value(seed, m + 3)]
+    failures = [(f.point, f.seed, f.lhs, f.rhs) for f in verify_grid(identity, spec).failures]
+    return failures, expected
+
+
+@pytest.mark.parametrize("text", EDGES)
+def test_line_guard_compares_both_start_pairs(text):
+    failures, expected = _edge_failures(text)
+    assert failures == expected
+    if text.startswith("F"):  # every seed fails at m = -2..3
+        assert {dict(point)["m"] for point, *_ in failures} == set(range(-2, 4))
+        assert len(failures) == 6 * 4
+
+
+def test_a_line_guard_on_one_start_pair_misses_the_edges(monkeypatch):
+    source = verify._sweep_source
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    monkeypatch.setattr(verify, "_sweep_source",
+                        lambda *args: source(*args).replace(LINE_GUARD, "if _l1 != _r1:", 1))
+    for text in EDGES:
+        failures, expected = _edge_failures(text)
+        assert expected and failures == []
+
+
+def test_repeated_grid_is_planned_once(catalog, monkeypatch):
+    monkeypatch.setattr(verify, "_plan_cache", {})
+    orders = []
+    order = verify._loop_order
+    monkeypatch.setattr(verify, "_loop_order", lambda *args: orders.append(args[0].name)
+                        or order(*args))
+    spec = GridSpec({"m": (-3, 3), "n": (-3, 3)})
+    reports = [verify_grid(catalog.get("Eq8"), spec).to_json_dict() for _ in range(3)]
+    assert orders == ["Eq8"] and reports == reports[:1] * 3
+    # another grid, or another identity on it, is planned afresh
+    verify_grid(catalog.get("Eq8"), GridSpec({"m": (-3, 3), "n": (-3, 2)}))
+    verify_grid(catalog.get("Eq8"), GridSpec(spec.ranges, (F_SEED,)))
+    verify_grid(catalog.get("Lemma10"), spec)
+    assert orders == ["Eq8", "Eq8", "Eq8", "Lemma10"]
 
 
 def test_shift_plan_takes_the_first_qualifying_parameter(catalog):
