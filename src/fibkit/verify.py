@@ -13,7 +13,11 @@ s - 1, since B10(e) = B01(e - 1). Such a side is a fixed linear
 combination of values G(s + d), so along s it obeys G's own recurrence
 X(s + 1) = X(s) + X(s - 1): the sweep evaluates it in full only twice
 per line of s, at s = lo - 1 and s = lo, and takes one addition per
-later step. Sides that read no G and have exactly one factor F or L at
+later step. The two start evaluations are two pairs of sides written
+side by side in one pass, as the two basis pairs are: each sum is one
+loop with one total per pair, and a summand that reads the summation
+index but not s is computed once per index value inside that loop.
+Sides that read no G and have exactly one factor F or L at
 s + (terms without s) in each term, s being read nowhere else, obey the
 same recurrence and are stepped the same way. Every value on a line
 follows from its two start pairs, so a line whose start pairs agree
@@ -21,8 +25,9 @@ passes without a walk; with the oracle, every line is walked, so it
 sees every point and seed. Each grid's index window comes from one
 interval analysis and sizes both its tables and the oracle's; a shift
 plan's tables reach one index below it, for the sides at s = lo - 1.
-A grid's plan and loop order are kept per identity and grid, like its
-compiled sweep. The sweep is the only generated code: a side's value at
+A grid's plans, loop order, index window and compiled sweeps are kept in
+one entry per identity and grid; its tables are built anew on every
+call. The sweep is the only generated code: a side's value at
 one point is the one-point sweep of side == 0, and an evaluation error
 is located point by point with one compiled one-point sweep. All
 arithmetic is unbounded int; a PASS means exact equality at every point
@@ -211,7 +216,13 @@ def _op_code(node: Node, args: Sequence[str], g: str) -> str:
     if isinstance(node, Mul):
         return f"({args[0]} * {args[1]})"
     if isinstance(node, Pow):
-        return f"_pw({args[0]}, {args[1]})"
+        # the base in parentheses: -1 ** m is -(1 ** m) in Python
+        base, e = args
+        if isinstance(node.exponent, Lit) and node.exponent.value >= 0:
+            return f"({base}) ** {e}"
+        if e.isidentifier():  # _pw only to raise on a negative exponent
+            return f"(({base}) ** {e} if {e} >= 0 else _pw({base}, {e}))"
+        return f"_pw({base}, {e})"
     if isinstance(node, SeqRef):
         return f"{g if node.kind == 'G' else '_' + node.kind}[{args[0]}]"
     if isinstance(node, Binom):
@@ -247,9 +258,13 @@ def _build_tables(window: Interval | None, seeds: Iterable[Seed],
 # built once in the outer loop where it is fixed; the sum itself zips
 # those lists.
 #
-# The seeds are not a loop. At each point a sweep evaluates one pair of
-# sides per G table it is given, and its plan (see _plans) says which
-# requested seeds each pair's values stand for.
+# The seeds are not a loop. A sweep evaluates one or two pairs of sides in
+# one pass: one pair per G table it is given, or, on a shift plan, the
+# pairs at the two start values of each line of the shift parameter. The
+# pairs are written side by side: a term that reads neither G nor the
+# shift parameter is computed once for both, and a sum is one loop with
+# one total per pair. The plan (see _plans) says which requested seeds
+# the pairs' values stand for.
 
 # CPython compiles at most 20 statically nested blocks: one per loop here,
 # and one for a sum's loop or the loop over the seeds inside them.
@@ -340,8 +355,9 @@ class _Plan(NamedTuple):
     B10(e) = B01(e - 1), a side's value on B10 at a point is its value on
     B01 one step back along the parameter shift. With shift, the sides
     obey the Fibonacci recurrence along it, so they are evaluated in full
-    twice per line of shift, at its first value and one before, and a line
-    whose two start pairs agree passes at every point without a walk.
+    twice per line of shift, at its first value and one before, as the two
+    pairs of one pass; a line whose two start pairs agree passes at every
+    point without a walk.
     """
 
     basis: bool
@@ -482,46 +498,68 @@ def _loop_order(identity: Identity, spec: GridSpec,
 
 
 class _Body(NamedTuple):
-    var: str   # the summation index as written
-    name: str  # its Python name
-    rng: str   # the Python variable holding the sum's range
+    name: str   # the summation index's Python name
+    rng: str    # the Python variable holding the sum's range
+    level: int  # the level of the sum's loop
+    shared: dict[str, str]  # code -> local name, computed once per index value
+
+
+# One code per pair of sides, with the lists it reads as list name ->
+# element name.
+_Codes = tuple[tuple[str, dict[str, str]], ...]
 
 
 class _SweepWriter:
     """Statements per loop level; each computed term lands at its rank, the
     pair (level of the deepest loop it reads, whether it reads the index).
 
-    Sides are written once per pair of sides, with g naming that pair's G
-    table; a term that reads no G has the same code in every pair, so the
-    pairs share the variable it is assigned to in a shallower loop.
+    The pairs of sides are written side by side: a term's code is one
+    string per pair, where pair j reads G from its own table and the shift
+    parameter at its own start value, bound before the first loop. The
+    shift parameter counts as the level of the loop that encloses its own,
+    where the start pairs are evaluated. Code that all pairs share is one
+    variable: assigned in a shallower loop, or, when a term's pairs differ,
+    at that term's level, or once per index value in its sum's loop.
     """
 
-    def __init__(self, params: Sequence[str], order: Sequence[str]):
-        self.names = {p: f"v{i}" for i, p in enumerate(params)}
+    def __init__(self, order: Sequence[str], pairs: Sequence[tuple[str, Mapping[str, str]]],
+                 shift: str | None):
         self.level = {v: i + 1 for i, v in enumerate(order)}
+        if shift:
+            self.level[shift] = len(order) - 1
+        self.pairs = pairs  # (G table, parameter names) of each pair
         self.lines: list[list[str]] = [[] for _ in range(len(order) + 1)]
         self.temps: dict[str, str] = {}
-        self.g = "_G0"
+        self.loops: dict[str, dict[str, str]] = {}  # a loop's text -> its totals
+        self.count = itertools.count()
 
     def rank(self, term: _Term) -> tuple[int, bool]:
         return max((self.level[v] for v in term.deps), default=0), term.kdep
 
-    def temp(self, code: str, level: int) -> str:
-        """A variable assigned code at level; the same code shares one."""
+    def temp(self, code: str, level: int, body: _Body | None = None) -> str:
+        """A variable assigned code at level; the same code shares one. In
+        a sum's body, code is evaluated only where the sum is not empty."""
+        if body is not None:
+            code = f"{code} if {body.rng} else 0"
         var = self.temps.get(code)
         if var is None:
-            var = self.temps[code] = f"_t{len(self.temps)}"
+            var = self.temps[code] = f"_t{next(self.count)}"
             self.lines[level].append(f"{var} = {code}")
         return var
 
-    def total(self, code: str, clause: str, level: int) -> str:
-        """A variable summing code over the loop clause, at level."""
-        key = f"{code} {clause}"
-        var = self.temps.get(key)
-        if var is None:
-            var = self.temps[key] = f"_t{len(self.temps)}"
-            self.lines[level] += [f"{var} = 0", f"{clause}:", f"    {var} += {code}"]
-        return var
+    def totals(self, codes: Sequence[str], clause: str, body: _Body, level: int) -> list[str]:
+        """Variables summing each code over the loop clause, at level: one
+        loop, with body's shared terms first and one total per distinct
+        code."""
+        shared = [f"{var} = {code}" for code, var in body.shared.items()]
+        key = "\n".join([clause, *shared, *codes])
+        totals = self.loops.get(key)
+        if totals is None:
+            totals = self.loops[key] = {code: f"_t{next(self.count)}" for code in codes}
+            self.lines[level] += [*(f"{var} = 0" for var in totals.values()), f"{clause}:",
+                                  *("    " + line for line in shared),
+                                  *(f"    {var} += {code}" for code, var in totals.items())]
+        return [totals[code] for code in codes]
 
     @staticmethod
     def each(body: _Body, lists: Mapping[str, str]) -> str:
@@ -533,70 +571,92 @@ class _SweepWriter:
             return f"for {elem} in {seq}"
         return f"for {', '.join(lists.values())} in zip({', '.join(lists)})"
 
-    def code(self, term: _Term, body: _Body | None) -> tuple[str, dict[str, str]]:
-        """Python for term at its own rank, and the lists it reads, each as
-        list name -> element name."""
+    def code(self, term: _Term, body: _Body | None) -> _Codes:
+        """Python for term at its own rank, per pair."""
         node = term.node
         if isinstance(node, Lit):
-            return repr(node.value), {}
+            return ((repr(node.value), {}),) * len(self.pairs)
         if isinstance(node, Sym):
             if term.kdep:
-                return body.name, {body.rng: body.name}
-            return self.names[node.name], {}
+                return ((body.name, {body.rng: body.name}),) * len(self.pairs)
+            return tuple((names[node.name], {}) for _, names in self.pairs)
         if isinstance(node, Sum):
             lo, hi, inner = term.args
             bounds = max(self.rank(lo), self.rank(hi))
-            rng = self.temp(f"_rng({self.place(lo, bounds, None)[0]}, "
-                            f"{self.place(hi, bounds, None)[0]})", bounds[0])
-            body = _Body(node.var, f"k_{node.var}", rng)
+            # bounds read neither G nor the shift parameter: all pairs alike
+            rng = self.temp(f"_rng({self.place(lo, bounds, None)[0][0]}, "
+                            f"{self.place(hi, bounds, None)[0][0]})", bounds[0])
             level = self.rank(term)[0]
-            code, lists = self.place(inner, (level, True), body)
-            if list(lists.values()) == [code]:
-                return self.temp(f"sum({next(iter(lists))})", level), {}
-            return self.total(code, self.each(body, lists), level), {}
+            body = _Body(f"k_{node.var}", rng, level, {})
+            codes = self.place(inner, (level, True), body)
+            lists = {seq: elem for _, used in codes for seq, elem in used.items()}
+            if len(lists) == 1 and {code for code, _ in codes} == {*lists.values()}:
+                return ((self.temp(f"sum({next(iter(lists))})", level), {}),) * len(self.pairs)
+            totals = self.totals([c for c, _ in codes], self.each(body, lists), body, level)
+            return tuple((var, {}) for var in totals)
         rank = self.rank(term)
-        args, lists = [], {}
-        for arg in term.args:
-            code, used = self.place(arg, rank, body)
-            args.append(code)
-            lists.update(used)
-        return _op_code(node, args, self.g), lists
 
-    def place(self, term: _Term, rank: tuple[int, bool],
-              body: _Body | None) -> tuple[str, dict[str, str]]:
+        def each_pair(args: list[_Codes]) -> _Codes:
+            return tuple((_op_code(node, [a[j][0] for a in args], g),
+                          {seq: elem for a in args for seq, elem in a[j][1].items()})
+                         for j, (g, _) in enumerate(self.pairs))
+
+        args = [self.place(arg, rank, body) for arg in term.args]
+        codes = each_pair(args)
+        if len({code for code, _ in codes}) == 1:
+            return codes
+        return each_pair([self.share(arg, arg_codes, rank, body)
+                          for arg, arg_codes in zip(term.args, args)])
+
+    def share(self, term: _Term, codes: _Codes, rank: tuple[int, bool],
+              body: _Body | None) -> _Codes:
+        """codes of a term read at rank under a term whose pairs differ: a
+        name computed once for all pairs when the pairs read it alike."""
+        code, lists = codes[0]
+        if any(c != code for c, _ in codes) or code.isidentifier() \
+                or isinstance(term.node, Lit):
+            return codes
+        if term.kdep:
+            if rank[0] != body.level:  # in a list, built outside the sum's loop
+                return codes
+            var = body.shared.setdefault(code, f"_u{len(body.shared)}")
+            return ((var, lists),) * len(codes)
+        return ((self.temp(code, rank[0], body), {}),) * len(codes)
+
+    def place(self, term: _Term, rank: tuple[int, bool], body: _Body | None) -> _Codes:
         """Python for term as read by a term of the given rank: inline when
         the ranks match or it is a name or literal, else a variable
         assigned in a shallower loop."""
-        code, lists = self.code(term, body)
+        codes = self.code(term, body)
         own = self.rank(term)
-        if own == rank or code.isidentifier() or isinstance(term.node, Lit):
-            return code, lists
+        if own == rank or isinstance(term.node, Lit) \
+                or all(code.isidentifier() for code, _ in codes):
+            return codes
         if term.kdep:
-            var = self.temp(f"[{code} {self.each(body, lists)}]", own[0])
-            return f"_e{var[2:]}", {var: f"_e{var[2:]}"}
-        if body is not None:  # evaluated only where the sum is not empty
-            code = f"{code} if {body.rng} else 0"
-        return self.temp(code, own[0]), {}
+            out = []
+            for code, lists in codes:
+                var = self.temp(f"[{code} {self.each(body, lists)}]", own[0])
+                out.append((f"_e{var[2:]}", {var: f"_e{var[2:]}"}))
+            return tuple(out)
+        return tuple((self.temp(code, own[0], body), {}) for code, _ in codes)
 
 
 def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
                   oracle: bool, basis: bool, tables: int, shift: str | None) -> str:
     params = identity.free_params
-    pairs = max(1, tables)
-    writer = _SweepWriter(params, order)
-    innermost = (len(order), False)
-    sides = (_terms(identity.lhs, params), _terms(identity.rhs, params))
+    names = {p: f"v{i}" for i, p in enumerate(params)}
+    if shift:  # pair j at the start value _sj of each line: lo - 1, then lo
+        pairs = [("_G0", {**names, shift: f"_s{j}"}) for j in range(2)]
+    else:
+        pairs = [(f"_G{j}", names) for j in range(max(1, tables))]
+    writer = _SweepWriter(order, pairs, shift)
+    start = len(order) - 1 if shift else len(order)
+    lhs, rhs = (writer.place(_terms(side, params), (start, False), None)
+                for side in (identity.lhs, identity.rhs))
+    for j in range(len(pairs)):
+        writer.lines[start] += [f"_l{j} = {lhs[j][0]}", f"_r{j} = {rhs[j][0]}"]
     last = writer.lines[-1]
-    for j in range(pairs):
-        writer.g = f"_G{j}"
-        lhs, rhs = (writer.place(side, innermost, None)[0] for side in sides)
-        # with shift, the one pair is on B01; B10's is the previous step's
-        k = 1 if shift else j
-        last += [f"_l{k} = {lhs}", f"_r{k} = {rhs}"]
-    step = list(last)
-    if shift:  # the sides are evaluated in full only ahead of the shift loop
-        last.clear()
-    point = "(" + "".join(f"{writer.names[p]}, " for p in params) + ")"
+    point = "(" + "".join(f"{names[p]}, " for p in params) + ")"
     if basis:
         derive = ["for _si, _g0, _g1 in _S:",
                   "    _lv = _g0 * _l0 + _g1 * _l1",
@@ -620,27 +680,22 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
     args = [*axes, "_F", "_L", *(f"_G{j}" for j in range(tables)), "_S", "_fail", "_check"]
     out = [f"def _sweep({', '.join(args)}):"]
     indent = "    "
+    if shift:
+        axis = axes[order.index(shift)]
+        out += [f"{indent}_s0 = {axis}[0] - 1", f"{indent}_s1 = {axis}[0]"]
     out += [indent + line for line in writer.lines[0]]
     for j, var in enumerate(order):
-        name = writer.names[var]
+        name = names[var]
         if j < fixed:
             out.append(f"{indent}{name} = {axes[j]}[0]")
         else:
-            if var == shift:  # the sides in full at the loop's first value and one before
-                out += [f"{indent}{name} = {axes[j]}[0] - 1",
-                        *(indent + line for line in step), f"{indent}_l0, _r0 = _l1, _r1",
-                        f"{indent}{name} = {axes[j]}[0]",
-                        *(indent + line for line in step)]
-                if not oracle:  # the line's values follow from its start pairs alone
-                    out.append(f"{indent}if _l0 != _r0 or _l1 != _r1:")
-                    indent += "    "
+            if var == shift and not oracle:  # the line's values follow from its start pairs
+                out.append(f"{indent}if _l0 != _r0 or _l1 != _r1:")
+                indent += "    "
             out.append(f"{indent}for {name} in {axes[j]}:")
             indent += "    "
         out += [indent + line for line in writer.lines[j + 1]]
     return "\n".join(out) + "\n"
-
-
-_compile_cache: dict[tuple, Callable[..., None]] = {}
 
 
 def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
@@ -649,15 +704,11 @@ def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
     of plan's kind over the grid; axes are the ranges of order's
     parameters, and check, with oracle, sees every point's values for
     every seed."""
-    shape = (plan.basis, len(plan.tables), plan.shift)
-    key = (identity.lhs, identity.rhs, identity.free_params, order, fixed, oracle, shape)
-    fn = _compile_cache.get(key)
-    if fn is None:
-        source = _sweep_source(identity, order, fixed, oracle, *shape)
-        scope: dict[str, Any] = {}
-        exec(compile(source, "<fibkit>", "exec"), dict(_COMPILE_GLOBALS), scope)
-        fn = _compile_cache[key] = scope["_sweep"]
-    return fn
+    source = _sweep_source(identity, order, fixed, oracle,
+                           plan.basis, len(plan.tables), plan.shift)
+    scope: dict[str, Any] = {}
+    exec(compile(source, "<fibkit>", "exec"), dict(_COMPILE_GLOBALS), scope)
+    return scope["_sweep"]
 
 
 # --- grid verification -----------------------------------------------------
@@ -728,36 +779,75 @@ def _oracle_checks(identity: Identity, spec: GridSpec, window: Interval | None,
     return [plan_check(plan) for plan in plans]
 
 
-_plan_cache: dict[tuple, tuple[tuple[_Plan, ...], tuple[str, ...], int]] = {}
+class _Grid(NamedTuple):
+    """What a grid's verification keeps: its plans, its loop order, how
+    many of its parameters lead fixed, its index window, and its sweeps,
+    compiled on first use per oracle flag and pass shape."""
+
+    plans: tuple[_Plan, ...]
+    order: tuple[str, ...]
+    fixed: int
+    window: Interval | None
+    sweeps: dict[tuple, Callable[..., None]]
+
+    def sweep(self, identity: Identity, oracle: bool, plan: _Plan) -> Callable[..., None]:
+        key = (oracle, plan.basis, len(plan.tables), plan.shift)
+        fn = self.sweeps.get(key)
+        if fn is None:
+            fn = _compile_sweep(identity, self.order, self.fixed, oracle, plan)
+            self.sweeps[key] = fn
+        return fn
 
 
-def _planned(identity: Identity, spec: GridSpec,
-             ) -> tuple[tuple[_Plan, ...], tuple[str, ...], int]:
-    """The grid's plans, its loop order and how many of its parameters lead
-    fixed; planned once per identity and grid."""
+# One entry per identity and grid, keyed by both sides, the free parameters,
+# their ranges and the seeds; and one per identity, keyed without ranges or
+# seeds, for its one-point sweep, which runs on any point's tables. The
+# tables are built per call, so memory does not grow with the grids kept.
+_compile_cache: dict[tuple, _Grid] = {}
+
+
+def _grid(identity: Identity, spec: GridSpec) -> _Grid:
+    """The grid's entry, planned once per identity and grid."""
     params = identity.free_params
     key = (identity.lhs, identity.rhs, params, tuple(tuple(spec.ranges[p]) for p in params),
            spec.seeds)
-    planned = _plan_cache.get(key)
-    if planned is None:
-        plans = _plans(identity, spec)
-        planned = _plan_cache[key] = (tuple(plans), *_loop_order(identity, spec, plans[0]))
-    return planned
+    grid = _compile_cache.get(key)
+    if grid is None:
+        plans = tuple(_plans(identity, spec))
+        # the loop order reads both sides first: a symbol with no value is
+        # named as such, before the window analysis finds it has no range
+        order, fixed = _loop_order(identity, spec, plans[0])
+        grid = _compile_cache[key] = _Grid(plans, order, fixed,
+                                           _grid_window(identity, spec), {})
+    return grid
 
 
-def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
-                fixed: int, plans: Sequence[_Plan], use_oracle: bool,
+# The one pass of a one-point sweep, on one G table whatever its seed.
+_POINT = _Plan(False, (FIB_SEED,), (0,))
+
+
+def _point_sweep(identity: Identity) -> Callable[..., None]:
+    """identity's one-point sweep, compiled once: every parameter fixed,
+    one pass on one table."""
+    params = identity.free_params
+    key = (identity.lhs, identity.rhs, params)
+    grid = _compile_cache.get(key)
+    if grid is None:
+        grid = _compile_cache[key] = _Grid((_POINT,), params, len(params), None, {})
+    return grid.sweep(identity, False, _POINT)
+
+
+def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: bool,
                 ) -> list[tuple[tuple[int, ...], int, int, int]]:
     """Raw failures (point, seed index, lhs, rhs) of the grid."""
-    # compiled first: a symbol with no value is named as such, before the
-    # window analysis finds it has no range
-    sweeps = [_compile_sweep(identity, order, fixed, use_oracle, plan) for plan in plans]
-    window = reach = _grid_window(identity, spec)
+    plans = grid.plans
+    sweeps = [grid.sweep(identity, use_oracle, plan) for plan in plans]
+    window = reach = grid.window
     if window is not None and plans[0].shift:
         # the sides at s = lo - 1 read each G index of s = lo one lower
         reach = (window[0] - 1, window[1])
     f_tab, l_tab, g_tabs = _build_tables(reach, [s for p in plans for s in p.tables])
-    axes = [_axis(spec, v) for v in order]
+    axes = [_axis(spec, v) for v in grid.order]
     checks = (_oracle_checks(identity, spec, window, plans) if use_oracle
               else [None] * len(plans))
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
@@ -769,30 +859,32 @@ def _sweep_grid(identity: Identity, spec: GridSpec, order: tuple[str, ...],
 
 def eval_side(ast: Node, pt: ParamPoint) -> int:
     """Exact value of one identity side at a concrete parameter point: the
-    one-point sweep of ast == 0, one pass on the table of pt's seed, fails
-    with ast's value or passes at 0."""
+    one-point sweep of ast == 0 on the table of pt's seed fails with ast's
+    value or passes at 0."""
     params = tuple(sorted(pt.values))
     identity = Identity("eval_side", ast, Lit(0), params)
+    sweep = _point_sweep(identity)
     spec = GridSpec(point_intervals(pt.values), (pt.seed,))
-    plan = _Plan(False, (pt.seed,), (0,))
-    failures = _sweep_grid(identity, spec, params, len(params), [plan], False)
+    f_tab, l_tab, g_tabs = _build_tables(_grid_window(identity, spec), spec.seeds)
+    failures: list[tuple[tuple[int, ...], int, int, int]] = []
+    sweep(*((pt.values[p],) for p in params), f_tab, l_tab, g_tabs[pt.seed], (0,),
+          failures, None)
     return failures[0][2] if failures else 0
 
 
-def _raise_first_eval_error(identity: Identity, spec: GridSpec,
+def _raise_first_eval_error(identity: Identity, spec: GridSpec, window: Interval | None,
                             exc: EvalError) -> NoReturn:
     """Raise exc again at the point where point-by-point evaluation meets
     its first error: seeds in order, then points lexicographically.
 
-    Each point runs the identity's one-point sweep, compiled once, on the
-    grid's tables, built once. A sweep computes exactly the subexpressions
-    that point-by-point evaluation does, only in another order, so such a
-    point exists.
+    Each point runs the identity's one-point sweep, compiled once, on
+    tables over the grid's window, built once. A sweep computes exactly the
+    subexpressions that point-by-point evaluation does, only in another
+    order, so such a point exists.
     """
     params = identity.free_params
-    f_tab, l_tab, g_tabs = _build_tables(_grid_window(identity, spec), spec.seeds)
-    sweep = _compile_sweep(identity, params, len(params), False,
-                           _Plan(False, spec.seeds[:1], (0,)))
+    f_tab, l_tab, g_tabs = _build_tables(window, spec.seeds)
+    sweep = _point_sweep(identity)
     for seed in spec.seeds:
         for vals in spec.points(params):
             try:
@@ -816,11 +908,11 @@ def verify_grid(identity: Identity, spec: GridSpec, *,
     _check_spec_covers(identity, spec)
     params = identity.free_params
     started = time.perf_counter()
-    plans, order, fixed = _planned(identity, spec)
+    grid = _grid(identity, spec)
     try:
-        raw = _sweep_grid(identity, spec, order, fixed, plans, use_oracle)
+        raw = _sweep_grid(identity, spec, grid, use_oracle)
     except EvalError as exc:
-        _raise_first_eval_error(identity, spec, exc)
+        _raise_first_eval_error(identity, spec, grid.window, exc)
 
     raw.sort(key=lambda item: (item[0], item[1]))
     failures = [

@@ -1,5 +1,6 @@
 """Grid verification, the rank recurrence, evaluation contracts, reports."""
 
+import ast
 import functools
 import json
 import multiprocessing
@@ -107,11 +108,16 @@ def test_hand_built_nested_sum_is_refused():
 
 def test_evaluation_paths_compile_once(monkeypatch):
     # sides no other test uses, so every cache entry below is new
+    compiled = []
+    source = verify._sweep_source
+    monkeypatch.setattr(verify, "_sweep_source", lambda *args: compiled.append(args[0].name)
+                        or source(*args))
     side = parse_expr("F(m + 77)*G(n - 5) + binom(m, n)")
     before = len(verify._compile_cache)
     values = [eval_side(side, ParamPoint({"m": m, "n": n}, Seed(3, 7)))
               for m, n in ((1, 2), (-4, 6))]
-    assert len(verify._compile_cache) == before + 1
+    # one entry for the side's one-point sweep, whatever the point
+    assert len(verify._compile_cache) == before + 1 and compiled == ["eval_side"]
     assert values == [oracle_eval(side, ParamPoint({"m": m, "n": n}, Seed(3, 7)))
                       for m, n in ((1, 2), (-4, 6))]
 
@@ -123,10 +129,12 @@ def test_evaluation_paths_compile_once(monkeypatch):
     seeds = (Seed(2, 1), F_SEED, Seed(3, 7), Seed(3, 7))
     spec = GridSpec({"m": (-3, 3), "p": (-2, 2)}, seeds)
     before = len(verify._compile_cache)
+    compiled.clear()
     with pytest.raises(EvalError, match=r"at point \(m=-3, p=-2\), seed Seed\(g0=2, g1=1\)$"):
         verify_grid(bad, spec)
-    # one sweep for the three per-seed passes, one for the locator's points
-    assert len(verify._compile_cache) == before + 2
+    # the grid's entry, with one sweep for the three per-seed passes, and the
+    # entry of the locator's one-point sweep
+    assert len(verify._compile_cache) == before + 2 and compiled == ["neg-pow"] * 2
     # F, L and the one seed of its own, once for the sweep and once for the locator
     assert built == [F_SEED, Seed(2, 1), Seed(3, 7)] * 2
 
@@ -210,6 +218,26 @@ def test_eval_errors_annotated_with_point():
     spec = GridSpec({"m": (0, 1), "p": (-1, 1)}, (F_SEED,))
     with pytest.raises(EvalError, match=r"at point \(m=0, p=-1\)"):
         verify_grid(bad, spec)
+
+
+def test_negative_exponent_in_a_sum_names_its_first_point():
+    # k - 1 is a list over k built outside the loop over m: the power tests
+    # its sign and raises through _pw only when it is negative
+    bad = parse_identity("sum(k, 0, n, F(m)^(k - 1)) == F(m)", name="k-minus-1",
+                         params=("n", "m"))
+    spec = GridSpec({"n": (0, 2), "m": (-2, 2)}, (Seed(3, 7), F_SEED))
+    grid = verify._grid(bad, spec)
+    (plan,) = grid.plans
+    source = verify._sweep_source(bad, grid.order, grid.fixed, False, plan.basis,
+                                  len(plan.tables), plan.shift)
+    assert " >= 0 else _pw(" in source
+    for use_oracle in (False, True):
+        with pytest.raises(EvalError, match=r"^negative exponent -1 in power at point "
+                                            r"\(n=0, m=-2\), seed Seed\(g0=3, g1=7\)$"):
+            verify_grid(bad, spec, use_oracle=use_oracle)
+    with pytest.raises(EvalError, match="^negative exponent -1 in power$"):
+        eval_side(bad.lhs, ParamPoint({"n": 2, "m": 0}))
+    assert eval_side(bad.lhs, ParamPoint({"n": -1, "m": 2})) == 0  # the empty sum
 
 
 def test_use_oracle_cross_checks(catalog):
@@ -538,17 +566,17 @@ def _draw_grid(data, identity):
     return ranges
 
 
-def _point_by_point(identity, spec):
-    """Failures of the oracle evaluated point by point, or the point and
-    seed where it meets its first error; the oracle shares no code with
-    the sweep."""
+def _point_by_point(identity, spec, value=oracle_eval):
+    """Failures of value, the oracle by default, evaluated point by point,
+    or the point and seed where it meets its first error; the oracle
+    shares no code with the sweep."""
     params = identity.free_params
     failures = []
     for seed_idx, seed in enumerate(spec.seeds):
         for vals in spec.points(params):
             pt = ParamPoint(dict(zip(params, vals)), seed)
             try:
-                lv, rv = oracle_eval(identity.lhs, pt), oracle_eval(identity.rhs, pt)
+                lv, rv = value(identity.lhs, pt), value(identity.rhs, pt)
             except EvalError:
                 desc = ", ".join(f"{p}={v}" for p, v in zip(params, vals))
                 return None, f" at point ({desc}), seed {seed}"
@@ -559,10 +587,10 @@ def _point_by_point(identity, spec):
             for vals, si, lv, rv in failures], None
 
 
-def _matches_oracle_and_point_by_point(identity, spec):
+def _matches_oracle_and_point_by_point(identity, spec, value=oracle_eval):
     """The sweep, checked by the oracle at every point and seed and run
-    without it, gives the failures of point-by-point evaluation."""
-    expected, error = _point_by_point(identity, spec)
+    without it, gives the failures of value evaluated point by point."""
+    expected, error = _point_by_point(identity, spec, value)
     for use_oracle in (True, False):
         try:
             report = verify_grid(identity, spec, use_oracle=use_oracle)
@@ -718,7 +746,7 @@ def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
     assert [p.shift for p in verify._plans(catalog.get("Eq1"), fixed)] == [None]
     right = verify_grid(SHIFTED, spec).to_json_dict()
     monkeypatch.setattr(verify, "_BASIS", (Seed(1, 1), Seed(0, 1)))
-    monkeypatch.setattr(verify, "_plan_cache", {})  # plans read _BASIS
+    monkeypatch.setattr(verify, "_compile_cache", {})  # plans read _BASIS
     assert verify_grid(SHIFTED, spec).to_json_dict() != right
     for identity in (SHIFTED, catalog.get("Eq1")):
         with pytest.raises(InternalFault,
@@ -729,7 +757,7 @@ def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
 def _wrong_table(monkeypatch):
     # the shift plan's pass on the table of B10 instead of B01
     plans = verify._plans
-    monkeypatch.setattr(verify, "_plan_cache", {})
+    monkeypatch.setattr(verify, "_compile_cache", {})
     monkeypatch.setattr(verify, "_plans", lambda identity, spec: [
         p._replace(tables=(Seed(1, 0),)) if p.shift else p for p in plans(identity, spec)])
 
@@ -893,6 +921,88 @@ def test_g_free_shift_sweep_matches_oracle_and_point_by_point(data):
     _shift_sweep_matches_oracle_and_point_by_point(data, "FL")
 
 
+@functools.lru_cache(maxsize=None)
+def _line_sides(others, kinds):
+    """Sides of a shift plan along s shaped like Eq(1)..(4): sums over k
+    of F and L factors times sequence refs of kinds at s + x*k + (index
+    over others and k), x one of others, beside the values of
+    _shifted_sides."""
+    def line_ref(kind, index, x):
+        return SeqRef(kind, Add(Add(Sym("s"), Mul(Sym(x), Sym("k"))), index))
+
+    names = others + ("k",)
+    exponent = st.one_of(st.sampled_from(names).map(Sym),
+                         st.builds(Sub, st.sampled_from(others).map(Sym), st.just(Sym("k"))))
+    free = st.one_of(_values(names, kinds=("F", "L")),
+                     st.builds(Pow, st.builds(SeqRef, st.sampled_from("FL"),
+                                              _index_exprs(names)), exponent))
+    ref = st.builds(line_ref, st.sampled_from(kinds), _index_exprs(names),
+                    st.sampled_from(others))
+    summand = st.recursive(st.one_of(ref, st.builds(Mul, free, ref)), lambda inner: st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Mul, free, inner),
+    ), max_leaves=3)
+    sums = st.builds(Sum, st.just("k"), st.one_of(st.just(Lit(0)), _index_exprs(others)),
+                     st.sampled_from(others).map(Sym), summand)
+    return st.one_of(sums, st.builds(Add, sums, sums),
+                     st.builds(Add, sums, _shifted_sides(others, kinds=kinds)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_line_sums_match_oracle_and_eval_side(data):
+    kinds = data.draw(st.sampled_from(("G", "FL")))
+    others = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2,
+                                      unique=True)))
+    params = tuple(data.draw(st.permutations(others + ("s",))))
+    lhs, rhs = data.draw(_line_sides(others, kinds)), data.draw(_line_sides(others, kinds))
+    identity = parse_identity(f"{to_text(lhs)} == {to_text(rhs)}",
+                              name="random", params=params)
+    seeds = data.draw(st.lists(SEEDS, min_size=2, max_size=3, unique=True))
+    seeds += data.draw(st.lists(st.sampled_from(seeds), max_size=1))
+    ranges = _draw_grid(data, identity)
+    lo = data.draw(st.integers(-3, 3))
+    ranges["s"] = (lo, lo + data.draw(st.integers(1, 5)))
+    spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
+    (plan,) = verify._plans(identity, spec)
+    assert plan.shift is not None and plan.tables == ((Seed(0, 1),) if kinds == "G" else ())
+    _matches_oracle_and_point_by_point(identity, spec, eval_side)
+
+
+def _for_loops(node, axis):
+    """The for statements under node that walk the grid axis named."""
+    return [loop for loop in ast.walk(node) if isinstance(loop, ast.For)
+            and isinstance(loop.iter, ast.Name) and loop.iter.id == axis]
+
+
+@pytest.mark.parametrize("oracle_check", [False, True])
+def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
+    eq1 = catalog.get("Eq1")
+    spec = cli._grid_for(eq1, cli.build_parser().parse_args(["verify", "--all"]))
+    grid = verify._grid(eq1, spec)
+    (plan,) = grid.plans
+    assert grid.order == ("n", "m", "q", "p") and plan.shift == "p"
+    tree = ast.parse(verify._sweep_source(eq1, grid.order, grid.fixed, oracle_check,
+                                          plan.basis, len(plan.tables), plan.shift))
+    (line,) = _for_loops(tree, "_a2")  # q: each of its iterations is a line of p
+    (shift,) = _for_loops(line, "_a3")
+    start = [stmt for stmt in line.body if not _for_loops(stmt, "_a3")]
+    # the sum is one loop with a total per start pair, each reading the
+    # shift parameter at its own start value
+    (loop,) = [stmt for stmt in start if isinstance(stmt, ast.For)]
+    totals = [stmt for stmt in loop.body if isinstance(stmt, ast.AugAssign)]
+    assert len({total.target.id for total in totals}) == 2
+    assert [[node.id for node in ast.walk(total.value)
+             if isinstance(node, ast.Name) and node.id in ("_s0", "_s1", "v2")]
+            for total in totals] == [["_s0"], ["_s1"]]
+    # no list is built per line: the summands are computed in the loop
+    assert not [node for stmt in start for node in ast.walk(stmt)
+                if isinstance(node, ast.ListComp)]
+    assert not [node for node in ast.walk(shift) if isinstance(node, (ast.ListComp, ast.Pow))]
+
+
 class _CountingTable(dict):
     reads = 0
 
@@ -1014,19 +1124,28 @@ def test_a_line_guard_on_one_start_pair_misses_the_edges(monkeypatch):
 
 
 def test_repeated_grid_is_planned_once(catalog, monkeypatch):
-    monkeypatch.setattr(verify, "_plan_cache", {})
-    orders = []
-    order = verify._loop_order
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    orders, windows, sources = [], [], []
+    order, window, source = verify._loop_order, verify._grid_window, verify._sweep_source
     monkeypatch.setattr(verify, "_loop_order", lambda *args: orders.append(args[0].name)
                         or order(*args))
+    monkeypatch.setattr(verify, "_grid_window", lambda *args: windows.append(args[0].name)
+                        or window(*args))
+    monkeypatch.setattr(verify, "_sweep_source", lambda *args: sources.append(args[0].name)
+                        or source(*args))
     spec = GridSpec({"m": (-3, 3), "n": (-3, 3)})
     reports = [verify_grid(catalog.get("Eq8"), spec).to_json_dict() for _ in range(3)]
-    assert orders == ["Eq8"] and reports == reports[:1] * 3
+    assert orders == windows == sources == ["Eq8"] and reports == reports[:1] * 3
+    assert len(verify._compile_cache) == 1
+    # the oracle's sweep joins the grid's entry
+    assert verify_grid(catalog.get("Eq8"), spec, use_oracle=True).to_json_dict() == reports[0]
+    assert sources == ["Eq8"] * 2 and len(verify._compile_cache) == 1
     # another grid, or another identity on it, is planned afresh
     verify_grid(catalog.get("Eq8"), GridSpec({"m": (-3, 3), "n": (-3, 2)}))
     verify_grid(catalog.get("Eq8"), GridSpec(spec.ranges, (F_SEED,)))
     verify_grid(catalog.get("Lemma10"), spec)
-    assert orders == ["Eq8", "Eq8", "Eq8", "Lemma10"]
+    assert orders == windows == ["Eq8", "Eq8", "Eq8", "Lemma10"]
+    assert len(verify._compile_cache) == 4
 
 
 def test_shift_plan_takes_the_first_qualifying_parameter(catalog):
