@@ -23,7 +23,7 @@ __all__ = [
     "Lit", "Sym", "Add", "Sub", "Neg", "Mul", "Pow",
     "SeqRef", "Binom", "Sign", "Pow5Floor", "Sum",
     "Node", "SEQ_KINDS",
-    "affine", "children", "free_symbols", "height", "iter_nodes", "substitute",
+    "affine", "children", "free_symbols", "height", "iter_nodes",
     "is_index_expr", "to_text",
 ]
 
@@ -159,48 +159,23 @@ def free_symbols(node: Node) -> frozenset[str]:
     return walk(node, frozenset())
 
 
-def substitute(node: Node, env: Mapping[str, int]) -> Node:
-    """Replace free occurrences of the given symbols with integer literals."""
-    if isinstance(node, Lit):
-        return node
-    if isinstance(node, Sym):
-        return Lit(env[node.name]) if node.name in env else node
-    if isinstance(node, Add):
-        return Add(substitute(node.left, env), substitute(node.right, env))
-    if isinstance(node, Sub):
-        return Sub(substitute(node.left, env), substitute(node.right, env))
-    if isinstance(node, Neg):
-        return Neg(substitute(node.operand, env))
-    if isinstance(node, Mul):
-        return Mul(substitute(node.left, env), substitute(node.right, env))
-    if isinstance(node, Pow):
-        return Pow(substitute(node.base, env), substitute(node.exponent, env))
-    if isinstance(node, SeqRef):
-        return SeqRef(node.kind, substitute(node.arg, env))
-    if isinstance(node, Binom):
-        return Binom(substitute(node.top, env), substitute(node.bottom, env))
-    if isinstance(node, Sign):
-        return Sign(substitute(node.arg, env))
-    if isinstance(node, Pow5Floor):
-        return Pow5Floor(substitute(node.arg, env))
-    if isinstance(node, Sum):
-        inner = {k: v for k, v in env.items() if k != node.var}
-        return Sum(node.var, substitute(node.lo, env), substitute(node.hi, env),
-                   substitute(node.body, inner))
-    raise TypeError(f"unknown node {node!r}")
-
-
 def is_index_expr(node: Node) -> bool:
     """True when the subtree uses only literal/symbol/+/-/* arithmetic."""
     return all(isinstance(n, (Lit, Sym, Add, Sub, Neg, Mul)) for n in iter_nodes(node))
 
 
-def affine(node: Node) -> tuple[int, dict[str, int], frozenset[str]]:
+# No symbol bound to a value; never mutated.
+_UNBOUND: Mapping[str, int] = {}
+
+
+def affine(node: Node, env: Mapping[str, int] = _UNBOUND,
+           ) -> tuple[int, dict[str, int], frozenset[str]]:
     """An index expression as const + sum(coeffs[s] * s) + R, where R reads
     only the symbols in rest: those read by a product whose two factors
     both read symbols. coeffs holds every nonzero coefficient; a symbol
     outside rest changes the value by exactly its coefficient per unit
-    step, and when rest is empty the value at 0 is const.
+    step, and when rest is empty the value at 0 is const. A symbol bound
+    in env reads as its value, as a literal in its place would.
 
     One walk over the tree: such a product is recorded in rest, never
     expanded into monomials, and a product scaled by 0 reads nothing.
@@ -208,12 +183,14 @@ def affine(node: Node) -> tuple[int, dict[str, int], frozenset[str]]:
     if isinstance(node, Lit):
         return node.value, {}, frozenset()
     if isinstance(node, Sym):
+        if node.name in env:
+            return env[node.name], {}, frozenset()
         return 0, {node.name: 1}, frozenset()
     if isinstance(node, Neg):
-        return affine(Mul(Lit(-1), node.operand))
+        return affine(Mul(Lit(-1), node.operand), env)
     if not isinstance(node, _BINARY):
         raise TypeError(f"unsupported node {type(node).__name__} in an index expression")
-    (c1, t1, r1), (c2, t2, r2) = affine(node.left), affine(node.right)
+    (c1, t1, r1), (c2, t2, r2) = affine(node.left, env), affine(node.right, env)
     if isinstance(node, Mul):
         if (t1 or r1) and (t2 or r2):
             return 0, {}, r1.union(r2, t1, t2)
@@ -246,37 +223,41 @@ def _prec(node: Node) -> int:
     return _P_ATOM
 
 
-def to_text(node: Node) -> str:
-    """Canonical text with minimal parentheses; parse(to_text(x)) == x."""
-    return _fmt(node, 0)
+def to_text(node: Node, env: Mapping[str, int] = _UNBOUND) -> str:
+    """Canonical text with minimal parentheses; parse(to_text(x)) == x.
+    A free symbol bound in env prints as its value."""
+    return _fmt(node, 0, env)
 
 
-def _fmt(node: Node, ctx: int) -> str:
+def _fmt(node: Node, ctx: int, env: Mapping[str, int]) -> str:
+    if isinstance(node, Sym) and node.name in env:
+        node = Lit(env[node.name])
     if isinstance(node, Lit):
         s = str(node.value)
     elif isinstance(node, Sym):
         s = node.name
     elif isinstance(node, Add):
-        s = f"{_fmt(node.left, _P_ADD)} + {_fmt(node.right, _P_ADD + 1)}"
+        s = f"{_fmt(node.left, _P_ADD, env)} + {_fmt(node.right, _P_ADD + 1, env)}"
     elif isinstance(node, Sub):
-        s = f"{_fmt(node.left, _P_ADD)} - {_fmt(node.right, _P_ADD + 1)}"
+        s = f"{_fmt(node.left, _P_ADD, env)} - {_fmt(node.right, _P_ADD + 1, env)}"
     elif isinstance(node, Mul):
-        s = f"{_fmt(node.left, _P_MUL)}*{_fmt(node.right, _P_MUL + 1)}"
+        s = f"{_fmt(node.left, _P_MUL, env)}*{_fmt(node.right, _P_MUL + 1, env)}"
     elif isinstance(node, Neg):
-        s = f"-{_fmt(node.operand, _P_NEG)}"
+        s = f"-{_fmt(node.operand, _P_NEG, env)}"
     elif isinstance(node, Pow):
-        s = f"{_fmt(node.base, _P_POW + 1)}^{_fmt(node.exponent, _P_POW)}"
+        s = f"{_fmt(node.base, _P_POW + 1, env)}^{_fmt(node.exponent, _P_POW, env)}"
     elif isinstance(node, SeqRef):
-        s = f"{node.kind}({_fmt(node.arg, 0)})"
+        s = f"{node.kind}({_fmt(node.arg, 0, env)})"
     elif isinstance(node, Binom):
-        s = f"binom({_fmt(node.top, 0)}, {_fmt(node.bottom, 0)})"
+        s = f"binom({_fmt(node.top, 0, env)}, {_fmt(node.bottom, 0, env)})"
     elif isinstance(node, Sign):
-        s = f"sign({_fmt(node.arg, 0)})"
+        s = f"sign({_fmt(node.arg, 0, env)})"
     elif isinstance(node, Pow5Floor):
-        s = f"pow5floor({_fmt(node.arg, 0)})"
+        s = f"pow5floor({_fmt(node.arg, 0, env)})"
     elif isinstance(node, Sum):
-        s = (f"sum({node.var}, {_fmt(node.lo, 0)}, {_fmt(node.hi, 0)}, "
-             f"{_fmt(node.body, 0)})")
+        inner = {k: v for k, v in env.items() if k != node.var}  # the index shadows
+        s = (f"sum({node.var}, {_fmt(node.lo, 0, env)}, {_fmt(node.hi, 0, env)}, "
+             f"{_fmt(node.body, 0, inner)})")
     else:
         raise TypeError(f"unknown node {node!r}")
     return f"({s})" if _prec(node) < ctx else s

@@ -245,6 +245,15 @@ def _make(nsyms: int, nsigns: int, den: int, width: int, reach: int,
     return poly
 
 
+def _signed(naxes: int, signs: Sequence[int], value: int, den: int) -> LaurentPoly:
+    """value/den times sign symbol j to the power signs[j], each 0 or 1,
+    made packed without the constructor's checks: no axis is raised, so
+    its one key holds the bias in every axis field of the narrowest width."""
+    key = _layout(naxes, len(signs), _WIDTH)[0] + sum(s << 2 * j for j, s in enumerate(signs))
+    return _make(naxes + len(signs), len(signs), den, _WIDTH, 0,
+                 {key: (value, 0)} if value else {})
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial in `nsyms` invertible symbols over Q(phi).
 

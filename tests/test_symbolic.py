@@ -304,9 +304,10 @@ def test_closed_power_is_folded_under_a_memory_cap(tmp_path, run_fibkit, identit
     (GoldenInt(7, 0), 2, "(7+0φ)/2"),  # a remainder from the denominator
 ], ids=["phi", "fraction"])
 def test_closed_base_that_is_no_integer_is_an_internal_fault(monkeypatch, coeff, den, text):
-    # every sequence reference rewrites to this closed polynomial
-    monkeypatch.setattr(symbolic._Rewriter, "binet", lambda self, kind, const, coeffs:
-                        LaurentPoly.monomial((0,) * self.nsyms, coeff, den, len(self.free)))
+    # every sequence reference rewrites to this closed polynomial; patching
+    # the cached builder itself keeps its cache out of the way
+    monkeypatch.setattr(symbolic, "_binet", lambda kind, const, coeffs: LaurentPoly.monomial(
+        (0,) * (2 * len(coeffs) + 2), coeff, den, len(coeffs)))
     power = parse_identity("F(m) + F(1)^2 == F(m) + 1", name="power", params=("m",))
     with pytest.raises(InternalFault) as info:
         prove_symbolic(power)
@@ -408,3 +409,77 @@ def test_budget_admits_the_flagships_at_rank_32(catalog):
     # the largest of Eq1..Eq4 at rank 32 takes 45,876 term products
     report = prove_symbolic(catalog.get("Eq2"), {"n": 32})
     assert report.passed
+
+
+
+# --- cost model and caches ------------------------------------------------------------
+
+def test_cost_model_is_pinned_and_independent_of_the_caches(monkeypatch, catalog):
+    calls = []
+    real_charge = symbolic._Rewriter.charge
+
+    def counting_charge(self, products, what, env):
+        calls.append(products)
+        return real_charge(self, products, what, env)
+
+    def charges_by_entry():
+        # the 57 proofs of `prove --all --n 0..7`
+        charges = {}
+        for entry in catalog:
+            for rank in range(8) if entry.rank_params else [None]:
+                calls.clear()
+                prove_symbolic(entry, {p: rank for p in entry.rank_params})
+                charges[entry.name, rank] = (len(calls), sum(calls))
+        return charges
+
+    monkeypatch.setattr(symbolic._Rewriter, "charge", counting_charge)
+    symbolic._binet.cache_clear()
+    symbolic._scalar.cache_clear()
+    cold = charges_by_entry()
+    warm = charges_by_entry()  # every Binet and constant polynomial cached
+    assert len(cold) == 57
+    assert sum(count for count, _ in cold.values()) == 1_634
+    assert sum(total for _, total in cold.values()) == 13_804  # before the width factor
+    assert warm == cold
+
+
+def test_cached_polynomials_are_unchanged_by_the_proofs_that_use_them(catalog):
+    # in three free parameters: F(m), L(m), and the zero and the half every proof uses
+    cached = [(symbolic._binet, ("F", 0, (1, 0, 0))), (symbolic._binet, ("L", 0, (1, 0, 0))),
+              (symbolic._scalar, ((0, 0, 0), 0, 1)), (symbolic._scalar, ((0, 0, 0), 1, 2))]
+    polys = [cache(*args) for cache, args in cached]
+    for entry in catalog:
+        assert prove_symbolic(entry, {p: 3 for p in entry.rank_params}).passed
+    for (cache, args), poly in zip(cached, polys):
+        assert cache(*args) is poly
+        fresh = cache.__wrapped__(*args)
+        assert (poly.terms, poly.den) == (fresh.terms, fresh.den)
+
+
+def test_caches_hold_at_most_their_cap(tmp_path, capsys):
+    # cap + 1 distinct F(m + k), and as many distinct constants k
+    cap = max(symbolic._binet.cache_info().maxsize, symbolic._scalar.cache_info().maxsize)
+    path = tmp_path / "many.cat"
+    path.write_text(f"name: many\nparams: m\npaper: t\nidentity: "
+                    f"sum(k, 0, {cap}, F(m + k) + k*F(m)) == "
+                    f"F(m + {cap + 2}) - F(m + 1) + {cap * (cap + 1) // 2}*F(m)\n")
+    assert cli.main(["prove", "--file", str(path)]) == 0
+    for cache in (symbolic._binet, symbolic._scalar):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+
+
+def test_large_polynomials_are_not_kept_past_their_proof(monkeypatch):
+    built = []
+    phi_pow, signed = symbolic.phi_pow, symbolic._signed
+    monkeypatch.setattr(symbolic, "phi_pow", lambda n: built.append(n) or phi_pow(n))
+    monkeypatch.setattr(symbolic, "_signed", lambda naxes, signs, value, den:
+                        built.append(value) or signed(naxes, signs, value, den))
+    far = parse_identity("F(m + 5000)*2^5000 + F(m + 1) == F(m + 5000)*2^5000 + F(m + 1)",
+                         name="far", params=("m",))
+    assert prove_symbolic(far).passed
+    built.clear()
+    assert prove_symbolic(far).passed
+    # F(m + 1), 2 and the rest come from the caches; F(m + 5000) is built
+    # once per proof, 2^5000 at each use
+    assert built == [5000, 2 ** 5000, 2 ** 5000]
