@@ -8,24 +8,33 @@ AST node types and the neutral interval analysis; it shares no
 arithmetic with seq, zphi, or verify, so differential disagreement
 always exposes a real bug on one side.
 
-An evaluator gives a side's value on every seed of its tables at once. A
-node that reads no G has one value for all of them and is computed once
-per point; a node that reads G has one value per seed, each from that
-seed's own table. Nothing else is shared, across points or across the
-steps of a sum, except that a binom node keeps its last arguments and
-value, so a closed binomial walks Pascal's rule once per evaluator.
+An evaluator works on columns: given a batch of points, one list of
+values per parameter, it gives a side's values at each point on every
+seed of its tables at once, one list per seed, and each node's closure
+is called once per batch. A node that reads no G gives one column for
+all the seeds; a node that reads G gives one column per seed, each read
+from that seed's own table. A sum expands its rows into one batch of
+(row, k) terms, evaluates its body once on that batch, and adds each
+row's terms back into that row; it does so in pieces of at most
+_SUM_CHUNK terms, so a sum over a huge range holds a bounded number of
+values. Each row is computed from its own parameter values alone, except
+that a batch computes a binomial once per distinct pair of arguments,
+and a binom node keeps its last arguments and value across batches, so
+a closed binomial walks Pascal's rule once per evaluator. A call with
+one point's values is the batch of that one point.
 """
 
 from __future__ import annotations
 
 import copy
-from itertools import repeat
-from operator import add, mul, sub
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from itertools import accumulate, chain, repeat
+from operator import add, floordiv, mul, neg, sub
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EvalError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
+    free_symbols,
 )
 from .ranges import index_window, merge_windows, point_intervals
 
@@ -121,29 +130,49 @@ def oracle_eval(ast: Node, pt: "ParamPoint") -> int:
     return evaluator(ast, tables)(dict(pt.values))[0]
 
 
-Env = dict[str, int]
-Evaluator = Callable[[Env], list[int]]
+Columns = Mapping[str, Sequence[int]]
+
+
+class Evaluator:
+    """A side's values over a batch of points.
+
+    columns(cols, size) takes one column per parameter, each holding its
+    values at the batch's size points in order, and gives one column per
+    seed of the tables, in their order. Calling it with one point's env
+    runs the same closures on the batch of that one point and gives the
+    point's values, one per seed.
+    """
+
+    def __init__(self, columns: Callable[[Columns, int], list[list[int]]]):
+        self.columns = columns
+
+    def __call__(self, env: Mapping[str, int]) -> list[int]:
+        batch = {name: [value] for name, value in env.items()}
+        return [column[0] for column in self.columns(batch, 1)]
 
 
 def evaluator(ast: Node, tables: OracleTables) -> Evaluator:
-    """fn(env) -> the values of ast, one per seed of tables in their
-    order, with env mapping each free symbol to an int, on tables'
-    recurrence values for F, L and each seed's G.
+    """ast's evaluator on tables' recurrence values for F, L and each
+    seed's G, giving one value per seed of tables in their order.
 
     The tree is walked once, here: each node becomes one closure that
-    calls its children's closures, in the order the node reads them. A
-    node that reads no G gives one int for all seeds; one that reads G
-    gives a list, one value per seed.
+    calls its children's closures, in the order the node reads them, once
+    per batch. A node that reads no G gives one column for all seeds; one
+    that reads G gives one column per seed.
     """
     gens = list(tables.gen.values())
     fn, per_seed = _build(ast, {"F": tables.fib, "L": tables.lucas}, gens)
     if per_seed:
-        return fn
+        return Evaluator(fn)
     width = len(gens)
-    return lambda env: [fn(env)] * width
+    return Evaluator(lambda cols, size: [fn(cols, size)] * width)
 
 
 _OPS = {Add: add, Sub: sub, Mul: mul}
+
+# A sum's terms are evaluated in pieces of at most this many, so that a sum
+# over a huge range holds a bounded number of values at a time.
+_SUM_CHUNK = 4096
 
 
 def _power(factor: int, times: int) -> int:
@@ -153,9 +182,34 @@ def _power(factor: int, times: int) -> int:
     return result
 
 
+def _pieces(starts: list[int], lengths: list[int]) -> Iterator[tuple[list[int], ...]]:
+    """The terms of a sum whose row i has lengths[i] terms from the index
+    starts[i] on, in pieces of at most _SUM_CHUNK terms. A piece lists its
+    rows in order, with the first index each takes and how many; a row
+    may be split across pieces."""
+    rows: list[int] = []
+    firsts: list[int] = []
+    counts: list[int] = []
+    room = _SUM_CHUNK
+    for row, (start, count) in enumerate(zip(starts, lengths)):
+        while count:
+            take = count if count < room else room
+            rows.append(row)
+            firsts.append(start)
+            counts.append(take)
+            start += take
+            count -= take
+            room -= take
+            if not room:
+                yield rows, firsts, counts
+                rows, firsts, counts, room = [], [], [], _SUM_CHUNK
+    if rows:
+        yield rows, firsts, counts
+
+
 def _index(node: Node, seqs: Mapping[str, Mapping[int, int]],
-           gens: list[Mapping[int, int]]) -> Callable[[Env], int]:
-    """The closure of an index, exponent, argument or sum bound: one value
+           gens: list[Mapping[int, int]]) -> Callable[[Columns, int], list[int]]:
+    """The closure of an index, exponent, argument or sum bound: one column
     for all seeds, since these never read G."""
     fn, per_seed = _build(node, seqs, gens)
     if per_seed:
@@ -164,121 +218,132 @@ def _index(node: Node, seqs: Mapping[str, Mapping[int, int]],
 
 
 def _build(node: Node, seqs: Mapping[str, Mapping[int, int]],
-           gens: list[Mapping[int, int]]) -> tuple[Callable[[Env], Any], bool]:
-    """node's closure, and whether it reads G: then its closure gives a
-    list, one value per table in gens, else one int."""
+           gens: list[Mapping[int, int]]) -> tuple[Callable[[Columns, int], Any], bool]:
+    """node's closure fn(cols, size), and whether it reads G: then fn gives
+    one column per table in gens, else one column for all of them. Each
+    row of a column is computed from that row's parameter values alone."""
     if isinstance(node, Lit):
         value = node.value
-        return lambda env: value, False
+        return lambda cols, size: [value] * size, False
     if isinstance(node, Sym):
         name = node.name
 
-        def sym(env: Env) -> int:
+        def sym(cols: Columns, size: int) -> Sequence[int]:
             try:
-                return env[name]
+                return cols[name]
             except KeyError:
                 raise EvalError(f"symbol '{name}' has no value") from None
         return sym, False
     if isinstance(node, Neg):
         operand, per_seed = _build(node.operand, seqs, gens)
         if per_seed:
-            return lambda env: [-value for value in operand(env)], True
-        return lambda env: -operand(env), False
+            return lambda cols, size: [list(map(neg, column))
+                                       for column in operand(cols, size)], True
+        return lambda cols, size: list(map(neg, operand(cols, size))), False
     if isinstance(node, (Add, Sub, Mul)):
         left, left_each = _build(node.left, seqs, gens)
         right, right_each = _build(node.right, seqs, gens)
+        op = _OPS[type(node)]
         if left_each or right_each:
-            op = _OPS[type(node)]
-
-            def each(env: Env) -> list[int]:
-                a, b = left(env), right(env)
-                return list(map(op, a if left_each else repeat(a),
-                                b if right_each else repeat(b)))
+            def each(cols: Columns, size: int) -> list[list[int]]:
+                a, b = left(cols, size), right(cols, size)
+                return [list(map(op, x, y)) for x, y in
+                        zip(a if left_each else repeat(a), b if right_each else repeat(b))]
             return each, True
-        if isinstance(node, Add):
-            return lambda env: left(env) + right(env), False
-        if isinstance(node, Sub):
-            return lambda env: left(env) - right(env), False
-        return lambda env: left(env) * right(env), False
+        return lambda cols, size: list(map(op, left(cols, size), right(cols, size))), False
     if isinstance(node, Pow):
         base, per_seed = _build(node.base, seqs, gens)
         exponent = _index(node.exponent, seqs, gens)
 
-        def power(env: Env) -> Any:
-            times = exponent(env)
-            if times < 0:
-                raise EvalError(f"negative exponent {times} in power")
-            factor = base(env)
+        def power(cols: Columns, size: int) -> Any:
+            times = exponent(cols, size)
+            if min(times, default=0) < 0:
+                first = next(t for t in times if t < 0)
+                raise EvalError(f"negative exponent {first} in power")
+            factor = base(cols, size)
             if per_seed:
-                return [_power(f, times) for f in factor]
-            return _power(factor, times)
+                return [list(map(_power, column, times)) for column in factor]
+            return list(map(_power, factor, times))
         return power, per_seed
     if isinstance(node, SeqRef):
         kind, arg = node.kind, _index(node.arg, seqs, gens)
 
-        def missing(idx: int) -> EvalError:
-            return EvalError(f"oracle table window misses index {idx} for {kind}")
+        def missing(exc: KeyError) -> EvalError:
+            return EvalError(f"oracle table window misses index {exc.args[0]} for {kind}")
         if kind == "G":
-            def lookup_each(env: Env) -> list[int]:
-                idx = arg(env)
+            def lookup_each(cols: Columns, size: int) -> list[list[int]]:
+                idx = arg(cols, size)
                 try:
-                    return [values[idx] for values in gens]
-                except KeyError:
-                    raise missing(idx) from None
+                    return [list(map(values.__getitem__, idx)) for values in gens]
+                except KeyError as exc:
+                    raise missing(exc) from None
             return lookup_each, True
         values = seqs[kind]
 
-        def lookup(env: Env) -> int:
-            idx = arg(env)
+        def lookup(cols: Columns, size: int) -> list[int]:
             try:
-                return values[idx]
-            except KeyError:
-                raise missing(idx) from None
+                return list(map(values.__getitem__, arg(cols, size)))
+            except KeyError as exc:
+                raise missing(exc) from None
         return lookup, False
     if isinstance(node, Binom):
         top, bottom = _index(node.top, seqs, gens), _index(node.bottom, seqs, gens)
-        last, value = None, 0  # a closed binom walks Pascal's rule once
+        # a batch walks Pascal's rule once per distinct pair of arguments,
+        # and the last pair carries to the next batch: a closed binom walks
+        # it once per evaluator
+        last: tuple[Any, int] = (None, 0)
 
-        def binom(env: Env) -> int:
-            nonlocal last, value
-            args = top(env), bottom(env)
-            if args != last:
-                last, value = args, pascal_binom(*args)
-            return value
+        def binom(cols: Columns, size: int) -> list[int]:
+            nonlocal last
+            rows = list(zip(top(cols, size), bottom(cols, size)))
+            values = dict.fromkeys(rows)
+            for args in values:
+                values[args] = last[1] if args == last[0] else pascal_binom(*args)
+            if rows:
+                last = rows[-1], values[rows[-1]]
+            return list(map(values.__getitem__, rows))
         return binom, False
     if isinstance(node, Sign):
         arg = _index(node.arg, seqs, gens)
-        return lambda env: 1 if arg(env) % 2 == 0 else -1, False
+        return lambda cols, size: [1 if v % 2 == 0 else -1 for v in arg(cols, size)], False
     if isinstance(node, Pow5Floor):
         arg = _index(node.arg, seqs, gens)
 
-        def pow5floor(env: Env) -> int:
-            value = arg(env)
-            if value < 0:
-                raise EvalError(f"pow5floor argument {value} is negative")
-            return _power(5, value // 2)
+        def pow5floor(cols: Columns, size: int) -> list[int]:
+            values = arg(cols, size)
+            if min(values, default=0) < 0:
+                first = next(v for v in values if v < 0)
+                raise EvalError(f"pow5floor argument {first} is negative")
+            return list(map(_power, repeat(5), map(floordiv, values, repeat(2))))
         return pow5floor, False
     if isinstance(node, Sum):
         var = node.var
         lo, hi = _index(node.lo, seqs, gens), _index(node.hi, seqs, gens)
         body, per_seed = _build(node.body, seqs, gens)
-        width = len(gens)
+        names = free_symbols(node.body) - {var}
+        width = len(gens) if per_seed else 1
 
-        def total(env: Env) -> Any:
-            start, stop = lo(env), hi(env)
-            if start > stop + 1:
-                raise EvalError(f"sum bounds {start}..{stop} are inverted")
-            inner = dict(env)  # one copy per sum; each step rebinds the index
-            if per_seed:
-                result: Any = [0] * width
-                for k in range(start, stop + 1):
-                    inner[var] = k
-                    result = list(map(add, result, body(inner)))
-                return result
-            result = 0
-            for k in range(start, stop + 1):
-                inner[var] = k
-                result += body(inner)
-            return result
+        def total(cols: Columns, size: int) -> Any:
+            starts, stops = lo(cols, size), hi(cols, size)
+            lengths = [stop - start + 1 for start, stop in zip(starts, stops)]
+            if min(lengths, default=0) < 0:
+                row = next(i for i, length in enumerate(lengths) if length < 0)
+                raise EvalError(f"sum bounds {starts[row]}..{stops[row]} are inverted")
+            sums = [[0] * size for _ in range(width)]
+            for rows, firsts, counts in _pieces(starts, lengths):
+                # the piece's terms as a batch: each row's values, repeated
+                # once per term, and the index running over the row's range
+                terms = {name: list(chain.from_iterable(
+                    map(repeat, map(cols[name].__getitem__, rows), counts)))
+                    for name in names if name in cols}
+                ks = list(chain.from_iterable(map(range, firsts, map(add, firsts, counts))))
+                terms[var] = ks
+                values = body(terms, len(ks))
+                ends = list(accumulate(counts))
+                slices = list(map(slice, chain((0,), ends), ends))
+                for out, column in zip(sums, values if per_seed else (values,)):
+                    for row, value in zip(rows, map(sum, map(column.__getitem__, slices))):
+                        out[row] += value
+            return sums if per_seed else sums[0]
         return total, per_seed
     raise TypeError(f"unknown node {node!r}")

@@ -40,6 +40,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from math import comb, prod
+from operator import itemgetter
 from typing import (
     Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
 )
@@ -741,41 +742,74 @@ def _grid_window(identity: Identity, spec: GridSpec) -> Interval | None:
                          index_window(identity.rhs, env))
 
 
+# Oracle checks are held until this many have piled up, then compared in one
+# batch; this bounds the memory they hold.
+_HELD_CHECKS = 4096
+
+
+class _OracleCheck:
+    """A plan's check against the oracle. keep(point, seed index, lv, rv)
+    holds a point's two values for a seed as the sweep hands them over,
+    and flush() compares what is held: both sides are evaluated once over
+    the distinct points held, on all the plan's distinct seeds at once, and
+    the checks are compared in the order they came, so the first
+    disagreement in sweep order raises. keep flushes at the first seed of
+    a point once _HELD_CHECKS are held, so a point's seeds share one
+    evaluation."""
+
+    def __init__(self, identity: Identity, spec: GridSpec, lhs: Any, rhs: Any,
+                 columns: Mapping[int, int]):
+        self.identity, self.spec = identity, spec
+        self.sides = lhs, rhs
+        self.columns = columns  # seed index -> its column in the oracle's values
+        self.held: list[tuple[tuple[int, ...], int, int, int]] = []
+
+    def keep(self, vals: tuple[int, ...], seed_idx: int, lv: int, rv: int) -> None:
+        if len(self.held) >= _HELD_CHECKS and vals != self.held[-1][0]:
+            self.flush()  # at a point's first seed: no point is evaluated twice
+        self.held.append((vals, seed_idx, lv, rv))
+
+    def flush(self) -> None:
+        held, self.held = self.held, []
+        if not held:
+            return
+        points = list(dict.fromkeys(map(itemgetter(0), held)))
+        params = self.identity.free_params
+        cols = dict(zip(params, map(list, zip(*points))))
+        lhs, rhs = (side.columns(cols, len(points)) for side in self.sides)
+        row = {vals: i for i, vals in enumerate(points)}
+        columns = self.columns
+        for vals, seed_idx, lv, rv in held:
+            i, j = row[vals], columns[seed_idx]
+            ov_l, ov_r = lhs[j][i], rhs[j][i]
+            if ov_l != lv or ov_r != rv:
+                raise InternalFault(
+                    f"oracle disagrees with evaluator on '{self.identity.name}' "
+                    f"at {dict(zip(params, vals))}, seed {self.spec.seeds[seed_idx]}: "
+                    f"oracle ({ov_l}, {ov_r}) vs fast ({lv}, {rv})")
+
+
 def _oracle_checks(identity: Identity, spec: GridSpec, window: Interval | None,
-                   plans: Sequence[_Plan]) -> list[Callable[..., None]]:
-    """One check per plan, comparing a point's two values for a seed with
-    the oracle's. The oracle's tables are built once for the grid; each
-    plan has one oracle evaluator per side, which gives both sides' values
-    on all the plan's distinct seeds at once, so a point is evaluated once
-    per plan and its seeds' checks read that one evaluation."""
+                   plans: Sequence[_Plan]) -> list[_OracleCheck]:
+    """One check per plan against the oracle, which evaluates columns: the
+    checks a sweep hands over are held and compared in batches, in sweep
+    order (see _OracleCheck). The oracle's tables are built once for the
+    grid; each plan has one oracle evaluator per side, which gives both
+    sides' values on all the plan's distinct seeds at once over a batch of
+    points, so a point is evaluated once per plan and its seeds' checks
+    read that one evaluation."""
     from . import oracle
 
     lo, hi = merge_windows(window, (0, 1))
     tables = oracle.OracleTables(lo, hi, spec.seeds)
-    params = identity.free_params
 
-    def plan_check(plan: _Plan) -> Callable[..., None]:
+    def plan_check(plan: _Plan) -> _OracleCheck:
         indices = [s if isinstance(s, int) else s[0] for s in plan.seeds]
         own = tables.select(spec.seeds[i] for i in indices)
         lhs, rhs = (oracle.evaluator(side, own) for side in (identity.lhs, identity.rhs))
         column = {seed: j for j, seed in enumerate(own.gen)}
-        columns = {i: column[spec.seeds[i]] for i in indices}
-        last: tuple[int, ...] | None = None
-        values: tuple[list[int], list[int]] = ([], [])
-
-        def check(vals: tuple[int, ...], seed_idx: int, lv: int, rv: int) -> None:
-            nonlocal last, values
-            if vals != last:  # a point's seeds are checked one after another
-                env = dict(zip(params, vals))
-                last, values = vals, (lhs(env), rhs(env))
-            j = columns[seed_idx]
-            ov_l, ov_r = values[0][j], values[1][j]
-            if ov_l != lv or ov_r != rv:
-                raise InternalFault(
-                    f"oracle disagrees with evaluator on '{identity.name}' "
-                    f"at {dict(zip(params, vals))}, seed {spec.seeds[seed_idx]}: "
-                    f"oracle ({ov_l}, {ov_r}) vs fast ({lv}, {rv})")
-        return check
+        return _OracleCheck(identity, spec, lhs, rhs,
+                            {i: column[spec.seeds[i]] for i in indices})
     return [plan_check(plan) for plan in plans]
 
 
@@ -852,8 +886,15 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
               else [None] * len(plans))
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     for plan, sweep, check in zip(plans, sweeps, checks):
-        sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,
-              failures, check)
+        try:
+            sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,
+                  failures, check and check.keep)
+        except EvalError:
+            if check:  # a disagreement at an earlier point wins over the error
+                check.flush()
+            raise
+        if check:
+            check.flush()
     return failures
 
 

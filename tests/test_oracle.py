@@ -2,12 +2,19 @@
 
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fibkit import ParamPoint, Seed, eval_side, parse_expr
-from fibkit.oracle import OracleTables, oracle_eval, pascal_binom, recurrence_table
-from fibkit.ranges import index_window
+from fibkit import EvalError, ParamPoint, Seed, builtin_catalog, eval_side, oracle, parse_expr
+from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym
+from fibkit.oracle import (
+    OracleTables, evaluator, oracle_eval, pascal_binom, recurrence_table,
+)
+from fibkit.ranges import index_window, merge_windows
 from fibkit.verify import STANDARD_SEEDS
 
 F_SEED = Seed(0, 1)
@@ -42,6 +49,21 @@ def test_pascal_past_the_kept_rows_holds_one_partial_row():
     assert pascal_binom(3000, 2) == 4_498_500
     assert len(oracle._pascal_rows) == kept + 1
     assert max(len(row) for row in oracle._pascal_rows) == kept + 1
+
+
+def test_binom_walks_pascal_once_per_distinct_pair_in_a_batch(monkeypatch):
+    walks = []
+    walk = oracle.pascal_binom
+    monkeypatch.setattr(oracle, "pascal_binom", lambda n, k: walks.append((n, k)) or walk(n, k))
+    fn = evaluator(parse_expr("binom(n, k)"), OracleTables(0, 1, (F_SEED,)))
+    tops, bottoms = [300, 301, 300, 300, 301], [3, 3, 3, 3, 3]
+    assert fn.columns({"n": tops, "k": bottoms}, 5) == \
+        [[math.comb(n, k) for n, k in zip(tops, bottoms)]]
+    assert walks == [(300, 3), (301, 3)]
+    # the last pair, and only it, carries to the next batch
+    assert fn.columns({"n": [301, 300], "k": [3, 3]}, 2) == \
+        [[math.comb(301, 3), math.comb(300, 3)]]
+    assert walks == [(300, 3), (301, 3), (300, 3)]
 
 
 def test_pascal_convention_outside_triangle():
@@ -145,6 +167,112 @@ def test_differential_against_fast_evaluator(catalog):
         }
         pt = ParamPoint(values, STANDARD_SEEDS[rng.randrange(len(STANDARD_SEEDS))])
         assert oracle_eval(ast, pt) == eval_side(ast, pt), (entry.name, values)
+
+
+def test_sum_over_a_huge_range_holds_a_bounded_number_of_terms():
+    # a million terms, expanded a bounded piece at a time
+    ast = parse_expr("sum(k, 0, 1000000, F(m))")
+    tracemalloc.start()
+    try:
+        value = oracle_eval(ast, ParamPoint({"m": 3}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 2 * 1000001
+    assert peak < 2_000_000
+
+
+NAMES = ("m", "n")
+CATALOG = builtin_catalog()
+
+
+def _linear(const, terms):
+    node = Lit(const)
+    for coeff, name in terms:
+        node = Add(node, Sym(name) if coeff == 1 else Mul(Lit(coeff), Sym(name)))
+    return node
+
+
+def _indices(names):
+    return st.builds(_linear, st.integers(-3, 3),
+                     st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(names)),
+                              max_size=2))
+
+
+def _squares():
+    """Squares of small values of NAMES: exponents, pow5floor arguments and
+    sum lengths that are never negative."""
+    return st.one_of(st.integers(0, 3).map(Lit), st.sampled_from(NAMES).map(Sym)).map(
+        lambda node: Mul(node, node))
+
+
+def _values(names):
+    index = _indices(names)
+    leaves = st.one_of(
+        st.builds(SeqRef, st.sampled_from("FLG"), index),
+        st.integers(-3, 3).map(Lit),
+        st.sampled_from(names).map(Sym),
+        st.builds(Sign, index),
+        st.builds(Binom, index, index),
+        st.builds(Pow5Floor, _squares()),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Neg, children),
+        st.builds(Pow, children, st.one_of(st.integers(0, 3).map(Lit), _squares())),
+    ), max_leaves=5)
+
+
+def _sum(start, length, body):
+    """sum(k, start, start + length - 1, body): empty when length is 0."""
+    return Sum("k", start, Add(start, Add(Lit(-1), length)), body)
+
+
+def _drawn_side():
+    # a sum's bounds read the parameters, so they differ from row to row,
+    # and a row's sum may be empty
+    sums = st.builds(_sum, _indices(NAMES), _squares(), _values(NAMES + ("k",)))
+    top = st.one_of(_values(NAMES), sums)
+    return st.one_of(top, st.builds(Add, top, sums))
+
+
+def _catalog_side():
+    entries = [entry for entry in CATALOG if set(entry.free_params) <= {"n", "m", "p", "q"}]
+    return st.sampled_from(entries).flatmap(
+        lambda entry: st.sampled_from((entry.lhs, entry.rhs)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_batch_matches_point_by_point(data):
+    ast = data.draw(st.one_of(_drawn_side(), _catalog_side()))
+    names = ("n", "m", "p", "q")
+    # n from -2: an empty sum at n = -1, inverted bounds at n = -2
+    point = st.tuples(st.integers(-2, 4), *(st.integers(-3, 3) for _ in names[1:]))
+    rows = data.draw(st.lists(point, min_size=1, max_size=6))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicate points
+    rows = data.draw(st.permutations(rows))
+    seeds = tuple(data.draw(st.lists(
+        st.builds(Seed, st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=4)))
+    box = {name: (min(column), max(column)) for name, column in zip(names, zip(*rows))}
+    lo, hi = merge_windows(index_window(ast, box), (0, 1))
+    fn = evaluator(ast, OracleTables(lo, hi, seeds))
+    batch = {name: list(column) for name, column in zip(names, zip(*rows))}
+    # the batch in small pieces too, which split a row's terms
+    chunk = mock.patch.object(oracle, "_SUM_CHUNK", data.draw(st.sampled_from([1, 3, 4096])))
+    try:
+        expected = [fn(dict(zip(names, row))) for row in rows]
+    except EvalError:
+        with chunk, pytest.raises(EvalError):
+            fn.columns(batch, len(rows))
+        return
+    with chunk:
+        columns = fn.columns(batch, len(rows))
+    assert len(columns) == len(dict.fromkeys(seeds))
+    assert [[column[i] for column in columns] for i in range(len(rows))] == expected
 
 
 def test_oracle_module_is_independent_of_fast_paths():

@@ -269,10 +269,15 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     checks = verify._oracle_checks
 
     def counted_checks(identity, spec, window, plans):
-        def counted(inner):
-            return lambda vals, seed_idx, lv, rv: checked.append(seed_idx) \
-                or inner(vals, seed_idx, lv, rv)
-        return [counted(inner) for inner in checks(identity, spec, window, plans)]
+        def counted(check):
+            flush = check.flush
+
+            def compared():  # the seeds of the checks each flush compares
+                checked.extend(seed_idx for _, seed_idx, _, _ in check.held)
+                flush()
+            check.flush = compared
+            return check
+        return [counted(check) for check in checks(identity, spec, window, plans)]
 
     monkeypatch.setattr(verify, "_oracle_checks", counted_checks)
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
@@ -285,7 +290,7 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     # the grid's 1,500 checks run in one plan, with one evaluator per side
     # that covers both distinct seeds
     assert evaluators == [(Seed(0, 1), Seed(3, 7))] * 2
-    # and every requested seed checked at every point
+    # and every requested seed compared at every point
     assert len(checked) == spec.checks(("n", "m", "p", "q")) == 1500
     assert {i: checked.count(i) for i in range(4)} == {i: 375 for i in range(4)}
 
@@ -316,14 +321,17 @@ def test_oracle_evaluates_each_point_once_per_distinct_seed(
     def counted(ast, tables):
         fn, side = build(ast, tables), "lhs" if ast is entry.lhs else "rhs"
 
-        def evaluate(env):
-            values = fn(env)
+        def evaluate(cols, size):
+            values = fn.columns(cols, size)
             assert len(values) == len(tables.gen)
-            widths[side] += len(values)
+            assert all(len(column) == size for column in values)
+            widths[side] += len(values) * size
             return values
-        return evaluate
+        return oracle.Evaluator(evaluate)
 
     monkeypatch.setattr(oracle, "evaluator", counted)
+    # flushes of about 7 checks: some come due in the middle of a point's 5 seeds
+    monkeypatch.setattr(verify, "_HELD_CHECKS", 7)
     report = verify_grid(entry, spec, use_oracle=True)
     assert report.total == spec.checks(entry.free_params)
     points = report.total // len(DUPLICATE_SEEDS)
@@ -359,6 +367,49 @@ def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
     assert not verify_grid(eq8, spec).passed
     with pytest.raises(InternalFault, match="oracle disagrees with evaluator on 'Eq8'"):
         verify_grid(eq8, spec, use_oracle=True)
+
+
+def _corrupt_f_table(monkeypatch):
+    # F(-2) and F(2) one too high: the fast sweep disagrees with the oracle
+    # at m = -2 and m = 2, and with itself nowhere
+    build = verify._build_tables
+
+    def off_by_one(window, seeds):
+        f_tab, l_tab, g_tabs = build(window, seeds)
+        f_tab[-2] += 1
+        f_tab[2] += 1
+        return f_tab, l_tab, g_tabs
+
+    monkeypatch.setattr(verify, "_build_tables", off_by_one)
+
+
+@pytest.mark.parametrize("held", [1, verify._HELD_CHECKS])
+def test_oracle_fault_names_the_first_disagreement_in_sweep_order(monkeypatch, held):
+    # held 1: each point is compared in a flush of its own
+    monkeypatch.setattr(verify, "_HELD_CHECKS", held)
+    _corrupt_f_table(monkeypatch)
+    identity = parse_identity("F(m)*F(m) == F(m)^2", name="square", params=("m",))
+    spec = small_spec("m")
+    assert verify_grid(identity, spec).passed
+    with pytest.raises(InternalFault) as info:
+        verify_grid(identity, spec, use_oracle=True)
+    assert str(info.value) == ("oracle disagrees with evaluator on 'square' at {'m': -2}, "
+                               "seed Seed(g0=0, g1=1): oracle (1, 1) vs fast (0, 0)")
+
+
+def test_oracle_fault_before_an_evaluation_error_wins(monkeypatch):
+    # the exponent 1 - m is negative from m = 2 on, after the fault at m = -2
+    _corrupt_f_table(monkeypatch)
+    identity = parse_identity("F(m)^(1 - m) == F(m)^(1 - m)", name="late-error",
+                              params=("m",))
+    spec = small_spec("m")
+    with pytest.raises(EvalError, match=r"^negative exponent -1 in power at point \(m=2\), "
+                                        r"seed Seed\(g0=0, g1=1\)$"):
+        verify_grid(identity, spec)
+    with pytest.raises(InternalFault) as info:
+        verify_grid(identity, spec, use_oracle=True)
+    assert str(info.value) == ("oracle disagrees with evaluator on 'late-error' at {'m': -2}, "
+                               "seed Seed(g0=0, g1=1): oracle (-1, -1) vs fast (0, 0)")
 
 
 # --- the verify command's fan-out: one job per identity, one pool -------------
@@ -806,9 +857,11 @@ def _oracle_mutant(monkeypatch, old, new):
 
 @pytest.mark.parametrize("old,new", [
     # every seed's G read from the first seed's table
-    ("[values[idx] for values in gens]", "[gens[0][idx] for values in gens]"),
-    # G marked seed-free: the first seed's value stands for all of them
-    ("return lookup_each, True", "return (lambda env: lookup_each(env)[0]), False"),
+    ("[list(map(values.__getitem__, idx)) for values in gens]",
+     "[list(map(gens[0].__getitem__, idx)) for values in gens]"),
+    # G marked seed-free: the first seed's values stand for all of them
+    ("return lookup_each, True",
+     "return (lambda cols, size: lookup_each(cols, size)[0]), False"),
 ])
 def test_oracle_mutants_that_share_g_across_seeds_are_caught(catalog, monkeypatch, old, new):
     eq1 = catalog.get("Eq1")
