@@ -2,11 +2,12 @@
 
 Everything here is recomputed from first principles: sequence values come
 from stepping the recurrence one index at a time (forwards and backwards
-from the seed pair), powers from repeated multiplication, and binomial
-coefficients from Pascal's rule. This module deliberately imports only
-AST node types and the neutral interval analysis; it shares no
-arithmetic with seq, zphi, or verify, so differential disagreement
-always exposes a real bug on one side.
+from the seed pair), powers from repeated multiplication (math.prod over
+repeat(base, exponent), never the ** operator), and binomial coefficients
+from Pascal's rule. This module deliberately imports only AST node types
+and the neutral interval analysis; it shares no arithmetic with seq,
+zphi, or verify, so differential disagreement always exposes a real bug
+on one side.
 
 An evaluator works on columns: given a batch of points, one list of
 values per parameter, it gives a side's values at each point on every
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import copy
 from itertools import accumulate, chain, repeat
+from math import prod
 from operator import add, floordiv, mul, neg, sub
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -175,13 +177,6 @@ _OPS = {Add: add, Sub: sub, Mul: mul}
 _SUM_CHUNK = 4096
 
 
-def _power(factor: int, times: int) -> int:
-    result = 1
-    for _ in range(times):
-        result *= factor
-    return result
-
-
 def _pieces(starts: list[int], lengths: list[int]) -> Iterator[tuple[list[int], ...]]:
     """The terms of a sum whose row i has lengths[i] terms from the index
     starts[i] on, in pieces of at most _SUM_CHUNK terms. A piece lists its
@@ -262,8 +257,8 @@ def _build(node: Node, seqs: Mapping[str, Mapping[int, int]],
                 raise EvalError(f"negative exponent {first} in power")
             factor = base(cols, size)
             if per_seed:
-                return [list(map(_power, column, times)) for column in factor]
-            return list(map(_power, factor, times))
+                return [list(map(prod, map(repeat, column, times))) for column in factor]
+            return list(map(prod, map(repeat, factor, times)))
         return power, per_seed
     if isinstance(node, SeqRef):
         kind, arg = node.kind, _index(node.arg, seqs, gens)
@@ -314,7 +309,7 @@ def _build(node: Node, seqs: Mapping[str, Mapping[int, int]],
             if min(values, default=0) < 0:
                 first = next(v for v in values if v < 0)
                 raise EvalError(f"pow5floor argument {first} is negative")
-            return list(map(_power, repeat(5), map(floordiv, values, repeat(2))))
+            return list(map(prod, map(repeat, repeat(5), map(floordiv, values, repeat(2)))))
         return pow5floor, False
     if isinstance(node, Sum):
         var = node.var

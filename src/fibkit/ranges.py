@@ -13,7 +13,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import EvalError
-from .expr import Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym
+from .expr import (
+    Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym, affine,
+)
 
 __all__ = ["Interval", "expr_interval", "index_window", "point_intervals", "merge_windows"]
 
@@ -50,6 +52,22 @@ def expr_interval(node: Node, env: Mapping[str, Interval]) -> Interval:
     raise EvalError(f"cannot bound non-index expression node {type(node).__name__}")
 
 
+def _index_interval(node: Node, env: Mapping[str, Interval]) -> Interval:
+    """Bounds of an index over the box, tight when it is affine: read as
+    const + sum(c * s), each symbol's bounds count once, so a symbol read
+    twice cancels. A product of two symbol-reading factors is bounded by
+    expr_interval."""
+    bounds = expr_interval(node, env)  # raises on a symbol with no range
+    const, coeffs, rest = affine(node)
+    if rest:
+        return bounds
+    lo = hi = const
+    for name, c in coeffs.items():
+        a, b = env[name]
+        lo, hi = lo + min(c * a, c * b), hi + max(c * a, c * b)
+    return lo, hi
+
+
 def merge_windows(*windows: Interval | None) -> Interval | None:
     lo, hi = None, None
     for w in windows:
@@ -68,7 +86,7 @@ def index_window(node: Node, env: Mapping[str, Interval]) -> Interval | None:
     empty over the whole box contributes nothing.
     """
     if isinstance(node, SeqRef):
-        return expr_interval(node.arg, env)
+        return _index_interval(node.arg, env)
     if isinstance(node, (Add, Sub, Mul)):
         return merge_windows(index_window(node.left, env),
                              index_window(node.right, env))

@@ -22,7 +22,10 @@ s + (terms without s) in each term, s being read nowhere else, obey the
 same recurrence and are stepped the same way. Every value on a line
 follows from its two start pairs, so a line whose start pairs agree
 passes without a walk; with the oracle, every line is walked, so it
-sees every point and seed. Each grid's index window comes from one
+sees every point and seed. The oracle's sweep makes no call per check:
+it appends each point's values for every seed to one flat list, and a
+batch of points at a time is compared with the oracle's values, laid
+out alike, as one list. Each grid's index window comes from one
 interval analysis and sizes both its tables and the oracle's; a shift
 plan's tables reach one index below it, for the sides at s = lo - 1.
 A grid's plans, loop order, index window and compiled sweeps are kept in
@@ -40,7 +43,6 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from math import comb, prod
-from operator import itemgetter
 from typing import (
     Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
 )
@@ -196,6 +198,7 @@ def _rng(lo: int, hi: int) -> range:
 
 _COMPILE_GLOBALS = {
     "__builtins__": {},
+    "len": len,
     "sum": sum,
     "zip": zip,
     "_bi": _bi,
@@ -662,7 +665,7 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         derive = ["for _si, _g0, _g1 in _S:",
                   "    _lv = _g0 * _l0 + _g1 * _l1",
                   "    _rv = _g0 * _r0 + _g1 * _r1",
-                  *([f"    _check({point}, _si, _lv, _rv)"] if oracle else []),
+                  *(["    _held += (_lv, _rv)"] if oracle else []),
                   "    if _lv != _rv:",
                   f"        _fail.append(({point}, _si, _lv, _rv))"]
         # a point where both basis pairs agree passes for every seed
@@ -671,9 +674,11 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
     else:
         lv, rv = ("_l1", "_r1") if shift else ("_l0", "_r0")
         if oracle:
-            last += ["for _si in _S:", f"    _check({point}, _si, {lv}, {rv})"]
+            last.append(f"_held += ({lv}, {rv}) * _n")
         last += [f"if {lv} != {rv}:", "    for _si in _S:",
                  f"        _fail.append(({point}, _si, {lv}, {rv}))"]
+    if oracle:  # a flush comes due only after a point's last seed
+        last += ["if len(_held) >= _cap:", "    _flush()"]
     if shift:  # the sides at s + 1 by the recurrence; the pairs hold s - 1 and s
         last += ["_l0, _l1 = _l1, _l0 + _l1", "_r0, _r1 = _r1, _r0 + _r1"]
 
@@ -681,6 +686,10 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
     args = [*axes, "_F", "_L", *(f"_G{j}" for j in range(tables)), "_S", "_fail", "_check"]
     out = [f"def _sweep({', '.join(args)}):"]
     indent = "    "
+    if oracle:
+        out.append(f"{indent}_held, _cap, _flush = _check")
+        if not basis:
+            out.append(f"{indent}_n = len(_S)")
     if shift:
         axis = axes[order.index(shift)]
         out += [f"{indent}_s0 = {axis}[0] - 1", f"{indent}_s1 = {axis}[0]"]
@@ -703,8 +712,10 @@ def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
                    oracle: bool, plan: _Plan) -> Callable[..., None]:
     """fn(*axes, F, L, *G tables, seeds, failures, check) running one pass
     of plan's kind over the grid; axes are the ranges of order's
-    parameters, and check, with oracle, sees every point's values for
-    every seed."""
+    parameters. With oracle, check is (held, cap, flush): the sweep
+    appends every point's two values for every seed to the list held, and
+    calls flush() after a point's last seed once held has cap values or
+    more."""
     source = _sweep_source(identity, order, fixed, oracle,
                            plan.basis, len(plan.tables), plan.shift)
     scope: dict[str, Any] = {}
@@ -742,75 +753,85 @@ def _grid_window(identity: Identity, spec: GridSpec) -> Interval | None:
                          index_window(identity.rhs, env))
 
 
-# Oracle checks are held until this many have piled up, then compared in one
-# batch; this bounds the memory they hold.
+# A sweep hands its oracle checks over in a list that is compared once it
+# holds this many checks, two values each; this bounds the memory they hold.
 _HELD_CHECKS = 4096
 
 
 class _OracleCheck:
-    """A plan's check against the oracle. keep(point, seed index, lv, rv)
-    holds a point's two values for a seed as the sweep hands them over,
-    and flush() compares what is held: both sides are evaluated once over
-    the distinct points held, on all the plan's distinct seeds at once, and
-    the checks are compared in the order they came, so the first
-    disagreement in sweep order raises. keep flushes at the first seed of
-    a point once _HELD_CHECKS are held, so a point's seeds share one
-    evaluation."""
+    """A plan's check against the oracle.
 
-    def __init__(self, identity: Identity, spec: GridSpec, lhs: Any, rhs: Any,
-                 columns: Mapping[int, int]):
-        self.identity, self.spec = identity, spec
-        self.sides = lhs, rhs
-        self.columns = columns  # seed index -> its column in the oracle's values
-        self.held: list[tuple[tuple[int, ...], int, int, int]] = []
+    The sweep appends each point's two values for every seed of the plan,
+    in plan.seeds order, to the flat list held, and calls flush() after a
+    point's last seed once held has cap values or more; _sweep_grid also
+    flushes at the end of the pass and before an evaluation error is
+    raised. So held only ever holds whole points, and the points are the
+    grid's, in the loop order the sweep walks them: a flush takes as many
+    as held covers, evaluates both sides once over them on all the plan's
+    distinct seeds at once, lays the oracle's values out as held is laid
+    out, and compares the two lists in one step. Only a mismatch is
+    scanned, for the first disagreement in sweep order, which raises."""
 
-    def keep(self, vals: tuple[int, ...], seed_idx: int, lv: int, rv: int) -> None:
-        if len(self.held) >= _HELD_CHECKS and vals != self.held[-1][0]:
-            self.flush()  # at a point's first seed: no point is evaluated twice
-        self.held.append((vals, seed_idx, lv, rv))
+    def __init__(self, identity: Identity, spec: GridSpec, sides: tuple[Any, Any],
+                 seeds: list[int], columns: list[int], order: tuple[str, ...]):
+        self.identity, self.spec, self.sides = identity, spec, sides
+        self.seeds = seeds  # the plan's seed indices, in plan.seeds order
+        self.columns = columns  # each one's column in the oracle's values
+        self.order = order
+        self.points = spec.points(order)  # the points still to compare
+        self.held: list[int] = []
+        self.cap = 2 * _HELD_CHECKS
 
     def flush(self) -> None:
-        held, self.held = self.held, []
+        held = self.held
         if not held:
             return
-        points = list(dict.fromkeys(map(itemgetter(0), held)))
-        params = self.identity.free_params
-        cols = dict(zip(params, map(list, zip(*points))))
+        points = list(itertools.islice(self.points, len(held) // (2 * len(self.seeds))))
+        cols = dict(zip(self.order, map(list, zip(*points))))
         lhs, rhs = (side.columns(cols, len(points)) for side in self.sides)
-        row = {vals: i for i, vals in enumerate(points)}
-        columns = self.columns
-        for vals, seed_idx, lv, rv in held:
-            i, j = row[vals], columns[seed_idx]
-            ov_l, ov_r = lhs[j][i], rhs[j][i]
-            if ov_l != lv or ov_r != rv:
-                raise InternalFault(
-                    f"oracle disagrees with evaluator on '{self.identity.name}' "
-                    f"at {dict(zip(params, vals))}, seed {self.spec.seeds[seed_idx]}: "
-                    f"oracle ({ov_l}, {ov_r}) vs fast ({lv}, {rv})")
+        # held's layout: point by point, each seed's two values in turn
+        columns = [column for j in self.columns for column in (lhs[j], rhs[j])]
+        expected = list(itertools.chain.from_iterable(zip(*columns)))
+        if expected != held:
+            self._fault(points, expected)
+        held.clear()
+
+    def _fault(self, points: list[tuple[int, ...]], expected: list[int]) -> NoReturn:
+        held = self.held
+        first = next(i for i, pair in enumerate(zip(expected, held)) if pair[0] != pair[1])
+        first -= first % 2
+        point, seed = divmod(first // 2, len(self.seeds))
+        values = dict(zip(self.order, points[point]))
+        at = {p: values[p] for p in self.identity.free_params}
+        raise InternalFault(
+            f"oracle disagrees with evaluator on '{self.identity.name}' "
+            f"at {at}, seed {self.spec.seeds[self.seeds[seed]]}: "
+            f"oracle ({expected[first]}, {expected[first + 1]}) "
+            f"vs fast ({held[first]}, {held[first + 1]})")
 
 
-def _oracle_checks(identity: Identity, spec: GridSpec, window: Interval | None,
-                   plans: Sequence[_Plan]) -> list[_OracleCheck]:
-    """One check per plan against the oracle, which evaluates columns: the
-    checks a sweep hands over are held and compared in batches, in sweep
-    order (see _OracleCheck). The oracle's tables are built once for the
-    grid; each plan has one oracle evaluator per side, which gives both
-    sides' values on all the plan's distinct seeds at once over a batch of
-    points, so a point is evaluated once per plan and its seeds' checks
-    read that one evaluation."""
+def _oracle_checks(identity: Identity, spec: GridSpec, grid: _Grid) -> list[_OracleCheck]:
+    """One check per plan of grid against the oracle, which evaluates
+    columns: the values a sweep hands over are held in one flat list and
+    compared with the oracle's in batches, in sweep order (see
+    _OracleCheck). The oracle's tables are built once for the grid; each
+    plan has one oracle evaluator per side, which gives both sides' values
+    on all the plan's distinct seeds at once over a batch of points, so a
+    point is evaluated once per plan and its seeds' checks read that one
+    evaluation."""
     from . import oracle
 
-    lo, hi = merge_windows(window, (0, 1))
+    lo, hi = merge_windows(grid.window, (0, 1))
     tables = oracle.OracleTables(lo, hi, spec.seeds)
 
     def plan_check(plan: _Plan) -> _OracleCheck:
         indices = [s if isinstance(s, int) else s[0] for s in plan.seeds]
         own = tables.select(spec.seeds[i] for i in indices)
-        lhs, rhs = (oracle.evaluator(side, own) for side in (identity.lhs, identity.rhs))
+        sides = tuple(oracle.evaluator(side, own) for side in (identity.lhs, identity.rhs))
         column = {seed: j for j, seed in enumerate(own.gen)}
-        return _OracleCheck(identity, spec, lhs, rhs,
-                            {i: column[spec.seeds[i]] for i in indices})
-    return [plan_check(plan) for plan in plans]
+        return _OracleCheck(identity, spec, sides, indices,
+                            [column[spec.seeds[i]] for i in indices], grid.order)
+    return [plan_check(plan) for plan in grid.plans]
 
 
 class _Grid(NamedTuple):
@@ -882,13 +903,12 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
         reach = (window[0] - 1, window[1])
     f_tab, l_tab, g_tabs = _build_tables(reach, [s for p in plans for s in p.tables])
     axes = [_axis(spec, v) for v in grid.order]
-    checks = (_oracle_checks(identity, spec, window, plans) if use_oracle
-              else [None] * len(plans))
+    checks = _oracle_checks(identity, spec, grid) if use_oracle else [None] * len(plans)
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     for plan, sweep, check in zip(plans, sweeps, checks):
         try:
             sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,
-                  failures, check and check.keep)
+                  failures, check and (check.held, check.cap, check.flush))
         except EvalError:
             if check:  # a disagreement at an earlier point wins over the error
                 check.flush()

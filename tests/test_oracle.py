@@ -9,7 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fibkit import EvalError, ParamPoint, Seed, builtin_catalog, eval_side, oracle, parse_expr
+from fibkit import (
+    EvalError, ParamPoint, Seed, builtin_catalog, cli, eval_side, oracle, parse_expr, verify,
+)
 from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym
 from fibkit.oracle import (
     OracleTables, evaluator, oracle_eval, pascal_binom, recurrence_table,
@@ -94,6 +96,41 @@ def test_index_range_examples(catalog):
     assert lo <= -48 and hi >= 48
 
 
+def test_index_window_cancels_a_symbol_read_twice():
+    box = {"m": (-8, 8), "q": (-8, 8)}
+    assert index_window(parse_expr("F(m + q - q)"), box) == (-8, 8)
+    assert index_window(parse_expr("F(2*m - m - 3)"), box) == (-11, 5)
+    assert index_window(parse_expr("sum(k, 0, 1000000, F(k - k))"), {}) == (0, 0)
+    # a product of two factors that read symbols is bounded term by term
+    assert index_window(parse_expr("F(m*q - m*q)"), box) == (-128, 128)
+    # a symbol with no range is named, whether or not it cancels
+    with pytest.raises(EvalError, match=r"^no range for parameter 'q'$"):
+        index_window(parse_expr("F(m + q - q)"), {"m": (0, 1)})
+
+
+# The index window of every catalog entry on the default grid of verify --all.
+CATALOG_WINDOWS = {
+    "Eq1": (-40, 40), "Eq2": (-41, 41), "Eq3": (-40, 40), "Eq4": (-41, 41),
+    "Eq8": (-16, 16), "Lemma10": (-16, 16), "Lemma11": (-16, 16), "Lemma12": (-16, 16),
+    "Lemma13": (-16, 16), "Eq14": (-16, 16), "Eq16": (-16, 16), "Eq18": (-16, 16),
+    "Eq19": (-16, 16), "S3.n1.F-forward": (-16, 16), "S3.n1.L-forward": (-17, 17),
+    "S3.n1.F-backward": (-16, 16), "S3.n1.L-backward": (-17, 17),
+    "S3.n2.F-forward": (-24, 24), "S3.n2.L-forward": (-25, 25),
+    "S3.n2.F-backward": (-24, 24), "S3.n2.L-backward": (-25, 25),
+    "S3.n3.F-forward": (-32, 32), "S3.n3.L-forward": (-33, 33),
+    "S3.n3.F-backward": (-32, 32), "S3.n3.L-backward": (-33, 33),
+    "S3.n4.F-forward": (-40, 40), "S3.n4.L-forward": (-41, 41),
+    "S3.n4.F-backward": (-40, 40), "S3.n4.L-backward": (-41, 41),
+}
+
+
+def test_catalog_windows_on_the_default_grid(catalog):
+    args = cli.build_parser().parse_args(["verify", "--all"])
+    assert {entry.name: verify._grid_window(entry, cli._grid_for(entry, args))
+            for entry in catalog} == CATALOG_WINDOWS
+    assert len(CATALOG_WINDOWS) == 29
+
+
 @pytest.mark.parametrize("text,values,message", [
     ("F(m) + x", {"m": 1}, "symbol 'x' has no value"),
     ("F(m)^n", {"m": 1, "n": -2}, "negative exponent -2 in power"),
@@ -170,16 +207,21 @@ def test_differential_against_fast_evaluator(catalog):
 
 
 def test_sum_over_a_huge_range_holds_a_bounded_number_of_terms():
-    # a million terms, expanded a bounded piece at a time
-    ast = parse_expr("sum(k, 0, 1000000, F(m))")
-    tracemalloc.start()
-    try:
-        value = oracle_eval(ast, ParamPoint({"m": 3}))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert value == 2 * 1000001
-    assert peak < 2_000_000
+    # a million terms, expanded a bounded piece at a time; F(k - k) reads
+    # only F(0), so its table window is 0..1 however far k runs
+    for body, value in (("F(m)", 2 * 1000001), ("F(k - k)", 0)):
+        ast = parse_expr(f"sum(k, 0, 1000000, {body})")
+        # the tables are sized before anything is built: fail before then
+        lo, hi = index_window(ast, {"m": (3, 3)})
+        assert hi - lo <= 1, body
+        tracemalloc.start()
+        try:
+            got = oracle_eval(ast, ParamPoint({"m": 3}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == value, body
+        assert peak < 2_000_000, body
 
 
 NAMES = ("m", "n")
@@ -291,6 +333,11 @@ def test_oracle_module_is_independent_of_fast_paths():
     # and it generates no code: its evaluator is a tree of plain closures
     names = {node.id for node in pyast.walk(tree) if isinstance(node, pyast.Name)}
     assert not names & {"exec", "eval", "compile"}
+    # and its powers are repeated multiplication: no ** operator, no pow()
+    assert not [node for node in pyast.walk(tree) if isinstance(node, pyast.Pow)]
+    imported = {alias.asname or alias.name for node in pyast.walk(tree)
+                if isinstance(node, (pyast.Import, pyast.ImportFrom)) for alias in node.names}
+    assert "pow" not in names | imported
 
 
 def test_oracle_rejects_bad_input():

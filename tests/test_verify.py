@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -265,19 +266,22 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     monkeypatch.setattr(oracle, "evaluator",
                         lambda ast, tables: evaluators.append(tuple(tables.gen))
                         or build(ast, tables))
-    checked = []
+    checked, made = [], []
     checks = verify._oracle_checks
 
-    def counted_checks(identity, spec, window, plans):
+    def counted_checks(identity, spec, grid):
         def counted(check):
             flush = check.flush
 
             def compared():  # the seeds of the checks each flush compares
-                checked.extend(seed_idx for _, seed_idx, _, _ in check.held)
+                points, rest = divmod(len(check.held), 2 * len(check.seeds))
+                assert rest == 0  # two values per seed of whole points
+                checked.extend(check.seeds * points)
                 flush()
             check.flush = compared
             return check
-        return [counted(check) for check in checks(identity, spec, window, plans)]
+        made.extend(counted(check) for check in checks(identity, spec, grid))
+        return made
 
     monkeypatch.setattr(verify, "_oracle_checks", counted_checks)
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
@@ -293,6 +297,8 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     # and every requested seed compared at every point
     assert len(checked) == spec.checks(("n", "m", "p", "q")) == 1500
     assert {i: checked.count(i) for i in range(4)} == {i: 375 for i in range(4)}
+    # and the flushes used up the grid's points
+    assert [next(check.points, None) for check in made] == [None]
 
 
 VARIANT_CATALOG = load_catalog_file(str(DATA / "eq_variants.cat"))
@@ -330,7 +336,8 @@ def test_oracle_evaluates_each_point_once_per_distinct_seed(
         return oracle.Evaluator(evaluate)
 
     monkeypatch.setattr(oracle, "evaluator", counted)
-    # flushes of about 7 checks: some come due in the middle of a point's 5 seeds
+    # a flush comes due between points once 7 checks are held: after one to
+    # seven whole points, since a pass holds 1, 2 or 5 checks per point
     monkeypatch.setattr(verify, "_HELD_CHECKS", 7)
     report = verify_grid(entry, spec, use_oracle=True)
     assert report.total == spec.checks(entry.free_params)
@@ -410,6 +417,50 @@ def test_oracle_fault_before_an_evaluation_error_wins(monkeypatch):
         verify_grid(identity, spec, use_oracle=True)
     assert str(info.value) == ("oracle disagrees with evaluator on 'late-error' at {'m': -2}, "
                                "seed Seed(g0=0, g1=1): oracle (-1, -1) vs fast (0, 0)")
+
+
+@pytest.mark.parametrize("held", [3, 4, verify._HELD_CHECKS])
+def test_oracle_fault_names_a_later_seed_inside_a_flush(monkeypatch, held):
+    # B10(2) one too high: on the two-pair basis, the right side G(2*m) is
+    # wrong at m = 1 for every seed with g0 != 0, so the first seed, (0, 1),
+    # agrees there, and the left side first reads index 2 at m = 2. m = 1
+    # is the sixth of nine points: a flush of its own (held 3), the second
+    # of a flush of two (held 4), or the sixth of the one flush
+    build = verify._build_tables
+
+    def off_by_one(window, seeds):
+        f_tab, l_tab, g_tabs = build(window, seeds)
+        g_tabs[Seed(1, 0)][2] += 1
+        return f_tab, l_tab, g_tabs
+
+    monkeypatch.setattr(verify, "_build_tables", off_by_one)
+    monkeypatch.setattr(verify, "_HELD_CHECKS", held)
+    identity = parse_identity("G(2*m - 2) + G(2*m - 1) == G(2*m)", name="double",
+                              params=("m",))
+    spec = GridSpec({"m": (-4, 4)}, (Seed(0, 1), Seed(2, 1), Seed(3, 7)))
+    assert [(p.basis, p.tables) for p in verify._plans(identity, spec)] == [
+        (True, (Seed(1, 0), Seed(0, 1)))]
+    with pytest.raises(InternalFault) as info:
+        verify_grid(identity, spec, use_oracle=True)
+    # G seeded (2, 1) at 2 is 3; the fast sweep reads 2*B10(2) + B01(2) = 2*2 + 1
+    assert str(info.value) == ("oracle disagrees with evaluator on 'double' at {'m': 1}, "
+                               "seed Seed(g0=2, g1=1): oracle (3, 3) vs fast (3, 5)")
+
+
+def test_oracle_holds_a_bounded_number_of_checks(monkeypatch):
+    # 100,000 checks, 25,000 points with distinct values: held and compared
+    # in one flush for the whole grid, they peak at over 8 MB
+    identity = parse_identity("1000*m + n == n + 1000*m", name="wide", params=("m", "n"))
+    spec = GridSpec({"m": (0, 249), "n": (0, 99)})
+    assert spec.checks(identity.free_params) == 100_000
+    verify_grid(identity, spec, use_oracle=True)  # compiled outside the trace
+    tracemalloc.start()
+    try:
+        assert verify_grid(identity, spec, use_oracle=True).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # --- the verify command's fan-out: one job per identity, one pool -------------
