@@ -432,6 +432,8 @@ def _run(argv: Sequence[str] | None) -> int:
     except FibkitError as exc:
         print(f"fibkit: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the traceback has let go of what ran out
     except BrokenPipeError:
         # the reader left (as `| head` does); point stdout's descriptor at
         # the null device so that the flush at exit does not fail again
@@ -441,6 +443,8 @@ def _run(argv: Sequence[str] | None) -> int:
             os.dup2(devnull, fd)
             os.close(devnull)
         return 141
+    print("fibkit: error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -25,16 +25,17 @@ passes without a walk; with the oracle, every line is walked, so it
 sees every point and seed. The oracle's sweep makes no call per check:
 it appends each point's values for every seed to one flat list, and a
 batch of points at a time is compared with the oracle's values, laid
-out alike, as one list. Each grid's index window comes from one
-interval analysis and sizes both its tables and the oracle's; a shift
-plan's tables reach one index below it, for the sides at s = lo - 1.
-A grid's plans, loop order, index window and compiled sweeps are kept in
-one entry per identity and grid; its tables are built anew on every
-call. The sweep is the only generated code: a side's value at
-one point is the one-point sweep of side == 0, and an evaluation error
-is located point by point with one compiled one-point sweep. All
-arithmetic is unbounded int; a PASS means exact equality at every point
-and seed.
+out alike, as one list. A sweep reads one F table, over the grid's index
+window from one interval analysis (which sizes the oracle's tables too):
+G on the basis seeds is F one index back and F itself, and L and a
+per-seed pass's G are tables derived from it as g0*F(e - 1) + g1*F(e).
+A grid's plans, loop order, index window, whether it reads L, and
+compiled sweeps are kept in one entry per identity and grid; its tables
+are built anew on every call. The sweep is the only generated code: a
+side's value at one point is the one-point sweep of side == 0, and an
+evaluation error is located point by point with one compiled one-point
+sweep. All arithmetic is unbounded int; a PASS means exact equality at
+every point and seed.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ import time
 from dataclasses import dataclass, field
 from math import comb, prod
 from typing import (
-    Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
+    Any, Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
 )
 
 from .catalog import Identity
 from .errors import EvalError, GridError, InternalFault
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    affine, children,
+    affine, children, iter_nodes,
 )
 from .ranges import Interval, expr_interval, index_window, merge_windows, point_intervals
 from .seq import FIB_SEED, LUCAS_SEED, Seed, table
@@ -208,9 +209,9 @@ _COMPILE_GLOBALS = {
 }
 
 
-def _op_code(node: Node, args: Sequence[str], g: str) -> str:
-    """Python for one operator node, given the code of its children; g
-    names the G table."""
+def _op_code(node: Node, args: Sequence[str], back: bool) -> str:
+    """Python for one operator node, given the code of its children; with
+    back, G is read one index back in its table."""
     if isinstance(node, Add):
         return f"({args[0]} + {args[1]})"
     if isinstance(node, Sub):
@@ -228,7 +229,7 @@ def _op_code(node: Node, args: Sequence[str], g: str) -> str:
             return f"(({base}) ** {e} if {e} >= 0 else _pw({base}, {e}))"
         return f"_pw({base}, {e})"
     if isinstance(node, SeqRef):
-        return f"{g if node.kind == 'G' else '_' + node.kind}[{args[0]}]"
+        return f"_{node.kind}[{args[0]}{' - 1' if back and node.kind == 'G' else ''}]"
     if isinstance(node, Binom):
         return f"_bi({args[0]}, {args[1]})"
     if isinstance(node, Sign):
@@ -238,18 +239,24 @@ def _op_code(node: Node, args: Sequence[str], g: str) -> str:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _build_tables(window: Interval | None, seeds: Iterable[Seed],
-                  ) -> tuple[dict[int, int], dict[int, int], dict[Seed, dict[int, int]]]:
-    """The F and L tables over window, and one G table per distinct seed."""
+def _derived(f_tab: dict[int, int], seed: Seed) -> dict[int, int]:
+    """G of seed at each index of F's table but the lowest: g0*F(e - 1) + g1*F(e)."""
+    g0, g1 = seed.g0, seed.g1
+    return {e: g0 * f_tab[e - 1] + g1 * f for e, f in f_tab.items() if e - 1 in f_tab}
+
+
+def _tables(window: Interval | None, lucas: bool) -> tuple[dict[int, int], dict[int, int]]:
+    """F from two below window, the lowest index a value derived at a shift
+    plan's s = lo - 1 reads, to its top; and, when lucas, L derived from it."""
     if window is None:
-        return {}, {}, {s: {} for s in seeds}
-    lo, hi = window
-    f_tab = table(FIB_SEED, lo, hi)
-    l_tab = table(LUCAS_SEED, lo, hi)
-    known = {FIB_SEED: f_tab, LUCAS_SEED: l_tab}
-    g_tabs = {s: known[s] if s in known else table(s, lo, hi)
-              for s in dict.fromkeys(seeds)}
-    return f_tab, l_tab, g_tabs
+        return {}, {}
+    f_tab = table(FIB_SEED, window[0] - 2, window[1])
+    return f_tab, _derived(f_tab, LUCAS_SEED) if lucas else {}
+
+
+def _reads_l(identity: Identity) -> bool:
+    return any(isinstance(node, SeqRef) and node.kind == "L"
+               for side in (identity.lhs, identity.rhs) for node in iter_nodes(side))
 
 
 # --- grid sweeps ------------------------------------------------------------
@@ -263,12 +270,12 @@ def _build_tables(window: Interval | None, seeds: Iterable[Seed],
 # those lists.
 #
 # The seeds are not a loop. A sweep evaluates one or two pairs of sides in
-# one pass: one pair per G table it is given, or, on a shift plan, the
-# pairs at the two start values of each line of the shift parameter. The
-# pairs are written side by side: a term that reads neither G nor the
-# shift parameter is computed once for both, and a sum is one loop with
-# one total per pair. The plan (see _plans) says which requested seeds
-# the pairs' values stand for.
+# one pass: one pair per basis seed, each reading G in F at its own offset,
+# or, on a shift plan, the pairs at the two start values of each line of
+# the shift parameter. The pairs are written side by side: a term that
+# reads neither G nor the shift parameter is computed once for both, and a
+# sum is one loop with one total per pair. The plan (see _plans) says
+# which requested seeds the pairs' values stand for.
 
 # CPython compiles at most 20 statically nested blocks: one per loop here,
 # and one for a sum's loop or the loop over the seeds inside them.
@@ -277,11 +284,6 @@ _MAX_LOOPS = 19
 # Loop orders are searched exhaustively up to this many loops (720 orders);
 # past it the parameters loop in declared order.
 _MAX_SEARCH = 6
-
-# G(e) = g0*B10(e) + g1*B01(e) at every integer e, where B10 and B01 are
-# the sequences seeded (1, 0) and (0, 1).
-_BASIS = (Seed(1, 0), Seed(0, 1))
-
 
 def _degree(node: Node, counted: Callable[[SeqRef], bool]) -> int | None:
     """The degree of node in the sequence refs that counted picks, 0 or 1,
@@ -350,22 +352,22 @@ def _shift_axis(identity: Identity, spec: GridSpec, kinds: str) -> str | None:
 class _Plan(NamedTuple):
     """One pass of a sweep over the grid.
 
-    The pass evaluates both sides once per G table in tables, or once,
-    reading no G, when there is none. With basis, seeds holds (index, g0,
-    g1) of every requested seed, whose values follow from the sides' values
-    on the basis seeds; without, seeds holds the indices of the requested
-    seeds whose values the one pair of sides gives. A basis pass evaluates
-    its sides on both basis tables, or, with shift, only on B01's: since
-    B10(e) = B01(e - 1), a side's value on B10 at a point is its value on
-    B01 one step back along the parameter shift. With shift, the sides
-    obey the Fibonacci recurrence along it, so they are evaluated in full
-    twice per line of shift, at its first value and one before, as the two
-    pairs of one pass; a line whose two start pairs agree passes at every
-    point without a walk.
+    G(e) = g0*B10(e) + g1*B01(e) at every integer e, where B10 and B01 are
+    the sequences seeded (1, 0) and (0, 1): B10(e) = F(e - 1), B01 = F.
+    With basis, seeds holds (index, g0, g1) of every requested seed, whose
+    values follow from the sides' values on B10 and B01, evaluated both
+    or, with shift, on B01 alone: a side's value on B10 at a point is its
+    value on B01 one step back along the parameter shift. Without, seeds
+    holds the indices of the requested seeds whose values the one pair of
+    sides gives, on seed's G table, or reading no G when seed is None.
+    With shift, the sides obey the Fibonacci recurrence along it, so they
+    are evaluated in full twice per line of shift, at its first value and
+    one before, as the two pairs of one pass; a line whose two start pairs
+    agree passes at every point without a walk.
     """
 
     basis: bool
-    tables: tuple[Seed, ...]
+    seed: Seed | None
     seeds: tuple[tuple[int, int, int] | int, ...]
     shift: str | None = None
 
@@ -374,7 +376,7 @@ def _plans(identity: Identity, spec: GridSpec) -> list[_Plan]:
     """The passes that cover every requested seed: one pass for all seeds
     when neither side reads G, one on the basis when both sides are linear
     in G and there are at least two distinct seeds, else one pass per
-    distinct seed, on its own table.
+    distinct seed, on its own G table.
 
     The pass with no G shifts along the first parameter in which both
     sides are linear in F and L factors at s + (terms that do not read s);
@@ -384,15 +386,14 @@ def _plans(identity: Identity, spec: GridSpec) -> list[_Plan]:
     seeds = spec.seeds
     degrees = {_degree(identity.lhs, _is_g), _degree(identity.rhs, _is_g)}
     if degrees == {0}:
-        return [_Plan(False, (), tuple(range(len(seeds))), _shift_axis(identity, spec, "FL"))]
+        return [_Plan(False, None, tuple(range(len(seeds))), _shift_axis(identity, spec, "FL"))]
     groups: dict[Seed, list[int]] = {}
     for i, seed in enumerate(seeds):
         groups.setdefault(seed, []).append(i)
-    if degrees == {1} and len(groups) >= len(_BASIS):
+    if degrees == {1} and len(groups) >= 2:  # as many as basis seeds
         coeffs = tuple((i, s.g0, s.g1) for i, s in enumerate(seeds))
-        shift = _shift_axis(identity, spec, "G")
-        return [_Plan(True, _BASIS[1:] if shift else _BASIS, coeffs, shift)]
-    return [_Plan(False, (seed,), tuple(group)) for seed, group in groups.items()]
+        return [_Plan(True, None, coeffs, _shift_axis(identity, spec, "G"))]
+    return [_Plan(False, seed, tuple(group)) for seed, group in groups.items()]
 
 
 class _Term(NamedTuple):
@@ -479,7 +480,7 @@ def _loop_order(identity: Identity, spec: GridSpec,
     if len(loops) > _MAX_LOOPS:
         raise GridError(f"grid varies {len(loops)} parameters; "
                         f"a sweep nests at most {_MAX_LOOPS} loops")
-    pairs = max(1, len(plan.tables))
+    pairs = 2 if plan.basis and not plan.shift else 1
     env = {p: spec.ranges[p] for p in params}
     weights: dict[frozenset[str], int] = {}
     for side in (identity.lhs, identity.rhs):
@@ -518,7 +519,7 @@ class _SweepWriter:
     pair (level of the deepest loop it reads, whether it reads the index).
 
     The pairs of sides are written side by side: a term's code is one
-    string per pair, where pair j reads G from its own table and the shift
+    string per pair, where pair j reads G at its own offset and the shift
     parameter at its own start value, bound before the first loop. The
     shift parameter counts as the level of the loop that encloses its own,
     where the start pairs are evaluated. Code that all pairs share is one
@@ -526,12 +527,12 @@ class _SweepWriter:
     at that term's level, or once per index value in its sum's loop.
     """
 
-    def __init__(self, order: Sequence[str], pairs: Sequence[tuple[str, Mapping[str, str]]],
+    def __init__(self, order: Sequence[str], pairs: Sequence[tuple[bool, Mapping[str, str]]],
                  shift: str | None):
         self.level = {v: i + 1 for i, v in enumerate(order)}
         if shift:
             self.level[shift] = len(order) - 1
-        self.pairs = pairs  # (G table, parameter names) of each pair
+        self.pairs = pairs  # (whether G is read one back, parameter names) of each pair
         self.lines: list[list[str]] = [[] for _ in range(len(order) + 1)]
         self.temps: dict[str, str] = {}
         self.loops: dict[str, dict[str, str]] = {}  # a loop's text -> its totals
@@ -601,9 +602,9 @@ class _SweepWriter:
         rank = self.rank(term)
 
         def each_pair(args: list[_Codes]) -> _Codes:
-            return tuple((_op_code(node, [a[j][0] for a in args], g),
+            return tuple((_op_code(node, [a[j][0] for a in args], back),
                           {seq: elem for a in args for seq, elem in a[j][1].items()})
-                         for j, (g, _) in enumerate(self.pairs))
+                         for j, (back, _) in enumerate(self.pairs))
 
         args = [self.place(arg, rank, body) for arg in term.args]
         codes = each_pair(args)
@@ -646,13 +647,13 @@ class _SweepWriter:
 
 
 def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
-                  oracle: bool, basis: bool, tables: int, shift: str | None) -> str:
+                  oracle: bool, basis: bool, shift: str | None) -> str:
     params = identity.free_params
     names = {p: f"v{i}" for i, p in enumerate(params)}
     if shift:  # pair j at the start value _sj of each line: lo - 1, then lo
-        pairs = [("_G0", {**names, shift: f"_s{j}"}) for j in range(2)]
-    else:
-        pairs = [(f"_G{j}", names) for j in range(max(1, tables))]
+        pairs = [(False, {**names, shift: f"_s{j}"}) for j in range(2)]
+    else:  # on the basis, B10(e) = F(e - 1), then B01(e) = F(e)
+        pairs = [(True, names), (False, names)] if basis else [(False, names)]
     writer = _SweepWriter(order, pairs, shift)
     start = len(order) - 1 if shift else len(order)
     lhs, rhs = (writer.place(_terms(side, params), (start, False), None)
@@ -683,7 +684,7 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         last += ["_l0, _l1 = _l1, _l0 + _l1", "_r0, _r1 = _r1, _r0 + _r1"]
 
     axes = [f"_a{j}" for j in range(len(order))]
-    args = [*axes, "_F", "_L", *(f"_G{j}" for j in range(tables)), "_S", "_fail", "_check"]
+    args = [*axes, "_F", "_L", "_G", "_S", "_fail", "_check"]
     out = [f"def _sweep({', '.join(args)}):"]
     indent = "    "
     if oracle:
@@ -710,14 +711,12 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
 
 def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
                    oracle: bool, plan: _Plan) -> Callable[..., None]:
-    """fn(*axes, F, L, *G tables, seeds, failures, check) running one pass
-    of plan's kind over the grid; axes are the ranges of order's
-    parameters. With oracle, check is (held, cap, flush): the sweep
-    appends every point's two values for every seed to the list held, and
-    calls flush() after a point's last seed once held has cap values or
-    more."""
-    source = _sweep_source(identity, order, fixed, oracle,
-                           plan.basis, len(plan.tables), plan.shift)
+    """fn(*axes, F, L, G, seeds, failures, check) running one pass of
+    plan's kind over the grid; axes are the ranges of order's parameters.
+    With oracle, check is (held, cap, flush): the sweep appends every
+    point's two values for every seed to the list held, and calls flush()
+    after a point's last seed once held has cap values or more."""
+    source = _sweep_source(identity, order, fixed, oracle, plan.basis, plan.shift)
     scope: dict[str, Any] = {}
     exec(compile(source, "<fibkit>", "exec"), dict(_COMPILE_GLOBALS), scope)
     return scope["_sweep"]
@@ -836,17 +835,18 @@ def _oracle_checks(identity: Identity, spec: GridSpec, grid: _Grid) -> list[_Ora
 
 class _Grid(NamedTuple):
     """What a grid's verification keeps: its plans, its loop order, how
-    many of its parameters lead fixed, its index window, and its sweeps,
-    compiled on first use per oracle flag and pass shape."""
+    many of its parameters lead fixed, its index window, whether it reads
+    L, and its sweeps, compiled on first use per oracle flag and pass."""
 
     plans: tuple[_Plan, ...]
     order: tuple[str, ...]
     fixed: int
     window: Interval | None
+    lucas: bool
     sweeps: dict[tuple, Callable[..., None]]
 
     def sweep(self, identity: Identity, oracle: bool, plan: _Plan) -> Callable[..., None]:
-        key = (oracle, plan.basis, len(plan.tables), plan.shift)
+        key = (oracle, plan.basis, plan.shift)
         fn = self.sweeps.get(key)
         if fn is None:
             fn = _compile_sweep(identity, self.order, self.fixed, oracle, plan)
@@ -872,24 +872,25 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
         # the loop order reads both sides first: a symbol with no value is
         # named as such, before the window analysis finds it has no range
         order, fixed = _loop_order(identity, spec, plans[0])
-        grid = _compile_cache[key] = _Grid(plans, order, fixed,
-                                           _grid_window(identity, spec), {})
+        grid = _compile_cache[key] = _Grid(plans, order, fixed, _grid_window(identity, spec),
+                                           _reads_l(identity), {})
     return grid
 
 
-# The one pass of a one-point sweep, on one G table whatever its seed.
-_POINT = _Plan(False, (FIB_SEED,), (0,))
+# The one pass of a one-point sweep, on the G table of any one seed.
+_POINT = _Plan(False, None, (0,))
 
 
-def _point_sweep(identity: Identity) -> Callable[..., None]:
+def _point_sweep(identity: Identity) -> tuple[Callable[..., None], bool]:
     """identity's one-point sweep, compiled once: every parameter fixed,
-    one pass on one table."""
+    one pass on one G table; and whether it reads L."""
     params = identity.free_params
     key = (identity.lhs, identity.rhs, params)
     grid = _compile_cache.get(key)
     if grid is None:
-        grid = _compile_cache[key] = _Grid((_POINT,), params, len(params), None, {})
-    return grid.sweep(identity, False, _POINT)
+        grid = _compile_cache[key] = _Grid((_POINT,), params, len(params), None,
+                                           _reads_l(identity), {})
+    return grid.sweep(identity, False, _POINT), grid.lucas
 
 
 def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: bool,
@@ -897,18 +898,15 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
     """Raw failures (point, seed index, lhs, rhs) of the grid."""
     plans = grid.plans
     sweeps = [grid.sweep(identity, use_oracle, plan) for plan in plans]
-    window = reach = grid.window
-    if window is not None and plans[0].shift:
-        # the sides at s = lo - 1 read each G index of s = lo one lower
-        reach = (window[0] - 1, window[1])
-    f_tab, l_tab, g_tabs = _build_tables(reach, [s for p in plans for s in p.tables])
+    f_tab, l_tab = _tables(grid.window, grid.lucas)
     axes = [_axis(spec, v) for v in grid.order]
     checks = _oracle_checks(identity, spec, grid) if use_oracle else [None] * len(plans)
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     for plan, sweep, check in zip(plans, sweeps, checks):
         try:
-            sweep(*axes, f_tab, l_tab, *(g_tabs[s] for s in plan.tables), plan.seeds,
-                  failures, check and (check.held, check.cap, check.flush))
+            g_tab = f_tab if plan.seed is None else _derived(f_tab, plan.seed)
+            sweep(*axes, f_tab, l_tab, g_tab, plan.seeds, failures,
+                  check and (check.held, check.cap, check.flush))
         except EvalError:
             if check:  # a disagreement at an earlier point wins over the error
                 check.flush()
@@ -920,15 +918,15 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
 
 def eval_side(ast: Node, pt: ParamPoint) -> int:
     """Exact value of one identity side at a concrete parameter point: the
-    one-point sweep of ast == 0 on the table of pt's seed fails with ast's
-    value or passes at 0."""
+    one-point sweep of ast == 0 on the G table of pt's seed fails with
+    ast's value or passes at 0."""
     params = tuple(sorted(pt.values))
     identity = Identity("eval_side", ast, Lit(0), params)
-    sweep = _point_sweep(identity)
+    sweep, lucas = _point_sweep(identity)
     spec = GridSpec(point_intervals(pt.values), (pt.seed,))
-    f_tab, l_tab, g_tabs = _build_tables(_grid_window(identity, spec), spec.seeds)
+    f_tab, l_tab = _tables(_grid_window(identity, spec), lucas)
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
-    sweep(*((pt.values[p],) for p in params), f_tab, l_tab, g_tabs[pt.seed], (0,),
+    sweep(*((pt.values[p],) for p in params), f_tab, l_tab, _derived(f_tab, pt.seed), (0,),
           failures, None)
     return failures[0][2] if failures else 0
 
@@ -939,17 +937,18 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec, window: Interval
     its first error: seeds in order, then points lexicographically.
 
     Each point runs the identity's one-point sweep, compiled once, on
-    tables over the grid's window, built once. A sweep computes exactly the
-    subexpressions that point-by-point evaluation does, only in another
-    order, so such a point exists.
+    tables over the grid's window, built once, and each seed's G. A sweep
+    computes exactly the subexpressions that point-by-point evaluation
+    does, only in another order, so such a point exists.
     """
     params = identity.free_params
-    f_tab, l_tab, g_tabs = _build_tables(window, spec.seeds)
-    sweep = _point_sweep(identity)
+    sweep, lucas = _point_sweep(identity)
+    f_tab, l_tab = _tables(window, lucas)
     for seed in spec.seeds:
+        g_tab = _derived(f_tab, seed)
         for vals in spec.points(params):
             try:
-                sweep(*((v,) for v in vals), f_tab, l_tab, g_tabs[seed], (0,), [], None)
+                sweep(*((v,) for v in vals), f_tab, l_tab, g_tab, (0,), [], None)
             except EvalError as err:
                 pt_desc = ", ".join(f"{p}={v}" for p, v in zip(params, vals))
                 raise EvalError(f"{err} at point ({pt_desc}), seed {seed}") from err

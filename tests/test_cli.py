@@ -296,6 +296,18 @@ def test_unreadable_catalog_file_exits_2(capsys, monkeypatch, tmp_path, kind, re
     assert expected in err and reason in err
 
 
+@pytest.mark.parametrize("identity", [
+    "F(100000*m) == F(100000*m)",                           # far indices
+    "F(m + 300000)*F(m) == F(m)*F(m + 300000)",             # a wide window
+], ids=["far", "wide"])
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path, run_fibkit, identity):
+    # true identities whose tables outgrow the child's 600 MB address space
+    path = tmp_path / "big.cat"
+    path.write_text(f"name: big\nparams: m\npaper: t\nidentity: {identity}\n")
+    code, out, err = run_fibkit("verify", "--file", str(path), "--m", "-8..8")
+    assert (code, out, err) == (2, "", "fibkit: error: out of memory\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
 def test_endless_catalog_file_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--all", "--file", "/dev/zero")
@@ -325,6 +337,18 @@ def test_eq_variants_json_bytes_are_golden(capsys):
                        "--seeds", "0,1", "2,1", "3,7", "-4,5", "0,0", "1,0", "3,7")
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EQ_VARIANTS
+
+
+# sha256 of stdout, taken from the sweep that read each basis seed's G from
+# a table of its own. With p fixed, Eq1..Eq4 have no shift parameter and
+# take the two-pair basis plan; the catalog's other entries keep theirs.
+GOLDEN_P_FIXED = "e81f3727627f9ed73fe13f4093be3db58f8110ee8c16397bd8878a084e3cf53f"
+
+
+def test_two_pair_basis_json_bytes_are_golden(capsys):
+    code, out, _ = run(capsys, "verify", "--all", "--p", "1..1", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_P_FIXED
 
 
 # sha256 of stdout, taken from the basis sweep that evaluated both basis

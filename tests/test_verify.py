@@ -122,10 +122,6 @@ def test_evaluation_paths_compile_once(monkeypatch):
     assert values == [oracle_eval(side, ParamPoint({"m": m, "n": n}, Seed(3, 7)))
                       for m, n in ((1, 2), (-4, 6))]
 
-    built = []
-    real = verify.table
-    monkeypatch.setattr(verify, "table", lambda seed, lo, hi: built.append(seed)
-                        or real(seed, lo, hi))
     bad = parse_identity("F(m + 55)^p == G(p - 55)", name="neg-pow", params=("m", "p"))
     seeds = (Seed(2, 1), F_SEED, Seed(3, 7), Seed(3, 7))
     spec = GridSpec({"m": (-3, 3), "p": (-2, 2)}, seeds)
@@ -136,8 +132,6 @@ def test_evaluation_paths_compile_once(monkeypatch):
     # the grid's entry, with one sweep for the three per-seed passes, and the
     # entry of the locator's one-point sweep
     assert len(verify._compile_cache) == before + 2 and compiled == ["neg-pow"] * 2
-    # F, L and the one seed of its own, once for the sweep and once for the locator
-    assert built == [F_SEED, Seed(2, 1), Seed(3, 7)] * 2
 
 
 # --- verify_grid -------------------------------------------------------------
@@ -229,8 +223,7 @@ def test_negative_exponent_in_a_sum_names_its_first_point():
     spec = GridSpec({"n": (0, 2), "m": (-2, 2)}, (Seed(3, 7), F_SEED))
     grid = verify._grid(bad, spec)
     (plan,) = grid.plans
-    source = verify._sweep_source(bad, grid.order, grid.fixed, False, plan.basis,
-                                  len(plan.tables), plan.shift)
+    source = verify._sweep_source(bad, grid.order, grid.fixed, False, plan.basis, plan.shift)
     assert " >= 0 else _pw(" in source
     for use_oracle in (False, True):
         with pytest.raises(EvalError, match=r"^negative exponent -1 in power at point "
@@ -303,14 +296,15 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
 
 VARIANT_CATALOG = load_catalog_file(str(DATA / "eq_variants.cat"))
 DUPLICATE_SEEDS = (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(-4, 5), Seed(3, 7))
+PER_SEED = [(False, seed, None) for seed in dict.fromkeys(DUPLICATE_SEEDS)]
 
 
 @pytest.mark.parametrize("name,p_range,plan_kinds", [
-    ("Eq8", None, [(False, 0, "m")]),                      # reads no G, shifted
-    ("Eq1", None, [(True, 1, "p")]),                        # shifted basis
-    ("Eq1", (1, 1), [(True, 2, None)]),                     # two-pair basis
-    ("Eq1.square", None, [(False, 1, None)] * 3),           # one pass per seed
-    ("Eq3.offset", None, [(False, 1, None)] * 3),
+    ("Eq8", None, [(False, None, "m")]),                   # reads no G, shifted
+    ("Eq1", None, [(True, None, "p")]),                     # shifted basis
+    ("Eq1", (1, 1), [(True, None, None)]),                  # two-pair basis
+    ("Eq1.square", None, PER_SEED),                         # one pass per seed
+    ("Eq3.offset", None, PER_SEED),
 ])
 def test_oracle_evaluates_each_point_once_per_distinct_seed(
         catalog, monkeypatch, name, p_range, plan_kinds):
@@ -320,7 +314,7 @@ def test_oracle_evaluates_each_point_once_per_distinct_seed(
         ranges["p"] = p_range
     spec = GridSpec({p: ranges[p] for p in entry.free_params}, DUPLICATE_SEEDS)
     plans = verify._plans(entry, spec)
-    assert [(p.basis, len(p.tables), p.shift) for p in plans] == plan_kinds
+    assert [(p.basis, p.seed, p.shift) for p in plans] == plan_kinds
     widths = {"lhs": 0, "rhs": 0}
     build = oracle.evaluator
 
@@ -360,15 +354,24 @@ def test_closed_binom_walks_pascal_once_per_node_per_grid(monkeypatch, text):
     assert walks == [(300, 150)] * 2
 
 
+def _corrupt_table(monkeypatch, *indices):
+    """verify's F table one too high at each of indices: every F, L and G
+    value the sweep reads comes from it."""
+    build = verify.table
+
+    def off_by_one(seed, lo, hi):
+        assert seed == F_SEED
+        values = build(seed, lo, hi)
+        for i in indices:
+            values[i] += 1
+        return values
+
+    monkeypatch.setattr(verify, "table", off_by_one)
+
+
 def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
-    build = verify._build_tables
-
-    def off_by_one(window, seeds):
-        f_tab, l_tab, g_tabs = build(window, seeds)
-        f_tab[2] += 1  # inside the window of every point below
-        return f_tab, l_tab, g_tabs
-
-    monkeypatch.setattr(verify, "_build_tables", off_by_one)
+    # F(2): inside the window of every point below
+    _corrupt_table(monkeypatch, 2)
     eq8 = catalog.get("Eq8")
     spec = small_spec("m", "n")
     assert not verify_grid(eq8, spec).passed
@@ -379,15 +382,7 @@ def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
 def _corrupt_f_table(monkeypatch):
     # F(-2) and F(2) one too high: the fast sweep disagrees with the oracle
     # at m = -2 and m = 2, and with itself nowhere
-    build = verify._build_tables
-
-    def off_by_one(window, seeds):
-        f_tab, l_tab, g_tabs = build(window, seeds)
-        f_tab[-2] += 1
-        f_tab[2] += 1
-        return f_tab, l_tab, g_tabs
-
-    monkeypatch.setattr(verify, "_build_tables", off_by_one)
+    _corrupt_table(monkeypatch, -2, 2)
 
 
 @pytest.mark.parametrize("held", [1, verify._HELD_CHECKS])
@@ -421,30 +416,25 @@ def test_oracle_fault_before_an_evaluation_error_wins(monkeypatch):
 
 @pytest.mark.parametrize("held", [3, 4, verify._HELD_CHECKS])
 def test_oracle_fault_names_a_later_seed_inside_a_flush(monkeypatch, held):
-    # B10(2) one too high: on the two-pair basis, the right side G(2*m) is
-    # wrong at m = 1 for every seed with g0 != 0, so the first seed, (0, 1),
-    # agrees there, and the left side first reads index 2 at m = 2. m = 1
-    # is the sixth of nine points: a flush of its own (held 3), the second
-    # of a flush of two (held 4), or the sixth of the one flush
-    build = verify._build_tables
-
-    def off_by_one(window, seeds):
-        f_tab, l_tab, g_tabs = build(window, seeds)
-        g_tabs[Seed(1, 0)][2] += 1
-        return f_tab, l_tab, g_tabs
-
-    monkeypatch.setattr(verify, "_build_tables", off_by_one)
+    # F(3) one too high: on the two-pair basis, B10(4) = F(3) is wrong and
+    # B01(3) = F(3) is never read, since the sides read G at even indices
+    # only. So every seed with g0 != 0 is wrong where a side reads G(4), and
+    # the first seed, (0, 1), nowhere; the left side G(2*m + 2) first reads
+    # it at m = 1. m = 1 is the sixth of nine points: a flush of its own
+    # (held 3), the second of a flush of two (held 4), or the sixth of the
+    # one flush
+    _corrupt_table(monkeypatch, 3)
     monkeypatch.setattr(verify, "_HELD_CHECKS", held)
-    identity = parse_identity("G(2*m - 2) + G(2*m - 1) == G(2*m)", name="double",
+    identity = parse_identity("G(2*m + 2) == 3*G(2*m) - G(2*m - 2)", name="even",
                               params=("m",))
     spec = GridSpec({"m": (-4, 4)}, (Seed(0, 1), Seed(2, 1), Seed(3, 7)))
-    assert [(p.basis, p.tables) for p in verify._plans(identity, spec)] == [
-        (True, (Seed(1, 0), Seed(0, 1)))]
+    assert [(p.basis, p.seed, p.shift) for p in verify._plans(identity, spec)] == [
+        (True, None, None)]
     with pytest.raises(InternalFault) as info:
         verify_grid(identity, spec, use_oracle=True)
-    # G seeded (2, 1) at 2 is 3; the fast sweep reads 2*B10(2) + B01(2) = 2*2 + 1
-    assert str(info.value) == ("oracle disagrees with evaluator on 'double' at {'m': 1}, "
-                               "seed Seed(g0=2, g1=1): oracle (3, 3) vs fast (3, 5)")
+    # G seeded (2, 1) at 4 is 7; the fast sweep reads 2*B10(4) + B01(4) = 2*3 + 3
+    assert str(info.value) == ("oracle disagrees with evaluator on 'even' at {'m': 1}, "
+                               "seed Seed(g0=2, g1=1): oracle (7, 7) vs fast (9, 7)")
 
 
 def test_oracle_holds_a_bounded_number_of_checks(monkeypatch):
@@ -772,7 +762,7 @@ def test_g_free_identity_fails_once_per_seed_at_each_point():
     seeds = (Seed(0, 1), Seed(2, 1), Seed(0, 0), Seed(2, 1))
     spec = GridSpec({"m": (-3, 3)}, seeds)
     report = verify_grid(bad, spec)
-    assert verify._plans(bad, spec) == [verify._Plan(False, (), (0, 1, 2, 3), "m")]
+    assert verify._plans(bad, spec) == [verify._Plan(False, None, (0, 1, 2, 3), "m")]
     failing = [m for m in range(-3, 4) if fib(m + 1) != fib(m)]
     assert [(dict(f.point)["m"], f.seed) for f in report.failures] == \
         [(m, seed) for m in failing for seed in seeds]
@@ -801,9 +791,9 @@ def test_per_seed_plan_runs_one_pass_per_distinct_seed():
     seeds = (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(0, 0))
     spec = GridSpec({"p": (-3, 3)}, seeds)
     plans = verify._plans(identity, spec)
-    assert plans == [verify._Plan(False, (Seed(0, 1),), (0, 2)),
-                     verify._Plan(False, (Seed(3, 7),), (1,)),
-                     verify._Plan(False, (Seed(0, 0),), (3,))]
+    assert plans == [verify._Plan(False, Seed(0, 1), (0, 2)),
+                     verify._Plan(False, Seed(3, 7), (1,)),
+                     verify._Plan(False, Seed(0, 0), (3,))]
     _matches_oracle_and_point_by_point(identity, spec)
 
 
@@ -817,24 +807,33 @@ def test_two_distinct_seeds_take_the_basis():
     _matches_oracle_and_point_by_point(identity, spec)
 
 
-def test_four_seeds_build_one_g_table(catalog, monkeypatch):
+def test_a_grid_builds_one_f_table(catalog, monkeypatch):
     built = []
     real = verify.table
     monkeypatch.setattr(verify, "table", lambda seed, lo, hi: built.append(seed)
                         or real(seed, lo, hi))
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)})
-    assert len(spec.seeds) == 4
-    assert verify_grid(catalog.get("Eq1"), spec).passed
-    # p loops: the shift plan reads B10 one step back on the F table
-    assert built == [Seed(0, 1), Seed(2, 1)]
-    built.clear()
     fixed = GridSpec({**spec.ranges, "p": (1, 1)})
-    assert verify_grid(catalog.get("Eq1"), fixed).passed
-    # p fixed: F, L and the basis seed (1, 0); the basis seed (0, 1) reads F
-    assert built == [Seed(0, 1), Seed(2, 1), Seed(1, 0)]
+    grids = [
+        (catalog.get("Eq1"), spec, [(True, None, "p")]),        # G is F
+        (catalog.get("Eq1"), fixed, [(True, None, None)]),      # G is F one back, then F
+        (VARIANT_CATALOG.get("Eq1.square"), spec,               # each G derived from F
+         [(False, seed, None) for seed in spec.seeds]),
+        (catalog.get("Lemma10"), GridSpec({"m": (0, 2), "n": (0, 2)}),
+         [(False, None, "m")]),                                 # no G; L derived from F
+    ]
+    for identity, grid, kinds in grids:
+        assert [(p.basis, p.seed, p.shift) for p in verify._plans(identity, grid)] == kinds
+        built.clear()
+        verify_grid(identity, grid)
+        assert built == [F_SEED]
+    # an evaluation error: one F table for the sweep, and one for the locator
+    bad = parse_identity("F(m + 55)^p == G(p - 55)", name="neg-pow", params=("m", "p"))
     built.clear()
-    assert verify_grid(catalog.get("Eq8"), GridSpec({"m": (0, 2), "n": (0, 2)})).passed
-    assert built == [Seed(0, 1), Seed(2, 1)]  # no G table for a G-free identity
+    with pytest.raises(EvalError, match="^negative exponent"):
+        verify_grid(bad, GridSpec({"m": (-3, 3), "p": (-2, 2)},
+                                  (Seed(2, 1), F_SEED, Seed(3, 7), Seed(3, 7))))
+    assert built == [F_SEED] * 2
 
 
 SHIFTED = parse_identity("G(p + 2) == G(p + 1) + G(p) + G(p - 1)",
@@ -847,8 +846,11 @@ def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
     fixed = GridSpec({**VARIANT_SPEC.ranges, "p": (1, 1)}, VARIANT_SPEC.seeds)
     assert [p.shift for p in verify._plans(catalog.get("Eq1"), fixed)] == [None]
     right = verify_grid(SHIFTED, spec).to_json_dict()
-    monkeypatch.setattr(verify, "_BASIS", (Seed(1, 1), Seed(0, 1)))
-    monkeypatch.setattr(verify, "_compile_cache", {})  # plans read _BASIS
+    # B10(e) read as F(e - 2), the sequence seeded (-1, 1), not as F(e - 1)
+    source = verify._sweep_source
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    monkeypatch.setattr(verify, "_sweep_source", lambda *args: source(*args).replace(
+        " - 1]", " - 2]"))
     assert verify_grid(SHIFTED, spec).to_json_dict() != right
     for identity in (SHIFTED, catalog.get("Eq1")):
         with pytest.raises(InternalFault,
@@ -857,11 +859,11 @@ def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
 
 
 def _wrong_table(monkeypatch):
-    # the shift plan's pass on the table of B10 instead of B01
+    # the shift plan's pass on B10's G table, derived from F, instead of F
     plans = verify._plans
     monkeypatch.setattr(verify, "_compile_cache", {})
     monkeypatch.setattr(verify, "_plans", lambda identity, spec: [
-        p._replace(tables=(Seed(1, 0),)) if p.shift else p for p in plans(identity, spec)])
+        p._replace(seed=Seed(1, 0)) if p.shift else p for p in plans(identity, spec)])
 
 
 def _step_ahead(monkeypatch):
@@ -1005,9 +1007,8 @@ def _shift_sweep_matches_oracle_and_point_by_point(data, kinds):
     spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
     plans = verify._plans(identity, spec)
     assert len(plans) == 1 and plans[0].shift is not None
-    # G on the basis seed (0, 1) alone; F and L with no G table
-    assert (plans[0].basis, plans[0].tables) == \
-        ((True, (Seed(0, 1),)) if kinds == "G" else (False, ()))
+    # G on the basis seed (0, 1) alone, or F and L, reading G nowhere
+    assert (plans[0].basis, plans[0].seed) == (kinds == "G", None)
     _matches_oracle_and_point_by_point(identity, spec)
 
 
@@ -1071,7 +1072,7 @@ def test_line_sums_match_oracle_and_eval_side(data):
     ranges["s"] = (lo, lo + data.draw(st.integers(1, 5)))
     spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
     (plan,) = verify._plans(identity, spec)
-    assert plan.shift is not None and plan.tables == ((Seed(0, 1),) if kinds == "G" else ())
+    assert plan.shift is not None and (plan.basis, plan.seed) == (kinds == "G", None)
     _matches_oracle_and_point_by_point(identity, spec, eval_side)
 
 
@@ -1089,7 +1090,7 @@ def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
     (plan,) = grid.plans
     assert grid.order == ("n", "m", "q", "p") and plan.shift == "p"
     tree = ast.parse(verify._sweep_source(eq1, grid.order, grid.fixed, oracle_check,
-                                          plan.basis, len(plan.tables), plan.shift))
+                                          plan.basis, plan.shift))
     (line,) = _for_loops(tree, "_a2")  # q: each of its iterations is a line of p
     (shift,) = _for_loops(line, "_a3")
     start = [stmt for stmt in line.body if not _for_loops(stmt, "_a3")]
@@ -1186,7 +1187,7 @@ def test_shift_plan_needs_every_g_index_shifted_by_one(text, params, ranges):
 def test_g_free_shift_needs_one_shifted_factor_per_term(side):
     identity = parse_identity(f"{side} == F(m + 1)", name="t", params=("m",))
     spec = GridSpec({"m": (0, 5)}, (Seed(0, 1), Seed(3, 7), Seed(3, 7)))
-    assert verify._plans(identity, spec) == [verify._Plan(False, (), (0, 1, 2))]
+    assert verify._plans(identity, spec) == [verify._Plan(False, None, (0, 1, 2))]
     _matches_oracle_and_point_by_point(identity, spec)
 
 
