@@ -9,13 +9,13 @@ line is a single "lhs == rhs" expression in the DSL grammar.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from importlib import resources
+import os
 from typing import Iterator
 
 from .errors import CatalogError, ParseError
 from .expr import Node, Sum, free_symbols, iter_nodes, to_text
 from .parser import check_identity_scope, parse_identity_sides
+from .record import Record
 
 __all__ = [
     "Identity", "Catalog",
@@ -28,31 +28,41 @@ __all__ = [
 MAX_CATALOG_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """One named identity: two sides, declared parameters, and a paper tag."""
 
-    name: str
-    lhs: Node
-    rhs: Node
-    free_params: tuple[str, ...]
-    paper_tag: str = ""
+    _fields = ("name", "lhs", "rhs", "free_params", "paper_tag")
+    __slots__ = (*_fields, "_rank_params")
+
+    def __init__(self, name: str, lhs: Node, rhs: Node, free_params: tuple[str, ...],
+                 paper_tag: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "free_params", free_params)
+        object.__setattr__(self, "paper_tag", paper_tag)
 
     @property
     def text(self) -> str:
         return f"{to_text(self.lhs)} == {to_text(self.rhs)}"
 
-    @functools.cached_property
+    @property
     def rank_params(self) -> tuple[str, ...]:
         """Parameters that appear in a sum bound; instantiated, never symbolic.
-        Computed on first use and kept out of the dataclass fields, so
-        equality and hashing ignore it."""
+        Computed on first use and kept out of the fields, so equality,
+        hashing and pickling ignore it."""
+        try:
+            return self._rank_params
+        except AttributeError:
+            pass
         bound_syms: set[str] = set()
         for side in (self.lhs, self.rhs):
             for node in iter_nodes(side):
                 if isinstance(node, Sum):
                     bound_syms |= free_symbols(node.lo) | free_symbols(node.hi)
-        return tuple(p for p in self.free_params if p in bound_syms)
+        params = tuple(p for p in self.free_params if p in bound_syms)
+        object.__setattr__(self, "_rank_params", params)
+        return params
 
     @property
     def is_rank_parametric(self) -> bool:
@@ -69,20 +79,19 @@ def parse_identity(text: str, *, name: str, params: tuple[str, ...] | list[str],
                     paper_tag=paper_tag)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Record):
     """Ordered collection of identities with unique names."""
 
-    entries: tuple[Identity, ...]
-    _by_name: dict[str, Identity] = field(default_factory=dict, repr=False,
-                                          compare=False)
+    __slots__ = ("entries", "_by_name")
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[Identity, ...]):
         by_name: dict[str, Identity] = {}
-        for entry in self.entries:
+        for entry in entries:
             if entry.name in by_name:
                 raise CatalogError(f"duplicate identity name '{entry.name}'")
             by_name[entry.name] = entry
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_by_name", by_name)
 
     def __iter__(self) -> Iterator[Identity]:
@@ -193,9 +202,12 @@ def load_catalog_file(path: str) -> Catalog:
 
 @functools.lru_cache(maxsize=1)
 def builtin_catalog() -> Catalog:
-    """The 29-entry catalog shipped with the package."""
-    text = resources.files(__package__).joinpath("data/builtin.cat").read_text("utf-8")
-    catalog = parse_catalog(text, source="builtin.cat")
+    """The 29-entry catalog shipped with the package, read through the
+    package's own loader: importing importlib.resources takes longer than
+    the parse."""
+    path = os.path.join(os.path.dirname(__file__), "data", "builtin.cat")
+    catalog = parse_catalog(__spec__.loader.get_data(path).decode("utf-8"),
+                            source="builtin.cat")
     if len(catalog) != 29:
         raise CatalogError(f"builtin catalog has {len(catalog)} entries, expected 29")
     return catalog

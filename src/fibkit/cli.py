@@ -20,7 +20,7 @@ import re
 import sys
 import time
 from contextlib import suppress
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .catalog import Catalog, Identity, builtin_catalog, load_catalog_file
 from .errors import FibkitError, InternalFault
@@ -28,8 +28,10 @@ from .parser import MAX_DIGITS, _LOG10_PHI
 from .seq import (
     FIB_SEED, LUCAS_SEED, Seed, fib, fib_naive, fib_pair_doubling, gen, lucas,
 )
-from .symbolic import prove_symbolic
-from .verify import STANDARD_SEEDS, GridSpec, VerifyReport, verify_grid
+
+if TYPE_CHECKING:
+    from .report import VerifyReport
+    from .verify import GridSpec
 
 CATALOG_ENV = "FIBKIT_CATALOG"
 
@@ -159,6 +161,8 @@ def _select_entries(catalog: Catalog, args: argparse.Namespace) -> list[Identity
 
 
 def _grid_for(identity: Identity, args: argparse.Namespace) -> GridSpec:
+    from .verify import STANDARD_SEEDS, GridSpec
+
     ranges = {}
     rank = set(identity.rank_params)
     for p in identity.free_params:
@@ -239,6 +243,26 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                           f"over the {MAX_PRINT_DIGITS:,}-digit output limit")
     print(value)
     return 0
+
+
+# Each engine is imported on the first call, so that `prove` does not load
+# the grid sweep, nor `verify` the prover. The names stay module globals,
+# looked up at call time, so that tests and perfbench's tracer can wrap them.
+
+def verify_grid(identity: Identity, spec: GridSpec, *,
+                use_oracle: bool = False) -> VerifyReport:
+    """verify.verify_grid, imported on the first call."""
+    from .verify import verify_grid
+
+    return verify_grid(identity, spec, use_oracle=use_oracle)
+
+
+def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
+                   ) -> VerifyReport:
+    """symbolic.prove_symbolic, imported on the first call."""
+    from .symbolic import prove_symbolic
+
+    return prove_symbolic(identity, fixed)
 
 
 def _verify_job(job: tuple[Identity, GridSpec, bool]) -> VerifyReport:

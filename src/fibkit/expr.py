@@ -1,7 +1,9 @@
 """AST node types for the identity language, plus the canonical printer.
 
-Nodes are frozen dataclasses, so they hash, compare structurally, and can
-be shared freely across workers. The general expression tree carries
+Nodes are immutable records (see record.py): they compare structurally,
+and only with nodes of the same type, so Add(a, b) != Sub(a, b); each
+node's hash is computed once, when it is built; and they pickle, so they
+can be sent to workers. The general expression tree carries
 literals, symbols, +, -, *, integer powers, sequence references F/L/G,
 binomials, sign terms (-1)^e, the 5^floor(e/2) node, and one level of
 bounded summation.
@@ -16,8 +18,10 @@ is the one reader of an index's constant and coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from operator import attrgetter
+from typing import Callable, Iterator, Mapping
+
+from .record import Record
 
 __all__ = [
     "Lit", "Sym", "Add", "Sub", "Neg", "Mul", "Pow",
@@ -29,99 +33,157 @@ __all__ = [
 
 SEQ_KINDS = ("F", "L", "G")
 
-
-@dataclass(frozen=True)
-class Lit:
-    value: int
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Node(Record):
+    """Base of the AST node types. `_child_fields` names the fields that
+    hold subtrees, in the order `children` gives them."""
+
+    __slots__ = ("_hash",)
+    _child_fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
+class Lit(Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
+        _set(self, "_hash", hash((Lit, value)))
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
+class Sym(Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((Sym, name)))
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Add(Node):
+    __slots__ = _fields = _child_fields = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((Add, left, right)))
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
+class Sub(Node):
+    __slots__ = _fields = _child_fields = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((Sub, left, right)))
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: "Node"  # index expression; must evaluate >= 0
+class Neg(Node):
+    __slots__ = _fields = _child_fields = ("operand",)
+
+    def __init__(self, operand: Node):
+        _set(self, "operand", operand)
+        _set(self, "_hash", hash((Neg, operand)))
 
 
-@dataclass(frozen=True)
-class SeqRef:
-    kind: str  # one of SEQ_KINDS
-    arg: "Node"  # index expression
+class Mul(Node):
+    __slots__ = _fields = _child_fields = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((Mul, left, right)))
 
 
-@dataclass(frozen=True)
-class Binom:
-    top: "Node"
-    bottom: "Node"  # binom(n, k) = 0 outside 0 <= k <= n
+class Pow(Node):
+    __slots__ = _fields = _child_fields = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: Node):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)  # index expression; must evaluate >= 0
+        _set(self, "_hash", hash((Pow, base, exponent)))
 
 
-@dataclass(frozen=True)
-class Sign:
-    arg: "Node"  # (-1)^arg; any integer value
+class SeqRef(Node):
+    __slots__ = _fields = ("kind", "arg")
+    _child_fields = ("arg",)
+
+    def __init__(self, kind: str, arg: Node):
+        _set(self, "kind", kind)  # one of SEQ_KINDS
+        _set(self, "arg", arg)  # index expression
+        _set(self, "_hash", hash((SeqRef, kind, arg)))
 
 
-@dataclass(frozen=True)
-class Pow5Floor:
-    arg: "Node"  # 5^floor(arg/2); arg must evaluate >= 0
+class Binom(Node):
+    __slots__ = _fields = _child_fields = ("top", "bottom")
+
+    def __init__(self, top: Node, bottom: Node):
+        _set(self, "top", top)
+        _set(self, "bottom", bottom)  # binom(n, k) = 0 outside 0 <= k <= n
+        _set(self, "_hash", hash((Binom, top, bottom)))
 
 
-@dataclass(frozen=True)
-class Sum:
-    var: str
-    lo: "Node"
-    hi: "Node"
-    body: "Node"
+class Sign(Node):
+    __slots__ = _fields = _child_fields = ("arg",)
+
+    def __init__(self, arg: Node):
+        _set(self, "arg", arg)  # (-1)^arg; any integer value
+        _set(self, "_hash", hash((Sign, arg)))
 
 
-Node = Union[Lit, Sym, Add, Sub, Neg, Mul, Pow, SeqRef, Binom, Sign, Pow5Floor, Sum]
+class Pow5Floor(Node):
+    __slots__ = _fields = _child_fields = ("arg",)
 
-_BINARY = (Add, Sub, Mul)
+    def __init__(self, arg: Node):
+        _set(self, "arg", arg)  # 5^floor(arg/2); arg must evaluate >= 0
+        _set(self, "_hash", hash((Pow5Floor, arg)))
+
+
+class Sum(Node):
+    __slots__ = _fields = ("var", "lo", "hi", "body")
+    _child_fields = ("lo", "hi", "body")
+
+    def __init__(self, var: str, lo: Node, hi: Node, body: Node):
+        _set(self, "var", var)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((Sum, var, lo, hi, body)))
+
+
+_BINARY = frozenset((Add, Sub, Mul))
+_INDEX_TYPES = frozenset((Lit, Sym, Add, Sub, Neg, Mul))
+
+
+def _getter(fields: tuple[str, ...]) -> Callable[[Node], tuple[Node, ...]]:
+    """A node's fields named in fields, as a tuple."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(*fields)
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
+_CHILDREN = {cls: _getter(cls._child_fields)
+             for cls in (Lit, Sym, Add, Sub, Neg, Mul, Pow,
+                         SeqRef, Binom, Sign, Pow5Floor, Sum)}
 
 
 def children(node: Node) -> tuple[Node, ...]:
     """Direct subtrees in a fixed order: operands left to right, a sum's
     bounds before its body."""
-    if isinstance(node, _BINARY):
-        return (node.left, node.right)
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Pow):
-        return (node.base, node.exponent)
-    if isinstance(node, SeqRef):
-        return (node.arg,)
-    if isinstance(node, Binom):
-        return (node.top, node.bottom)
-    if isinstance(node, (Sign, Pow5Floor)):
-        return (node.arg,)
-    if isinstance(node, Sum):
-        return (node.lo, node.hi, node.body)
-    return ()
+    return _CHILDREN[type(node)](node)
 
 
 def iter_nodes(node: Node) -> Iterator[Node]:
@@ -130,7 +192,7 @@ def iter_nodes(node: Node) -> Iterator[Node]:
     while stack:
         cur = stack.pop()
         yield cur
-        stack.extend(reversed(children(cur)))
+        stack.extend(reversed(_CHILDREN[type(cur)](cur)))
 
 
 def height(node: Node) -> int:
@@ -139,21 +201,24 @@ def height(node: Node) -> int:
     stack = [(node, 1)]
     while stack:
         cur, level = stack.pop()
-        deepest = max(deepest, level)
-        stack.extend((child, level + 1) for child in children(cur))
+        if level > deepest:
+            deepest = level
+        level += 1
+        stack.extend((child, level) for child in _CHILDREN[type(cur)](cur))
     return deepest
 
 
 def free_symbols(node: Node) -> frozenset[str]:
     """Names of all symbols not bound by an enclosing sum."""
     def walk(n: Node, bound: frozenset[str]) -> frozenset[str]:
-        if isinstance(n, Sym):
+        kind = type(n)
+        if kind is Sym:
             return frozenset() if n.name in bound else frozenset((n.name,))
-        if isinstance(n, Sum):
+        if kind is Sum:
             outer = walk(n.lo, bound) | walk(n.hi, bound)
             return outer | walk(n.body, bound | {n.var})
         result: frozenset[str] = frozenset()
-        for child in children(n):
+        for child in _CHILDREN[kind](n):
             result |= walk(child, bound)
         return result
     return walk(node, frozenset())
@@ -161,7 +226,7 @@ def free_symbols(node: Node) -> frozenset[str]:
 
 def is_index_expr(node: Node) -> bool:
     """True when the subtree uses only literal/symbol/+/-/* arithmetic."""
-    return all(isinstance(n, (Lit, Sym, Add, Sub, Neg, Mul)) for n in iter_nodes(node))
+    return all(type(n) in _INDEX_TYPES for n in iter_nodes(node))
 
 
 # No symbol bound to a value; never mutated.
@@ -180,18 +245,20 @@ def affine(node: Node, env: Mapping[str, int] = _UNBOUND,
     One walk over the tree: such a product is recorded in rest, never
     expanded into monomials, and a product scaled by 0 reads nothing.
     """
-    if isinstance(node, Lit):
+    kind = type(node)
+    if kind is Lit:
         return node.value, {}, frozenset()
-    if isinstance(node, Sym):
+    if kind is Sym:
         if node.name in env:
             return env[node.name], {}, frozenset()
         return 0, {node.name: 1}, frozenset()
-    if isinstance(node, Neg):
-        return affine(Mul(Lit(-1), node.operand), env)
-    if not isinstance(node, _BINARY):
-        raise TypeError(f"unsupported node {type(node).__name__} in an index expression")
+    if kind is Neg:
+        const, coeffs, rest = affine(node.operand, env)
+        return -const, {s: -a for s, a in coeffs.items()}, rest
+    if kind not in _BINARY:
+        raise TypeError(f"unsupported node {kind.__name__} in an index expression")
     (c1, t1, r1), (c2, t2, r2) = affine(node.left, env), affine(node.right, env)
-    if isinstance(node, Mul):
+    if kind is Mul:
         if (t1 or r1) and (t2 or r2):
             return 0, {}, r1.union(r2, t1, t2)
         if t1 or r1:  # the constant factor first
@@ -199,7 +266,7 @@ def affine(node: Node, env: Mapping[str, int] = _UNBOUND,
         if c1 == 0:
             return 0, {}, frozenset()
         return c1 * c2, {s: c1 * a for s, a in t2.items()}, r2
-    sign = 1 if isinstance(node, Add) else -1
+    sign = 1 if kind is Add else -1
     for s, a in t2.items():
         t1[s] = t1.get(s, 0) + sign * a
     return c1 + sign * c2, {s: a for s, a in t1.items() if a}, r1 | r2

@@ -31,13 +31,13 @@ its constant arguments before anything computes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParseError, UnboundSymbolError
 from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum,
     Sym, children, free_symbols, height, is_index_expr, iter_nodes, to_text,
 )
+from .record import Record
 from .seq import fib, lucas
 
 __all__ = ["tokenize", "parse_expr", "parse_identity_sides", "check_identity_scope",
@@ -62,12 +62,14 @@ _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | _DIGITS
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "INT" | "NAME" | one of _OPERATORS | "EOF"
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        object.__setattr__(self, "kind", kind)  # "INT" | "NAME" | one of _OPERATORS | "EOF"
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
     @property
     def end_col(self) -> int:
@@ -345,31 +347,31 @@ def _constant_size(node: Node) -> tuple[float, int | None] | None:
     computed.
     """
     kids = [_constant_size(child) for child in children(node)]
-    if isinstance(node, Lit):
+    kind = type(node)
+    if kind is Lit:
         return _log10(node.value), node.value
-    if (None in kids or isinstance(node, (Sym, Sum))
-            or (isinstance(node, SeqRef) and node.kind == "G")):
+    if None in kids or kind is Sym or kind is Sum or (kind is SeqRef and node.kind == "G"):
         return None
     bounds = [b for b, _ in kids]
     values = [v for _, v in kids]
     a, b = (values + [None])[:2]
-    if isinstance(node, Neg):
+    if kind is Neg:
         bound, compute = bounds[0], lambda: -a
-    elif isinstance(node, Mul):
+    elif kind is Mul:
         bound, compute = bounds[0] + bounds[1], lambda: a * b
-    elif isinstance(node, (Add, Sub)):
+    elif kind is Add or kind is Sub:
         bound = max(bounds) + math.log10(2)
-        compute = (lambda: a + b) if isinstance(node, Add) else (lambda: a - b)
-    elif isinstance(node, Sign):
+        compute = (lambda: a + b) if kind is Add else (lambda: a - b)
+    elif kind is Sign:
         return 0.0, -1 if a & 1 else 1
-    elif isinstance(node, SeqRef):
+    elif kind is SeqRef:
         bound = _times(abs(a), _LOG10_PHI) + math.log10(2)
         compute = (lambda: fib(a)) if node.kind == "F" else (lambda: lucas(a))
-    elif isinstance(node, Binom):
+    elif kind is Binom:
         if not 0 <= b <= a:
             return 0.0, 0
         bound, compute = _binom_log10(a, b), lambda: math.comb(a, b)
-    elif isinstance(node, Pow5Floor):
+    elif kind is Pow5Floor:
         if a < 0:
             return None
         bound, compute = _times(a // 2, math.log10(5)), lambda: 5 ** (a // 2)
@@ -385,8 +387,7 @@ def _constant_size(node: Node) -> tuple[float, int | None] | None:
                          f"has {size} decimal digits, over the {MAX_DIGITS:,}-digit limit")
     # a value over _EXACT_DIGITS stays unknown unless it is +, -, * of
     # known values, which cost about as much as reading them
-    if None in values or (bound >= _EXACT_DIGITS
-                          and not isinstance(node, (Add, Sub, Neg, Mul))):
+    if None in values or (bound >= _EXACT_DIGITS and kind not in (Add, Sub, Neg, Mul)):
         return bound, None
     value = compute()
     return _log10(value), value
@@ -407,7 +408,7 @@ def check_identity_scope(lhs: Node, rhs: Node, params: tuple[str, ...]) -> None:
             if name not in declared:
                 raise UnboundSymbolError(name)
         for node in iter_nodes(side):
-            if isinstance(node, Sum) and node.var in declared:
+            if type(node) is Sum and node.var in declared:
                 raise ParseError(
                     f"sum variable '{node.var}' shadows a declared parameter")
         _constant_size(side)

@@ -8,7 +8,7 @@ F(-n) = (-1)^(n+1) F(n) and L(-n) = (-1)^n L(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 __all__ = [
     "Seed",
@@ -23,16 +23,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record):
     """Initial values (G0, G1) of a generalized Fibonacci sequence.
 
     Any pair of integers is valid. Seed(0, 1) reproduces the Fibonacci
     numbers and Seed(2, 1) the Lucas numbers.
     """
 
-    g0: int
-    g1: int
+    __slots__ = _fields = ("g0", "g1")
+
+    def __init__(self, g0: int, g1: int):
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "g1", g1)
 
 
 FIB_SEED = Seed(0, 1)

@@ -49,7 +49,7 @@ from .expr import (
     affine, free_symbols, iter_nodes, to_text,
 )
 from .parser import MAX_DIGITS, _times
-from .verify import Failure, VerifyReport, _bi
+from .report import Failure, VerifyReport
 from .zphi import SQRT5, GoldenInt, LaurentPoly, _power, _signed, phi_pow
 
 __all__ = ["MAX_SUM_TERMS", "MAX_TERM_PRODUCTS", "prove_symbolic"]
@@ -91,7 +91,7 @@ def _constant(node: Node, what: str, env: Mapping[str, int]) -> int:
     """The value of an index expression that reads no free parameter."""
     const, coeffs, rest = _index(node, what, env)
     if coeffs or rest:  # the first unbound parameter, in reading order
-        bad = next(n for n in iter_nodes(node) if isinstance(n, Sym) and n.name not in env)
+        bad = next(n for n in iter_nodes(node) if type(n) is Sym and n.name not in env)
         raise SymbolicError(f"{what} depends on free parameter '{bad.name}'")
     return const
 
@@ -188,7 +188,8 @@ class _Rewriter:
             parity[self.free.index(p)] = a & 1
         return _scalar(tuple(parity), value, den)
 
-    def seq_poly(self, kind: str, arg: Node, env: Mapping[str, int]) -> LaurentPoly:
+    def seq_poly(self, node: SeqRef, env: Mapping[str, int]) -> LaurentPoly:
+        kind, arg = node.kind, node.arg
         const, terms, rest = _index(arg, f"{kind}() index", env)
         if rest:
             raise SymbolicError(f"{kind}({to_text(arg, env)}): index is not affine in "
@@ -237,67 +238,85 @@ class _Rewriter:
         return a * b
 
     def to_poly(self, node: Node, env: Mapping[str, int]) -> LaurentPoly:
-        if isinstance(node, Lit):
-            return self.constant(node.value)
-        if isinstance(node, Sym):
-            if node.name in env:
-                return self.constant(env[node.name])
+        read = _READERS.get(type(node))
+        if read is None:
+            raise TypeError(f"unknown node {node!r}")
+        return read(self, node, env)
+
+    def lit_poly(self, node: Lit, env: Mapping[str, int]) -> LaurentPoly:
+        return self.constant(node.value)
+
+    def sym_poly(self, node: Sym, env: Mapping[str, int]) -> LaurentPoly:
+        if node.name in env:
+            return self.constant(env[node.name])
+        raise SymbolicError(
+            f"parameter '{node.name}' appears as a bare value; the prover "
+            f"handles parameters only inside indices, exponents, and signs")
+
+    def add_poly(self, node: Add, env: Mapping[str, int]) -> LaurentPoly:
+        return self.to_poly(node.left, env) + self.to_poly(node.right, env)
+
+    def sub_poly(self, node: Sub, env: Mapping[str, int]) -> LaurentPoly:
+        return self.to_poly(node.left, env) - self.to_poly(node.right, env)
+
+    def neg_poly(self, node: Neg, env: Mapping[str, int]) -> LaurentPoly:
+        return -self.to_poly(node.operand, env)
+
+    def mul_poly(self, node: Mul, env: Mapping[str, int]) -> LaurentPoly:
+        return self.product(self.to_poly(node.left, env),
+                            self.to_poly(node.right, env), node, env)
+
+    def pow_poly(self, node: Pow, env: Mapping[str, int]) -> LaurentPoly:
+        e = _constant(node.exponent, "power exponent", env)
+        if e < 0:
+            raise SymbolicError(f"power exponent {e} is negative")
+        base = self.to_poly(node.base, env)
+        value = _closed_value(base, node, env)
+        if value is not None:  # no symbol left: an integer's power
+            # the parser's digit limit, also for a power closed by fixed parameters
+            if abs(value) > 1 and _times(e, math.log10(abs(value))) >= MAX_DIGITS:
+                raise SymbolicError(f"{_brief(node, env)}: the proof needs a constant "
+                                    f"over the {MAX_DIGITS:,}-digit limit")
+            return self.constant(value ** e)
+        return _power(base, e, self.constant(1),
+                      lambda a, b: self.product(a, b, node, env))
+
+    def binom_poly(self, node: Binom, env: Mapping[str, int]) -> LaurentPoly:
+        top = _constant(node.top, "binom() argument", env)
+        bottom = _constant(node.bottom, "binom() argument", env)
+        return self.constant(math.comb(top, bottom) if 0 <= bottom <= top else 0)
+
+    def pow5floor_poly(self, node: Pow5Floor, env: Mapping[str, int]) -> LaurentPoly:
+        e = _constant(node.arg, "pow5floor() argument", env)
+        if e < 0:
+            raise SymbolicError(f"pow5floor argument {e} is negative")
+        return self.constant(5 ** (e // 2))
+
+    def sum_poly(self, node: Sum, env: Mapping[str, int]) -> LaurentPoly:
+        lo = _constant(node.lo, "sum lower bound", env)
+        hi = _constant(node.hi, "sum upper bound", env)
+        if lo > hi + 1:
+            raise SymbolicError(f"sum bounds {lo}..{hi} are inverted")
+        self.sum_terms += hi + 1 - lo
+        if self.sum_terms > MAX_SUM_TERMS:
             raise SymbolicError(
-                f"parameter '{node.name}' appears as a bare value; the prover "
-                f"handles parameters only inside indices, exponents, and signs")
-        if isinstance(node, Add):
-            return self.to_poly(node.left, env) + self.to_poly(node.right, env)
-        if isinstance(node, Sub):
-            return self.to_poly(node.left, env) - self.to_poly(node.right, env)
-        if isinstance(node, Neg):
-            return -self.to_poly(node.operand, env)
-        if isinstance(node, Mul):
-            return self.product(self.to_poly(node.left, env),
-                                self.to_poly(node.right, env), node, env)
-        if isinstance(node, Pow):
-            e = _constant(node.exponent, "power exponent", env)
-            if e < 0:
-                raise SymbolicError(f"power exponent {e} is negative")
-            base = self.to_poly(node.base, env)
-            value = _closed_value(base, node, env)
-            if value is not None:  # no symbol left: an integer's power
-                # the parser's digit limit, also for a power closed by fixed parameters
-                if abs(value) > 1 and _times(e, math.log10(abs(value))) >= MAX_DIGITS:
-                    raise SymbolicError(f"{_brief(node, env)}: the proof needs a constant "
-                                        f"over the {MAX_DIGITS:,}-digit limit")
-                return self.constant(value ** e)
-            return _power(base, e, self.constant(1),
-                          lambda a, b: self.product(a, b, node, env))
-        if isinstance(node, SeqRef):
-            return self.seq_poly(node.kind, node.arg, env)
-        if isinstance(node, Binom):
-            top = _constant(node.top, "binom() argument", env)
-            bottom = _constant(node.bottom, "binom() argument", env)
-            return self.constant(_bi(top, bottom))
-        if isinstance(node, Sign):
-            return self.sign_poly(node, env)
-        if isinstance(node, Pow5Floor):
-            e = _constant(node.arg, "pow5floor() argument", env)
-            if e < 0:
-                raise SymbolicError(f"pow5floor argument {e} is negative")
-            return self.constant(5 ** (e // 2))
-        if isinstance(node, Sum):
-            lo = _constant(node.lo, "sum lower bound", env)
-            hi = _constant(node.hi, "sum upper bound", env)
-            if lo > hi + 1:
-                raise SymbolicError(f"sum bounds {lo}..{hi} are inverted")
-            self.sum_terms += hi + 1 - lo
-            if self.sum_terms > MAX_SUM_TERMS:
-                raise SymbolicError(
-                    f"{_brief(node, env)}: the proof needs more than "
-                    f"{MAX_SUM_TERMS:,} summation terms")
-            acc = self.constant(0)
-            inner = dict(env)
-            for k in range(lo, hi + 1):
-                inner[node.var] = k
-                acc = acc + self.to_poly(node.body, inner)
-            return acc
-        raise TypeError(f"unknown node {node!r}")
+                f"{_brief(node, env)}: the proof needs more than "
+                f"{MAX_SUM_TERMS:,} summation terms")
+        acc = self.constant(0)
+        inner = dict(env)
+        for k in range(lo, hi + 1):
+            inner[node.var] = k
+            acc = acc + self.to_poly(node.body, inner)
+        return acc
+
+
+# How to_poly reads each node type.
+_READERS = {
+    Lit: _Rewriter.lit_poly, Sym: _Rewriter.sym_poly, Add: _Rewriter.add_poly,
+    Sub: _Rewriter.sub_poly, Neg: _Rewriter.neg_poly, Mul: _Rewriter.mul_poly,
+    Pow: _Rewriter.pow_poly, SeqRef: _Rewriter.seq_poly, Binom: _Rewriter.binom_poly,
+    Sign: _Rewriter.sign_poly, Pow5Floor: _Rewriter.pow5floor_poly, Sum: _Rewriter.sum_poly,
+}
 
 
 def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from math import comb, prod
 from typing import (
     Any, Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
@@ -55,42 +54,46 @@ from .expr import (
     affine, children, iter_nodes,
 )
 from .ranges import Interval, expr_interval, index_window, merge_windows, point_intervals
+from .record import Record
+from .report import Failure, VerifyReport
 from .seq import FIB_SEED, LUCAS_SEED, Seed, table
 
 __all__ = [
-    "ParamPoint", "GridSpec", "Failure", "VerifyReport",
+    "ParamPoint", "GridSpec",
     "eval_side", "verify_grid", "STANDARD_SEEDS", "MAX_GRID_CHECKS",
 ]
 
 STANDARD_SEEDS = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5))
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(Record):
     """Concrete integer assignment for an identity's parameters plus the G seed."""
 
-    values: Mapping[str, int]
-    seed: Seed = FIB_SEED
+    __slots__ = _fields = ("values", "seed")
+
+    def __init__(self, values: Mapping[str, int], seed: Seed = FIB_SEED):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "seed", seed)
 
 
 # Largest grid, in checks (points times seeds), that a GridSpec accepts.
 MAX_GRID_CHECKS = 100_000_000
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Inclusive per-parameter ranges and the seeds to sweep."""
 
-    ranges: Mapping[str, Interval]
-    seeds: tuple[Seed, ...] = STANDARD_SEEDS
+    __slots__ = _fields = ("ranges", "seeds")
 
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in self.ranges.items():
+    def __init__(self, ranges: Mapping[str, Interval], seeds: tuple[Seed, ...] = STANDARD_SEEDS):
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "seeds", seeds)
+        for name, (lo, hi) in ranges.items():
             if lo > hi:
                 raise GridError(f"empty range {lo}..{hi} for parameter '{name}'")
-        if not self.seeds:
+        if not seeds:
             raise GridError("GridSpec needs at least one seed")
-        checks = self.checks(tuple(self.ranges))
+        checks = self.checks(tuple(ranges))
         if checks > MAX_GRID_CHECKS:
             raise GridError(f"grid has {checks:,} checks (points times seeds), "
                             f"over the limit of {MAX_GRID_CHECKS:,}")
@@ -104,73 +107,6 @@ class GridSpec:
         """Points over params, one at a time, in lexicographic order."""
         return itertools.product(*(range(lo, hi + 1)
                                    for lo, hi in (self.ranges[p] for p in params)))
-
-
-@dataclass(frozen=True)
-class Failure:
-    """One failing evaluation: the point, the seed, and both side values.
-
-    For symbolic mode, point holds parity bits, seed is None, and the side
-    values are residual-polynomial text.
-    """
-
-    point: tuple[tuple[str, int], ...]
-    seed: Seed | None
-    lhs: int | str
-    rhs: int | str
-
-    @property
-    def diff(self) -> int | None:
-        if isinstance(self.lhs, int) and isinstance(self.rhs, int):
-            return self.lhs - self.rhs
-        return None
-
-
-@dataclass
-class VerifyReport:
-    """Machine-readable outcome of one verification run."""
-
-    identity: str
-    paper_tag: str
-    mode: str  # "grid" | "symbolic"
-    grid: dict[str, Any]
-    total: int
-    failures: list[Failure] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    @property
-    def status(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
-    def to_json_dict(self, *, include_timing: bool = False) -> dict[str, Any]:
-        def enc(v: int | str) -> str:
-            return str(v)
-
-        failures = []
-        for f in self.failures:
-            entry: dict[str, Any] = {
-                "point": dict(f.point),
-                "seed": [f.seed.g0, f.seed.g1] if f.seed is not None else None,
-                "lhs": enc(f.lhs),
-                "rhs": enc(f.rhs),
-            }
-            if f.diff is not None:
-                entry["diff"] = enc(f.diff)
-            failures.append(entry)
-        return {
-            "version": 1,
-            "identity": self.identity,
-            "paper_tag": self.paper_tag,
-            "mode": self.mode,
-            "grid": self.grid,
-            "total": self.total,
-            "failures": failures,
-            "elapsed_ms": round(self.elapsed_ms, 3) if include_timing else 0,
-        }
 
 
 # --- what the generated code calls -----------------------------------------

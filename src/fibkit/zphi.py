@@ -16,7 +16,6 @@ so a term product is one key addition and an inline Z[phi] product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
@@ -24,6 +23,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import InternalFault
+from .record import Record
 
 __all__ = [
     "GoldenInt",
@@ -39,12 +39,14 @@ __all__ = [
 Scalar = Union["GoldenInt", int]
 
 
-@dataclass(frozen=True)
-class GoldenInt:
+class GoldenInt(Record):
     """Ring element a + b*phi of Z[phi]."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __add__(self, other: Scalar) -> GoldenInt:
         other = _coerce(other)

@@ -2,7 +2,6 @@ import concurrent.futures
 import os
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -26,8 +25,8 @@ def replace_symbols(node, env):
         inner = {name: value for name, value in env.items() if name != node.var}
         return Sum(node.var, replace_symbols(node.lo, env), replace_symbols(node.hi, env),
                    replace_symbols(node.body, inner))
-    return type(node)(*(replace_symbols(value, env) if is_dataclass(value) else value
-                        for value in (getattr(node, f.name) for f in fields(node))))
+    return type(node)(*(replace_symbols(getattr(node, f), env) if f in node._child_fields
+                        else getattr(node, f) for f in node._fields))
 
 
 def induction_step(identity, side, coeff):

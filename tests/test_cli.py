@@ -252,6 +252,42 @@ def test_import_and_serial_verify_load_no_process_pool():
     assert done.stdout == "[]\n0 []\n"
 
 
+def _modules_loaded(*argv):
+    """The fibkit modules, and whether dataclasses, loaded by a bare interpreter
+    after `import fibkit; fibkit.builtin_catalog()`, then after `fibkit *argv`."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(fibkit.__file__).parents[1])!r})\n"
+        "import contextlib, io, fibkit\n"
+        "def loaded():\n"
+        "    return ' '.join(sorted(m for m in sys.modules\n"
+        "                           if m == 'dataclasses' or m.startswith('fibkit.')))\n"
+        "fibkit.builtin_catalog()\n"
+        "print(loaded())\n"
+        "from fibkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, loaded())\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", script, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    setup, after = done.stdout.splitlines()
+    code, *modules = after.split()
+    assert code == "0"
+    return set(setup.split()), set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    setup, verify = _modules_loaded("verify", "--id", "Eq1")
+    assert setup == {"fibkit.catalog", "fibkit.errors", "fibkit.expr", "fibkit.parser",
+                     "fibkit.record", "fibkit.seq"}
+    assert "fibkit.verify" in verify and not verify & {"fibkit.symbolic", "fibkit.zphi"}
+    _, prove = _modules_loaded("prove", "--id", "Eq1", "--n", "1")
+    assert "fibkit.symbolic" in prove and not prove & {"fibkit.oracle", "fibkit.verify"}
+    assert "dataclasses" not in verify | prove
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run(capsys, "verify", "--file", str(DATA / "bad.cat"),
                        "--m", "0..2", "--format", "csv")
