@@ -2,8 +2,10 @@
 
 Catalog files are UTF-8 text of at most MAX_CATALOG_BYTES. Each
 identity is one stanza of four `key: value` lines (name, params, paper,
-identity) separated by blank lines; '#' starts a comment. The identity
-line is a single "lhs == rhs" expression in the DSL grammar.
+identity); stanzas are separated by blank lines, lines of whitespace
+only. '#' starts a comment, and a line holding only a comment is
+skipped: it does not end a stanza. The identity line is a single
+"lhs == rhs" expression in the DSL grammar.
 """
 
 from __future__ import annotations
@@ -148,9 +150,11 @@ def parse_catalog(text: str, source: str = "<catalog>") -> Catalog:
         stanza = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line:
+        if not raw.strip():
             flush()
+            continue
+        line = raw.split("#", 1)[0].rstrip()
+        if not line:  # a comment line, inside a stanza or between two
             continue
         if ":" not in line:
             raise CatalogError(f"{source}:{lineno}: expected 'key: value', got {raw!r}")

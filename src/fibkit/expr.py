@@ -2,11 +2,11 @@
 
 Nodes are immutable records (see record.py): they compare structurally,
 and only with nodes of the same type, so Add(a, b) != Sub(a, b); each
-node's hash is computed once, when it is built; and they pickle, so they
-can be sent to workers. The general expression tree carries
-literals, symbols, +, -, *, integer powers, sequence references F/L/G,
-binomials, sign terms (-1)^e, the 5^floor(e/2) node, and one level of
-bounded summation.
+node's hash is computed once, when it is built, from its children's
+stored hashes; and they pickle, so they can be sent to workers. The
+general expression tree carries literals, symbols, +, -, *, integer
+powers, sequence references F/L/G, binomials, sign terms (-1)^e, the
+5^floor(e/2) node, and one level of bounded summation.
 
 Index expressions are the restricted sublanguage {literal, symbol, +, -,
 unary -, *} used everywhere an integer argument is required: sequence
@@ -27,8 +27,7 @@ __all__ = [
     "Lit", "Sym", "Add", "Sub", "Neg", "Mul", "Pow",
     "SeqRef", "Binom", "Sign", "Pow5Floor", "Sum",
     "Node", "SEQ_KINDS",
-    "affine", "children", "free_symbols", "height", "iter_nodes",
-    "is_index_expr", "to_text",
+    "affine", "children", "free_symbols", "iter_nodes", "to_text",
 ]
 
 SEQ_KINDS = ("F", "L", "G")
@@ -76,7 +75,7 @@ class Add(Node):
     def __init__(self, left: Node, right: Node):
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "_hash", hash((Add, left, right)))
+        _set(self, "_hash", hash((Add, left._hash, right._hash)))
 
 
 class Sub(Node):
@@ -85,7 +84,7 @@ class Sub(Node):
     def __init__(self, left: Node, right: Node):
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "_hash", hash((Sub, left, right)))
+        _set(self, "_hash", hash((Sub, left._hash, right._hash)))
 
 
 class Neg(Node):
@@ -93,7 +92,7 @@ class Neg(Node):
 
     def __init__(self, operand: Node):
         _set(self, "operand", operand)
-        _set(self, "_hash", hash((Neg, operand)))
+        _set(self, "_hash", hash((Neg, operand._hash)))
 
 
 class Mul(Node):
@@ -102,7 +101,7 @@ class Mul(Node):
     def __init__(self, left: Node, right: Node):
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "_hash", hash((Mul, left, right)))
+        _set(self, "_hash", hash((Mul, left._hash, right._hash)))
 
 
 class Pow(Node):
@@ -111,7 +110,7 @@ class Pow(Node):
     def __init__(self, base: Node, exponent: Node):
         _set(self, "base", base)
         _set(self, "exponent", exponent)  # index expression; must evaluate >= 0
-        _set(self, "_hash", hash((Pow, base, exponent)))
+        _set(self, "_hash", hash((Pow, base._hash, exponent._hash)))
 
 
 class SeqRef(Node):
@@ -121,7 +120,7 @@ class SeqRef(Node):
     def __init__(self, kind: str, arg: Node):
         _set(self, "kind", kind)  # one of SEQ_KINDS
         _set(self, "arg", arg)  # index expression
-        _set(self, "_hash", hash((SeqRef, kind, arg)))
+        _set(self, "_hash", hash((SeqRef, kind, arg._hash)))
 
 
 class Binom(Node):
@@ -130,7 +129,7 @@ class Binom(Node):
     def __init__(self, top: Node, bottom: Node):
         _set(self, "top", top)
         _set(self, "bottom", bottom)  # binom(n, k) = 0 outside 0 <= k <= n
-        _set(self, "_hash", hash((Binom, top, bottom)))
+        _set(self, "_hash", hash((Binom, top._hash, bottom._hash)))
 
 
 class Sign(Node):
@@ -138,7 +137,7 @@ class Sign(Node):
 
     def __init__(self, arg: Node):
         _set(self, "arg", arg)  # (-1)^arg; any integer value
-        _set(self, "_hash", hash((Sign, arg)))
+        _set(self, "_hash", hash((Sign, arg._hash)))
 
 
 class Pow5Floor(Node):
@@ -146,7 +145,7 @@ class Pow5Floor(Node):
 
     def __init__(self, arg: Node):
         _set(self, "arg", arg)  # 5^floor(arg/2); arg must evaluate >= 0
-        _set(self, "_hash", hash((Pow5Floor, arg)))
+        _set(self, "_hash", hash((Pow5Floor, arg._hash)))
 
 
 class Sum(Node):
@@ -158,11 +157,10 @@ class Sum(Node):
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "body", body)
-        _set(self, "_hash", hash((Sum, var, lo, hi, body)))
+        _set(self, "_hash", hash((Sum, var, lo._hash, hi._hash, body._hash)))
 
 
 _BINARY = frozenset((Add, Sub, Mul))
-_INDEX_TYPES = frozenset((Lit, Sym, Add, Sub, Neg, Mul))
 
 
 def _getter(fields: tuple[str, ...]) -> Callable[[Node], tuple[Node, ...]]:
@@ -195,19 +193,6 @@ def iter_nodes(node: Node) -> Iterator[Node]:
         stack.extend(reversed(_CHILDREN[type(cur)](cur)))
 
 
-def height(node: Node) -> int:
-    """Number of nodes on the longest root-to-leaf path, found without recursion."""
-    deepest = 0
-    stack = [(node, 1)]
-    while stack:
-        cur, level = stack.pop()
-        if level > deepest:
-            deepest = level
-        level += 1
-        stack.extend((child, level) for child in _CHILDREN[type(cur)](cur))
-    return deepest
-
-
 def free_symbols(node: Node) -> frozenset[str]:
     """Names of all symbols not bound by an enclosing sum."""
     def walk(n: Node, bound: frozenset[str]) -> frozenset[str]:
@@ -222,11 +207,6 @@ def free_symbols(node: Node) -> frozenset[str]:
             result |= walk(child, bound)
         return result
     return walk(node, frozenset())
-
-
-def is_index_expr(node: Node) -> bool:
-    """True when the subtree uses only literal/symbol/+/-/* arithmetic."""
-    return all(type(n) in _INDEX_TYPES for n in iter_nodes(node))
 
 
 # No symbol bound to a value; never mutated.

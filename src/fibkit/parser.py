@@ -1,12 +1,13 @@
-"""Recursive-descent parser for the identity language.
+"""Parser for the identity language: one pass over the tokens builds each
+side, and one walk per side checks its symbols and constants.
 
 Grammar (infix, standard precedence: ^ binds tightest, then unary -, then
 *, then + and -; '==' separates the two sides of an identity):
 
     identity := expr '==' expr
     expr     := term (('+' | '-') term)*
-    term     := unary ('*' unary)*
-    unary    := '-' unary | power
+    term     := factor ('*' factor)*
+    factor   := '-'* power
     power    := atom ('^' power)?
     atom     := INT | INT NAME-power (adjacent, e.g. "2p") | symbol
               | 'F' '(' index ')' | 'L' '(' index ')' | 'G' '(' index ')'
@@ -16,8 +17,16 @@ Grammar (infix, standard precedence: ^ binds tightest, then unary -, then
               | '(' expr ')'
 
 index arguments, sum bounds, and power exponents are restricted to the
-{INT, symbol, +, -, *} sublanguage (see expr.is_index_expr). Sums do not
-nest. '#' starts a comment running to end of line.
+{INT, symbol, +, -, *} sublanguage. Sums do not nest. '#' starts a
+comment running to end of line; INT is [0-9]+ and a name is
+[A-Za-z_][A-Za-z_0-9]*, ASCII only.
+
+The two binary levels are parsed by precedence climbing (Pratt, *Top
+down operator precedence*, 1973) in one loop, so a factor costs one call.
+Tokens are (kind, text, offset) tuples; a line and column are computed
+from the offset only for an error. The parser counts the nodes it builds
+outside the index language, so an index argument is checked without
+walking it, and carries each subtree's height up with the subtree.
 
 Input is bounded by MAX_DEPTH: the parser refuses to nest deeper (each
 parenthesis, call or exponent is one level), and the AST of a side may
@@ -31,17 +40,17 @@ its constant arguments before anything computes it.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import ParseError, UnboundSymbolError
 from .expr import (
-    Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum,
-    Sym, children, free_symbols, height, is_index_expr, iter_nodes, to_text,
+    Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
+    children, to_text,
 )
-from .record import Record
 from .seq import fib, lucas
 
 __all__ = ["tokenize", "parse_expr", "parse_identity_sides", "check_identity_scope",
-           "RESERVED", "MAX_DEPTH", "MAX_DIGITS", "Token"]
+           "RESERVED", "MAX_DEPTH", "MAX_DIGITS"]
 
 MAX_DEPTH = 64
 
@@ -55,255 +64,253 @@ _EXACT_DIGITS = 1_000
 
 RESERVED = frozenset({"F", "L", "G", "binom", "sign", "pow5floor", "sum"})
 
-_OPERATORS = ("==", "+", "-", "*", "^", "(", ")", ",")
-
 _DIGITS = frozenset("0123456789")
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | _DIGITS
 
-
-class Token(Record):
-    __slots__ = _fields = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        object.__setattr__(self, "kind", kind)  # "INT" | "NAME" | one of _OPERATORS | "EOF"
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
-
-    @property
-    def end_col(self) -> int:
-        return self.col + len(self.text)
+# A token: its kind ("INT", "NAME", "EOF", or the operator itself), its
+# text, and the offset of its first character.
+_Token = tuple[str, str, int]
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split source text into tokens, tracking 1-based line/column positions."""
-    tokens: list[Token] = []
-    line, col = 1, 1
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of text[offset]."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def tokenize(text: str) -> list[_Token]:
+    """Split source text into (kind, text, offset) tokens, the last of kind
+    "EOF". A hand-written loop: in a fresh interpreter it runs faster than
+    compiling and running a regular expression for the same tokens."""
+    tokens: list[_Token] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
         if ch in _NAME_START:
-            j = i
+            j = i + 1
             while j < n and text[j] in _NAME_CONT:
                 j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
+            tokens.append(("NAME", text[i:j], i))
             i = j
-            continue
-        if ch == "=" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(Token("==", "==", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*^(),":
-            tokens.append(Token(ch, ch, line, col))
+        elif ch in "+-*^(),":
+            tokens.append((ch, ch, i))
             i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+        elif ch.isspace():
+            i += 1
+        elif ch in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("INT", text[i:j], i))
+            i = j
+        elif ch == "=" and text.startswith("=", i + 1):
+            tokens.append(("==", "==", i))
+            i += 2
+        elif ch == "#":
+            end = text.find("\n", i)
+            if end < 0:  # the text ends in a comment: end of input is where it starts
+                n = i
+                break
+            i = end
+        else:
+            raise ParseError(f"unexpected character {ch!r}", *_position(text, i))
+    tokens.append(("EOF", "", n))
     return tokens
 
 
+_NOT_INDEX = "{} must be built from integers, parameters, +, -, *"
+
+# What the one argument of each one-argument call is, for its errors.
+_ARGUMENT = {"F": "F() index", "L": "L() index", "G": "G() index",
+             "sign": "sign() exponent", "pow5floor": "pow5floor() argument"}
+
+
+def _describe(tok: _Token) -> str:
+    return "end of input" if tok[0] == "EOF" else f"token {tok[1]!r}"
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """One parse of one text. Each parsing method returns a subtree and its
+    height; `calls` counts the nodes built outside the index language."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.in_sum = False
         self.depth = 0
+        self.calls = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, expected: frozenset[str] = frozenset(),
+             at: _Token | None = None) -> None:
+        tok = self.tokens[self.pos] if at is None else at
+        raise ParseError(message, *_position(self.text, tok[2]), frozenset(expected))
 
-    def advance(self) -> Token:
+    def expect(self, kind: str) -> _Token:
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            self.fail(f"unexpected {_describe(tok)}", {kind})
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"unexpected {self._describe(tok)}", {kind})
-        return self.advance()
+    def finish(self, what: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            self.fail(f"unexpected {_describe(tok)} after {what}", {"EOF"})
 
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return "end of input" if tok.kind == "EOF" else f"token {tok.text!r}"
+    def expr(self) -> tuple[Node, int]:
+        """Terms joined by + and -, each a product of factors, both left
+        associative: a two-level precedence climb."""
+        tokens = self.tokens
+        left = None
+        while True:
+            node, height = self.factor()
+            while tokens[self.pos][0] == "*":
+                self.pos += 1
+                right, right_height = self.factor()
+                node = Mul(node, right)
+                height = (height if height > right_height else right_height) + 1
+            if left is not None:
+                node = join(left, node)
+                height = (left_height if left_height > height else height) + 1
+            kind = tokens[self.pos][0]
+            if kind != "+" and kind != "-":
+                return node, height
+            self.pos += 1
+            left, left_height, join = node, height, Add if kind == "+" else Sub
 
-    def fail(self, message: str, expected: set[str] = frozenset()) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, frozenset(expected))
-
-    # expression levels -------------------------------------------------
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek().kind == "*":
-            self.advance()
-            node = Mul(node, self.unary())
-        return node
-
-    def unary(self) -> Node:
+    def factor(self, signed: bool = True) -> tuple[Node, int]:
+        """'-'* power when signed, else a power alone (an exponent, or the
+        name of "2p")."""
+        tokens = self.tokens
         signs = 0
-        while self.peek().kind == "-":
-            self.advance()
-            signs += 1
-        node = self.power()
-        for _ in range(signs):
-            # canonical: no Neg around literals
-            node = Lit(-node.value) if isinstance(node, Lit) else Neg(node)
-        return node
-
-    def power(self) -> Node:
+        if signed:
+            while tokens[self.pos][0] == "-":
+                self.pos += 1
+                signs += 1
         # every recursive path of the grammar passes through here
         self.depth += 1
-        try:
-            if self.depth > MAX_DEPTH:
-                self.fail(f"expression nests more than {MAX_DEPTH} levels deep")
-            base = self.atom()
-            if self.peek().kind == "^":
-                caret = self.advance()
-                exponent = self.power()
-                self._require_index(exponent, caret, "power exponent")
-                return Pow(base, exponent)
-            return base
-        finally:
-            self.depth -= 1
-
-    def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            lit = Lit(int(tok.text))
-            nxt = self.peek()
-            # adjacent integer-symbol product, e.g. "2p" in "n+2p"
-            if nxt.kind == "NAME" and nxt.line == tok.line and nxt.col == tok.end_col:
-                return Mul(lit, self.power())
-            return lit
-        if tok.kind == "NAME":
-            if tok.text in RESERVED:
-                return self.call()
-            self.advance()
-            return Sym(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        self.fail(f"unexpected {self._describe(tok)}", {"INT", "NAME", "(", "-"})
-        raise AssertionError("unreachable")
-
-    def call(self) -> Node:
-        head = self.advance()
-        self.expect("(")
-        name = head.text
-        if name in ("F", "L", "G"):
-            arg = self._index_arg(head, f"{name}() index")
-            self.expect(")")
-            return SeqRef(name, arg)
-        if name == "binom":
-            top = self._index_arg(head, "binom() argument")
-            self.expect(",")
-            bottom = self._index_arg(head, "binom() argument")
-            self.expect(")")
-            return Binom(top, bottom)
-        if name == "sign":
-            arg = self._index_arg(head, "sign() exponent")
-            self.expect(")")
-            return Sign(arg)
-        if name == "pow5floor":
-            arg = self._index_arg(head, "pow5floor() argument")
-            self.expect(")")
-            return Pow5Floor(arg)
-        if name == "sum":
-            if self.in_sum:
-                raise ParseError("nested sums are not supported", head.line, head.col)
-            var_tok = self.expect("NAME")
-            if var_tok.text in RESERVED:
-                raise ParseError(f"'{var_tok.text}' is reserved and cannot bind a sum",
-                                 var_tok.line, var_tok.col)
-            self.expect(",")
-            lo = self._index_arg(head, "sum lower bound")
-            self.expect(",")
-            hi = self._index_arg(head, "sum upper bound")
-            self.expect(",")
-            self.in_sum = True
+        if self.depth > MAX_DEPTH:
+            self.fail(f"expression nests more than {MAX_DEPTH} levels deep")
+        tok = tokens[self.pos]
+        kind = tok[0]
+        if kind == "NAME":
+            if tok[1] in RESERVED:
+                node, height = self.call(tok)
+            else:
+                self.pos += 1
+                node, height = Sym(tok[1]), 1
+        elif kind == "INT":
+            self.pos += 1
             try:
-                body = self.expr()
-            finally:
-                self.in_sum = False
+                node, height = Lit(int(tok[1])), 1
+            except ValueError:  # over the interpreter's int-to-str limit
+                self.fail(f"integer literal has {len(tok[1]):,} digits, over the "
+                          f"interpreter's {sys.get_int_max_str_digits():,}-digit limit",
+                          at=tok)
+            after = tokens[self.pos]
+            # adjacent integer-symbol product, e.g. "2p" in "n+2p"
+            if after[0] == "NAME" and after[2] == tok[2] + len(tok[1]):
+                right, right_height = self.factor(False)
+                node, height = Mul(node, right), right_height + 1
+        elif kind == "(":
+            self.pos += 1
+            node, height = self.expr()
             self.expect(")")
-            return Sum(var_tok.text, lo, hi, body)
-        raise AssertionError(f"unhandled reserved name {name}")
+        else:
+            self.fail(f"unexpected {_describe(tok)}", {"INT", "NAME", "(", "-"})
+        if tokens[self.pos][0] == "^":
+            caret = tokens[self.pos]
+            self.pos += 1
+            calls = self.calls
+            exponent, exponent_height = self.factor(False)
+            if self.calls != calls:
+                self.fail(_NOT_INDEX.format("power exponent"), at=caret)
+            node = Pow(node, exponent)
+            height = (height if height > exponent_height else exponent_height) + 1
+            self.calls += 1
+        self.depth -= 1
+        if signs:
+            # canonical: no Neg around literals
+            if type(node) is Lit:
+                if signs & 1:
+                    node = Lit(-node.value)
+            else:
+                for _ in range(signs):
+                    node = Neg(node)
+                height += signs
+        return node, height
 
-    def _index_arg(self, at: Token, what: str) -> Node:
-        node = self.expr()
-        self._require_index(node, at, what)
-        return node
+    def call(self, head: _Token) -> tuple[Node, int]:
+        self.pos += 1
+        self.expect("(")
+        name = head[1]
+        if name == "sum":
+            return self.sum(head)
+        if name == "binom":
+            top, top_height = self.index(head, "binom() argument")
+            self.expect(",")
+            bottom, height = self.index(head, "binom() argument")
+            node = Binom(top, bottom)
+            height = top_height if top_height > height else height
+        else:
+            arg, height = self.index(head, _ARGUMENT[name])
+            node = (Sign(arg) if name == "sign" else Pow5Floor(arg) if name == "pow5floor"
+                    else SeqRef(name, arg))
+        self.expect(")")
+        self.calls += 1
+        return node, height + 1
 
-    def _require_index(self, node: Node, at: Token, what: str) -> None:
-        if not is_index_expr(node):
-            raise ParseError(
-                f"{what} must be built from integers, parameters, +, -, *",
-                at.line, at.col)
+    def sum(self, head: _Token) -> tuple[Node, int]:
+        if self.in_sum:
+            self.fail("nested sums are not supported", at=head)
+        var = self.expect("NAME")
+        if var[1] in RESERVED:
+            self.fail(f"'{var[1]}' is reserved and cannot bind a sum", at=var)
+        self.expect(",")
+        lo, lo_height = self.index(head, "sum lower bound")
+        self.expect(",")
+        hi, hi_height = self.index(head, "sum upper bound")
+        self.expect(",")
+        self.in_sum = True
+        body, height = self.expr()
+        self.in_sum = False
+        self.expect(")")
+        self.calls += 1
+        return Sum(var[1], lo, hi, body), max(lo_height, hi_height, height) + 1
+
+    def index(self, head: _Token, what: str) -> tuple[Node, int]:
+        """An index argument of the call at head: refused if parsing it
+        built a node outside the index language, one more in `calls`."""
+        calls = self.calls
+        node, height = self.expr()
+        if self.calls != calls:
+            self.fail(_NOT_INDEX.format(what), at=head)
+        return node, height
 
 
-def _check_height(node: Node) -> Node:
-    if height(node) > MAX_DEPTH:
+def _check_height(node: Node, height: int) -> Node:
+    if height > MAX_DEPTH:
         raise ParseError(f"expression tree is more than {MAX_DEPTH} levels high")
     return node
 
 
 def parse_expr(text: str) -> Node:
     """Parse a single expression; raises ParseError on malformed input."""
-    parser = _Parser(tokenize(text))
-    node = parser.expr()
-    if parser.peek().kind != "EOF":
-        parser.fail(f"unexpected {parser._describe(parser.peek())} after expression",
-                    {"EOF"})
-    return _check_height(node)
+    parser = _Parser(text)
+    node, height = parser.expr()
+    parser.finish("expression")
+    return _check_height(node, height)
 
 
 def parse_identity_sides(text: str) -> tuple[Node, Node]:
     """Parse "lhs == rhs" into the two side ASTs."""
-    parser = _Parser(tokenize(text))
-    lhs = parser.expr()
+    parser = _Parser(text)
+    lhs, lhs_height = parser.expr()
     parser.expect("==")
-    rhs = parser.expr()
-    if parser.peek().kind != "EOF":
-        parser.fail(f"unexpected {parser._describe(parser.peek())} after identity",
-                    {"EOF"})
-    return _check_height(lhs), _check_height(rhs)
+    rhs, rhs_height = parser.expr()
+    parser.finish("identity")
+    return _check_height(lhs, lhs_height), _check_height(rhs, rhs_height)
 
 
 _LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
@@ -336,24 +343,20 @@ def _binom_log10(n: int, k: int) -> float:
     return (j * (math.log(n) - math.log(j)) + rest) / math.log(10)
 
 
-def _constant_size(node: Node) -> tuple[float, int | None] | None:
-    """(bound, value) of a constant node: an upper bound on log10 of its
-    magnitude, 0 when that is at most 1, and its exact value when it is
-    index arithmetic or small; None when the node reads a symbol or G, is
-    a sum, or raises when evaluated.
+def _constant(node: Node, kind: type, sizes: list[tuple[float, int | None]],
+              ) -> tuple[float, int | None] | None:
+    """(bound, value) of a node whose children are all constant, from their
+    sizes: an upper bound on log10 of its magnitude, 0 when that is at
+    most 1, and its exact value when it is index arithmetic or small; None
+    when the node is G, or raises when evaluated.
 
-    Sizes are found bottom-up from the children's, and a node whose bound
-    allows more than MAX_DIGITS digits is refused before its value is
-    computed.
+    A node whose bound allows more than MAX_DIGITS digits is refused
+    before its value is computed.
     """
-    kids = [_constant_size(child) for child in children(node)]
-    kind = type(node)
-    if kind is Lit:
-        return _log10(node.value), node.value
-    if None in kids or kind is Sym or kind is Sum or (kind is SeqRef and node.kind == "G"):
+    if kind is SeqRef and node.kind == "G":
         return None
-    bounds = [b for b, _ in kids]
-    values = [v for _, v in kids]
+    bounds = [b for b, _ in sizes]
+    values = [v for _, v in sizes]
     a, b = (values + [None])[:2]
     if kind is Neg:
         bound, compute = bounds[0], lambda: -a
@@ -393,9 +396,48 @@ def _constant_size(node: Node) -> tuple[float, int | None] | None:
     return _log10(value), value
 
 
+def _scan(side: Node) -> tuple[set[str], list[Sum], ParseError | None]:
+    """One walk over a side: its free symbols, its sums in preorder, and the
+    first constant subexpression over MAX_DIGITS digits, found bottom-up as
+    `_constant` sizes each constant node from its children."""
+    free: set[str] = set()
+    sums: list[Sum] = []
+    too_large: list[ParseError] = []
+    bound: list[str] = []  # the variables of the sums around the node
+
+    def walk(node: Node) -> tuple[float, int | None] | None:
+        kind = type(node)
+        if kind is Sym:
+            if node.name not in bound:
+                free.add(node.name)
+            return None
+        if kind is Lit:
+            return _log10(node.value), node.value
+        if kind is Sum:
+            sums.append(node)
+            walk(node.lo)
+            walk(node.hi)
+            bound.append(node.var)
+            walk(node.body)
+            bound.pop()
+            return None
+        sizes = [*map(walk, children(node))]
+        if None in sizes or too_large:
+            return None
+        try:
+            return _constant(node, kind, sizes)
+        except ParseError as exc:
+            too_large.append(exc)
+            return None
+
+    walk(side)
+    return free, sums, too_large[0] if too_large else None
+
+
 def check_identity_scope(lhs: Node, rhs: Node, params: tuple[str, ...]) -> None:
     """Reject reserved or repeated parameters, undeclared symbols, shadowing
-    sums, and constants over MAX_DIGITS digits."""
+    sums, and constants over MAX_DIGITS digits, in that order, on the
+    left side and then on the right."""
     declared: set[str] = set()
     for p in params:
         if p in RESERVED:
@@ -404,11 +446,13 @@ def check_identity_scope(lhs: Node, rhs: Node, params: tuple[str, ...]) -> None:
             raise ParseError(f"parameter '{p}' is declared twice")
         declared.add(p)
     for side in (lhs, rhs):
-        for name in sorted(free_symbols(side)):
-            if name not in declared:
-                raise UnboundSymbolError(name)
-        for node in iter_nodes(side):
-            if type(node) is Sum and node.var in declared:
+        free, sums, too_large = _scan(side)
+        unbound = free - declared
+        if unbound:
+            raise UnboundSymbolError(min(unbound))
+        for node in sums:
+            if node.var in declared:
                 raise ParseError(
                     f"sum variable '{node.var}' shadows a declared parameter")
-        _constant_size(side)
+        if too_large is not None:
+            raise too_large

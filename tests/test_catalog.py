@@ -1,12 +1,13 @@
 """Catalog contents, stanza file IO, and the expanded-example relabeling map."""
 
 import pickle
+import sys
 
 import pytest
 
 from fibkit import catalog as catalog_module
 from fibkit import (
-    Catalog, CatalogError, Identity, format_catalog, parse_catalog,
+    Catalog, CatalogError, Identity, format_catalog, load_catalog_file, parse_catalog,
     parse_identity, section3_source,
 )
 
@@ -116,6 +117,32 @@ def test_comments_and_blank_lines_are_ignored():
     )
     cat = parse_catalog(text)
     assert cat.names() == ("a", "b")
+
+
+def test_a_comment_line_does_not_split_a_stanza():
+    text = ("name: x\n# note\nparams: m\n   # indented note\npaper: t\n"
+            "identity: F(m) == F(m)\n# after\n \t\nname: y\nparams: m\npaper: u\n"
+            "identity: L(m) == L(m)\n")
+    assert parse_catalog(text).names() == ("x", "y")
+    # only a blank line ends a stanza, so a comment line is no separator
+    with pytest.raises(CatalogError, match="^<catalog>:6: duplicate key 'name'"):
+        parse_catalog("name: x\nparams: m\npaper: t\nidentity: F(m) == F(m)\n"
+                      "# next\nname: y\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no int-to-str digit limit")
+def test_a_literal_over_the_digit_limit_is_a_catalog_error(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    literal = "9" * (limit + 1)
+    path = tmp_path / "long.cat"
+    path.write_text("# a long literal\n\nname: x\nparams: m\npaper: t\n"
+                    f"identity: F(m) == F(m) + {literal}\n", encoding="utf-8")
+    with pytest.raises(CatalogError) as exc_info:
+        load_catalog_file(str(path))
+    assert str(exc_info.value) == (
+        f"{path}:3: in identity 'x': 1:16: integer literal has {limit + 1:,} digits, "
+        f"over the interpreter's {limit:,}-digit limit")
 
 
 def test_identity_text_property(catalog):

@@ -14,7 +14,8 @@ MODULES = [fibkit] + [importlib.import_module(f"fibkit.{info.name}")
 REMOVED = ("SeedPoly", "GoldenRat", "LaurentPoly3", "pretty_print", "lucas_naive",
            "OracleConfig", "index_range", "compile_side", "_gen_code", "check_recurrence",
            "case_split_value", "decompose", "SeqTable", "process_pool", "_coefficient",
-           "_merge", "_build_tables", "_BASIS")
+           "_merge", "_build_tables", "_BASIS", "Token", "end_col", "height",
+           "is_index_expr", "_require_index", "_constant_size")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -1,6 +1,10 @@
 """Parser: grammar, precedence, errors, and print round-trips."""
 
+import importlib.util
+import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from fibkit import (
     to_text, verify_grid,
 )
 from fibkit.expr import (
-    Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym, height,
+    Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym, children,
 )
 from fibkit.parser import MAX_DEPTH
 
@@ -141,18 +145,35 @@ def test_deep_or_long_input_rejected(text):
         parse_expr(text)
 
 
+def _height(node):
+    """Number of nodes on the longest root-to-leaf path."""
+    return 1 + max(map(_height, children(node)), default=0)
+
+
 def test_input_at_depth_limit_accepted():
     # MAX_DEPTH - 1 terms: MAX_DEPTH - 2 additions over G over m
     terms = MAX_DEPTH - 1
     entry = parse_identity(" + ".join(["G(m)"] * terms) + f" == {terms}*G(m)",
                            name="long", params=("m",))
-    assert height(entry.lhs) == MAX_DEPTH
+    assert _height(entry.lhs) == MAX_DEPTH
     assert parse_expr(to_text(entry.lhs)) == entry.lhs
     # the recursive walkers downstream handle the deepest accepted tree
     assert verify_grid(entry, GridSpec({"m": (-2, 2)}), use_oracle=True).passed
     assert prove_symbolic(entry).passed
     with pytest.raises(ParseError, match="levels"):
         parse_expr(to_text(entry.lhs) + " + G(m)")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no int-to-str digit limit")
+def test_literal_over_the_int_to_str_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    message = (f"2:3: integer literal has {limit + 1:,} digits, "
+               f"over the interpreter's {limit:,}-digit limit")
+    with pytest.raises(ParseError, match=f"^{message}$") as exc_info:
+        parse_expr("m +\n  " + "7" * (limit + 1))
+    assert (exc_info.value.line, exc_info.value.col) == (2, 3)
+    assert parse_expr("7" * limit) == Lit(int("7" * limit))
 
 
 def test_double_equals_required():
@@ -271,3 +292,18 @@ def test_constant_within_the_digit_limit_is_accepted(constant):
     # the last four are not constants the bound covers: a power with a
     # negative exponent is an evaluation error, and m or G(1) varies
     parse_identity(f"F(m) + {constant} == F(m)", name="fine", params=("m",))
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_parser_reproduces_the_corpus():
+    # parser_corpus.json pins the parser's ASTs and errors on about 400
+    # inputs; tests/data/parser_corpus.py regenerates it
+    spec = importlib.util.spec_from_file_location("parser_corpus", DATA / "parser_corpus.py")
+    corpus_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus_module)
+    corpus = json.loads((DATA / "parser_corpus.json").read_text(encoding="utf-8"))
+    assert len(corpus) > 300
+    differ = [case for case in corpus if corpus_module.outcome(case) != case["result"]]
+    assert not differ, f"{len(differ)} cases differ, first {differ[0]['text']!r}"
