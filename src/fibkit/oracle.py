@@ -18,11 +18,16 @@ from that seed's own table. A sum expands its rows into one batch of
 (row, k) terms, evaluates its body once on that batch, and adds each
 row's terms back into that row; it does so in pieces of at most
 _SUM_CHUNK terms, so a sum over a huge range holds a bounded number of
-values. Each row is computed from its own parameter values alone, except
-that a batch computes a binomial once per distinct pair of arguments,
-and a binom node keeps its last arguments and value across batches, so
-a closed binomial walks Pascal's rule once per evaluator. A call with
-one point's values is the batch of that one point.
+values. A piece is a run of consecutive rows, the first and last of
+which may be split with the pieces beside it, and its row sums are
+added into that run of the output in one step; when all the terms fit
+in one piece, the piece is the rows themselves, so neither the split
+nor the adding back steps through the rows in Python. Each row is
+computed from its own parameter values alone, except that a batch
+computes a binomial once per distinct pair of arguments, and a binom
+node keeps its last arguments and value across batches, so a closed
+binomial walks Pascal's rule once per evaluator. A call with one
+point's values is the batch of that one point.
 """
 
 from __future__ import annotations
@@ -177,29 +182,32 @@ _OPS = {Add: add, Sub: sub, Mul: mul}
 _SUM_CHUNK = 4096
 
 
-def _pieces(starts: list[int], lengths: list[int]) -> Iterator[tuple[list[int], ...]]:
+def _pieces(starts: list[int], lengths: list[int]) -> Iterator[tuple[int, list[int], list[int]]]:
     """The terms of a sum whose row i has lengths[i] terms from the index
-    starts[i] on, in pieces of at most _SUM_CHUNK terms. A piece lists its
-    rows in order, with the first index each takes and how many; a row
-    may be split across pieces."""
-    rows: list[int] = []
-    firsts: list[int] = []
-    counts: list[int] = []
-    room = _SUM_CHUNK
-    for row, (start, count) in enumerate(zip(starts, lengths)):
-        while count:
-            take = count if count < room else room
-            rows.append(row)
-            firsts.append(start)
-            counts.append(take)
-            start += take
-            count -= take
-            room -= take
-            if not room:
-                yield rows, firsts, counts
-                rows, firsts, counts, room = [], [], [], _SUM_CHUNK
-    if rows:
-        yield rows, firsts, counts
+    starts[i] on, in pieces of at most _SUM_CHUNK terms. A piece is a run
+    of consecutive rows: the first row's position, and the first index
+    each row takes and how many. A row may be split across pieces, a row
+    with no terms takes none, and no piece is empty. When every term fits
+    in one piece, the piece is the rows themselves."""
+    terms = sum(lengths)
+    if terms <= _SUM_CHUNK:
+        if terms:
+            yield 0, starts, lengths
+        return
+    row, firsts, counts, room = 0, [], [], _SUM_CHUNK
+    for i, (start, count) in enumerate(zip(starts, lengths)):
+        firsts.append(start)
+        counts.append(0)
+        while count >= room:  # the piece fills up in row i
+            counts[-1] += room
+            yield row, firsts, counts
+            start += room
+            count -= room
+            row, firsts, counts, room = i, [start], [0], _SUM_CHUNK
+        counts[-1] += count
+        room -= count
+    if room < _SUM_CHUNK:
+        yield row, firsts, counts
 
 
 def _index(node: Node, seqs: Mapping[str, Mapping[int, int]],
@@ -325,20 +333,19 @@ def _build(node: Node, seqs: Mapping[str, Mapping[int, int]],
                 row = next(i for i, length in enumerate(lengths) if length < 0)
                 raise EvalError(f"sum bounds {starts[row]}..{stops[row]} are inverted")
             sums = [[0] * size for _ in range(width)]
-            for rows, firsts, counts in _pieces(starts, lengths):
+            for row, firsts, counts in _pieces(starts, lengths):
+                rows = slice(row, row + len(counts))
                 # the piece's terms as a batch: each row's values, repeated
                 # once per term, and the index running over the row's range
-                terms = {name: list(chain.from_iterable(
-                    map(repeat, map(cols[name].__getitem__, rows), counts)))
-                    for name in names if name in cols}
+                terms = {name: list(chain.from_iterable(map(repeat, cols[name][rows], counts)))
+                         for name in names if name in cols}
                 ks = list(chain.from_iterable(map(range, firsts, map(add, firsts, counts))))
                 terms[var] = ks
                 values = body(terms, len(ks))
                 ends = list(accumulate(counts))
                 slices = list(map(slice, chain((0,), ends), ends))
                 for out, column in zip(sums, values if per_seed else (values,)):
-                    for row, value in zip(rows, map(sum, map(column.__getitem__, slices))):
-                        out[row] += value
+                    out[rows] = map(add, out[rows], map(sum, map(column.__getitem__, slices)))
             return sums if per_seed else sums[0]
         return total, per_seed
     raise TypeError(f"unknown node {node!r}")

@@ -29,13 +29,14 @@ out alike, as one list. A sweep reads one F table, over the grid's index
 window from one interval analysis (which sizes the oracle's tables too):
 G on the basis seeds is F one index back and F itself, and L and a
 per-seed pass's G are tables derived from it as g0*F(e - 1) + g1*F(e).
-A grid's plans, loop order, index window, whether it reads L, and
-compiled sweeps are kept in one entry per identity and grid; its tables
-are built anew on every call. The sweep is the only generated code: a
-side's value at one point is the one-point sweep of side == 0, and an
-evaluation error is located point by point with one compiled one-point
-sweep. All arithmetic is unbounded int; a PASS means exact equality at
-every point and seed.
+A grid's plans, loop order, index window, whether it reads L, compiled
+sweeps and, once an oracle call has built them, the oracle's evaluators
+over its own tables are kept in one entry per identity and grid; the
+sweep's F table is built anew on every call. The sweep is the only
+generated code: a side's value at one point is the one-point sweep of
+side == 0, and an evaluation error is located point by point with one
+compiled one-point sweep. All arithmetic is unbounded int; a PASS means
+exact equality at every point and seed.
 """
 
 from __future__ import annotations
@@ -705,7 +706,9 @@ class _OracleCheck:
     as held covers, evaluates both sides once over them on all the plan's
     distinct seeds at once, lays the oracle's values out as held is laid
     out, and compares the two lists in one step. Only a mismatch is
-    scanned, for the first disagreement in sweep order, which raises."""
+    scanned, for the first disagreement in sweep order, which raises; so
+    do values for more points than are left, and, once the pass has
+    ended, a point that no values were handed over for."""
 
     def __init__(self, identity: Identity, spec: GridSpec, sides: tuple[Any, Any],
                  seeds: list[int], columns: list[int], order: tuple[str, ...]):
@@ -721,7 +724,12 @@ class _OracleCheck:
         held = self.held
         if not held:
             return
-        points = list(itertools.islice(self.points, len(held) // (2 * len(self.seeds))))
+        width = 2 * len(self.seeds)
+        points = list(itertools.islice(self.points, len(held) // width))
+        if len(points) * width != len(held):
+            raise InternalFault(
+                f"oracle got {len(held)} values on '{self.identity.name}' "
+                f"for {len(points)} points left, {width} each")
         cols = dict(zip(self.order, map(list, zip(*points))))
         lhs, rhs = (side.columns(cols, len(points)) for side in self.sides)
         # held's layout: point by point, each seed's two values in turn
@@ -731,16 +739,28 @@ class _OracleCheck:
             self._fault(points, expected)
         held.clear()
 
+    def finish(self) -> None:
+        """Compare what is held at the end of a pass, which must have
+        handed over every point of the grid."""
+        self.flush()
+        left = next(self.points, None)
+        if left is not None:
+            raise InternalFault(
+                f"oracle got no values on '{self.identity.name}' from {self._at(left)} on: "
+                f"the sweep handed over fewer points than the grid has")
+
+    def _at(self, point: tuple[int, ...]) -> dict[str, int]:
+        values = dict(zip(self.order, point))
+        return {p: values[p] for p in self.identity.free_params}
+
     def _fault(self, points: list[tuple[int, ...]], expected: list[int]) -> NoReturn:
         held = self.held
         first = next(i for i, pair in enumerate(zip(expected, held)) if pair[0] != pair[1])
         first -= first % 2
         point, seed = divmod(first // 2, len(self.seeds))
-        values = dict(zip(self.order, points[point]))
-        at = {p: values[p] for p in self.identity.free_params}
         raise InternalFault(
             f"oracle disagrees with evaluator on '{self.identity.name}' "
-            f"at {at}, seed {self.spec.seeds[self.seeds[seed]]}: "
+            f"at {self._at(points[point])}, seed {self.spec.seeds[self.seeds[seed]]}: "
             f"oracle ({expected[first]}, {expected[first + 1]}) "
             f"vs fast ({held[first]}, {held[first + 1]})")
 
@@ -749,30 +769,40 @@ def _oracle_checks(identity: Identity, spec: GridSpec, grid: _Grid) -> list[_Ora
     """One check per plan of grid against the oracle, which evaluates
     columns: the values a sweep hands over are held in one flat list and
     compared with the oracle's in batches, in sweep order (see
-    _OracleCheck). The oracle's tables are built once for the grid; each
-    plan has one oracle evaluator per side, which gives both sides' values
-    on all the plan's distinct seeds at once over a batch of points, so a
-    point is evaluated once per plan and its seeds' checks read that one
+    _OracleCheck). Each check is new, over the evaluators the grid's
+    first oracle call built and the entry keeps."""
+    if not grid.oracle_sides:
+        grid.oracle_sides.extend(_oracle_sides(identity, spec, grid))
+    return [_OracleCheck(identity, spec, sides, indices, columns, grid.order)
+            for sides, indices, columns in grid.oracle_sides]
+
+
+def _oracle_sides(identity: Identity, spec: GridSpec, grid: _Grid) -> list[tuple]:
+    """Each plan's two oracle evaluators, its seed indices, and each
+    one's column in the evaluators' values. The oracle's tables are built
+    once for the grid; each side's evaluator gives its values on all the
+    plan's distinct seeds at once over a batch of points, so a point is
+    evaluated once per plan and its seeds' checks read that one
     evaluation."""
     from . import oracle
 
     lo, hi = merge_windows(grid.window, (0, 1))
     tables = oracle.OracleTables(lo, hi, spec.seeds)
 
-    def plan_check(plan: _Plan) -> _OracleCheck:
+    def plan_sides(plan: _Plan) -> tuple:
         indices = [s if isinstance(s, int) else s[0] for s in plan.seeds]
         own = tables.select(spec.seeds[i] for i in indices)
         sides = tuple(oracle.evaluator(side, own) for side in (identity.lhs, identity.rhs))
         column = {seed: j for j, seed in enumerate(own.gen)}
-        return _OracleCheck(identity, spec, sides, indices,
-                            [column[spec.seeds[i]] for i in indices], grid.order)
-    return [plan_check(plan) for plan in grid.plans]
+        return sides, indices, [column[spec.seeds[i]] for i in indices]
+    return [plan_sides(plan) for plan in grid.plans]
 
 
 class _Grid(NamedTuple):
     """What a grid's verification keeps: its plans, its loop order, how
     many of its parameters lead fixed, its index window, whether it reads
-    L, and its sweeps, compiled on first use per oracle flag and pass."""
+    L, its sweeps, compiled on first use per oracle flag and pass, and
+    what the first oracle call built for each plan (see _oracle_sides)."""
 
     plans: tuple[_Plan, ...]
     order: tuple[str, ...]
@@ -780,6 +810,7 @@ class _Grid(NamedTuple):
     window: Interval | None
     lucas: bool
     sweeps: dict[tuple, Callable[..., None]]
+    oracle_sides: list[tuple]
 
     def sweep(self, identity: Identity, oracle: bool, plan: _Plan) -> Callable[..., None]:
         key = (oracle, plan.basis, plan.shift)
@@ -792,8 +823,10 @@ class _Grid(NamedTuple):
 
 # One entry per identity and grid, keyed by both sides, the free parameters,
 # their ranges and the seeds; and one per identity, keyed without ranges or
-# seeds, for its one-point sweep, which runs on any point's tables. The
-# tables are built per call, so memory does not grow with the grids kept.
+# seeds, for its one-point sweep, which runs on any point's tables. An
+# entry keeps the oracle's tables, inside its evaluators, from the grid's
+# first oracle call on; the sweep's F table is built per call, so the fast
+# path keeps no table per grid.
 _compile_cache: dict[tuple, _Grid] = {}
 
 
@@ -809,7 +842,7 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
         # named as such, before the window analysis finds it has no range
         order, fixed = _loop_order(identity, spec, plans[0])
         grid = _compile_cache[key] = _Grid(plans, order, fixed, _grid_window(identity, spec),
-                                           _reads_l(identity), {})
+                                           _reads_l(identity), {}, [])
     return grid
 
 
@@ -825,7 +858,7 @@ def _point_sweep(identity: Identity) -> tuple[Callable[..., None], bool]:
     grid = _compile_cache.get(key)
     if grid is None:
         grid = _compile_cache[key] = _Grid((_POINT,), params, len(params), None,
-                                           _reads_l(identity), {})
+                                           _reads_l(identity), {}, [])
     return grid.sweep(identity, False, _POINT), grid.lucas
 
 
@@ -848,7 +881,7 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
                 check.flush()
             raise
         if check:
-            check.flush()
+            check.finish()
     return failures
 
 

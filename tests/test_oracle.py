@@ -224,6 +224,38 @@ def test_sum_over_a_huge_range_holds_a_bounded_number_of_terms():
         assert peak < 2_000_000, body
 
 
+# (m, n) rows of sum(k, m, n, ...): 5, 0, 3, 0, 0, 1, 4 and 0 terms
+PIECE_ROWS = [(0, 4), (3, 2), (-1, 1), (5, 4), (2, 1), (2, 2), (-3, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("text", [
+    "sum(k, m, n, G(k)*k + m)",                # one column per seed
+    "sum(k, m, n, F(k) + m*k)",                # one column for all seeds
+    "sum(k, m, n, binom(n, k)*sign(k)*L(m + k))",
+])
+def test_sum_pieces_split_rows_around_rows_without_terms(monkeypatch, text, chunk):
+    ast, seeds = parse_expr(text), (Seed(3, 7), F_SEED)
+    fn = evaluator(ast, OracleTables(-30, 30, seeds))
+    point_by_point = [fn({"m": m, "n": n}) for m, n in PIECE_ROWS]
+    assert point_by_point == [[eval_side(ast, ParamPoint({"m": m, "n": n}, seed))
+                                for seed in seeds] for m, n in PIECE_ROWS]
+    monkeypatch.setattr(oracle, "_SUM_CHUNK", chunk)
+    ms, ns = (list(column) for column in zip(*PIECE_ROWS))
+    lengths = [n - m + 1 for m, n in PIECE_ROWS]
+    # each piece: a run of rows from row on, at most chunk terms and at
+    # least one; together they take every row's terms once, in order
+    taken = [0] * len(PIECE_ROWS)
+    for row, firsts, counts in oracle._pieces(ms, lengths):
+        assert 0 < sum(counts) <= chunk
+        for i, (first, count) in enumerate(zip(firsts, counts), row):
+            assert first == ms[i] + taken[i]
+            taken[i] += count
+    assert taken == lengths
+    columns = fn.columns({"m": ms, "n": ns}, len(PIECE_ROWS))
+    assert [list(values) for values in zip(*columns)] == point_by_point
+
+
 NAMES = ("m", "n")
 CATALOG = builtin_catalog()
 

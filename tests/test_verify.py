@@ -294,6 +294,51 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     assert [next(check.points, None) for check in made] == [None]
 
 
+def test_a_repeat_oracle_call_builds_nothing_and_compares_every_check(
+        catalog, monkeypatch):
+    eq1 = catalog.get("Eq1")
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    assert verify_grid(eq1, VARIANT_SPEC, use_oracle=True).passed  # builds the entry
+    built, walked, checked = [], [], []
+
+    class CountedTables(oracle.OracleTables):
+        def __init__(self, lo, hi, seeds):
+            built.append((lo, hi, seeds))
+            super().__init__(lo, hi, seeds)
+
+    monkeypatch.setattr(oracle, "OracleTables", CountedTables)
+    build = oracle._build
+    monkeypatch.setattr(oracle, "_build", lambda node, seqs, gens: walked.append(node)
+                        or build(node, seqs, gens))
+    flush = verify._OracleCheck.flush
+
+    def compared(check):  # the seeds of the checks each flush compares
+        points, rest = divmod(len(check.held), 2 * len(check.seeds))
+        assert rest == 0
+        checked.extend(check.seeds * points)
+        flush(check)
+
+    monkeypatch.setattr(verify._OracleCheck, "flush", compared)
+    assert verify_grid(eq1, VARIANT_SPEC, use_oracle=True).passed
+    assert built == [] and walked == []
+    assert len(checked) == VARIANT_SPEC.checks(eq1.free_params) == 1500
+    assert {i: checked.count(i) for i in range(4)} == {i: 375 for i in range(4)}
+    # the fast path's tables are still built per call: a corrupt F table on
+    # the repeat call is caught by the kept evaluators
+    _corrupt_table(monkeypatch, 2)
+    with pytest.raises(InternalFault) as kept:
+        verify_grid(eq1, VARIANT_SPEC, use_oracle=True)
+    assert built == [] and walked == []
+    # the same first disagreement as evaluators built anew name
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    with pytest.raises(InternalFault) as fresh:
+        verify_grid(eq1, VARIANT_SPEC, use_oracle=True)
+    assert len(built) == 1
+    assert str(kept.value) == str(fresh.value) == (
+        "oracle disagrees with evaluator on 'Eq1' at {'n': 1, 'm': -2, 'p': -2, 'q': 2}, "
+        "seed Seed(g0=3, g1=7): oracle (3, 3) vs fast (3, 6)")
+
+
 VARIANT_CATALOG = load_catalog_file(str(DATA / "eq_variants.cat"))
 DUPLICATE_SEEDS = (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(-4, 5), Seed(3, 7))
 PER_SEED = [(False, seed, None) for seed in dict.fromkeys(DUPLICATE_SEEDS)]
@@ -451,6 +496,38 @@ def test_oracle_holds_a_bounded_number_of_checks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def _handed_over(monkeypatch, change):
+    """verify's oracle checks, each flush first changing held with
+    change(held, values per point)."""
+    flush = verify._OracleCheck.flush
+
+    def changed(check):
+        if check.held:
+            change(check.held, 2 * len(check.seeds))
+        flush(check)
+    monkeypatch.setattr(verify._OracleCheck, "flush", changed)
+
+
+def test_oracle_faults_when_a_pass_hands_over_too_few_points(catalog, monkeypatch):
+    eq8, spec = catalog.get("Eq8"), small_spec("m", "n", lo=-2, hi=2, seeds=STANDARD_SEEDS)
+    assert verify._grid(eq8, spec).order == ("n", "m")
+    _handed_over(monkeypatch, lambda held, width: held.__delitem__(slice(-width, None)))
+    with pytest.raises(InternalFault) as info:
+        verify_grid(eq8, spec, use_oracle=True)
+    # the last point in sweep order, n then m
+    assert str(info.value) == ("oracle got no values on 'Eq8' from {'m': 2, 'n': 2} on: "
+                               "the sweep handed over fewer points than the grid has")
+
+
+def test_oracle_faults_when_a_pass_hands_over_too_many_points(catalog, monkeypatch):
+    eq8, spec = catalog.get("Eq8"), small_spec("m", "n", lo=-2, hi=2, seeds=STANDARD_SEEDS)
+    _handed_over(monkeypatch, lambda held, width: held.extend(held[-width:]))
+    with pytest.raises(InternalFault) as info:
+        verify_grid(eq8, spec, use_oracle=True)
+    # 26 points' values, two per seed, for the grid's 25
+    assert str(info.value) == "oracle got 208 values on 'Eq8' for 25 points left, 8 each"
 
 
 # --- the verify command's fan-out: one job per identity, one pool -------------
@@ -898,7 +975,8 @@ def test_oracle_catches_a_wrong_shift(catalog, monkeypatch, mutate):
 
 def _oracle_mutant(monkeypatch, old, new):
     """verify's oracle replaced by fibkit.oracle with old changed to new in
-    its source."""
+    its source, and verify's grid entries by none, so that no grid keeps
+    evaluators the real oracle built."""
     path = Path(oracle.__file__)
     source = path.read_text(encoding="utf-8")
     assert source.count(old) == 1
@@ -906,6 +984,7 @@ def _oracle_mutant(monkeypatch, old, new):
     mutant.__package__ = "fibkit"
     exec(compile(source.replace(old, new), str(path), "exec"), mutant.__dict__)
     monkeypatch.setattr(fibkit, "oracle", mutant)
+    monkeypatch.setattr(verify, "_compile_cache", {})
 
 
 @pytest.mark.parametrize("old,new", [
