@@ -16,11 +16,14 @@ with the two seed combinations kept as formal scalars, so a PASS is
 universal over seeds as well. The seed scalars are two more symbols of
 the same Laurent polynomial. Each distinct F, L or G reference is built
 once per process, directly as its Binet monomials: two for F and L, four
-for G, and so is each constant; both are kept in bounded caches, and no
-polynomial is changed once made, so a proof reads the same whatever the
-process proved before. A sum expands with its index bound in place:
-indices and exponents are read with the values bound so far, never
-copied.
+for G, and so is each constant and each power of a polynomial. All three
+are kept in bounded caches. A kept power keeps the term products its
+square-and-multiply charged, and charges them again, in order, at each
+use. No polynomial is changed once made, so a proof, its charges and its
+refusals read the same whatever the process proved before. A sum expands
+with its index bound in place: indices and exponents are read with the
+values bound so far, never copied, and its terms are added into one
+polynomial.
 
 The difference of the two sides is built once. It is multilinear in the
 sign symbols, so it is zero exactly when it vanishes at every point of
@@ -50,7 +53,7 @@ from .expr import (
 )
 from .parser import MAX_DIGITS, _times
 from .report import Failure, VerifyReport
-from .zphi import SQRT5, GoldenInt, LaurentPoly, _power, _signed, phi_pow
+from .zphi import SQRT5, GoldenInt, LaurentPoly, _power, _signed, _sum, phi_pow
 
 __all__ = ["MAX_SUM_TERMS", "MAX_TERM_PRODUCTS", "prove_symbolic"]
 
@@ -65,13 +68,20 @@ MAX_TERM_PRODUCTS = 100_000
 _AXIS_NAMES = "XYZ"
 _SEED_NAMES = ("splus", "szero")
 
-# Entries each of the Binet and the constant cache holds at most. A Binet
-# polynomial whose index constant is past _CACHED_BITS in size, or a
-# constant with more bits than that, has numerators of thousands of digits
-# or more and is not kept past its proof, so the caches stay within a few
-# megabytes.
+# Entries each of the Binet, the constant and the power cache holds at
+# most. A Binet polynomial whose index constant is past _CACHED_BITS in
+# size, or a constant with more bits than that, has numerators of
+# thousands of digits or more and is not kept past its proof; nor is a
+# power whose base or result has more than _CACHED terms or a numerator
+# or denominator of more than _CACHED_BITS bits, so the caches stay
+# bounded.
 _CACHED = 256
 _CACHED_BITS = 4096
+
+# (base, exponent) -> the power and the term products its square-and-
+# multiply charged, one entry per product, in order. The base is keyed by
+# its whole content, and past _CACHED entries the oldest is dropped.
+_powers: dict[tuple, tuple[LaurentPoly, tuple[int, ...]]] = {}
 
 
 # --- index expressions ------------------------------------------------------
@@ -154,6 +164,14 @@ def _closed_value(poly: LaurentPoly, node: Node, env: Mapping[str, int]) -> int 
         raise InternalFault(f"{_brief(node, env)}: the closed base ({c})/{poly.den} "
                             f"is not an integer")
     return value
+
+
+def _small(poly: LaurentPoly) -> bool:
+    """Whether a power or its base is small enough to keep: at most _CACHED
+    terms, and no numerator or denominator over _CACHED_BITS bits."""
+    return (len(poly) <= _CACHED and poly.den.bit_length() <= _CACHED_BITS
+            and all(a.bit_length() <= _CACHED_BITS >= b.bit_length()
+                    for a, b in poly._terms.values()))
 
 
 class _Rewriter:
@@ -278,8 +296,29 @@ class _Rewriter:
                 raise SymbolicError(f"{_brief(node, env)}: the proof needs a constant "
                                     f"over the {MAX_DIGITS:,}-digit limit")
             return self.constant(value ** e)
-        return _power(base, e, self.constant(1),
-                      lambda a, b: self.product(a, b, node, env))
+        # multiplied out once per process: a kept power charges its products
+        # again, in order, so a proof's charges and refusals are the same
+        # whatever the process proved before
+        key = (base.nsyms, base.nsigns, base.den, base._width, base._reach,
+               tuple(base._terms.items()), e)
+        kept = _powers.get(key)
+        if kept is not None:
+            power, charges = kept
+            for products in charges:
+                self.charge(products, node, env)
+            return power
+        charges = []
+
+        def times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+            charges.append(len(a) * len(b))
+            return self.product(a, b, node, env)
+
+        power = _power(base, e, self.constant(1), times)
+        if _small(base) and _small(power):
+            if len(_powers) >= _CACHED:
+                del _powers[next(iter(_powers))]
+            _powers[key] = power, tuple(charges)
+        return power
 
     def binom_poly(self, node: Binom, env: Mapping[str, int]) -> LaurentPoly:
         top = _constant(node.top, "binom() argument", env)
@@ -302,12 +341,12 @@ class _Rewriter:
             raise SymbolicError(
                 f"{_brief(node, env)}: the proof needs more than "
                 f"{MAX_SUM_TERMS:,} summation terms")
-        acc = self.constant(0)
+        terms = []
         inner = dict(env)
         for k in range(lo, hi + 1):
             inner[node.var] = k
-            acc = acc + self.to_poly(node.body, inner)
-        return acc
+            terms.append(self.to_poly(node.body, inner))
+        return _sum(terms) if terms else self.constant(0)
 
 
 # How to_poly reads each node type.

@@ -826,8 +826,18 @@ class _Grid(NamedTuple):
 # seeds, for its one-point sweep, which runs on any point's tables. An
 # entry keeps the oracle's tables, inside its evaluators, from the grid's
 # first oracle call on; the sweep's F table is built per call, so the fast
-# path keeps no table per grid.
+# path keeps no table per grid. Past _CACHED entries the oldest is dropped.
 _compile_cache: dict[tuple, _Grid] = {}
+_CACHED = 256
+
+
+def _keep(key: tuple, grid: _Grid) -> _Grid:
+    """grid, entered in the cache under key, dropping the oldest entry
+    when the cache is full."""
+    if len(_compile_cache) >= _CACHED:
+        del _compile_cache[next(iter(_compile_cache))]
+    _compile_cache[key] = grid
+    return grid
 
 
 def _grid(identity: Identity, spec: GridSpec) -> _Grid:
@@ -841,8 +851,8 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
         # the loop order reads both sides first: a symbol with no value is
         # named as such, before the window analysis finds it has no range
         order, fixed = _loop_order(identity, spec, plans[0])
-        grid = _compile_cache[key] = _Grid(plans, order, fixed, _grid_window(identity, spec),
-                                           _reads_l(identity), {}, [])
+        grid = _keep(key, _Grid(plans, order, fixed, _grid_window(identity, spec),
+                                _reads_l(identity), {}, []))
     return grid
 
 
@@ -857,8 +867,8 @@ def _point_sweep(identity: Identity) -> tuple[Callable[..., None], bool]:
     key = (identity.lhs, identity.rhs, params)
     grid = _compile_cache.get(key)
     if grid is None:
-        grid = _compile_cache[key] = _Grid((_POINT,), params, len(params), None,
-                                           _reads_l(identity), {}, [])
+        grid = _keep(key, _Grid((_POINT,), params, len(params), None,
+                                _reads_l(identity), {}, []))
     return grid.sweep(identity, False, _POINT), grid.lucas
 
 

@@ -256,6 +256,20 @@ def _signed(naxes: int, signs: Sequence[int], value: int, den: int) -> LaurentPo
                  {key: (value, 0)} if value else {})
 
 
+def _sum(polys: Sequence[LaurentPoly]) -> LaurentPoly:
+    """The sum of one or more polynomials in the same symbols, added into
+    one dict: the first one's terms copied, in the widest fields and over
+    the lcm of the denominators, then each other one's added in."""
+    first = polys[0]
+    den = lcm(*[p.den for p in polys])
+    width = max([p._width for p in polys])
+    merged = dict(first._scaled(den, width))
+    for p in polys[1:]:
+        _accumulate(merged, p._scaled(den, width).items())
+    return _make(first.nsyms, first.nsigns, den, width, max([p._reach for p in polys]),
+                 merged)
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial in `nsyms` invertible symbols over Q(phi).
 
@@ -348,12 +362,7 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        den = self.den if self.den == other.den else lcm(self.den, other.den)
-        width = max(self._width, other._width)
-        merged = _accumulate(dict(self._scaled(den, width)),
-                             other._scaled(den, width).items())
-        return _make(self.nsyms, self.nsigns, den, width,
-                     max(self._reach, other._reach), merged)
+        return _sum((self, other))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):

@@ -12,7 +12,7 @@ from fibkit import (
 )
 from fibkit.expr import Lit, Mul, Pow, SeqRef, Sign, Sym
 from fibkit.verify import verify_grid
-from fibkit.zphi import PHI, GoldenInt, LaurentPoly
+from fibkit.zphi import PHI, GoldenInt, LaurentPoly, _make
 
 
 def test_eq14_passes_all_eight_parity_cases(catalog):
@@ -435,38 +435,55 @@ def test_cost_model_is_pinned_and_independent_of_the_caches(monkeypatch, catalog
     monkeypatch.setattr(symbolic._Rewriter, "charge", counting_charge)
     symbolic._binet.cache_clear()
     symbolic._scalar.cache_clear()
+    symbolic._powers.clear()
     cold = charges_by_entry()
-    warm = charges_by_entry()  # every Binet and constant polynomial cached
+    warm = charges_by_entry()  # every Binet, constant and power polynomial cached
     assert len(cold) == 57
     assert sum(count for count, _ in cold.values()) == 1_634
     assert sum(total for _, total in cold.values()) == 13_804  # before the width factor
     assert warm == cold
 
 
-def test_cached_polynomials_are_unchanged_by_the_proofs_that_use_them(catalog):
+def test_cached_polynomials_are_unchanged_by_the_proofs_that_use_them(catalog, monkeypatch):
+    def prove_all():
+        for entry in catalog:
+            assert prove_symbolic(entry, {p: 3 for p in entry.rank_params}).passed
+
     # in three free parameters: F(m), L(m), and the zero and the half every proof uses
     cached = [(symbolic._binet, ("F", 0, (1, 0, 0))), (symbolic._binet, ("L", 0, (1, 0, 0))),
               (symbolic._scalar, ((0, 0, 0), 0, 1)), (symbolic._scalar, ((0, 0, 0), 1, 2))]
     polys = [cache(*args) for cache, args in cached]
-    for entry in catalog:
-        assert prove_symbolic(entry, {p: 3 for p in entry.rank_params}).passed
+    # and every power the catalog raises at rank 3, kept by a first round of proofs
+    monkeypatch.setattr(symbolic, "_powers", {})
+    prove_all()
+    powers = {key: (power, dict(power._terms)) for key, (power, _) in symbolic._powers.items()}
+    assert powers
+    prove_all()
     for (cache, args), poly in zip(cached, polys):
         assert cache(*args) is poly
         fresh = cache.__wrapped__(*args)
         assert (poly.terms, poly.den) == (fresh.terms, fresh.den)
+    assert symbolic._powers.keys() == powers.keys()
+    for key, (power, terms) in powers.items():
+        assert symbolic._powers[key][0] is power and power._terms == terms
+        *shape, base_terms, e = key
+        fresh = _make(*shape, dict(base_terms)) ** e
+        assert (power.terms, power.den) == (fresh.terms, fresh.den)
 
 
 def test_caches_hold_at_most_their_cap(tmp_path, capsys):
-    # cap + 1 distinct F(m + k), and as many distinct constants k
+    # cap + 1 distinct F(m + k), as many distinct constants k, and as many powers F(m + k)^2
     cap = max(symbolic._binet.cache_info().maxsize, symbolic._scalar.cache_info().maxsize)
+    assert cap == symbolic._CACHED
     path = tmp_path / "many.cat"
     path.write_text(f"name: many\nparams: m\npaper: t\nidentity: "
-                    f"sum(k, 0, {cap}, F(m + k) + k*F(m)) == "
+                    f"sum(k, 0, {cap}, F(m + k) + k*F(m) + F(m + k)^2 - F(m + k)^2) == "
                     f"F(m + {cap + 2}) - F(m + 1) + {cap * (cap + 1) // 2}*F(m)\n")
     assert cli.main(["prove", "--file", str(path)]) == 0
     for cache in (symbolic._binet, symbolic._scalar):
         info = cache.cache_info()
         assert info.currsize == info.maxsize
+    assert len(symbolic._powers) == cap
 
 
 def test_large_polynomials_are_not_kept_past_their_proof(monkeypatch):
@@ -483,3 +500,44 @@ def test_large_polynomials_are_not_kept_past_their_proof(monkeypatch):
     # F(m + 1), 2 and the rest come from the caches; F(m + 5000) is built
     # once per proof, 2^5000 at each use
     assert built == [5000, 2 ** 5000, 2 ** 5000]
+
+
+def test_budget_refusals_are_the_same_with_a_cold_and_a_warm_power_cache(monkeypatch):
+    powers = parse_identity("F(m)^5 + L(m + 1)^3*F(m)^5 == F(m)^5 + L(m + 1)^3*F(m)^5",
+                            name="powers", params=("m",))
+    full = symbolic.MAX_TERM_PRODUCTS
+
+    def outcome(budget, warm):
+        monkeypatch.setattr(symbolic, "_powers", {})
+        if warm:  # every power kept by a proof under the full budget
+            assert prove_symbolic(powers).passed
+        monkeypatch.setattr(symbolic, "MAX_TERM_PRODUCTS", budget)
+        try:
+            return prove_symbolic(powers).passed
+        except SymbolicError as exc:
+            return str(exc)
+        finally:
+            monkeypatch.setattr(symbolic, "MAX_TERM_PRODUCTS", full)
+
+    # the proof charges 172 term products; each side raises both powers, and
+    # the second side's are kept from the first even in a cold cache
+    budgets = range(173)
+    cold = [outcome(budget, False) for budget in budgets]
+    assert [outcome(budget, True) for budget in budgets] == cold
+    assert cold[-1] is True and all(isinstance(text, str) for text in cold[:-1])
+    assert ({text.split(":")[0] for text in cold[:-1]}
+            == {"F(m)^5", "L(m + 1)^3", "L(m + 1)^3*F(m)^5"})
+
+
+@pytest.mark.parametrize("identity,kept", [
+    ("(2^1000*F(m))^2", 1),  # numerators of about 2,000 bits
+    ("(2^3000*F(m))^2", 0),  # a result with numerators past 4,096 bits
+    ("(2^5000*F(m))^2", 0),  # a base with numerators past 4,096 bits
+    ("F(m)^255", 1),         # 256 terms
+    ("F(m)^256", 0),         # 257 terms
+], ids=["small", "large-result", "large-base", "cap-terms", "past-cap-terms"])
+def test_large_powers_are_not_kept(monkeypatch, identity, kept):
+    monkeypatch.setattr(symbolic, "_powers", {})
+    power = parse_identity(f"{identity} == {identity}", name="power", params=("m",))
+    assert prove_symbolic(power).passed
+    assert len(symbolic._powers) == kept

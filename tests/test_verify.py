@@ -108,30 +108,43 @@ def test_hand_built_nested_sum_is_refused():
 
 
 def test_evaluation_paths_compile_once(monkeypatch):
-    # sides no other test uses, so every cache entry below is new
+    monkeypatch.setattr(verify, "_compile_cache", {})
     compiled = []
     source = verify._sweep_source
     monkeypatch.setattr(verify, "_sweep_source", lambda *args: compiled.append(args[0].name)
                         or source(*args))
     side = parse_expr("F(m + 77)*G(n - 5) + binom(m, n)")
-    before = len(verify._compile_cache)
     values = [eval_side(side, ParamPoint({"m": m, "n": n}, Seed(3, 7)))
               for m, n in ((1, 2), (-4, 6))]
     # one entry for the side's one-point sweep, whatever the point
-    assert len(verify._compile_cache) == before + 1 and compiled == ["eval_side"]
+    assert len(verify._compile_cache) == 1 and compiled == ["eval_side"]
     assert values == [oracle_eval(side, ParamPoint({"m": m, "n": n}, Seed(3, 7)))
                       for m, n in ((1, 2), (-4, 6))]
 
     bad = parse_identity("F(m + 55)^p == G(p - 55)", name="neg-pow", params=("m", "p"))
     seeds = (Seed(2, 1), F_SEED, Seed(3, 7), Seed(3, 7))
     spec = GridSpec({"m": (-3, 3), "p": (-2, 2)}, seeds)
-    before = len(verify._compile_cache)
     compiled.clear()
     with pytest.raises(EvalError, match=r"at point \(m=-3, p=-2\), seed Seed\(g0=2, g1=1\)$"):
         verify_grid(bad, spec)
-    # the grid's entry, with one sweep for the three per-seed passes, and the
-    # entry of the locator's one-point sweep
-    assert len(verify._compile_cache) == before + 2 and compiled == ["neg-pow"] * 2
+    # after eval_side's entry, the grid's, with one sweep for the three
+    # per-seed passes, and the entry of the locator's one-point sweep
+    assert len(verify._compile_cache) == 3 and compiled == ["neg-pow"] * 2
+
+
+def test_compile_cache_holds_at_most_its_cap(monkeypatch):
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    step = parse_identity("F(m + 2) == F(m + 1) + F(m)", name="step", params=("m",))
+    specs = [GridSpec({"m": (i, i)}, (F_SEED,)) for i in range(verify._CACHED + 1)]
+    assert verify_grid(step, specs[0]).passed
+    first = next(iter(verify._compile_cache))
+    for spec in specs[1:]:
+        assert verify_grid(step, spec).passed
+    keys = list(verify._compile_cache)
+    assert len(keys) == verify._CACHED and first not in keys  # the oldest was dropped
+    # verifying the first grid again enters it anew, in place of the next oldest
+    assert verify_grid(step, specs[0]).passed
+    assert list(verify._compile_cache) == [*keys[1:], first]
 
 
 # --- verify_grid -------------------------------------------------------------
