@@ -2,12 +2,12 @@
 
 Everything here is recomputed from first principles: sequence values come
 from stepping the recurrence one index at a time (forwards and backwards
-from the seed pair), powers from repeated multiplication (math.prod over
-repeat(base, exponent), never the ** operator), and binomial coefficients
-from Pascal's rule. This module deliberately imports only AST node types
-and the neutral interval analysis; it shares no arithmetic with seq,
-zphi, or verify, so differential disagreement always exposes a real bug
-on one side.
+from the seed pair, out to the farthest index read so far), powers from
+repeated multiplication (math.prod over repeat(base, exponent), never the
+** operator), and binomial coefficients from Pascal's rule. This module
+deliberately imports only AST node types and errors: it shares no
+arithmetic with seq, zphi, or verify, and no analysis sizes its tables,
+so differential disagreement always exposes a real bug on one side.
 
 An evaluator works on columns: given a batch of points, one list of
 values per parameter, it gives a side's values at each point on every
@@ -43,7 +43,6 @@ from .expr import (
     Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
     free_symbols,
 )
-from .ranges import index_window, merge_windows, point_intervals
 
 if TYPE_CHECKING:  # types only; no runtime dependency on the fast paths
     from .seq import Seed
@@ -54,23 +53,35 @@ __all__ = [
 ]
 
 
-def recurrence_table(g0: int, g1: int, lo: int, hi: int) -> dict[int, int]:
-    """Index-to-value map for the seeded recurrence over lo..hi inclusive.
+class _Recurrence(dict):
+    """Index-to-value map for the recurrence seeded G(0) = g0, G(1) = g1,
+    holding one run of indices around the seed. A missing index is stepped
+    to from the nearer end of the run, by G(n+2) = G(n+1) + G(n) forwards
+    and G(n) = G(n+2) - G(n+1) backwards, and the run grows to it; an index
+    already held is read as from any dict."""
 
-    Built solely by stepping G(n+2) = G(n+1) + G(n) forwards from the seed
-    and G(n) = G(n+2) - G(n+1) backwards from it.
-    """
+    def __init__(self, g0: int, g1: int):
+        super().__init__(((0, g0), (1, g1)))
+        self.lo, self.hi = 0, 1
+
+    def __missing__(self, index: int) -> int:
+        if index > self.hi:
+            for i in range(self.hi + 1, index + 1):
+                self[i] = self[i - 1] + self[i - 2]
+            self.hi = index
+        else:
+            for i in range(self.lo - 1, index - 1, -1):
+                self[i] = self[i + 2] - self[i + 1]
+            self.lo = index
+        return self[index]
+
+
+def recurrence_table(g0: int, g1: int, lo: int, hi: int) -> dict[int, int]:
+    """Index-to-value map for the seeded recurrence over lo..hi inclusive,
+    stepped from the seed."""
     if lo > hi:
         raise ValueError(f"recurrence_table requires lo <= hi, got {lo} > {hi}")
-    values = {0: g0, 1: g1}
-    a, b = g0, g1
-    for i in range(2, hi + 1):
-        a, b = b, a + b
-        values[i] = b
-    a, b = g0, g1
-    for i in range(-1, lo - 1, -1):
-        a, b = b - a, a
-        values[i] = a
+    values = _Recurrence(g0, g1)
     return {i: values[i] for i in range(lo, hi + 1)}
 
 
@@ -108,18 +119,14 @@ def pascal_binom(n: int, k: int) -> int:
 
 
 class OracleTables:
-    """Recurrence tables over indices lo..hi for F, L and each distinct
-    seed's G, in the order the seeds are first listed.
+    """Recurrence tables for F, L and each distinct seed's G, in the order
+    the seeds are first listed. Each holds the run of indices from its
+    seed out to the farthest one read so far, and grows on a miss."""
 
-    The window must cover every index any checked expression touches;
-    ranges.index_window computes that from the AST and the grid.
-    """
-
-    def __init__(self, lo: int, hi: int, seeds: tuple["Seed", ...]):
-        self.fib = recurrence_table(0, 1, lo, hi)
-        self.lucas = recurrence_table(2, 1, lo, hi)
-        self.gen = {s: recurrence_table(s.g0, s.g1, lo, hi)
-                    for s in dict.fromkeys(seeds)}
+    def __init__(self, seeds: tuple["Seed", ...]):
+        self.fib = _Recurrence(0, 1)
+        self.lucas = _Recurrence(2, 1)
+        self.gen = {s: _Recurrence(s.g0, s.g1) for s in dict.fromkeys(seeds)}
 
     def select(self, seeds: Iterable["Seed"]) -> "OracleTables":
         """The same tables, with G for the distinct ones of seeds only,
@@ -131,10 +138,7 @@ class OracleTables:
 
 def oracle_eval(ast: Node, pt: "ParamPoint") -> int:
     """Evaluate one identity side at a point using only naive machinery."""
-    window = merge_windows(index_window(ast, point_intervals(pt.values)), (0, 1))
-    assert window is not None
-    tables = OracleTables(window[0], window[1], (pt.seed,))
-    return evaluator(ast, tables)(dict(pt.values))[0]
+    return evaluator(ast, OracleTables((pt.seed,)))(dict(pt.values))[0]
 
 
 Columns = Mapping[str, Sequence[int]]
@@ -269,26 +273,14 @@ def _build(node: Node, seqs: Mapping[str, Mapping[int, int]],
             return list(map(prod, map(repeat, factor, times)))
         return power, per_seed
     if isinstance(node, SeqRef):
-        kind, arg = node.kind, _index(node.arg, seqs, gens)
-
-        def missing(exc: KeyError) -> EvalError:
-            return EvalError(f"oracle table window misses index {exc.args[0]} for {kind}")
-        if kind == "G":
+        arg = _index(node.arg, seqs, gens)
+        if node.kind == "G":
             def lookup_each(cols: Columns, size: int) -> list[list[int]]:
                 idx = arg(cols, size)
-                try:
-                    return [list(map(values.__getitem__, idx)) for values in gens]
-                except KeyError as exc:
-                    raise missing(exc) from None
+                return [list(map(values.__getitem__, idx)) for values in gens]
             return lookup_each, True
-        values = seqs[kind]
-
-        def lookup(cols: Columns, size: int) -> list[int]:
-            try:
-                return list(map(values.__getitem__, arg(cols, size)))
-            except KeyError as exc:
-                raise missing(exc) from None
-        return lookup, False
+        values = seqs[node.kind]
+        return lambda cols, size: list(map(values.__getitem__, arg(cols, size))), False
     if isinstance(node, Binom):
         top, bottom = _index(node.top, seqs, gens), _index(node.bottom, seqs, gens)
         # a batch walks Pascal's rule once per distinct pair of arguments,

@@ -72,11 +72,17 @@ _SEED_NAMES = ("splus", "szero")
 # most. A Binet polynomial whose index constant is past _CACHED_BITS in
 # size, or a constant with more bits than that, has numerators of
 # thousands of digits or more and is not kept past its proof; nor is a
-# power whose base or result has more than _CACHED terms or a numerator
-# or denominator of more than _CACHED_BITS bits, so the caches stay
-# bounded.
+# power whose base or result has more than _KEPT_TERMS terms, or more
+# than _KEPT_BITS bits in all its numerators and its denominator, so the
+# caches stay bounded. At those bounds a kept power's entry, its key
+# included, takes at most about 33 KB, and _CACHED of them 8.2 MB
+# (tracemalloc; base and power of 64 terms with 128-bit numerators, in
+# up to 40 symbols with exponents up to a million); the catalog's powers
+# hold at most 8 terms and 193 bits.
 _CACHED = 256
 _CACHED_BITS = 4096
+_KEPT_TERMS = 64
+_KEPT_BITS = 16_384
 
 # (base, exponent) -> the power and the term products its square-and-
 # multiply charged, one entry per product, in order. The base is keyed by
@@ -167,11 +173,11 @@ def _closed_value(poly: LaurentPoly, node: Node, env: Mapping[str, int]) -> int 
 
 
 def _small(poly: LaurentPoly) -> bool:
-    """Whether a power or its base is small enough to keep: at most _CACHED
-    terms, and no numerator or denominator over _CACHED_BITS bits."""
-    return (len(poly) <= _CACHED and poly.den.bit_length() <= _CACHED_BITS
-            and all(a.bit_length() <= _CACHED_BITS >= b.bit_length()
-                    for a, b in poly._terms.values()))
+    """Whether a power or its base is small enough to keep: at most
+    _KEPT_TERMS terms, and at most _KEPT_BITS bits in its numerators and
+    its denominator together."""
+    return len(poly) <= _KEPT_TERMS and poly.den.bit_length() + sum(
+        a.bit_length() + b.bit_length() for a, b in poly._terms.values()) <= _KEPT_BITS
 
 
 class _Rewriter:

@@ -25,17 +25,18 @@ passes without a walk; with the oracle, every line is walked, so it
 sees every point and seed. The oracle's sweep makes no call per check:
 it appends each point's values for every seed to one flat list, and a
 batch of points at a time is compared with the oracle's values, laid
-out alike, as one list. A sweep reads one F table, over the grid's index
-window from one interval analysis (which sizes the oracle's tables too):
-G on the basis seeds is F one index back and F itself, and L and a
+out alike, as one list. Each side is read once into a term tree whose
+nodes hold what the plans, the loop order, the grid's index window and
+every sweep's code read. A sweep reads one F table over that window: G
+on the basis seeds is F one index back and F itself, and L and a
 per-seed pass's G are tables derived from it as g0*F(e - 1) + g1*F(e).
-A grid's plans, loop order, index window, whether it reads L, compiled
-sweeps and, once an oracle call has built them, the oracle's evaluators
-over its own tables are kept in one entry per identity and grid; the
-sweep's F table is built anew on every call. The sweep is the only
-generated code: a side's value at one point is the one-point sweep of
-side == 0, and an evaluation error is located point by point with one
-compiled one-point sweep. All arithmetic is unbounded int; a PASS means
+A grid's trees, plans, loop order, index window, compiled sweeps and,
+once an oracle call has built them, the oracle's evaluators over its
+own tables are kept in one entry per identity and grid; the sweep's F
+table is built anew on every call. The sweep is the only generated
+code: a side's value at one point is the one-point sweep of side == 0,
+and an evaluation error is located point by point with one compiled
+one-point sweep. All arithmetic is unbounded int; a PASS means
 exact equality at every point and seed.
 """
 
@@ -43,18 +44,18 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import lru_cache
 from math import comb, prod
 from typing import (
-    Any, Callable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
+    Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
 )
 
 from .catalog import Identity
 from .errors import EvalError, GridError, InternalFault
 from .expr import (
-    Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    affine, children, iter_nodes,
+    SEQ_KINDS, Add, Binom, Lit, Mul, Neg, Node, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
+    affine, children,
 )
-from .ranges import Interval, expr_interval, index_window, merge_windows, point_intervals
 from .record import Record
 from .report import Failure, VerifyReport
 from .seq import FIB_SEED, LUCAS_SEED, Seed, table
@@ -65,6 +66,8 @@ __all__ = [
 ]
 
 STANDARD_SEEDS = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5))
+
+Interval = tuple[int, int]  # inclusive bounds
 
 
 class ParamPoint(Record):
@@ -182,18 +185,16 @@ def _derived(f_tab: dict[int, int], seed: Seed) -> dict[int, int]:
     return {e: g0 * f_tab[e - 1] + g1 * f for e, f in f_tab.items() if e - 1 in f_tab}
 
 
-def _tables(window: Interval | None, lucas: bool) -> tuple[dict[int, int], dict[int, int]]:
+def _tables(window: Interval | None, sides: Sequence[_Term],
+            ) -> tuple[dict[int, int], dict[int, int]]:
     """F from two below window, the lowest index a value derived at a shift
-    plan's s = lo - 1 reads, to its top; and, when lucas, L derived from it."""
+    plan's s = lo - 1 reads, to its top; and, when a side reads L, L derived
+    from it."""
     if window is None:
         return {}, {}
     f_tab = table(FIB_SEED, window[0] - 2, window[1])
+    lucas = any("L" in side.kinds for side in sides)
     return f_tab, _derived(f_tab, LUCAS_SEED) if lucas else {}
-
-
-def _reads_l(identity: Identity) -> bool:
-    return any(isinstance(node, SeqRef) and node.kind == "L"
-               for side in (identity.lhs, identity.rhs) for node in iter_nodes(side))
 
 
 # --- grid sweeps ------------------------------------------------------------
@@ -222,68 +223,121 @@ _MAX_LOOPS = 19
 # past it the parameters loop in declared order.
 _MAX_SEARCH = 6
 
-def _degree(node: Node, counted: Callable[[SeqRef], bool]) -> int | None:
-    """The degree of node in the sequence refs that counted picks, 0 or 1,
-    or None when it is not homogeneous (a sum of terms with different
-    numbers of counted factors, or a term with two or more). The parser
-    keeps sequence refs out of every index, bound and exponent, so only
-    these nodes can carry a counted factor."""
-    if isinstance(node, SeqRef):
-        return 1 if counted(node) else 0
-    if isinstance(node, (Add, Sub)):
-        left = _degree(node.left, counted)
-        return left if left == _degree(node.right, counted) else None
-    if isinstance(node, Neg):
-        return _degree(node.operand, counted)
-    if isinstance(node, Sum):
-        return _degree(node.body, counted)
-    if isinstance(node, Mul):
-        left, right = _degree(node.left, counted), _degree(node.right, counted)
-        if left is None or right is None or left + right > 1:
-            return None
-        return left + right
-    if isinstance(node, Pow):
-        return 0 if _degree(node.base, counted) == 0 else None
-    return 0  # literals, symbols, binom, sign, pow5floor
+class _Term(NamedTuple):
+    """One subexpression occurrence and the facts that plan its grid.
+
+    deps holds the parameters it reads and, inside a sum body, those its
+    sum's bounds read, since a body term is computed only once its sum's
+    range is known. kdep says whether it reads the summation index. reads
+    holds every symbol it reads, a summation index included, and a sum
+    reads its own index; kinds holds the sequence kinds it reads. degree
+    is its degree in G, 0 or 1, or None when it is not homogeneous (a sum
+    of terms with different numbers of G factors, or a term with two or
+    more). g_shift holds each parameter s along which it is linear in G
+    refs at s + (terms that do not read s), reading s nowhere else, and
+    fl_shift the same for F and L refs (see _shift_axis). form is a
+    sequence ref's index as expr.affine reads it, else None.
+    """
+
+    node: Node
+    deps: frozenset[str]
+    kdep: bool
+    reads: frozenset[str]
+    kinds: frozenset[str]
+    degree: int | None
+    g_shift: frozenset[str]
+    fl_shift: frozenset[str]
+    form: tuple[int, dict[str, int], frozenset[str]] | None
+    args: tuple["_Term", ...]
 
 
-def _is_g(ref: SeqRef) -> bool:
-    return ref.kind == "G"
+_NONE: frozenset[str] = frozenset()
+_KINDS = {kind: frozenset((kind,)) for kind in SEQ_KINDS}
 
 
-def _shifted(ref: SeqRef, s: str) -> bool:
-    """Whether ref's index is s plus terms that do not read s."""
-    _, coeffs, rest = affine(ref.arg)
-    return coeffs.get(s) == 1 and s not in rest
+@lru_cache(maxsize=1024)
+def _shared(names: frozenset[str]) -> frozenset[str]:
+    """The one kept set equal to names: a tree holds several sets per term,
+    and the trees of a process share them."""
+    return names
 
 
-def _reads_only_shifted(node: Node, s: str, kinds: str) -> bool:
-    """Whether node reads s nowhere but in the indices of sequence refs of
-    kinds, each s plus terms that do not read s."""
-    if isinstance(node, SeqRef) and node.kind in kinds and _shifted(node, s):
-        return True
-    if isinstance(node, Sym):
-        return node.name != s
-    if isinstance(node, Sum) and node.var == s:
-        return False
-    return all(_reads_only_shifted(child, s, kinds) for child in children(node))
+def _terms(node: Node, params: Sequence[str],
+           body: tuple[str, frozenset[str]] | None = None) -> _Term:
+    """The term tree of a side; body is (index name, bounds' deps) in a sum.
+
+    A shift set follows the one rule that makes it exact: a ref of its
+    kinds gives each s with coefficient 1 outside its index's rest, + and
+    - keep what all operands keep, a product keeps each factor's set less
+    what the other factor reads, and a sum drops its index and what its
+    bounds read. Every other node, a power's included, keeps none. The
+    parser keeps sequence refs out of every index, bound and exponent, so
+    only these nodes can carry a ref."""
+    floor = body[1] if body else _NONE
+    kind = type(node)
+    if kind is Lit:
+        return _Term(node, floor, False, _NONE, _NONE, 0, _NONE, _NONE, None, ())
+    if kind is Sym:
+        reads = _shared(frozenset((node.name,)))
+        if body and node.name == body[0]:
+            return _Term(node, floor, True, reads, _NONE, 0, _NONE, _NONE, None, ())
+        if node.name not in params:
+            raise EvalError(f"symbol '{node.name}' has no value")
+        return _Term(node, _shared(floor | reads), False, reads, _NONE, 0, _NONE, _NONE, None, ())
+    if kind is Sum:
+        if body is not None:  # the parser refuses these; only a hand-built AST has one
+            raise EvalError("nested sums are not supported")
+        lo, hi = _terms(node.lo, params), _terms(node.hi, params)
+        inner = _terms(node.body, params, (node.var, lo.deps | hi.deps))
+        hidden = lo.reads | hi.reads | {node.var}
+        return _Term(node, inner.deps, False, inner.reads | hidden, inner.kinds, inner.degree,
+                     inner.g_shift - hidden, inner.fl_shift - hidden, None, (lo, hi, inner))
+    # every other node has one or two children, whose deps hold floor
+    args = tuple(_terms(child, params, body) for child in children(node))
+    first, second = args[0], args[-1]
+    deps, reads = _shared(first.deps | second.deps), _shared(first.reads | second.reads)
+    kdep, kinds = first.kdep or second.kdep, _shared(first.kinds | second.kinds)
+    if kind is SeqRef:
+        form = affine(node.arg)
+        _, coeffs, rest = form
+        shift = _shared(frozenset(s for s, c in coeffs.items() if c == 1 and s not in rest))
+        g = node.kind == "G"
+        return _Term(node, deps, kdep, reads, _KINDS[node.kind], int(g),
+                     shift if g else _NONE, _NONE if g else shift, form, args)
+    if not kinds:  # an index, or a term of indices: no sequence ref below
+        return _Term(node, deps, kdep, reads, kinds, 0, _NONE, _NONE, None, args)
+    if kind is Add or kind is Sub or kind is Neg:
+        degree = first.degree if first.degree == second.degree else None
+        g_shift = _shared(first.g_shift & second.g_shift)
+        fl_shift = _shared(first.fl_shift & second.fl_shift)
+    elif kind is Mul:
+        degree = None if first.degree is None or second.degree is None \
+            or first.degree + second.degree > 1 else first.degree + second.degree
+        g_shift = _shared((first.g_shift - second.reads) | (second.g_shift - first.reads))
+        fl_shift = _shared((first.fl_shift - second.reads) | (second.fl_shift - first.reads))
+    else:  # a power
+        degree = 0 if first.degree == 0 else None
+        g_shift = fl_shift = _NONE
+    return _Term(node, deps, kdep, reads, kinds, degree, g_shift, fl_shift, None, args)
 
 
-def _shift_axis(identity: Identity, spec: GridSpec, kinds: str) -> str | None:
-    """The first parameter s that takes more than one value and in which
-    each additive term of both sides has exactly one factor of kinds at
-    s + (terms that do not read s), s being read nowhere else; None when
-    there is none. Such a side is a fixed linear combination of values
-    X(s + d) of sequences that obey X(s + 1) = X(s) + X(s - 1), so it
-    obeys that recurrence along s."""
-    for p in identity.free_params:
-        lo, hi = spec.ranges[p]
-        if lo < hi and all(
-                _reads_only_shifted(side, p, kinds)
-                and _degree(side, lambda ref: ref.kind in kinds and _shifted(ref, p)) == 1
-                for side in (identity.lhs, identity.rhs)):
-            return p
-    return None
+def _sides(identity: Identity) -> tuple[_Term, _Term]:
+    """The term trees of both sides, each built once per grid entry."""
+    params = identity.free_params
+    return _terms(identity.lhs, params), _terms(identity.rhs, params)
+
+
+def _shift_axis(identity: Identity, spec: GridSpec, sets: Sequence[frozenset[str]],
+                ) -> str | None:
+    """The first parameter s that takes more than one value and is in both
+    sides' shift sets: each additive term of both sides has exactly one
+    factor of the set's kinds at s + (terms that do not read s), s being
+    read nowhere else; None when there is none. Such a side is a fixed
+    linear combination of values X(s + d) of sequences that obey
+    X(s + 1) = X(s) + X(s - 1), so it obeys that recurrence along s."""
+    both = sets[0] & sets[1]
+    return next((p for p in identity.free_params
+                 if p in both and spec.ranges[p][0] < spec.ranges[p][1]), None)
 
 
 class _Plan(NamedTuple):
@@ -309,7 +363,7 @@ class _Plan(NamedTuple):
     shift: str | None = None
 
 
-def _plans(identity: Identity, spec: GridSpec) -> list[_Plan]:
+def _plans(identity: Identity, spec: GridSpec, sides: Sequence[_Term]) -> list[_Plan]:
     """The passes that cover every requested seed: one pass for all seeds
     when neither side reads G, one on the basis when both sides are linear
     in G and there are at least two distinct seeds, else one pass per
@@ -321,56 +375,77 @@ def _plans(identity: Identity, spec: GridSpec) -> list[_Plan]:
     factors, F and L reading no s (see _shift_axis).
     """
     seeds = spec.seeds
-    degrees = {_degree(identity.lhs, _is_g), _degree(identity.rhs, _is_g)}
+    degrees = {side.degree for side in sides}
     if degrees == {0}:
-        return [_Plan(False, None, tuple(range(len(seeds))), _shift_axis(identity, spec, "FL"))]
+        shift = _shift_axis(identity, spec, [side.fl_shift for side in sides])
+        return [_Plan(False, None, tuple(range(len(seeds))), shift)]
     groups: dict[Seed, list[int]] = {}
     for i, seed in enumerate(seeds):
         groups.setdefault(seed, []).append(i)
     if degrees == {1} and len(groups) >= 2:  # as many as basis seeds
         coeffs = tuple((i, s.g0, s.g1) for i, s in enumerate(seeds))
-        return [_Plan(True, None, coeffs, _shift_axis(identity, spec, "G"))]
+        return [_Plan(True, None, coeffs,
+                      _shift_axis(identity, spec, [side.g_shift for side in sides]))]
     return [_Plan(False, seed, tuple(group)) for seed, group in groups.items()]
 
 
-class _Term(NamedTuple):
-    """One subexpression occurrence and what it reads.
-
-    deps holds the parameters it reads and, inside a sum body, those its
-    sum's bounds read, since a body term is computed only once its sum's
-    range is known. kdep says whether it reads the summation index, and
-    g whether it reads G.
-    """
-
-    node: Node
-    deps: frozenset[str]
-    kdep: bool
-    g: bool
-    args: tuple["_Term", ...]
-
-
-def _terms(node: Node, params: Sequence[str],
-           body: tuple[str, frozenset[str]] | None = None) -> _Term:
-    """The term tree of a side; body is (index name, bounds' deps) in a sum."""
-    floor = body[1] if body else frozenset()
+def _interval(node: Node, env: Mapping[str, Interval]) -> Interval:
+    """Bounds of an index expression over the parameter box env."""
     if isinstance(node, Lit):
-        return _Term(node, floor, False, False, ())
+        return (node.value, node.value)
     if isinstance(node, Sym):
-        if body and node.name == body[0]:
-            return _Term(node, floor, True, False, ())
-        if node.name not in params:
-            raise EvalError(f"symbol '{node.name}' has no value")
-        return _Term(node, floor | {node.name}, False, False, ())
-    if isinstance(node, Sum):
-        if body is not None:  # the parser refuses these; only a hand-built AST has one
-            raise EvalError("nested sums are not supported")
-        lo, hi = _terms(node.lo, params), _terms(node.hi, params)
-        inner = _terms(node.body, params, (node.var, lo.deps | hi.deps))
-        return _Term(node, inner.deps, False, inner.g, (lo, hi, inner))
-    args = tuple(_terms(child, params, body) for child in children(node))
-    deps = floor.union(*(a.deps for a in args))
-    reads_g = (isinstance(node, SeqRef) and node.kind == "G") or any(a.g for a in args)
-    return _Term(node, deps, any(a.kdep for a in args), reads_g, args)
+        try:
+            return env[node.name]
+        except KeyError:
+            raise EvalError(f"no range for parameter '{node.name}'") from None
+    if isinstance(node, Neg):
+        a, b = _interval(node.operand, env)
+        return (-b, -a)
+    if not isinstance(node, (Add, Sub, Mul)):
+        raise EvalError(f"cannot bound non-index expression node {type(node).__name__}")
+    (a, b), (c, d) = _interval(node.left, env), _interval(node.right, env)
+    if isinstance(node, Add):
+        return (a + c, b + d)
+    if isinstance(node, Sub):
+        return (a - d, b - c)
+    corners = (a * c, a * d, b * c, b * d)
+    return (min(corners), max(corners))
+
+
+def _window(terms: Iterable[_Term], env: Mapping[str, Interval]) -> Interval | None:
+    """Bounds on every sequence index the terms read over the box env;
+    None when they read none."""
+    ends = list(_bounds(terms, env))
+    return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else None
+
+
+def _bounds(terms: Iterable[_Term], env: Mapping[str, Interval]) -> Iterator[Interval]:
+    """The bounds of each sequence index the terms read over the box env.
+
+    An index reads as const + sum(c * s) + R, with each symbol's bounds
+    counted once, so a symbol read twice cancels; when R, a product of two
+    symbol-reading factors, is there, interval arithmetic bounds the whole
+    index. A summation index ranges over its bounds' intervals, and a sum
+    that is empty over the whole box reads nothing.
+    """
+    for term in terms:
+        node = term.node
+        if term.form is not None:
+            bounds = _interval(node.arg, env)  # raises on a symbol with no range
+            const, coeffs, rest = term.form
+            if not rest:
+                lo = hi = const
+                for name, c in coeffs.items():
+                    a, b = env[name]
+                    lo, hi = lo + min(c * a, c * b), hi + max(c * a, c * b)
+                bounds = lo, hi
+            yield bounds
+        elif isinstance(node, Sum):
+            lo, hi = _interval(node.lo, env)[0], _interval(node.hi, env)[1]
+            if lo <= hi:
+                yield from _bounds(term.args[2:], {**env, node.var: (lo, hi)})
+        elif term.kinds:
+            yield from _bounds(term.args, env)
 
 
 def _evaluations(term: _Term, env: Mapping[str, Interval], pairs: int,
@@ -380,12 +455,12 @@ def _evaluations(term: _Term, env: Mapping[str, Interval], pairs: int,
     that reads G once per pair of sides."""
     if isinstance(term.node, (Lit, Sym)):
         return
-    yield term.deps, (k_count if term.kdep else 1) * (pairs if term.g else 1)
+    yield term.deps, (k_count if term.kdep else 1) * (pairs if "G" in term.kinds else 1)
     if isinstance(term.node, Sum):
         lo, hi, inner = term.args
         yield from _evaluations(lo, env, pairs)
         yield from _evaluations(hi, env, pairs)
-        span = expr_interval(term.node.hi, env)[1] - expr_interval(term.node.lo, env)[0]
+        span = _interval(term.node.hi, env)[1] - _interval(term.node.lo, env)[0]
         yield from _evaluations(inner, env, pairs, max(1, span + 1))
     else:
         for arg in term.args:
@@ -397,8 +472,8 @@ def _axis(spec: GridSpec, param: str) -> range:
     return range(lo, hi + 1)
 
 
-def _loop_order(identity: Identity, spec: GridSpec,
-                plan: _Plan) -> tuple[tuple[str, ...], int]:
+def _loop_order(identity: Identity, spec: GridSpec, plan: _Plan,
+                sides: Sequence[_Term]) -> tuple[tuple[str, ...], int]:
     """The parameters, outermost first, and how many of them lead as fixed
     values before the first loop.
 
@@ -420,8 +495,8 @@ def _loop_order(identity: Identity, spec: GridSpec,
     pairs = 2 if plan.basis and not plan.shift else 1
     env = {p: spec.ranges[p] for p in params}
     weights: dict[frozenset[str], int] = {}
-    for side in (identity.lhs, identity.rhs):
-        for deps, count in _evaluations(_terms(side, params), env, pairs):
+    for side in sides:
+        for deps, count in _evaluations(side, env, pairs):
             key = deps.intersection(loops)
             weights[key] = weights.get(key, 0) + count
 
@@ -583,9 +658,9 @@ class _SweepWriter:
         return tuple((self.temp(code, own[0], body), {}) for code, _ in codes)
 
 
-def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
-                  oracle: bool, basis: bool, shift: str | None) -> str:
-    params = identity.free_params
+def _sweep_source(identity: Identity, grid: _Grid, oracle: bool, plan: _Plan) -> str:
+    params, order, fixed = identity.free_params, grid.order, grid.fixed
+    basis, shift = plan.basis, plan.shift
     names = {p: f"v{i}" for i, p in enumerate(params)}
     if shift:  # pair j at the start value _sj of each line: lo - 1, then lo
         pairs = [(False, {**names, shift: f"_s{j}"}) for j in range(2)]
@@ -593,8 +668,7 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
         pairs = [(True, names), (False, names)] if basis else [(False, names)]
     writer = _SweepWriter(order, pairs, shift)
     start = len(order) - 1 if shift else len(order)
-    lhs, rhs = (writer.place(_terms(side, params), (start, False), None)
-                for side in (identity.lhs, identity.rhs))
+    lhs, rhs = (writer.place(side, (start, False), None) for side in grid.sides)
     for j in range(len(pairs)):
         writer.lines[start] += [f"_l{j} = {lhs[j][0]}", f"_r{j} = {rhs[j][0]}"]
     last = writer.lines[-1]
@@ -646,19 +720,6 @@ def _sweep_source(identity: Identity, order: tuple[str, ...], fixed: int,
     return "\n".join(out) + "\n"
 
 
-def _compile_sweep(identity: Identity, order: tuple[str, ...], fixed: int,
-                   oracle: bool, plan: _Plan) -> Callable[..., None]:
-    """fn(*axes, F, L, G, seeds, failures, check) running one pass of
-    plan's kind over the grid; axes are the ranges of order's parameters.
-    With oracle, check is (held, cap, flush): the sweep appends every
-    point's two values for every seed to the list held, and calls flush()
-    after a point's last seed once held has cap values or more."""
-    source = _sweep_source(identity, order, fixed, oracle, plan.basis, plan.shift)
-    scope: dict[str, Any] = {}
-    exec(compile(source, "<fibkit>", "exec"), dict(_COMPILE_GLOBALS), scope)
-    return scope["_sweep"]
-
-
 # --- grid verification -----------------------------------------------------
 
 def _check_spec_covers(identity: Identity, spec: GridSpec) -> None:
@@ -679,14 +740,6 @@ def _grid_desc(identity: Identity, spec: GridSpec) -> dict[str, Any]:
         "ranges": {p: list(spec.ranges[p]) for p in identity.free_params},
         "seeds": [[s.g0, s.g1] for s in spec.seeds],
     }
-
-
-def _grid_window(identity: Identity, spec: GridSpec) -> Interval | None:
-    """Bounds on every sequence index either side reads anywhere on the
-    grid, from one interval analysis; None when neither side reads one."""
-    env = {p: spec.ranges[p] for p in identity.free_params}
-    return merge_windows(index_window(identity.lhs, env),
-                         index_window(identity.rhs, env))
 
 
 # A sweep hands its oracle checks over in a list that is compared once it
@@ -786,8 +839,7 @@ def _oracle_sides(identity: Identity, spec: GridSpec, grid: _Grid) -> list[tuple
     evaluation."""
     from . import oracle
 
-    lo, hi = merge_windows(grid.window, (0, 1))
-    tables = oracle.OracleTables(lo, hi, spec.seeds)
+    tables = oracle.OracleTables(spec.seeds)
 
     def plan_sides(plan: _Plan) -> tuple:
         indices = [s if isinstance(s, int) else s[0] for s in plan.seeds]
@@ -800,24 +852,33 @@ def _oracle_sides(identity: Identity, spec: GridSpec, grid: _Grid) -> list[tuple
 
 class _Grid(NamedTuple):
     """What a grid's verification keeps: its plans, its loop order, how
-    many of its parameters lead fixed, its index window, whether it reads
-    L, its sweeps, compiled on first use per oracle flag and pass, and
-    what the first oracle call built for each plan (see _oracle_sides)."""
+    many of its parameters lead fixed, its index window, both sides' term
+    trees, its sweeps, compiled from those trees on first use per oracle
+    flag and pass, and what the first oracle call built for each plan (see
+    _oracle_sides)."""
 
     plans: tuple[_Plan, ...]
     order: tuple[str, ...]
     fixed: int
     window: Interval | None
-    lucas: bool
+    sides: tuple[_Term, _Term]
     sweeps: dict[tuple, Callable[..., None]]
     oracle_sides: list[tuple]
 
     def sweep(self, identity: Identity, oracle: bool, plan: _Plan) -> Callable[..., None]:
+        """fn(*axes, F, L, G, seeds, failures, check) running one pass of
+        plan's kind over the grid, compiled once; axes are the ranges of
+        order's parameters. With oracle, check is (held, cap, flush): the
+        sweep appends every point's two values for every seed to the list
+        held, and calls flush() after a point's last seed once held has cap
+        values or more."""
         key = (oracle, plan.basis, plan.shift)
         fn = self.sweeps.get(key)
         if fn is None:
-            fn = _compile_sweep(identity, self.order, self.fixed, oracle, plan)
-            self.sweeps[key] = fn
+            scope: dict[str, Any] = {}
+            exec(compile(_sweep_source(identity, self, oracle, plan), "<fibkit>", "exec"),
+                 dict(_COMPILE_GLOBALS), scope)
+            fn = self.sweeps[key] = scope["_sweep"]
         return fn
 
 
@@ -847,12 +908,13 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
            spec.seeds)
     grid = _compile_cache.get(key)
     if grid is None:
-        plans = tuple(_plans(identity, spec))
-        # the loop order reads both sides first: a symbol with no value is
-        # named as such, before the window analysis finds it has no range
-        order, fixed = _loop_order(identity, spec, plans[0])
-        grid = _keep(key, _Grid(plans, order, fixed, _grid_window(identity, spec),
-                                _reads_l(identity), {}, []))
+        # a symbol with no value is named as such by the term trees, before
+        # the window finds it has no range
+        sides = _sides(identity)
+        plans = tuple(_plans(identity, spec, sides))
+        order, fixed = _loop_order(identity, spec, plans[0], sides)
+        window = _window(sides, {p: spec.ranges[p] for p in params})
+        grid = _keep(key, _Grid(plans, order, fixed, window, sides, {}, []))
     return grid
 
 
@@ -860,16 +922,15 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
 _POINT = _Plan(False, None, (0,))
 
 
-def _point_sweep(identity: Identity) -> tuple[Callable[..., None], bool]:
-    """identity's one-point sweep, compiled once: every parameter fixed,
-    one pass on one G table; and whether it reads L."""
+def _point_sweep(identity: Identity) -> tuple[_Grid, Callable[..., None]]:
+    """identity's entry for its one-point sweep, and that sweep, compiled
+    once: every parameter fixed, one pass on one G table."""
     params = identity.free_params
     key = (identity.lhs, identity.rhs, params)
     grid = _compile_cache.get(key)
     if grid is None:
-        grid = _keep(key, _Grid((_POINT,), params, len(params), None,
-                                _reads_l(identity), {}, []))
-    return grid.sweep(identity, False, _POINT), grid.lucas
+        grid = _keep(key, _Grid((_POINT,), params, len(params), None, _sides(identity), {}, []))
+    return grid, grid.sweep(identity, False, _POINT)
 
 
 def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: bool,
@@ -877,7 +938,7 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
     """Raw failures (point, seed index, lhs, rhs) of the grid."""
     plans = grid.plans
     sweeps = [grid.sweep(identity, use_oracle, plan) for plan in plans]
-    f_tab, l_tab = _tables(grid.window, grid.lucas)
+    f_tab, l_tab = _tables(grid.window, grid.sides)
     axes = [_axis(spec, v) for v in grid.order]
     checks = _oracle_checks(identity, spec, grid) if use_oracle else [None] * len(plans)
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
@@ -901,9 +962,9 @@ def eval_side(ast: Node, pt: ParamPoint) -> int:
     ast's value or passes at 0."""
     params = tuple(sorted(pt.values))
     identity = Identity("eval_side", ast, Lit(0), params)
-    sweep, lucas = _point_sweep(identity)
-    spec = GridSpec(point_intervals(pt.values), (pt.seed,))
-    f_tab, l_tab = _tables(_grid_window(identity, spec), lucas)
+    grid, sweep = _point_sweep(identity)
+    window = _window(grid.sides, {p: (v, v) for p, v in pt.values.items()})
+    f_tab, l_tab = _tables(window, grid.sides)
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     sweep(*((pt.values[p],) for p in params), f_tab, l_tab, _derived(f_tab, pt.seed), (0,),
           failures, None)
@@ -921,8 +982,8 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec, window: Interval
     does, only in another order, so such a point exists.
     """
     params = identity.free_params
-    sweep, lucas = _point_sweep(identity)
-    f_tab, l_tab = _tables(window, lucas)
+    grid, sweep = _point_sweep(identity)
+    f_tab, l_tab = _tables(window, grid.sides)
     for seed in spec.seeds:
         g_tab = _derived(f_tab, seed)
         for vals in spec.points(params):

@@ -15,7 +15,9 @@ REMOVED = ("SeedPoly", "GoldenRat", "LaurentPoly3", "pretty_print", "lucas_naive
            "OracleConfig", "index_range", "compile_side", "_gen_code", "check_recurrence",
            "case_split_value", "decompose", "SeqTable", "process_pool", "_coefficient",
            "_merge", "_build_tables", "_BASIS", "Token", "end_col", "height",
-           "is_index_expr", "_require_index", "_constant_size")
+           "is_index_expr", "_require_index", "_constant_size", "index_window",
+           "merge_windows", "point_intervals", "expr_interval", "_degree", "_is_g", "_shifted",
+           "_reads_only_shifted", "_reads_l", "ranges")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -1,8 +1,11 @@
 """Brute-force oracle: independence, differential agreement, range analysis."""
 
+import ast as python_ast
+import itertools
 import math
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,13 +13,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fibkit import (
-    EvalError, ParamPoint, Seed, builtin_catalog, cli, eval_side, oracle, parse_expr, verify,
+    EvalError, ParamPoint, Seed, builtin_catalog, cli, eval_side, lucas, oracle, parse_expr,
+    verify,
 )
-from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym
+from fibkit.expr import (
+    Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
+    affine, children, free_symbols, iter_nodes,
+)
 from fibkit.oracle import (
     OracleTables, evaluator, oracle_eval, pascal_binom, recurrence_table,
 )
-from fibkit.ranges import index_window, merge_windows
 from fibkit.verify import STANDARD_SEEDS
 
 F_SEED = Seed(0, 1)
@@ -33,6 +39,39 @@ def test_recurrence_table_matches_known_values():
 def test_recurrence_table_detached_windows():
     assert recurrence_table(0, 1, 5, 7) == {5: 5, 6: 8, 7: 13}
     assert recurrence_table(0, 1, -7, -5) == {-7: 13, -6: -8, -5: 5}
+
+
+def test_tables_grow_outward_from_the_seed_on_a_miss():
+    tables = OracleTables((F_SEED,))
+    fn = evaluator(parse_expr("L(n)"), tables)
+    assert [fn({"n": n}) for n in (0, 30, -30)] == [[2], [lucas(30)], [lucas(-30)]]
+    assert lucas(30) == lucas(-30) == 1_860_498
+    # one run of indices, each stepped to once
+    assert list(tables.lucas) == [0, 1, *range(2, 31), *range(-1, -31, -1)]
+
+
+def test_oracle_imports_only_expr_and_errors_at_run_time():
+    tree = python_ast.parse(Path(oracle.__file__).read_text())
+    typing_only = {id(node) for block in python_ast.walk(tree)
+                   if isinstance(block, python_ast.If)
+                   and python_ast.unparse(block.test) == "TYPE_CHECKING"
+                   for node in python_ast.walk(block)}
+    imported = set()
+    for node in python_ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, python_ast.ImportFrom):
+            package = "fibkit" if node.level else node.module or ""
+            module = node.module if node.level else None
+            if package.split(".")[0] == "fibkit":
+                if module is None and package == "fibkit":
+                    imported |= {f"fibkit.{alias.name}" for alias in node.names}
+                else:
+                    imported.add(f"fibkit.{module}" if node.level else package)
+        elif isinstance(node, python_ast.Import):
+            imported |= {alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "fibkit"}
+    assert imported == {"fibkit.expr", "fibkit.errors"}
 
 
 def test_pascal_matches_multiplicative_binomials():
@@ -57,7 +96,7 @@ def test_binom_walks_pascal_once_per_distinct_pair_in_a_batch(monkeypatch):
     walks = []
     walk = oracle.pascal_binom
     monkeypatch.setattr(oracle, "pascal_binom", lambda n, k: walks.append((n, k)) or walk(n, k))
-    fn = evaluator(parse_expr("binom(n, k)"), OracleTables(0, 1, (F_SEED,)))
+    fn = evaluator(parse_expr("binom(n, k)"), OracleTables((F_SEED,)))
     tops, bottoms = [300, 301, 300, 300, 301], [3, 3, 3, 3, 3]
     assert fn.columns({"n": tops, "k": bottoms}, 5) == \
         [[math.comb(n, k) for n, k in zip(tops, bottoms)]]
@@ -84,6 +123,12 @@ def test_oracle_eval_spec_points(catalog):
     assert oracle_eval(eq4.rhs, pt) == 4
 
 
+def index_window(node, box, params=None):
+    """verify's window over box of one expression, read with params (the
+    box's own by default) as its parameters."""
+    return verify._window([verify._terms(node, tuple(params or box))], box)
+
+
 def test_index_range_examples(catalog):
     box = {"p": (-8, 8), "q": (-8, 8), "k": (0, 5)}
     assert index_window(parse_expr("G(p + q*k)"), box) == (-48, 48)
@@ -105,7 +150,7 @@ def test_index_window_cancels_a_symbol_read_twice():
     assert index_window(parse_expr("F(m*q - m*q)"), box) == (-128, 128)
     # a symbol with no range is named, whether or not it cancels
     with pytest.raises(EvalError, match=r"^no range for parameter 'q'$"):
-        index_window(parse_expr("F(m + q - q)"), {"m": (0, 1)})
+        index_window(parse_expr("F(m + q - q)"), {"m": (0, 1)}, ("m", "q"))
 
 
 # The index window of every catalog entry on the default grid of verify --all.
@@ -126,7 +171,7 @@ CATALOG_WINDOWS = {
 
 def test_catalog_windows_on_the_default_grid(catalog):
     args = cli.build_parser().parse_args(["verify", "--all"])
-    assert {entry.name: verify._grid_window(entry, cli._grid_for(entry, args))
+    assert {entry.name: verify._grid(entry, cli._grid_for(entry, args)).window
             for entry in catalog} == CATALOG_WINDOWS
     assert len(CATALOG_WINDOWS) == 29
 
@@ -136,15 +181,15 @@ def test_catalog_windows_on_the_default_grid(catalog):
     ("F(m)^n", {"m": 1, "n": -2}, "negative exponent -2 in power"),
     ("pow5floor(n)", {"n": -3}, "pow5floor argument -3 is negative"),
     ("sum(k, n, 0, F(k))", {"n": 3}, "sum bounds 3..0 are inverted"),
-    ("L(m + 2)", {"m": 4}, "oracle table window misses index 6 for L"),
-    # the exponent is read before the base, whose index the window misses
+    # a sum's terms are one batch: the first term's exponent is named
+    ("sum(k, 0, n, F(k)^(k - 2))", {"n": 3}, "negative exponent -2 in power"),
     ("F(m + 9)^n", {"m": 0, "n": -1}, "negative exponent -1 in power"),
 ])
 def test_evaluator_error_messages(text, values, message):
     from fibkit import EvalError
     from fibkit.oracle import evaluator
 
-    fn = evaluator(parse_expr(text), OracleTables(-1, 5, (F_SEED,)))
+    fn = evaluator(parse_expr(text), OracleTables((F_SEED,)))
     with pytest.raises(EvalError) as exc_info:
         fn(dict(values))
     assert str(exc_info.value) == message
@@ -154,7 +199,7 @@ def test_evaluator_leaves_env_unchanged_and_is_reusable(catalog):
     from fibkit.oracle import evaluator
 
     eq1 = catalog.get("Eq1")
-    tables = OracleTables(-20, 20, (Seed(3, 7),))
+    tables = OracleTables((Seed(3, 7),))
     fn = evaluator(eq1.lhs, tables)
     env = {"n": 3, "m": 2, "p": -1, "q": 2, "k": 99}
     first = fn(env)
@@ -169,7 +214,7 @@ def test_evaluator_gives_one_value_per_distinct_seed(catalog, name):
     entry = catalog.get(name)
     seeds = (Seed(3, 7), F_SEED, Seed(3, 7), Seed(0, 0), Seed(-4, 5))
     distinct = list(dict.fromkeys(seeds))
-    tables = OracleTables(-40, 40, seeds)
+    tables = OracleTables(seeds)
     assert list(tables.gen) == distinct
     env = {"n": 3, "m": 2, "p": -1, "q": 2}
     for side in (entry.lhs, entry.rhs):
@@ -189,7 +234,7 @@ def test_evaluator_refuses_g_in_an_index():
 
     with pytest.raises(TypeError, match="G read where an index is expected"):
         evaluator(SeqRef("F", Add(Sym("m"), SeqRef("G", Sym("m")))),
-                  OracleTables(-3, 3, (F_SEED,)))
+                  OracleTables((F_SEED,)))
 
 
 def test_differential_against_fast_evaluator(catalog):
@@ -208,19 +253,18 @@ def test_differential_against_fast_evaluator(catalog):
 
 def test_sum_over_a_huge_range_holds_a_bounded_number_of_terms():
     # a million terms, expanded a bounded piece at a time; F(k - k) reads
-    # only F(0), so its table window is 0..1 however far k runs
-    for body, value in (("F(m)", 2 * 1000001), ("F(k - k)", 0)):
-        ast = parse_expr(f"sum(k, 0, 1000000, {body})")
-        # the tables are sized before anything is built: fail before then
-        lo, hi = index_window(ast, {"m": (3, 3)})
-        assert hi - lo <= 1, body
+    # only F(0), so F's table stays at the seed however far k runs
+    for body, value, reach in (("F(m)", 2 * 1000001, 3), ("F(k - k)", 0, 1)):
+        tables = OracleTables((F_SEED,))
+        fn = evaluator(parse_expr(f"sum(k, 0, 1000000, {body})"), tables)
         tracemalloc.start()
         try:
-            got = oracle_eval(ast, ParamPoint({"m": 3}))
+            got = fn({"m": 3})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == value, body
+        assert got == [value], body
+        assert sorted(tables.fib) == list(range(reach + 1)), body
         assert peak < 2_000_000, body
 
 
@@ -236,7 +280,7 @@ PIECE_ROWS = [(0, 4), (3, 2), (-1, 1), (5, 4), (2, 1), (2, 2), (-3, 0), (1, 0)]
 ])
 def test_sum_pieces_split_rows_around_rows_without_terms(monkeypatch, text, chunk):
     ast, seeds = parse_expr(text), (Seed(3, 7), F_SEED)
-    fn = evaluator(ast, OracleTables(-30, 30, seeds))
+    fn = evaluator(ast, OracleTables(seeds))
     point_by_point = [fn({"m": m, "n": n}) for m, n in PIECE_ROWS]
     assert point_by_point == [[eval_side(ast, ParamPoint({"m": m, "n": n}, seed))
                                 for seed in seeds] for m, n in PIECE_ROWS]
@@ -331,9 +375,7 @@ def test_batch_matches_point_by_point(data):
     rows = data.draw(st.permutations(rows))
     seeds = tuple(data.draw(st.lists(
         st.builds(Seed, st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=4)))
-    box = {name: (min(column), max(column)) for name, column in zip(names, zip(*rows))}
-    lo, hi = merge_windows(index_window(ast, box), (0, 1))
-    fn = evaluator(ast, OracleTables(lo, hi, seeds))
+    fn = evaluator(ast, OracleTables(seeds))
     batch = {name: list(column) for name, column in zip(names, zip(*rows))}
     # the batch in small pieces too, which split a row's terms
     chunk = mock.patch.object(oracle, "_SUM_CHUNK", data.draw(st.sampled_from([1, 3, 4096])))
@@ -378,3 +420,44 @@ def test_oracle_rejects_bad_input():
         oracle_eval(parse_expr("F(m)^n"), ParamPoint({"m": 1, "n": -2}))
     with pytest.raises(ValueError):
         recurrence_table(0, 1, 5, 4)
+
+
+def _indices_read(node, values):
+    """Each sequence index node reads at the point values, every summation
+    index value included, each computed by oracle_eval."""
+    if isinstance(node, SeqRef):
+        yield oracle_eval(node.arg, ParamPoint(values))
+    elif isinstance(node, Sum):
+        lo, hi = (oracle_eval(bound, ParamPoint(values)) for bound in (node.lo, node.hi))
+        for k in range(lo, hi + 1):
+            yield from _indices_read(node.body, {**values, node.var: k})
+    else:
+        for child in children(node):
+            yield from _indices_read(child, values)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_window_holds_every_index_read_on_the_grid(data):
+    """Every index read at every point of a small grid is inside verify's
+    window. The window is tight, both its ends read, when no index has a
+    rest and no sum's bounds read a parameter; a sum whose bounds do, such
+    as sum(k, m, m + 2, F(k - m)), lets its index range over the union of
+    every point's range, which one point need not read."""
+    ast = data.draw(_drawn_side())
+    box = {}
+    for name in NAMES:
+        lo = data.draw(st.integers(-3, 3))
+        box[name] = (lo, lo + data.draw(st.integers(0, 2)))
+    window = index_window(ast, box)
+    read = [index for point in itertools.product(*(range(lo, hi + 1) for lo, hi in box.values()))
+            for index in _indices_read(ast, dict(zip(NAMES, point)))]
+    if window is None:
+        assert read == []
+        return
+    assert all(window[0] <= index <= window[1] for index in read)
+    nodes = list(iter_nodes(ast))
+    if not any(affine(n.arg)[2] for n in nodes if isinstance(n, SeqRef)) and not any(
+            free_symbols(n.lo) | free_symbols(n.hi) for n in nodes if isinstance(n, Sum)):
+        assert (min(read), max(read)) == window

@@ -530,12 +530,14 @@ def test_budget_refusals_are_the_same_with_a_cold_and_a_warm_power_cache(monkeyp
 
 
 @pytest.mark.parametrize("identity,kept", [
-    ("(2^1000*F(m))^2", 1),  # numerators of about 2,000 bits
+    ("(2^1000*F(m))^2", 1),  # numerators of about 2,000 bits, 6,015 in all
     ("(2^3000*F(m))^2", 0),  # a result with numerators past 4,096 bits
     ("(2^5000*F(m))^2", 0),  # a base with numerators past 4,096 bits
-    ("F(m)^255", 1),         # 256 terms
-    ("F(m)^256", 0),         # 257 terms
-], ids=["small", "large-result", "large-base", "cap-terms", "past-cap-terms"])
+    ("F(m)^63", 1),          # 64 terms
+    ("F(m)^64", 0),          # 65 terms
+    # 41 terms with numerators of about 2,440 bits each, 200,000 in all
+    ("(2^60*F(m))^40", 0),
+], ids=["small", "large-result", "large-base", "cap-terms", "past-cap-terms", "large-in-all"])
 def test_large_powers_are_not_kept(monkeypatch, identity, kept):
     monkeypatch.setattr(symbolic, "_powers", {})
     power = parse_identity(f"{identity} == {identity}", name="power", params=("m",))

@@ -34,6 +34,15 @@ def small_spec(*params, lo=-3, hi=3, seeds=(Seed(0, 1), Seed(3, 7))):
     return GridSpec({p: (lo, hi) for p in params}, tuple(seeds))
 
 
+def plans_of(identity, spec):
+    """The passes verify plans for identity on spec, from its term trees."""
+    return verify._plans(identity, spec, verify._sides(identity))
+
+
+def loop_order_of(identity, spec, plan):
+    return verify._loop_order(identity, spec, plan, verify._sides(identity))
+
+
 # --- eval_side ---------------------------------------------------------------
 
 def test_eval_side_spec_points(catalog):
@@ -236,7 +245,7 @@ def test_negative_exponent_in_a_sum_names_its_first_point():
     spec = GridSpec({"n": (0, 2), "m": (-2, 2)}, (Seed(3, 7), F_SEED))
     grid = verify._grid(bad, spec)
     (plan,) = grid.plans
-    source = verify._sweep_source(bad, grid.order, grid.fixed, False, plan.basis, plan.shift)
+    source = verify._sweep_source(bad, grid, False, plan)
     assert " >= 0 else _pw(" in source
     for use_oracle in (False, True):
         with pytest.raises(EvalError, match=r"^negative exponent -1 in power at point "
@@ -257,16 +266,11 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     built = []
 
     class CountedTables(oracle.OracleTables):
-        def __init__(self, lo, hi, seeds):
-            built.append((lo, hi, seeds))
-            super().__init__(lo, hi, seeds)
+        def __init__(self, seeds):
+            built.append(self)
+            super().__init__(seeds)
 
     monkeypatch.setattr(oracle, "OracleTables", CountedTables)
-    stepped = []
-    step = oracle.recurrence_table
-    monkeypatch.setattr(oracle, "recurrence_table",
-                        lambda g0, g1, lo, hi: stepped.append((g0, g1))
-                        or step(g0, g1, lo, hi))
     evaluators = []
     build = oracle.evaluator
     monkeypatch.setattr(oracle, "evaluator",
@@ -293,10 +297,13 @@ def test_oracle_builds_one_table_set_per_grid(catalog, monkeypatch):
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)},
                     (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(3, 7)))
     assert verify_grid(catalog.get("Eq1"), spec, use_oracle=True).passed
-    # G(p + q*k) reaches -6..6 and G(p - n*m) reaches -6..6
-    assert built == [(-6, 6, spec.seeds)]
-    # F, L and one table per distinct seed
-    assert stepped == [(0, 1), (2, 1), (0, 1), (3, 7)]
+    # one table set: F, L and one table per distinct seed
+    (tables,) = built
+    assert list(tables.gen) == [Seed(0, 1), Seed(3, 7)]
+    # each grown as far as the sides read it: G(p + q*k) and G(p - n*m)
+    # reach -6..6, F(m + q) reaches -4..4, and L is not read
+    assert [sorted(table) for table in tables.gen.values()] == [list(range(-6, 7))] * 2
+    assert sorted(tables.fib) == list(range(-4, 5)) and sorted(tables.lucas) == [0, 1]
     # the grid's 1,500 checks run in one plan, with one evaluator per side
     # that covers both distinct seeds
     assert evaluators == [(Seed(0, 1), Seed(3, 7))] * 2
@@ -315,9 +322,9 @@ def test_a_repeat_oracle_call_builds_nothing_and_compares_every_check(
     built, walked, checked = [], [], []
 
     class CountedTables(oracle.OracleTables):
-        def __init__(self, lo, hi, seeds):
-            built.append((lo, hi, seeds))
-            super().__init__(lo, hi, seeds)
+        def __init__(self, seeds):
+            built.append(seeds)
+            super().__init__(seeds)
 
     monkeypatch.setattr(oracle, "OracleTables", CountedTables)
     build = oracle._build
@@ -371,7 +378,7 @@ def test_oracle_evaluates_each_point_once_per_distinct_seed(
     if p_range:
         ranges["p"] = p_range
     spec = GridSpec({p: ranges[p] for p in entry.free_params}, DUPLICATE_SEEDS)
-    plans = verify._plans(entry, spec)
+    plans = plans_of(entry, spec)
     assert [(p.basis, p.seed, p.shift) for p in plans] == plan_kinds
     widths = {"lhs": 0, "rhs": 0}
     build = oracle.evaluator
@@ -486,7 +493,7 @@ def test_oracle_fault_names_a_later_seed_inside_a_flush(monkeypatch, held):
     identity = parse_identity("G(2*m + 2) == 3*G(2*m) - G(2*m - 2)", name="even",
                               params=("m",))
     spec = GridSpec({"m": (-4, 4)}, (Seed(0, 1), Seed(2, 1), Seed(3, 7)))
-    assert [(p.basis, p.seed, p.shift) for p in verify._plans(identity, spec)] == [
+    assert [(p.basis, p.seed, p.shift) for p in plans_of(identity, spec)] == [
         (True, None, None)]
     with pytest.raises(InternalFault) as info:
         verify_grid(identity, spec, use_oracle=True)
@@ -814,7 +821,7 @@ def test_basis_sweep_matches_oracle_and_point_by_point(data):
     seeds += data.draw(st.lists(st.sampled_from(seeds), min_size=max(0, 3 - len(seeds)),
                                    max_size=2))
     spec = GridSpec(_draw_grid(data, identity), tuple(data.draw(st.permutations(seeds))))
-    assert [plan.basis for plan in verify._plans(identity, spec)] == [True]
+    assert [plan.basis for plan in plans_of(identity, spec)] == [True]
     _matches_oracle_and_point_by_point(identity, spec)
 
 
@@ -828,7 +835,7 @@ def test_zero_seed_never_fails_a_linear_variant():
     variants = load_catalog_file(str(DATA / "eq_variants.cat"))
     for name in ("Eq1.shift", "Eq2.scale", "Eq4.shift"):
         identity = variants.get(name)
-        assert [p.basis for p in verify._plans(identity, VARIANT_SPEC)] == [True]
+        assert [p.basis for p in plans_of(identity, VARIANT_SPEC)] == [True]
         seeds = {f.seed for f in verify_grid(identity, VARIANT_SPEC).failures}
         assert seeds == {Seed(0, 1), Seed(3, 7), Seed(-4, 5)}, name
     # the offset of Eq3.offset is no multiple of G: it fails at (0, 0) too
@@ -852,7 +859,7 @@ def test_g_free_identity_fails_once_per_seed_at_each_point():
     seeds = (Seed(0, 1), Seed(2, 1), Seed(0, 0), Seed(2, 1))
     spec = GridSpec({"m": (-3, 3)}, seeds)
     report = verify_grid(bad, spec)
-    assert verify._plans(bad, spec) == [verify._Plan(False, None, (0, 1, 2, 3), "m")]
+    assert plans_of(bad, spec) == [verify._Plan(False, None, (0, 1, 2, 3), "m")]
     failing = [m for m in range(-3, 4) if fib(m + 1) != fib(m)]
     assert [(dict(f.point)["m"], f.seed) for f in report.failures] == \
         [(m, seed) for m in failing for seed in seeds]
@@ -871,7 +878,7 @@ def test_nonlinear_sides_take_the_per_seed_path(text):
     identity = parse_identity(text, name="t", params=("p", "q"))
     seeds = (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(0, 0), Seed(3, 7))
     spec = GridSpec({"p": (-3, 3), "q": (0, 3)}, seeds)
-    plans = verify._plans(identity, spec)
+    plans = plans_of(identity, spec)
     assert not any(plan.basis for plan in plans)
     _matches_oracle_and_point_by_point(identity, spec)
 
@@ -880,7 +887,7 @@ def test_per_seed_plan_runs_one_pass_per_distinct_seed():
     identity = parse_identity("G(p)*G(p) == G(p)*G(p + 1)", name="t", params=("p",))
     seeds = (Seed(0, 1), Seed(3, 7), Seed(0, 1), Seed(0, 0))
     spec = GridSpec({"p": (-3, 3)}, seeds)
-    plans = verify._plans(identity, spec)
+    plans = plans_of(identity, spec)
     assert plans == [verify._Plan(False, Seed(0, 1), (0, 2)),
                      verify._Plan(False, Seed(3, 7), (1,)),
                      verify._Plan(False, Seed(0, 0), (3,))]
@@ -891,9 +898,9 @@ def test_two_distinct_seeds_take_the_basis():
     identity = parse_identity("G(p + 2) == G(p + 1) + F(p)*G(p - 1)", name="t", params=("p",))
     seeds = (Seed(3, 7), Seed(-4, 5), Seed(3, 7))
     spec = GridSpec({"p": (-3, 3)}, seeds)
-    assert [plan.basis for plan in verify._plans(identity, spec)] == [True]
+    assert [plan.basis for plan in plans_of(identity, spec)] == [True]
     one = GridSpec(spec.ranges, seeds[:1])
-    assert [plan.basis for plan in verify._plans(identity, one)] == [False]
+    assert [plan.basis for plan in plans_of(identity, one)] == [False]
     _matches_oracle_and_point_by_point(identity, spec)
 
 
@@ -913,7 +920,7 @@ def test_a_grid_builds_one_f_table(catalog, monkeypatch):
          [(False, None, "m")]),                                 # no G; L derived from F
     ]
     for identity, grid, kinds in grids:
-        assert [(p.basis, p.seed, p.shift) for p in verify._plans(identity, grid)] == kinds
+        assert [(p.basis, p.seed, p.shift) for p in plans_of(identity, grid)] == kinds
         built.clear()
         verify_grid(identity, grid)
         assert built == [F_SEED]
@@ -934,7 +941,7 @@ def test_oracle_catches_a_wrong_basis(catalog, monkeypatch):
     # p fixed: the two-pair basis plan
     spec = GridSpec({"p": (1, 1)})
     fixed = GridSpec({**VARIANT_SPEC.ranges, "p": (1, 1)}, VARIANT_SPEC.seeds)
-    assert [p.shift for p in verify._plans(catalog.get("Eq1"), fixed)] == [None]
+    assert [p.shift for p in plans_of(catalog.get("Eq1"), fixed)] == [None]
     right = verify_grid(SHIFTED, spec).to_json_dict()
     # B10(e) read as F(e - 2), the sequence seeded (-1, 1), not as F(e - 1)
     source = verify._sweep_source
@@ -952,8 +959,8 @@ def _wrong_table(monkeypatch):
     # the shift plan's pass on B10's G table, derived from F, instead of F
     plans = verify._plans
     monkeypatch.setattr(verify, "_compile_cache", {})
-    monkeypatch.setattr(verify, "_plans", lambda identity, spec: [
-        p._replace(seed=Seed(1, 0)) if p.shift else p for p in plans(identity, spec)])
+    monkeypatch.setattr(verify, "_plans", lambda identity, spec, sides: [
+        p._replace(seed=Seed(1, 0)) if p.shift else p for p in plans(identity, spec, sides)])
 
 
 def _step_ahead(monkeypatch):
@@ -975,10 +982,10 @@ def _wrong_step(monkeypatch):
 @pytest.mark.parametrize("mutate", [_wrong_table, _step_ahead, _wrong_step])
 def test_oracle_catches_a_wrong_shift(catalog, monkeypatch, mutate):
     spec = GridSpec({"p": (-3, 3)})
-    assert [p.shift for p in verify._plans(catalog.get("Eq1"), VARIANT_SPEC)] == ["p"]
+    assert [p.shift for p in plans_of(catalog.get("Eq1"), VARIANT_SPEC)] == ["p"]
     right = verify_grid(SHIFTED, spec).to_json_dict()
     mutate(monkeypatch)
-    assert [p.shift for p in verify._plans(SHIFTED, spec)] == ["p"]
+    assert [p.shift for p in plans_of(SHIFTED, spec)] == ["p"]
     assert verify_grid(SHIFTED, spec).to_json_dict() != right
     for identity in (SHIFTED, catalog.get("Eq1")):
         with pytest.raises(InternalFault,
@@ -1097,7 +1104,7 @@ def _shift_sweep_matches_oracle_and_point_by_point(data, kinds):
     lo = data.draw(st.integers(-3, 3))
     ranges["s"] = (lo, lo + data.draw(st.integers(1, 7)))  # several recurrence steps
     spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
-    plans = verify._plans(identity, spec)
+    plans = plans_of(identity, spec)
     assert len(plans) == 1 and plans[0].shift is not None
     # G on the basis seed (0, 1) alone, or F and L, reading G nowhere
     assert (plans[0].basis, plans[0].seed) == (kinds == "G", None)
@@ -1163,7 +1170,7 @@ def test_line_sums_match_oracle_and_eval_side(data):
     lo = data.draw(st.integers(-3, 3))
     ranges["s"] = (lo, lo + data.draw(st.integers(1, 5)))
     spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
-    (plan,) = verify._plans(identity, spec)
+    (plan,) = plans_of(identity, spec)
     assert plan.shift is not None and (plan.basis, plan.seed) == (kinds == "G", None)
     _matches_oracle_and_point_by_point(identity, spec, eval_side)
 
@@ -1181,8 +1188,7 @@ def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
     grid = verify._grid(eq1, spec)
     (plan,) = grid.plans
     assert grid.order == ("n", "m", "q", "p") and plan.shift == "p"
-    tree = ast.parse(verify._sweep_source(eq1, grid.order, grid.fixed, oracle_check,
-                                          plan.basis, plan.shift))
+    tree = ast.parse(verify._sweep_source(eq1, grid, oracle_check, plan))
     (line,) = _for_loops(tree, "_a2")  # q: each of its iterations is a line of p
     (shift,) = _for_loops(line, "_a3")
     start = [stmt for stmt in line.body if not _for_loops(stmt, "_a3")]
@@ -1216,7 +1222,7 @@ def test_shift_sweep_evaluates_the_sides_twice_per_line(monkeypatch):
     for hi in (1, 28):  # p takes 3 values, then 30
         _CountingTable.reads = 0
         spec = GridSpec({"p": (-1, hi)})
-        assert [p.shift for p in verify._plans(SHIFTED, spec)] == ["p"]
+        assert [p.shift for p in plans_of(SHIFTED, spec)] == ["p"]
         report = verify_grid(SHIFTED, spec)
         assert report.failures and report.total == (hi + 2) * len(spec.seeds)
         reads.append(_CountingTable.reads)
@@ -1243,9 +1249,9 @@ def test_shift_plan_loop_orders_on_the_default_grid(catalog):
     orders = {}
     for entry in catalog:
         spec = cli._grid_for(entry, args)
-        plan = verify._plans(entry, spec)[0]
+        plan = plans_of(entry, spec)[0]
         assert plan.shift == SHIFT_ORDERS[entry.name][-1]
-        orders[entry.name] = verify._loop_order(entry, spec, plan)
+        orders[entry.name] = loop_order_of(entry, spec, plan)
     assert orders == {name: (order, 0) for name, order in SHIFT_ORDERS.items()}
 
 
@@ -1262,7 +1268,7 @@ def test_shift_plan_needs_every_g_index_shifted_by_one(text, params, ranges):
     identity = parse_identity(text, name="t", params=params)
     for seeds in ((Seed(0, 1), Seed(3, 7), Seed(3, 7)), (Seed(3, 7),)):
         spec = GridSpec(ranges, seeds)
-        plans = verify._plans(identity, spec)
+        plans = plans_of(identity, spec)
         assert all(plan.shift is None for plan in plans)
         assert [plan.basis for plan in plans] == [len(seeds) > 1]
         _matches_oracle_and_point_by_point(identity, spec)
@@ -1279,7 +1285,7 @@ def test_shift_plan_needs_every_g_index_shifted_by_one(text, params, ranges):
 def test_g_free_shift_needs_one_shifted_factor_per_term(side):
     identity = parse_identity(f"{side} == F(m + 1)", name="t", params=("m",))
     spec = GridSpec({"m": (0, 5)}, (Seed(0, 1), Seed(3, 7), Seed(3, 7)))
-    assert verify._plans(identity, spec) == [verify._Plan(False, None, (0, 1, 2))]
+    assert plans_of(identity, spec) == [verify._Plan(False, None, (0, 1, 2))]
     _matches_oracle_and_point_by_point(identity, spec)
 
 
@@ -1293,7 +1299,7 @@ def _edge_failures(text):
     identity = parse_identity(text, name="edge", params=("m",))
     seeds = (Seed(0, 1), Seed(3, 7), Seed(2, 1), Seed(0, 1))
     spec = GridSpec({"m": (-3, 3)}, seeds)
-    assert [p.shift for p in verify._plans(identity, spec)] == ["m"]
+    assert [p.shift for p in plans_of(identity, spec)] == ["m"]
     value = gen if text.startswith("G") else lambda seed, i: fib(i)
     expected = [((("m", m),), seed, value(seed, m), value(seed, m) + value(seed, m + 3))
                 for m in range(-3, 4) for seed in seeds if value(seed, m + 3)]
@@ -1322,17 +1328,17 @@ def test_a_line_guard_on_one_start_pair_misses_the_edges(monkeypatch):
 
 def test_repeated_grid_is_planned_once(catalog, monkeypatch):
     monkeypatch.setattr(verify, "_compile_cache", {})
-    orders, windows, sources = [], [], []
-    order, window, source = verify._loop_order, verify._grid_window, verify._sweep_source
+    orders, trees, sources = [], [], []
+    order, sides, source = verify._loop_order, verify._sides, verify._sweep_source
     monkeypatch.setattr(verify, "_loop_order", lambda *args: orders.append(args[0].name)
                         or order(*args))
-    monkeypatch.setattr(verify, "_grid_window", lambda *args: windows.append(args[0].name)
-                        or window(*args))
+    monkeypatch.setattr(verify, "_sides", lambda identity: trees.append(identity.name)
+                        or sides(identity))
     monkeypatch.setattr(verify, "_sweep_source", lambda *args: sources.append(args[0].name)
                         or source(*args))
     spec = GridSpec({"m": (-3, 3), "n": (-3, 3)})
     reports = [verify_grid(catalog.get("Eq8"), spec).to_json_dict() for _ in range(3)]
-    assert orders == windows == sources == ["Eq8"] and reports == reports[:1] * 3
+    assert orders == trees == sources == ["Eq8"] and reports == reports[:1] * 3
     assert len(verify._compile_cache) == 1
     # the oracle's sweep joins the grid's entry
     assert verify_grid(catalog.get("Eq8"), spec, use_oracle=True).to_json_dict() == reports[0]
@@ -1341,23 +1347,45 @@ def test_repeated_grid_is_planned_once(catalog, monkeypatch):
     verify_grid(catalog.get("Eq8"), GridSpec({"m": (-3, 3), "n": (-3, 2)}))
     verify_grid(catalog.get("Eq8"), GridSpec(spec.ranges, (F_SEED,)))
     verify_grid(catalog.get("Lemma10"), spec)
-    assert orders == windows == ["Eq8", "Eq8", "Eq8", "Lemma10"]
+    assert orders == trees == ["Eq8", "Eq8", "Eq8", "Lemma10"]
     assert len(verify._compile_cache) == 4
+
+
+def test_each_side_is_one_term_tree_per_grid_entry(catalog, monkeypatch):
+    monkeypatch.setattr(verify, "_compile_cache", {})
+    eq1 = catalog.get("Eq1")
+    built, compiled = [], []
+    terms, source = verify._terms, verify._sweep_source
+    monkeypatch.setattr(verify, "_terms", lambda node, *args: (
+        node is eq1.lhs or node is eq1.rhs) and built.append(node) or terms(node, *args))
+    monkeypatch.setattr(verify, "_sweep_source", lambda identity, grid, *args:
+                        compiled.append(grid.sides) or source(identity, grid, *args))
+    fixed = GridSpec({**VARIANT_SPEC.ranges, "p": (1, 1)}, VARIANT_SPEC.seeds)
+    for spec in (VARIANT_SPEC, fixed):
+        for use_oracle in (False, True, False, True):
+            assert verify_grid(eq1, spec, use_oracle=use_oracle).passed
+    # each side's tree is built once per grid entry, when it is planned
+    assert built == [eq1.lhs, eq1.rhs] * 2
+    # and the entry's two sweeps, with the oracle and without, read it
+    entries = list(verify._compile_cache.values())
+    assert len(entries) == 2 and len(compiled) == 4
+    assert all(sides is entry.sides for sides, entry in zip(compiled, [
+        entries[0], entries[0], entries[1], entries[1]]))
 
 
 def test_shift_plan_takes_the_first_qualifying_parameter(catalog):
     spec = GridSpec({"n": (-2, 2), "m": (-2, 2), "p": (-2, 2)})
     s3 = catalog.get("S3.n2.F-forward")
-    assert [p.shift for p in verify._plans(s3, spec)] == ["n"]
+    assert [p.shift for p in plans_of(s3, spec)] == ["n"]
     # n fixed: no other parameter is read only in G indices
-    assert [p.shift for p in verify._plans(s3, GridSpec({**spec.ranges, "n": (1, 1)}))] \
+    assert [p.shift for p in plans_of(s3, GridSpec({**spec.ranges, "n": (1, 1)}))] \
         == [None]
     both = parse_identity("G(p + q) == G(q + p)", name="t", params=("p", "q"))
     spec = GridSpec({"p": (-2, 2), "q": (-2, 2)})
-    assert [p.shift for p in verify._plans(both, spec)] == ["p"]
-    assert verify._loop_order(both, spec, verify._plans(both, spec)[0]) == (("q", "p"), 0)
+    assert [p.shift for p in plans_of(both, spec)] == ["p"]
+    assert loop_order_of(both, spec, plans_of(both, spec)[0]) == (("q", "p"), 0)
     spec = GridSpec({"p": (4, 4), "q": (-2, 2)})
-    assert [p.shift for p in verify._plans(both, spec)] == ["q"]
+    assert [p.shift for p in plans_of(both, spec)] == ["q"]
 
 
 def test_shift_parameter_alone_gives_the_oracle_checked_report(catalog):
@@ -1371,7 +1399,7 @@ def test_shift_parameter_alone_gives_the_oracle_checked_report(catalog):
     spec = GridSpec({"n": (-8, 8), "m": (2, 2), "p": (3, 3)},
                     (Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5), Seed(1, 0)))
     for identity in (catalog.get("S3.n1.F-forward"), wrong, stretched):
-        assert [p.shift for p in verify._plans(identity, spec)] == ["n"]
+        assert [p.shift for p in plans_of(identity, spec)] == ["n"]
         assert verify_grid(identity, spec, use_oracle=True).to_json_dict() \
             == verify_grid(identity, spec).to_json_dict()
     assert verify_grid(catalog.get("S3.n1.F-forward"), spec).passed
@@ -1387,11 +1415,11 @@ def test_nineteen_loops_compile_with_the_seed_loops(seeds):
     identity = parse_identity(f"sum(k, 0, x0, G(k + {' + '.join(names)})) == G(x1)",
                               name="deep", params=names)
     spec = GridSpec({x: (0, 1) for x in names}, seeds)
-    for plan in verify._plans(identity, spec):
-        order, fixed = verify._loop_order(identity, spec, plan)
-        assert fixed == 0
+    grid = verify._grid(identity, spec)
+    assert grid.fixed == 0
+    for plan in grid.plans:
         for oracle_check in (False, True):
-            verify._compile_sweep(identity, order, fixed, oracle_check, plan)
+            grid.sweep(identity, oracle_check, plan)
 
 
 # --- report serialization ----------------------------------------------------
