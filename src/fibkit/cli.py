@@ -160,19 +160,27 @@ def _select_entries(catalog: Catalog, args: argparse.Namespace) -> list[Identity
     return entries
 
 
-def _grid_for(identity: Identity, args: argparse.Namespace) -> GridSpec:
+def _grid_for(identity: Identity, args: argparse.Namespace,
+              parsed: dict[str, object] | None = None) -> GridSpec:
+    """identity's grid from the flags. parsed keeps each flag's value, by
+    flag, once it is parsed, so that one command parses each flag once and
+    only when an identity reads it."""
     from .verify import STANDARD_SEEDS, GridSpec
 
+    parsed = {} if parsed is None else parsed
     ranges = {}
     rank = set(identity.rank_params)
     for p in identity.free_params:
         given = getattr(args, f"range_{p}", None) if p in _GRID_FLAGS else None
-        if given is not None:
-            ranges[p] = _parse_range(given)
-        else:
+        if given is None:
             ranges[p] = DEFAULT_RANK_RANGE if p in rank else DEFAULT_PARAM_RANGE
-    seeds = _parse_seeds(args.seeds) if args.seeds else STANDARD_SEEDS
-    return GridSpec(ranges=ranges, seeds=seeds)
+        else:
+            if p not in parsed:
+                parsed[p] = _parse_range(given)
+            ranges[p] = parsed[p]
+    if "seeds" not in parsed:
+        parsed["seeds"] = _parse_seeds(args.seeds) if args.seeds else STANDARD_SEEDS
+    return GridSpec(ranges=ranges, seeds=parsed["seeds"])
 
 
 # --- output ------------------------------------------------------------------
@@ -279,7 +287,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise FibkitError(f"--workers must be at least 1, got {args.workers}")
     catalog = _resolve_catalog(args)
     entries = _select_entries(catalog, args)
-    jobs = [(e, _grid_for(e, args), args.oracle) for e in entries]
+    parsed: dict[str, object] = {}
+    jobs = [(e, _grid_for(e, args, parsed), args.oracle) for e in entries]
     processes = min(args.workers, os.cpu_count() or 1, len(jobs))
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -30,14 +30,21 @@ nodes hold what the plans, the loop order, the grid's index window and
 every sweep's code read. A sweep reads one F table over that window: G
 on the basis seeds is F one index back and F itself, and L and a
 per-seed pass's G are tables derived from it as g0*F(e - 1) + g1*F(e).
-A grid's trees, plans, loop order, index window, compiled sweeps and,
-once an oracle call has built them, the oracle's evaluators over its
-own tables are kept in one entry per identity and grid; the sweep's F
-table is built anew on every call. The sweep is the only generated
+Without the oracle, a grid is swept over its box first: each parameter
+but the ranks and the shift parameter is cut to as many values as
+LHS - RHS has exponential bases along it (see _box), so a box that
+passes at every point and seed is a grid that passes; on a failure or
+an evaluation error in the box, the whole grid is swept, so the
+failures and errors reported are the whole grid's. A grid's trees,
+plans, loop order, index window, box, compiled sweeps and, once an
+oracle call has built them, the oracle's evaluators over its own tables
+are kept in one entry per identity and grid; the sweep's F table is
+built anew on every call, over the box's window first and widened in
+place when the whole grid follows. The sweep is the only generated
 code: a side's value at one point is the one-point sweep of side == 0,
 and an evaluation error is located point by point with one compiled
-one-point sweep. All arithmetic is unbounded int; a PASS means
-exact equality at every point and seed.
+one-point sweep. All arithmetic is unbounded int; a PASS means exact
+equality at every point and seed.
 """
 
 from __future__ import annotations
@@ -185,14 +192,22 @@ def _derived(f_tab: dict[int, int], seed: Seed) -> dict[int, int]:
     return {e: g0 * f_tab[e - 1] + g1 * f for e, f in f_tab.items() if e - 1 in f_tab}
 
 
-def _tables(window: Interval | None, sides: Sequence[_Term],
+def _tables(window: Interval | None, sides: Sequence[_Term], f_tab: dict[int, int] | None = None,
             ) -> tuple[dict[int, int], dict[int, int]]:
     """F from two below window, the lowest index a value derived at a shift
     plan's s = lo - 1 reads, to its top; and, when a side reads L, L derived
-    from it."""
+    from it. F is f_tab, when given, widened in place: an F table over a
+    run of indices within those."""
     if window is None:
         return {}, {}
-    f_tab = table(FIB_SEED, window[0] - 2, window[1])
+    lo, hi = window[0] - 2, window[1]
+    if f_tab:
+        for e in range(max(f_tab) + 1, hi + 1):
+            f_tab[e] = f_tab[e - 1] + f_tab[e - 2]
+        for e in range(min(f_tab) - 1, lo - 1, -1):
+            f_tab[e] = f_tab[e + 2] - f_tab[e + 1]
+    else:
+        f_tab = table(FIB_SEED, lo, hi)
     lucas = any("L" in side.kinds for side in sides)
     return f_tab, _derived(f_tab, LUCAS_SEED) if lucas else {}
 
@@ -298,7 +313,10 @@ def _terms(node: Node, params: Sequence[str],
     deps, reads = _shared(first.deps | second.deps), _shared(first.reads | second.reads)
     kdep, kinds = first.kdep or second.kdep, _shared(first.kinds | second.kinds)
     if kind is SeqRef:
-        form = affine(node.arg)
+        try:
+            form = affine(node.arg)
+        except TypeError as exc:  # a hand-built index, such as F(G(m))
+            raise EvalError(str(exc)) from None
         _, coeffs, rest = form
         shift = _shared(frozenset(s for s, c in coeffs.items() if c == 1 and s not in rest))
         g = node.kind == "G"
@@ -387,6 +405,198 @@ def _plans(identity: Identity, spec: GridSpec, sides: Sequence[_Term]) -> list[_
         return [_Plan(True, None, coeffs,
                       _shift_axis(identity, spec, [side.g_shift for side in sides]))]
     return [_Plan(False, seed, tuple(group)) for seed, group in groups.items()]
+
+
+# --- the box -----------------------------------------------------------------
+#
+# At fixed rank values, a side is, along each other parameter x, a sum of
+# terms P(x)*b^x with P a polynomial and each base b = sign*phi^e, since
+# F(a*x + c) and L(a*x + c) are sums of phi^(a*x) and psi^(a*x) times
+# constants, with psi^a = (-1)^a * phi^-a, and G(e) = g0*F(e - 1) + g1*F(e).
+# A base whose P has degree d counts d + 1 times. LHS - RHS is such a sum
+# over the union of both sides' bases, so it obeys the linear recurrence
+# whose characteristic roots are those bases, none of them 0: if it
+# vanishes at as many consecutive values of x as the bases count, it
+# vanishes at every integer x (Zeilberger, The C-finite Ansatz, 2013). Taken
+# one axis at a time, a box that is that wide along every axis at every
+# rank value passes only if the whole grid does.
+
+class _Full(Exception):
+    """The axis is swept in full."""
+
+
+class _Limit:
+    """How many bases an axis may count before it is swept in full, and how
+    much work, in base products, index values and rank values, the
+    analysis of a grid has left."""
+
+    __slots__ = ("cap", "work")
+
+    def __init__(self, work: int):
+        self.cap, self.work = 0, work
+
+    def charge(self, work: int) -> None:
+        self.work -= work
+        if self.work < 0:
+            raise _Full
+
+
+_Bases = dict[tuple[int, int], int]  # (sign, e) of sign*phi^e -> its count
+_ONE: _Bases = {(1, 0): 1}
+
+
+def _capped(bases: _Bases, lim: _Limit) -> _Bases:
+    if sum(bases.values()) >= lim.cap:
+        raise _Full
+    return bases
+
+
+def _union(a: _Bases, b: _Bases, lim: _Limit) -> _Bases:
+    out = dict(a)
+    for base, count in b.items():
+        if out.get(base, 0) < count:
+            out[base] = count
+    return _capped(out, lim)
+
+
+def _times(a: _Bases, b: _Bases, lim: _Limit) -> _Bases:
+    """The bases of a product: signs multiply, exponents add, and the
+    polynomials' degrees add."""
+    if a == _ONE or b == _ONE:
+        return b if a == _ONE else a
+    lim.charge(len(a) * len(b))
+    out: _Bases = {}
+    for (s, e), m in a.items():
+        for (t, f), n in b.items():
+            if out.get((s * t, e + f), 0) < m + n - 1:
+                out[s * t, e + f] = m + n - 1
+    return _capped(out, lim)
+
+
+def _power(a: _Bases, e: int, lim: _Limit) -> _Bases:
+    out = _ONE
+    while e:
+        if e & 1:
+            out = _times(out, a, lim)
+        e >>= 1
+        if e:
+            a = _times(a, a, lim)
+    return out
+
+
+def _form(node: Node, env: Mapping[str, int]) -> tuple[int, dict[str, int], frozenset[str]]:
+    try:
+        return affine(node, env)
+    except TypeError:  # not an index expression
+        raise _Full from None
+
+
+def _value(term: _Term, env: Mapping[str, int], used: set[str]) -> int:
+    """The value of an index term whose every symbol env binds."""
+    if term.kinds or not term.reads.issubset(env):
+        raise _Full
+    used |= term.reads
+    return _form(term.node, env)[0]
+
+
+def _slope(index: _Term, form: tuple | None, x: str, env: Mapping[str, int],
+           used: set[str]) -> int:
+    """The coefficient of x in an index term, read from its unbound form
+    when x is outside that form's rest, else with env's values in place."""
+    if form is None or x in form[2]:
+        form = _form(index.node, env)
+        used |= index.reads
+        if x in form[2]:
+            raise _Full
+    return form[1].get(x, 0)
+
+
+def _bases(term: _Term, x: str, env: Mapping[str, int], lim: _Limit, used: set[str],
+           ) -> _Bases:
+    """The bases of term along x, with the rank parameters and a summation
+    index at their values in env; the names of env read are added to used.
+    Raises _Full on a shape that is no such sum along x, once the bases
+    count lim.cap or more, or once lim's work is spent."""
+    if x not in term.reads:
+        return _ONE
+    kind = type(term.node)
+    if kind is Sym:
+        return {(1, 0): 2}
+    if kind is SeqRef:
+        a = _slope(term.args[0], term.form, x, env, used)
+        return {(1, a): 1, (-1 if a & 1 else 1, -a): 1}
+    if kind is Sign:
+        return {(-1 if _slope(term.args[0], None, x, env, used) & 1 else 1, 0): 1}
+    if kind is Neg:
+        return _bases(term.args[0], x, env, lim, used)
+    if kind is Add or kind is Sub or kind is Mul:
+        first = _bases(term.args[0], x, env, lim, used)
+        second = _bases(term.args[1], x, env, lim, used)
+        return (_times if kind is Mul else _union)(first, second, lim)
+    if kind is Pow:
+        base, exponent = term.args
+        e = _value(exponent, env, used)
+        if e < 0:
+            raise _Full
+        return _power(_bases(base, x, env, lim, used), e, lim)
+    if kind is Sum:
+        lo, hi, body = term.args
+        out: _Bases = {}
+        for k in range(_value(lo, env, used), _value(hi, env, used) + 1):
+            lim.charge(1)
+            inner: set[str] = set()
+            out = _union(out, _bases(body, x, {**env, term.node.var: k}, lim, inner), lim)
+            used |= inner
+            if term.node.var not in inner:  # the same at every index value
+                break
+        return out
+    raise _Full  # binom and pow5floor
+
+
+def _widths(identity: Identity, spec: GridSpec, sides: Sequence[_Term], axes: Iterable[str],
+            lim: _Limit) -> dict[str, int]:
+    """How many consecutive values of each parameter in axes decide the
+    grid: the bases of LHS - RHS along it, counted, at the rank values that
+    need the most; or its range's length, when that is no more, or when
+    lim's work is spent first."""
+    ranks = identity.rank_params
+    widths = {}
+    for x in axes:
+        lo, hi = spec.ranges[x]
+        lim.cap, width = hi - lo + 1, 1
+        try:
+            # the largest rank values first: they tend to need the most
+            for values in itertools.product(*(range(b, a - 1, -1) for a, b in
+                                              (spec.ranges[r] for r in ranks))):
+                lim.charge(1)
+                env, used = dict(zip(ranks, values)), set()
+                lhs, rhs = (_bases(side, x, env, lim, used) for side in sides)
+                width = max(width, sum(_union(lhs, rhs, lim).values()))
+                if used.isdisjoint(ranks):  # the same at every rank value
+                    break
+        except _Full:
+            width = lim.cap
+        widths[x] = width
+    return widths
+
+
+def _box(identity: Identity, spec: GridSpec, sides: Sequence[_Term], order: Sequence[str],
+         shift: str | None) -> tuple[list[range], Interval | None] | None:
+    """The ranges of order's parameters, each but the ranks' and the shift
+    parameter's cut to its first _widths values, and the index window over
+    them; None when none is cut. A shift parameter's line costs two
+    evaluations however long it is. The analysis takes at most as much
+    work as the grid has checks."""
+    params = identity.free_params
+    axes = [p for p in params if p != shift and p not in identity.rank_params
+            and spec.ranges[p][0] < spec.ranges[p][1]]
+    widths = _widths(identity, spec, sides, axes, _Limit(spec.checks(params)))
+    cut = {p: (spec.ranges[p][0], spec.ranges[p][0] + width - 1)
+           for p, width in widths.items() if width <= spec.ranges[p][1] - spec.ranges[p][0]}
+    if not cut:
+        return None
+    ranges = {**{p: spec.ranges[p] for p in params}, **cut}
+    return [range(lo, hi + 1) for lo, hi in (ranges[p] for p in order)], _window(sides, ranges)
 
 
 def _interval(node: Node, env: Mapping[str, Interval]) -> Interval:
@@ -853,15 +1063,16 @@ def _oracle_sides(identity: Identity, spec: GridSpec, grid: _Grid) -> list[tuple
 class _Grid(NamedTuple):
     """What a grid's verification keeps: its plans, its loop order, how
     many of its parameters lead fixed, its index window, both sides' term
-    trees, its sweeps, compiled from those trees on first use per oracle
-    flag and pass, and what the first oracle call built for each plan (see
-    _oracle_sides)."""
+    trees, its box (see _box), its sweeps, compiled from those trees on
+    first use per oracle flag and pass, and what the first oracle call
+    built for each plan (see _oracle_sides)."""
 
     plans: tuple[_Plan, ...]
     order: tuple[str, ...]
     fixed: int
     window: Interval | None
     sides: tuple[_Term, _Term]
+    box: tuple[list[range], Interval | None] | None
     sweeps: dict[tuple, Callable[..., None]]
     oracle_sides: list[tuple]
 
@@ -885,9 +1096,10 @@ class _Grid(NamedTuple):
 # One entry per identity and grid, keyed by both sides, the free parameters,
 # their ranges and the seeds; and one per identity, keyed without ranges or
 # seeds, for its one-point sweep, which runs on any point's tables. An
-# entry keeps the oracle's tables, inside its evaluators, from the grid's
-# first oracle call on; the sweep's F table is built per call, so the fast
-# path keeps no table per grid. Past _CACHED entries the oldest is dropped.
+# entry keeps its box, analysed once, and the oracle's tables, inside its
+# evaluators, from the grid's first oracle call on; the sweep's F table is
+# built per call, so the fast path keeps no table per grid. Past _CACHED
+# entries the oldest is dropped.
 _compile_cache: dict[tuple, _Grid] = {}
 _CACHED = 256
 
@@ -914,7 +1126,8 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
         plans = tuple(_plans(identity, spec, sides))
         order, fixed = _loop_order(identity, spec, plans[0], sides)
         window = _window(sides, {p: spec.ranges[p] for p in params})
-        grid = _keep(key, _Grid(plans, order, fixed, window, sides, {}, []))
+        box = _box(identity, spec, sides, order, plans[0].shift)
+        grid = _keep(key, _Grid(plans, order, fixed, window, sides, box, {}, []))
     return grid
 
 
@@ -929,24 +1142,52 @@ def _point_sweep(identity: Identity) -> tuple[_Grid, Callable[..., None]]:
     key = (identity.lhs, identity.rhs, params)
     grid = _compile_cache.get(key)
     if grid is None:
-        grid = _keep(key, _Grid((_POINT,), params, len(params), None, _sides(identity), {}, []))
+        grid = _keep(key, _Grid((_POINT,), params, len(params), None, _sides(identity), None,
+                                {}, []))
     return grid, grid.sweep(identity, False, _POINT)
+
+
+def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range],
+          tables: tuple[dict[int, int], dict[int, int]], failures: list,
+          check: _OracleCheck | None = None) -> None:
+    """One pass of plan over the axes, on F and L's tables."""
+    f_tab, l_tab = tables
+    g_tab = f_tab if plan.seed is None else _derived(f_tab, plan.seed)
+    sweep(*axes, f_tab, l_tab, g_tab, plan.seeds, failures,
+          check and (check.held, check.cap, check.flush))
 
 
 def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: bool,
                 ) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Raw failures (point, seed index, lhs, rhs) of the grid."""
+    """Raw failures (point, seed index, lhs, rhs) of the grid. Without the
+    oracle, a grid with a box sweeps the box first, on tables over the
+    box's window, and passes when every plan passes there; on a failure or
+    an evaluation error there, the whole grid is swept, its F table widened
+    from the box's."""
     plans = grid.plans
     sweeps = [grid.sweep(identity, use_oracle, plan) for plan in plans]
-    f_tab, l_tab = _tables(grid.window, grid.sides)
+    failures: list[tuple[tuple[int, ...], int, int, int]] = []
+    f_tab = None
+    if grid.box is not None and not use_oracle:
+        axes, window = grid.box
+        tables = _tables(window, grid.sides)
+        try:
+            for plan, sweep in zip(plans, sweeps):
+                _pass(plan, sweep, axes, tables, failures)
+                if failures:
+                    break
+            else:
+                return failures
+        except EvalError:
+            pass
+        failures.clear()
+        f_tab = tables[0]
+    tables = _tables(grid.window, grid.sides, f_tab)
     axes = [_axis(spec, v) for v in grid.order]
     checks = _oracle_checks(identity, spec, grid) if use_oracle else [None] * len(plans)
-    failures: list[tuple[tuple[int, ...], int, int, int]] = []
     for plan, sweep, check in zip(plans, sweeps, checks):
         try:
-            g_tab = f_tab if plan.seed is None else _derived(f_tab, plan.seed)
-            sweep(*axes, f_tab, l_tab, g_tab, plan.seeds, failures,
-                  check and (check.held, check.cap, check.flush))
+            _pass(plan, sweep, axes, tables, failures, check)
         except EvalError:
             if check:  # a disagreement at an earlier point wins over the error
                 check.flush()

@@ -186,6 +186,27 @@ def test_verify_bad_range_exits_2(capsys):
     assert code == 2
 
 
+def test_verify_parses_each_grid_flag_once(capsys, monkeypatch):
+    parsed = []
+    for name in ("_parse_range", "_parse_seeds"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda arg, real=real, name=name:
+                            parsed.append(name) or real(arg))
+    code, out, _ = run(capsys, "verify", "--all", "--m", "-2..2", "--q", "0..1",
+                       "--seeds", "0,1", "3,7", "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 29
+    assert sorted(parsed) == ["_parse_range", "_parse_range", "_parse_seeds"]
+    # a flag is parsed when the first identity that reads it needs it:
+    # Eq8 reads no q, and Eq1 reads m before the seeds
+    assert run(capsys, "verify", "--id", "Eq8", "--q", "x")[0] == 0
+    for argv, message in [
+        (["--all", "--seeds", "0,1", "3,x"], "bad seed '3,x', expected 'g0,g1'"),
+        (["--all", "--m", "x", "--seeds", "3,x"],
+         "bad range 'x', expected 'lo..hi' or a single integer"),
+    ]:
+        assert run(capsys, "verify", *argv) == (2, "", f"fibkit: error: {message}\n")
+
+
 def test_verify_oversized_grid_exits_2_before_sweeping(capsys):
     started = time.perf_counter()
     code, out, err = run(capsys, "verify", "--id", "Eq1", "--m", "-1000000..1000000")

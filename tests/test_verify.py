@@ -11,7 +11,7 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fibkit
@@ -114,6 +114,24 @@ def test_hand_built_nested_sum_is_refused():
         with pytest.raises(FibkitError, match="^nested sums are not supported$") as info:
             call()
         assert not isinstance(info.value, InternalFault)
+
+
+def test_hand_built_ref_in_an_index_is_an_eval_error():
+    # the parser keeps sequence refs out of indices; a hand-built tree can
+    # hold one, and every path names the node, as a sum bound does
+    cases = [(SeqRef("F", SeqRef("G", Sym("m"))),
+              "^unsupported node SeqRef in an index expression$"),
+             (Sum("k", Lit(0), SeqRef("G", Sym("m")), Lit(1)),
+              "^cannot bound non-index expression node SeqRef$")]
+    spec = GridSpec({"m": (0, 2)}, (F_SEED, Seed(3, 7)))
+    for side, message in cases:
+        identity = Identity("hand-built", side, Lit(0), ("m",))
+        for call in (lambda: verify_grid(identity, spec),
+                     lambda: verify_grid(identity, spec, use_oracle=True)):
+            with pytest.raises(EvalError, match=message):
+                call()
+    with pytest.raises(EvalError, match=cases[0][1]):
+        eval_side(cases[0][0], ParamPoint({"m": 1}))
 
 
 def test_evaluation_paths_compile_once(monkeypatch):
@@ -420,25 +438,28 @@ def test_closed_binom_walks_pascal_once_per_node_per_grid(monkeypatch, text):
 
 
 def _corrupt_table(monkeypatch, *indices):
-    """verify's F table one too high at each of indices: every F, L and G
-    value the sweep reads comes from it."""
+    """verify's F table one too high at each of indices that it holds:
+    every F, L and G value the sweep reads comes from it. A grid's box
+    builds its table over the box's own window, which may miss some."""
     build = verify.table
 
     def off_by_one(seed, lo, hi):
         assert seed == F_SEED
         values = build(seed, lo, hi)
         for i in indices:
-            values[i] += 1
+            if i in values:
+                values[i] += 1
         return values
 
     monkeypatch.setattr(verify, "table", off_by_one)
 
 
 def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
-    # F(2): inside the window of every point below
-    _corrupt_table(monkeypatch, 2)
+    # F(-2): read in the grid's box, n in -3..-2, and so in the grid
+    _corrupt_table(monkeypatch, -2)
     eq8 = catalog.get("Eq8")
     spec = small_spec("m", "n")
+    assert verify._grid(eq8, spec).box[0] == [range(-3, -1), range(-3, 4)]  # n, m
     assert not verify_grid(eq8, spec).passed
     with pytest.raises(InternalFault, match="oracle disagrees with evaluator on 'Eq8'"):
         verify_grid(eq8, spec, use_oracle=True)
@@ -1420,6 +1441,305 @@ def test_nineteen_loops_compile_with_the_seed_loops(seeds):
     for plan in grid.plans:
         for oracle_check in (False, True):
             grid.sweep(identity, oracle_check, plan)
+
+
+# --- the box ------------------------------------------------------------------
+
+def widths_of(identity, spec):
+    """verify's width of each parameter but the ranks' on spec."""
+    axes = [p for p in identity.free_params if p not in identity.rank_params]
+    return verify._widths(identity, spec, verify._sides(identity), axes,
+                          verify._Limit(spec.checks(identity.free_params)))
+
+
+def test_catalog_widths_on_the_default_grid(catalog):
+    args = cli.build_parser().parse_args(["verify", "--all"])
+    expected = {
+        **{f"Eq{i}": {"m": 5, "p": 2, "q": 5} for i in range(1, 5)},  # n + 1 at n = 4
+        **{name: {"m": 2, "n": 2} for name in ("Eq8", "Lemma10", "Lemma11", "Lemma12",
+                                               "Lemma13")},
+        **{f"Eq{i}": {"m": 2, "p": 2, "q": 2} for i in (14, 16, 18, 19)},
+        **{f"S3.n{r}.{k}-{d}": {"n": 2, "m": r + 1, "p": r + 1}
+           for r in range(1, 5) for k in "FL" for d in ("forward", "backward")},
+    }
+    assert {e.name: widths_of(e, cli._grid_for(e, args)) for e in catalog} == expected
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_eq1_to_eq4_need_rank_plus_one_values_of_m_and_q(catalog, rank):
+    spec = GridSpec({"n": (rank, rank), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)})
+    for name in ("Eq1", "Eq2", "Eq3", "Eq4"):
+        assert widths_of(catalog.get(name), spec) == {"m": rank + 1, "p": 2, "q": rank + 1}
+
+
+def test_an_axis_stops_at_its_length_and_the_work_at_the_checks(catalog):
+    eq1 = catalog.get("Eq1")
+    # at n = 1000, F(m + q)^1000 alone has 1001 bases along m and q
+    spec = GridSpec({"n": (0, 1000), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)})
+    started = time.perf_counter()
+    assert widths_of(eq1, spec) == {"m": 17, "p": 2, "q": 17}
+    assert time.perf_counter() - started < 2.0
+    # a grid with fewer checks than the analysis would take is swept in full
+    lim = verify._Limit(10)
+    spec = GridSpec({"n": (0, 4), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)})
+    assert verify._widths(eq1, spec, verify._sides(eq1), ["m", "q"], lim) \
+        == {"m": 17, "q": 17}
+    assert lim.work < 0
+
+
+def test_the_rank_value_that_needs_the_most_decides():
+    # F(m)^(4 - n) has 5 - n bases: n = 0 needs the most
+    identity = parse_identity("sum(k, 0, n, F(m)^(4 - n)) == 0", name="t", params=("n", "m"))
+    spec = GridSpec({"n": (0, 4), "m": (-8, 8)}, (F_SEED,))
+    assert widths_of(identity, spec) == {"m": 5}
+
+
+def test_a_passing_grid_sweeps_only_its_box(catalog, monkeypatch):
+    swept = []
+    real = verify._pass
+    monkeypatch.setattr(verify, "_pass", lambda plan, sweep, axes, *rest: swept.append(
+        [(a[0], a[-1]) for a in axes]) or real(plan, sweep, axes, *rest))
+    eq1 = catalog.get("Eq1")
+    grid = verify._grid(eq1, VARIANT_SPEC)
+    assert grid.order == ("n", "m", "q", "p") and [p.shift for p in grid.plans] == ["p"]
+    box = [(0, 2), (-2, 0), (-2, 0), (-2, 2)]  # m and q cut to 3 values; p shifts
+    report = verify_grid(eq1, VARIANT_SPEC)
+    assert report.passed and report.total == 1500 and swept == [box]
+    # a failure in the box sweeps the whole grid, every plan, as before
+    swept.clear()
+    square = VARIANT_CATALOG.get("Eq1.square")
+    assert len(verify._grid(square, VARIANT_SPEC).plans) == 4
+    report = verify_grid(square, VARIANT_SPEC)
+    full = [(0, 2), (-2, 2), (-2, 2), (-2, 2)]
+    assert swept[0] != full and swept[1:] == [full] * 4
+    assert report.to_json_dict() == _unboxed(monkeypatch, square, VARIANT_SPEC)
+
+
+def _unboxed(monkeypatch, identity, spec):
+    """identity's report on spec from a sweep of the whole grid."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_compile_cache", {})
+        patch.setattr(verify, "_box", lambda *args: None)
+        return verify_grid(identity, spec).to_json_dict()
+
+
+def test_the_oracle_compares_every_point_of_a_grid_with_a_box(catalog, monkeypatch):
+    swept, checked = [], []
+    real, flush = verify._pass, verify._OracleCheck.flush
+    monkeypatch.setattr(verify, "_pass", lambda plan, sweep, axes, *rest: swept.append(
+        [len(a) for a in axes]) or real(plan, sweep, axes, *rest))
+
+    def compared(check):
+        checked.append(len(check.held) // 2)
+        flush(check)
+
+    monkeypatch.setattr(verify._OracleCheck, "flush", compared)
+    eq1 = catalog.get("Eq1")
+    assert verify._grid(eq1, VARIANT_SPEC).box is not None
+    assert verify_grid(eq1, VARIANT_SPEC, use_oracle=True).passed
+    assert swept == [[3, 5, 5, 5]] and sum(checked) == 1500
+
+
+def test_binom_sweeps_its_axis_in_full():
+    identity = parse_identity("F(m) + binom(m, 8) == F(m)", name="binom", params=("m",))
+    spec = GridSpec({"m": (-8, 8)}, (F_SEED,))
+    assert verify._grid(identity, spec).box is None
+    report = verify_grid(identity, spec)
+    assert [(f.point, f.lhs, f.rhs) for f in report.failures] == [((("m", 8),), 22, 21)]
+
+
+def test_pow5floor_error_is_the_first_point_by_point():
+    identity = parse_identity("F(m)^2*pow5floor(2 - q) == F(m)^2*pow5floor(2 - q)",
+                              name="p5", params=("m", "q"))
+    spec = GridSpec({"m": (-8, 8), "q": (-8, 8)}, (F_SEED, Seed(3, 7)))
+    # m is cut to 3 values; q, read by pow5floor, is not
+    assert verify._grid(identity, spec).box[0] == [range(-8, -5), range(-8, 9)]
+    with pytest.raises(EvalError, match=r"^pow5floor argument -1 is negative at point "
+                                        r"\(m=-8, q=3\), seed Seed\(g0=0, g1=1\)$"):
+        verify_grid(identity, spec)
+    assert _point_by_point(identity, spec)[1] == " at point (m=-8, q=3), seed Seed(g0=0, g1=1)"
+
+
+@pytest.mark.parametrize("text,width,first", [
+    # the first four vanish at every value of the box but its last; a
+    # right side of 0 times the left side's bases adds none to them
+    ("(m + 8)*(m + 7)*(m + 6)*(m + 5)*(m + 4) == 0", 6, -3),  # m counts twice
+    ("F(m + 8)*F(m + 7)*F(m + 6) == 0*F(m)^3", 4, -5),
+    ("(1 + sign(m + 1))*F(m + 7) == 0*sign(m)*F(m)", 4, -5),
+    ("sign(m)*(m + 8)*(m + 7) == 0*sign(m)", 3, -6),
+    ("(m + 8)*(m + 7)*F(m + 6) == 0", 7, -5),
+    ("F(m + 8)^2*L(m + 7) == 0", 5, -7),
+])
+def test_a_difference_that_vanishes_short_of_its_width_fails(text, width, first):
+    identity = parse_identity(text, name="vanishing", params=("m",))
+    spec = GridSpec({"m": (-8, 8)}, (F_SEED, Seed(3, 7)))
+    assert widths_of(identity, spec) == {"m": width}
+    assert verify._grid(identity, spec).box[0] == [range(-8, -8 + width)]
+    report = verify_grid(identity, spec)
+    assert dict(report.failures[0].point) == {"m": first}
+    _matches_oracle_and_point_by_point(identity, spec)
+
+
+def _rewritten(node):
+    """node with every sequence ref and sign rewritten to an equal value
+    of another shape: F(i + 1) - F(i - 1), F(i - 1) + F(i + 1) for L(i),
+    G(i + 2) - G(i + 1) and sign(i + 2)."""
+    if isinstance(node, SeqRef):
+        i = node.arg
+        if node.kind == "F":
+            return Sub(SeqRef("F", Add(i, Lit(1))), SeqRef("F", Sub(i, Lit(1))))
+        if node.kind == "L":
+            return Add(SeqRef("F", Sub(i, Lit(1))), SeqRef("F", Add(i, Lit(1))))
+        return Sub(SeqRef("G", Add(i, Lit(2))), SeqRef("G", Add(i, Lit(1))))
+    if isinstance(node, Sign):
+        return Sign(Add(node.arg, Lit(2)))
+    if isinstance(node, Sum):
+        return Sum(node.var, node.lo, node.hi, _rewritten(node.body))
+    if isinstance(node, Pow):
+        return Pow(_rewritten(node.base), node.exponent)
+    if isinstance(node, (Add, Sub, Mul)):
+        return type(node)(_rewritten(node.left), _rewritten(node.right))
+    if isinstance(node, Neg):
+        return Neg(_rewritten(node.operand))
+    return node
+
+
+def _exp_values(names, kinds):
+    """Values that are exponential polynomials along every name: refs,
+    bare symbols, signs and constant powers."""
+    leaves = st.one_of(
+        st.builds(SeqRef, st.sampled_from(kinds), _index_exprs(names)),
+        st.integers(-3, 3).map(Lit),
+        st.sampled_from(names).map(Sym),
+        st.builds(Sign, _index_exprs(names)),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Pow, children, st.integers(0, 3).map(Lit)),
+    ), max_leaves=4)
+
+
+def _exp_g_linear(names):
+    """Such values with exactly one G factor in every term."""
+    free = _exp_values(names, ("F", "L"))
+    g = st.builds(SeqRef, st.just("G"), _index_exprs(names))
+    return st.recursive(st.one_of(g, st.builds(Mul, free, g)), lambda inner: st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Mul, free, inner),
+    ), max_leaves=3)
+
+
+def _vanishing(x, lo, count):
+    """A product of one factor 0 at each of x's first count values: x - r,
+    F(x - r) or 1 + sign(x - r - 1). A nonzero multiple of it has at least
+    count + 1 bases along x."""
+    factors = [st.sampled_from([Sub(Sym(x), Lit(r)), SeqRef("F", Sub(Sym(x), Lit(r))),
+                                Add(Lit(1), Sign(Sub(Sym(x), Lit(r + 1))))])
+               for r in range(lo, lo + count)]
+    return st.tuples(*factors).map(lambda fs: functools.reduce(Mul, fs))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_box_reports_match_every_point(data):
+    axes = tuple(data.draw(st.lists(st.sampled_from(("m", "q")), min_size=1, max_size=2,
+                                    unique=True)))
+    ranked = data.draw(st.booleans())
+    params = ("n", *axes) if ranked else axes
+    plan = data.draw(st.sampled_from(("free", "basis", "per-seed")))
+    names = axes + ("k",) if ranked else axes
+    if plan == "basis":
+        values, extra = _exp_g_linear(names), _exp_g_linear(axes)
+    else:
+        kinds = ("F", "L") if plan == "free" else ("F", "L", "G")
+        values, extra = _exp_values(names, kinds), _exp_values(axes, kinds)
+    # a side with few bases of its own leaves the added term's to decide the box
+    value = data.draw(st.one_of(st.builds(SeqRef, st.just("G"), st.integers(-3, 3).map(Lit))
+                                if plan == "basis" else st.integers(-3, 3).map(Lit), values))
+    if plan == "per-seed":  # two G factors in every term
+        value = Mul(Mul(SeqRef("G", data.draw(_index_exprs(names))),
+                        SeqRef("G", data.draw(_index_exprs(names)))), value)
+    if ranked:
+        value = Sum("k", Lit(0), Sym("n"), value)
+    ranges = {"n": (0, data.draw(st.integers(0, 2)))} if ranked else {}
+    for x in axes:
+        lo = data.draw(st.integers(-3, 0))
+        ranges[x] = (lo, lo + data.draw(st.integers(4, 7)))
+    lhs = value
+    if data.draw(st.booleans()):  # 0 at the first values of x, and false unless 0
+        x = data.draw(st.sampled_from(axes))
+        lo, hi = ranges[x]
+        zero = _vanishing(x, lo, data.draw(st.integers(1, hi - lo)))
+        lhs = Add(value, Mul(data.draw(zero), data.draw(extra)))
+    identity = parse_identity(f"{to_text(lhs)} == {to_text(_rewritten(value))}",
+                              name="random", params=params)
+    distinct = data.draw(st.lists(SEEDS, min_size=2 if plan == "basis" else 1, max_size=3,
+                                  unique=True))
+    spec = GridSpec(ranges, tuple(distinct))
+    kinds = [(p.basis, p.seed is not None) for p in plans_of(identity, spec)]
+    assert set(kinds) == {{"free": (False, False), "basis": (True, False),
+                           "per-seed": (False, True)}[plan]}
+    _matches_oracle_and_point_by_point(identity, spec)
+
+
+def _bareiss_det(rows):
+    """The determinant of an integer matrix, by fraction-free elimination."""
+    m, sign, prev = [list(row) for row in rows], 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_a_width_bounds_the_order_of_every_line(data):
+    # a sequence with w bases, counted, obeys a linear recurrence of order
+    # w, so every (w + 1) x (w + 1) Hankel matrix of its values is singular;
+    # the oracle, which shares no code with the analysis, gives the values
+    ranked = data.draw(st.booleans())
+    names = ("m", "q", "k") if ranked else ("m", "q")
+    exponents = st.one_of(st.integers(0, 3).map(Lit), st.sampled_from(
+        [Sym("k"), Sub(Sym("n"), Sym("k")), Sub(Lit(3), Sym("n"))] if ranked else [Lit(2)]))
+    leaves = st.one_of(st.builds(SeqRef, st.sampled_from("FLG"), _index_exprs(names)),
+                       st.integers(-3, 3).map(Lit), st.sampled_from(names).map(Sym),
+                       st.builds(Sign, _index_exprs(names)))
+    side = data.draw(st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Pow, children, exponents),
+    ), max_leaves=5))
+    if ranked:
+        side = Sum("k", Lit(0), Sym("n"), side)
+    params = ("n", "m", "q") if ranked else ("m", "q")
+    identity = parse_identity(f"{to_text(side)} == {to_text(side)}", name="side",
+                              params=params)
+    spec = GridSpec({"n": (0, 3), "m": (-8, 8), "q": (-8, 8)} if ranked else
+                    {"m": (-8, 8), "q": (-8, 8)})
+    width = widths_of(identity, spec)["m"]
+    assume(width < 10)
+    point = {"q": data.draw(st.integers(-8, 8))}
+    if ranked:
+        point["n"] = data.draw(st.integers(0, 3))
+    seed = data.draw(SEEDS)
+    values = [oracle_eval(side, ParamPoint({**point, "m": m}, seed))
+              for m in range(-8, -8 + 2 * width + 3)]
+    for start in range(3):
+        window = [[values[start + i + j] for j in range(width + 1)] for i in range(width + 1)]
+        assert _bareiss_det(window) == 0, (to_text(side), point, width, start)
 
 
 # --- report serialization ----------------------------------------------------
