@@ -379,66 +379,90 @@ class _SubParser(argparse.ArgumentParser):
 _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\.-?\d+|,-?\d+)?$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_selection(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--id", nargs="+", metavar="SELECTOR",
+                   help="identity names or paper tags")
+    p.add_argument("--all", action="store_true", help="select every entry")
+    p.add_argument("--file", help="catalog file instead of the built-in one")
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("human", "json", "csv"),
+                   default="human")
+    p.add_argument("--timing", action="store_true",
+                   help="include wall time in JSON output")
+
+
+def _fill_eval(p: argparse.ArgumentParser) -> None:
+    p.add_argument("seq", choices=("F", "L", "G"))
+    p.add_argument("index", type=int)
+    p.add_argument("--seed", help="seed 'g0,g1' (required for G)")
+    p.set_defaults(func=_cmd_eval)
+
+
+def _fill_verify(p: argparse.ArgumentParser) -> None:
+    _add_selection(p)
+    for flag in _GRID_FLAGS:
+        p.add_argument(f"--{flag}", dest=f"range_{flag}", metavar="LO..HI",
+                       help=f"range for parameter {flag}")
+    p.add_argument("--seeds", nargs="+", metavar="G0,G1",
+                   help="seeds for G (semicolon-separated pairs also work)")
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="verify the selected identities in up to N processes")
+    p.add_argument("--oracle", action="store_true",
+                   help="double-check every point with the brute-force oracle")
+    _add_output(p)
+    p.set_defaults(func=_cmd_verify)
+
+
+def _fill_prove(p: argparse.ArgumentParser) -> None:
+    _add_selection(p)
+    p.add_argument("--n", nargs="+", type=int, metavar="N",
+                   help="rank values for sum-bounded identities "
+                        "(default 1 2 3 4)")
+    _add_output(p)
+    p.set_defaults(func=_cmd_prove)
+
+
+def _fill_catalog(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--name", help="show one entry")
+    p.add_argument("--file", help="catalog file instead of the built-in one")
+    p.add_argument("--format", choices=("human", "json"), default="human")
+    p.set_defaults(func=_cmd_catalog)
+
+
+def _fill_bench(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", nargs="+", type=int, required=True)
+    p.add_argument("--naive-threshold", type=int, default=100_000,
+                   help="skip naive iteration above this index")
+    p.set_defaults(func=_cmd_bench)
+
+
+# Each subcommand: its name, its help line, and what adds its arguments.
+_COMMANDS = (
+    ("eval", "print F(n), L(n), or G(n) exactly", _fill_eval),
+    ("verify", "check identities on a grid", _fill_verify),
+    ("prove", "symbolic proof over all integers", _fill_prove),
+    ("catalog", "inspect catalog entries", _fill_catalog),
+    ("bench", "time fast doubling vs naive iteration", _fill_bench),
+)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """fibkit's parser, with every subcommand registered. Given argv, only
+    the subcommands whose names appear in it get their arguments, since
+    parsing argv reads no other; without argv, all of them do."""
     parser = argparse.ArgumentParser(
         prog="fibkit",
         description="Exact Fibonacci/Lucas/generalized identity toolkit",
     )
     parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubParser)
-
-    p_eval = sub.add_parser("eval", help="print F(n), L(n), or G(n) exactly")
-    p_eval.add_argument("seq", choices=("F", "L", "G"))
-    p_eval.add_argument("index", type=int)
-    p_eval.add_argument("--seed", help="seed 'g0,g1' (required for G)")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    def add_selection(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--id", nargs="+", metavar="SELECTOR",
-                       help="identity names or paper tags")
-        p.add_argument("--all", action="store_true", help="select every entry")
-        p.add_argument("--file", help="catalog file instead of the built-in one")
-
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("human", "json", "csv"),
-                       default="human")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall time in JSON output")
-
-    p_verify = sub.add_parser("verify", help="check identities on a grid")
-    add_selection(p_verify)
-    for flag in _GRID_FLAGS:
-        p_verify.add_argument(f"--{flag}", dest=f"range_{flag}", metavar="LO..HI",
-                              help=f"range for parameter {flag}")
-    p_verify.add_argument("--seeds", nargs="+", metavar="G0,G1",
-                          help="seeds for G (semicolon-separated pairs also work)")
-    p_verify.add_argument("--workers", type=int, default=1, metavar="N",
-                          help="verify the selected identities in up to N processes")
-    p_verify.add_argument("--oracle", action="store_true",
-                          help="double-check every point with the brute-force oracle")
-    add_output(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_prove = sub.add_parser("prove", help="symbolic proof over all integers")
-    add_selection(p_prove)
-    p_prove.add_argument("--n", nargs="+", type=int, metavar="N",
-                         help="rank values for sum-bounded identities "
-                              "(default 1 2 3 4)")
-    add_output(p_prove)
-    p_prove.set_defaults(func=_cmd_prove)
-
-    p_cat = sub.add_parser("catalog", help="inspect catalog entries")
-    p_cat.add_argument("--name", help="show one entry")
-    p_cat.add_argument("--file", help="catalog file instead of the built-in one")
-    p_cat.add_argument("--format", choices=("human", "json"), default="human")
-    p_cat.set_defaults(func=_cmd_catalog)
-
-    p_bench = sub.add_parser("bench", help="time fast doubling vs naive iteration")
-    p_bench.add_argument("--n", nargs="+", type=int, required=True)
-    p_bench.add_argument("--naive-threshold", type=int, default=100_000,
-                         help="skip naive iteration above this index")
-    p_bench.set_defaults(func=_cmd_bench)
-
+    named = None if argv is None else set(argv)
+    for name, help_line, fill in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if named is None or name in named:
+            fill(p)
     return parser
 
 
@@ -456,8 +480,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except InternalFault:

@@ -12,39 +12,42 @@ alone: their values on the seed (1, 0) at s are those on (0, 1) at
 s - 1, since B10(e) = B01(e - 1). Such a side is a fixed linear
 combination of values G(s + d), so along s it obeys G's own recurrence
 X(s + 1) = X(s) + X(s - 1): the sweep evaluates it in full only twice
-per line of s, at s = lo - 1 and s = lo, and takes one addition per
-later step. The two start evaluations are two pairs of sides written
-side by side in one pass, as the two basis pairs are: each sum is one
-loop with one total per pair, and a summand that reads the summation
-index but not s is computed once per index value inside that loop.
-Sides that read no G and have exactly one factor F or L at
-s + (terms without s) in each term, s being read nowhere else, obey the
-same recurrence and are stepped the same way. Every value on a line
-follows from its two start pairs, so a line whose start pairs agree
-passes without a walk; with the oracle, every line is walked, so it
-sees every point and seed. The oracle's sweep makes no call per check:
-it appends each point's values for every seed to one flat list, and a
-batch of points at a time is compared with the oracle's values, laid
-out alike, as one list. Each side is read once into a term tree whose
+per line of s, at s = z - 1 and s = z, z the value of s's range nearest
+0, and takes one subtraction per step back from z to the line's first
+value and one addition per step along the line. The two start
+evaluations are two pairs of sides written side by side in one pass, as
+the two basis pairs are: each sum is one loop with one total per pair,
+and a summand that reads the summation index but not s is computed once
+per index value inside that loop. Sides that read no G and have exactly
+one factor F or L at s + (terms without s) in each term, s being read
+nowhere else, obey the same recurrence and are stepped the same way.
+Every value on a line follows from its two start pairs, so a line whose
+start pairs agree passes without a walk; with the oracle, every line is
+walked, so it sees every point and seed. Only the start pairs read
+tables, so the index window of a grid with such an s is taken with s at
+z. The oracle's sweep makes no call per check: it appends each point's
+values for every seed to one flat list, and a batch of points at a time
+is compared with the oracle's values, laid out alike, as one list. Each side is read once into a term tree whose
 nodes hold what the plans, the loop order, the grid's index window and
 every sweep's code read. A sweep reads one F table over that window: G
 on the basis seeds is F one index back and F itself, and L and a
 per-seed pass's G are tables derived from it as g0*F(e - 1) + g1*F(e).
-Without the oracle, a grid is swept over its box first: each parameter
-but the ranks and the shift parameter is cut to as many values as
-LHS - RHS has exponential bases along it (see _box), so a box that
-passes at every point and seed is a grid that passes; on a failure or
-an evaluation error in the box, the whole grid is swept, so the
-failures and errors reported are the whole grid's. A grid's trees,
-plans, loop order, index window, box, compiled sweeps and, once an
-oracle call has built them, the oracle's evaluators over its own tables
-are kept in one entry per identity and grid; the sweep's F table is
-built anew on every call, over the box's window first and widened in
-place when the whole grid follows. The sweep is the only generated
-code: a side's value at one point is the one-point sweep of side == 0,
-and an evaluation error is located point by point with one compiled
-one-point sweep. All arithmetic is unbounded int; a PASS means exact
-equality at every point and seed.
+Without the oracle, a grid is swept over its boxes first, one per rank
+value: in each, every parameter but the ranks and the shift parameter
+is cut to its values nearest 0, as many as LHS - RHS has exponential
+bases along it at that rank value (see _box), so boxes that pass at
+every point and seed are a grid that passes; on a failure or an
+evaluation error in a box, the whole grid is swept, so the failures and
+errors reported are the whole grid's. A grid's trees, plans, loop
+order, index window, boxes, compiled sweeps and, once an oracle call
+has built them, the oracle's evaluators over its own tables are kept in
+one entry per identity and grid; the sweep's F table is built anew on
+every call, over the boxes' window first and widened in place when the
+whole grid follows. The sweep is the only generated code: a side's
+value at one point is the one-point sweep of side == 0, and an
+evaluation error is located point by point with one compiled one-point
+sweep, on tables over the whole grid's window. All arithmetic is
+unbounded int; a PASS means exact equality at every point and seed.
 """
 
 from __future__ import annotations
@@ -144,11 +147,22 @@ def _rng(lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
+def _back(l0: int, l1: int, r0: int, r1: int, steps: int) -> tuple[int, int, int, int]:
+    """Both sides' pairs (X(s - 1), X(s)) taken steps values back along a
+    line, by X(s - 1) = X(s + 1) - X(s)."""
+    for _ in range(steps):
+        l0, l1, r0, r1 = l1 - l0, l0, r1 - r0, r0
+    return l0, l1, r0, r1
+
+
 _COMPILE_GLOBALS = {
     "__builtins__": {},
     "len": len,
+    "max": max,
+    "min": min,
     "sum": sum,
     "zip": zip,
+    "_back": _back,
     "_bi": _bi,
     "_pw": _pw,
     "_p5": _p5,
@@ -195,9 +209,9 @@ def _derived(f_tab: dict[int, int], seed: Seed) -> dict[int, int]:
 def _tables(window: Interval | None, sides: Sequence[_Term], f_tab: dict[int, int] | None = None,
             ) -> tuple[dict[int, int], dict[int, int]]:
     """F from two below window, the lowest index a value derived at a shift
-    plan's s = lo - 1 reads, to its top; and, when a side reads L, L derived
-    from it. F is f_tab, when given, widened in place: an F table over a
-    run of indices within those."""
+    plan's s = z - 1 reads (window holds s = z, see _pinned), to its top;
+    and, when a side reads L, L derived from it. F is f_tab, when given,
+    widened in place: an F table over a run of indices within those."""
     if window is None:
         return {}, {}
     lo, hi = window[0] - 2, window[1]
@@ -370,9 +384,9 @@ class _Plan(NamedTuple):
     holds the indices of the requested seeds whose values the one pair of
     sides gives, on seed's G table, or reading no G when seed is None.
     With shift, the sides obey the Fibonacci recurrence along it, so they
-    are evaluated in full twice per line of shift, at its first value and
-    one before, as the two pairs of one pass; a line whose two start pairs
-    agree passes at every point without a walk.
+    are evaluated in full twice per line of shift, at its value nearest 0
+    and one before, as the two pairs of one pass; a line whose two start
+    pairs agree passes at every point without a walk.
     """
 
     basis: bool
@@ -417,9 +431,12 @@ def _plans(identity: Identity, spec: GridSpec, sides: Sequence[_Term]) -> list[_
 # over the union of both sides' bases, so it obeys the linear recurrence
 # whose characteristic roots are those bases, none of them 0: if it
 # vanishes at as many consecutive values of x as the bases count, it
-# vanishes at every integer x (Zeilberger, The C-finite Ansatz, 2013). Taken
-# one axis at a time, a box that is that wide along every axis at every
-# rank value passes only if the whole grid does.
+# vanishes at every integer x (Zeilberger, The C-finite Ansatz, 2013); a
+# literal 0 has no base. Any such run will do, so the box takes the one
+# nearest 0, whose indices and integers are the smallest. Taken one axis
+# at a time, boxes that are that wide along every axis, one per rank
+# value, each as wide as its own rank value needs, pass only if the whole
+# grid does.
 
 class _Full(Exception):
     """The axis is swept in full."""
@@ -443,6 +460,7 @@ class _Limit:
 
 _Bases = dict[tuple[int, int], int]  # (sign, e) of sign*phi^e -> its count
 _ONE: _Bases = {(1, 0): 1}
+_ZERO: _Bases = {}  # a literal 0: no term at all
 
 
 def _capped(bases: _Bases, lim: _Limit) -> _Bases:
@@ -461,7 +479,9 @@ def _union(a: _Bases, b: _Bases, lim: _Limit) -> _Bases:
 
 def _times(a: _Bases, b: _Bases, lim: _Limit) -> _Bases:
     """The bases of a product: signs multiply, exponents add, and the
-    polynomials' degrees add."""
+    polynomials' degrees add; none when a factor has none."""
+    if not a or not b:
+        return _ZERO
     if a == _ONE or b == _ONE:
         return b if a == _ONE else a
     lim.charge(len(a) * len(b))
@@ -517,9 +537,9 @@ def _bases(term: _Term, x: str, env: Mapping[str, int], lim: _Limit, used: set[s
     index at their values in env; the names of env read are added to used.
     Raises _Full on a shape that is no such sum along x, once the bases
     count lim.cap or more, or once lim's work is spent."""
-    if x not in term.reads:
-        return _ONE
     kind = type(term.node)
+    if x not in term.reads:
+        return _ZERO if kind is Lit and term.node.value == 0 else _ONE
     if kind is Sym:
         return {(1, 0): 2}
     if kind is SeqRef:
@@ -554,49 +574,76 @@ def _bases(term: _Term, x: str, env: Mapping[str, int], lim: _Limit, used: set[s
 
 
 def _widths(identity: Identity, spec: GridSpec, sides: Sequence[_Term], axes: Iterable[str],
-            lim: _Limit) -> dict[str, int]:
+            lim: _Limit) -> dict[tuple[int, ...], dict[str, int]]:
     """How many consecutive values of each parameter in axes decide the
-    grid: the bases of LHS - RHS along it, counted, at the rank values that
-    need the most; or its range's length, when that is no more, or when
-    lim's work is spent first."""
+    grid at each rank value, keyed by the rank parameters' values in
+    order: the bases of LHS - RHS along it there, counted, and at least
+    one; or its range's length, when that is no more, when the shape is no
+    such sum there, or from where lim's work is spent."""
     ranks = identity.rank_params
-    widths = {}
+    widths: dict[tuple[int, ...], dict[str, int]] = {
+        values: {} for values in itertools.product(*(range(lo, hi + 1) for lo, hi in
+                                                     (spec.ranges[r] for r in ranks)))}
     for x in axes:
         lo, hi = spec.ranges[x]
-        lim.cap, width = hi - lo + 1, 1
-        try:
-            # the largest rank values first: they tend to need the most
-            for values in itertools.product(*(range(b, a - 1, -1) for a, b in
-                                              (spec.ranges[r] for r in ranks))):
+        lim.cap = hi - lo + 1
+        for values, row in widths.items():
+            env, used = dict(zip(ranks, values)), set()
+            try:
                 lim.charge(1)
-                env, used = dict(zip(ranks, values)), set()
                 lhs, rhs = (_bases(side, x, env, lim, used) for side in sides)
-                width = max(width, sum(_union(lhs, rhs, lim).values()))
-                if used.isdisjoint(ranks):  # the same at every rank value
-                    break
-        except _Full:
-            width = lim.cap
-        widths[x] = width
+                row[x] = max(1, sum(_union(lhs, rhs, lim).values()))
+            except _Full:
+                row[x] = lim.cap
+                continue
+            if used.isdisjoint(ranks):  # the same at every rank value
+                for other in widths.values():
+                    other.setdefault(x, row[x])
+                break
     return widths
 
 
+def _nearest_zero(bounds: Interval, width: int) -> Interval:
+    """The width consecutive values of bounds closest to 0, the lower one
+    on a tie; bounds has at least width values."""
+    lo, hi = bounds
+    start = min(max(lo, -(width // 2)), hi - width + 1)
+    return start, start + width - 1
+
+
+def _pinned(ranges: Mapping[str, Interval], shift: str | None) -> Mapping[str, Interval]:
+    """ranges with the shift parameter at its value nearest 0: a line of it
+    reads tables only at its start pairs, that value and the one before,
+    and walks to every other value by the recurrence."""
+    return {**ranges, shift: _nearest_zero(ranges[shift], 1)} if shift else ranges
+
+
 def _box(identity: Identity, spec: GridSpec, sides: Sequence[_Term], order: Sequence[str],
-         shift: str | None) -> tuple[list[range], Interval | None] | None:
-    """The ranges of order's parameters, each but the ranks' and the shift
-    parameter's cut to its first _widths values, and the index window over
-    them; None when none is cut. A shift parameter's line costs two
-    evaluations however long it is. The analysis takes at most as much
-    work as the grid has checks."""
-    params = identity.free_params
-    axes = [p for p in params if p != shift and p not in identity.rank_params
+         shift: str | None) -> tuple[list[list[range]], Interval | None] | None:
+    """One box per rank value, as the ranges of order's parameters, and
+    the index window over the smallest box that holds them all; None when
+    no axis is cut. In the
+    box of a rank value, each parameter but the ranks' and the shift
+    parameter's is cut to its _widths values there nearest 0: any run that
+    long decides the axis, and this one reads the smallest indices. A shift
+    parameter's line costs two evaluations however long it is. The
+    analysis takes at most as much work as the grid has checks."""
+    params, ranks = identity.free_params, identity.rank_params
+    axes = [p for p in params if p != shift and p not in ranks
             and spec.ranges[p][0] < spec.ranges[p][1]]
     widths = _widths(identity, spec, sides, axes, _Limit(spec.checks(params)))
-    cut = {p: (spec.ranges[p][0], spec.ranges[p][0] + width - 1)
-           for p, width in widths.items() if width <= spec.ranges[p][1] - spec.ranges[p][0]}
-    if not cut:
+    if all(width > spec.ranges[p][1] - spec.ranges[p][0]
+           for row in widths.values() for p, width in row.items()):
         return None
-    ranges = {**{p: spec.ranges[p] for p in params}, **cut}
-    return [range(lo, hi + 1) for lo, hi in (ranges[p] for p in order)], _window(sides, ranges)
+    boxes = []
+    for values, row in widths.items():
+        ranges = {p: spec.ranges[p] for p in params}
+        ranges.update((r, (v, v)) for r, v in zip(ranks, values))
+        ranges.update((p, _nearest_zero(ranges[p], width)) for p, width in row.items())
+        boxes.append([range(lo, hi + 1) for lo, hi in (ranges[p] for p in order)])
+    hull = {p: (min(box[i][0] for box in boxes), max(box[i][-1] for box in boxes))
+            for i, p in enumerate(order)}
+    return boxes, _window(sides, _pinned(hull, shift))
 
 
 def _interval(node: Node, env: Mapping[str, Interval]) -> Interval:
@@ -692,8 +739,8 @@ def _loop_order(identity: Identity, spec: GridSpec, plan: _Plan,
     sides if it reads G); of all orders of the loops, the first one with
     the fewest such computations wins. The plan's shift parameter loops
     innermost, where a term that reads it is computed twice per line, at
-    the line's first value and one before; G's recurrence gives the sides
-    at every later step.
+    the line's value nearest 0 and one before; G's recurrence gives the
+    sides at every other step.
     """
     params = identity.free_params
     lengths = {p: len(_axis(spec, p)) for p in params}
@@ -872,7 +919,7 @@ def _sweep_source(identity: Identity, grid: _Grid, oracle: bool, plan: _Plan) ->
     params, order, fixed = identity.free_params, grid.order, grid.fixed
     basis, shift = plan.basis, plan.shift
     names = {p: f"v{i}" for i, p in enumerate(params)}
-    if shift:  # pair j at the start value _sj of each line: lo - 1, then lo
+    if shift:  # pair j at the start value _sj of each line: z - 1, then z
         pairs = [(False, {**names, shift: f"_s{j}"}) for j in range(2)]
     else:  # on the basis, B10(e) = F(e - 1), then B01(e) = F(e)
         pairs = [(True, names), (False, names)] if basis else [(False, names)]
@@ -914,16 +961,21 @@ def _sweep_source(identity: Identity, grid: _Grid, oracle: bool, plan: _Plan) ->
             out.append(f"{indent}_n = len(_S)")
     if shift:
         axis = axes[order.index(shift)]
-        out += [f"{indent}_s0 = {axis}[0] - 1", f"{indent}_s1 = {axis}[0]"]
+        # z, the line's value nearest 0: the tables are built around it
+        out += [f"{indent}_s1 = min(max({axis}[0], 0), {axis}[-1])", f"{indent}_s0 = _s1 - 1"]
     out += [indent + line for line in writer.lines[0]]
     for j, var in enumerate(order):
         name = names[var]
         if j < fixed:
             out.append(f"{indent}{name} = {axes[j]}[0]")
         else:
-            if var == shift and not oracle:  # the line's values follow from its start pairs
-                out.append(f"{indent}if _l0 != _r0 or _l1 != _r1:")
-                indent += "    "
+            if var == shift:
+                if not oracle:  # the line's values follow from its start pairs
+                    out.append(f"{indent}if _l0 != _r0 or _l1 != _r1:")
+                    indent += "    "
+                # the pairs at z - 1 and z walked back to the line's first value
+                out.append(f"{indent}_l0, _l1, _r0, _r1 = _back(_l0, _l1, _r0, _r1, "
+                           f"_s1 - {axes[j]}[0])")
             out.append(f"{indent}for {name} in {axes[j]}:")
             indent += "    "
         out += [indent + line for line in writer.lines[j + 1]]
@@ -1062,17 +1114,20 @@ def _oracle_sides(identity: Identity, spec: GridSpec, grid: _Grid) -> list[tuple
 
 class _Grid(NamedTuple):
     """What a grid's verification keeps: its plans, its loop order, how
-    many of its parameters lead fixed, its index window, both sides' term
-    trees, its box (see _box), its sweeps, compiled from those trees on
-    first use per oracle flag and pass, and what the first oracle call
-    built for each plan (see _oracle_sides)."""
+    many of its parameters lead fixed, the index window its sweeps read,
+    with a shift plan's shift parameter at its value nearest 0 (see
+    _pinned),
+    both sides' term trees, its boxes and their window (see _box), its
+    sweeps, compiled from those trees on first use per oracle flag and
+    pass, and what the first oracle call built for each plan (see
+    _oracle_sides)."""
 
     plans: tuple[_Plan, ...]
     order: tuple[str, ...]
     fixed: int
     window: Interval | None
     sides: tuple[_Term, _Term]
-    box: tuple[list[range], Interval | None] | None
+    box: tuple[list[list[range]], Interval | None] | None
     sweeps: dict[tuple, Callable[..., None]]
     oracle_sides: list[tuple]
 
@@ -1096,7 +1151,7 @@ class _Grid(NamedTuple):
 # One entry per identity and grid, keyed by both sides, the free parameters,
 # their ranges and the seeds; and one per identity, keyed without ranges or
 # seeds, for its one-point sweep, which runs on any point's tables. An
-# entry keeps its box, analysed once, and the oracle's tables, inside its
+# entry keeps its boxes, analysed once, and the oracle's tables, inside its
 # evaluators, from the grid's first oracle call on; the sweep's F table is
 # built per call, so the fast path keeps no table per grid. Past _CACHED
 # entries the oldest is dropped.
@@ -1124,9 +1179,10 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
         # the window finds it has no range
         sides = _sides(identity)
         plans = tuple(_plans(identity, spec, sides))
+        shift = plans[0].shift
         order, fixed = _loop_order(identity, spec, plans[0], sides)
-        window = _window(sides, {p: spec.ranges[p] for p in params})
-        box = _box(identity, spec, sides, order, plans[0].shift)
+        window = _window(sides, _pinned({p: spec.ranges[p] for p in params}, shift))
+        box = _box(identity, spec, sides, order, shift)
         grid = _keep(key, _Grid(plans, order, fixed, window, sides, box, {}, []))
     return grid
 
@@ -1160,19 +1216,19 @@ def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range],
 def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: bool,
                 ) -> list[tuple[tuple[int, ...], int, int, int]]:
     """Raw failures (point, seed index, lhs, rhs) of the grid. Without the
-    oracle, a grid with a box sweeps the box first, on tables over the
-    box's window, and passes when every plan passes there; on a failure or
-    an evaluation error there, the whole grid is swept, its F table widened
-    from the box's."""
+    oracle, a grid with boxes sweeps them first, on tables over their
+    window, and passes when every plan passes there; on a failure or an
+    evaluation error there, the whole grid is swept, its F table widened
+    from the boxes'."""
     plans = grid.plans
     sweeps = [grid.sweep(identity, use_oracle, plan) for plan in plans]
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     f_tab = None
     if grid.box is not None and not use_oracle:
-        axes, window = grid.box
+        boxes, window = grid.box
         tables = _tables(window, grid.sides)
         try:
-            for plan, sweep in zip(plans, sweeps):
+            for (plan, sweep), axes in itertools.product(zip(plans, sweeps), boxes):
                 _pass(plan, sweep, axes, tables, failures)
                 if failures:
                     break
@@ -1212,19 +1268,19 @@ def eval_side(ast: Node, pt: ParamPoint) -> int:
     return failures[0][2] if failures else 0
 
 
-def _raise_first_eval_error(identity: Identity, spec: GridSpec, window: Interval | None,
-                            exc: EvalError) -> NoReturn:
+def _raise_first_eval_error(identity: Identity, spec: GridSpec, exc: EvalError) -> NoReturn:
     """Raise exc again at the point where point-by-point evaluation meets
     its first error: seeds in order, then points lexicographically.
 
     Each point runs the identity's one-point sweep, compiled once, on
-    tables over the grid's window, built once, and each seed's G. A sweep
-    computes exactly the subexpressions that point-by-point evaluation
-    does, only in another order, so such a point exists.
+    tables over the index window of the whole grid, built once, and each
+    seed's G. A sweep computes exactly the subexpressions that
+    point-by-point evaluation does, only in another order, so such a point
+    exists.
     """
     params = identity.free_params
     grid, sweep = _point_sweep(identity)
-    f_tab, l_tab = _tables(window, grid.sides)
+    f_tab, l_tab = _tables(_window(grid.sides, spec.ranges), grid.sides)
     for seed in spec.seeds:
         g_tab = _derived(f_tab, seed)
         for vals in spec.points(params):
@@ -1253,7 +1309,7 @@ def verify_grid(identity: Identity, spec: GridSpec, *,
     try:
         raw = _sweep_grid(identity, spec, grid, use_oracle)
     except EvalError as exc:
-        _raise_first_eval_error(identity, spec, grid.window, exc)
+        _raise_first_eval_error(identity, spec, exc)
 
     raw.sort(key=lambda item: (item[0], item[1]))
     failures = [

@@ -139,6 +139,37 @@ def test_eval_usage_error_exits_2(capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help", "verify"], ["eval", "-h"], ["verify", "-h"], ["prove", "--help"],
+    ["catalog", "-h"], ["bench", "-h"], ["verify", "--id", "Eq1", "-h"],
+    [], ["bogus"], ["bogus", "verify"], ["-x", "verify"], ["eval"], ["eval", "F"],
+    ["eval", "X", "5"], ["verify", "--m"], ["verify", "--workers", "two"], ["bench"],
+    ["prove", "--n", "x"], ["catalog", "--format", "csv"], ["verify", "--nope"],
+])
+def test_a_parser_filled_for_its_command_prints_the_full_parsers_bytes(capsys, argv):
+    def exit_and_output(parse):
+        with pytest.raises(SystemExit) as exc_info:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc_info.value.code, captured.out, captured.err
+
+    full = exit_and_output(cli.build_parser().parse_args)
+    assert exit_and_output(main) == full
+    assert exit_and_output(cli.build_parser(argv).parse_args) == full
+    assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+def test_a_parser_for_one_command_fills_only_that_command():
+    def filled(parser):
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return {name: len(p._actions) > 1 for name, p in sub.choices.items()}
+
+    commands = ["eval", "verify", "prove", "catalog", "bench"]
+    assert filled(cli.build_parser()) == dict.fromkeys(commands, True)
+    assert filled(cli.build_parser(["verify", "--all"])) == {
+        name: name == "verify" for name in commands}
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_single_identity_json(capsys):
@@ -354,7 +385,8 @@ def test_unreadable_catalog_file_exits_2(capsys, monkeypatch, tmp_path, kind, re
 
 
 @pytest.mark.parametrize("identity", [
-    "F(100000*m) == F(100000*m)",                           # far indices
+    # far indices on an axis that binom keeps from being cut
+    "F(100000*m) + binom(m, 2) == F(100000*m) + binom(m, 2)",
     "F(m + 300000)*F(m) == F(m)*F(m + 300000)",             # a wide window
 ], ids=["far", "wide"])
 def test_out_of_memory_exits_2_without_a_traceback(tmp_path, run_fibkit, identity):
@@ -363,6 +395,28 @@ def test_out_of_memory_exits_2_without_a_traceback(tmp_path, run_fibkit, identit
     path.write_text(f"name: big\nparams: m\npaper: t\nidentity: {identity}\n")
     code, out, err = run_fibkit("verify", "--file", str(path), "--m", "-8..8")
     assert (code, out, err) == (2, "", "fibkit: error: out of memory\n")
+
+
+def test_far_indices_pass_on_the_box_nearest_zero(tmp_path, run_fibkit):
+    # m's two values nearest 0 decide the grid: F(100000*m) is read at
+    # m = -1 and 0 only, within the child's 600 MB address space
+    path = tmp_path / "far.cat"
+    path.write_text("name: far\nparams: m\npaper: t\nidentity: F(100000*m) == F(100000*m)\n")
+    code, out, err = run_fibkit("verify", "--file", str(path), "--m", "-8..8",
+                                "--format", "json")
+    assert (code, err) == (0, "")
+    assert [(r["failures"], r["total"]) for r in json.loads(out)] == [([], 68)]
+
+
+def test_a_long_shift_line_reads_tables_only_at_its_start_pairs(run_fibkit):
+    # p shifts: its lines read F around p = 0 and walk the rest, so the
+    # length of p's range costs neither table nor time
+    started = time.perf_counter()
+    code, out, err = run_fibkit("verify", "--id", "Eq14", "--p", "-200000..200000",
+                                "--m", "0..0", "--q", "0..0", "--format", "json")
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    assert [(r["failures"], r["total"]) for r in json.loads(out)] == [([], 1_600_004)]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")

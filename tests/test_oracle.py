@@ -169,11 +169,29 @@ CATALOG_WINDOWS = {
 }
 
 
+# The index window the sweeps read on that grid, with each entry's shift
+# parameter at its value nearest 0, where a line reads its start pairs.
+SWEEP_WINDOWS = {
+    **{name: (-32, 32) for name in ("Eq1", "Eq3", "S3.n4.F-forward", "S3.n4.F-backward")},
+    **{name: (-33, 33) for name in ("Eq2", "Eq4", "S3.n4.L-forward", "S3.n4.L-backward")},
+    "Eq8": (-9, 8), **{f"Lemma{i}": (-8, 8) for i in (10, 11, 12, 13)},
+    **{f"Eq{i}": (-16, 16) for i in (14, 16, 18, 19)},
+    **{f"S3.n{r}.{k}-{d}": (-16, 16) for r in (1, 2) for k in "FL"
+       for d in ("forward", "backward")},
+    "S3.n2.L-forward": (-17, 17), "S3.n2.L-backward": (-17, 17),
+    "S3.n3.F-forward": (-24, 24), "S3.n3.F-backward": (-24, 24),
+    "S3.n3.L-forward": (-25, 25), "S3.n3.L-backward": (-25, 25),
+}
+
+
 def test_catalog_windows_on_the_default_grid(catalog):
     args = cli.build_parser().parse_args(["verify", "--all"])
-    assert {entry.name: verify._grid(entry, cli._grid_for(entry, args)).window
-            for entry in catalog} == CATALOG_WINDOWS
-    assert len(CATALOG_WINDOWS) == 29
+    grids = {entry.name: (verify._grid(entry, spec), spec)
+             for entry, spec in ((e, cli._grid_for(e, args)) for e in catalog)}
+    assert {name: verify._window(grid.sides, spec.ranges)
+            for name, (grid, spec) in grids.items()} == CATALOG_WINDOWS
+    assert {name: grid.window for name, (grid, _) in grids.items()} == SWEEP_WINDOWS
+    assert len(CATALOG_WINDOWS) == len(SWEEP_WINDOWS) == 29
 
 
 @pytest.mark.parametrize("text,values,message", [

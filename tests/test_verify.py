@@ -372,9 +372,11 @@ def test_a_repeat_oracle_call_builds_nothing_and_compares_every_check(
     with pytest.raises(InternalFault) as fresh:
         verify_grid(eq1, VARIANT_SPEC, use_oracle=True)
     assert len(built) == 1
+    # (the sweep reads F(2) as G(p + 2) at p = 0, where the line of p starts,
+    # and walks back to p = -2)
     assert str(kept.value) == str(fresh.value) == (
-        "oracle disagrees with evaluator on 'Eq1' at {'n': 1, 'm': -2, 'p': -2, 'q': 2}, "
-        "seed Seed(g0=3, g1=7): oracle (3, 3) vs fast (3, 6)")
+        "oracle disagrees with evaluator on 'Eq1' at {'n': 1, 'm': -2, 'p': -2, 'q': -2}, "
+        "seed Seed(g0=0, g1=1): oracle (0, 0) vs fast (0, -1)")
 
 
 VARIANT_CATALOG = load_catalog_file(str(DATA / "eq_variants.cat"))
@@ -455,11 +457,12 @@ def _corrupt_table(monkeypatch, *indices):
 
 
 def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
-    # F(-2): read in the grid's box, n in -3..-2, and so in the grid
-    _corrupt_table(monkeypatch, -2)
+    # F(1): read in the grid's box, n in -1..0, at the start pairs of m,
+    # m = -1 and 0, and so in the grid
+    _corrupt_table(monkeypatch, 1)
     eq8 = catalog.get("Eq8")
     spec = small_spec("m", "n")
-    assert verify._grid(eq8, spec).box[0] == [range(-3, -1), range(-3, 4)]  # n, m
+    assert verify._grid(eq8, spec).box[0] == [[range(-1, 1), range(-3, 4)]]  # n, m
     assert not verify_grid(eq8, spec).passed
     with pytest.raises(InternalFault, match="oracle disagrees with evaluator on 'Eq8'"):
         verify_grid(eq8, spec, use_oracle=True)
@@ -985,11 +988,12 @@ def _wrong_table(monkeypatch):
 
 
 def _step_ahead(monkeypatch):
-    # the first B10 pair taken one step ahead of the loop's first point
+    # the first start pair taken one step ahead, at the second's value,
+    # which the tables hold
     source = verify._sweep_source
     monkeypatch.setattr(verify, "_compile_cache", {})
     monkeypatch.setattr(verify, "_sweep_source",
-                        lambda *args: source(*args).replace("[0] - 1", "[0] + 1"))
+                        lambda *args: source(*args).replace("_s0 = _s1 - 1", "_s0 = _s1"))
 
 
 def _wrong_step(monkeypatch):
@@ -1106,7 +1110,9 @@ def _shifted_sides(names, s="s", kinds="G"):
     ), max_leaves=4)
 
 
-def _shift_sweep_matches_oracle_and_point_by_point(data, kinds):
+def _draw_shift_grid(data, kinds):
+    """An identity whose sides are linear in refs of kinds at s plus an
+    index over the others, and a grid on which it takes a shift plan."""
     others = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
                                       unique=True)))
     params = tuple(data.draw(st.permutations(others + ("s",))))
@@ -1129,7 +1135,11 @@ def _shift_sweep_matches_oracle_and_point_by_point(data, kinds):
     assert len(plans) == 1 and plans[0].shift is not None
     # G on the basis seed (0, 1) alone, or F and L, reading G nowhere
     assert (plans[0].basis, plans[0].seed) == (kinds == "G", None)
-    _matches_oracle_and_point_by_point(identity, spec)
+    return identity, spec
+
+
+def _shift_sweep_matches_oracle_and_point_by_point(data, kinds):
+    _matches_oracle_and_point_by_point(*_draw_shift_grid(data, kinds))
 
 
 @given(st.data())
@@ -1144,6 +1154,40 @@ def test_shift_sweep_matches_oracle_and_point_by_point(data):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_g_free_shift_sweep_matches_oracle_and_point_by_point(data):
     _shift_sweep_matches_oracle_and_point_by_point(data, "FL")
+
+
+class _StrictTable(dict):
+    """A table that fails the test on a read of an index it does not hold."""
+
+    def __missing__(self, index):
+        raise AssertionError(f"index {index} read outside its table {min(self)}..{max(self)}")
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_every_index_a_shift_sweep_reads_is_in_its_pinned_table(data):
+    identity, spec = _draw_shift_grid(data, data.draw(st.sampled_from(("G", "FL"))))
+    grid = verify._grid(identity, spec)
+    shift = grid.plans[0].shift
+    lo, hi = spec.ranges[shift]
+    z = min(max(lo, 0), hi)  # the shift parameter's value nearest 0
+    assert grid.window == verify._window(grid.sides, {**spec.ranges, shift: (z, z)})
+    built, real, derived = [], verify.table, verify._derived
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "table", lambda seed, lo, hi: built.append((lo, hi))
+                      or _StrictTable(real(seed, lo, hi)))
+        patch.setattr(verify, "_derived",
+                      lambda f_tab, seed: _StrictTable(derived(f_tab, seed)))
+        for use_oracle in (False, True):
+            built.clear()
+            try:
+                verify_grid(identity, spec, use_oracle=use_oracle)
+            except EvalError:
+                continue  # located point by point, on the whole grid's window
+            # the sweep's one F table: around z, two below for s = z - 1
+            ((table_lo, table_hi),) = built
+            assert grid.window[0] - 2 <= table_lo <= table_hi <= grid.window[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1212,7 +1256,11 @@ def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
     tree = ast.parse(verify._sweep_source(eq1, grid, oracle_check, plan))
     (line,) = _for_loops(tree, "_a2")  # q: each of its iterations is a line of p
     (shift,) = _for_loops(line, "_a3")
-    start = [stmt for stmt in line.body if not _for_loops(stmt, "_a3")]
+    # what evaluates the start pairs reads no value of p's axis: the walks
+    # of the line (back to its first value, then along it) do
+    start = [stmt for stmt in line.body
+             if not any(isinstance(node, ast.Name) and node.id == "_a3"
+                        for node in ast.walk(stmt))]
     # the sum is one loop with a total per start pair, each reading the
     # shift parameter at its own start value
     (loop,) = [stmt for stmt in start if isinstance(stmt, ast.For)]
@@ -1310,8 +1358,9 @@ def test_g_free_shift_needs_one_shifted_factor_per_term(side):
     _matches_oracle_and_point_by_point(identity, spec)
 
 
-# Sides that agree at the line's first point, m = -3, and differ one step
-# before it: each line's start pairs differ only in their first values.
+# Sides that agree at m = -3, the value of m in -9..-3 nearest 0, where
+# each line's second start pair is, and differ one step before it: the
+# start pairs differ only in their first values.
 EDGES = ("F(m) == F(m) + F(m + 3)", "G(m) == G(m) + G(m + 3)")
 LINE_GUARD = "if _l0 != _r0 or _l1 != _r1:"
 
@@ -1319,11 +1368,11 @@ LINE_GUARD = "if _l0 != _r0 or _l1 != _r1:"
 def _edge_failures(text):
     identity = parse_identity(text, name="edge", params=("m",))
     seeds = (Seed(0, 1), Seed(3, 7), Seed(2, 1), Seed(0, 1))
-    spec = GridSpec({"m": (-3, 3)}, seeds)
+    spec = GridSpec({"m": (-9, -3)}, seeds)
     assert [p.shift for p in plans_of(identity, spec)] == ["m"]
     value = gen if text.startswith("G") else lambda seed, i: fib(i)
     expected = [((("m", m),), seed, value(seed, m), value(seed, m) + value(seed, m + 3))
-                for m in range(-3, 4) for seed in seeds if value(seed, m + 3)]
+                for m in range(-9, -2) for seed in seeds if value(seed, m + 3)]
     failures = [(f.point, f.seed, f.lhs, f.rhs) for f in verify_grid(identity, spec).failures]
     return failures, expected
 
@@ -1332,8 +1381,8 @@ def _edge_failures(text):
 def test_line_guard_compares_both_start_pairs(text):
     failures, expected = _edge_failures(text)
     assert failures == expected
-    if text.startswith("F"):  # every seed fails at m = -2..3
-        assert {dict(point)["m"] for point, *_ in failures} == set(range(-2, 4))
+    if text.startswith("F"):  # every seed fails at m = -9..-4
+        assert {dict(point)["m"] for point, *_ in failures} == set(range(-9, -3))
         assert len(failures) == 6 * 4
 
 
@@ -1445,11 +1494,19 @@ def test_nineteen_loops_compile_with_the_seed_loops(seeds):
 
 # --- the box ------------------------------------------------------------------
 
-def widths_of(identity, spec):
-    """verify's width of each parameter but the ranks' on spec."""
+def widths_by_rank(identity, spec):
+    """verify's width of each parameter but the ranks' on spec, at each
+    rank value."""
     axes = [p for p in identity.free_params if p not in identity.rank_params]
     return verify._widths(identity, spec, verify._sides(identity), axes,
                           verify._Limit(spec.checks(identity.free_params)))
+
+
+def widths_of(identity, spec):
+    """verify's width of each parameter but the ranks' on spec, at the
+    rank value that needs the most."""
+    rows = widths_by_rank(identity, spec).values()
+    return {x: max(row[x] for row in rows) for x in next(iter(rows))}
 
 
 def test_catalog_widths_on_the_default_grid(catalog):
@@ -1474,24 +1531,58 @@ def test_eq1_to_eq4_need_rank_plus_one_values_of_m_and_q(catalog, rank):
 
 def test_an_axis_stops_at_its_length_and_the_work_at_the_checks(catalog):
     eq1 = catalog.get("Eq1")
-    # at n = 1000, F(m + q)^1000 alone has 1001 bases along m and q
+    # at n = 1000, F(m + q)^1000 alone has 1001 bases along m and q; from
+    # n = 16 on, m and q are swept in full
     spec = GridSpec({"n": (0, 1000), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)})
     started = time.perf_counter()
-    assert widths_of(eq1, spec) == {"m": 17, "p": 2, "q": 17}
+    widths = widths_by_rank(eq1, spec)
     assert time.perf_counter() - started < 2.0
-    # a grid with fewer checks than the analysis would take is swept in full
+    assert widths == {(n,): {"m": min(n + 1, 17), "p": 2, "q": min(n + 1, 17)}
+                      for n in range(1001)}
+    # a grid with fewer checks than the analysis would take is swept in
+    # full from the rank value where the work runs out
     lim = verify._Limit(10)
     spec = GridSpec({"n": (0, 4), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)})
-    assert verify._widths(eq1, spec, verify._sides(eq1), ["m", "q"], lim) \
-        == {"m": 17, "q": 17}
+    assert verify._widths(eq1, spec, verify._sides(eq1), ["m", "q"], lim) == {
+        (0,): {"m": 1, "q": 17}, (1,): {"m": 2, "q": 17},
+        **{(n,): {"m": 17, "q": 17} for n in (2, 3, 4)}}
     assert lim.work < 0
 
 
 def test_the_rank_value_that_needs_the_most_decides():
-    # F(m)^(4 - n) has 5 - n bases: n = 0 needs the most
+    # F(m)^(4 - n) has 5 - n bases: n = 0 needs the most, and each rank
+    # value's box is as wide as its own count
     identity = parse_identity("sum(k, 0, n, F(m)^(4 - n)) == 0", name="t", params=("n", "m"))
     spec = GridSpec({"n": (0, 4), "m": (-8, 8)}, (F_SEED,))
     assert widths_of(identity, spec) == {"m": 5}
+    assert widths_by_rank(identity, spec) == {(n,): {"m": 5 - n} for n in range(5)}
+    boxes, _ = verify._grid(identity, spec).box
+    assert boxes == [[range(n, n + 1), range(-((5 - n) // 2), (6 - n) // 2)] for n in range(5)]
+
+
+def test_a_literal_zero_has_no_base():
+    # a product with a literal 0 has none either; a width is at least 1
+    for text, width in [("F(m + 8)*F(m + 7)*F(m + 6) == 0", 4),
+                        ("F(m + 8)*F(m + 7)*F(m + 6) == 0*F(m)^3", 4),
+                        ("0 == F(m)*0 + 3*m*0", 1),
+                        ("F(m)*0 + F(m + 1) == F(m + 1)", 2),
+                        ("(0*F(m))^0 == 1", 1),
+                        ("F(m)*F(m) == 1 + 0", 4)]:
+        identity = parse_identity(text, name="zero", params=("m",))
+        assert widths_of(identity, GridSpec({"m": (-8, 8)})) == {"m": width}, text
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_eq1_box_at_rank_n_holds_the_values_of_m_and_q_nearest_zero(catalog, rank):
+    eq1 = catalog.get("Eq1")
+    spec = cli._grid_for(eq1, cli.build_parser().parse_args(["verify", "--all"]))
+    grid = verify._grid(eq1, spec)
+    boxes, window = grid.box
+    assert grid.order == ("n", "m", "q", "p") and window == (-8, 8)
+    nearest = range(-((rank + 1) // 2), rank // 2 + 1)  # n + 1 values
+    assert boxes[rank] == [range(rank, rank + 1), nearest, nearest, range(-8, 9)]
+    assert len(boxes) == 5
+    assert sum(len(box[1]) * len(box[2]) for box in boxes) == 55  # lines of p
 
 
 def test_a_passing_grid_sweeps_only_its_box(catalog, monkeypatch):
@@ -1502,16 +1593,20 @@ def test_a_passing_grid_sweeps_only_its_box(catalog, monkeypatch):
     eq1 = catalog.get("Eq1")
     grid = verify._grid(eq1, VARIANT_SPEC)
     assert grid.order == ("n", "m", "q", "p") and [p.shift for p in grid.plans] == ["p"]
-    box = [(0, 2), (-2, 0), (-2, 0), (-2, 2)]  # m and q cut to 3 values; p shifts
+    # one box per rank value n, m and q cut to its n + 1 values nearest 0;
+    # p shifts
+    boxes = [[(0, 0), (0, 0), (0, 0), (-2, 2)], [(1, 1), (-1, 0), (-1, 0), (-2, 2)],
+             [(2, 2), (-1, 1), (-1, 1), (-2, 2)]]
     report = verify_grid(eq1, VARIANT_SPEC)
-    assert report.passed and report.total == 1500 and swept == [box]
-    # a failure in the box sweeps the whole grid, every plan, as before
+    assert report.passed and report.total == 1500 and swept == boxes
+    # a failure in a box sweeps the whole grid, every plan, as before
     swept.clear()
     square = VARIANT_CATALOG.get("Eq1.square")
     assert len(verify._grid(square, VARIANT_SPEC).plans) == 4
     report = verify_grid(square, VARIANT_SPEC)
     full = [(0, 2), (-2, 2), (-2, 2), (-2, 2)]
-    assert swept[0] != full and swept[1:] == [full] * 4
+    # G(p)*G(q) adds bases along p and q: the box at n = 0 fails
+    assert swept == [[(0, 0), (0, 0), (-1, 1), (-1, 0)], *[full] * 4]
     assert report.to_json_dict() == _unboxed(monkeypatch, square, VARIANT_SPEC)
 
 
@@ -1552,31 +1647,34 @@ def test_pow5floor_error_is_the_first_point_by_point():
     identity = parse_identity("F(m)^2*pow5floor(2 - q) == F(m)^2*pow5floor(2 - q)",
                               name="p5", params=("m", "q"))
     spec = GridSpec({"m": (-8, 8), "q": (-8, 8)}, (F_SEED, Seed(3, 7)))
-    # m is cut to 3 values; q, read by pow5floor, is not
-    assert verify._grid(identity, spec).box[0] == [range(-8, -5), range(-8, 9)]
+    # m is cut to its 3 values nearest 0; q, read by pow5floor, is not
+    assert verify._grid(identity, spec).box[0] == [[range(-1, 2), range(-8, 9)]]
     with pytest.raises(EvalError, match=r"^pow5floor argument -1 is negative at point "
                                         r"\(m=-8, q=3\), seed Seed\(g0=0, g1=1\)$"):
         verify_grid(identity, spec)
     assert _point_by_point(identity, spec)[1] == " at point (m=-8, q=3), seed Seed(g0=0, g1=1)"
 
 
-@pytest.mark.parametrize("text,width,first", [
-    # the first four vanish at every value of the box but its last; a
-    # right side of 0 times the left side's bases adds none to them
-    ("(m + 8)*(m + 7)*(m + 6)*(m + 5)*(m + 4) == 0", 6, -3),  # m counts twice
-    ("F(m + 8)*F(m + 7)*F(m + 6) == 0*F(m)^3", 4, -5),
-    ("(1 + sign(m + 1))*F(m + 7) == 0*sign(m)*F(m)", 4, -5),
-    ("sign(m)*(m + 8)*(m + 7) == 0*sign(m)", 3, -6),
-    ("(m + 8)*(m + 7)*F(m + 6) == 0", 7, -5),
-    ("F(m + 8)^2*L(m + 7) == 0", 5, -7),
+@pytest.mark.parametrize("text,width,zeros", [
+    # the first four vanish at every value of the box but its last
+    ("(m + 8)*(m + 7)*(m + 6)*(m + 5)*(m + 4) == 0", 6, 5),  # m counts twice
+    ("F(m + 8)*F(m + 7)*F(m + 6) == 0", 4, 3),
+    ("(1 + sign(m + 1))*F(m + 7) == 0", 4, 3),
+    ("sign(m)*(m + 8)*(m + 7) == 0", 3, 2),
+    ("(m + 8)*(m + 7)*F(m + 6) == 0", 6, 3),
+    ("F(m + 8)^2*L(m + 7) == 0", 4, 1),
 ])
-def test_a_difference_that_vanishes_short_of_its_width_fails(text, width, first):
+def test_a_difference_that_vanishes_short_of_its_width_fails(text, width, zeros):
     identity = parse_identity(text, name="vanishing", params=("m",))
-    spec = GridSpec({"m": (-8, 8)}, (F_SEED, Seed(3, 7)))
+    # m below 0, up to -8 + width - 1: its width values nearest 0 are -8 on
+    spec = GridSpec({"m": (-16, width - 9)}, (F_SEED, Seed(3, 7)))
     assert widths_of(identity, spec) == {"m": width}
-    assert verify._grid(identity, spec).box[0] == [range(-8, -8 + width)]
+    (box,), _ = verify._grid(identity, spec).box
+    assert box == [range(-8, -8 + width)]
+    values = [oracle_eval(identity.lhs, ParamPoint({"m": m})) for m in box[0]]
+    assert values.count(0) == zeros and values[-1] != 0
     report = verify_grid(identity, spec)
-    assert dict(report.failures[0].point) == {"m": first}
+    assert {"m": box[0][-1]} in [dict(f.point) for f in report.failures]
     _matches_oracle_and_point_by_point(identity, spec)
 
 
