@@ -31,7 +31,7 @@ from .seq import (
 
 if TYPE_CHECKING:
     from .report import VerifyReport
-    from .verify import GridSpec
+    from .verify import GridSpec, _State
 
 CATALOG_ENV = "FIBKIT_CATALOG"
 
@@ -160,14 +160,24 @@ def _select_entries(catalog: Catalog, args: argparse.Namespace) -> list[Identity
     return entries
 
 
-def _grid_for(identity: Identity, args: argparse.Namespace,
-              parsed: dict[str, object] | None = None) -> GridSpec:
-    """identity's grid from the flags. parsed keeps each flag's value, by
-    flag, once it is parsed, so that one command parses each flag once and
-    only when an identity reads it."""
+def _grid_for(identity: Identity, args: argparse.Namespace, state: _State | None = None,
+              ) -> GridSpec:
+    """identity's grid from the flags. state, one verify command's, keeps
+    each flag's value, by flag, once it is parsed, so that the command
+    parses each flag once and only when an identity reads it, and each
+    grid, so that entries with the same free and rank parameters share one
+    GridSpec."""
+    if state is None:
+        from .verify import _State
+
+        state = _State()
+    key = (identity.free_params, identity.rank_params)
+    spec = state.specs.get(key)
+    if spec is not None:
+        return spec
     from .verify import STANDARD_SEEDS, GridSpec
 
-    parsed = {} if parsed is None else parsed
+    parsed = state.flags
     ranges = {}
     rank = set(identity.rank_params)
     for p in identity.free_params:
@@ -180,7 +190,8 @@ def _grid_for(identity: Identity, args: argparse.Namespace,
             ranges[p] = parsed[p]
     if "seeds" not in parsed:
         parsed["seeds"] = _parse_seeds(args.seeds) if args.seeds else STANDARD_SEEDS
-    return GridSpec(ranges=ranges, seeds=parsed["seeds"])
+    spec = state.specs[key] = GridSpec(ranges=ranges, seeds=parsed["seeds"])
+    return spec
 
 
 # --- output ------------------------------------------------------------------
@@ -257,12 +268,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # the grid sweep, nor `verify` the prover. The names stay module globals,
 # looked up at call time, so that tests and perfbench's tracer can wrap them.
 
-def verify_grid(identity: Identity, spec: GridSpec, *,
-                use_oracle: bool = False) -> VerifyReport:
+def verify_grid(identity: Identity, spec: GridSpec, *, use_oracle: bool = False,
+                state: _State | None = None) -> VerifyReport:
     """verify.verify_grid, imported on the first call."""
     from .verify import verify_grid
 
-    return verify_grid(identity, spec, use_oracle=use_oracle)
+    return verify_grid(identity, spec, use_oracle=use_oracle, state=state)
 
 
 def prove_symbolic(identity: Identity, fixed: Mapping[str, int] | None = None,
@@ -282,13 +293,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """One job per identity, run in catalog order: in a loop, or with
     --workers N by one pool of min(N, CPU count, identities) processes for
     the whole command. Either way the first job to raise, in catalog order,
-    decides the error, and the jobs not yet started are dropped."""
+    decides the error, and the jobs not yet started are dropped. The
+    command's one state (see verify._State) holds its grids and, in the
+    loop, the tables every job reads; a pool's job makes its own."""
+    from .verify import _State
+
     if args.workers < 1:
         raise FibkitError(f"--workers must be at least 1, got {args.workers}")
     catalog = _resolve_catalog(args)
     entries = _select_entries(catalog, args)
-    parsed: dict[str, object] = {}
-    jobs = [(e, _grid_for(e, args, parsed), args.oracle) for e in entries]
+    state = _State()
+    jobs = [(e, _grid_for(e, args, state), args.oracle) for e in entries]
     processes = min(args.workers, os.cpu_count() or 1, len(jobs))
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -299,7 +314,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        reports = [_verify_job(job) for job in jobs]
+        reports = [verify_grid(e, spec, use_oracle=oracle, state=state)
+                   for e, spec, oracle in jobs]
     _emit_reports(reports, args.format, args.timing)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -27,6 +27,8 @@ class Record:
         return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()

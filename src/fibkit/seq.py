@@ -27,14 +27,25 @@ class Seed(Record):
     """Initial values (G0, G1) of a generalized Fibonacci sequence.
 
     Any pair of integers is valid. Seed(0, 1) reproduces the Fibonacci
-    numbers and Seed(2, 1) the Lucas numbers.
+    numbers and Seed(2, 1) the Lucas numbers. Its hash is computed once,
+    when it is made, and compared before its fields, as an AST node's is.
     """
 
-    __slots__ = _fields = ("g0", "g1")
+    _fields = ("g0", "g1")
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, g0: int, g1: int):
         object.__setattr__(self, "g0", g0)
         object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "_hash", hash((g0, g1)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Seed:
+            return NotImplemented
+        return self._hash == other._hash and self.g0 == other.g0 and self.g1 == other.g1
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 FIB_SEED = Seed(0, 1)

@@ -41,9 +41,12 @@ evaluation error in a box, the whole grid is swept, so the failures and
 errors reported are the whole grid's. A grid's trees, plans, loop
 order, index window, boxes, compiled sweeps and, once an oracle call
 has built them, the oracle's evaluators over its own tables are kept in
-one entry per identity and grid; the sweep's F table is built anew on
-every call, over the boxes' window first and widened in place when the
-whole grid follows. The sweep is the only generated code: a side's
+one entry per identity and grid. The tables are one command's: a verify
+command holds one F table, and L derived from it, in its state (see
+_State), grown in place over each grid's window, the boxes' first and
+the whole grid's when it follows; a grid whose window lies far inside it
+drops it for its own, and a call without a state makes its own. The
+sweep is the only generated code: a side's
 value at one point is the one-point sweep of side == 0, and an
 evaluation error is located point by point with one compiled one-point
 sweep, on tables over the whole grid's window. All arithmetic is
@@ -95,9 +98,11 @@ MAX_GRID_CHECKS = 100_000_000
 
 
 class GridSpec(Record):
-    """Inclusive per-parameter ranges and the seeds to sweep."""
+    """Inclusive per-parameter ranges and the seeds to sweep. The count of
+    checks over all its parameters is kept from when it is made."""
 
-    __slots__ = _fields = ("ranges", "seeds")
+    _fields = ("ranges", "seeds")
+    __slots__ = (*_fields, "_checks")
 
     def __init__(self, ranges: Mapping[str, Interval], seeds: tuple[Seed, ...] = STANDARD_SEEDS):
         object.__setattr__(self, "ranges", ranges)
@@ -107,15 +112,18 @@ class GridSpec(Record):
                 raise GridError(f"empty range {lo}..{hi} for parameter '{name}'")
         if not seeds:
             raise GridError("GridSpec needs at least one seed")
-        checks = self.checks(tuple(ranges))
+        checks = prod(hi - lo + 1 for lo, hi in ranges.values()) * len(seeds)
         if checks > MAX_GRID_CHECKS:
             raise GridError(f"grid has {checks:,} checks (points times seeds), "
                             f"over the limit of {MAX_GRID_CHECKS:,}")
+        object.__setattr__(self, "_checks", checks)
 
     def checks(self, params: Sequence[str]) -> int:
         """Points over params times seeds, counted without building any."""
-        return prod(hi - lo + 1 for lo, hi in (self.ranges[p] for p in params)) \
-            * len(self.seeds)
+        ranges = self.ranges
+        if len(params) == len(ranges) and ranges.keys() == set(params):
+            return self._checks
+        return prod(hi - lo + 1 for lo, hi in (ranges[p] for p in params)) * len(self.seeds)
 
     def points(self, params: Sequence[str]) -> Iterator[tuple[int, ...]]:
         """Points over params, one at a time, in lexicographic order."""
@@ -200,30 +208,75 @@ def _op_code(node: Node, args: Sequence[str], back: bool) -> str:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _derived(f_tab: dict[int, int], seed: Seed) -> dict[int, int]:
-    """G of seed at each index of F's table but the lowest: g0*F(e - 1) + g1*F(e)."""
+def _derived(f_tab: dict[int, int], seed: Seed, lo: int, hi: int) -> dict[int, int]:
+    """G of seed over lo..hi, from F's table over lo - 1..hi: g0*F(e - 1) + g1*F(e)."""
     g0, g1 = seed.g0, seed.g1
-    return {e: g0 * f_tab[e - 1] + g1 * f for e, f in f_tab.items() if e - 1 in f_tab}
+    return {e: g0 * f_tab[e - 1] + g1 * f_tab[e] for e in range(lo, hi + 1)}
 
 
-def _tables(window: Interval | None, sides: Sequence[_Term], f_tab: dict[int, int] | None = None,
-            ) -> tuple[dict[int, int], dict[int, int]]:
-    """F from two below window, the lowest index a value derived at a shift
-    plan's s = z - 1 reads (window holds s = z, see _pinned), to its top;
-    and, when a side reads L, L derived from it. F is f_tab, when given,
-    widened in place: an F table over a run of indices within those."""
-    if window is None:
-        return {}, {}
-    lo, hi = window[0] - 2, window[1]
-    if f_tab:
-        for e in range(max(f_tab) + 1, hi + 1):
-            f_tab[e] = f_tab[e - 1] + f_tab[e - 2]
-        for e in range(min(f_tab) - 1, lo - 1, -1):
-            f_tab[e] = f_tab[e + 2] - f_tab[e + 1]
-    else:
-        f_tab = table(FIB_SEED, lo, hi)
-    lucas = any("L" in side.kinds for side in sides)
-    return f_tab, _derived(f_tab, LUCAS_SEED) if lucas else {}
+def _g_table(f_tab: dict[int, int], seed: Seed, window: Interval | None) -> dict[int, int]:
+    """G of seed over window and one below, from F's table over window and
+    two below; empty when nothing is read."""
+    return _derived(f_tab, seed, window[0] - 1, window[1]) if window else {}
+
+
+# The held F table may reach this many indices past either end of what a
+# grid reads before that grid drops it and builds its own, so that a
+# command's tables never hold much more than its most demanding grid reads.
+_SLACK = 64
+
+
+class _State:
+    """What one verify command reuses from grid to grid, made by the
+    command and dropped when it returns; a library call makes its own.
+
+    It holds one F table over lo..hi, grown in place by the recurrence to
+    cover each grid's window, and L, derived from F once a side reads L,
+    over all of F's indices but the lowest, and grown with it; a grid whose
+    window lies more than _SLACK indices inside either end of F drops both
+    before it builds its own. cli keeps in it each grid flag's parsed value,
+    by flag, and each GridSpec, by (free params, rank params), so that
+    entries with the same parameters share one spec and one seeds tuple."""
+
+    __slots__ = ("f_tab", "l_tab", "lo", "hi", "flags", "specs")
+
+    def __init__(self) -> None:
+        self.f_tab: dict[int, int] = {}
+        self.l_tab: dict[int, int] = {}
+        self.lo = self.hi = 0
+        self.flags: dict[str, Any] = {}
+        self.specs: dict[tuple, GridSpec] = {}
+
+    def tables(self, window: Interval | None, sides: Sequence[_Term],
+               ) -> tuple[dict[int, int], dict[int, int]]:
+        """F over two below window, the lowest index a value derived at a
+        shift plan's s = z - 1 reads (window holds s = z, see _pinned), to
+        its top, and L when a side reads L; each may hold more indices."""
+        if window is None:
+            return {}, {}
+        lo, hi = window[0] - 2, window[1]
+        f_tab, l_tab = self.f_tab, self.l_tab
+        if f_tab and (self.lo < lo - _SLACK or self.hi > hi + _SLACK):
+            self.f_tab, self.l_tab = f_tab, l_tab = {}, {}  # freed before the next is built
+        if not f_tab:
+            self.f_tab = f_tab = table(FIB_SEED, lo, hi)
+            self.lo, self.hi = lo, hi
+        else:
+            if hi > self.hi:
+                for e in range(self.hi + 1, hi + 1):
+                    f_tab[e] = f_tab[e - 1] + f_tab[e - 2]
+                if l_tab:
+                    l_tab.update(_derived(f_tab, LUCAS_SEED, self.hi + 1, hi))
+                self.hi = hi
+            if lo < self.lo:
+                for e in range(self.lo - 1, lo - 1, -1):
+                    f_tab[e] = f_tab[e + 2] - f_tab[e + 1]
+                if l_tab:
+                    l_tab.update(_derived(f_tab, LUCAS_SEED, lo + 1, self.lo))
+                self.lo = lo
+        if not l_tab and any("L" in side.kinds for side in sides):
+            self.l_tab = l_tab = _derived(f_tab, LUCAS_SEED, self.lo + 1, self.hi)
+        return f_tab, l_tab
 
 
 # --- grid sweeps ------------------------------------------------------------
@@ -442,6 +495,11 @@ class _Full(Exception):
     """The axis is swept in full."""
 
 
+# The most work, in _Limit's units, that the analysis of one grid may take:
+# about 0.2 s on a 2-core machine with Python 3.11.
+_MAX_WORK = 500_000
+
+
 class _Limit:
     """How many bases an axis may count before it is swept in full, and how
     much work, in base products, index values and rank values, the
@@ -627,11 +685,12 @@ def _box(identity: Identity, spec: GridSpec, sides: Sequence[_Term], order: Sequ
     parameter's is cut to its _widths values there nearest 0: any run that
     long decides the axis, and this one reads the smallest indices. A shift
     parameter's line costs two evaluations however long it is. The
-    analysis takes at most as much work as the grid has checks."""
+    analysis takes at most as much work as the grid has checks, and never
+    more than _MAX_WORK."""
     params, ranks = identity.free_params, identity.rank_params
     axes = [p for p in params if p != shift and p not in ranks
             and spec.ranges[p][0] < spec.ranges[p][1]]
-    widths = _widths(identity, spec, sides, axes, _Limit(spec.checks(params)))
+    widths = _widths(identity, spec, sides, axes, _Limit(min(spec.checks(params), _MAX_WORK)))
     if all(width > spec.ranges[p][1] - spec.ranges[p][0]
            for row in widths.values() for p, width in row.items()):
         return None
@@ -676,14 +735,19 @@ def _window(terms: Iterable[_Term], env: Mapping[str, Interval]) -> Interval | N
     return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else None
 
 
-def _bounds(terms: Iterable[_Term], env: Mapping[str, Interval]) -> Iterator[Interval]:
+def _bounds(terms: Iterable[_Term], env: Mapping[str, Interval],
+            start: tuple[str, int, dict[str, int], int] | None = None) -> Iterator[Interval]:
     """The bounds of each sequence index the terms read over the box env.
 
     An index reads as const + sum(c * s) + R, with each symbol's bounds
     counted once, so a symbol read twice cancels; when R, a product of two
     symbol-reading factors, is there, interval arithmetic bounds the whole
     index. A summation index ranges over its bounds' intervals, and a sum
-    that is empty over the whole box reads nothing.
+    that is empty over the whole box reads nothing. When a sum's bounds
+    differ by a constant, start is (its index, the constant and
+    coefficients of its lower bound, that constant difference), and the
+    index reads as its lower bound plus an offset in 0..difference, so
+    that a symbol that both read cancels too.
     """
     for term in terms:
         node = term.node
@@ -691,18 +755,31 @@ def _bounds(terms: Iterable[_Term], env: Mapping[str, Interval]) -> Iterator[Int
             bounds = _interval(node.arg, env)  # raises on a symbol with no range
             const, coeffs, rest = term.form
             if not rest:
+                ranges = env
+                if start is not None and start[0] in coeffs:
+                    var, lo_const, lo_coeffs, span = start
+                    c = coeffs[var]
+                    const, coeffs = const + c * lo_const, dict(coeffs)
+                    for name, a in lo_coeffs.items():
+                        coeffs[name] = coeffs.get(name, 0) + c * a
+                    ranges = {**env, var: (0, span)}
                 lo = hi = const
                 for name, c in coeffs.items():
-                    a, b = env[name]
+                    a, b = ranges[name]
                     lo, hi = lo + min(c * a, c * b), hi + max(c * a, c * b)
                 bounds = lo, hi
             yield bounds
         elif isinstance(node, Sum):
             lo, hi = _interval(node.lo, env)[0], _interval(node.hi, env)[1]
-            if lo <= hi:
-                yield from _bounds(term.args[2:], {**env, node.var: (lo, hi)})
+            (lo_const, lo_coeffs, lo_rest), (hi_const, hi_coeffs, hi_rest) = \
+                affine(node.lo), affine(node.hi)
+            inner = None
+            if not lo_rest and not hi_rest and lo_coeffs == hi_coeffs:
+                inner = node.var, lo_const, lo_coeffs, hi_const - lo_const
+            if lo <= hi and (inner is None or inner[3] >= 0):
+                yield from _bounds(term.args[2:], {**env, node.var: (lo, hi)}, inner)
         elif term.kinds:
-            yield from _bounds(term.args, env)
+            yield from _bounds(term.args, env, start)
 
 
 def _evaluations(term: _Term, env: Mapping[str, Interval], pairs: int,
@@ -1152,9 +1229,9 @@ class _Grid(NamedTuple):
 # their ranges and the seeds; and one per identity, keyed without ranges or
 # seeds, for its one-point sweep, which runs on any point's tables. An
 # entry keeps its boxes, analysed once, and the oracle's tables, inside its
-# evaluators, from the grid's first oracle call on; the sweep's F table is
-# built per call, so the fast path keeps no table per grid. Past _CACHED
-# entries the oldest is dropped.
+# evaluators, from the grid's first oracle call on; the sweep's F and L
+# tables are the command's (see _State), so the fast path keeps no table
+# per grid. Past _CACHED entries the oldest is dropped.
 _compile_cache: dict[tuple, _Grid] = {}
 _CACHED = 256
 
@@ -1204,32 +1281,33 @@ def _point_sweep(identity: Identity) -> tuple[_Grid, Callable[..., None]]:
 
 
 def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range],
-          tables: tuple[dict[int, int], dict[int, int]], failures: list,
-          check: _OracleCheck | None = None) -> None:
-    """One pass of plan over the axes, on F and L's tables."""
+          tables: tuple[dict[int, int], dict[int, int]], window: Interval | None,
+          failures: list, check: _OracleCheck | None = None) -> None:
+    """One pass of plan over the axes, on F and L's tables, which hold at
+    least the indices two below window to its top; a per-seed pass derives
+    its G over window and one below."""
     f_tab, l_tab = tables
-    g_tab = f_tab if plan.seed is None else _derived(f_tab, plan.seed)
+    g_tab = f_tab if plan.seed is None else _g_table(f_tab, plan.seed, window)
     sweep(*axes, f_tab, l_tab, g_tab, plan.seeds, failures,
           check and (check.held, check.cap, check.flush))
 
 
 def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: bool,
-                ) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Raw failures (point, seed index, lhs, rhs) of the grid. Without the
-    oracle, a grid with boxes sweeps them first, on tables over their
-    window, and passes when every plan passes there; on a failure or an
-    evaluation error there, the whole grid is swept, its F table widened
-    from the boxes'."""
+                state: _State) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Raw failures (point, seed index, lhs, rhs) of the grid, on state's
+    tables. Without the oracle, a grid with boxes sweeps them first, on
+    tables over their window, and passes when every plan passes there; on
+    a failure or an evaluation error there, the whole grid is swept, its
+    tables widened in place."""
     plans = grid.plans
     sweeps = [grid.sweep(identity, use_oracle, plan) for plan in plans]
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
-    f_tab = None
     if grid.box is not None and not use_oracle:
         boxes, window = grid.box
-        tables = _tables(window, grid.sides)
+        tables = state.tables(window, grid.sides)
         try:
             for (plan, sweep), axes in itertools.product(zip(plans, sweeps), boxes):
-                _pass(plan, sweep, axes, tables, failures)
+                _pass(plan, sweep, axes, tables, window, failures)
                 if failures:
                     break
             else:
@@ -1237,13 +1315,12 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
         except EvalError:
             pass
         failures.clear()
-        f_tab = tables[0]
-    tables = _tables(grid.window, grid.sides, f_tab)
+    tables = state.tables(grid.window, grid.sides)
     axes = [_axis(spec, v) for v in grid.order]
     checks = _oracle_checks(identity, spec, grid) if use_oracle else [None] * len(plans)
     for plan, sweep, check in zip(plans, sweeps, checks):
         try:
-            _pass(plan, sweep, axes, tables, failures, check)
+            _pass(plan, sweep, axes, tables, grid.window, failures, check)
         except EvalError:
             if check:  # a disagreement at an earlier point wins over the error
                 check.flush()
@@ -1261,10 +1338,10 @@ def eval_side(ast: Node, pt: ParamPoint) -> int:
     identity = Identity("eval_side", ast, Lit(0), params)
     grid, sweep = _point_sweep(identity)
     window = _window(grid.sides, {p: (v, v) for p, v in pt.values.items()})
-    f_tab, l_tab = _tables(window, grid.sides)
+    f_tab, l_tab = _State().tables(window, grid.sides)
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
-    sweep(*((pt.values[p],) for p in params), f_tab, l_tab, _derived(f_tab, pt.seed), (0,),
-          failures, None)
+    sweep(*((pt.values[p],) for p in params), f_tab, l_tab, _g_table(f_tab, pt.seed, window),
+          (0,), failures, None)
     return failures[0][2] if failures else 0
 
 
@@ -1273,16 +1350,17 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec, exc: EvalError) 
     its first error: seeds in order, then points lexicographically.
 
     Each point runs the identity's one-point sweep, compiled once, on
-    tables over the index window of the whole grid, built once, and each
-    seed's G. A sweep computes exactly the subexpressions that
-    point-by-point evaluation does, only in another order, so such a point
-    exists.
+    tables over the index window of the whole grid, built once for this
+    search, and each seed's G. A sweep computes exactly the subexpressions
+    that point-by-point evaluation does, only in another order, so such a
+    point exists.
     """
     params = identity.free_params
     grid, sweep = _point_sweep(identity)
-    f_tab, l_tab = _tables(_window(grid.sides, spec.ranges), grid.sides)
+    window = _window(grid.sides, spec.ranges)
+    f_tab, l_tab = _State().tables(window, grid.sides)
     for seed in spec.seeds:
-        g_tab = _derived(f_tab, seed)
+        g_tab = _g_table(f_tab, seed, window)
         for vals in spec.points(params):
             try:
                 sweep(*((v,) for v in vals), f_tab, l_tab, g_tab, (0,), [], None)
@@ -1293,21 +1371,22 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec, exc: EvalError) 
                         f"but no point raises when evaluated alone") from exc
 
 
-def verify_grid(identity: Identity, spec: GridSpec, *,
-                use_oracle: bool = False) -> VerifyReport:
+def verify_grid(identity: Identity, spec: GridSpec, *, use_oracle: bool = False,
+                state: _State | None = None) -> VerifyReport:
     """Check lhs == rhs at every grid point and seed; list every failure.
 
     The grid runs as one compiled sweep, in passes that cover the seeds
     (see _plans). The result is independent of evaluation order: failures
     are sorted by point (lexicographically in parameter order), then by
-    seed position.
+    seed position. state, one command's, lends its tables to the sweep;
+    without it, the call makes its own.
     """
     _check_spec_covers(identity, spec)
     params = identity.free_params
     started = time.perf_counter()
     grid = _grid(identity, spec)
     try:
-        raw = _sweep_grid(identity, spec, grid, use_oracle)
+        raw = _sweep_grid(identity, spec, grid, use_oracle, state or _State())
     except EvalError as exc:
         _raise_first_eval_error(identity, spec, exc)
 

@@ -408,6 +408,41 @@ def test_far_indices_pass_on_the_box_nearest_zero(tmp_path, run_fibkit):
     assert [(r["failures"], r["total"]) for r in json.loads(out)] == [([], 68)]
 
 
+def test_a_command_drops_a_far_table_before_it_builds_the_next(tmp_path, run_fibkit):
+    # the first entry reads F over -100000..0, the second over 0..100000:
+    # either table fits the child's 600 MB address space, both together do
+    # not, so the second entry drops the command's table before its own
+    stanzas = [f"name: {name}\nparams: m\npaper: t\nidentity: {text} == {text}\n"
+               for name, text in (("far", "F(100000*m)"),
+                                  ("shifted", "F(100000*m + 100000)"))]
+    reports = []
+    for i, text in enumerate(["\n".join(stanzas), *stanzas]):
+        path = tmp_path / f"far{i}.cat"
+        path.write_text(text)
+        code, out, err = run_fibkit("verify", "--file", str(path), "--m", "-8..8",
+                                    "--format", "json", timeout=10.0)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    both, first, second = reports
+    assert both == first + second
+    assert [(r["identity"], r["failures"], r["total"]) for r in both] == [
+        ("far", [], 68), ("shifted", [], 68)]
+
+
+def test_a_serial_command_builds_one_f_table(capsys, monkeypatch, inline_pool):
+    # the entries grow one table in place; each pool job makes its own
+    built = []
+    real = verify.table
+    monkeypatch.setattr(verify, "table", lambda seed, lo, hi: built.append(seed)
+                        or real(seed, lo, hi))
+    code, serial, _ = run(capsys, "verify", "--all", "--format", "json")
+    assert code == 0 and built == [Seed(0, 1)]
+    built.clear()
+    code, pooled, _ = run(capsys, "verify", "--all", "--workers", "2", "--format", "json")
+    assert code == 0 and inline_pool == [2] and built == [Seed(0, 1)] * 29
+    assert pooled == serial
+
+
 def test_a_long_shift_line_reads_tables_only_at_its_start_pairs(run_fibkit):
     # p shifts: its lines read F around p = 0 and walk the rest, so the
     # length of p's range costs neither table nor time

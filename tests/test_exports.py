@@ -17,7 +17,7 @@ REMOVED = ("SeedPoly", "GoldenRat", "LaurentPoly3", "pretty_print", "lucas_naive
            "_merge", "_build_tables", "_BASIS", "Token", "end_col", "height",
            "is_index_expr", "_require_index", "_constant_size", "index_window",
            "merge_windows", "point_intervals", "expr_interval", "_degree", "_is_g", "_shifted",
-           "_reads_only_shifted", "_reads_l", "ranges")
+           "_reads_only_shifted", "_reads_l", "ranges", "_tables")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

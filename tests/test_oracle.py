@@ -18,7 +18,7 @@ from fibkit import (
 )
 from fibkit.expr import (
     Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    affine, children, free_symbols, iter_nodes,
+    affine, children, iter_nodes,
 )
 from fibkit.oracle import (
     OracleTables, evaluator, oracle_eval, pascal_binom, recurrence_table,
@@ -146,6 +146,10 @@ def test_index_window_cancels_a_symbol_read_twice():
     assert index_window(parse_expr("F(m + q - q)"), box) == (-8, 8)
     assert index_window(parse_expr("F(2*m - m - 3)"), box) == (-11, 5)
     assert index_window(parse_expr("sum(k, 0, 1000000, F(k - k))"), {}) == (0, 0)
+    # bounds that move together: k is m plus an offset in 0..2, and m cancels
+    assert index_window(parse_expr("sum(k, m, m + 2, F(k - m))"), box) == (0, 2)
+    assert index_window(parse_expr("sum(k, 2*m - 1, 2*m + 1, F(k - m))"), box) == (-9, 9)
+    assert index_window(parse_expr("sum(k, m, m - 1, F(k))"), box) is None  # always empty
     # a product of two factors that read symbols is bounded term by term
     assert index_window(parse_expr("F(m*q - m*q)"), box) == (-128, 128)
     # a symbol with no range is named, whether or not it cancels
@@ -460,9 +464,9 @@ def _indices_read(node, values):
 def test_window_holds_every_index_read_on_the_grid(data):
     """Every index read at every point of a small grid is inside verify's
     window. The window is tight, both its ends read, when no index has a
-    rest and no sum's bounds read a parameter; a sum whose bounds do, such
-    as sum(k, m, m + 2, F(k - m)), lets its index range over the union of
-    every point's range, which one point need not read."""
+    rest and no sum's span, hi - lo, reads a parameter; a sum whose span
+    does, such as sum(k, 0, m, F(k - m)), lets its index range over the
+    union of every point's range, which one point need not read."""
     ast = data.draw(_drawn_side())
     box = {}
     for name in NAMES:
@@ -477,5 +481,5 @@ def test_window_holds_every_index_read_on_the_grid(data):
     assert all(window[0] <= index <= window[1] for index in read)
     nodes = list(iter_nodes(ast))
     if not any(affine(n.arg)[2] for n in nodes if isinstance(n, SeqRef)) and not any(
-            free_symbols(n.lo) | free_symbols(n.hi) for n in nodes if isinstance(n, Sum)):
+            any(affine(Sub(n.hi, n.lo))[1:]) for n in nodes if isinstance(n, Sum)):
         assert (min(read), max(read)) == window

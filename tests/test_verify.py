@@ -5,6 +5,8 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import types
@@ -957,6 +959,46 @@ def test_a_grid_builds_one_f_table(catalog, monkeypatch):
     assert built == [F_SEED] * 2
 
 
+# Identities whose indices sit near an offset c, written in for c: true
+# ones on each kind of plan, one false on its box, so that the whole grid
+# follows, and one that raises where n < 1.
+_OFFSET_TEXTS = [
+    ("F(m + c + 1)*F(n) + F(m + c)*F(n - 1) == F(n + m + c)", ("m", "n")),
+    ("F(m + c + n) + sign(n)*F(m + c - n) == L(n)*F(m + c)", ("m", "n")),
+    ("G(m + c + 2) == G(m + c + 1) + G(m + c)", ("m",)),
+    ("sum(k, 0, n, L(k + c)) == L(n + c + 2) - L(c + 1)", ("n",)),
+    ("G(m + c)*G(n + c) == G(m + n + c)", ("m", "n")),
+    ("F(m + c)^(n - 1) == F(m + c)", ("m", "n")),
+]
+
+
+def _outcome(identity, spec, state=None):
+    try:
+        return verify_grid(identity, spec, state=state).to_json_dict()
+    except EvalError as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_grids_through_one_state_report_as_each_alone(data):
+    # one command's state grows its table in place from grid to grid, and
+    # drops it for a grid whose window lies far inside it
+    grids = []
+    for i in range(data.draw(st.integers(2, 5))):
+        text, params = data.draw(st.sampled_from(_OFFSET_TEXTS))
+        c = data.draw(st.integers(-150, 150))
+        identity = parse_identity(text.replace("c", f"({c})"), name=f"g{i}", params=params)
+        seeds = tuple(data.draw(st.lists(SEEDS, min_size=1, max_size=3)))
+        grids.append((identity, GridSpec(_draw_grid(data, identity), seeds)))
+    state = verify._State()
+    shared = [_outcome(identity, spec, state) for identity, spec in grids]
+    assert shared == [_outcome(identity, spec) for identity, spec in grids]
+    assert state.f_tab == {e: fib(e) for e in range(state.lo, state.hi + 1)}
+    assert state.l_tab in ({}, {e: lucas(e) for e in range(state.lo + 1, state.hi + 1)})
+
+
 SHIFTED = parse_identity("G(p + 2) == G(p + 1) + G(p) + G(p - 1)",
                          name="shifted", params=("p",))
 
@@ -1178,7 +1220,7 @@ def test_every_index_a_shift_sweep_reads_is_in_its_pinned_table(data):
         patch.setattr(verify, "table", lambda seed, lo, hi: built.append((lo, hi))
                       or _StrictTable(real(seed, lo, hi)))
         patch.setattr(verify, "_derived",
-                      lambda f_tab, seed: _StrictTable(derived(f_tab, seed)))
+                      lambda *args: _StrictTable(derived(*args)))
         for use_oracle in (False, True):
             built.clear()
             try:
@@ -1547,6 +1589,34 @@ def test_an_axis_stops_at_its_length_and_the_work_at_the_checks(catalog):
         (0,): {"m": 1, "q": 17}, (1,): {"m": 2, "q": 17},
         **{(n,): {"m": 17, "q": 17} for n in (2, 3, 4)}}
     assert lim.work < 0
+
+
+# Plans Eq1 on a grid whose analysis, bounded by the grid's checks alone,
+# took 5.5 s; prints the time it takes and the width of q at each n.
+_WIDE_RANKS = """\
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from fibkit import GridSpec, Seed, builtin_catalog, verify
+eq1 = builtin_catalog().get("Eq1")
+spec = GridSpec({"n": (0, 400), "m": (-8, 8), "p": (0, 1), "q": (-400, 400)},
+                (Seed(0, 1), Seed(2, 1)))
+started = time.perf_counter()
+grid = verify._grid(eq1, spec)
+elapsed = time.perf_counter() - started
+q = grid.order.index("q")
+print(json.dumps([elapsed, [len(box[q]) for box in grid.box[0]]]))
+"""
+
+
+def test_the_analysis_of_a_grid_stops_at_a_fixed_work_budget():
+    done = subprocess.run([sys.executable, "-c", _WIDE_RANKS,
+                           str(Path(fibkit.__file__).parents[1])],
+                          capture_output=True, text=True, timeout=30, check=True)
+    elapsed, widths = json.loads(done.stdout)
+    assert elapsed < 0.5
+    # n + 1 values of q decide each rank value until the work runs out
+    assert widths[:40] == [n + 1 for n in range(40)]
+    assert all(w in (n + 1, 801) for n, w in enumerate(widths)) and widths[-1] == 801
 
 
 def test_the_rank_value_that_needs_the_most_decides():
