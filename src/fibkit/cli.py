@@ -160,24 +160,21 @@ def _select_entries(catalog: Catalog, args: argparse.Namespace) -> list[Identity
     return entries
 
 
-def _grid_for(identity: Identity, args: argparse.Namespace, state: _State | None = None,
+def _grid_for(identity: Identity, args: argparse.Namespace, parsed: dict | None = None,
               ) -> GridSpec:
-    """identity's grid from the flags. state, one verify command's, keeps
+    """identity's grid from the flags. parsed, one verify command's, keeps
     each flag's value, by flag, once it is parsed, so that the command
     parses each flag once and only when an identity reads it, and each
-    grid, so that entries with the same free and rank parameters share one
-    GridSpec."""
-    if state is None:
-        from .verify import _State
-
-        state = _State()
+    GridSpec, by (free params, rank params), so that entries with the same
+    parameters share one spec and one seeds tuple."""
+    if parsed is None:
+        parsed = {}
     key = (identity.free_params, identity.rank_params)
-    spec = state.specs.get(key)
+    spec = parsed.get(key)
     if spec is not None:
         return spec
     from .verify import STANDARD_SEEDS, GridSpec
 
-    parsed = state.flags
     ranges = {}
     rank = set(identity.rank_params)
     for p in identity.free_params:
@@ -190,7 +187,7 @@ def _grid_for(identity: Identity, args: argparse.Namespace, state: _State | None
             ranges[p] = parsed[p]
     if "seeds" not in parsed:
         parsed["seeds"] = _parse_seeds(args.seeds) if args.seeds else STANDARD_SEEDS
-    spec = state.specs[key] = GridSpec(ranges=ranges, seeds=parsed["seeds"])
+    spec = parsed[key] = GridSpec(ranges=ranges, seeds=parsed["seeds"])
     return spec
 
 
@@ -294,16 +291,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     --workers N by one pool of min(N, CPU count, identities) processes for
     the whole command. Either way the first job to raise, in catalog order,
     decides the error, and the jobs not yet started are dropped. The
-    command's one state (see verify._State) holds its grids and, in the
-    loop, the tables every job reads; a pool's job makes its own."""
+    command parses each flag and builds each GridSpec once (see _grid_for);
+    its one state (see verify._State) holds, in the loop, the tables every
+    job reads; a pool's job makes its own."""
     from .verify import _State
 
     if args.workers < 1:
         raise FibkitError(f"--workers must be at least 1, got {args.workers}")
     catalog = _resolve_catalog(args)
     entries = _select_entries(catalog, args)
-    state = _State()
-    jobs = [(e, _grid_for(e, args, state), args.oracle) for e in entries]
+    parsed: dict = {}
+    jobs = [(e, _grid_for(e, args, parsed), args.oracle) for e in entries]
     processes = min(args.workers, os.cpu_count() or 1, len(jobs))
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -314,6 +312,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         finally:
             pool.shutdown(cancel_futures=True)
     else:
+        state = _State()
         reports = [verify_grid(e, spec, use_oracle=oracle, state=state)
                    for e, spec, oracle in jobs]
     _emit_reports(reports, args.format, args.timing)

@@ -25,13 +25,15 @@ Every value on a line follows from its two start pairs, so a line whose
 start pairs agree passes without a walk; with the oracle, every line is
 walked, so it sees every point and seed. Only the start pairs read
 tables, so the index window of a grid with such an s is taken with s at
-z. The oracle's sweep makes no call per check: it appends each point's
-values for every seed to one flat list, and a batch of points at a time
-is compared with the oracle's values, laid out alike, as one list. Each side is read once into a term tree whose
-nodes hold what the plans, the loop order, the grid's index window and
-every sweep's code read. A sweep reads one F table over that window: G
-on the basis seeds is F one index back and F itself, and L and a
-per-seed pass's G are tables derived from it as g0*F(e - 1) + g1*F(e).
+z. The loops run in declared order, fixed parameters first and s
+innermost. The oracle's sweep makes no call per check: it appends each
+point's values for every seed to one flat list, and a batch of points
+at a time is compared with the oracle's values, laid out alike, as one
+list. Each side is read once into a term tree whose nodes hold what the
+plans, the grid's index window and every sweep's code read. A sweep
+reads one F table over that window: G on the basis seeds is F one index
+back and F itself, and L and a per-seed pass's G are tables derived from
+it as g0*F(e - 1) + g1*F(e).
 Without the oracle, a grid is swept over its boxes first, one per rank
 value: in each, every parameter but the ranks and the shift parameter
 is cut to its values nearest 0, as many as LHS - RHS has exponential
@@ -46,11 +48,11 @@ command holds one F table, and L derived from it, in its state (see
 _State), grown in place over each grid's window, the boxes' first and
 the whole grid's when it follows; a grid whose window lies far inside it
 drops it for its own, and a call without a state makes its own. The
-sweep is the only generated code: a side's
-value at one point is the one-point sweep of side == 0, and an
-evaluation error is located point by point with one compiled one-point
-sweep, on tables over the whole grid's window. All arithmetic is
-unbounded int; a PASS means exact equality at every point and seed.
+sweep is the only generated code: a side's value at one point is the
+one-point sweep of side == 0, and an evaluation error is located point
+by point with one compiled one-point sweep, on tables that compute each
+value when it is first read (see _Lazy). All arithmetic is unbounded
+int; a PASS means exact equality at every point and seed.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .expr import (
 )
 from .record import Record
 from .report import Failure, VerifyReport
-from .seq import FIB_SEED, LUCAS_SEED, Seed, table
+from .seq import FIB_SEED, LUCAS_SEED, Seed, gen, table
 
 __all__ = [
     "ParamPoint", "GridSpec",
@@ -220,6 +222,29 @@ def _g_table(f_tab: dict[int, int], seed: Seed, window: Interval | None) -> dict
     return _derived(f_tab, seed, window[0] - 1, window[1]) if window else {}
 
 
+class _Lazy(dict):
+    """One seed's sequence as a table that computes a value when it is
+    first read: by the recurrence from the two values held just below or
+    just above it, else by seq.gen. A one-point sweep reads it only at its
+    own point's indices, however wide its grid's window."""
+
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: Seed):
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, e: int) -> int:
+        if e - 1 in self and e - 2 in self:
+            value = self[e - 1] + self[e - 2]
+        elif e + 1 in self and e + 2 in self:
+            value = self[e + 2] - self[e + 1]
+        else:
+            value = gen(self.seed, e)
+        self[e] = value
+        return value
+
+
 # The held F table may reach this many indices past either end of what a
 # grid reads before that grid drops it and builds its own, so that a
 # command's tables never hold much more than its most demanding grid reads.
@@ -234,18 +259,14 @@ class _State:
     cover each grid's window, and L, derived from F once a side reads L,
     over all of F's indices but the lowest, and grown with it; a grid whose
     window lies more than _SLACK indices inside either end of F drops both
-    before it builds its own. cli keeps in it each grid flag's parsed value,
-    by flag, and each GridSpec, by (free params, rank params), so that
-    entries with the same parameters share one spec and one seeds tuple."""
+    before it builds its own."""
 
-    __slots__ = ("f_tab", "l_tab", "lo", "hi", "flags", "specs")
+    __slots__ = ("f_tab", "l_tab", "lo", "hi")
 
     def __init__(self) -> None:
         self.f_tab: dict[int, int] = {}
         self.l_tab: dict[int, int] = {}
         self.lo = self.hi = 0
-        self.flags: dict[str, Any] = {}
-        self.specs: dict[tuple, GridSpec] = {}
 
     def tables(self, window: Interval | None, sides: Sequence[_Term],
                ) -> tuple[dict[int, int], dict[int, int]]:
@@ -301,9 +322,6 @@ class _State:
 # and one for a sum's loop or the loop over the seeds inside them.
 _MAX_LOOPS = 19
 
-# Loop orders are searched exhaustively up to this many loops (720 orders);
-# past it the parameters loop in declared order.
-_MAX_SEARCH = 6
 
 class _Term(NamedTuple):
     """One subexpression occurrence and the facts that plan its grid.
@@ -680,13 +698,12 @@ def _box(identity: Identity, spec: GridSpec, sides: Sequence[_Term], order: Sequ
          shift: str | None) -> tuple[list[list[range]], Interval | None] | None:
     """One box per rank value, as the ranges of order's parameters, and
     the index window over the smallest box that holds them all; None when
-    no axis is cut. In the
-    box of a rank value, each parameter but the ranks' and the shift
-    parameter's is cut to its _widths values there nearest 0: any run that
-    long decides the axis, and this one reads the smallest indices. A shift
-    parameter's line costs two evaluations however long it is. The
-    analysis takes at most as much work as the grid has checks, and never
-    more than _MAX_WORK."""
+    no axis is cut. In the box of a rank value, each parameter but the
+    ranks' and the shift parameter's is cut to its _widths values there
+    nearest 0: any run that long decides the axis, and this one reads the
+    smallest indices. A shift parameter's line costs two evaluations
+    however long it is. The analysis takes at most as much work as the
+    grid has checks, and never more than _MAX_WORK."""
     params, ranks = identity.free_params, identity.rank_params
     axes = [p for p in params if p != shift and p not in ranks
             and spec.ranges[p][0] < spec.ranges[p][1]]
@@ -782,70 +799,27 @@ def _bounds(terms: Iterable[_Term], env: Mapping[str, Interval],
             yield from _bounds(term.args, env, start)
 
 
-def _evaluations(term: _Term, env: Mapping[str, Interval], pairs: int,
-                 k_count: int = 1) -> Iterator[tuple[frozenset[str], int]]:
-    """(deps, evaluations per binding of deps) of every computed term; a
-    term that reads a summation index runs once per index value, and one
-    that reads G once per pair of sides."""
-    if isinstance(term.node, (Lit, Sym)):
-        return
-    yield term.deps, (k_count if term.kdep else 1) * (pairs if "G" in term.kinds else 1)
-    if isinstance(term.node, Sum):
-        lo, hi, inner = term.args
-        yield from _evaluations(lo, env, pairs)
-        yield from _evaluations(hi, env, pairs)
-        span = _interval(term.node.hi, env)[1] - _interval(term.node.lo, env)[0]
-        yield from _evaluations(inner, env, pairs, max(1, span + 1))
-    else:
-        for arg in term.args:
-            yield from _evaluations(arg, env, pairs, k_count)
-
-
 def _axis(spec: GridSpec, param: str) -> range:
     lo, hi = spec.ranges[param]
     return range(lo, hi + 1)
 
 
 def _loop_order(identity: Identity, spec: GridSpec, plan: _Plan,
-                sides: Sequence[_Term]) -> tuple[tuple[str, ...], int]:
+                ) -> tuple[tuple[str, ...], int]:
     """The parameters, outermost first, and how many of them lead as fixed
-    values before the first loop.
-
-    A term is computed once per iteration of the loops down to the deepest
-    one it reads (once per index value inside a sum, once per pair of
-    sides if it reads G); of all orders of the loops, the first one with
-    the fewest such computations wins. The plan's shift parameter loops
-    innermost, where a term that reads it is computed twice per line, at
-    the line's value nearest 0 and one before; G's recurrence gives the
-    sides at every other step.
-    """
+    values before the first loop: the fixed ones, then the others in
+    declared order, with the plan's shift parameter innermost. There a
+    term that reads it is computed twice per line, at the line's value
+    nearest 0 and one before; G's recurrence gives the sides at every
+    other step."""
     params = identity.free_params
-    lengths = {p: len(_axis(spec, p)) for p in params}
-    fixed = tuple(p for p in params if lengths[p] == 1)
-    loops = tuple(p for p in params if lengths[p] > 1)
+    fixed = tuple(p for p in params if spec.ranges[p][0] == spec.ranges[p][1])
+    loops = tuple(p for p in params if p not in fixed and p != plan.shift)
+    loops += (plan.shift,) if plan.shift else ()
     if len(loops) > _MAX_LOOPS:
         raise GridError(f"grid varies {len(loops)} parameters; "
                         f"a sweep nests at most {_MAX_LOOPS} loops")
-    pairs = 2 if plan.basis and not plan.shift else 1
-    env = {p: spec.ranges[p] for p in params}
-    weights: dict[frozenset[str], int] = {}
-    for side in sides:
-        for deps, count in _evaluations(side, env, pairs):
-            key = deps.intersection(loops)
-            weights[key] = weights.get(key, 0) + count
-
-    def cost(order: tuple[str, ...]) -> int:
-        reach, size = {}, 1
-        for p in order:
-            size *= 2 if p == plan.shift else lengths[p]
-            reach[p] = size
-        return sum(count * max(map(reach.__getitem__, deps), default=1)
-                   for deps, count in weights.items())
-
-    last = (plan.shift,) if plan.shift else ()
-    free = tuple(p for p in loops if p not in last)
-    orders = itertools.permutations(free) if len(free) <= _MAX_SEARCH else (free,)
-    return fixed + min((order + last for order in orders), key=cost), len(fixed)
+    return fixed + loops, len(fixed)
 
 
 class _Body(NamedTuple):
@@ -1193,11 +1167,10 @@ class _Grid(NamedTuple):
     """What a grid's verification keeps: its plans, its loop order, how
     many of its parameters lead fixed, the index window its sweeps read,
     with a shift plan's shift parameter at its value nearest 0 (see
-    _pinned),
-    both sides' term trees, its boxes and their window (see _box), its
-    sweeps, compiled from those trees on first use per oracle flag and
-    pass, and what the first oracle call built for each plan (see
-    _oracle_sides)."""
+    _pinned), both sides' term trees, its boxes and their window (see
+    _box), its sweeps, compiled from those trees on first use per oracle
+    flag and pass, and what the first oracle call built for each plan
+    (see _oracle_sides)."""
 
     plans: tuple[_Plan, ...]
     order: tuple[str, ...]
@@ -1257,7 +1230,7 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
         sides = _sides(identity)
         plans = tuple(_plans(identity, spec, sides))
         shift = plans[0].shift
-        order, fixed = _loop_order(identity, spec, plans[0], sides)
+        order, fixed = _loop_order(identity, spec, plans[0])
         window = _window(sides, _pinned({p: spec.ranges[p] for p in params}, shift))
         box = _box(identity, spec, sides, order, shift)
         grid = _keep(key, _Grid(plans, order, fixed, window, sides, box, {}, []))
@@ -1268,16 +1241,16 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
 _POINT = _Plan(False, None, (0,))
 
 
-def _point_sweep(identity: Identity) -> tuple[_Grid, Callable[..., None]]:
-    """identity's entry for its one-point sweep, and that sweep, compiled
-    once: every parameter fixed, one pass on one G table."""
+def _point_sweep(identity: Identity) -> Callable[..., None]:
+    """identity's one-point sweep, compiled once and kept in its own
+    entry: every parameter fixed, one pass on one G table."""
     params = identity.free_params
     key = (identity.lhs, identity.rhs, params)
     grid = _compile_cache.get(key)
     if grid is None:
         grid = _keep(key, _Grid((_POINT,), params, len(params), None, _sides(identity), None,
                                 {}, []))
-    return grid, grid.sweep(identity, False, _POINT)
+    return grid.sweep(identity, False, _POINT)
 
 
 def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range],
@@ -1336,12 +1309,10 @@ def eval_side(ast: Node, pt: ParamPoint) -> int:
     ast's value or passes at 0."""
     params = tuple(sorted(pt.values))
     identity = Identity("eval_side", ast, Lit(0), params)
-    grid, sweep = _point_sweep(identity)
-    window = _window(grid.sides, {p: (v, v) for p, v in pt.values.items()})
-    f_tab, l_tab = _State().tables(window, grid.sides)
+    sweep = _point_sweep(identity)
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
-    sweep(*((pt.values[p],) for p in params), f_tab, l_tab, _g_table(f_tab, pt.seed, window),
-          (0,), failures, None)
+    sweep(*((pt.values[p],) for p in params), _Lazy(FIB_SEED), _Lazy(LUCAS_SEED),
+          _Lazy(pt.seed), (0,), failures, None)
     return failures[0][2] if failures else 0
 
 
@@ -1350,17 +1321,16 @@ def _raise_first_eval_error(identity: Identity, spec: GridSpec, exc: EvalError) 
     its first error: seeds in order, then points lexicographically.
 
     Each point runs the identity's one-point sweep, compiled once, on
-    tables over the index window of the whole grid, built once for this
-    search, and each seed's G. A sweep computes exactly the subexpressions
-    that point-by-point evaluation does, only in another order, so such a
-    point exists.
+    tables that compute each value when it is first read (see _Lazy), so
+    the search reads only the indices of the points it reaches. A sweep
+    computes exactly the subexpressions that point-by-point evaluation
+    does, only in another order, so such a point exists.
     """
     params = identity.free_params
-    grid, sweep = _point_sweep(identity)
-    window = _window(grid.sides, spec.ranges)
-    f_tab, l_tab = _State().tables(window, grid.sides)
+    sweep = _point_sweep(identity)
+    f_tab, l_tab = _Lazy(FIB_SEED), _Lazy(LUCAS_SEED)
     for seed in spec.seeds:
-        g_tab = _g_table(f_tab, seed, window)
+        g_tab = _Lazy(seed)
         for vals in spec.points(params):
             try:
                 sweep(*((v,) for v in vals), f_tab, l_tab, g_tab, (0,), [], None)

@@ -454,6 +454,21 @@ def test_a_long_shift_line_reads_tables_only_at_its_start_pairs(run_fibkit):
     assert [(r["failures"], r["total"]) for r in json.loads(out)] == [([], 1_600_004)]
 
 
+def test_an_error_far_from_0_on_a_long_axis_is_located_in_bounded_memory(run_fibkit, tmp_path):
+    # the shift line's start pairs raise; the point-by-point search reads
+    # F only at the points it reaches, not over the whole grid's window
+    path = tmp_path / "far.cat"
+    path.write_text("name: Far\nparams: m p\npaper: fixture\n"
+                    "identity: F(p)*pow5floor(m - 1) == F(p)\n")
+    started = time.perf_counter()
+    code, out, err = run_fibkit("verify", "--file", str(path), "--m", "0..0",
+                                "--p", "-200000..200000")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("fibkit: error: pow5floor argument -1 is negative at point "
+                   "(m=0, p=-200000), seed Seed(g0=0, g1=1)\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
 def test_endless_catalog_file_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--all", "--file", "/dev/zero")

@@ -41,8 +41,19 @@ def plans_of(identity, spec):
     return verify._plans(identity, spec, verify._sides(identity))
 
 
-def loop_order_of(identity, spec, plan):
-    return verify._loop_order(identity, spec, plan, verify._sides(identity))
+def assert_declared_loop_order(identity, spec):
+    """The grid loops its fixed parameters first, then the others in
+    declared order, with its first plan's shift parameter innermost."""
+    grid = verify._grid(identity, spec)
+    params, order, shift = identity.free_params, grid.order, grid.plans[0].shift
+    assert sorted(order) == sorted(params)
+    assert order[:grid.fixed] == tuple(p for p in params if len(set(spec.ranges[p])) == 1)
+    loops = order[grid.fixed:]
+    if shift:
+        assert loops[-1] == shift
+    rest = [p for p in loops if p != shift]
+    assert rest == [p for p in params if p in rest]
+    return grid
 
 
 # --- eval_side ---------------------------------------------------------------
@@ -830,7 +841,9 @@ def test_sweep_matches_oracle_and_point_by_point(data):
                               name="random", params=params)
     # duplicates and the seed (0, 0) allowed
     seeds = tuple(data.draw(st.lists(SEEDS, min_size=1, max_size=5)))
-    _matches_oracle_and_point_by_point(identity, GridSpec(_draw_grid(data, identity), seeds))
+    spec = GridSpec(_draw_grid(data, identity), seeds)
+    _matches_oracle_and_point_by_point(identity, spec)
+    assert_declared_loop_order(identity, spec)
 
 
 @given(st.data())
@@ -950,13 +963,14 @@ def test_a_grid_builds_one_f_table(catalog, monkeypatch):
         built.clear()
         verify_grid(identity, grid)
         assert built == [F_SEED]
-    # an evaluation error: one F table for the sweep, and one for the locator
+    # an evaluation error: one F table for the sweep; the locator's tables
+    # compute each value when it is read
     bad = parse_identity("F(m + 55)^p == G(p - 55)", name="neg-pow", params=("m", "p"))
     built.clear()
     with pytest.raises(EvalError, match="^negative exponent"):
         verify_grid(bad, GridSpec({"m": (-3, 3), "p": (-2, 2)},
                                   (Seed(2, 1), F_SEED, Seed(3, 7), Seed(3, 7))))
-    assert built == [F_SEED] * 2
+    assert built == [F_SEED]
 
 
 # Identities whose indices sit near an offset c, written in for c: true
@@ -1341,29 +1355,19 @@ def test_shift_sweep_evaluates_the_sides_twice_per_line(monkeypatch):
     assert reads == [8, 8]
 
 
-# Each catalog entry's loop order on the default grid, where every entry
-# takes a shift plan; the shift loop's terms cost the same in every order,
-# whatever they cost.
-SHIFT_ORDERS = {
-    **{name: ("n", "m") for name in ("Eq8", "Lemma10", "Lemma11", "Lemma12", "Lemma13")},
-    **{name: ("m", "q", "p") for name in ("Eq14", "Eq16", "Eq18", "Eq19")},
-    "Eq1": ("n", "m", "q", "p"), "Eq2": ("n", "m", "q", "p"),
-    "Eq3": ("n", "q", "m", "p"), "Eq4": ("n", "q", "m", "p"),
-    **{f"S3.n{r}.{k}-forward": ("m", "p", "n") for r in (1, 2, 3, 4) for k in "FL"},
-    **{f"S3.n{r}.{k}-backward": ("p", "m", "n") for r in (1, 2) for k in "FL"},
-    **{f"S3.n{r}.{k}-backward": ("m", "p", "n") for r in (3, 4) for k in "FL"},
-}
-
-
 def test_shift_plan_loop_orders_on_the_default_grid(catalog):
+    # every entry takes a shift plan there, and loops in declared order
+    # with its shift parameter innermost
     args = cli.build_parser().parse_args(["verify", "--all"])
-    orders = {}
+    shifts = {}
     for entry in catalog:
-        spec = cli._grid_for(entry, args)
-        plan = plans_of(entry, spec)[0]
-        assert plan.shift == SHIFT_ORDERS[entry.name][-1]
-        orders[entry.name] = loop_order_of(entry, spec, plan)
-    assert orders == {name: (order, 0) for name, order in SHIFT_ORDERS.items()}
+        grid = assert_declared_loop_order(entry, cli._grid_for(entry, args))
+        assert grid.fixed == 0
+        shifts[entry.name] = grid.plans[0].shift
+    assert shifts == {entry.name: "n" if entry.name.startswith("S3.") else
+                      "m" if entry.name in ("Eq8", "Lemma10", "Lemma11", "Lemma12", "Lemma13")
+                      else "p" for entry in catalog}
+    assert len(shifts) == 29
 
 
 @pytest.mark.parametrize("text,params,ranges", [
@@ -1495,7 +1499,7 @@ def test_shift_plan_takes_the_first_qualifying_parameter(catalog):
     both = parse_identity("G(p + q) == G(q + p)", name="t", params=("p", "q"))
     spec = GridSpec({"p": (-2, 2), "q": (-2, 2)})
     assert [p.shift for p in plans_of(both, spec)] == ["p"]
-    assert loop_order_of(both, spec, plans_of(both, spec)[0]) == (("q", "p"), 0)
+    assert verify._loop_order(both, spec, plans_of(both, spec)[0]) == (("q", "p"), 0)
     spec = GridSpec({"p": (4, 4), "q": (-2, 2)})
     assert [p.shift for p in plans_of(both, spec)] == ["q"]
 
@@ -1676,7 +1680,7 @@ def test_a_passing_grid_sweeps_only_its_box(catalog, monkeypatch):
     report = verify_grid(square, VARIANT_SPEC)
     full = [(0, 2), (-2, 2), (-2, 2), (-2, 2)]
     # G(p)*G(q) adds bases along p and q: the box at n = 0 fails
-    assert swept == [[(0, 0), (0, 0), (-1, 1), (-1, 0)], *[full] * 4]
+    assert swept == [[(0, 0), (0, 0), (-1, 0), (-1, 1)], *[full] * 4]
     assert report.to_json_dict() == _unboxed(monkeypatch, square, VARIANT_SPEC)
 
 
