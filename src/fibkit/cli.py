@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from contextlib import suppress
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .catalog import Catalog, Identity, builtin_catalog, load_catalog_file
@@ -60,6 +61,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise FibkitError(f"bad range '{text}': {lo} > {hi}")
     return lo, hi
+
+
+def _rank_values(text: str) -> range:
+    """One token of prove's --n: an int n, or 'lo..hi' for the ranks lo
+    to hi in order. A range is kept whole, not listed, so that a long one
+    costs nothing until the prover reaches it."""
+    if ".." in text:
+        try:
+            lo, hi = _parse_range(text)
+        except FibkitError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return range(lo, hi + 1)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return range(n, n + 1)
 
 
 def _parse_seed(text: str) -> Seed:
@@ -322,12 +340,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_prove(args: argparse.Namespace) -> int:
     catalog = _resolve_catalog(args)
     entries = _select_entries(catalog, args)
-    ranks = tuple(args.n) if args.n else DEFAULT_PROVE_RANKS
+    ranks = args.n or (DEFAULT_PROVE_RANKS,)
     reports = []
     for e in entries:
         if e.is_rank_parametric:
             rank_param = e.rank_params[0]
-            for value in ranks:
+            for value in chain.from_iterable(ranks):
                 reports.append(prove_symbolic(e, {rank_param: value}))
         else:
             reports.append(prove_symbolic(e))
@@ -432,7 +450,7 @@ def _fill_verify(p: argparse.ArgumentParser) -> None:
 
 def _fill_prove(p: argparse.ArgumentParser) -> None:
     _add_selection(p)
-    p.add_argument("--n", nargs="+", type=int, metavar="N",
+    p.add_argument("--n", nargs="+", type=_rank_values, metavar="N",
                    help="rank values for sum-bounded identities "
                         "(default 1 2 3 4)")
     _add_output(p)
@@ -462,22 +480,25 @@ _COMMANDS = (
     ("bench", "time fast doubling vs naive iteration", _fill_bench),
 )
 
+# The command list as argparse writes it, for a usage line that lists
+# every command when only one is registered.
+_COMMAND_METAVAR = "{" + ",".join(name for name, _, _ in _COMMANDS) + "}"
+
 
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """fibkit's parser, with every subcommand registered. Given argv, only
-    the subcommands whose names appear in it get their arguments, since
-    parsing argv reads no other; without argv, all of them do."""
+    """fibkit's parser. When argv starts with a command name, only that
+    subcommand is registered, since parsing argv reads no other, and the
+    usage line still lists every command; otherwise all of them are."""
     parser = argparse.ArgumentParser(
         prog="fibkit",
         description="Exact Fibonacci/Lucas/generalized identity toolkit",
     )
     parser._negative_number_matcher = _NEGATIVE_VALUE
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubParser)
-    named = None if argv is None else set(argv)
-    for name, help_line, fill in _COMMANDS:
-        p = sub.add_parser(name, help=help_line)
-        if named is None or name in named:
-            fill(p)
+    commands = [c for c in _COMMANDS if argv and c[0] == argv[0]]
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubParser,
+                                metavar=_COMMAND_METAVAR if commands else None)
+    for name, help_line, fill in commands or _COMMANDS:
+        fill(sub.add_parser(name, help=help_line))
     return parser
 
 

@@ -33,6 +33,7 @@ point's values is the batch of that one point.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 from math import prod
 from operator import add, floordiv, mul, neg, sub
@@ -198,20 +199,20 @@ def _pieces(starts: list[int], lengths: list[int]) -> Iterator[tuple[int, list[i
         if terms:
             yield 0, starts, lengths
         return
-    row, firsts, counts, room = 0, [], [], _SUM_CHUNK
-    for i, (start, count) in enumerate(zip(starts, lengths)):
-        firsts.append(start)
-        counts.append(0)
-        while count >= room:  # the piece fills up in row i
-            counts[-1] += room
-            yield row, firsts, counts
-            start += room
-            count -= room
-            row, firsts, counts, room = i, [start], [0], _SUM_CHUNK
-        counts[-1] += count
-        room -= count
-    if room < _SUM_CHUNK:
+    # a piece ends at the row where the running term count reaches its
+    # last term; only its first and last rows can be split
+    ends = list(accumulate(lengths))
+    row = done = 0  # the piece's first row, and the terms before the piece
+    while done < terms:
+        stop = min(done + _SUM_CHUNK, terms)
+        last = bisect_left(ends, stop) if stop - done == _SUM_CHUNK else len(lengths) - 1
+        firsts, counts = starts[row:last + 1], lengths[row:last + 1]
+        taken = done - ends[row] + lengths[row]  # row's terms in earlier pieces
+        firsts[0] += taken
+        counts[0] -= taken
+        counts[-1] -= ends[last] - stop
         yield row, firsts, counts
+        row, done = last, stop
 
 
 def _index(node: Node, seqs: Mapping[str, Mapping[int, int]],

@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, output formats, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -145,6 +146,9 @@ def test_eval_usage_error_exits_2(capsys):
     [], ["bogus"], ["bogus", "verify"], ["-x", "verify"], ["eval"], ["eval", "F"],
     ["eval", "X", "5"], ["verify", "--m"], ["verify", "--workers", "two"], ["bench"],
     ["prove", "--n", "x"], ["catalog", "--format", "csv"], ["verify", "--nope"],
+    # errors that the top parser reports after a command name: its usage
+    # line lists every command, though only the named one is registered
+    ["verify", "--all", "extra"], ["prove", "--all", "extra"], ["catalog", "extra"],
 ])
 def test_a_parser_filled_for_its_command_prints_the_full_parsers_bytes(capsys, argv):
     def exit_and_output(parse):
@@ -165,9 +169,25 @@ def test_a_parser_for_one_command_fills_only_that_command():
         return {name: len(p._actions) > 1 for name, p in sub.choices.items()}
 
     commands = ["eval", "verify", "prove", "catalog", "bench"]
-    assert filled(cli.build_parser()) == dict.fromkeys(commands, True)
-    assert filled(cli.build_parser(["verify", "--all"])) == {
-        name: name == "verify" for name in commands}
+    assert filled(cli.build_parser(["verify", "--all"])) == {"verify": True}
+    for argv in (None, ["-h"], ["bogus", "verify"]):
+        assert filled(cli.build_parser(argv)) == dict.fromkeys(commands, True), argv
+
+
+def test_a_parser_for_one_command_builds_two_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser(["verify", "--all", "--format", "json"])
+    assert len(built) == 2
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 6
 
 
 # --- verify -------------------------------------------------------------------
@@ -536,6 +556,50 @@ def test_prove_ranks_json_bytes_are_golden(capsys):
     code, out, _ = run(capsys, "prove", "--all", "--n", *RANKS_0_TO_7, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PROVE_RANKS
+
+
+def test_prove_rank_ranges_print_the_listed_ranks_bytes(capsys):
+    code, out, _ = run(capsys, "prove", "--all", "--n", "0..7", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PROVE_RANKS
+    # ranges and ints mix, in the order given
+    listed = run(capsys, "prove", "--id", "Eq1", "--n", "3", "0", "1", "2", "1", "--format", "json")
+    assert run(capsys, "prove", "--id", "Eq1", "--n", "3", "0..2", "1..1",
+               "--format", "json") == listed
+
+
+@pytest.mark.parametrize("token,message", [
+    ("x", "argument --n: invalid int value: 'x'"),
+    ("3..1", "argument --n: bad range '3..1': 3 > 1"),
+    ("1..x", "argument --n: bad range '1..x', expected 'lo..hi' or a single integer"),
+])
+def test_prove_bad_rank_token_is_a_usage_error(capsys, token, message):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["prove", "--all", "--n", token])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"fibkit prove: error: {message}\n")
+
+
+def test_prove_negative_rank_in_a_range_exits_2(capsys):
+    for ranks in (["-1"], ["-2..1"]):
+        assert run(capsys, "prove", "--id", "Eq1", "--n", *ranks) == (
+            2, "", "fibkit: error: rank parameter 'n' must be >= 0\n")
+
+
+def test_prove_long_rank_range_is_read_as_the_prover_reaches_it(capsys, monkeypatch):
+    reached = []
+
+    def prove(identity, fixed=None):
+        reached.append(fixed["n"])
+        if fixed["n"] == 3:
+            raise cli.FibkitError("too costly")
+        return real(identity, fixed)
+
+    real = cli.prove_symbolic
+    monkeypatch.setattr(cli, "prove_symbolic", prove)
+    assert run(capsys, "prove", "--id", "Eq1", "--n", f"0..{10 ** 12}") == (
+        2, "", "fibkit: error: too costly\n")
+    assert reached == [0, 1, 2, 3]
 
 
 def test_prove_eq_variants_json_bytes_are_golden(capsys):

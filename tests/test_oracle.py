@@ -322,6 +322,45 @@ def test_sum_pieces_split_rows_around_rows_without_terms(monkeypatch, text, chun
     assert [list(values) for values in zip(*columns)] == point_by_point
 
 
+def _pieces_row_by_row(starts, lengths, chunk):
+    """The pieces as oracle._pieces gave them when it stepped through the
+    rows one at a time: the reference for the one that bisects."""
+    terms = sum(lengths)
+    if terms <= chunk:
+        if terms:
+            yield 0, starts, lengths
+        return
+    row, firsts, counts, room = 0, [], [], chunk
+    for i, (start, count) in enumerate(zip(starts, lengths)):
+        firsts.append(start)
+        counts.append(0)
+        while count >= room:
+            counts[-1] += room
+            yield row, firsts, counts
+            start += room
+            count -= room
+            row, firsts, counts, room = i, [start], [0], chunk
+        counts[-1] += count
+        room -= count
+    if room < chunk:
+        yield row, firsts, counts
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sum_pieces_match_the_row_by_row_split(data):
+    chunk = data.draw(st.sampled_from([1, 3, 4096]))
+    longest = data.draw(st.sampled_from([3, 12, 3000]))
+    # zero-length rows anywhere, and rows that end exactly at a boundary
+    length = st.one_of(st.just(0), st.integers(0, longest), st.sampled_from([chunk, 2 * chunk]))
+    lengths = data.draw(st.lists(length, max_size=12))
+    starts = data.draw(st.lists(st.integers(-50, 50), min_size=len(lengths),
+                                max_size=len(lengths)))
+    expected = list(_pieces_row_by_row(starts, lengths, chunk))
+    with mock.patch.object(oracle, "_SUM_CHUNK", chunk):
+        assert list(oracle._pieces(starts, lengths)) == expected
+
+
 NAMES = ("m", "n")
 CATALOG = builtin_catalog()
 
