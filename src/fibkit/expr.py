@@ -12,7 +12,7 @@ Index expressions are the restricted sublanguage {literal, symbol, +, -,
 unary -, *} used everywhere an integer argument is required: sequence
 indices, sum bounds, power exponents, and the arguments of binom, sign,
 and pow5floor. The parser enforces the restriction; analyses downstream
-(interval windows, affine forms, parity splits) rely on it, and `affine`
+(affine forms, parity splits, the box's bases) rely on it, and `affine`
 is the one reader of an index's constant and coefficients.
 """
 

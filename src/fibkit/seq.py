@@ -109,9 +109,15 @@ def gen(seed: Seed, n: int) -> int:
     """Generalized Fibonacci number G(n) for the given seed, any integer n.
 
     Evaluates the linear combination G(n) = G0 F(n-1) + G1 F(n), which
-    agrees with running the recurrence forwards or backwards from the seed.
+    agrees with running the recurrence forwards or backwards from the seed,
+    with both values of F from one fast-doubling walk.
     """
-    return seed.g0 * fib(n - 1) + seed.g1 * fib(n)
+    if n > 0:
+        a, b = fib_pair_doubling(n - 1)
+    else:  # F(-n) and F(1 - n), reflected to F(n) and F(n - 1)
+        f, g = fib_pair_doubling(-n)
+        a, b = (-g, f) if n & 1 else (g, -f)
+    return seed.g0 * a + seed.g1 * b
 
 
 def table(seed: Seed, lo: int, hi: int) -> dict[int, int]:

@@ -24,16 +24,12 @@ nowhere else, obey the same recurrence and are stepped the same way.
 Every value on a line follows from its two start pairs, so a line whose
 start pairs agree passes without a walk; with the oracle, every line is
 walked, so it sees every point and seed. Only the start pairs read
-tables, so the index window of a grid with such an s is taken with s at
-z. The loops run in declared order, fixed parameters first and s
+tables. The loops run in declared order, fixed parameters first and s
 innermost. The oracle's sweep makes no call per check: it appends each
 point's values for every seed to one flat list, and a batch of points
 at a time is compared with the oracle's values, laid out alike, as one
 list. Each side is read once into a term tree whose nodes hold what the
-plans, the grid's index window and every sweep's code read. A sweep
-reads one F table over that window: G on the basis seeds is F one index
-back and F itself, and L and a per-seed pass's G are tables derived from
-it as g0*F(e - 1) + g1*F(e).
+plans, the boxes and every sweep's code read.
 Without the oracle, a grid is swept over its boxes first, one per rank
 value: in each, every parameter but the ranks and the shift parameter
 is cut to its values nearest 0, as many as LHS - RHS has exponential
@@ -41,18 +37,21 @@ bases along it at that rank value (see _box), so boxes that pass at
 every point and seed are a grid that passes; on a failure or an
 evaluation error in a box, the whole grid is swept, so the failures and
 errors reported are the whole grid's. A grid's trees, plans, loop
-order, index window, boxes, compiled sweeps and, once an oracle call
-has built them, the oracle's evaluators over its own tables are kept in
-one entry per identity and grid. The tables are one command's: a verify
-command holds one F table, and L derived from it, in its state (see
-_State), grown in place over each grid's window, the boxes' first and
-the whole grid's when it follows; a grid whose window lies far inside it
-drops it for its own, and a call without a state makes its own. The
-sweep is the only generated code: a side's value at one point is the
-one-point sweep of side == 0, and an evaluation error is located point
-by point with one compiled one-point sweep, on tables that compute each
-value when it is first read (see _Lazy). All arithmetic is unbounded
-int; a PASS means exact equality at every point and seed.
+order, boxes, compiled sweeps and, once an oracle call has built them,
+the oracle's evaluators over its own tables are kept in one entry per
+identity and grid.
+Every table computes a value when it is first read, by the recurrence
+from two held neighbours or else by one fast-doubling walk, and holds
+only the indices read (see _Lazy), so a far or widely spaced read costs
+its own indices and not the span between them. A verify command holds
+one F table and one L table in its state (see _State), read by each of
+its grids and dropped when it returns; a call without a state makes its
+own. G on the basis seeds is F one index back and F itself, and a
+per-seed pass reads a table of its own seed. The sweep is the only
+generated code: a side's value at one point is the one-point sweep of
+side == 0, and an evaluation error is located point by point with one
+compiled one-point sweep. All arithmetic is unbounded int; a PASS means
+exact equality at every point and seed.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from .expr import (
 )
 from .record import Record
 from .report import Failure, VerifyReport
-from .seq import FIB_SEED, LUCAS_SEED, Seed, gen, table
+from .seq import FIB_SEED, LUCAS_SEED, Seed, gen
 
 __all__ = [
     "ParamPoint", "GridSpec",
@@ -210,23 +209,11 @@ def _op_code(node: Node, args: Sequence[str], back: bool) -> str:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _derived(f_tab: dict[int, int], seed: Seed, lo: int, hi: int) -> dict[int, int]:
-    """G of seed over lo..hi, from F's table over lo - 1..hi: g0*F(e - 1) + g1*F(e)."""
-    g0, g1 = seed.g0, seed.g1
-    return {e: g0 * f_tab[e - 1] + g1 * f_tab[e] for e in range(lo, hi + 1)}
-
-
-def _g_table(f_tab: dict[int, int], seed: Seed, window: Interval | None) -> dict[int, int]:
-    """G of seed over window and one below, from F's table over window and
-    two below; empty when nothing is read."""
-    return _derived(f_tab, seed, window[0] - 1, window[1]) if window else {}
-
-
 class _Lazy(dict):
     """One seed's sequence as a table that computes a value when it is
     first read: by the recurrence from the two values held just below or
-    just above it, else by seq.gen. A one-point sweep reads it only at its
-    own point's indices, however wide its grid's window."""
+    just above it, else by seq.gen, one fast-doubling walk. It holds only
+    the indices read, however far apart they lie."""
 
     __slots__ = ("seed",)
 
@@ -235,69 +222,26 @@ class _Lazy(dict):
         self.seed = seed
 
     def __missing__(self, e: int) -> int:
-        if e - 1 in self and e - 2 in self:
-            value = self[e - 1] + self[e - 2]
-        elif e + 1 in self and e + 2 in self:
-            value = self[e + 2] - self[e + 1]
+        get = self.get
+        a, b = get(e - 2), get(e - 1)
+        if a is not None and b is not None:
+            value = a + b
         else:
-            value = gen(self.seed, e)
+            a, b = get(e + 1), get(e + 2)
+            value = b - a if a is not None and b is not None else gen(self.seed, e)
         self[e] = value
         return value
 
 
-# The held F table may reach this many indices past either end of what a
-# grid reads before that grid drops it and builds its own, so that a
-# command's tables never hold much more than its most demanding grid reads.
-_SLACK = 64
-
-
 class _State:
-    """What one verify command reuses from grid to grid, made by the
-    command and dropped when it returns; a library call makes its own.
+    """What one verify command reuses from grid to grid: one F table and
+    one L table, each filled as it is read (see _Lazy). The command makes
+    it and drops it when it returns; a library call makes its own."""
 
-    It holds one F table over lo..hi, grown in place by the recurrence to
-    cover each grid's window, and L, derived from F once a side reads L,
-    over all of F's indices but the lowest, and grown with it; a grid whose
-    window lies more than _SLACK indices inside either end of F drops both
-    before it builds its own."""
-
-    __slots__ = ("f_tab", "l_tab", "lo", "hi")
+    __slots__ = ("f_tab", "l_tab")
 
     def __init__(self) -> None:
-        self.f_tab: dict[int, int] = {}
-        self.l_tab: dict[int, int] = {}
-        self.lo = self.hi = 0
-
-    def tables(self, window: Interval | None, sides: Sequence[_Term],
-               ) -> tuple[dict[int, int], dict[int, int]]:
-        """F over two below window, the lowest index a value derived at a
-        shift plan's s = z - 1 reads (window holds s = z, see _pinned), to
-        its top, and L when a side reads L; each may hold more indices."""
-        if window is None:
-            return {}, {}
-        lo, hi = window[0] - 2, window[1]
-        f_tab, l_tab = self.f_tab, self.l_tab
-        if f_tab and (self.lo < lo - _SLACK or self.hi > hi + _SLACK):
-            self.f_tab, self.l_tab = f_tab, l_tab = {}, {}  # freed before the next is built
-        if not f_tab:
-            self.f_tab = f_tab = table(FIB_SEED, lo, hi)
-            self.lo, self.hi = lo, hi
-        else:
-            if hi > self.hi:
-                for e in range(self.hi + 1, hi + 1):
-                    f_tab[e] = f_tab[e - 1] + f_tab[e - 2]
-                if l_tab:
-                    l_tab.update(_derived(f_tab, LUCAS_SEED, self.hi + 1, hi))
-                self.hi = hi
-            if lo < self.lo:
-                for e in range(self.lo - 1, lo - 1, -1):
-                    f_tab[e] = f_tab[e + 2] - f_tab[e + 1]
-                if l_tab:
-                    l_tab.update(_derived(f_tab, LUCAS_SEED, lo + 1, self.lo))
-                self.lo = lo
-        if not l_tab and any("L" in side.kinds for side in sides):
-            self.l_tab = l_tab = _derived(f_tab, LUCAS_SEED, self.lo + 1, self.hi)
-        return f_tab, l_tab
+        self.f_tab, self.l_tab = _Lazy(FIB_SEED), _Lazy(LUCAS_SEED)
 
 
 # --- grid sweeps ------------------------------------------------------------
@@ -388,6 +332,11 @@ def _terms(node: Node, params: Sequence[str],
         if body is not None:  # the parser refuses these; only a hand-built AST has one
             raise EvalError("nested sums are not supported")
         lo, hi = _terms(node.lo, params), _terms(node.hi, params)
+        if lo.kinds or hi.kinds:  # a ref in a bound: only a hand-built AST has one
+            bound = lo if lo.kinds else hi
+            while type(bound.node) in (Add, Sub, Mul, Neg):
+                bound = next(arg for arg in bound.args if arg.kinds)
+            raise EvalError(f"cannot bound non-index expression node {type(bound.node).__name__}")
         inner = _terms(node.body, params, (node.var, lo.deps | hi.deps))
         hidden = lo.reads | hi.reads | {node.var}
         return _Term(node, inner.deps, False, inner.reads | hidden, inner.kinds, inner.degree,
@@ -687,18 +636,10 @@ def _nearest_zero(bounds: Interval, width: int) -> Interval:
     return start, start + width - 1
 
 
-def _pinned(ranges: Mapping[str, Interval], shift: str | None) -> Mapping[str, Interval]:
-    """ranges with the shift parameter at its value nearest 0: a line of it
-    reads tables only at its start pairs, that value and the one before,
-    and walks to every other value by the recurrence."""
-    return {**ranges, shift: _nearest_zero(ranges[shift], 1)} if shift else ranges
-
-
 def _box(identity: Identity, spec: GridSpec, sides: Sequence[_Term], order: Sequence[str],
-         shift: str | None) -> tuple[list[list[range]], Interval | None] | None:
-    """One box per rank value, as the ranges of order's parameters, and
-    the index window over the smallest box that holds them all; None when
-    no axis is cut. In the box of a rank value, each parameter but the
+         shift: str | None) -> list[list[range]] | None:
+    """One box per rank value, as the ranges of order's parameters; None
+    when no axis is cut. In the box of a rank value, each parameter but the
     ranks' and the shift parameter's is cut to its _widths values there
     nearest 0: any run that long decides the axis, and this one reads the
     smallest indices. A shift parameter's line costs two evaluations
@@ -717,86 +658,7 @@ def _box(identity: Identity, spec: GridSpec, sides: Sequence[_Term], order: Sequ
         ranges.update((r, (v, v)) for r, v in zip(ranks, values))
         ranges.update((p, _nearest_zero(ranges[p], width)) for p, width in row.items())
         boxes.append([range(lo, hi + 1) for lo, hi in (ranges[p] for p in order)])
-    hull = {p: (min(box[i][0] for box in boxes), max(box[i][-1] for box in boxes))
-            for i, p in enumerate(order)}
-    return boxes, _window(sides, _pinned(hull, shift))
-
-
-def _interval(node: Node, env: Mapping[str, Interval]) -> Interval:
-    """Bounds of an index expression over the parameter box env."""
-    if isinstance(node, Lit):
-        return (node.value, node.value)
-    if isinstance(node, Sym):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise EvalError(f"no range for parameter '{node.name}'") from None
-    if isinstance(node, Neg):
-        a, b = _interval(node.operand, env)
-        return (-b, -a)
-    if not isinstance(node, (Add, Sub, Mul)):
-        raise EvalError(f"cannot bound non-index expression node {type(node).__name__}")
-    (a, b), (c, d) = _interval(node.left, env), _interval(node.right, env)
-    if isinstance(node, Add):
-        return (a + c, b + d)
-    if isinstance(node, Sub):
-        return (a - d, b - c)
-    corners = (a * c, a * d, b * c, b * d)
-    return (min(corners), max(corners))
-
-
-def _window(terms: Iterable[_Term], env: Mapping[str, Interval]) -> Interval | None:
-    """Bounds on every sequence index the terms read over the box env;
-    None when they read none."""
-    ends = list(_bounds(terms, env))
-    return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else None
-
-
-def _bounds(terms: Iterable[_Term], env: Mapping[str, Interval],
-            start: tuple[str, int, dict[str, int], int] | None = None) -> Iterator[Interval]:
-    """The bounds of each sequence index the terms read over the box env.
-
-    An index reads as const + sum(c * s) + R, with each symbol's bounds
-    counted once, so a symbol read twice cancels; when R, a product of two
-    symbol-reading factors, is there, interval arithmetic bounds the whole
-    index. A summation index ranges over its bounds' intervals, and a sum
-    that is empty over the whole box reads nothing. When a sum's bounds
-    differ by a constant, start is (its index, the constant and
-    coefficients of its lower bound, that constant difference), and the
-    index reads as its lower bound plus an offset in 0..difference, so
-    that a symbol that both read cancels too.
-    """
-    for term in terms:
-        node = term.node
-        if term.form is not None:
-            bounds = _interval(node.arg, env)  # raises on a symbol with no range
-            const, coeffs, rest = term.form
-            if not rest:
-                ranges = env
-                if start is not None and start[0] in coeffs:
-                    var, lo_const, lo_coeffs, span = start
-                    c = coeffs[var]
-                    const, coeffs = const + c * lo_const, dict(coeffs)
-                    for name, a in lo_coeffs.items():
-                        coeffs[name] = coeffs.get(name, 0) + c * a
-                    ranges = {**env, var: (0, span)}
-                lo = hi = const
-                for name, c in coeffs.items():
-                    a, b = ranges[name]
-                    lo, hi = lo + min(c * a, c * b), hi + max(c * a, c * b)
-                bounds = lo, hi
-            yield bounds
-        elif isinstance(node, Sum):
-            lo, hi = _interval(node.lo, env)[0], _interval(node.hi, env)[1]
-            (lo_const, lo_coeffs, lo_rest), (hi_const, hi_coeffs, hi_rest) = \
-                affine(node.lo), affine(node.hi)
-            inner = None
-            if not lo_rest and not hi_rest and lo_coeffs == hi_coeffs:
-                inner = node.var, lo_const, lo_coeffs, hi_const - lo_const
-            if lo <= hi and (inner is None or inner[3] >= 0):
-                yield from _bounds(term.args[2:], {**env, node.var: (lo, hi)}, inner)
-        elif term.kinds:
-            yield from _bounds(term.args, env, start)
+    return boxes
 
 
 def _axis(spec: GridSpec, param: str) -> range:
@@ -1165,19 +1027,16 @@ def _oracle_sides(identity: Identity, spec: GridSpec, grid: _Grid) -> list[tuple
 
 class _Grid(NamedTuple):
     """What a grid's verification keeps: its plans, its loop order, how
-    many of its parameters lead fixed, the index window its sweeps read,
-    with a shift plan's shift parameter at its value nearest 0 (see
-    _pinned), both sides' term trees, its boxes and their window (see
-    _box), its sweeps, compiled from those trees on first use per oracle
-    flag and pass, and what the first oracle call built for each plan
-    (see _oracle_sides)."""
+    many of its parameters lead fixed, both sides' term trees, its boxes
+    (see _box), its sweeps, compiled from those trees on first use per
+    oracle flag and pass, and what the first oracle call built for each
+    plan (see _oracle_sides)."""
 
     plans: tuple[_Plan, ...]
     order: tuple[str, ...]
     fixed: int
-    window: Interval | None
     sides: tuple[_Term, _Term]
-    box: tuple[list[list[range]], Interval | None] | None
+    box: list[list[range]] | None
     sweeps: dict[tuple, Callable[..., None]]
     oracle_sides: list[tuple]
 
@@ -1202,9 +1061,9 @@ class _Grid(NamedTuple):
 # their ranges and the seeds; and one per identity, keyed without ranges or
 # seeds, for its one-point sweep, which runs on any point's tables. An
 # entry keeps its boxes, analysed once, and the oracle's tables, inside its
-# evaluators, from the grid's first oracle call on; the sweep's F and L
-# tables are the command's (see _State), so the fast path keeps no table
-# per grid. Past _CACHED entries the oldest is dropped.
+# evaluators, from the grid's first oracle call on; the sweep's tables are
+# the command's (see _State) and each per-seed pass's own, so the fast path
+# keeps no table per grid. Past _CACHED entries the oldest is dropped.
 _compile_cache: dict[tuple, _Grid] = {}
 _CACHED = 256
 
@@ -1225,15 +1084,11 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
            spec.seeds)
     grid = _compile_cache.get(key)
     if grid is None:
-        # a symbol with no value is named as such by the term trees, before
-        # the window finds it has no range
         sides = _sides(identity)
         plans = tuple(_plans(identity, spec, sides))
-        shift = plans[0].shift
         order, fixed = _loop_order(identity, spec, plans[0])
-        window = _window(sides, _pinned({p: spec.ranges[p] for p in params}, shift))
-        box = _box(identity, spec, sides, order, shift)
-        grid = _keep(key, _Grid(plans, order, fixed, window, sides, box, {}, []))
+        box = _box(identity, spec, sides, order, plans[0].shift)
+        grid = _keep(key, _Grid(plans, order, fixed, sides, box, {}, []))
     return grid
 
 
@@ -1248,39 +1103,33 @@ def _point_sweep(identity: Identity) -> Callable[..., None]:
     key = (identity.lhs, identity.rhs, params)
     grid = _compile_cache.get(key)
     if grid is None:
-        grid = _keep(key, _Grid((_POINT,), params, len(params), None, _sides(identity), None,
-                                {}, []))
+        grid = _keep(key, _Grid((_POINT,), params, len(params), _sides(identity), None, {}, []))
     return grid.sweep(identity, False, _POINT)
 
 
-def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range],
-          tables: tuple[dict[int, int], dict[int, int]], window: Interval | None,
+def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range], state: _State,
           failures: list, check: _OracleCheck | None = None) -> None:
-    """One pass of plan over the axes, on F and L's tables, which hold at
-    least the indices two below window to its top; a per-seed pass derives
-    its G over window and one below."""
-    f_tab, l_tab = tables
-    g_tab = f_tab if plan.seed is None else _g_table(f_tab, plan.seed, window)
-    sweep(*axes, f_tab, l_tab, g_tab, plan.seeds, failures,
+    """One pass of plan over the axes, on state's F and L tables; a
+    per-seed pass reads G from a table of its own seed, the others from F."""
+    f_tab = state.f_tab
+    g_tab = f_tab if plan.seed is None else _Lazy(plan.seed)
+    sweep(*axes, f_tab, state.l_tab, g_tab, plan.seeds, failures,
           check and (check.held, check.cap, check.flush))
 
 
 def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: bool,
                 state: _State) -> list[tuple[tuple[int, ...], int, int, int]]:
     """Raw failures (point, seed index, lhs, rhs) of the grid, on state's
-    tables. Without the oracle, a grid with boxes sweeps them first, on
-    tables over their window, and passes when every plan passes there; on
-    a failure or an evaluation error there, the whole grid is swept, its
-    tables widened in place."""
+    tables. Without the oracle, a grid with boxes sweeps them first and
+    passes when every plan passes there; on a failure or an evaluation
+    error there, the whole grid is swept."""
     plans = grid.plans
     sweeps = [grid.sweep(identity, use_oracle, plan) for plan in plans]
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     if grid.box is not None and not use_oracle:
-        boxes, window = grid.box
-        tables = state.tables(window, grid.sides)
         try:
-            for (plan, sweep), axes in itertools.product(zip(plans, sweeps), boxes):
-                _pass(plan, sweep, axes, tables, window, failures)
+            for (plan, sweep), axes in itertools.product(zip(plans, sweeps), grid.box):
+                _pass(plan, sweep, axes, state, failures)
                 if failures:
                     break
             else:
@@ -1288,12 +1137,11 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
         except EvalError:
             pass
         failures.clear()
-    tables = state.tables(grid.window, grid.sides)
     axes = [_axis(spec, v) for v in grid.order]
     checks = _oracle_checks(identity, spec, grid) if use_oracle else [None] * len(plans)
     for plan, sweep, check in zip(plans, sweeps, checks):
         try:
-            _pass(plan, sweep, axes, tables, grid.window, failures, check)
+            _pass(plan, sweep, axes, state, failures, check)
         except EvalError:
             if check:  # a disagreement at an earlier point wins over the error
                 check.flush()

@@ -11,6 +11,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibkit
 from fibkit import Seed, cli, gen, verify
@@ -407,13 +409,26 @@ def test_unreadable_catalog_file_exits_2(capsys, monkeypatch, tmp_path, kind, re
 @pytest.mark.parametrize("identity", [
     # far indices on an axis that binom keeps from being cut
     "F(100000*m) + binom(m, 2) == F(100000*m) + binom(m, 2)",
-    "F(m + 300000)*F(m) == F(m)*F(m + 300000)",             # a wide window
+    "F(m + 300000)*F(m) == F(m)*F(m + 300000)",             # far from one another
 ], ids=["far", "wide"])
-def test_out_of_memory_exits_2_without_a_traceback(tmp_path, run_fibkit, identity):
-    # true identities whose tables outgrow the child's 600 MB address space
+def test_far_and_wide_reads_pass_in_bounded_memory(tmp_path, run_fibkit, identity):
+    # the tables hold only the indices read, so the span between them costs
+    # nothing in the child's 600 MB address space
     path = tmp_path / "big.cat"
     path.write_text(f"name: big\nparams: m\npaper: t\nidentity: {identity}\n")
-    code, out, err = run_fibkit("verify", "--file", str(path), "--m", "-8..8")
+    code, out, err = run_fibkit("verify", "--file", str(path), "--m", "-8..8",
+                                "--format", "json")
+    assert (code, err) == (0, "")
+    assert [(r["failures"], r["total"]) for r in json.loads(out)] == [([], 68)]
+
+
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path, run_fibkit):
+    # a true identity that reads F at every index up to 800,000, whose
+    # values outgrow the child's 600 MB address space
+    identity = "sum(k, 0, 100000*m, F(k)) == sum(k, 0, 100000*m, F(k))"
+    path = tmp_path / "big.cat"
+    path.write_text(f"name: big\nparams: m\npaper: t\nidentity: {identity}\n")
+    code, out, err = run_fibkit("verify", "--file", str(path), "--m", "0..8")
     assert (code, out, err) == (2, "", "fibkit: error: out of memory\n")
 
 
@@ -428,10 +443,54 @@ def test_far_indices_pass_on_the_box_nearest_zero(tmp_path, run_fibkit):
     assert [(r["failures"], r["total"]) for r in json.loads(out)] == [([], 68)]
 
 
+# Sides that are 0 at every integer e, read at an index e far from 0:
+# products, which a wrong or shifted value of any one factor leaves
+# nonzero, and the recurrence in each table.
+_FAR_PRODUCTS = (
+    "F(2*e) - F(e)*L(e)",
+    "F(e)*F(e) - F(e - 1)*F(e + 1) + sign(e)",
+    "L(e)*L(e) - 5*F(e)*F(e) - 4*sign(e)",
+)
+_FAR_SUMS = (
+    "F(e + 2) - F(e + 1) - F(e)",
+    "L(e) - F(e - 1) - F(e + 1)",
+    "G(e + 2) - G(e + 1) - G(e)",
+)
+
+
+def _far(bound):
+    """Integers in -bound..bound, two draws in three at least bound/10 from 0."""
+    return st.one_of(st.integers(-bound, bound), st.integers(bound // 10, bound),
+                     st.integers(-bound, -bound // 10))
+
+
+@given(st.data())
+@settings(max_examples=5, deadline=None)
+def test_far_affine_reads_give_verify_and_prove_one_verdict(tmp_path_factory, run_fibkit,
+                                                             data):
+    # a product and maybe a sum, each at its own index a*m + c, read at m
+    # and m + 1; a nonzero constant makes the whole false at every point
+    facts = [data.draw(st.sampled_from(_FAR_PRODUCTS)),
+             *data.draw(st.lists(st.sampled_from(_FAR_SUMS), max_size=1))]
+    terms = [fact.replace("e", f"({data.draw(_far(10**5))}*m + ({data.draw(_far(10**6))}))")
+             for fact in facts]
+    constant = data.draw(st.integers(-3, 3))
+    text = " + ".join(f"({term})" for term in [*terms, str(constant)])
+    path = tmp_path_factory.mktemp("far") / "far.cat"
+    path.write_text(f"name: far\nparams: m\npaper: t\nidentity: {text} == 0\n")
+    lo = data.draw(st.integers(-3, 3))
+    verdict = int(constant != 0)
+    code, _, err = run_fibkit("verify", "--file", str(path), "--m", f"{lo}..{lo + 1}",
+                              timeout=10.0)
+    assert (code, err) == (verdict, "")
+    code, _, err = run_fibkit("prove", "--all", "--file", str(path), timeout=10.0)
+    assert (code, err) == (verdict, "")
+
+
 def test_a_command_drops_a_far_table_before_it_builds_the_next(tmp_path, run_fibkit):
-    # the first entry reads F over -100000..0, the second over 0..100000:
-    # either table fits the child's 600 MB address space, both together do
-    # not, so the second entry drops the command's table before its own
+    # the first entry reads F at -100000 and 0, the second at 0 and 100000;
+    # the command's one F table holds those and not the spans between, which
+    # together would not fit the child's 600 MB address space
     stanzas = [f"name: {name}\nparams: m\npaper: t\nidentity: {text} == {text}\n"
                for name, text in (("far", "F(100000*m)"),
                                   ("shifted", "F(100000*m + 100000)"))]
@@ -450,16 +509,24 @@ def test_a_command_drops_a_far_table_before_it_builds_the_next(tmp_path, run_fib
 
 
 def test_a_serial_command_builds_one_f_table(capsys, monkeypatch, inline_pool):
-    # the entries grow one table in place; each pool job makes its own
-    built = []
-    real = verify.table
-    monkeypatch.setattr(verify, "table", lambda seed, lo, hi: built.append(seed)
-                        or real(seed, lo, hi))
+    # the entries read one state's F and L tables; each pool job makes its own
+    made = []
+
+    class Made(verify._State):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(verify, "_State", Made)
     code, serial, _ = run(capsys, "verify", "--all", "--format", "json")
-    assert code == 0 and built == [Seed(0, 1)]
-    built.clear()
+    (state,) = made
+    assert code == 0 and state.f_tab and state.l_tab
+    # holding only right values
+    assert all(value == gen(Seed(0, 1), e) for e, value in state.f_tab.items())
+    assert all(value == gen(Seed(2, 1), e) for e, value in state.l_tab.items())
+    made.clear()
     code, pooled, _ = run(capsys, "verify", "--all", "--workers", "2", "--format", "json")
-    assert code == 0 and inline_pool == [2] and built == [Seed(0, 1)] * 29
+    assert code == 0 and inline_pool == [2] and len(made) == 29
     assert pooled == serial
 
 

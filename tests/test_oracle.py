@@ -1,7 +1,6 @@
-"""Brute-force oracle: independence, differential agreement, range analysis."""
+"""Brute-force oracle: independence and differential agreement."""
 
 import ast as python_ast
-import itertools
 import math
 import random
 import tracemalloc
@@ -13,12 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fibkit import (
-    EvalError, ParamPoint, Seed, builtin_catalog, cli, eval_side, lucas, oracle, parse_expr,
-    verify,
+    EvalError, ParamPoint, Seed, builtin_catalog, eval_side, lucas, oracle, parse_expr,
 )
 from fibkit.expr import (
-    Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym,
-    affine, children, iter_nodes,
+    Add, Binom, Lit, Mul, Neg, Pow, Pow5Floor, SeqRef, Sign, Sub, Sum, Sym, children,
 )
 from fibkit.oracle import (
     OracleTables, evaluator, oracle_eval, pascal_binom, recurrence_table,
@@ -121,81 +118,6 @@ def test_oracle_eval_spec_points(catalog):
     pt = ParamPoint({"n": 1, "m": 1, "q": 1, "p": 2}, F_SEED)
     assert oracle_eval(eq4.lhs, pt) == 4
     assert oracle_eval(eq4.rhs, pt) == 4
-
-
-def index_window(node, box, params=None):
-    """verify's window over box of one expression, read with params (the
-    box's own by default) as its parameters."""
-    return verify._window([verify._terms(node, tuple(params or box))], box)
-
-
-def test_index_range_examples(catalog):
-    box = {"p": (-8, 8), "q": (-8, 8), "k": (0, 5)}
-    assert index_window(parse_expr("G(p + q*k)"), box) == (-48, 48)
-    assert index_window(parse_expr("F(m)"), {"m": (-8, 8)}) == (-8, 8)
-    assert index_window(parse_expr("binom(m, 2)"), {"m": (-8, 8)}) is None
-
-    eq1 = catalog.get("Eq1")
-    full = {"n": (0, 5), "m": (-8, 8), "p": (-8, 8), "q": (-8, 8)}
-    lo, hi = index_window(eq1.lhs, full)
-    assert lo <= -48 and hi >= 48
-
-
-def test_index_window_cancels_a_symbol_read_twice():
-    box = {"m": (-8, 8), "q": (-8, 8)}
-    assert index_window(parse_expr("F(m + q - q)"), box) == (-8, 8)
-    assert index_window(parse_expr("F(2*m - m - 3)"), box) == (-11, 5)
-    assert index_window(parse_expr("sum(k, 0, 1000000, F(k - k))"), {}) == (0, 0)
-    # bounds that move together: k is m plus an offset in 0..2, and m cancels
-    assert index_window(parse_expr("sum(k, m, m + 2, F(k - m))"), box) == (0, 2)
-    assert index_window(parse_expr("sum(k, 2*m - 1, 2*m + 1, F(k - m))"), box) == (-9, 9)
-    assert index_window(parse_expr("sum(k, m, m - 1, F(k))"), box) is None  # always empty
-    # a product of two factors that read symbols is bounded term by term
-    assert index_window(parse_expr("F(m*q - m*q)"), box) == (-128, 128)
-    # a symbol with no range is named, whether or not it cancels
-    with pytest.raises(EvalError, match=r"^no range for parameter 'q'$"):
-        index_window(parse_expr("F(m + q - q)"), {"m": (0, 1)}, ("m", "q"))
-
-
-# The index window of every catalog entry on the default grid of verify --all.
-CATALOG_WINDOWS = {
-    "Eq1": (-40, 40), "Eq2": (-41, 41), "Eq3": (-40, 40), "Eq4": (-41, 41),
-    "Eq8": (-16, 16), "Lemma10": (-16, 16), "Lemma11": (-16, 16), "Lemma12": (-16, 16),
-    "Lemma13": (-16, 16), "Eq14": (-16, 16), "Eq16": (-16, 16), "Eq18": (-16, 16),
-    "Eq19": (-16, 16), "S3.n1.F-forward": (-16, 16), "S3.n1.L-forward": (-17, 17),
-    "S3.n1.F-backward": (-16, 16), "S3.n1.L-backward": (-17, 17),
-    "S3.n2.F-forward": (-24, 24), "S3.n2.L-forward": (-25, 25),
-    "S3.n2.F-backward": (-24, 24), "S3.n2.L-backward": (-25, 25),
-    "S3.n3.F-forward": (-32, 32), "S3.n3.L-forward": (-33, 33),
-    "S3.n3.F-backward": (-32, 32), "S3.n3.L-backward": (-33, 33),
-    "S3.n4.F-forward": (-40, 40), "S3.n4.L-forward": (-41, 41),
-    "S3.n4.F-backward": (-40, 40), "S3.n4.L-backward": (-41, 41),
-}
-
-
-# The index window the sweeps read on that grid, with each entry's shift
-# parameter at its value nearest 0, where a line reads its start pairs.
-SWEEP_WINDOWS = {
-    **{name: (-32, 32) for name in ("Eq1", "Eq3", "S3.n4.F-forward", "S3.n4.F-backward")},
-    **{name: (-33, 33) for name in ("Eq2", "Eq4", "S3.n4.L-forward", "S3.n4.L-backward")},
-    "Eq8": (-9, 8), **{f"Lemma{i}": (-8, 8) for i in (10, 11, 12, 13)},
-    **{f"Eq{i}": (-16, 16) for i in (14, 16, 18, 19)},
-    **{f"S3.n{r}.{k}-{d}": (-16, 16) for r in (1, 2) for k in "FL"
-       for d in ("forward", "backward")},
-    "S3.n2.L-forward": (-17, 17), "S3.n2.L-backward": (-17, 17),
-    "S3.n3.F-forward": (-24, 24), "S3.n3.F-backward": (-24, 24),
-    "S3.n3.L-forward": (-25, 25), "S3.n3.L-backward": (-25, 25),
-}
-
-
-def test_catalog_windows_on_the_default_grid(catalog):
-    args = cli.build_parser().parse_args(["verify", "--all"])
-    grids = {entry.name: (verify._grid(entry, spec), spec)
-             for entry, spec in ((e, cli._grid_for(e, args)) for e in catalog)}
-    assert {name: verify._window(grid.sides, spec.ranges)
-            for name, (grid, spec) in grids.items()} == CATALOG_WINDOWS
-    assert {name: grid.window for name, (grid, _) in grids.items()} == SWEEP_WINDOWS
-    assert len(CATALOG_WINDOWS) == len(SWEEP_WINDOWS) == 29
 
 
 @pytest.mark.parametrize("text,values,message", [
@@ -481,44 +403,3 @@ def test_oracle_rejects_bad_input():
         oracle_eval(parse_expr("F(m)^n"), ParamPoint({"m": 1, "n": -2}))
     with pytest.raises(ValueError):
         recurrence_table(0, 1, 5, 4)
-
-
-def _indices_read(node, values):
-    """Each sequence index node reads at the point values, every summation
-    index value included, each computed by oracle_eval."""
-    if isinstance(node, SeqRef):
-        yield oracle_eval(node.arg, ParamPoint(values))
-    elif isinstance(node, Sum):
-        lo, hi = (oracle_eval(bound, ParamPoint(values)) for bound in (node.lo, node.hi))
-        for k in range(lo, hi + 1):
-            yield from _indices_read(node.body, {**values, node.var: k})
-    else:
-        for child in children(node):
-            yield from _indices_read(child, values)
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_window_holds_every_index_read_on_the_grid(data):
-    """Every index read at every point of a small grid is inside verify's
-    window. The window is tight, both its ends read, when no index has a
-    rest and no sum's span, hi - lo, reads a parameter; a sum whose span
-    does, such as sum(k, 0, m, F(k - m)), lets its index range over the
-    union of every point's range, which one point need not read."""
-    ast = data.draw(_drawn_side())
-    box = {}
-    for name in NAMES:
-        lo = data.draw(st.integers(-3, 3))
-        box[name] = (lo, lo + data.draw(st.integers(0, 2)))
-    window = index_window(ast, box)
-    read = [index for point in itertools.product(*(range(lo, hi + 1) for lo, hi in box.values()))
-            for index in _indices_read(ast, dict(zip(NAMES, point)))]
-    if window is None:
-        assert read == []
-        return
-    assert all(window[0] <= index <= window[1] for index in read)
-    nodes = list(iter_nodes(ast))
-    if not any(affine(n.arg)[2] for n in nodes if isinstance(n, SeqRef)) and not any(
-            any(affine(Sub(n.hi, n.lo))[1:]) for n in nodes if isinstance(n, Sum)):
-        assert (min(read), max(read)) == window

@@ -126,6 +126,24 @@ def test_table_satisfies_recurrence(seed, lo):
     assert t[lo] == gen(seed, lo)
 
 
+def gen_stepped(seed: Seed, n: int) -> int:
+    """G(n) by stepping the recurrence from (G(0), G(1)), forwards for
+    n >= 0 and backwards, by G(n) = G(n + 2) - G(n + 1), below 0."""
+    a, b = seed.g0, seed.g1
+    for _ in range(n):
+        a, b = b, a + b
+    for _ in range(-n):
+        a, b = b - a, a
+    return a
+
+
+@pytest.mark.parametrize("seed", [Seed(0, 1), Seed(2, 1), Seed(3, 7), Seed(-4, 5),
+                                  Seed(1, 0), Seed(0, 0)])
+def test_gen_matches_the_stepped_recurrence(seed):
+    for n in [*range(-40, 41), -1001, -1000, 999, 1000]:
+        assert gen(seed, n) == gen_stepped(seed, n), (seed, n)
+
+
 @pytest.mark.parametrize("seed,n,expected", [
     (Seed(0, 1), 9, 34),   # collapses to F(9)
     (Seed(2, 1), 6, 18),   # collapses to L(6)

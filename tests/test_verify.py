@@ -25,7 +25,7 @@ from fibkit import (
 from fibkit.catalog import load_catalog_file
 from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, SeqRef, Sign, Sub, Sum, Sym, affine
 from fibkit.oracle import oracle_eval
-from fibkit.seq import gen
+from fibkit.seq import LUCAS_SEED, gen
 from fibkit.verify import MAX_GRID_CHECKS, STANDARD_SEEDS
 
 DATA = Path(__file__).parent / "data"
@@ -453,20 +453,17 @@ def test_closed_binom_walks_pascal_once_per_node_per_grid(monkeypatch, text):
 
 
 def _corrupt_table(monkeypatch, *indices):
-    """verify's F table one too high at each of indices that it holds:
-    every F, L and G value the sweep reads comes from it. A grid's box
-    builds its table over the box's own window, which may miss some."""
-    build = verify.table
+    """verify's tables of F one too high at each of indices: every F value
+    the sweep reads, and every G value of a basis plan, comes from them.
+    Each value is computed on its own, so a corrupt one never reaches its
+    neighbours."""
 
-    def off_by_one(seed, lo, hi):
-        assert seed == F_SEED
-        values = build(seed, lo, hi)
-        for i in indices:
-            if i in values:
-                values[i] += 1
-        return values
+    class OffByOne(verify._Lazy):
+        def __missing__(self, e):
+            value = self[e] = gen(self.seed, e) + (self.seed == F_SEED and e in indices)
+            return value
 
-    monkeypatch.setattr(verify, "table", off_by_one)
+    monkeypatch.setattr(verify, "_Lazy", OffByOne)
 
 
 def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
@@ -475,7 +472,7 @@ def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
     _corrupt_table(monkeypatch, 1)
     eq8 = catalog.get("Eq8")
     spec = small_spec("m", "n")
-    assert verify._grid(eq8, spec).box[0] == [[range(-1, 1), range(-3, 4)]]  # n, m
+    assert verify._grid(eq8, spec).box == [[range(-1, 1), range(-3, 4)]]  # n, m
     assert not verify_grid(eq8, spec).passed
     with pytest.raises(InternalFault, match="oracle disagrees with evaluator on 'Eq8'"):
         verify_grid(eq8, spec, use_oracle=True)
@@ -944,10 +941,14 @@ def test_two_distinct_seeds_take_the_basis():
 
 
 def test_a_grid_builds_one_f_table(catalog, monkeypatch):
-    built = []
-    real = verify.table
-    monkeypatch.setattr(verify, "table", lambda seed, lo, hi: built.append(seed)
-                        or real(seed, lo, hi))
+    made = []  # every table verify makes, in the order made
+
+    class Made(verify._Lazy):
+        def __init__(self, seed):
+            made.append(self)
+            super().__init__(seed)
+
+    monkeypatch.setattr(verify, "_Lazy", Made)
     spec = GridSpec({"n": (0, 2), "m": (-2, 2), "p": (-2, 2), "q": (-2, 2)})
     fixed = GridSpec({**spec.ranges, "p": (1, 1)})
     grids = [
@@ -960,17 +961,24 @@ def test_a_grid_builds_one_f_table(catalog, monkeypatch):
     ]
     for identity, grid, kinds in grids:
         assert [(p.basis, p.seed, p.shift) for p in plans_of(identity, grid)] == kinds
-        built.clear()
+        made.clear()
         verify_grid(identity, grid)
-        assert built == [F_SEED]
+        # the call's F and L, then a G table per pass on a seed of its own
+        f_tab, l_tab, *own = made
+        assert (f_tab.seed, l_tab.seed) == (F_SEED, LUCAS_SEED) and f_tab
+        assert {table.seed for table in own} == {seed for _, seed, _ in kinds} - {None}
+        assert bool(l_tab) == (identity.name == "Lemma10")
+        # each holds only right values
+        assert all(value == gen(table.seed, e) for table in made for e, value in table.items())
     # an evaluation error: one F table for the sweep; the locator's tables
     # compute each value when it is read
     bad = parse_identity("F(m + 55)^p == G(p - 55)", name="neg-pow", params=("m", "p"))
-    built.clear()
+    made.clear()
     with pytest.raises(EvalError, match="^negative exponent"):
         verify_grid(bad, GridSpec({"m": (-3, 3), "p": (-2, 2)},
                                   (Seed(2, 1), F_SEED, Seed(3, 7), Seed(3, 7))))
-    assert built == [F_SEED]
+    assert [table.seed for table in made[:2]] == [F_SEED, LUCAS_SEED]
+    assert [table.seed for table in made[2:]].count(F_SEED) == 1  # the locator's F
 
 
 # Identities whose indices sit near an offset c, written in for c: true
@@ -997,8 +1005,8 @@ def _outcome(identity, spec, state=None):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_grids_through_one_state_report_as_each_alone(data):
-    # one command's state grows its table in place from grid to grid, and
-    # drops it for a grid whose window lies far inside it
+    # one command's state fills its tables from grid to grid with what
+    # each grid reads, all of it right
     grids = []
     for i in range(data.draw(st.integers(2, 5))):
         text, params = data.draw(st.sampled_from(_OFFSET_TEXTS))
@@ -1009,8 +1017,8 @@ def test_grids_through_one_state_report_as_each_alone(data):
     state = verify._State()
     shared = [_outcome(identity, spec, state) for identity, spec in grids]
     assert shared == [_outcome(identity, spec) for identity, spec in grids]
-    assert state.f_tab == {e: fib(e) for e in range(state.lo, state.hi + 1)}
-    assert state.l_tab in ({}, {e: lucas(e) for e in range(state.lo + 1, state.hi + 1)})
+    assert all(value == fib(e) for e, value in state.f_tab.items())
+    assert all(value == lucas(e) for e, value in state.l_tab.items())
 
 
 SHIFTED = parse_identity("G(p + 2) == G(p + 1) + G(p) + G(p - 1)",
@@ -1212,38 +1220,31 @@ def test_g_free_shift_sweep_matches_oracle_and_point_by_point(data):
     _shift_sweep_matches_oracle_and_point_by_point(data, "FL")
 
 
-class _StrictTable(dict):
-    """A table that fails the test on a read of an index it does not hold."""
-
-    def __missing__(self, index):
-        raise AssertionError(f"index {index} read outside its table {min(self)}..{max(self)}")
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_every_index_a_shift_sweep_reads_is_in_its_pinned_table(data):
     identity, spec = _draw_shift_grid(data, data.draw(st.sampled_from(("G", "FL"))))
-    grid = verify._grid(identity, spec)
-    shift = grid.plans[0].shift
+    shift = plans_of(identity, spec)[0].shift
     lo, hi = spec.ranges[shift]
     z = min(max(lo, 0), hi)  # the shift parameter's value nearest 0
-    assert grid.window == verify._window(grid.sides, {**spec.ranges, shift: (z, z)})
-    built, real, derived = [], verify.table, verify._derived
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "table", lambda seed, lo, hi: built.append((lo, hi))
-                      or _StrictTable(real(seed, lo, hi)))
-        patch.setattr(verify, "_derived",
-                      lambda *args: _StrictTable(derived(*args)))
-        for use_oracle in (False, True):
-            built.clear()
-            try:
-                verify_grid(identity, spec, use_oracle=use_oracle)
-            except EvalError:
-                continue  # located point by point, on the whole grid's window
-            # the sweep's one F table: around z, two below for s = z - 1
-            ((table_lo, table_hi),) = built
-            assert grid.window[0] - 2 <= table_lo <= table_hi <= grid.window[1]
+    state = verify._State()
+    try:
+        verify_grid(identity, spec, state=state)
+    except EvalError:
+        return  # located point by point
+    # what the sides read at every point with s at z - 1 or z, G on the
+    # basis seed (0, 1) being F
+    pinned = verify._State()
+    sweep = verify._point_sweep(identity)
+    for point in GridSpec({**spec.ranges, shift: (z - 1, z)}).points(identity.free_params):
+        try:
+            sweep(*((v,) for v in point), pinned.f_tab, pinned.l_tab, pinned.f_tab, (0,),
+                  [], None)
+        except EvalError:
+            pass
+    assert state.f_tab.keys() <= pinned.f_tab.keys()
+    assert state.l_tab.keys() <= pinned.l_tab.keys()
 
 
 @functools.lru_cache(maxsize=None)
@@ -1331,7 +1332,7 @@ def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
     assert not [node for node in ast.walk(shift) if isinstance(node, (ast.ListComp, ast.Pow))]
 
 
-class _CountingTable(dict):
+class _CountingTable(verify._Lazy):
     reads = 0
 
     def __getitem__(self, index):
@@ -1340,9 +1341,7 @@ class _CountingTable(dict):
 
 
 def test_shift_sweep_evaluates_the_sides_twice_per_line(monkeypatch):
-    real = verify.table
-    monkeypatch.setattr(verify, "table",
-                        lambda seed, lo, hi: _CountingTable(real(seed, lo, hi)))
+    monkeypatch.setattr(verify, "_Lazy", _CountingTable)
     reads = []
     for hi in (1, 28):  # p takes 3 values, then 30
         _CountingTable.reads = 0
@@ -1608,7 +1607,7 @@ started = time.perf_counter()
 grid = verify._grid(eq1, spec)
 elapsed = time.perf_counter() - started
 q = grid.order.index("q")
-print(json.dumps([elapsed, [len(box[q]) for box in grid.box[0]]]))
+print(json.dumps([elapsed, [len(box[q]) for box in grid.box]]))
 """
 
 
@@ -1630,7 +1629,7 @@ def test_the_rank_value_that_needs_the_most_decides():
     spec = GridSpec({"n": (0, 4), "m": (-8, 8)}, (F_SEED,))
     assert widths_of(identity, spec) == {"m": 5}
     assert widths_by_rank(identity, spec) == {(n,): {"m": 5 - n} for n in range(5)}
-    boxes, _ = verify._grid(identity, spec).box
+    boxes = verify._grid(identity, spec).box
     assert boxes == [[range(n, n + 1), range(-((5 - n) // 2), (6 - n) // 2)] for n in range(5)]
 
 
@@ -1651,8 +1650,8 @@ def test_eq1_box_at_rank_n_holds_the_values_of_m_and_q_nearest_zero(catalog, ran
     eq1 = catalog.get("Eq1")
     spec = cli._grid_for(eq1, cli.build_parser().parse_args(["verify", "--all"]))
     grid = verify._grid(eq1, spec)
-    boxes, window = grid.box
-    assert grid.order == ("n", "m", "q", "p") and window == (-8, 8)
+    boxes = grid.box
+    assert grid.order == ("n", "m", "q", "p")
     nearest = range(-((rank + 1) // 2), rank // 2 + 1)  # n + 1 values
     assert boxes[rank] == [range(rank, rank + 1), nearest, nearest, range(-8, 9)]
     assert len(boxes) == 5
@@ -1722,7 +1721,7 @@ def test_pow5floor_error_is_the_first_point_by_point():
                               name="p5", params=("m", "q"))
     spec = GridSpec({"m": (-8, 8), "q": (-8, 8)}, (F_SEED, Seed(3, 7)))
     # m is cut to its 3 values nearest 0; q, read by pow5floor, is not
-    assert verify._grid(identity, spec).box[0] == [[range(-1, 2), range(-8, 9)]]
+    assert verify._grid(identity, spec).box == [[range(-1, 2), range(-8, 9)]]
     with pytest.raises(EvalError, match=r"^pow5floor argument -1 is negative at point "
                                         r"\(m=-8, q=3\), seed Seed\(g0=0, g1=1\)$"):
         verify_grid(identity, spec)
@@ -1743,7 +1742,7 @@ def test_a_difference_that_vanishes_short_of_its_width_fails(text, width, zeros)
     # m below 0, up to -8 + width - 1: its width values nearest 0 are -8 on
     spec = GridSpec({"m": (-16, width - 9)}, (F_SEED, Seed(3, 7)))
     assert widths_of(identity, spec) == {"m": width}
-    (box,), _ = verify._grid(identity, spec).box
+    (box,) = verify._grid(identity, spec).box
     assert box == [range(-8, -8 + width)]
     values = [oracle_eval(identity.lhs, ParamPoint({"m": m})) for m in box[0]]
     assert values.count(0) == zeros and values[-1] != 0
