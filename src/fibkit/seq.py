@@ -17,6 +17,7 @@ __all__ = [
     "fib",
     "lucas",
     "gen",
+    "gen_pair",
     "fib_naive",
     "fib_pair_doubling",
     "table",
@@ -105,19 +106,26 @@ def fib_naive(n: int) -> int:
     return a
 
 
-def gen(seed: Seed, n: int) -> int:
-    """Generalized Fibonacci number G(n) for the given seed, any integer n.
+def gen_pair(seed: Seed, n: int) -> tuple[int, int]:
+    """(G(n), G(n+1)) for the given seed, any integer n.
 
-    Evaluates the linear combination G(n) = G0 F(n-1) + G1 F(n), which
-    agrees with running the recurrence forwards or backwards from the seed,
-    with both values of F from one fast-doubling walk.
+    Evaluates G(n) = G0 F(n-1) + G1 F(n) and G(n+1) = G0 F(n) + G1 F(n+1),
+    which agree with running the recurrence forwards or backwards from the
+    seed, with F(n-1) and F(n) from one fast-doubling walk.
     """
     if n > 0:
         a, b = fib_pair_doubling(n - 1)
     else:  # F(-n) and F(1 - n), reflected to F(n) and F(n - 1)
         f, g = fib_pair_doubling(-n)
         a, b = (-g, f) if n & 1 else (g, -f)
-    return seed.g0 * a + seed.g1 * b
+    g0, g1 = seed.g0, seed.g1
+    return g0 * a + g1 * b, g0 * b + g1 * (a + b)
+
+
+def gen(seed: Seed, n: int) -> int:
+    """Generalized Fibonacci number G(n) for the given seed, any integer n
+    (see gen_pair)."""
+    return gen_pair(seed, n)[0]
 
 
 def table(seed: Seed, lo: int, hi: int) -> dict[int, int]:

@@ -13,23 +13,24 @@ s - 1, since B10(e) = B01(e - 1). Such a side is a fixed linear
 combination of values G(s + d), so along s it obeys G's own recurrence
 X(s + 1) = X(s) + X(s - 1): the sweep evaluates it in full only twice
 per line of s, at s = z - 1 and s = z, z the value of s's range nearest
-0, and takes one subtraction per step back from z to the line's first
-value and one addition per step along the line. The two start
-evaluations are two pairs of sides written side by side in one pass, as
-the two basis pairs are: each sum is one loop with one total per pair,
-and a summand that reads the summation index but not s is computed once
-per index value inside that loop. Sides that read no G and have exactly
-one factor F or L at s + (terms without s) in each term, s being read
-nowhere else, obey the same recurrence and are stepped the same way.
-Every value on a line follows from its two start pairs, so a line whose
-start pairs agree passes without a walk; with the oracle, every line is
-walked, so it sees every point and seed. Only the start pairs read
-tables. The loops run in declared order, fixed parameters first and s
-innermost. The oracle's sweep makes no call per check: it appends each
-point's values for every seed to one flat list, and a batch of points
-at a time is compared with the oracle's values, laid out alike, as one
-list. Each side is read once into a term tree whose nodes hold what the
-plans, the boxes and every sweep's code read.
+0. The two start evaluations are two pairs of sides written side by
+side in one pass, as the two basis pairs are: each sum is one loop with
+one total per pair, and a summand that reads the summation index but
+not s is computed once per index value inside that loop. Sides that
+read no G and have exactly one factor F or L at s + (terms without s)
+in each term, s being read nowhere else, obey the same recurrence.
+The sweep has no loop over s: it hands a line's start pairs to _walk,
+one plain function, which steps them back from z to the line's first
+value and along the line, one addition or subtraction per side and
+step. Every value on a line follows from its start pairs, so a line
+whose start pairs agree passes without a walk; without a shift, each
+point whose pairs differ is walked. With the oracle, the same sweep
+walks every line and point: the walk appends each point's values for
+every seed to one flat list, and a batch of points at a time is compared
+with the oracle's values, laid out alike, as one list. Only the start
+pairs read tables. The loops run in declared order, fixed parameters first and s
+innermost. Each side is read once into a term tree whose nodes hold
+what the plans, the boxes and the sweep's code read.
 Without the oracle, a grid is swept over its boxes first, one per rank
 value: in each, every parameter but the ranks and the shift parameter
 is cut to its values nearest 0, as many as LHS - RHS has exponential
@@ -37,13 +38,14 @@ bases along it at that rank value (see _box), so boxes that pass at
 every point and seed are a grid that passes; on a failure or an
 evaluation error in a box, the whole grid is swept, so the failures and
 errors reported are the whole grid's. A grid's trees, plans, loop
-order, boxes, compiled sweeps and, once an oracle call has built them,
+order, boxes, one compiled sweep and, once an oracle call has built them,
 the oracle's evaluators over its own tables are kept in one entry per
 identity and grid.
 Every table computes a value when it is first read, by the recurrence
 from two held neighbours or else by one fast-doubling walk, and holds
-only the indices read (see _Lazy), so a far or widely spaced read costs
-its own indices and not the span between them. A verify command holds
+only the indices read and the one above each walk (see _Lazy), so a far
+or widely spaced read costs its own indices and not the span between
+them. A verify command holds
 one F table and one L table in its state (see _State), read by each of
 its grids and dropped when it returns; a call without a state makes its
 own. G on the basis seeds is F one index back and F itself, and a
@@ -72,7 +74,7 @@ from .expr import (
 )
 from .record import Record
 from .report import Failure, VerifyReport
-from .seq import FIB_SEED, LUCAS_SEED, Seed, gen
+from .seq import FIB_SEED, LUCAS_SEED, Seed, gen_pair
 
 __all__ = [
     "ParamPoint", "GridSpec",
@@ -156,26 +158,57 @@ def _rng(lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def _back(l0: int, l1: int, r0: int, r1: int, steps: int) -> tuple[int, int, int, int]:
-    """Both sides' pairs (X(s - 1), X(s)) taken steps values back along a
-    line, by X(s - 1) = X(s + 1) - X(s)."""
-    for _ in range(steps):
-        l0, l1, r0, r1 = l1 - l0, l0, r1 - r0, r0
-    return l0, l1, r0, r1
+def _walk(head: tuple, tail: tuple, axis: range | None, z: int, l0: int, l1: int, r0: int,
+          r1: int, seeds: Sequence, basis: bool, fail: list, check: _OracleCheck | None) -> None:
+    """Check the points head + (s,) + tail of a line, s in axis, or the one
+    point head when axis is None, from each side's pair (X(s - 1), X(s)) at
+    s = z. Along s, X(s + 1) = X(s) + X(s - 1): the pairs step back from z
+    to the line's first value, then take one addition per side and step.
+    On a basis plan a seed's value is g0*X(s - 1) + g1*X(s), else X(s).
+    Failures (point, seed index, lhs, rhs) go to fail in line and seed
+    order. Without a check, a point whose pairs agree is passed over; with
+    one, every value goes to check.held, and check.flush() is called after
+    a point's last seed once held has check.cap values or more."""
+    if axis is None:
+        axis = (None,)
+    else:
+        for _ in range(z - axis[0]):
+            l0, l1, r0, r1 = l1 - l0, l0, r1 - r0, r0
+    held = check.held if check else None
+    for s in axis:
+        if basis:
+            if check or l0 != r0 or l1 != r1:
+                point = None  # made on the point's first failure
+                for si, g0, g1 in seeds:
+                    lv, rv = g0 * l0 + g1 * l1, g0 * r0 + g1 * r1
+                    if check:
+                        held += (lv, rv)
+                    if lv != rv:
+                        point = point or (head if s is None else head + (s,) + tail)
+                        fail.append((point, si, lv, rv))
+        else:
+            if check:
+                held += (l1, r1) * len(seeds)
+            if l1 != r1:
+                point = head if s is None else head + (s,) + tail
+                for si in seeds:
+                    fail.append((point, si, l1, r1))
+        if check and len(held) >= check.cap:
+            check.flush()
+        l0, l1, r0, r1 = l1, l0 + l1, r1, r0 + r1
 
 
 _COMPILE_GLOBALS = {
     "__builtins__": {},
-    "len": len,
     "max": max,
     "min": min,
     "sum": sum,
     "zip": zip,
-    "_back": _back,
     "_bi": _bi,
     "_pw": _pw,
     "_p5": _p5,
     "_rng": _rng,
+    "_walk": _walk,
 }
 
 
@@ -212,8 +245,10 @@ def _op_code(node: Node, args: Sequence[str], back: bool) -> str:
 class _Lazy(dict):
     """One seed's sequence as a table that computes a value when it is
     first read: by the recurrence from the two values held just below or
-    just above it, else by seq.gen, one fast-doubling walk. It holds only
-    the indices read, however far apart they lie."""
+    just above it, else by seq.gen_pair, one fast-doubling walk, which
+    also gives the value above it to hold, so that reads next to a far one
+    take no walk of their own. It holds only the indices read and those
+    values above them, however far apart they lie."""
 
     __slots__ = ("seed",)
 
@@ -228,7 +263,10 @@ class _Lazy(dict):
             value = a + b
         else:
             a, b = get(e + 1), get(e + 2)
-            value = b - a if a is not None and b is not None else gen(self.seed, e)
+            if a is not None and b is not None:
+                value = b - a
+            else:
+                value, self[e + 1] = gen_pair(self.seed, e)
         self[e] = value
         return value
 
@@ -263,7 +301,8 @@ class _State:
 # which requested seeds the pairs' values stand for.
 
 # CPython compiles at most 20 statically nested blocks: one per loop here,
-# and one for a sum's loop or the loop over the seeds inside them.
+# and one for a sum's loop inside them. A shift parameter counts as a loop,
+# though its line is walked by _walk, outside the sweep.
 _MAX_LOOPS = 19
 
 
@@ -828,9 +867,9 @@ class _SweepWriter:
         return tuple((self.temp(code, own[0], body), {}) for code, _ in codes)
 
 
-def _sweep_source(identity: Identity, grid: _Grid, oracle: bool, plan: _Plan) -> str:
+def _sweep_source(identity: Identity, grid: _Grid) -> str:
     params, order, fixed = identity.free_params, grid.order, grid.fixed
-    basis, shift = plan.basis, plan.shift
+    basis, shift = grid.plans[0].basis, grid.plans[0].shift
     names = {p: f"v{i}" for i, p in enumerate(params)}
     if shift:  # pair j at the start value _sj of each line: z - 1, then z
         pairs = [(False, {**names, shift: f"_s{j}"}) for j in range(2)]
@@ -841,55 +880,28 @@ def _sweep_source(identity: Identity, grid: _Grid, oracle: bool, plan: _Plan) ->
     lhs, rhs = (writer.place(side, (start, False), None) for side in grid.sides)
     for j in range(len(pairs)):
         writer.lines[start] += [f"_l{j} = {lhs[j][0]}", f"_r{j} = {rhs[j][0]}"]
-    last = writer.lines[-1]
-    point = "(" + "".join(f"{names[p]}, " for p in params) + ")"
-    if basis:
-        derive = ["for _si, _g0, _g1 in _S:",
-                  "    _lv = _g0 * _l0 + _g1 * _l1",
-                  "    _rv = _g0 * _r0 + _g1 * _r1",
-                  *(["    _held += (_lv, _rv)"] if oracle else []),
-                  "    if _lv != _rv:",
-                  f"        _fail.append(({point}, _si, _lv, _rv))"]
-        # a point where both basis pairs agree passes for every seed
-        last += derive if oracle else ["if _l0 != _r0 or _l1 != _r1:",
-                                       *("    " + line for line in derive)]
-    else:
-        lv, rv = ("_l1", "_r1") if shift else ("_l0", "_r0")
-        if oracle:
-            last.append(f"_held += ({lv}, {rv}) * _n")
-        last += [f"if {lv} != {rv}:", "    for _si in _S:",
-                 f"        _fail.append(({point}, _si, {lv}, {rv}))"]
-    if oracle:  # a flush comes due only after a point's last seed
-        last += ["if len(_held) >= _cap:", "    _flush()"]
-    if shift:  # the sides at s + 1 by the recurrence; the pairs hold s - 1 and s
-        last += ["_l0, _l1 = _l1, _l0 + _l1", "_r0, _r1 = _r1, _r0 + _r1"]
-
     axes = [f"_a{j}" for j in range(len(order))]
-    args = [*axes, "_F", "_L", "_G", "_S", "_fail", "_check"]
-    out = [f"def _sweep({', '.join(args)}):"]
+    # the point's parameters before and after the shift parameter, if any
+    i = params.index(shift) if shift else len(params)
+    head, tail = ("(" + "".join(f"{names[p]}, " for p in ps) + ")"
+                  for ps in (params[:i], params[i + 1:]))
+    walk = f"{head}, {tail}, " + (f"{axes[-1]}, _s1" if shift else "None, 0")
+    values = "_l0, _l1, _r0, _r1" if len(pairs) == 2 else "0, _l0, 0, _r0"
+    # the values of a line, or a point, follow from its start pairs
+    writer.lines[start] += [
+        "if " + " or ".join(f"_l{j} != _r{j}" for j in range(len(pairs))) + " or _check:",
+        f"    _walk({walk}, {values}, _S, {basis}, _fail, _check)"]
+
+    out = [f"def _sweep({', '.join([*axes, '_F', '_L', '_G', '_S', '_fail', '_check'])}):"]
+    if shift:  # z, the line's value nearest 0: the tables are built around it
+        out += [f"    _s1 = min(max({axes[-1]}[0], 0), {axes[-1]}[-1])", "    _s0 = _s1 - 1"]
     indent = "    "
-    if oracle:
-        out.append(f"{indent}_held, _cap, _flush = _check")
-        if not basis:
-            out.append(f"{indent}_n = len(_S)")
-    if shift:
-        axis = axes[order.index(shift)]
-        # z, the line's value nearest 0: the tables are built around it
-        out += [f"{indent}_s1 = min(max({axis}[0], 0), {axis}[-1])", f"{indent}_s0 = _s1 - 1"]
     out += [indent + line for line in writer.lines[0]]
-    for j, var in enumerate(order):
-        name = names[var]
+    for j, var in enumerate(order[:start]):
         if j < fixed:
-            out.append(f"{indent}{name} = {axes[j]}[0]")
+            out.append(f"{indent}{names[var]} = {axes[j]}[0]")
         else:
-            if var == shift:
-                if not oracle:  # the line's values follow from its start pairs
-                    out.append(f"{indent}if _l0 != _r0 or _l1 != _r1:")
-                    indent += "    "
-                # the pairs at z - 1 and z walked back to the line's first value
-                out.append(f"{indent}_l0, _l1, _r0, _r1 = _back(_l0, _l1, _r0, _r1, "
-                           f"_s1 - {axes[j]}[0])")
-            out.append(f"{indent}for {name} in {axes[j]}:")
+            out.append(f"{indent}for {names[var]} in {axes[j]}:")
             indent += "    "
         out += [indent + line for line in writer.lines[j + 1]]
     return "\n".join(out) + "\n"
@@ -925,9 +937,9 @@ _HELD_CHECKS = 4096
 class _OracleCheck:
     """A plan's check against the oracle.
 
-    The sweep appends each point's two values for every seed of the plan,
-    in plan.seeds order, to the flat list held, and calls flush() after a
-    point's last seed once held has cap values or more; _sweep_grid also
+    The sweep's walk (see _walk) appends each point's two values for every
+    seed of the plan, in plan.seeds order, to the flat list held, and calls
+    flush() after a point's last seed once held has cap values or more; _sweep_grid also
     flushes at the end of the pass and before an evaluation error is
     raised. So held only ever holds whole points, and the points are the
     grid's, in the loop order the sweep walks them: a flush takes as many
@@ -1028,40 +1040,35 @@ def _oracle_sides(identity: Identity, spec: GridSpec, grid: _Grid) -> list[tuple
 class _Grid(NamedTuple):
     """What a grid's verification keeps: its plans, its loop order, how
     many of its parameters lead fixed, both sides' term trees, its boxes
-    (see _box), its sweeps, compiled from those trees on first use per
-    oracle flag and pass, and what the first oracle call built for each
-    plan (see _oracle_sides)."""
+    (see _box), what the first oracle call built for each plan (see
+    _oracle_sides), and its one sweep, fn(*axes, F, L, G, seeds, failures,
+    check): a pass of any plan over axes, the ranges of order's
+    parameters, with a check (see _OracleCheck) or without."""
 
     plans: tuple[_Plan, ...]
     order: tuple[str, ...]
     fixed: int
     sides: tuple[_Term, _Term]
     box: list[list[range]] | None
-    sweeps: dict[tuple, Callable[..., None]]
+    compiled: list[Callable[..., None]]
     oracle_sides: list[tuple]
 
-    def sweep(self, identity: Identity, oracle: bool, plan: _Plan) -> Callable[..., None]:
-        """fn(*axes, F, L, G, seeds, failures, check) running one pass of
-        plan's kind over the grid, compiled once; axes are the ranges of
-        order's parameters. With oracle, check is (held, cap, flush): the
-        sweep appends every point's two values for every seed to the list
-        held, and calls flush() after a point's last seed once held has cap
-        values or more."""
-        key = (oracle, plan.basis, plan.shift)
-        fn = self.sweeps.get(key)
-        if fn is None:
+    def sweep(self, identity: Identity) -> Callable[..., None]:
+        """The grid's one sweep, compiled on the first call."""
+        if not self.compiled:
             scope: dict[str, Any] = {}
-            exec(compile(_sweep_source(identity, self, oracle, plan), "<fibkit>", "exec"),
+            exec(compile(_sweep_source(identity, self), "<fibkit>", "exec"),
                  dict(_COMPILE_GLOBALS), scope)
-            fn = self.sweeps[key] = scope["_sweep"]
-        return fn
+            self.compiled.append(scope["_sweep"])
+        return self.compiled[0]
 
 
 # One entry per identity and grid, keyed by both sides, the free parameters,
 # their ranges and the seeds; and one per identity, keyed without ranges or
 # seeds, for its one-point sweep, which runs on any point's tables. An
-# entry keeps its boxes, analysed once, and the oracle's tables, inside its
-# evaluators, from the grid's first oracle call on; the sweep's tables are
+# entry keeps its boxes, analysed once, its one sweep, compiled once for
+# every plan with the oracle and without, and the oracle's tables, inside
+# its evaluators, from the grid's first oracle call on; the sweep's tables are
 # the command's (see _State) and each per-seed pass's own, so the fast path
 # keeps no table per grid. Past _CACHED entries the oldest is dropped.
 _compile_cache: dict[tuple, _Grid] = {}
@@ -1088,7 +1095,7 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
         plans = tuple(_plans(identity, spec, sides))
         order, fixed = _loop_order(identity, spec, plans[0])
         box = _box(identity, spec, sides, order, plans[0].shift)
-        grid = _keep(key, _Grid(plans, order, fixed, sides, box, {}, []))
+        grid = _keep(key, _Grid(plans, order, fixed, sides, box, [], []))
     return grid
 
 
@@ -1103,8 +1110,8 @@ def _point_sweep(identity: Identity) -> Callable[..., None]:
     key = (identity.lhs, identity.rhs, params)
     grid = _compile_cache.get(key)
     if grid is None:
-        grid = _keep(key, _Grid((_POINT,), params, len(params), _sides(identity), None, {}, []))
-    return grid.sweep(identity, False, _POINT)
+        grid = _keep(key, _Grid((_POINT,), params, len(params), _sides(identity), None, [], []))
+    return grid.sweep(identity)
 
 
 def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range], state: _State,
@@ -1113,8 +1120,7 @@ def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range], state:
     per-seed pass reads G from a table of its own seed, the others from F."""
     f_tab = state.f_tab
     g_tab = f_tab if plan.seed is None else _Lazy(plan.seed)
-    sweep(*axes, f_tab, state.l_tab, g_tab, plan.seeds, failures,
-          check and (check.held, check.cap, check.flush))
+    sweep(*axes, f_tab, state.l_tab, g_tab, plan.seeds, failures, check)
 
 
 def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: bool,
@@ -1123,12 +1129,11 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
     tables. Without the oracle, a grid with boxes sweeps them first and
     passes when every plan passes there; on a failure or an evaluation
     error there, the whole grid is swept."""
-    plans = grid.plans
-    sweeps = [grid.sweep(identity, use_oracle, plan) for plan in plans]
+    plans, sweep = grid.plans, grid.sweep(identity)
     failures: list[tuple[tuple[int, ...], int, int, int]] = []
     if grid.box is not None and not use_oracle:
         try:
-            for (plan, sweep), axes in itertools.product(zip(plans, sweeps), grid.box):
+            for plan, axes in itertools.product(plans, grid.box):
                 _pass(plan, sweep, axes, state, failures)
                 if failures:
                     break
@@ -1139,7 +1144,7 @@ def _sweep_grid(identity: Identity, spec: GridSpec, grid: _Grid, use_oracle: boo
         failures.clear()
     axes = [_axis(spec, v) for v in grid.order]
     checks = _oracle_checks(identity, spec, grid) if use_oracle else [None] * len(plans)
-    for plan, sweep, check in zip(plans, sweeps, checks):
+    for plan, check in zip(plans, checks):
         try:
             _pass(plan, sweep, axes, state, failures, check)
         except EvalError:

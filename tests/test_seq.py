@@ -8,6 +8,7 @@ from fibkit import (
     FIB_SEED, LUCAS_SEED, Seed, fib, fib_naive, fib_pair_doubling, gen, lucas, table,
 )
 from fibkit.errors import InternalFault
+from fibkit.seq import gen_pair
 
 
 def lucas_naive(n: int) -> int:
@@ -142,6 +143,7 @@ def gen_stepped(seed: Seed, n: int) -> int:
 def test_gen_matches_the_stepped_recurrence(seed):
     for n in [*range(-40, 41), -1001, -1000, 999, 1000]:
         assert gen(seed, n) == gen_stepped(seed, n), (seed, n)
+        assert gen_pair(seed, n) == (gen_stepped(seed, n), gen_stepped(seed, n + 1)), (seed, n)
 
 
 @pytest.mark.parametrize("seed,n,expected", [

@@ -2,11 +2,13 @@
 
 import ast
 import functools
+import inspect
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 import types
@@ -20,7 +22,7 @@ import fibkit
 from fibkit import (
     EvalError, FibkitError, GridError, GridSpec, Identity, InternalFault, ParamPoint,
     ParseError, Seed, eval_side, fib, lucas, cli, oracle, parse_expr, parse_identity,
-    to_text, verify, verify_grid,
+    seq, to_text, verify, verify_grid,
 )
 from fibkit.catalog import load_catalog_file
 from fibkit.expr import Add, Binom, Lit, Mul, Neg, Pow, SeqRef, Sign, Sub, Sum, Sym, affine
@@ -274,9 +276,7 @@ def test_negative_exponent_in_a_sum_names_its_first_point():
     bad = parse_identity("sum(k, 0, n, F(m)^(k - 1)) == F(m)", name="k-minus-1",
                          params=("n", "m"))
     spec = GridSpec({"n": (0, 2), "m": (-2, 2)}, (Seed(3, 7), F_SEED))
-    grid = verify._grid(bad, spec)
-    (plan,) = grid.plans
-    source = verify._sweep_source(bad, grid, False, plan)
+    source = verify._sweep_source(bad, verify._grid(bad, spec))
     assert " >= 0 else _pw(" in source
     for use_oracle in (False, True):
         with pytest.raises(EvalError, match=r"^negative exponent -1 in power at point "
@@ -1021,6 +1021,35 @@ def test_grids_through_one_state_report_as_each_alone(data):
     assert all(value == lucas(e) for e, value in state.l_tab.items())
 
 
+FAR_READS = """
+name: far.step
+params: m q
+paper: far.step
+identity: F(1000*m + q + 1000002) - F(1000*m + q + 1000001) - F(1000*m + q + 1000000) == 0
+
+name: far.lucas
+params: m q
+paper: far.lucas
+identity: L(7*m + q + 1000001) == F(7*m + q + 1000000) + F(7*m + q + 1000002)
+"""
+
+
+def test_adjacent_far_reads_take_one_walk(monkeypatch, capsys, tmp_path):
+    # a far miss holds the value above it too: each run of adjacent reads in
+    # a table takes one fast-doubling walk, at m = -1 and m = 0 of the
+    # boxes, F's two in the first stanza, then L's two and F's at m = -1
+    # (the first stanza's F at m = 0 is held); a walk per far miss took 11
+    walks = []
+    doubling = seq.fib_pair_doubling
+    monkeypatch.setattr(seq, "fib_pair_doubling", lambda n: walks.append(n) or doubling(n))
+    path = tmp_path / "far.cat"
+    path.write_text(FAR_READS, encoding="utf-8")
+    assert cli.main(["verify", "--all", "--file", str(path), "--m", "-2..2", "--q", "-2..2",
+                     "--format", "json"]) == 0
+    assert [report["failures"] for report in json.loads(capsys.readouterr().out)] == [[], []]
+    assert len(walks) == 5
+
+
 SHIFTED = parse_identity("G(p + 2) == G(p + 1) + G(p) + G(p - 1)",
                          name="shifted", params=("p",))
 
@@ -1061,11 +1090,13 @@ def _step_ahead(monkeypatch):
 
 
 def _wrong_step(monkeypatch):
-    # the sides at s + 1 from a wrong recurrence
-    source = verify._sweep_source
+    # the sides at s + 1 from a wrong recurrence, in the walk every sweep calls
+    source = textwrap.dedent(inspect.getsource(verify._walk))
+    assert source.count("l0 + l1") == 1
+    scope = {}
+    exec(source.replace("l0 + l1", "l1 + l1"), vars(verify), scope)
     monkeypatch.setattr(verify, "_compile_cache", {})
-    monkeypatch.setattr(verify, "_sweep_source",
-                        lambda *args: source(*args).replace("_l0 + _l1", "_l1 + _l1"))
+    monkeypatch.setitem(verify._COMPILE_GLOBALS, "_walk", scope["_walk"])
 
 
 @pytest.mark.parametrize("mutate", [_wrong_table, _step_ahead, _wrong_step])
@@ -1243,8 +1274,77 @@ def test_every_index_a_shift_sweep_reads_is_in_its_pinned_table(data):
                   [], None)
         except EvalError:
             pass
-    assert state.f_tab.keys() <= pinned.f_tab.keys()
-    assert state.l_tab.keys() <= pinned.l_tab.keys()
+    # a far miss also holds the value above the index read (see _Lazy)
+    assert state.f_tab.keys() <= {e + d for e in pinned.f_tab for d in (0, 1)}
+    assert state.l_tab.keys() <= {e + d for e in pinned.l_tab for d in (0, 1)}
+
+
+class _HeldChecks:
+    """A stand-in for verify._OracleCheck that keeps each batch flushed."""
+
+    def __init__(self, cap):
+        self.held, self.cap, self.batches = [], cap, []
+
+    def flush(self):
+        self.batches.append(list(self.held))
+        self.held.clear()
+
+
+def _stepped(pair, z, s):
+    """(X(s - 1), X(s)) of the sequence with X(s + 1) = X(s) + X(s - 1)
+    whose pair at z is pair, stepped from z to s one value at a time."""
+    a, b = pair
+    for _ in range(s - z):
+        a, b = b, a + b
+    for _ in range(z - s):
+        a, b = b - a, a
+    return a, b
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_walk_matches_the_line_stepped_point_by_point(data):
+    small = st.integers(-4, 4)
+    head, tail = (tuple(data.draw(st.lists(small, max_size=2))) for _ in range(2))
+    if data.draw(st.booleans()):  # a line of the shift parameter
+        lo = data.draw(small)
+        axis = range(lo, lo + data.draw(st.integers(1, 6)))
+        z = data.draw(st.sampled_from(axis))
+    else:  # one point, with no shift parameter
+        axis, z = None, 0
+    lhs = (data.draw(small), data.draw(small))
+    # the right side agrees with the left, or differs in one value or both
+    rhs = data.draw(st.sampled_from([lhs, (lhs[0], lhs[1] + 1), (lhs[0] - 1, lhs[1]),
+                                     (data.draw(small), data.draw(small))]))
+    basis = data.draw(st.booleans())
+    pairs = data.draw(st.lists(st.tuples(small, small), min_size=1, max_size=3))
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=2))  # duplicates
+    seeds = tuple((i, g0, g1) for i, (g0, g1) in enumerate(pairs)) if basis \
+        else tuple(range(len(pairs)))
+    check = data.draw(st.one_of(st.none(), st.integers(2, 9).map(_HeldChecks)))
+
+    failures, batches, held = [], [], []
+    for s in axis or (None,):
+        point = head if s is None else head + (s,) + tail
+        (l0, l1), (r0, r1) = (lhs, rhs) if s is None else (_stepped(lhs, z, s),
+                                                           _stepped(rhs, z, s))
+        for seed in seeds:
+            if basis:
+                lv, rv = seed[1] * l0 + seed[2] * l1, seed[1] * r0 + seed[2] * r1
+            else:
+                lv, rv = l1, r1
+            held += [lv, rv]
+            if lv != rv:
+                failures.append((point, seed[0] if basis else seed, lv, rv))
+        if check and len(held) >= check.cap:  # only after a point's last seed
+            batches.append(held)
+            held = []
+
+    fail = []
+    verify._walk(head, tail, axis, z, *lhs, *rhs, seeds, basis, fail, check)
+    assert fail == failures
+    if check:
+        assert check.batches == batches and check.held == held
 
 
 @functools.lru_cache(maxsize=None)
@@ -1303,21 +1403,23 @@ def _for_loops(node, axis):
             and isinstance(loop.iter, ast.Name) and loop.iter.id == axis]
 
 
-@pytest.mark.parametrize("oracle_check", [False, True])
-def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
+def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog):
     eq1 = catalog.get("Eq1")
     spec = cli._grid_for(eq1, cli.build_parser().parse_args(["verify", "--all"]))
     grid = verify._grid(eq1, spec)
     (plan,) = grid.plans
     assert grid.order == ("n", "m", "q", "p") and plan.shift == "p"
-    tree = ast.parse(verify._sweep_source(eq1, grid, oracle_check, plan))
+    tree = ast.parse(verify._sweep_source(eq1, grid))
     (line,) = _for_loops(tree, "_a2")  # q: each of its iterations is a line of p
-    (shift,) = _for_loops(line, "_a3")
-    # what evaluates the start pairs reads no value of p's axis: the walks
-    # of the line (back to its first value, then along it) do
-    start = [stmt for stmt in line.body
-             if not any(isinstance(node, ast.Name) and node.id == "_a3"
-                        for node in ast.walk(stmt))]
+    # the sweep evaluates the start pairs and no value of p's axis: its one
+    # read of the axis hands it to the walk of the line (see verify._walk)
+    assert not _for_loops(tree, "_a3")
+    (read,) = [node for node in ast.walk(line) if isinstance(node, ast.Name)
+               and node.id == "_a3"]
+    (walk,) = [node for node in ast.walk(line) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_walk"]
+    assert any(arg is read for arg in walk.args)
+    start = line.body
     # the sum is one loop with a total per start pair, each reading the
     # shift parameter at its own start value
     (loop,) = [stmt for stmt in start if isinstance(stmt, ast.For)]
@@ -1329,7 +1431,6 @@ def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
     # no list is built per line: the summands are computed in the loop
     assert not [node for stmt in start for node in ast.walk(stmt)
                 if isinstance(node, ast.ListComp)]
-    assert not [node for node in ast.walk(shift) if isinstance(node, (ast.ListComp, ast.Pow))]
 
 
 class _CountingTable(verify._Lazy):
@@ -1367,6 +1468,22 @@ def test_shift_plan_loop_orders_on_the_default_grid(catalog):
                       "m" if entry.name in ("Eq8", "Lemma10", "Lemma11", "Lemma12", "Lemma13")
                       else "p" for entry in catalog}
     assert len(shifts) == 29
+
+
+def test_default_sweeps_emit_the_sides_and_leave_each_line_to_the_walk(catalog):
+    # the walk along a line, its seeds and its oracle hand-off are written
+    # once, in verify._walk: the 29 sweeps of a fresh verify --all hold
+    # 25,303 bytes, against 36,083 with the walk written into each
+    args = cli.build_parser().parse_args(["verify", "--all"])
+    size = 0
+    for entry in catalog:
+        grid = verify._grid(entry, cli._grid_for(entry, args))
+        source = verify._sweep_source(entry, grid)
+        size += len(source.encode())
+        tree = ast.parse(source)
+        axis = f"_a{grid.order.index(grid.plans[0].shift)}"
+        assert not _for_loops(tree, "_S") and not _for_loops(tree, axis), entry.name
+    assert size <= 26_000
 
 
 @pytest.mark.parametrize("text,params,ranges", [
@@ -1407,7 +1524,7 @@ def test_g_free_shift_needs_one_shifted_factor_per_term(side):
 # each line's second start pair is, and differ one step before it: the
 # start pairs differ only in their first values.
 EDGES = ("F(m) == F(m) + F(m + 3)", "G(m) == G(m) + G(m + 3)")
-LINE_GUARD = "if _l0 != _r0 or _l1 != _r1:"
+LINE_GUARD = "if _l0 != _r0 or _l1 != _r1 or _check:"
 
 
 def _edge_failures(text):
@@ -1435,7 +1552,7 @@ def test_a_line_guard_on_one_start_pair_misses_the_edges(monkeypatch):
     source = verify._sweep_source
     monkeypatch.setattr(verify, "_compile_cache", {})
     monkeypatch.setattr(verify, "_sweep_source",
-                        lambda *args: source(*args).replace(LINE_GUARD, "if _l1 != _r1:", 1))
+                        lambda *args: source(*args).replace(LINE_GUARD, "if _l1 != _r1 or _check:", 1))
     for text in EDGES:
         failures, expected = _edge_failures(text)
         assert expected and failures == []
@@ -1455,9 +1572,9 @@ def test_repeated_grid_is_planned_once(catalog, monkeypatch):
     reports = [verify_grid(catalog.get("Eq8"), spec).to_json_dict() for _ in range(3)]
     assert orders == trees == sources == ["Eq8"] and reports == reports[:1] * 3
     assert len(verify._compile_cache) == 1
-    # the oracle's sweep joins the grid's entry
+    # the oracle runs the entry's one sweep: nothing new is compiled
     assert verify_grid(catalog.get("Eq8"), spec, use_oracle=True).to_json_dict() == reports[0]
-    assert sources == ["Eq8"] * 2 and len(verify._compile_cache) == 1
+    assert sources == ["Eq8"] and len(verify._compile_cache) == 1
     # another grid, or another identity on it, is planned afresh
     verify_grid(catalog.get("Eq8"), GridSpec({"m": (-3, 3), "n": (-3, 2)}))
     verify_grid(catalog.get("Eq8"), GridSpec(spec.ranges, (F_SEED,)))
@@ -1481,11 +1598,10 @@ def test_each_side_is_one_term_tree_per_grid_entry(catalog, monkeypatch):
             assert verify_grid(eq1, spec, use_oracle=use_oracle).passed
     # each side's tree is built once per grid entry, when it is planned
     assert built == [eq1.lhs, eq1.rhs] * 2
-    # and the entry's two sweeps, with the oracle and without, read it
+    # and the entry's one sweep, run with the oracle and without, reads it
     entries = list(verify._compile_cache.values())
-    assert len(entries) == 2 and len(compiled) == 4
-    assert all(sides is entry.sides for sides, entry in zip(compiled, [
-        entries[0], entries[0], entries[1], entries[1]]))
+    assert len(entries) == 2 and len(compiled) == 2
+    assert all(sides is entry.sides for sides, entry in zip(compiled, entries))
 
 
 def test_shift_plan_takes_the_first_qualifying_parameter(catalog):
@@ -1524,17 +1640,16 @@ def test_shift_parameter_alone_gives_the_oracle_checked_report(catalog):
 
 @pytest.mark.parametrize("seeds", [(F_SEED,), STANDARD_SEEDS])
 def test_nineteen_loops_compile_with_the_seed_loops(seeds):
-    # 19 parameter loops, then a sum's loop or the loop over the seeds:
-    # CPython's 20 nested blocks
+    # 19 parameter loops, then a sum's loop: CPython's 20 nested blocks. On
+    # the basis, x1's loop is the walk's (see verify._walk), outside the sweep
     names = [f"x{i}" for i in range(19)]
     identity = parse_identity(f"sum(k, 0, x0, G(k + {' + '.join(names)})) == G(x1)",
                               name="deep", params=names)
     spec = GridSpec({x: (0, 1) for x in names}, seeds)
     grid = verify._grid(identity, spec)
     assert grid.fixed == 0
-    for plan in grid.plans:
-        for oracle_check in (False, True):
-            grid.sweep(identity, oracle_check, plan)
+    assert [plan.shift for plan in grid.plans] == ([None] if len(seeds) == 1 else ["x1"])
+    grid.sweep(identity)
 
 
 # --- the box ------------------------------------------------------------------
