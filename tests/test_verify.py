@@ -1403,7 +1403,8 @@ def _for_loops(node, axis):
             and isinstance(loop.iter, ast.Name) and loop.iter.id == axis]
 
 
-def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog):
+@pytest.mark.parametrize("oracle_check", [False, True])
+def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
     eq1 = catalog.get("Eq1")
     spec = cli._grid_for(eq1, cli.build_parser().parse_args(["verify", "--all"]))
     grid = verify._grid(eq1, spec)
@@ -1419,6 +1420,14 @@ def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog):
     (walk,) = [node for node in ast.walk(line) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "_walk"]
     assert any(arg is read for arg in walk.args)
+    # the one sweep serves both: with a check every line is walked and handed
+    # over, without one only a line whose start pairs differ
+    (guard,) = [node for node in ast.walk(line)
+                if isinstance(node, ast.If) and walk in ast.walk(node)]
+    assert isinstance(walk.args[-1], ast.Name) and walk.args[-1].id == "_check"
+    check = object() if oracle_check else None
+    at = {"_l0": 1, "_r0": 1, "_l1": 2, "_r1": 2, "_check": check}
+    assert bool(eval(compile(ast.Expression(guard.test), "<guard>", "eval"), {}, at)) is oracle_check
     start = line.body
     # the sum is one loop with a total per start pair, each reading the
     # shift parameter at its own start value
