@@ -5,42 +5,40 @@ parameters in which every subexpression is computed in the shallowest
 loop that binds everything it reads. The seeds are not a loop: a side
 that reads no G is evaluated once per point for all of them, and sides
 linear in G are evaluated on two basis seeds, from which every requested
-seed's values follow by linear combination. When some parameter s loops
-and the sides read it only as s + (terms without s) inside G indices,
-the sweep loops s innermost and evaluates the sides on the seed (0, 1)
-alone: their values on the seed (1, 0) at s are those on (0, 1) at
-s - 1, since B10(e) = B01(e - 1). Such a side is a fixed linear
-combination of values G(s + d), so along s it obeys G's own recurrence
-X(s + 1) = X(s) + X(s - 1): the sweep evaluates it in full only twice
-per line of s, at s = z - 1 and s = z, z the value of s's range nearest
-0. The two start evaluations are two pairs of sides written side by
-side in one pass, as the two basis pairs are: each sum is one loop with
-one total per pair, and a summand that reads the summation index but
-not s is computed once per index value inside that loop. Sides that
-read no G and have exactly one factor F or L at s + (terms without s)
-in each term, s being read nowhere else, obey the same recurrence.
-The sweep has no loop over s: it hands a line's start pairs to _walk,
-one plain function, which steps them back from z to the line's first
-value and along the line, one addition or subtraction per side and
-step. Every value on a line follows from its start pairs, so a line
-whose start pairs agree passes without a walk; without a shift, each
-point whose pairs differ is walked. With the oracle, the same sweep
-walks every line and point: the walk appends each point's values for
-every seed to one flat list, and a batch of points at a time is compared
-with the oracle's values, laid out alike, as one list. Only the start
-pairs read tables. The loops run in declared order, fixed parameters first and s
-innermost. Each side is read once into a term tree whose nodes hold
-what the plans, the boxes and the sweep's code read.
+seed's values follow by linear combination. The two basis pairs of sides
+are written side by side in one pass: each sum is one loop with one
+total per pair, and a summand that reads the summation index but not G
+is computed once per index value inside that loop. When some parameter s
+loops and both sides read it only as s + (terms without s) inside G
+indices, every G index so, such a side is a fixed linear combination of
+values G(s + d), so along s it obeys G's own recurrence
+X(s + 1) = X(s) + X(s - 1). The sweep then loops s innermost and
+evaluates the basis pairs once per line of s, at z, the value of s's
+range nearest 0: as B10(e) = B01(e - 1), they are the sides on the seed
+(0, 1) at z - 1 and at z. The sweep has no loop over s: it hands a
+line's start pairs to _walk, one plain function, which steps them back
+from z to the line's first value and along the line, one addition or
+subtraction per side and step. Every value on a line follows from its
+start pairs, so a line whose start pairs agree passes without a walk;
+without a shift, each point whose pairs differ is walked. With the
+oracle, the same sweep walks every line and point: the walk appends each
+point's values for every seed to one flat list, and a batch of points at
+a time is compared with the oracle's values, laid out alike, as one
+list. Only the start pairs read tables. The loops run in declared order,
+fixed parameters first and s innermost. Each side is read once into a
+term tree whose nodes hold what the plans, the boxes and the sweep's
+code read.
 Without the oracle, a grid is swept over its boxes first, one per rank
-value: in each, every parameter but the ranks and the shift parameter
-is cut to its values nearest 0, as many as LHS - RHS has exponential
-bases along it at that rank value (see _box), so boxes that pass at
-every point and seed are a grid that passes; on a failure or an
-evaluation error in a box, the whole grid is swept, so the failures and
-errors reported are the whole grid's. A grid's trees, plans, loop
-order, boxes, one compiled sweep and, once an oracle call has built them,
-the oracle's evaluators over its own tables are kept in one entry per
-identity and grid.
+value: in each, every parameter but the ranks is cut to its values
+nearest 0, as many as LHS - RHS has exponential bases along it at that
+rank value (see _box), so boxes that pass at every point and seed are a
+grid that passes. Along a shift parameter there are two bases, phi and
+psi, and its two values nearest 0 hold the z of its whole range. On a
+failure or an evaluation error in a box, the whole grid is swept, so
+the failures and errors reported are the whole grid's. A grid's trees,
+plans, loop order, boxes, one compiled sweep and, once an oracle call has
+built them, the oracle's evaluators over its own tables are kept in one
+entry per identity and grid.
 Every table computes a value when it is first read, by the recurrence
 from two held neighbours or else by one fast-doubling walk, and holds
 only the indices read and the one above each walk (see _Lazy), so a far
@@ -50,10 +48,11 @@ one F table and one L table in its state (see _State), read by each of
 its grids and dropped when it returns; a call without a state makes its
 own. G on the basis seeds is F one index back and F itself, and a
 per-seed pass reads a table of its own seed. The sweep is the only
-generated code: a side's value at one point is the one-point sweep of
-side == 0, and an evaluation error is located point by point with one
-compiled one-point sweep. All arithmetic is unbounded int; a PASS means
-exact equality at every point and seed.
+generated code: a side's value at one point, and the first point where
+an evaluation error arises, come from the sweep of the grid with every
+parameter at 0 and the seed (0, 1), which runs at any one point. All
+arithmetic is unbounded int; a PASS means exact equality at every point
+and seed.
 """
 
 from __future__ import annotations
@@ -293,12 +292,10 @@ class _State:
 # those lists.
 #
 # The seeds are not a loop. A sweep evaluates one or two pairs of sides in
-# one pass: one pair per basis seed, each reading G in F at its own offset,
-# or, on a shift plan, the pairs at the two start values of each line of
-# the shift parameter. The pairs are written side by side: a term that
-# reads neither G nor the shift parameter is computed once for both, and a
-# sum is one loop with one total per pair. The plan (see _plans) says
-# which requested seeds the pairs' values stand for.
+# one pass: one pair per basis seed, each reading G in F at its own offset.
+# The pairs are written side by side: a term that reads no G is computed
+# once for both, and a sum is one loop with one total per pair. The plan
+# (see _plans) says which requested seeds the pairs' values stand for.
 
 # CPython compiles at most 20 statically nested blocks: one per loop here,
 # and one for a sum's loop inside them. A shift parameter counts as a loop,
@@ -316,10 +313,8 @@ class _Term(NamedTuple):
     reads its own index; kinds holds the sequence kinds it reads. degree
     is its degree in G, 0 or 1, or None when it is not homogeneous (a sum
     of terms with different numbers of G factors, or a term with two or
-    more). g_shift holds each parameter s along which it is linear in G
-    refs at s + (terms that do not read s), reading s nowhere else, and
-    fl_shift the same for F and L refs (see _shift_axis). form is a
-    sequence ref's index as expr.affine reads it, else None.
+    more). form is a sequence ref's index as expr.affine reads it, else
+    None.
     """
 
     node: Node
@@ -328,8 +323,6 @@ class _Term(NamedTuple):
     reads: frozenset[str]
     kinds: frozenset[str]
     degree: int | None
-    g_shift: frozenset[str]
-    fl_shift: frozenset[str]
     form: tuple[int, dict[str, int], frozenset[str]] | None
     args: tuple["_Term", ...]
 
@@ -348,25 +341,18 @@ def _shared(names: frozenset[str]) -> frozenset[str]:
 def _terms(node: Node, params: Sequence[str],
            body: tuple[str, frozenset[str]] | None = None) -> _Term:
     """The term tree of a side; body is (index name, bounds' deps) in a sum.
-
-    A shift set follows the one rule that makes it exact: a ref of its
-    kinds gives each s with coefficient 1 outside its index's rest, + and
-    - keep what all operands keep, a product keeps each factor's set less
-    what the other factor reads, and a sum drops its index and what its
-    bounds read. Every other node, a power's included, keeps none. The
-    parser keeps sequence refs out of every index, bound and exponent, so
-    only these nodes can carry a ref."""
+    The parser keeps sequence refs out of every index, bound and exponent."""
     floor = body[1] if body else _NONE
     kind = type(node)
     if kind is Lit:
-        return _Term(node, floor, False, _NONE, _NONE, 0, _NONE, _NONE, None, ())
+        return _Term(node, floor, False, _NONE, _NONE, 0, None, ())
     if kind is Sym:
         reads = _shared(frozenset((node.name,)))
         if body and node.name == body[0]:
-            return _Term(node, floor, True, reads, _NONE, 0, _NONE, _NONE, None, ())
+            return _Term(node, floor, True, reads, _NONE, 0, None, ())
         if node.name not in params:
             raise EvalError(f"symbol '{node.name}' has no value")
-        return _Term(node, _shared(floor | reads), False, reads, _NONE, 0, _NONE, _NONE, None, ())
+        return _Term(node, _shared(floor | reads), False, reads, _NONE, 0, None, ())
     if kind is Sum:
         if body is not None:  # the parser refuses these; only a hand-built AST has one
             raise EvalError("nested sums are not supported")
@@ -377,9 +363,8 @@ def _terms(node: Node, params: Sequence[str],
                 bound = next(arg for arg in bound.args if arg.kinds)
             raise EvalError(f"cannot bound non-index expression node {type(bound.node).__name__}")
         inner = _terms(node.body, params, (node.var, lo.deps | hi.deps))
-        hidden = lo.reads | hi.reads | {node.var}
-        return _Term(node, inner.deps, False, inner.reads | hidden, inner.kinds, inner.degree,
-                     inner.g_shift - hidden, inner.fl_shift - hidden, None, (lo, hi, inner))
+        return _Term(node, inner.deps, False, inner.reads | lo.reads | hi.reads | {node.var},
+                     inner.kinds, inner.degree, None, (lo, hi, inner))
     # every other node has one or two children, whose deps hold floor
     args = tuple(_terms(child, params, body) for child in children(node))
     first, second = args[0], args[-1]
@@ -390,26 +375,18 @@ def _terms(node: Node, params: Sequence[str],
             form = affine(node.arg)
         except TypeError as exc:  # a hand-built index, such as F(G(m))
             raise EvalError(str(exc)) from None
-        _, coeffs, rest = form
-        shift = _shared(frozenset(s for s, c in coeffs.items() if c == 1 and s not in rest))
-        g = node.kind == "G"
-        return _Term(node, deps, kdep, reads, _KINDS[node.kind], int(g),
-                     shift if g else _NONE, _NONE if g else shift, form, args)
+        return _Term(node, deps, kdep, reads, _KINDS[node.kind], int(node.kind == "G"), form,
+                     args)
     if not kinds:  # an index, or a term of indices: no sequence ref below
-        return _Term(node, deps, kdep, reads, kinds, 0, _NONE, _NONE, None, args)
-    if kind is Add or kind is Sub or kind is Neg:
+        degree = 0
+    elif kind is Add or kind is Sub or kind is Neg:
         degree = first.degree if first.degree == second.degree else None
-        g_shift = _shared(first.g_shift & second.g_shift)
-        fl_shift = _shared(first.fl_shift & second.fl_shift)
     elif kind is Mul:
         degree = None if first.degree is None or second.degree is None \
             or first.degree + second.degree > 1 else first.degree + second.degree
-        g_shift = _shared((first.g_shift - second.reads) | (second.g_shift - first.reads))
-        fl_shift = _shared((first.fl_shift - second.reads) | (second.fl_shift - first.reads))
     else:  # a power
         degree = 0 if first.degree == 0 else None
-        g_shift = fl_shift = _NONE
-    return _Term(node, deps, kdep, reads, kinds, degree, g_shift, fl_shift, None, args)
+    return _Term(node, deps, kdep, reads, kinds, degree, None, args)
 
 
 def _sides(identity: Identity) -> tuple[_Term, _Term]:
@@ -418,17 +395,27 @@ def _sides(identity: Identity) -> tuple[_Term, _Term]:
     return _terms(identity.lhs, params), _terms(identity.rhs, params)
 
 
-def _shift_axis(identity: Identity, spec: GridSpec, sets: Sequence[frozenset[str]],
-                ) -> str | None:
-    """The first parameter s that takes more than one value and is in both
-    sides' shift sets: each additive term of both sides has exactly one
-    factor of the set's kinds at s + (terms that do not read s), s being
-    read nowhere else; None when there is none. Such a side is a fixed
-    linear combination of values X(s + d) of sequences that obey
-    X(s + 1) = X(s) + X(s - 1), so it obeys that recurrence along s."""
-    both = sets[0] & sets[1]
-    return next((p for p in identity.free_params
-                 if p in both and spec.ranges[p][0] < spec.ranges[p][1]), None)
+def _shifts(term: _Term, s: str) -> bool:
+    """Whether term reads s only inside G indices, each with coefficient 1
+    outside the index's rest, and every G index in it reads s so."""
+    if "G" not in term.kinds:
+        return s not in term.reads
+    if term.form is not None:  # a ref of G
+        _, coeffs, rest = term.form
+        return coeffs.get(s) == 1 and s not in rest
+    if type(term.node) is Sum and term.node.var == s:  # a hand-built sum's index hides s
+        return False
+    return all(_shifts(arg, s) for arg in term.args)
+
+
+def _shift_axis(identity: Identity, spec: GridSpec, sides: Sequence[_Term]) -> str | None:
+    """The first parameter s that takes more than one value and that both
+    sides, linear in G, read only as s + (terms that do not read s) inside
+    every G index; None when there is none. Such a side is a fixed linear
+    combination of values G(s + d), so along s it obeys G's recurrence
+    X(s + 1) = X(s) + X(s - 1)."""
+    return next((p for p in identity.free_params if spec.ranges[p][0] < spec.ranges[p][1]
+                 and all(_shifts(side, p) for side in sides)), None)
 
 
 class _Plan(NamedTuple):
@@ -437,15 +424,13 @@ class _Plan(NamedTuple):
     G(e) = g0*B10(e) + g1*B01(e) at every integer e, where B10 and B01 are
     the sequences seeded (1, 0) and (0, 1): B10(e) = F(e - 1), B01 = F.
     With basis, seeds holds (index, g0, g1) of every requested seed, whose
-    values follow from the sides' values on B10 and B01, evaluated both
-    or, with shift, on B01 alone: a side's value on B10 at a point is its
-    value on B01 one step back along the parameter shift. Without, seeds
-    holds the indices of the requested seeds whose values the one pair of
-    sides gives, on seed's G table, or reading no G when seed is None.
-    With shift, the sides obey the Fibonacci recurrence along it, so they
-    are evaluated in full twice per line of shift, at its value nearest 0
-    and one before, as the two pairs of one pass; a line whose two start
-    pairs agree passes at every point without a walk.
+    values follow from the sides' values on B10 and B01, evaluated both.
+    Without, seeds holds the indices of the requested seeds whose values
+    the one pair of sides gives, on seed's G table, or reading no G when
+    seed is None. A basis plan may have a shift (see _shift_axis): the
+    sides obey the Fibonacci recurrence along it, so both pairs are
+    evaluated once per line of shift, at its value nearest 0, and a line
+    whose two start pairs agree passes at every point without a walk.
     """
 
     basis: bool
@@ -458,25 +443,19 @@ def _plans(identity: Identity, spec: GridSpec, sides: Sequence[_Term]) -> list[_
     """The passes that cover every requested seed: one pass for all seeds
     when neither side reads G, one on the basis when both sides are linear
     in G and there are at least two distinct seeds, else one pass per
-    distinct seed, on its own G table.
-
-    The pass with no G shifts along the first parameter in which both
-    sides are linear in F and L factors at s + (terms that do not read s);
-    the basis pass along the first one in which they are linear in such G
-    factors, F and L reading no s (see _shift_axis).
+    distinct seed, on its own G table. Only the basis pass may have a
+    shift (see _shift_axis).
     """
     seeds = spec.seeds
     degrees = {side.degree for side in sides}
     if degrees == {0}:
-        shift = _shift_axis(identity, spec, [side.fl_shift for side in sides])
-        return [_Plan(False, None, tuple(range(len(seeds))), shift)]
+        return [_Plan(False, None, tuple(range(len(seeds))))]
     groups: dict[Seed, list[int]] = {}
     for i, seed in enumerate(seeds):
         groups.setdefault(seed, []).append(i)
     if degrees == {1} and len(groups) >= 2:  # as many as basis seeds
         coeffs = tuple((i, s.g0, s.g1) for i, s in enumerate(seeds))
-        return [_Plan(True, None, coeffs,
-                      _shift_axis(identity, spec, [side.g_shift for side in sides]))]
+        return [_Plan(True, None, coeffs, _shift_axis(identity, spec, sides))]
     return [_Plan(False, seed, tuple(group)) for seed, group in groups.items()]
 
 
@@ -676,17 +655,17 @@ def _nearest_zero(bounds: Interval, width: int) -> Interval:
 
 
 def _box(identity: Identity, spec: GridSpec, sides: Sequence[_Term], order: Sequence[str],
-         shift: str | None) -> list[list[range]] | None:
+         ) -> list[list[range]] | None:
     """One box per rank value, as the ranges of order's parameters; None
     when no axis is cut. In the box of a rank value, each parameter but the
-    ranks' and the shift parameter's is cut to its _widths values there
-    nearest 0: any run that long decides the axis, and this one reads the
-    smallest indices. A shift parameter's line costs two evaluations
-    however long it is. The analysis takes at most as much work as the
-    grid has checks, and never more than _MAX_WORK."""
+    ranks is cut to its _widths values there nearest 0: any run that long
+    decides the axis, and this one reads the smallest indices. A shift
+    parameter has two bases, phi and psi, and its two values nearest 0
+    start its line at the same value as its whole range does (see _walk).
+    The analysis takes at most as much work as the grid has checks, and
+    never more than _MAX_WORK."""
     params, ranks = identity.free_params, identity.rank_params
-    axes = [p for p in params if p != shift and p not in ranks
-            and spec.ranges[p][0] < spec.ranges[p][1]]
+    axes = [p for p in params if p not in ranks and spec.ranges[p][0] < spec.ranges[p][1]]
     widths = _widths(identity, spec, sides, axes, _Limit(min(spec.checks(params), _MAX_WORK)))
     if all(width > spec.ranges[p][1] - spec.ranges[p][0]
            for row in widths.values() for p, width in row.items()):
@@ -709,10 +688,9 @@ def _loop_order(identity: Identity, spec: GridSpec, plan: _Plan,
                 ) -> tuple[tuple[str, ...], int]:
     """The parameters, outermost first, and how many of them lead as fixed
     values before the first loop: the fixed ones, then the others in
-    declared order, with the plan's shift parameter innermost. There a
-    term that reads it is computed twice per line, at the line's value
-    nearest 0 and one before; G's recurrence gives the sides at every
-    other step."""
+    declared order, with the plan's shift parameter innermost. There the
+    basis pairs are evaluated once per line, at the line's value nearest
+    0; G's recurrence gives the sides at every other step."""
     params = identity.free_params
     fixed = tuple(p for p in params if spec.ranges[p][0] == spec.ranges[p][1])
     loops = tuple(p for p in params if p not in fixed and p != plan.shift)
@@ -740,20 +718,21 @@ class _SweepWriter:
     pair (level of the deepest loop it reads, whether it reads the index).
 
     The pairs of sides are written side by side: a term's code is one
-    string per pair, where pair j reads G at its own offset and the shift
-    parameter at its own start value, bound before the first loop. The
-    shift parameter counts as the level of the loop that encloses its own,
-    where the start pairs are evaluated. Code that all pairs share is one
-    variable: assigned in a shallower loop, or, when a term's pairs differ,
-    at that term's level, or once per index value in its sum's loop.
+    string per pair, where pair j reads G one index back when backs[j],
+    and every pair reads each parameter by its name in names. A shift
+    parameter, bound to its lines' start value before the first loop,
+    counts as the level of the loop that encloses its own, where the start
+    pairs are evaluated. Code that all pairs share is one variable:
+    assigned in a shallower loop, or, when a term's pairs differ, at that
+    term's level, or once per index value in its sum's loop.
     """
 
-    def __init__(self, order: Sequence[str], pairs: Sequence[tuple[bool, Mapping[str, str]]],
+    def __init__(self, order: Sequence[str], backs: Sequence[bool], names: Mapping[str, str],
                  shift: str | None):
         self.level = {v: i + 1 for i, v in enumerate(order)}
         if shift:
             self.level[shift] = len(order) - 1
-        self.pairs = pairs  # (whether G is read one back, parameter names) of each pair
+        self.backs, self.names = backs, names
         self.lines: list[list[str]] = [[] for _ in range(len(order) + 1)]
         self.temps: dict[str, str] = {}
         self.loops: dict[str, dict[str, str]] = {}  # a loop's text -> its totals
@@ -801,15 +780,15 @@ class _SweepWriter:
         """Python for term at its own rank, per pair."""
         node = term.node
         if isinstance(node, Lit):
-            return ((repr(node.value), {}),) * len(self.pairs)
+            return ((repr(node.value), {}),) * len(self.backs)
         if isinstance(node, Sym):
             if term.kdep:
-                return ((body.name, {body.rng: body.name}),) * len(self.pairs)
-            return tuple((names[node.name], {}) for _, names in self.pairs)
+                return ((body.name, {body.rng: body.name}),) * len(self.backs)
+            return ((self.names[node.name], {}),) * len(self.backs)
         if isinstance(node, Sum):
             lo, hi, inner = term.args
             bounds = max(self.rank(lo), self.rank(hi))
-            # bounds read neither G nor the shift parameter: all pairs alike
+            # bounds read no G: all pairs alike
             rng = self.temp(f"_rng({self.place(lo, bounds, None)[0][0]}, "
                             f"{self.place(hi, bounds, None)[0][0]})", bounds[0])
             level = self.rank(term)[0]
@@ -817,7 +796,7 @@ class _SweepWriter:
             codes = self.place(inner, (level, True), body)
             lists = {seq: elem for _, used in codes for seq, elem in used.items()}
             if len(lists) == 1 and {code for code, _ in codes} == {*lists.values()}:
-                return ((self.temp(f"sum({next(iter(lists))})", level), {}),) * len(self.pairs)
+                return ((self.temp(f"sum({next(iter(lists))})", level), {}),) * len(self.backs)
             totals = self.totals([c for c, _ in codes], self.each(body, lists), body, level)
             return tuple((var, {}) for var in totals)
         rank = self.rank(term)
@@ -825,7 +804,7 @@ class _SweepWriter:
         def each_pair(args: list[_Codes]) -> _Codes:
             return tuple((_op_code(node, [a[j][0] for a in args], back),
                           {seq: elem for a in args for seq, elem in a[j][1].items()})
-                         for j, (back, _) in enumerate(self.pairs))
+                         for j, back in enumerate(self.backs))
 
         args = [self.place(arg, rank, body) for arg in term.args]
         codes = each_pair(args)
@@ -871,30 +850,29 @@ def _sweep_source(identity: Identity, grid: _Grid) -> str:
     params, order, fixed = identity.free_params, grid.order, grid.fixed
     basis, shift = grid.plans[0].basis, grid.plans[0].shift
     names = {p: f"v{i}" for i, p in enumerate(params)}
-    if shift:  # pair j at the start value _sj of each line: z - 1, then z
-        pairs = [(False, {**names, shift: f"_s{j}"}) for j in range(2)]
-    else:  # on the basis, B10(e) = F(e - 1), then B01(e) = F(e)
-        pairs = [(True, names), (False, names)] if basis else [(False, names)]
-    writer = _SweepWriter(order, pairs, shift)
+    # on the basis, B10(e) = F(e - 1), then B01(e) = F(e): with a shift s,
+    # the sides on B01 at s = z - 1, then at z
+    backs = (True, False) if basis else (False,)
+    writer = _SweepWriter(order, backs, names, shift)
     start = len(order) - 1 if shift else len(order)
     lhs, rhs = (writer.place(side, (start, False), None) for side in grid.sides)
-    for j in range(len(pairs)):
+    for j in range(len(backs)):
         writer.lines[start] += [f"_l{j} = {lhs[j][0]}", f"_r{j} = {rhs[j][0]}"]
     axes = [f"_a{j}" for j in range(len(order))]
     # the point's parameters before and after the shift parameter, if any
     i = params.index(shift) if shift else len(params)
     head, tail = ("(" + "".join(f"{names[p]}, " for p in ps) + ")"
                   for ps in (params[:i], params[i + 1:]))
-    walk = f"{head}, {tail}, " + (f"{axes[-1]}, _s1" if shift else "None, 0")
-    values = "_l0, _l1, _r0, _r1" if len(pairs) == 2 else "0, _l0, 0, _r0"
+    walk = f"{head}, {tail}, " + (f"{axes[-1]}, {names[shift]}" if shift else "None, 0")
+    values = "_l0, _l1, _r0, _r1" if basis else "0, _l0, 0, _r0"
     # the values of a line, or a point, follow from its start pairs
     writer.lines[start] += [
-        "if " + " or ".join(f"_l{j} != _r{j}" for j in range(len(pairs))) + " or _check:",
+        "if " + " or ".join(f"_l{j} != _r{j}" for j in range(len(backs))) + " or _check:",
         f"    _walk({walk}, {values}, _S, {basis}, _fail, _check)"]
 
     out = [f"def _sweep({', '.join([*axes, '_F', '_L', '_G', '_S', '_fail', '_check'])}):"]
-    if shift:  # z, the line's value nearest 0: the tables are built around it
-        out += [f"    _s1 = min(max({axes[-1]}[0], 0), {axes[-1]}[-1])", "    _s0 = _s1 - 1"]
+    if shift:  # z, the lines' value nearest 0
+        out.append(f"    {names[shift]} = min(max({axes[-1]}[0], 0), {axes[-1]}[-1])")
     indent = "    "
     out += [indent + line for line in writer.lines[0]]
     for j, var in enumerate(order[:start]):
@@ -1064,24 +1042,14 @@ class _Grid(NamedTuple):
 
 
 # One entry per identity and grid, keyed by both sides, the free parameters,
-# their ranges and the seeds; and one per identity, keyed without ranges or
-# seeds, for its one-point sweep, which runs on any point's tables. An
-# entry keeps its boxes, analysed once, its one sweep, compiled once for
-# every plan with the oracle and without, and the oracle's tables, inside
-# its evaluators, from the grid's first oracle call on; the sweep's tables are
-# the command's (see _State) and each per-seed pass's own, so the fast path
-# keeps no table per grid. Past _CACHED entries the oldest is dropped.
+# their ranges and the seeds. An entry keeps its boxes, analysed once, its
+# one sweep, compiled once for every plan with the oracle and without, and
+# the oracle's tables, inside its evaluators, from the grid's first oracle
+# call on; the sweep's tables are the command's (see _State) and each
+# per-seed pass's own, so the fast path keeps no table per grid. Past
+# _CACHED entries the oldest is dropped.
 _compile_cache: dict[tuple, _Grid] = {}
 _CACHED = 256
-
-
-def _keep(key: tuple, grid: _Grid) -> _Grid:
-    """grid, entered in the cache under key, dropping the oldest entry
-    when the cache is full."""
-    if len(_compile_cache) >= _CACHED:
-        del _compile_cache[next(iter(_compile_cache))]
-    _compile_cache[key] = grid
-    return grid
 
 
 def _grid(identity: Identity, spec: GridSpec) -> _Grid:
@@ -1094,24 +1062,19 @@ def _grid(identity: Identity, spec: GridSpec) -> _Grid:
         sides = _sides(identity)
         plans = tuple(_plans(identity, spec, sides))
         order, fixed = _loop_order(identity, spec, plans[0])
-        box = _box(identity, spec, sides, order, plans[0].shift)
-        grid = _keep(key, _Grid(plans, order, fixed, sides, box, [], []))
+        box = _box(identity, spec, sides, order)
+        if len(_compile_cache) >= _CACHED:
+            del _compile_cache[next(iter(_compile_cache))]
+        grid = _compile_cache[key] = _Grid(plans, order, fixed, sides, box, [], [])
     return grid
 
 
-# The one pass of a one-point sweep, on the G table of any one seed.
-_POINT = _Plan(False, None, (0,))
-
-
 def _point_sweep(identity: Identity) -> Callable[..., None]:
-    """identity's one-point sweep, compiled once and kept in its own
-    entry: every parameter fixed, one pass on one G table."""
+    """identity's one-point sweep: the sweep of its grid with every
+    parameter at 0 and the one seed (0, 1). Its one pass has no basis and
+    no shift, so it runs at any point, on the G table of any one seed."""
     params = identity.free_params
-    key = (identity.lhs, identity.rhs, params)
-    grid = _compile_cache.get(key)
-    if grid is None:
-        grid = _keep(key, _Grid((_POINT,), params, len(params), _sides(identity), None, [], []))
-    return grid.sweep(identity)
+    return _grid(identity, GridSpec(dict.fromkeys(params, (0, 0)), (FIB_SEED,))).sweep(identity)
 
 
 def _pass(plan: _Plan, sweep: Callable[..., None], axes: Sequence[range], state: _State,
@@ -1213,11 +1176,12 @@ def verify_grid(identity: Identity, spec: GridSpec, *, use_oracle: bool = False,
     except EvalError as exc:
         _raise_first_eval_error(identity, spec, exc)
 
-    raw.sort(key=lambda item: (item[0], item[1]))
-    failures = [
-        Failure(tuple(zip(params, vals)), spec.seeds[seed_idx], lv, rv)
-        for vals, seed_idx, lv, rv in raw
-    ]
+    raw.sort()  # each (point, seed index) occurs once
+    failures, vals, point = [], None, None
+    for at, seed_idx, lv, rv in raw:
+        if at != vals:  # a point's failures share one labelled point
+            vals, point = at, tuple(zip(params, at))
+        failures.append(Failure(point, spec.seeds[seed_idx], lv, rv))
     elapsed = (time.perf_counter() - started) * 1000.0
     return VerifyReport(
         identity=identity.name,

@@ -531,8 +531,9 @@ def test_a_serial_command_builds_one_f_table(capsys, monkeypatch, inline_pool):
 
 
 def test_a_long_shift_line_reads_tables_only_at_its_start_pairs(run_fibkit):
-    # p shifts: its lines read F around p = 0 and walk the rest, so the
-    # length of p's range costs neither table nor time
+    # Eq14 reads no G: along p it has two bases, so its box holds the two
+    # values of p nearest 0, and the length of p's range costs neither
+    # table nor time
     started = time.perf_counter()
     code, out, err = run_fibkit("verify", "--id", "Eq14", "--p", "-200000..200000",
                                 "--m", "0..0", "--q", "0..0", "--format", "json")
@@ -585,6 +586,35 @@ def test_eq_variants_json_bytes_are_golden(capsys):
                        "--seeds", "0,1", "2,1", "3,7", "-4,5", "0,0", "1,0", "3,7")
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EQ_VARIANTS
+
+
+# sha256 of stdout, taken from the sweep that walked a line of p from two
+# start pairs on Eq1.fib, which reads no G, and so failed there line by
+# line; the plan with no G and no shift must print the same bytes.
+GOLDEN_EQ_VARIANTS_FAILING = {
+    ("--n", "0..2", "--format", "csv"):
+        "61ab8ceb159b5ae8b7a9b22fd7e653a63bde18c5b35e48a3d0f70d26eba35c2f",
+    ("--oracle", "--n", "0..1", "--m", "-2..2", "--p", "-2..2", "--q", "-2..2",
+     "--format", "json"): "578d630ab1d1e44a8c79123f078063c70a92ae38addf157e643ff7beda085a52",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_EQ_VARIANTS_FAILING, ids=["csv", "oracle"])
+def test_eq_variants_failing_bytes_are_golden(capsys, argv):
+    code, out, _ = run(capsys, "verify", "--file", str(DATA / "eq_variants.cat"), *argv)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EQ_VARIANTS_FAILING[argv]
+
+
+def test_timing_fills_only_the_elapsed_times(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "Eq1", "--format", "json")
+    timed_code, timed, _ = run(capsys, "verify", "--id", "Eq1", "--format", "json", "--timing")
+    reports = json.loads(timed)
+    assert (code, timed_code) == (0, 0) and reports
+    assert all(report["elapsed_ms"] > 0 for report in reports)
+    for report in reports:
+        report["elapsed_ms"] = 0
+    assert json.dumps(reports, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
 # sha256 of stdout, taken from the sweep that read each basis seed's G from

@@ -398,7 +398,7 @@ PER_SEED = [(False, seed, None) for seed in dict.fromkeys(DUPLICATE_SEEDS)]
 
 
 @pytest.mark.parametrize("name,p_range,plan_kinds", [
-    ("Eq8", None, [(False, None, "m")]),                   # reads no G, shifted
+    ("Eq8", None, [(False, None, None)]),                  # reads no G
     ("Eq1", None, [(True, None, "p")]),                     # shifted basis
     ("Eq1", (1, 1), [(True, None, None)]),                  # two-pair basis
     ("Eq1.square", None, PER_SEED),                         # one pass per seed
@@ -467,12 +467,12 @@ def _corrupt_table(monkeypatch, *indices):
 
 
 def test_oracle_check_catches_a_corrupt_table(catalog, monkeypatch):
-    # F(1): read in the grid's box, n in -1..0, at the start pairs of m,
-    # m = -1 and 0, and so in the grid
+    # F(1): read in the grid's box, m and n in -1..0, as F(m + 1) at m = 0,
+    # and so in the grid
     _corrupt_table(monkeypatch, 1)
     eq8 = catalog.get("Eq8")
     spec = small_spec("m", "n")
-    assert verify._grid(eq8, spec).box == [[range(-1, 1), range(-3, 4)]]  # n, m
+    assert verify._grid(eq8, spec).box == [[range(-1, 1), range(-1, 1)]]  # m, n
     assert not verify_grid(eq8, spec).passed
     with pytest.raises(InternalFault, match="oracle disagrees with evaluator on 'Eq8'"):
         verify_grid(eq8, spec, use_oracle=True)
@@ -566,11 +566,11 @@ def _handed_over(monkeypatch, change):
 
 def test_oracle_faults_when_a_pass_hands_over_too_few_points(catalog, monkeypatch):
     eq8, spec = catalog.get("Eq8"), small_spec("m", "n", lo=-2, hi=2, seeds=STANDARD_SEEDS)
-    assert verify._grid(eq8, spec).order == ("n", "m")
+    assert verify._grid(eq8, spec).order == ("m", "n")
     _handed_over(monkeypatch, lambda held, width: held.__delitem__(slice(-width, None)))
     with pytest.raises(InternalFault) as info:
         verify_grid(eq8, spec, use_oracle=True)
-    # the last point in sweep order, n then m
+    # the last point in sweep order, m then n
     assert str(info.value) == ("oracle got no values on 'Eq8' from {'m': 2, 'n': 2} on: "
                                "the sweep handed over fewer points than the grid has")
 
@@ -895,7 +895,7 @@ def test_g_free_identity_fails_once_per_seed_at_each_point():
     seeds = (Seed(0, 1), Seed(2, 1), Seed(0, 0), Seed(2, 1))
     spec = GridSpec({"m": (-3, 3)}, seeds)
     report = verify_grid(bad, spec)
-    assert plans_of(bad, spec) == [verify._Plan(False, None, (0, 1, 2, 3), "m")]
+    assert plans_of(bad, spec) == [verify._Plan(False, None, (0, 1, 2, 3))]
     failing = [m for m in range(-3, 4) if fib(m + 1) != fib(m)]
     assert [(dict(f.point)["m"], f.seed) for f in report.failures] == \
         [(m, seed) for m in failing for seed in seeds]
@@ -957,7 +957,7 @@ def test_a_grid_builds_one_f_table(catalog, monkeypatch):
         (VARIANT_CATALOG.get("Eq1.square"), spec,               # each G derived from F
          [(False, seed, None) for seed in spec.seeds]),
         (catalog.get("Lemma10"), GridSpec({"m": (0, 2), "n": (0, 2)}),
-         [(False, None, "m")]),                                 # no G; L derived from F
+         [(False, None, None)]),                                # no G; L derived from F
     ]
     for identity, grid, kinds in grids:
         assert [(p.basis, p.seed, p.shift) for p in plans_of(identity, grid)] == kinds
@@ -1081,12 +1081,11 @@ def _wrong_table(monkeypatch):
 
 
 def _step_ahead(monkeypatch):
-    # the first start pair taken one step ahead, at the second's value,
-    # which the tables hold
-    source = verify._sweep_source
+    # the first start pair taken one step ahead, at the second's value: G
+    # read at its index, which the tables hold, and not one back
+    op_code = verify._op_code
     monkeypatch.setattr(verify, "_compile_cache", {})
-    monkeypatch.setattr(verify, "_sweep_source",
-                        lambda *args: source(*args).replace("_s0 = _s1 - 1", "_s0 = _s1"))
+    monkeypatch.setattr(verify, "_op_code", lambda node, args, back: op_code(node, args, False))
 
 
 def _wrong_step(monkeypatch):
@@ -1207,7 +1206,8 @@ def _shifted_sides(names, s="s", kinds="G"):
 
 def _draw_shift_grid(data, kinds):
     """An identity whose sides are linear in refs of kinds at s plus an
-    index over the others, and a grid on which it takes a shift plan."""
+    index over the others, and a grid on which, reading G, it takes a
+    shift plan; reading F and L only, the plan with no G and no shift."""
     others = tuple(data.draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
                                       unique=True)))
     params = tuple(data.draw(st.permutations(others + ("s",))))
@@ -1226,10 +1226,9 @@ def _draw_shift_grid(data, kinds):
     lo = data.draw(st.integers(-3, 3))
     ranges["s"] = (lo, lo + data.draw(st.integers(1, 7)))  # several recurrence steps
     spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
-    plans = plans_of(identity, spec)
-    assert len(plans) == 1 and plans[0].shift is not None
-    # G on the basis seed (0, 1) alone, or F and L, reading G nowhere
-    assert (plans[0].basis, plans[0].seed) == (kinds == "G", None)
+    (plan,) = plans_of(identity, spec)
+    g = kinds == "G"
+    assert (plan.basis, plan.seed, plan.shift is not None) == (g, None, g)
     return identity, spec
 
 
@@ -1257,18 +1256,21 @@ def test_g_free_shift_sweep_matches_oracle_and_point_by_point(data):
 def test_every_index_a_shift_sweep_reads_is_in_its_pinned_table(data):
     identity, spec = _draw_shift_grid(data, data.draw(st.sampled_from(("G", "FL"))))
     shift = plans_of(identity, spec)[0].shift
-    lo, hi = spec.ranges[shift]
-    z = min(max(lo, 0), hi)  # the shift parameter's value nearest 0
+    ranges = dict(spec.ranges)
+    if shift:  # the shift parameter's value nearest 0, and one before
+        lo, hi = ranges[shift]
+        z = min(max(lo, 0), hi)
+        ranges[shift] = (z - 1, z)
     state = verify._State()
     try:
         verify_grid(identity, spec, state=state)
     except EvalError:
         return  # located point by point
-    # what the sides read at every point with s at z - 1 or z, G on the
-    # basis seed (0, 1) being F
+    # what the sides read at every point, with a shift parameter at z - 1
+    # or z, G on the basis seed (0, 1) being F
     pinned = verify._State()
     sweep = verify._point_sweep(identity)
-    for point in GridSpec({**spec.ranges, shift: (z - 1, z)}).points(identity.free_params):
+    for point in GridSpec(ranges).points(identity.free_params):
         try:
             sweep(*((v,) for v in point), pinned.f_tab, pinned.l_tab, pinned.f_tab, (0,),
                   [], None)
@@ -1393,7 +1395,8 @@ def test_line_sums_match_oracle_and_eval_side(data):
     ranges["s"] = (lo, lo + data.draw(st.integers(1, 5)))
     spec = GridSpec(ranges, tuple(data.draw(st.permutations(seeds))))
     (plan,) = plans_of(identity, spec)
-    assert plan.shift is not None and (plan.basis, plan.seed) == (kinds == "G", None)
+    g = kinds == "G"
+    assert (plan.basis, plan.seed, plan.shift is not None) == (g, None, g)
     _matches_oracle_and_point_by_point(identity, spec, eval_side)
 
 
@@ -1410,7 +1413,8 @@ def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
     grid = verify._grid(eq1, spec)
     (plan,) = grid.plans
     assert grid.order == ("n", "m", "q", "p") and plan.shift == "p"
-    tree = ast.parse(verify._sweep_source(eq1, grid))
+    source = verify._sweep_source(eq1, grid)
+    tree = ast.parse(source)
     (line,) = _for_loops(tree, "_a2")  # q: each of its iterations is a line of p
     # the sweep evaluates the start pairs and no value of p's axis: its one
     # read of the axis hands it to the walk of the line (see verify._walk)
@@ -1429,14 +1433,18 @@ def test_eq1_line_evaluates_its_start_pairs_in_one_loop(catalog, oracle_check):
     at = {"_l0": 1, "_r0": 1, "_l1": 2, "_r1": 2, "_check": check}
     assert bool(eval(compile(ast.Expression(guard.test), "<guard>", "eval"), {}, at)) is oracle_check
     start = line.body
-    # the sum is one loop with a total per start pair, each reading the
-    # shift parameter at its own start value
+    # the sum is one loop with a total per start pair: the basis pairs at
+    # p = z, bound once, reading G one back and at one shared index
+    assert source.count("v2 = ") == 1 and "_s0" not in source
     (loop,) = [stmt for stmt in start if isinstance(stmt, ast.For)]
     totals = [stmt for stmt in loop.body if isinstance(stmt, ast.AugAssign)]
     assert len({total.target.id for total in totals}) == 2
-    assert [[node.id for node in ast.walk(total.value)
-             if isinstance(node, ast.Name) and node.id in ("_s0", "_s1", "v2")]
-            for total in totals] == [["_s0"], ["_s1"]]
+    (index,) = [stmt.targets[0].id for stmt in loop.body if isinstance(stmt, ast.Assign)
+                and any(isinstance(node, ast.Name) and node.id == "v2"
+                        for node in ast.walk(stmt.value))]
+    assert [[ast.unparse(node) for node in ast.walk(total.value)
+             if isinstance(node, ast.Subscript) and node.value.id == "_G"]
+            for total in totals] == [[f"_G[{index} - 1]"], [f"_G[{index}]"]]
     # no list is built per line: the summands are computed in the loop
     assert not [node for stmt in start for node in ast.walk(stmt)
                 if isinstance(node, ast.ListComp)]
@@ -1460,29 +1468,32 @@ def test_shift_sweep_evaluates_the_sides_twice_per_line(monkeypatch):
         report = verify_grid(SHIFTED, spec)
         assert report.failures and report.total == (hi + 2) * len(spec.seeds)
         reads.append(_CountingTable.reads)
-    # one line: the four G reads of both sides, at p = -2 and at p = -1
-    assert reads == [8, 8]
+    # one line in the box, which fails, then the grid's one line: each the
+    # four G reads of both sides, at p = -1 and one back
+    assert reads == [16, 16]
 
 
 def test_shift_plan_loop_orders_on_the_default_grid(catalog):
-    # every entry takes a shift plan there, and loops in declared order
-    # with its shift parameter innermost
+    # every entry that reads G takes a shift plan there, and every entry
+    # loops in declared order with its shift parameter, if any, innermost
     args = cli.build_parser().parse_args(["verify", "--all"])
     shifts = {}
     for entry in catalog:
         grid = assert_declared_loop_order(entry, cli._grid_for(entry, args))
         assert grid.fixed == 0
         shifts[entry.name] = grid.plans[0].shift
+    g_free = ("Eq8", "Lemma10", "Lemma11", "Lemma12", "Lemma13", "Eq14", "Eq16", "Eq18", "Eq19")
     assert shifts == {entry.name: "n" if entry.name.startswith("S3.") else
-                      "m" if entry.name in ("Eq8", "Lemma10", "Lemma11", "Lemma12", "Lemma13")
-                      else "p" for entry in catalog}
+                      None if entry.name in g_free else "p" for entry in catalog}
     assert len(shifts) == 29
 
 
 def test_default_sweeps_emit_the_sides_and_leave_each_line_to_the_walk(catalog):
     # the walk along a line, its seeds and its oracle hand-off are written
-    # once, in verify._walk: the 29 sweeps of a fresh verify --all hold
-    # 25,303 bytes, against 36,083 with the walk written into each
+    # once, in verify._walk, and a line's start pairs are the basis pairs at
+    # one value: the 29 sweeps of a fresh verify --all hold 24,354 bytes,
+    # against 25,303 with start pairs at two values of the shift parameter
+    # and 36,083 with the walk written into each
     args = cli.build_parser().parse_args(["verify", "--all"])
     size = 0
     for entry in catalog:
@@ -1490,9 +1501,10 @@ def test_default_sweeps_emit_the_sides_and_leave_each_line_to_the_walk(catalog):
         source = verify._sweep_source(entry, grid)
         size += len(source.encode())
         tree = ast.parse(source)
-        axis = f"_a{grid.order.index(grid.plans[0].shift)}"
-        assert not _for_loops(tree, "_S") and not _for_loops(tree, axis), entry.name
-    assert size <= 26_000
+        shift = grid.plans[0].shift
+        assert not _for_loops(tree, "_S"), entry.name
+        assert not shift or not _for_loops(tree, f"_a{grid.order.index(shift)}"), entry.name
+    assert size <= 24_600
 
 
 @pytest.mark.parametrize("text,params,ranges", [
@@ -1529,9 +1541,10 @@ def test_g_free_shift_needs_one_shifted_factor_per_term(side):
     _matches_oracle_and_point_by_point(identity, spec)
 
 
-# Sides that agree at m = -3, the value of m in -9..-3 nearest 0, where
-# each line's second start pair is, and differ one step before it: the
-# start pairs differ only in their first values.
+# Sides that agree at m = -3, the value of m in -9..-3 nearest 0, and differ
+# one step before it. On the G side's line of m, which starts at m = -3,
+# the start pairs differ only in their first values; the F side reads no G
+# and is checked point by point.
 EDGES = ("F(m) == F(m) + F(m + 3)", "G(m) == G(m) + G(m + 3)")
 LINE_GUARD = "if _l0 != _r0 or _l1 != _r1 or _check:"
 
@@ -1540,8 +1553,9 @@ def _edge_failures(text):
     identity = parse_identity(text, name="edge", params=("m",))
     seeds = (Seed(0, 1), Seed(3, 7), Seed(2, 1), Seed(0, 1))
     spec = GridSpec({"m": (-9, -3)}, seeds)
-    assert [p.shift for p in plans_of(identity, spec)] == ["m"]
-    value = gen if text.startswith("G") else lambda seed, i: fib(i)
+    g = text.startswith("G")
+    assert [p.shift for p in plans_of(identity, spec)] == ["m" if g else None]
+    value = gen if g else lambda seed, i: fib(i)
     expected = [((("m", m),), seed, value(seed, m), value(seed, m) + value(seed, m + 3))
                 for m in range(-9, -2) for seed in seeds if value(seed, m + 3)]
     failures = [(f.point, f.seed, f.lhs, f.rhs) for f in verify_grid(identity, spec).failures]
@@ -1562,9 +1576,8 @@ def test_a_line_guard_on_one_start_pair_misses_the_edges(monkeypatch):
     monkeypatch.setattr(verify, "_compile_cache", {})
     monkeypatch.setattr(verify, "_sweep_source",
                         lambda *args: source(*args).replace(LINE_GUARD, "if _l1 != _r1 or _check:", 1))
-    for text in EDGES:
-        failures, expected = _edge_failures(text)
-        assert expected and failures == []
+    failures, expected = _edge_failures(EDGES[1])
+    assert expected and failures == []
 
 
 def test_repeated_grid_is_planned_once(catalog, monkeypatch):
@@ -1777,9 +1790,36 @@ def test_eq1_box_at_rank_n_holds_the_values_of_m_and_q_nearest_zero(catalog, ran
     boxes = grid.box
     assert grid.order == ("n", "m", "q", "p")
     nearest = range(-((rank + 1) // 2), rank // 2 + 1)  # n + 1 values
-    assert boxes[rank] == [range(rank, rank + 1), nearest, nearest, range(-8, 9)]
+    # p, the shift, at its two values nearest 0: its lines start at 0 there
+    assert boxes[rank] == [range(rank, rank + 1), nearest, nearest, range(-1, 1)]
     assert len(boxes) == 5
     assert sum(len(box[1]) * len(box[2]) for box in boxes) == 55  # lines of p
+
+
+def test_default_boxes_cut_every_axis_but_the_ranks(catalog):
+    # in each box, a rank axis holds its one value and every other axis its
+    # count of bases, cut when the axis is longer; a shift axis counts two,
+    # phi and psi, and its box starts each line at the value z that the
+    # whole axis does
+    args = cli.build_parser().parse_args(["verify", "--all"])
+    shifts = 0
+    for entry in catalog:
+        spec = cli._grid_for(entry, args)
+        grid = verify._grid(entry, spec)
+        rows = widths_by_rank(entry, spec)
+        assert len(grid.box) == len(rows), entry.name
+        for box, (values, row) in zip(grid.box, rows.items()):
+            axes = dict(zip(grid.order, box))
+            assert [axes[r] for r in entry.rank_params] == [range(v, v + 1) for v in values]
+            assert {x: len(axes[x]) for x in row} == row, entry.name
+        shift = grid.plans[0].shift
+        if shift:
+            shifts += 1
+            lo, hi = spec.ranges[shift]
+            for box in grid.box:
+                axis = box[grid.order.index(shift)]
+                assert len(axis) == 2 and min(max(axis[0], 0), axis[-1]) == min(max(lo, 0), hi)
+    assert shifts == 20
 
 
 def test_a_passing_grid_sweeps_only_its_box(catalog, monkeypatch):
@@ -1790,10 +1830,10 @@ def test_a_passing_grid_sweeps_only_its_box(catalog, monkeypatch):
     eq1 = catalog.get("Eq1")
     grid = verify._grid(eq1, VARIANT_SPEC)
     assert grid.order == ("n", "m", "q", "p") and [p.shift for p in grid.plans] == ["p"]
-    # one box per rank value n, m and q cut to its n + 1 values nearest 0;
-    # p shifts
-    boxes = [[(0, 0), (0, 0), (0, 0), (-2, 2)], [(1, 1), (-1, 0), (-1, 0), (-2, 2)],
-             [(2, 2), (-1, 1), (-1, 1), (-2, 2)]]
+    # one box per rank value n, m and q cut to its n + 1 values nearest 0,
+    # and p, the shift, to its two
+    boxes = [[(0, 0), (0, 0), (0, 0), (-1, 0)], [(1, 1), (-1, 0), (-1, 0), (-1, 0)],
+             [(2, 2), (-1, 1), (-1, 1), (-1, 0)]]
     report = verify_grid(eq1, VARIANT_SPEC)
     assert report.passed and report.total == 1500 and swept == boxes
     # a failure in a box sweeps the whole grid, every plan, as before
