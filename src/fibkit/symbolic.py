@@ -25,6 +25,25 @@ with its index bound in place: indices and exponents are read with the
 values bound so far, never copied, and its terms are added into one
 polynomial.
 
+A binomial sum, the shape of each side Eq(1)-(4) sums, is not expanded
+term by term but collapsed by the binomial theorem (Kauers and Paule, The
+Concrete Tetrahedron, ch. 4). The sum is sum(k, 0, N, binom(N, k) * f1 *
+... * fr), with lower bound the literal 0, N >= 0 its upper bound and the
+top of its one binom(top, k), and each other factor one that reads no k,
+F, L, G or sign() of an index, or X^e with X free of k. Each index and
+exponent must have degree at most 1 in k, read on the tree, and each
+exponent must be >= 0 at k = 0 and k = N. Each F, L or G factor is then
+its phi part and its conjugate part, each coef * ratio^k with ratio a
+monomial, and sign() one such part; X^(c + s*k) is X^c * (X^s)^k, and for
+s < 0 X^(c + s*N) * (X^-s)^(N - k). With A and B the products of the
+(X^s)^k and (X^-s)^(N - k) bases and C that of the factors that read no
+k, the sum is C * sum(coef * (ratio*A + B)^N) over the distinct ratios:
+one power per ratio instead of N + 1 expanded products, so Eq(1)-(4)
+prove up to rank 293 within the budget below, against 42 term by term.
+A sum of any other shape, and one whose collapse is refused, is
+expanded term by term from the same count of products, so a refusal
+reads the same whichever route was tried first.
+
 The difference of the two sides is built once. It is multilinear in the
 sign symbols, so it is zero exactly when it vanishes at every point of
 {+-1}^r: a zero difference passes all 2^r parity cases, whose union
@@ -42,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping
 
 from .catalog import Identity
@@ -78,7 +97,10 @@ _SEED_NAMES = ("splus", "szero")
 # included, takes at most about 33 KB, and _CACHED of them 8.2 MB
 # (tracemalloc; base and power of 64 terms with 128-bit numerators, in
 # up to 40 symbols with exponents up to a million); the catalog's powers
-# hold at most 8 terms and 193 bits.
+# hold at most 8 terms and 193 bits. The binomial collapse keeps as many
+# Binet parts, each at most about 8 KB under the same index bound (G in
+# 40 symbols, constants near _CACHED_BITS), and as many sum shapes, about
+# 1 KB each for Eq(1)-(4) beside the sum node they key.
 _CACHED = 256
 _CACHED_BITS = 4096
 _KEPT_TERMS = 64
@@ -112,6 +134,90 @@ def _constant(node: Node, what: str, env: Mapping[str, int]) -> int:
     return const
 
 
+def _linear(node: Node, var: str, env: Mapping[str, int]) -> dict[tuple[str, int], int] | None:
+    """An index expression as the sum of c * s * var^j over its monomials,
+    keyed (s, j) with s a parameter not bound in env, or "" for none, and
+    j 0 or 1; None when it holds a node outside index arithmetic, or a
+    product whose factors both read var or both read parameters. Read on
+    the tree: k*(k - 1)*(k - 2) is refused although it is zero at k = 0, 1,
+    2. What it accepts, expr.affine reads at every value of var as the
+    same affine form, with no product of parameters left."""
+    kind = type(node)
+    if kind is Lit:
+        return {("", 0): node.value} if node.value else {}
+    if kind is Sym:
+        if node.name == var:
+            return {("", 1): 1}
+        if node.name in env:
+            return {("", 0): env[node.name]} if env[node.name] else {}
+        return {(node.name, 0): 1}
+    if kind is Neg:
+        inner = _linear(node.operand, var, env)
+        return None if inner is None else {m: -c for m, c in inner.items()}
+    if kind not in (Add, Sub, Mul):
+        return None
+    left, right = _linear(node.left, var, env), _linear(node.right, var, env)
+    if left is None or right is None:
+        return None
+    if kind is Mul:
+        out: dict[tuple[str, int], int] = {}
+        for (s1, j1), c1 in left.items():
+            for (s2, j2), c2 in right.items():
+                if (s1 and s2) or j1 + j2 > 1:
+                    return None
+                out[s1 or s2, j1 + j2] = out.get((s1 or s2, j1 + j2), 0) + c1 * c2
+    else:
+        out, sign = dict(left), 1 if kind is Add else -1
+        for m, c in right.items():
+            out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _factors(node: Node) -> list[Node]:
+    """The factors of a product, left to right."""
+    return [*_factors(node.left), *_factors(node.right)] if type(node) is Mul else [node]
+
+
+@lru_cache(maxsize=_CACHED)
+def _binomial_shape(node: Sum, n: int, bound: tuple[tuple[str, int], ...],
+                    ) -> tuple[tuple[Node, object], ...] | None:
+    """How each factor of sum(k, 0, n, binom(n, k) * f1 * ... * fr) other
+    than its binom reads k, with the names in `bound` bound to their
+    values; None for a sum of any other shape. A factor that reads no k
+    reads it as None. X^e, where X reads no k, reads it as the pair
+    (c, s) of e = c + s*k, which is not negative at k = 0 and k = n; F, L,
+    G and sign() read it as the _linear form of their argument."""
+    var, env = node.var, dict(bound)
+    if node.lo != Lit(0) or n < 0 or any(type(x) is Sum for x in iter_nodes(node.body)):
+        return None
+    plan, binoms = [], 0
+    for factor in _factors(node.body):
+        kind = type(factor)
+        if var not in free_symbols(factor):
+            form = None
+        elif kind is Binom and factor.bottom == Sym(var):
+            binoms += 1
+            if _linear(factor.top, var, env) != ({("", 0): n} if n else {}):
+                return None
+            continue
+        elif kind is Pow and var not in free_symbols(factor.base):
+            form = _linear(factor.exponent, var, env)
+            if form is None or any(s for s, _ in form):
+                return None
+            c, s = form.get(("", 0), 0), form.get(("", 1), 0)
+            if min(c, c + s * n) < 0:  # refused by the term-by-term route, in its words
+                return None
+            form = c, s
+        elif kind is SeqRef or kind is Sign:
+            form = _linear(factor.arg, var, env)
+            if form is None:
+                return None
+        else:
+            return None
+        plan.append((factor, form))
+    return tuple(plan) if binoms == 1 else None
+
+
 # --- Binet rewriting with sign symbols ---------------------------------------
 
 def _brief(what: Node | str, env: Mapping[str, int]) -> str:
@@ -121,30 +227,57 @@ def _brief(what: Node | str, env: Mapping[str, int]) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+# Each sequence's Binet weights: seed exponents (splus, szero) -> the
+# weights of phi^e and (1 - phi)^e, and the denominator under them.
+_WEIGHTS = {
+    "F": ({(0, 0): (SQRT5, -SQRT5)}, 5),  # (phi^e - (1 - phi)^e) / sqrt(5), 1/sqrt(5) = sqrt(5)/5
+    "L": ({(0, 0): (1, 1)}, 1),           # phi^e + (1 - phi)^e
+    # G(e) = [splus * F(e) + szero * L(e)] / 2
+    "G": ({(1, 0): (SQRT5, -SQRT5), (0, 1): (5, 5)}, 10),
+}
+
+
+def _roots(const: int, coeffs: tuple[int, ...],
+           ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], GoldenInt], ...]:
+    """phi^e and (1 - phi)^e at e = const + sum(coeffs[i] * x_i), each as
+    its axis exponents, sign exponents and coefficient."""
+    root = phi_pow(const)
+    # phi^e = phi^c * prod X^a, (1 - phi)^e = conj(phi^c) * prod (-1)^(a*x) * X^(-a)
+    return ((coeffs, (0,) * len(coeffs), root),
+            (tuple(-a for a in coeffs), tuple(a & 1 for a in coeffs), root.conj()))
+
+
 @lru_cache(maxsize=_CACHED)
 def _binet(kind: str, const: int, coeffs: tuple[int, ...]) -> LaurentPoly:
     """F, L or G at the index const + sum(coeffs[i] * x_i), in the symbols
     of a proof with len(coeffs) free parameters, built as its Binet
     monomials. Monomials whose exponents agree, as they do for a closed
     index, are merged."""
-    nfree = len(coeffs)
-    root = phi_pow(const)
-    # phi^e = phi^c * prod X^a, (1 - phi)^e = conj(phi^c) * prod (-1)^(a*x) * X^(-a)
-    plus = (coeffs, (0,) * nfree, root)
-    minus = (tuple(-a for a in coeffs), tuple(a & 1 for a in coeffs), root.conj())
-    # seed exponents (splus, szero) -> the weights of phi^e and (1 - phi)^e
-    if kind == "F":    # (phi^e - (1 - phi)^e) / sqrt(5), 1/sqrt(5) = sqrt(5)/5
-        weights, den = {(0, 0): (SQRT5, -SQRT5)}, 5
-    elif kind == "L":  # phi^e + (1 - phi)^e
-        weights, den = {(0, 0): (1, 1)}, 1
-    else:              # G(e) = [splus * F(e) + szero * L(e)] / 2
-        weights, den = {(1, 0): (SQRT5, -SQRT5), (0, 1): (5, 5)}, 10
+    weights, den = _WEIGHTS[kind]
     merged: dict[tuple[int, ...], GoldenInt] = {}
     for seeds, pair in weights.items():
-        for (axes, signs, z), w in zip((plus, minus), pair):
+        for (axes, signs, z), w in zip(_roots(const, coeffs), pair):
             exps = (*axes, *seeds, *signs)
             merged[exps] = merged[exps] + z * w if exps in merged else z * w
-    return LaurentPoly(2 * nfree + 2, merged, den, nfree)
+    return LaurentPoly(2 * len(coeffs) + 2, merged, den, len(coeffs))
+
+
+@lru_cache(maxsize=_CACHED)
+def _binet_parts(kind: str, const: int, coeffs: tuple[int, ...], step: int,
+                 steps: tuple[int, ...]) -> tuple[tuple[LaurentPoly, LaurentPoly], ...]:
+    """F, L or G at the index e + k*d, with e = const + sum(coeffs[i] * x_i)
+    and d = step + sum(steps[i] * x_i), as its two parts coef * ratio^k:
+    the weighted phi^e with ratio phi^d, and the weighted (1 - phi)^e with
+    ratio (1 - phi)^d. Each ratio is one monomial."""
+    weights, den = _WEIGHTS[kind]
+    nsyms, nfree = 2 * len(coeffs) + 2, len(coeffs)
+    parts = []
+    for j, ((axes, signs, z), (d_axes, d_signs, d_z)) in enumerate(
+            zip(_roots(const, coeffs), _roots(step, steps))):
+        coef = {(*axes, *seeds, *signs): z * pair[j] for seeds, pair in weights.items()}
+        parts.append((LaurentPoly(nsyms, coef, den, nfree),
+                      LaurentPoly(nsyms, {(*d_axes, 0, 0, *d_signs): d_z}, 1, nfree)))
+    return tuple(parts)
 
 
 @lru_cache(maxsize=_CACHED)
@@ -170,6 +303,14 @@ def _closed_value(poly: LaurentPoly, node: Node, env: Mapping[str, int]) -> int 
         raise InternalFault(f"{_brief(node, env)}: the closed base ({c})/{poly.den} "
                             f"is not an integer")
     return value
+
+
+def _digit_limit(value: int, e: int, node: Node, env: Mapping[str, int]) -> None:
+    """Refuse value^e past the parser's digit limit, also for a power
+    closed by fixed parameters."""
+    if abs(value) > 1 and _times(e, math.log10(abs(value))) >= MAX_DIGITS:
+        raise SymbolicError(f"{_brief(node, env)}: the proof needs a constant "
+                            f"over the {MAX_DIGITS:,}-digit limit")
 
 
 def _small(poly: LaurentPoly) -> bool:
@@ -294,14 +435,22 @@ class _Rewriter:
         e = _constant(node.exponent, "power exponent", env)
         if e < 0:
             raise SymbolicError(f"power exponent {e} is negative")
-        base = self.to_poly(node.base, env)
+        return self.power(self.to_poly(node.base, env), e, node, env)
+
+    def power(self, base: LaurentPoly, e: int, node: Node,
+              env: Mapping[str, int]) -> LaurentPoly:
+        """base^e for e >= 0, the power `node` asks for: an integer's power
+        when base has no symbol left, else base multiplied out."""
         value = _closed_value(base, node, env)
-        if value is not None:  # no symbol left: an integer's power
-            # the parser's digit limit, also for a power closed by fixed parameters
-            if abs(value) > 1 and _times(e, math.log10(abs(value))) >= MAX_DIGITS:
-                raise SymbolicError(f"{_brief(node, env)}: the proof needs a constant "
-                                    f"over the {MAX_DIGITS:,}-digit limit")
-            return self.constant(value ** e)
+        if value is None:
+            return self.raised(base, e, node, env)
+        _digit_limit(value, e, node, env)
+        return self.constant(value ** e)
+
+    def raised(self, base: LaurentPoly, e: int, node: Node,
+               env: Mapping[str, int]) -> LaurentPoly:
+        """base^e for e >= 0 by square-and-multiply, each product charged
+        to `node`."""
         # multiplied out once per process: a kept power charges its products
         # again, in order, so a proof's charges and refusals are the same
         # whatever the process proved before
@@ -347,12 +496,79 @@ class _Rewriter:
             raise SymbolicError(
                 f"{_brief(node, env)}: the proof needs more than "
                 f"{MAX_SUM_TERMS:,} summation terms")
+        products = self.products
+        try:
+            poly = self.collapse(node, hi, env)
+        except SymbolicError:  # the term-by-term route refuses, in its words, from the same count
+            poly, self.products = None, products
+        if poly is not None:
+            return poly
         terms = []
         inner = dict(env)
         for k in range(lo, hi + 1):
             inner[node.var] = k
             terms.append(self.to_poly(node.body, inner))
         return _sum(terms) if terms else self.constant(0)
+
+    def collapse(self, node: Sum, n: int, env: Mapping[str, int]) -> LaurentPoly | None:
+        """sum(k, 0, n, binom(n, k) * f1 * ... * fr) by the binomial theorem,
+        or None for a sum of another shape (_binomial_shape). Each F, L, G
+        or sign() factor is its parts coef * ratio^k, each power
+        X^(c + s*k) is X^c * (X^s)^k, or X^(c + s*n) * (X^-s)^(n - k) for
+        s < 0, and the factors that read no k make a constant C. With A
+        the product of the (X^s)^k bases and B that of the (X^-s)^(n - k)
+        ones, the sum is C * sum(coef * (ratio*A + B)^n) over the distinct
+        ratios of the parts' products."""
+        plan = _binomial_shape(node, n, tuple(sorted(env.items())))
+        if plan is None:
+            return None
+        one = self.constant(1)
+
+        def fold(polys: list[LaurentPoly]) -> LaurentPoly:
+            return reduce(lambda a, b: self.product(a, b, node, env), polys) if polys else one
+
+        consts: list[LaurentPoly] = []
+        ups: list[LaurentPoly] = []
+        downs: list[LaurentPoly] = []
+        parts: list[tuple[tuple[LaurentPoly, LaurentPoly], ...]] = []
+        for factor, form in plan:
+            if form is None:
+                consts.append(self.to_poly(factor, env))
+            elif type(factor) is Pow:
+                c, s = form
+                base = self.to_poly(factor.base, env)
+                value = _closed_value(base, factor, env)
+                if value is not None:  # the largest power the term-by-term route takes
+                    _digit_limit(value, max(c, c + s * n), factor, env)
+                low = c if s >= 0 else c + s * n
+                if low:
+                    consts.append(self.power(base, low, factor, env))
+                if s:
+                    (ups if s > 0 else downs).append(self.power(base, abs(s), factor, env))
+            else:  # the argument e + k*d
+                e0, d0 = form.get(("", 0), 0), form.get(("", 1), 0)
+                e, d = (tuple(form.get((p, j), 0) for p in self.free) for j in (0, 1))
+                if type(factor) is Sign:
+                    parts.append(((_scalar(tuple(a & 1 for a in e), -1 if e0 & 1 else 1, 1),
+                                   _scalar(tuple(a & 1 for a in d), -1 if d0 & 1 else 1, 1)),))
+                else:
+                    far = max(abs(e0), abs(d0)) > _CACHED_BITS  # not kept past the proof
+                    build = _binet_parts.__wrapped__ if far else _binet_parts
+                    parts.append(build(factor.kind, e0, e, d0, d))
+        groups: dict[tuple, tuple[list[LaurentPoly], LaurentPoly]] = {}
+        for combo in itertools.product(*parts):
+            ratio = fold([r for _, r in combo])
+            coefs, _ = groups.setdefault(tuple(ratio.terms.items()), ([], ratio))
+            coefs.append(fold([c for c, _ in combo]))
+        a, b = fold(ups), fold(downs)
+        terms = []
+        for coefs, ratio in groups.values():
+            coef = _sum(coefs)
+            if not coef.is_zero():
+                base = (self.product(ratio, a, node, env) if ups else ratio) + b
+                terms.append(self.product(coef, self.raised(base, n, node, env), node, env))
+        poly = _sum(terms) if terms else self.constant(0)
+        return self.product(fold(consts), poly, node, env) if consts else poly
 
 
 # How to_poly reads each node type.

@@ -113,15 +113,22 @@ _Ring = TypeVar("_Ring", "GoldenInt", "LaurentPoly")
 
 def _power(base: _Ring, n: int, one: _Ring,
            times: Callable[[_Ring, _Ring], _Ring] = mul) -> _Ring:
-    """base ** n for n >= 0 by square-and-multiply; `one` is the ring's unit
-    and `times` its product."""
-    result = one
+    """base ** n for n >= 0 by square-and-multiply, with `times` the ring's
+    product. The result starts as the power of base at n's lowest set bit,
+    so no product is by the unit; `one`, the ring's unit, is the result
+    only for n = 0."""
+    if not n:
+        return one
+    while not n & 1:
+        base = times(base, base)
+        n >>= 1
+    result = base
+    n >>= 1
     while n:
+        base = times(base, base)
         if n & 1:
             result = times(result, base)
         n >>= 1
-        if n:
-            base = times(base, base)
     return result
 
 

@@ -11,6 +11,7 @@ from fibkit import (
     prove_symbolic, symbolic,
 )
 from fibkit.expr import Lit, Mul, Pow, SeqRef, Sign, Sym
+from fibkit.parser import parse_identity_sides
 from fibkit.verify import verify_grid
 from fibkit.zphi import PHI, GoldenInt, LaurentPoly, _make
 
@@ -264,6 +265,112 @@ def test_prover_fails_every_parity_class_the_grid_fails(drawn):
         assert proof.passed, ident.text
 
 
+# --- the binomial collapse ------------------------------------------------------------
+
+class _TermByTerm(symbolic._Rewriter):
+    """The prover with every sum expanded one term at a time."""
+
+    __slots__ = ()
+
+    def collapse(self, node, n, env):
+        return None
+
+
+def _routes(text):
+    """The sum in `text` read three ways, in the symbols of m, p and q: by
+    the collapse alone (None where it does not apply), by the prover, and
+    term by term. Each is a polynomial or a refusal's text."""
+    node, _ = parse_identity_sides(f"{text} == 0")
+
+    def outcome(read):
+        try:
+            return read()
+        except SymbolicError as exc:
+            return str(exc)
+
+    free, n = ("m", "p", "q"), symbolic._constant(node.hi, "sum upper bound", {})
+    return (outcome(lambda: symbolic._Rewriter(free).collapse(node, n, {})),
+            outcome(lambda: symbolic._Rewriter(free).to_poly(node, {})),
+            outcome(lambda: _TermByTerm(free).to_poly(node, {})))
+
+
+@st.composite
+def _binomial_sums(draw):
+    """(sum(k, 0, n, binom(n, k)*...) with F, L, G, sign, power and constant
+    factors, whether every exponent is >= 0 at k = 0 and k = n)."""
+    n = draw(st.integers(0, 12))
+    factors, collapses = [f"binom({n}, k)"], True
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["F", "L", "G", "sign", "power", "constant"]))
+        if kind == "power":
+            base = draw(st.sampled_from(["F(m + 1)", "L(p)", "G(q - 1)", "2", "F(2)"]))
+            c, s = draw(st.integers(0, 2)), draw(st.integers(-2, 2))
+            step = draw(st.sampled_from(["k", f"({n} - k)"]))
+            collapses &= min(c, c + s * n) >= 0  # the exponent at k = 0 and k = n
+            factors.append(f"{base}^({c} + {s}*{step})")
+        elif kind == "constant":
+            factors.append(draw(st.sampled_from(["3", "F(m + 2)", f"binom({n}, 2)", "sign(p)"])))
+        else:  # an index whose step in k may read a parameter
+            x, y = draw(st.sampled_from("mpq")), draw(st.sampled_from("mpq"))
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            factors.append(f"{kind}({c} + {a}*{x} + k*({d} + {b}*{y}))")
+    return f"sum(k, 0, {n}, {'*'.join(draw(st.permutations(factors)))})", collapses
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_binomial_sums())
+def test_the_collapse_gives_the_term_by_term_polynomial(drawn):
+    text, collapses = drawn
+    with pytest.MonkeyPatch.context() as patch:  # term by term, some draws pass 100,000
+        patch.setattr(symbolic, "MAX_TERM_PRODUCTS", 10 ** 7)
+        collapsed, proved, expanded = _routes(text)
+    assert proved == expanded, text
+    assert (collapsed is not None) == collapses, text
+    if collapses:
+        assert collapsed == expanded, text
+
+
+@pytest.mark.parametrize("text", [
+    "sum(k, 1, 5, binom(5, k)*F(m + k))",
+    "sum(k, 0, 5, binom(6, k)*F(m + k))",
+    "sum(k, 0, 0 - 1, binom(0 - 1, k)*F(m + k))",  # empty: (...)^(-1) would never return
+    "sum(k, 0, 5, binom(5, k)*binom(5, k)*F(m + k))",
+    "sum(k, 0, 5, binom(5, k + 1)*F(m + k))",
+    "sum(k, 0, 5, binom(5, k)*F(m + k*(k - 1)*(k - 2)))",
+    "sum(k, 0, 5, binom(5, k)*pow5floor(k)*F(m + k))",
+    "sum(k, 0, 5, binom(5, k)*F(m + k)^2)",
+    "sum(k, 0, 5, binom(5, k)*F(m)^(3 - k))",
+    "sum(k, 0, 5, binom(5, k)*F(p*q + k))",
+], ids=["lower-bound", "top", "empty", "two-binoms", "binom-k+1", "cubic-index",
+        "pow5floor", "k-in-base", "negative-exponent", "product-index"])
+def test_other_sum_shapes_are_expanded_term_by_term(text):
+    collapsed, proved, expanded = _routes(text)
+    assert collapsed is None
+    assert proved == expanded
+
+
+def test_a_refused_collapse_is_expanded_term_by_term_from_the_same_count(monkeypatch):
+    # at rank 4 the collapse takes 372 term products and the term-by-term
+    # route 244, so between the two only the fallback proves the sum
+    text = "sum(k, 0, 4, binom(4, k)*F(m)^k*L(p)^(4 - k)*G(q + 2*k))"
+    for budget in (0, 100, 243, 244, 371, 372):
+        monkeypatch.setattr(symbolic, "MAX_TERM_PRODUCTS", budget)
+        collapsed, proved, expanded = _routes(text)
+        assert proved == expanded
+        assert isinstance(proved, str) == (budget < 244)
+        assert isinstance(collapsed, str) == (budget < 372)
+    # 10^(700000*k) passes the digit limit only at k = 3, where the term-by-term route stops
+    collapsed, proved, expanded = _routes("sum(k, 0, 3, binom(3, k)*10^(700000*k))")
+    assert proved == expanded == ("10^(700000*3): the proof needs a constant over the "
+                                  "2,000,000-digit limit")
+
+
+def test_the_collapse_proves_the_flagships_far_past_the_term_by_term_edge(capsys):
+    # term by term, Eq1 is refused from rank 43 on
+    assert cli.main(["prove", "--id", "Eq1", "Eq2", "Eq3", "Eq4", "--n", "200"]) == 0
+
+
 # --- resource bounds ------------------------------------------------------------------
 
 def test_sum_range_is_refused_before_its_loop(tmp_path, capsys):
@@ -396,17 +503,18 @@ def test_parity_cases_are_charged_to_the_budget(tmp_path, capsys, params, identi
     assert err.endswith(": the proof needs more than 100,000 term products\n")
 
 
-def test_budget_edge_lies_between_ranks_42_and_43(capsys):
-    # Eq1 takes 97,621 term products at rank 42; at rank 43 F(m)^41 would pass 100,000
-    assert cli.main(["prove", "--id", "Eq1", "--n", "42"]) == 0
-    assert cli.main(["prove", "--id", "Eq1", "--n", "43"]) == 2
+def test_budget_edge_lies_between_ranks_293_and_294(capsys):
+    # Eq1 takes 99,667 term products at rank 293, its left side collapsed by
+    # the binomial theorem; at rank 294 its right side would pass 100,000
+    assert cli.main(["prove", "--id", "Eq1", "--n", "293"]) == 0
+    assert cli.main(["prove", "--id", "Eq1", "--n", "294"]) == 2
     _, err = capsys.readouterr()
-    assert err == ("fibkit: error: F(m)^41: the proof needs more than 100,000 "
-                   "term products\n")
+    assert err == ("fibkit: error: sign(294*m)*F(q)^294*G(p - 294*m): the proof needs "
+                   "more than 100,000 term products\n")
 
 
 def test_budget_admits_the_flagships_at_rank_32(catalog):
-    # the largest of Eq1..Eq4 at rank 32 takes 45,876 term products
+    # the largest of Eq1..Eq4 at rank 32 takes 1,536 term products
     report = prove_symbolic(catalog.get("Eq2"), {"n": 32})
     assert report.passed
 
@@ -439,8 +547,8 @@ def test_cost_model_is_pinned_and_independent_of_the_caches(monkeypatch, catalog
     cold = charges_by_entry()
     warm = charges_by_entry()  # every Binet, constant and power polynomial cached
     assert len(cold) == 57
-    assert sum(count for count, _ in cold.values()) == 1_634
-    assert sum(total for _, total in cold.values()) == 13_804  # before the width factor
+    assert sum(count for count, _ in cold.values()) == 778
+    assert sum(total for _, total in cold.values()) == 5_224  # before the width factor
     assert warm == cold
 
 
@@ -519,9 +627,9 @@ def test_budget_refusals_are_the_same_with_a_cold_and_a_warm_power_cache(monkeyp
         finally:
             monkeypatch.setattr(symbolic, "MAX_TERM_PRODUCTS", full)
 
-    # the proof charges 172 term products; each side raises both powers, and
+    # the proof charges 160 term products; each side raises both powers, and
     # the second side's are kept from the first even in a cold cache
-    budgets = range(173)
+    budgets = range(161)
     cold = [outcome(budget, False) for budget in budgets]
     assert [outcome(budget, True) for budget in budgets] == cold
     assert cold[-1] is True and all(isinstance(text, str) for text in cold[:-1])
